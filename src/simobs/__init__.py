@@ -47,7 +47,7 @@ from .simulate import (
     render_scenario,
     write_pcap,
 )
-from .timeseries import ByteSeries, NormalizedSeries, TimedEvent, align, bin_events, min_max_normalize
+from .timeseries import ByteSeries, NormalizedSeries, align, bin_events, event_array, min_max_normalize
 
 __version__ = "0.1.0"
 
@@ -71,7 +71,6 @@ __all__ = [
     "SimilarityVector",
     "SimobsError",
     "ThresholdConfig",
-    "TimedEvent",
     "TrackSampleTable",
     "Verdict",
     "align",
@@ -81,6 +80,7 @@ __all__ = [
     "convergence_analysis",
     "dtw_distance",
     "evaluate",
+    "event_array",
     "extract_device_series",
     "gaussian_kld",
     "gen_activity",

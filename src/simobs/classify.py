@@ -22,6 +22,7 @@ from .errors import (
     TrainingDivergedError,
 )
 from .similarity import MEASURES, SimilarityVector, similarity_vector
+from .similarity import read_rows_json, vector_from_row, vector_to_row
 from .timeseries import ByteSeries, align
 
 # Measures where larger means more similar classify spy at-or-above the
@@ -686,33 +687,13 @@ def measure_agreement(
 # ---------------------------------------------------------------------------
 
 def write_samples_json(samples: Sequence[LabeledSample], out: TextIO) -> None:
-    payload = [
-        {
-            "cc": s.features.cc,
-            "dtw": s.features.dtw,
-            "kld": s.features.kld,
-            "jsd": s.features.jsd,
-            "flags": sorted(s.features.flags),
-            "label": s.label,
-            "tags": sorted(s.tags),
-        }
-        for s in samples
-    ]
+    payload = [{**vector_to_row(s.features), "label": s.label, "tags": sorted(s.tags)} for s in samples]
     json.dump(payload, out, indent=2, sort_keys=True)
     out.write("\n")
 
 
 def read_samples_json(inp: TextIO) -> list[LabeledSample]:
-    samples = []
-    for row in json.load(inp):
-        sv = SimilarityVector(
-            cc=row["cc"],
-            dtw=row["dtw"],
-            kld=row["kld"],
-            jsd=row["jsd"],
-            flags=frozenset(row.get("flags", [])),
-        )
-        samples.append(
-            LabeledSample(features=sv, label=bool(row["label"]), tags=frozenset(row.get("tags", [])))
-        )
-    return samples
+    return read_rows_json(
+        inp,
+        lambda row: LabeledSample(vector_from_row(row), bool(row["label"]), frozenset(row.get("tags", []))),
+    )

@@ -129,11 +129,7 @@ def cmd_analyze(args) -> int:
             payload.append(
                 {
                     "device_id": device_id,
-                    "cc": sv.cc,
-                    "dtw": sv.dtw,
-                    "kld": sv.kld,
-                    "jsd": sv.jsd,
-                    "flags": sorted(sv.flags),
+                    **similarity.vector_to_row(sv),
                     "label": bool(entry.get("spying", False)),
                     "tags": tags + ([f"kind={entry['kind']}"] if "kind" in entry else []),
                 }
@@ -314,9 +310,7 @@ def cmd_portability(args) -> int:
         trainer = args.trainer
     else:
         raise ParameterError(f"trainer must be a measure name, got {args.trainer!r}")
-    order, matrix = cls.portability_matrix(
-        samples, args.partition_tag, trainer, seed=args.seed if args.seed is not None else 0
-    )
+    order, matrix = cls.portability_matrix(samples, args.partition_tag, trainer, seed=args.seed)
     lines = ["train\\test," + ",".join(order)]
     for name, row in zip(order, matrix):
         lines.append(name + "," + ",".join(repr(float(v)) for v in row))
@@ -349,16 +343,23 @@ def build_parser() -> argparse.ArgumentParser:
         prog="simobs",
         description="Find streaming cameras by comparing device byte rates with a reference recording.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--step", type=float, default=DEFAULT_STEP, help="time step in seconds")
-    common.add_argument("--window", type=int, default=DEFAULT_WINDOW, help="window length in steps")
-    common.add_argument("--seed", type=int, default=None, help="seed for every stochastic path")
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--out", default="-", help="output path ('-' for stdout)")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default="-", help="output path ('-' for stdout)")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("csv", "json"), default="csv")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="seed for every stochastic path")
+    scene = argparse.ArgumentParser(add_help=False)
+    scene.add_argument("--scenario", help="scenario config JSON")
+    scene.add_argument("--preset", choices=sorted(simulate.PRESETS))
+    scene.add_argument("--seed", type=int, default=None,
+                       help="scenario seed (default: the scenario file's, or 0 for a preset)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("extract", parents=[common], help="byte series from a pcap or MP4 file")
+    p = sub.add_parser("extract", parents=[out, fmt], help="byte series from a pcap or MP4 file")
+    p.add_argument("--step", type=float, default=DEFAULT_STEP, help="time step in seconds")
+    p.add_argument("--window", type=int, default=DEFAULT_WINDOW, help="window length in steps")
     p.add_argument("--pcap")
     p.add_argument("--video")
     p.add_argument("--group-by", choices=("mac", "ip"), default="mac")
@@ -367,20 +368,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", type=float, default=None, help="window start (defaults to first packet)")
     p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("analyze", parents=[common], help="similarity of each device to the reference")
+    p = sub.add_parser("analyze", parents=[out, fmt], help="similarity of each device to the reference")
     p.add_argument("--reference", required=True, help="reference byte-series CSV")
     p.add_argument("--devices", required=True, help="device-set CSV")
     p.add_argument("--manifest", help="simulator manifest; adds labels/tags and forces JSON")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("classify", parents=[common], help="verdicts from a similarity report")
+    p = sub.add_parser("classify", parents=[out, fmt], help="verdicts from a similarity report")
     p.add_argument("--report", required=True, help="similarity report (JSON)")
     p.add_argument("--thresholds", default="default", help="'default' or measure=value,...")
     p.add_argument("--measures", default="cc,kld,jsd")
     p.add_argument("--model", help="trained model JSON (overrides thresholds)")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("train", parents=[common], help="train the network classifier")
+    p = sub.add_parser("train", parents=[out, seeded], help="train the network classifier")
     p.add_argument("--samples", required=True, help="labeled samples JSON")
     p.add_argument("--layers", default="13,13,13")
     p.add_argument("--activation", choices=cls.ACTIVATIONS, default="logistic")
@@ -389,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", default="cc,kld,jsd")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("grid-search", parents=[common], help="hyperparameter search with CV")
+    p = sub.add_parser("grid-search", parents=[out, seeded], help="hyperparameter search with CV")
     p.add_argument("--samples", required=True)
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--features", default="cc,kld,jsd")
@@ -397,30 +398,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fit-out", help="also fit the best point on all samples, write model here")
     p.set_defaults(func=cmd_grid_search)
 
-    p = sub.add_parser("simulate", parents=[common], help="render a synthetic labeled dataset")
-    p.add_argument("--scenario", help="scenario config JSON")
-    p.add_argument("--preset", choices=sorted(simulate.PRESETS))
+    p = sub.add_parser("simulate", parents=[out, scene], help="render a synthetic labeled dataset")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--pcap-out", help="also write the dataset as a pcap")
     p.add_argument("--link", choices=("ethernet", "radiotap"), default="ethernet")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("converge", parents=[common], help="metrics at every prefix length")
-    p.add_argument("--scenario")
-    p.add_argument("--preset", choices=sorted(simulate.PRESETS))
+    p = sub.add_parser("converge", parents=[out, scene], help="metrics at every prefix length")
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--measure", choices=similarity.MEASURES, default="kld")
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--model")
     p.set_defaults(func=cmd_converge)
 
-    p = sub.add_parser("portability", parents=[common], help="train/test F1 across two partitions")
+    p = sub.add_parser("portability", parents=[out, seeded], help="train/test F1 across two partitions")
     p.add_argument("--samples", required=True)
     p.add_argument("--partition-tag", required=True)
     p.add_argument("--trainer", default="kld", help="measure swept per cell")
     p.set_defaults(func=cmd_portability)
 
-    p = sub.add_parser("agreement", parents=[common], help="simultaneous false-positive counts")
+    p = sub.add_parser("agreement", parents=[out], help="simultaneous false-positive counts")
     p.add_argument("--samples", required=True)
     p.add_argument("--thresholds", default="default")
     p.add_argument("--measures", default="cc,kld,jsd")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import ipaddress
 import json
+import re
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
@@ -24,7 +25,7 @@ from .errors import (
     TruncationError,
     UnsupportedLinkTypeError,
 )
-from .timeseries import ByteSeries, TimedEvent, bin_events
+from .timeseries import EVENT_DTYPE, ByteSeries, bin_events
 
 MAGIC_MICROS = 0xA1B2C3D4
 MAGIC_NANOS = 0xA1B23C4D
@@ -221,7 +222,7 @@ def extract_device_series(
     if byte_basis not in ("transmitted", "on_wire"):
         raise ParameterError(f"byte_basis must be 'transmitted' or 'on_wire', got {byte_basis!r}")
     drops = {"malformed": 0, "unattributed": 0, "out_of_window": 0, "dropped_bytes": 0}
-    per_device: dict[DeviceId, list[TimedEvent]] = {}
+    per_device: dict[DeviceId, list[tuple[float, int]]] = {}
     for record in records:
         size = record.on_wire_len
         try:
@@ -236,23 +237,21 @@ def extract_device_series(
             drops["unattributed"] += 1
             drops["dropped_bytes"] += size
             continue
-        per_device.setdefault(device, []).append(TimedEvent(record.timestamp, max(size, 0)))
+        per_device.setdefault(device, []).append((record.timestamp, max(size, 0)))
 
     end = start + n_steps * step
     streams = []
     for device in sorted(per_device):
-        events = per_device[device]
-        in_window = [ev for ev in events if start <= ev.timestamp < end]
-        out_of_window = len(events) - len(in_window)
-        if out_of_window:
-            drops["out_of_window"] += out_of_window
-            drops["dropped_bytes"] += sum(ev.byte_count for ev in events) - sum(
-                ev.byte_count for ev in in_window
-            )
-        if not in_window:
+        events = np.array(per_device[device], dtype=EVENT_DTYPE)
+        in_window = (events["timestamp"] >= start) & (events["timestamp"] < end)
+        kept = int(in_window.sum())
+        if kept < events.size:
+            drops["out_of_window"] += events.size - kept
+            drops["dropped_bytes"] += int(events["byte_count"][~in_window].sum())
+        if not kept:
             continue
-        series = bin_events(in_window, start, step, n_steps)
-        streams.append(DeviceStream(device_id=device, series=series, frame_count=len(in_window)))
+        series = bin_events(events[in_window], start, step, n_steps)
+        streams.append(DeviceStream(device_id=device, series=series, frame_count=kept))
     if counters is not None:
         counters.update(drops)
     return streams
@@ -277,28 +276,35 @@ def write_devices_csv(streams: Sequence[DeviceStream], out: TextIO) -> None:
         out.write(",".join(str(int(ds.series.values[i])) for ds in streams) + "\n")
 
 
+_MAC = re.compile(r"[0-9a-fA-F]{2}(:[0-9a-fA-F]{2}){5}")
+
+
 def read_devices_csv(inp: TextIO) -> list[DeviceStream]:
     """Inverse of write_devices_csv.
 
     The CSV does not carry frame counts, so restored streams report a
-    placeholder frame_count of 1.
+    placeholder frame_count of 1.  A device id is a MAC when it is six
+    hex octets, else an IPv6 address when it holds a colon, else IPv4.
     """
     lines = [ln.strip() for ln in inp if ln.strip()]
     if len(lines) < 4 or lines[0] != "start_time,step":
         raise FormatError("not a device-set CSV (expected start_time,step preamble)")
-    start_s, step_s = lines[1].split(",")
-    start_time, step = float(start_s), float(step_s)
-    ids = lines[2].split(",")
-    columns: list[list[int]] = [[] for _ in ids]
-    for ln in lines[3:]:
-        cells = ln.split(",")
-        if len(cells) != len(ids):
-            raise FormatError(f"row width {len(cells)} != device count {len(ids)}")
-        for col, cell in zip(columns, cells):
-            col.append(int(cell))
+    try:
+        start_s, step_s = lines[1].split(",")
+        start_time, step = float(start_s), float(step_s)
+        ids = lines[2].split(",")
+        columns: list[list[int]] = [[] for _ in ids]
+        for ln in lines[3:]:
+            cells = ln.split(",")
+            if len(cells) != len(ids):
+                raise FormatError(f"row width {len(cells)} != device count {len(ids)}")
+            for col, cell in zip(columns, cells):
+                col.append(int(cell))
+    except ValueError as exc:
+        raise FormatError(f"malformed device-set CSV row: {exc}") from exc
     streams = []
     for device_id, col in zip(ids, columns):
-        kind = "mac" if ":" in device_id and len(device_id) == 17 else ("ipv6" if ":" in device_id else "ipv4")
+        kind = "mac" if _MAC.fullmatch(device_id) else ("ipv6" if ":" in device_id else "ipv4")
         series = ByteSeries(start_time, step, np.array(col, dtype=np.int64))
         streams.append(DeviceStream(DeviceId(kind, device_id), series, frame_count=1))
     return streams

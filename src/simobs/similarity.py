@@ -11,11 +11,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, TextIO
+from typing import Callable, Iterable, Mapping, TextIO
 
 import numpy as np
 
 from .errors import (
+    FormatError,
     ParameterError,
     UndefinedCorrelationError,
     UndefinedDistributionError,
@@ -247,31 +248,37 @@ def write_report_csv(rows: Iterable[tuple[str, SimilarityVector]], out: TextIO) 
         out.write(f"{device_id},{_fmt(sv.cc)},{_fmt(sv.dtw)},{_fmt(sv.kld)},{_fmt(sv.jsd)},{flags}\n")
 
 
+def vector_to_row(sv: SimilarityVector) -> dict:
+    """The JSON object form of a vector: the four measures and sorted flags."""
+    return {"cc": sv.cc, "dtw": sv.dtw, "kld": sv.kld, "jsd": sv.jsd, "flags": sorted(sv.flags)}
+
+
+def vector_from_row(row: Mapping) -> SimilarityVector:
+    """Inverse of vector_to_row; other keys in ``row`` are ignored."""
+    cc, kld = row["cc"], row["kld"]
+    return SimilarityVector(
+        cc=None if cc is None else float(cc),
+        dtw=float(row["dtw"]),
+        kld=None if kld is None else float(kld),
+        jsd=float(row["jsd"]),
+        flags=frozenset(row.get("flags", [])),
+    )
+
+
+def read_rows_json(inp: TextIO, parse_row: Callable[[Mapping], object]) -> list:
+    """``parse_row`` of each object in a JSON list; anything else, or a
+    missing or mistyped field, raises FormatError."""
+    try:
+        return [parse_row(row) for row in json.load(inp)]
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise FormatError(f"malformed similarity JSON ({type(exc).__name__}: {exc})") from exc
+
+
 def write_report_json(rows: Iterable[tuple[str, SimilarityVector]], out: TextIO) -> None:
-    payload = [
-        {
-            "device_id": device_id,
-            "cc": sv.cc,
-            "dtw": sv.dtw,
-            "kld": sv.kld,
-            "jsd": sv.jsd,
-            "flags": sorted(sv.flags),
-        }
-        for device_id, sv in rows
-    ]
+    payload = [{"device_id": device_id, **vector_to_row(sv)} for device_id, sv in rows]
     json.dump(payload, out, indent=2, sort_keys=True)
     out.write("\n")
 
 
 def read_report_json(inp: TextIO) -> list[tuple[str, SimilarityVector]]:
-    rows = []
-    for row in json.load(inp):
-        sv = SimilarityVector(
-            cc=row["cc"],
-            dtw=row["dtw"],
-            kld=row["kld"],
-            jsd=row["jsd"],
-            flags=frozenset(row.get("flags", [])),
-        )
-        rows.append((row["device_id"], sv))
-    return rows
+    return read_rows_json(inp, lambda row: (row["device_id"], vector_from_row(row)))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import struct
 from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence, TextIO
@@ -20,7 +19,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .pcap import DeviceId, LinkType
-from .timeseries import ByteSeries, TimedEvent, bin_events
+from .timeseries import ByteSeries, bin_events, event_array
 
 MTU = 1500
 MIN_FRAME = 64  # nonzero step emissions are padded to the physical minimum
@@ -106,14 +105,14 @@ class SimScenario:
             raise ParameterError("scenario needs at least one device")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabeledTrace:
-    """One simulated device: its events, binned stream and ground truth."""
+    """One simulated device: its event array, binned stream and ground truth."""
 
     device_id: DeviceId
     kind: str
     spying: bool
-    events: tuple[TimedEvent, ...]
+    events: np.ndarray
     series: ByteSeries
 
 
@@ -192,25 +191,22 @@ def _burst(rng: np.random.Generator, n: int, resolution: float) -> np.ndarray:
 # Device traffic
 # ---------------------------------------------------------------------------
 
-def packetize(step_bytes: Sequence[int], step: float, delay: float = 0.0) -> list[TimedEvent]:
+def packetize(step_bytes: Sequence[int], step: float, delay: float = 0.0) -> np.ndarray:
     """Spread each step's bytes over MTU-sized events within the step.
 
     Nonzero emissions are padded to the 64-byte minimum frame; packets
     sit at evenly spaced sub-step offsets, shifted by ``delay``.
     """
-    events = []
-    for i, total in enumerate(step_bytes):
-        total = int(total)
-        if total <= 0:
-            continue
-        total = max(total, MIN_FRAME)
-        n_pkts = math.ceil(total / MTU)
-        base, extra = divmod(total, n_pkts)
-        for j in range(n_pkts):
-            size = base + (1 if j < extra else 0)
-            timestamp = (i + (j + 0.5) / n_pkts) * step + delay
-            events.append(TimedEvent(timestamp, size))
-    return events
+    totals = np.asarray(step_bytes, dtype=np.int64)
+    steps = np.flatnonzero(totals > 0)
+    totals = np.maximum(totals[steps], MIN_FRAME)
+    n_pkts = -(-totals // MTU)
+    base, extra = np.divmod(totals, n_pkts)
+    n = np.repeat(n_pkts, n_pkts)
+    j = np.arange(n.size) - np.repeat(np.cumsum(n_pkts) - n_pkts, n_pkts)
+    sizes = np.repeat(base, n_pkts) + (j < np.repeat(extra, n_pkts))
+    timestamps = (np.repeat(steps, n_pkts) + (j + 0.5) / n) * step + delay
+    return event_array(timestamps, sizes)
 
 
 def camera_traffic(
@@ -218,7 +214,7 @@ def camera_traffic(
     model: CameraModel,
     step: float,
     seed: int,
-) -> list[TimedEvent]:
+) -> np.ndarray:
     """Packet events a camera with this model produces for the scene."""
     act = activity.per_step_means(step) * model.observed_fraction
     n_steps = len(act)
@@ -247,7 +243,7 @@ def background_traffic(
     duration: int,
     seed: int,
     step: float = 1.0,
-) -> list[TimedEvent]:
+) -> np.ndarray:
     """Packet events for one non-camera (or non-spying camera) device."""
     params = dict(parameters)
     rng = np.random.default_rng(seed)
@@ -262,7 +258,7 @@ def background_traffic(
     raise ParameterError(f"unknown background kind {kind!r}")
 
 
-def _cbr(params: dict, duration: int, rng: np.random.Generator, step: float) -> list[TimedEvent]:
+def _cbr(params: dict, duration: int, rng: np.random.Generator, step: float) -> np.ndarray:
     base = float(params.get("bytes_per_step", 300_000.0))
     jitter = float(params.get("jitter", 0.0))
     surge_period = int(params.get("surge_period", 0))
@@ -276,7 +272,7 @@ def _cbr(params: dict, duration: int, rng: np.random.Generator, step: float) -> 
     return packetize(np.maximum(0, np.round(step_bytes)).astype(np.int64), step)
 
 
-def _vbr_stream(params: dict, duration: int, seed: int, step: float) -> list[TimedEvent]:
+def _vbr_stream(params: dict, duration: int, seed: int, step: float) -> np.ndarray:
     profile = str(params.get("profile", "walking"))
     model = CameraModel(
         idle_bytes_per_step=float(params.get("idle_bytes_per_step", 40_000.0)),
@@ -290,7 +286,7 @@ def _vbr_stream(params: dict, duration: int, seed: int, step: float) -> list[Tim
     return camera_traffic(activity, model, step, derive_seed(seed, "vbr-camera"))
 
 
-def _browsing(params: dict, duration: int, rng: np.random.Generator, step: float) -> list[TimedEvent]:
+def _browsing(params: dict, duration: int, rng: np.random.Generator, step: float) -> np.ndarray:
     burst_mean = float(params.get("burst_bytes", 400_000.0))
     off_mean = float(params.get("off_mean", 6.0))
     step_bytes = np.zeros(duration, dtype=np.int64)
@@ -309,7 +305,7 @@ def _browsing(params: dict, duration: int, rng: np.random.Generator, step: float
     return packetize(step_bytes, step)
 
 
-def _download(params: dict, duration: int, rng: np.random.Generator, step: float) -> list[TimedEvent]:
+def _download(params: dict, duration: int, rng: np.random.Generator, step: float) -> np.ndarray:
     rate = float(params.get("bytes_per_step", 2_000_000.0))
     ramp = max(1, int(params.get("ramp_steps", 5)))
     jitter = float(params.get("jitter", rate * 0.01))
@@ -351,7 +347,7 @@ def render_scenario(scenario: SimScenario) -> SimDataset:
                 device_id=_device_mac(1, i),
                 kind="spy_camera",
                 spying=True,
-                events=tuple(events),
+                events=events,
                 series=bin_events(events, 0.0, step, duration),
             )
         )
@@ -364,7 +360,7 @@ def render_scenario(scenario: SimScenario) -> SimDataset:
                 device_id=_device_mac(2, i),
                 kind=kind,
                 spying=False,
-                events=tuple(events),
+                events=events,
                 series=bin_events(events, 0.0, step, duration),
             )
         )
@@ -428,21 +424,28 @@ def write_pcap(dataset: SimDataset, link: str = "ethernet") -> bytes:
     out = bytearray()
     out += struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, int(link_type))
 
-    queue = []
-    for dev_index, trace in enumerate(dataset.traces):
-        src = _mac_bytes(trace.device_id)
-        for ev in trace.events:
-            queue.append((ev.timestamp, str(trace.device_id), src, dev_index, ev.byte_count))
-    queue.sort(key=lambda item: (item[0], item[1]))
+    traces = dataset.traces
+    events = np.concatenate([tr.events for tr in traces])
+    smallest = int(events["byte_count"].min(initial=MIN_FRAME))
+    if smallest < MIN_FRAME:
+        raise ParameterError(f"event of {smallest} bytes is below the {MIN_FRAME}-byte frame minimum")
+    dev_index = np.repeat(np.arange(len(traces)), [len(tr.events) for tr in traces])
+    # Frames go out in (timestamp, device id) order; equal keys keep
+    # trace order, then event order.
+    _, rank = np.unique([str(tr.device_id) for tr in traces], return_inverse=True)
+    order = np.lexsort((rank[dev_index], events["timestamp"]))
+    sources = [_mac_bytes(tr.device_id) for tr in traces]
 
-    for timestamp, _, src, dev_index, size in queue:
-        if size < MIN_FRAME:
-            raise ParameterError(f"event of {size} bytes is below the {MIN_FRAME}-byte frame minimum")
+    for timestamp, dev, size in zip(
+        events["timestamp"][order].tolist(),
+        dev_index[order].tolist(),
+        events["byte_count"][order].tolist(),
+    ):
         if link_type is LinkType.ETHERNET:
-            frame = _ethernet_frame(src, size, dev_index)
+            frame = _ethernet_frame(sources[dev], size, dev)
             on_wire = size
         else:
-            frame = _radiotap_frame(src, size)
+            frame = _radiotap_frame(sources[dev], size)
             on_wire = size + len(_RADIOTAP_HEADER)
         ts_sec = int(timestamp)
         ts_usec = round((timestamp - ts_sec) * 1e6)

@@ -6,9 +6,8 @@ types are immutable values and all operations are pure functions.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -23,16 +22,16 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class TimedEvent:
-    """A timestamped byte count (one packet, one video sample, ...)."""
+# Timestamped byte counts (packets, video samples, ...), one record each.
+EVENT_DTYPE = np.dtype([("timestamp", "f8"), ("byte_count", "i8")])
 
-    timestamp: float
-    byte_count: int
 
-    def __post_init__(self):
-        if self.byte_count < 0:
-            raise ParameterError(f"byte_count must be >= 0, got {self.byte_count}")
+def event_array(timestamps, byte_counts) -> np.ndarray:
+    """Read-only events from parallel timestamp and byte-count sequences."""
+    events = np.empty(len(timestamps), dtype=EVENT_DTYPE)
+    events["timestamp"] = timestamps
+    events["byte_count"] = byte_counts
+    return _frozen(events)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,25 +107,28 @@ class NormalizedSeries:
 
 
 def bin_events(
-    events: Iterable[TimedEvent],
+    events: np.ndarray,
     start_time: float,
     step: float,
     n_steps: int,
 ) -> ByteSeries:
     """Sum event byte counts into ``n_steps`` half-open bins.
 
-    Events outside ``[start_time, start_time + n_steps*step)`` are dropped;
-    input order does not matter.
+    ``events`` is an ``EVENT_DTYPE`` array.  Events outside
+    ``[start_time, start_time + n_steps*step)`` are dropped; input order
+    does not matter.
     """
     if step <= 0:
         raise ParameterError(f"step must be > 0, got {step}")
     if n_steps < 1:
         raise ParameterError(f"n_steps must be >= 1, got {n_steps}")
+    sizes = events["byte_count"]
+    if (sizes < 0).any():
+        raise ParameterError(f"byte_count must be >= 0, got {sizes.min()}")
+    idx = np.floor((events["timestamp"] - start_time) / step)
+    keep = (idx >= 0) & (idx < n_steps)
     bins = np.zeros(n_steps, dtype=np.int64)
-    for ev in events:
-        idx = math.floor((ev.timestamp - start_time) / step)
-        if 0 <= idx < n_steps:
-            bins[idx] += ev.byte_count
+    np.add.at(bins, idx[keep].astype(np.int64), sizes[keep])
     return ByteSeries(start_time, step, bins)
 
 

@@ -20,13 +20,15 @@ from simobs.classify import (
     mlp_train,
     mlp_verdicts,
     portability_matrix,
+    read_samples_json,
     save_model,
     stratified_folds,
     sweep_threshold,
     threshold_classify,
+    write_samples_json,
 )
-from simobs.errors import ClassImbalanceError, ParameterError, PartitionError
-from simobs.similarity import SimilarityVector
+from simobs.errors import ClassImbalanceError, FormatError, ParameterError, PartitionError
+from simobs.similarity import SimilarityVector, read_report_json, write_report_json
 from simobs.timeseries import ByteSeries
 
 
@@ -390,3 +392,32 @@ class TestAgreement:
     def test_needs_negative_sample(self):
         with pytest.raises(ParameterError):
             measure_agreement([sample(True)], self._configs())
+
+
+class TestSimilarityJson:
+    ROWS = [
+        ("aa:00:00:00:00:01", sv(cc=0.25, dtw=3.5, kld=0.0125, jsd=0.001)),
+        ("aa:00:00:00:00:02", sv(cc=None, dtw=0.0, kld=None, jsd=0.693,
+                                 flags=("cc_undefined", "kld_undefined", "cand_degenerate"))),
+    ]
+
+    def test_report_round_trip(self):
+        buf = io.StringIO()
+        write_report_json(self.ROWS, buf)
+        assert read_report_json(io.StringIO(buf.getvalue())) == self.ROWS
+
+    def test_samples_round_trip(self):
+        samples = [LabeledSample(v, i == 0, frozenset({"regime=near", f"kind={i}"}))
+                   for i, (_, v) in enumerate(self.ROWS)]
+        buf = io.StringIO()
+        write_samples_json(samples, buf)
+        assert read_samples_json(io.StringIO(buf.getvalue())) == samples
+
+    @pytest.mark.parametrize("text", [
+        "", "[{", "7", '[{"cc": 0.1}]', '[{"cc": 0.1, "dtw": null, "kld": 0.1, "jsd": 0.1}]',
+    ])
+    def test_malformed_is_format_error(self, text):
+        with pytest.raises(FormatError):
+            read_report_json(io.StringIO(text))
+        with pytest.raises(FormatError):
+            read_samples_json(io.StringIO(text))

@@ -118,6 +118,29 @@ class TestSimulateAnalyzeClassify:
         assert best["device_id"] in spy_ids
 
 
+@pytest.fixture
+def synthetic_samples(tmp_path):
+    # Big enough that every CV train split keeps >= 10 samples of each
+    # class; half the rows are tagged regime=near, half regime=far.
+    import numpy as np
+
+    rng = np.random.default_rng(0)
+    rows = []
+    for i in range(40):
+        tags = ["regime=near" if i % 2 else "regime=far"]
+        rows.append({"cc": float(rng.normal(0.9, 0.03)), "dtw": 1.0,
+                     "kld": float(abs(rng.normal(0.005, 0.002))),
+                     "jsd": float(abs(rng.normal(0.002, 0.001))),
+                     "flags": [], "label": True, "tags": tags})
+        rows.append({"cc": float(rng.normal(0.1, 0.1)), "dtw": 8.0,
+                     "kld": float(abs(rng.normal(0.8, 0.2))),
+                     "jsd": float(abs(rng.normal(0.2, 0.05))),
+                     "flags": [], "label": False, "tags": tags})
+    path = tmp_path / "synthetic.json"
+    path.write_text(json.dumps(rows))
+    return path
+
+
 class TestTrainAndStudies:
     @pytest.fixture
     def samples_file(self, tmp_path):
@@ -174,33 +197,28 @@ class TestTrainAndStudies:
         payload = json.loads(out.read_text())
         assert "total_false_positives" in payload
 
-    def test_grid_search_command(self, tmp_path):
-        # Synthetic corpus: big enough that every CV train split keeps
-        # >= 10 samples of each class.
-        import numpy as np
-
-        rng = np.random.default_rng(0)
-        rows = []
-        for _ in range(40):
-            rows.append({"cc": float(rng.normal(0.9, 0.03)), "dtw": 1.0,
-                         "kld": float(abs(rng.normal(0.005, 0.002))),
-                         "jsd": float(abs(rng.normal(0.002, 0.001))),
-                         "flags": [], "label": True, "tags": []})
-            rows.append({"cc": float(rng.normal(0.1, 0.1)), "dtw": 8.0,
-                         "kld": float(abs(rng.normal(0.8, 0.2))),
-                         "jsd": float(abs(rng.normal(0.2, 0.05))),
-                         "flags": [], "label": False, "tags": []})
-        samples = tmp_path / "synthetic.json"
-        samples.write_text(json.dumps(rows))
-
+    def test_grid_search_command(self, synthetic_samples, tmp_path):
         out = tmp_path / "grid.json"
         model = tmp_path / "best.json"
-        assert run(["grid-search", "--samples", str(samples), "--folds", "3",
+        assert run(["grid-search", "--samples", str(synthetic_samples), "--folds", "3",
                     "--seed", "2", "--out", str(out), "--fit-out", str(model)]) == 0
         payload = json.loads(out.read_text())
         assert payload["grid_points"] == 8
         assert 0.0 <= payload["cv_f1"] <= 1.0
         assert model.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--layers", "4", "--max-iter", "50"],
+        ["grid-search", "--folds", "3"],
+        ["portability", "--partition-tag", "regime"],
+    ])
+    def test_default_seed_is_zero(self, argv, synthetic_samples, tmp_path):
+        outputs = []
+        for seed_flag in ([], ["--seed", "0"]):
+            out = tmp_path / f"out{len(outputs)}"
+            assert run(argv + ["--samples", str(synthetic_samples), "--out", str(out)] + seed_flag) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestConverge:
@@ -245,3 +263,57 @@ class TestUsageErrors:
 
     def test_simulate_needs_scenario_or_preset(self, tmp_path):
         assert run(["simulate", "--out-dir", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["agreement", "--samples", "s.json", "--step", "5"],
+        ["agreement", "--samples", "s.json", "--window", "3"],
+        ["agreement", "--samples", "s.json", "--format", "json"],
+        ["agreement", "--samples", "s.json", "--seed", "9"],
+        ["analyze", "--reference", "r.csv", "--devices", "d.csv", "--seed", "1"],
+        ["classify", "--report", "r.json", "--window", "3"],
+        ["train", "--samples", "s.json", "--format", "json"],
+        ["simulate", "--preset", "easy", "--out-dir", "x", "--step", "2"],
+        ["converge", "--preset", "easy", "--format", "json"],
+    ])
+    def test_flag_the_command_never_reads_exits_2(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("text", [
+        '[{"device_id": "x", "cc": 0.5',
+        '[{"device_id": "x"}]',
+        '{"device_id": "x"}',
+    ])
+    def test_garbled_report_one_line_exit_1(self, text, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        report.write_text(text)
+        out = tmp_path / "verdicts.json"
+        assert run(["classify", "--report", str(report), "--out", str(out)]) == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ['[{"cc": 0.1, "dtw": 1.0, "kld": 0.01, "jsd": 0.001}]', "[{"])
+    def test_garbled_samples_one_line_exit_1(self, text, tmp_path, capsys):
+        samples = tmp_path / "samples.json"
+        samples.write_text(text)
+        out = tmp_path / "model.json"
+        assert run(["train", "--samples", str(samples), "--out", str(out)]) == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_non_integer_device_cell_one_line_exit_1(self, tmp_path, capsys):
+        out_dir = tmp_path / "sim"
+        assert run(["simulate", "--preset", "easy", "--seed", "1", "--out-dir", str(out_dir)]) == 0
+        devices = out_dir / "devices.csv"
+        lines = devices.read_text().splitlines()
+        lines[3] = "x" + lines[3]
+        devices.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "report.csv"
+        assert run(["analyze", "--reference", str(out_dir / "reference.csv"),
+                    "--devices", str(devices), "--out", str(out)]) == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()

@@ -257,3 +257,23 @@ class TestDevicesCsv:
         assert back[0].series.values.tolist() == [1, 2, 3]
         assert back[1].series.values.tolist() == [4, 0, 6]
         assert back[0].series.start_time == 5.0
+
+    def test_non_integer_cell_is_format_error(self):
+        text = "start_time,step\n0.0,1.0\naa:00:00:00:00:01\n12\nlots\n"
+        with pytest.raises(FormatError):
+            read_devices_csv(io.StringIO(text))
+
+    def test_bad_preamble_is_format_error(self):
+        with pytest.raises(FormatError):
+            read_devices_csv(io.StringIO("start_time,step\n0.0;1.0\naa:00:00:00:00:01\n12\n"))
+
+    def test_id_kinds(self):
+        ids = ["aa:00:00:00:00:01", "2001:db8::1:2:3:4", "fe80::1", "10.0.0.7"]
+        text = "start_time,step\n0.0,1.0\n" + ",".join(ids) + "\n1,2,3,4\n"
+        back = read_devices_csv(io.StringIO(text))
+        assert [s.device_id for s in back] == [
+            DeviceId("mac", ids[0]),
+            DeviceId("ipv6", ids[1]),
+            DeviceId("ipv6", ids[2]),
+            DeviceId("ipv4", ids[3]),
+        ]

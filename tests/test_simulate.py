@@ -1,10 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from simobs.errors import ParameterError
-from simobs.pcap import extract_device_series, read_pcap
+from simobs.pcap import extract_device_series, read_pcap, transmitter_of
 from simobs.similarity import gaussian_kld, pearson_cc
 from simobs.simulate import (
+    MIN_FRAME,
+    MTU,
     ActivitySignal,
     CameraModel,
     SimScenario,
@@ -14,6 +20,7 @@ from simobs.simulate import (
     easy_scenario,
     gen_activity,
     load_scenario,
+    packetize,
     preset_scenario,
     render_scenario,
     save_scenario,
@@ -54,11 +61,36 @@ class TestGenActivity:
             gen_activity("sprinting", 60, 0)
 
 
+def packetize_oracle(step_bytes, step, delay):
+    """Per-packet loop: (timestamp, size) of every packet, in order."""
+    events = []
+    for i, total in enumerate(step_bytes):
+        if total <= 0:
+            continue
+        total = max(total, MIN_FRAME)
+        n_pkts = math.ceil(total / MTU)
+        base, extra = divmod(total, n_pkts)
+        for j in range(n_pkts):
+            events.append(((i + (j + 0.5) / n_pkts) * step + delay, base + (1 if j < extra else 0)))
+    return events
+
+
+class TestPacketize:
+    @given(
+        st.lists(st.one_of(st.integers(-10, MIN_FRAME), st.integers(0, 20_000)), max_size=40),
+        st.sampled_from([1.0, 0.5, 2.0]),
+        st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+    )
+    def test_matches_per_packet_loop(self, step_bytes, step, delay):
+        events = packetize(np.array(step_bytes, dtype=np.int64), step, delay)
+        assert events.tolist() == packetize_oracle(step_bytes, step, delay)
+
+
 class TestCameraTraffic:
     def test_silent_camera_no_events(self):
         activity = ActivitySignal(0.1, np.zeros(600))
         model = CameraModel(idle_bytes_per_step=0, motion_gain=1000, iframe_bytes=0, noise_std=0)
-        assert camera_traffic(activity, model, 1.0, 0) == []
+        assert len(camera_traffic(activity, model, 1.0, 0)) == 0
 
     def test_constant_activity_closed_form(self):
         activity = ActivitySignal(0.1, np.ones(600))
@@ -108,7 +140,7 @@ class TestCameraTraffic:
         model = CameraModel(idle_bytes_per_step=1000, motion_gain=0, iframe_bytes=0,
                             noise_std=0, delay=1.0)
         events = camera_traffic(activity, model, 1.0, 0)
-        assert min(ev.timestamp for ev in events) >= 1.0
+        assert events["timestamp"].min() >= 1.0
 
 
 class TestBackgroundTraffic:
@@ -160,8 +192,12 @@ class TestRenderScenario:
         a = render_scenario(scenario)
         b = render_scenario(scenario)
         assert np.array_equal(a.reference_series.values, b.reference_series.values)
+        assert len(a.traces) == len(b.traces)
         for ta, tb in zip(a.traces, b.traces):
-            assert ta == tb
+            assert (ta.device_id, ta.kind, ta.spying) == (tb.device_id, tb.kind, tb.spying)
+            assert ta.events.dtype == tb.events.dtype
+            assert np.array_equal(ta.events, tb.events)
+            assert ta.series == tb.series
         assert a.manifest == b.manifest
 
     def test_adding_device_does_not_perturb_existing(self):
@@ -171,7 +207,7 @@ class TestRenderScenario:
         ds_more = render_scenario(more)
         by_id = {str(tr.device_id): tr for tr in ds_more.traces}
         for tr in ds_base.traces:
-            assert by_id[str(tr.device_id)].events == tr.events
+            assert np.array_equal(by_id[str(tr.device_id)].events, tr.events)
 
     def test_manifest_covers_every_device(self):
         dataset = render_scenario(easy_scenario(seed=2))
@@ -256,16 +292,16 @@ class TestWritePcap:
     def test_records_match_events_verbatim(self):
         dataset = render_scenario(easy_scenario(seed=12, n_background=2))
         events = sorted(
-            ((ev.timestamp, str(tr.device_id), ev.byte_count) for tr in dataset.traces
-             for ev in tr.events),
+            (ts, str(tr.device_id), size) for tr in dataset.traces for ts, size in tr.events.tolist()
         )
         records = list(read_pcap(write_pcap(dataset, link="radiotap")))
         assert len(records) == len(events)
         rt_len = 8
-        for record, (ts, _, size) in zip(records, events):
+        for record, (ts, device_id, size) in zip(records, events):
             assert record.on_wire_len - rt_len == size
             assert record.captured_len == len(record.payload)
             assert abs(record.timestamp - ts) < 1e-6
+            assert str(transmitter_of(record)) == device_id
 
 
 class TestScenarioConfig:

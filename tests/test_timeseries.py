@@ -9,9 +9,9 @@ from simobs.errors import AlignmentError, FormatError, ParameterError
 from simobs.timeseries import (
     ByteSeries,
     NormalizedSeries,
-    TimedEvent,
     align,
     bin_events,
+    event_array,
     min_max_normalize,
     read_series_csv,
     write_series_csv,
@@ -24,34 +24,38 @@ def make_series(values, start=0.0, step=1.0):
 
 class TestBinEvents:
     def test_direct_bucket_sums(self):
-        events = [TimedEvent(0.1, 100), TimedEvent(0.9, 50), TimedEvent(1.5, 200)]
+        events = event_array([0.1, 0.9, 1.5], [100, 50, 200])
         series = bin_events(events, 0.0, 1.0, 2)
         assert series.values.tolist() == [150, 200]
 
     def test_empty_events(self):
-        series = bin_events([], 0.0, 1.0, 3)
+        series = bin_events(event_array([], []), 0.0, 1.0, 3)
         assert series.values.tolist() == [0, 0, 0]
 
     def test_uniform_events_conserved(self):
         rng = np.random.default_rng(7)
-        events = [TimedEvent(float(t), 1) for t in rng.uniform(0, 60, 1000)]
+        events = event_array(rng.uniform(0, 60, 1000), np.ones(1000, dtype=np.int64))
         series = bin_events(events, 0.0, 1.0, 60)
         assert int(series.values.sum()) == 1000
 
     def test_out_of_window_dropped(self):
-        events = [TimedEvent(-0.5, 10), TimedEvent(5.0, 20), TimedEvent(2.0, 7)]
+        events = event_array([-0.5, 5.0, 2.0], [10, 20, 7])
         series = bin_events(events, 0.0, 1.0, 5)
         assert int(series.values.sum()) == 7
 
     def test_right_edge_goes_to_next_bin(self):
-        series = bin_events([TimedEvent(1.0, 5)], 0.0, 1.0, 3)
+        series = bin_events(event_array([1.0], [5]), 0.0, 1.0, 3)
         assert series.values.tolist() == [0, 5, 0]
 
     def test_bad_parameters(self):
         with pytest.raises(ParameterError):
-            bin_events([], 0.0, 0.0, 3)
+            bin_events(event_array([], []), 0.0, 0.0, 3)
         with pytest.raises(ParameterError):
-            bin_events([], 0.0, 1.0, 0)
+            bin_events(event_array([], []), 0.0, 1.0, 0)
+
+    def test_negative_byte_count_rejected(self):
+        with pytest.raises(ParameterError):
+            bin_events(event_array([0.5, 1.5], [10, -1]), 0.0, 1.0, 3)
 
     @given(
         st.lists(
@@ -60,7 +64,7 @@ class TestBinEvents:
         )
     )
     def test_conservation_property(self, raw):
-        events = [TimedEvent(t, b) for t, b in raw]
+        events = event_array([t for t, _ in raw], [b for _, b in raw])
         series = bin_events(events, 0.0, 1.0, 60)
         in_window = sum(b for t, b in raw if 0 <= np.floor(t) < 60)
         assert int(series.values.sum()) == in_window
