@@ -17,9 +17,11 @@ import numpy as np
 
 from .errors import (
     ClassImbalanceError,
+    FormatError,
     ParameterError,
     PartitionError,
     TrainingDivergedError,
+    read_json,
 )
 from .similarity import MEASURES, SimilarityVector, similarity_vector
 from .similarity import read_rows_json, vector_from_row, vector_to_row
@@ -50,23 +52,18 @@ PHONE_REF_FEATURES = ("dtw", "kld", "jsd")
 class ThresholdConfig:
     measure: str
     threshold: float
-    direction: str
 
     def __post_init__(self):
         if self.measure not in MEASURES:
             raise ParameterError(f"unknown measure {self.measure!r}")
-        if self.direction != DIRECTION_BY_MEASURE[self.measure]:
-            raise ParameterError(
-                f"direction for {self.measure} must be {DIRECTION_BY_MEASURE[self.measure]}"
-            )
 
-    @classmethod
-    def for_measure(cls, measure: str, threshold: float) -> "ThresholdConfig":
-        return cls(measure, threshold, DIRECTION_BY_MEASURE[measure])
+    @property
+    def direction(self) -> str:
+        return DIRECTION_BY_MEASURE[self.measure]
 
 
 def default_configs(measures: Iterable[str] = MEASURES) -> list[ThresholdConfig]:
-    return [ThresholdConfig.for_measure(m, DEFAULT_THRESHOLDS[m]) for m in measures]
+    return [ThresholdConfig(m, DEFAULT_THRESHOLDS[m]) for m in measures]
 
 
 @dataclass(frozen=True)
@@ -217,25 +214,15 @@ class MlpModel:
     feature_std: np.ndarray
     training_loss: float = math.nan
 
-    @property
-    def total_weights(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
 
-
-def feature_matrix(samples: Sequence[LabeledSample], subset: Sequence[str]) -> np.ndarray:
-    """Measures plus per-measure undefined indicators, one row per sample."""
+def feature_matrix(vectors: Sequence[SimilarityVector], subset: Sequence[str]) -> np.ndarray:
+    """Measures plus per-measure undefined indicators, one row per vector."""
     rows = []
-    for s in samples:
-        vals = [imputed_measure(s.features, m) for m in subset]
-        indicators = [1.0 if s.features.measure(m) is None else 0.0 for m in subset]
+    for sv in vectors:
+        vals = [imputed_measure(sv, m) for m in subset]
+        indicators = [1.0 if sv.measure(m) is None else 0.0 for m in subset]
         rows.append(vals + indicators)
     return np.array(rows, dtype=np.float64)
-
-
-def _feature_row(sv: SimilarityVector, subset: Sequence[str]) -> np.ndarray:
-    vals = [imputed_measure(sv, m) for m in subset]
-    indicators = [1.0 if sv.measure(m) is None else 0.0 for m in subset]
-    return np.array(vals + indicators, dtype=np.float64)
 
 
 def _act(z: np.ndarray, kind: str) -> np.ndarray:
@@ -285,7 +272,7 @@ def mlp_train(
     if n_pos < 10 or n_neg < 10:
         raise ClassImbalanceError(f"need >= 10 samples per class, got {n_pos} spy / {n_neg} other")
 
-    x_raw = feature_matrix(train, tuple(feature_subset))
+    x_raw = feature_matrix([s.features for s in train], tuple(feature_subset))
     mean = x_raw.mean(axis=0)
     std = x_raw.std(axis=0)
     std = np.where(std < 1e-12, 1.0, std)
@@ -356,7 +343,7 @@ def mlp_train(
 
 def mlp_predict(model: MlpModel, sv: SimilarityVector) -> float:
     """Spy probability in (0, 1) for one similarity vector."""
-    return float(_mlp_predict_matrix(model, _feature_row(sv, model.feature_subset)[None, :])[0])
+    return float(_mlp_predict_matrix(model, feature_matrix([sv], model.feature_subset))[0])
 
 
 def _mlp_predict_matrix(model: MlpModel, x_raw: np.ndarray) -> np.ndarray:
@@ -365,7 +352,7 @@ def _mlp_predict_matrix(model: MlpModel, x_raw: np.ndarray) -> np.ndarray:
 
 
 def mlp_verdicts(model: MlpModel, samples: Sequence[LabeledSample]) -> list[bool]:
-    x = feature_matrix(samples, model.feature_subset)
+    x = feature_matrix([s.features for s in samples], model.feature_subset)
     return (_mlp_predict_matrix(model, x) >= 0.5).tolist()
 
 
@@ -388,7 +375,12 @@ def save_model(model: MlpModel, out: TextIO) -> None:
 
 
 def load_model(inp: TextIO) -> MlpModel:
-    payload = json.load(inp)
+    """Inverse of save_model; a payload that is not a consistent network
+    raises FormatError."""
+    return read_json(inp, _model_from_payload, "model")
+
+
+def _model_from_payload(payload: dict) -> MlpModel:
     version = payload.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ParameterError(f"unsupported model format version {version}")
@@ -398,7 +390,7 @@ def load_model(inp: TextIO) -> MlpModel:
         for flat, fan_in, fan_out in zip(payload["weights"], sizes, sizes[1:])
     )
     biases = tuple(np.array(b, dtype=np.float64) for b in payload["biases"])
-    return MlpModel(
+    model = MlpModel(
         layer_sizes=sizes,
         activation=payload["activation"],
         weights=weights,
@@ -408,11 +400,29 @@ def load_model(inp: TextIO) -> MlpModel:
         feature_std=np.array(payload["standardization"]["std"], dtype=np.float64),
         training_loss=payload.get("training_loss", math.nan),
     )
+    if model.activation not in ACTIVATIONS:
+        raise FormatError(f"model activation {model.activation!r} is not one of {ACTIVATIONS}")
+    if not set(model.feature_subset) <= set(MEASURES):
+        raise FormatError(f"model features {list(model.feature_subset)} are not all in {MEASURES}")
+    n_inputs = 2 * len(model.feature_subset)
+    shapes_ok = (
+        sizes[0] == n_inputs
+        and sizes[-1] == 1
+        and len(weights) == len(sizes) - 1
+        and [b.shape for b in biases] == [(n,) for n in sizes[1:]]
+        and model.feature_mean.shape == model.feature_std.shape == (n_inputs,)
+    )
+    if not shapes_ok:
+        raise FormatError(f"model arrays do not fit layer sizes {list(sizes)}")
+    return model
 
 
 # ---------------------------------------------------------------------------
 # Grid search with stratified cross validation
 # ---------------------------------------------------------------------------
+
+# Iteration cap of every fit made during cross validation.
+CV_MAX_ITER = 300
 
 @dataclass(frozen=True)
 class ParamGrid:
@@ -461,7 +471,6 @@ def cross_validate(
     folds: int,
     seed: int,
     feature_subset: Sequence[str] = CAMERA_REF_FEATURES,
-    max_iter: int = 300,
 ) -> float:
     """Mean held-out F1 of one hyperparameter point."""
     labels = [s.label for s in samples]
@@ -476,7 +485,7 @@ def cross_validate(
             layers=point.hidden_layers,
             activation=point.activation,
             seed=seed + k,
-            max_iter=max_iter,
+            max_iter=CV_MAX_ITER,
             alpha=point.alpha,
             feature_subset=feature_subset,
         )
@@ -487,18 +496,15 @@ def cross_validate(
 
 def grid_search(
     samples: Sequence[LabeledSample],
-    grid: ParamGrid | Sequence[GridPoint] | None = None,
+    grid: ParamGrid | Sequence[GridPoint],
     folds: int = 10,
     seed: int = 0,
     feature_subset: Sequence[str] = CAMERA_REF_FEATURES,
-    max_iter: int = 300,
 ) -> tuple[GridPoint, float]:
     """Pick the hyperparameter point with the best mean CV F1.
 
     Exact F1 ties break toward the architecture with fewer weights.
     """
-    if grid is None:
-        grid = ParamGrid()
     points = grid.points() if isinstance(grid, ParamGrid) else list(grid)
     if not points:
         raise ParameterError("hyperparameter grid is empty")
@@ -506,7 +512,7 @@ def grid_search(
     best: tuple[float, int, int] | None = None
     best_point = points[0]
     for order, point in enumerate(points):
-        score = cross_validate(samples, point, folds, seed, feature_subset, max_iter)
+        score = cross_validate(samples, point, folds, seed, feature_subset)
         sizes = (n_features, *point.hidden_layers, 1)
         n_weights = sum((a + 1) * b for a, b in zip(sizes, sizes[1:]))
         key = (-score, n_weights, order)
@@ -528,7 +534,7 @@ def classify_sample(sv: SimilarityVector, model_or_cfg: MlpModel | ThresholdConf
 
 def convergence_analysis(
     reference: ByteSeries,
-    devices: Sequence,
+    devices: Sequence[ByteSeries],
     labels: Sequence[bool],
     model_or_cfg: MlpModel | ThresholdConfig,
 ) -> list[tuple[int, Metrics]]:
@@ -539,10 +545,7 @@ def convergence_analysis(
     """
     if len(devices) != len(labels):
         raise ParameterError("devices and labels must have equal length")
-    pairs = []
-    for device in devices:
-        series = device.series if hasattr(device, "series") else device
-        pairs.append(align(reference, series))
+    pairs = [align(reference, series) for series in devices]
     t_max = max(len(ref) for ref, _ in pairs)
     if t_max < 2:
         raise ParameterError("window must be at least 2 steps")
@@ -584,49 +587,23 @@ def _holdout_split(
     return train, test
 
 
-def _fit_and_score(
-    train: Sequence[LabeledSample],
-    test: Sequence[LabeledSample],
-    trainer,
-    seed: int,
-    feature_subset: Sequence[str],
-) -> float:
-    if isinstance(trainer, ThresholdConfig):
-        preds = [bool(threshold_classify(s.features, trainer)) for s in test]
-    elif isinstance(trainer, str):
-        threshold, _ = sweep_threshold(list(train), trainer)
-        cfg = ThresholdConfig.for_measure(trainer, threshold)
-        preds = [bool(threshold_classify(s.features, cfg, impute=True)) for s in test]
-    elif isinstance(trainer, GridPoint):
-        model = mlp_train(
-            list(train),
-            layers=trainer.hidden_layers,
-            activation=trainer.activation,
-            seed=seed,
-            alpha=trainer.alpha,
-            feature_subset=feature_subset,
-        )
-        preds = mlp_verdicts(model, list(test))
-    else:
-        raise ParameterError(f"unsupported trainer {trainer!r}")
-    return evaluate(preds, [s.label for s in test]).f1
-
-
 def portability_matrix(
     samples: Sequence[LabeledSample],
     partition_tag: str,
-    trainer,
+    trainer: str,
     seed: int = 0,
-    feature_subset: Sequence[str] = CAMERA_REF_FEATURES,
 ) -> tuple[tuple[str, str, str], np.ndarray]:
     """F1 for train/test over two tagged partitions and their union.
 
     Tags of the form ``<partition_tag>=<value>`` split the corpus; the
     matrix rows are training sets (A, B, both) and columns test sets.
-    Diagonal cells use a held-out half; off-diagonal cells train and
-    test on the full partitions, as is conventional for portability
-    studies.
+    Each cell sweeps the threshold of the measure ``trainer`` on its
+    training set and scores it on its test set.  Diagonal cells use a
+    held-out half; off-diagonal cells train and test on the full
+    partitions, as is conventional for portability studies.
     """
+    if trainer not in MEASURES:
+        raise ParameterError(f"trainer must be a measure name, got {trainer!r}")
     groups = _split_tags(samples, partition_tag)
     if len(groups) != 2:
         raise PartitionError(
@@ -646,7 +623,10 @@ def portability_matrix(
                 train, test = _holdout_split(parts[train_name], seed)
             else:
                 train, test = parts[train_name], parts[test_name]
-            matrix[i, j] = _fit_and_score(train, test, trainer, seed, feature_subset)
+            threshold, _ = sweep_threshold(train, trainer)
+            cfg = ThresholdConfig(trainer, threshold)
+            preds = [bool(threshold_classify(s.features, cfg, impute=True)) for s in test]
+            matrix[i, j] = evaluate(preds, [s.label for s in test]).f1
     return order, matrix
 
 

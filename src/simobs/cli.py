@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import classify as cls
 from . import mp4, pcap, similarity, simulate
-from .errors import AlignmentError, ParameterError, SimobsError
+from .errors import AlignmentError, ParameterError, SimobsError, read_json
 from .timeseries import DEFAULT_STEP, DEFAULT_WINDOW, ByteSeries, read_series_csv, write_series_csv
 
 
@@ -60,37 +61,27 @@ def cmd_extract(args) -> int:
     if bool(args.pcap) == bool(args.video):
         raise ParameterError("give exactly one of --pcap or --video")
     if args.pcap:
-        data = Path(args.pcap).read_bytes()
-        records = list(pcap.read_pcap(data))
-        start = args.start
-        if start is None:
-            start = records[0].timestamp if records else 0.0
-        streams = pcap.extract_device_series(
-            records,
-            start=start,
-            step=args.step,
-            n_steps=args.window,
-            byte_basis=args.byte_basis,
-            group_by=args.group_by,
-            include_non_data=args.include_non_data,
-        )
-        if args.format == "csv":
-            text = _render(pcap.write_devices_csv, streams)
-        else:
-            text = _render(pcap.write_devices_json, streams)
+        with open(args.pcap, "rb") as fh:
+            records = iter(pcap.read_pcap(fh))
+            start = args.start
+            if start is None:
+                first = next(records, None)
+                start = first.timestamp if first is not None else 0.0
+                records = itertools.chain([first] if first is not None else [], records)
+            streams = pcap.extract_device_series(
+                records,
+                start=start,
+                step=args.step,
+                n_steps=args.window,
+                byte_basis=args.byte_basis,
+                group_by=args.group_by,
+                include_non_data=args.include_non_data,
+            )
+        text = _render(pcap.write_devices_csv, streams)
     else:
         data = Path(args.video).read_bytes()
         tables = mp4.parse_mp4(data)
-        series = mp4.video_byte_series(tables, step=args.step)
-        if args.format == "csv":
-            text = _render(write_series_csv, series)
-        else:
-            payload = {
-                "start_time": series.start_time,
-                "step": series.step,
-                "values": [int(v) for v in series.values],
-            }
-            text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = _render(write_series_csv, mp4.video_byte_series(tables, step=args.step))
     _write_text(args.out, text)
     return 0
 
@@ -100,13 +91,25 @@ def _read_series(path: str) -> ByteSeries:
         return read_series_csv(fh)
 
 
+def _manifest_labels(manifest) -> tuple[list, dict[str, tuple[bool, list]]]:
+    """The scenario's sorted tags, and the spying label and sample tags
+    of each device the simulator manifest lists."""
+    tags = sorted(manifest.get("scenario", {}).get("tags", []))
+    labels = {}
+    for d in manifest.get("devices", []):
+        kind = [f"kind={d['kind']}"] if "kind" in d else []
+        labels[d["device_id"]] = (bool(d.get("spying", False)), tags + kind)
+    return tags, labels
+
+
 def cmd_analyze(args) -> int:
     reference = _read_series(args.reference)
     with open(args.devices) as fh:
         streams = pcap.read_devices_csv(fh)
     manifest = None
     if args.manifest:
-        manifest = json.loads(Path(args.manifest).read_text())
+        with open(args.manifest) as fh:
+            manifest = read_json(fh, _manifest_labels, "manifest")
 
     rows = []
     skipped = []
@@ -117,21 +120,25 @@ def cmd_analyze(args) -> int:
             skipped.append((str(ds.device_id), str(exc)))
             continue
         rows.append((str(ds.device_id), sv))
+    if not rows:
+        raise AlignmentError(
+            f"none of the {len(streams)} devices overlaps the reference window "
+            f"[{reference.start_time}, {reference.end_time})"
+        )
     for device_id, reason in skipped:
         print(f"warning: {device_id}: {reason}", file=sys.stderr)
 
     if manifest is not None:
-        truth = {d["device_id"]: d for d in manifest.get("devices", [])}
-        tags = sorted(manifest.get("scenario", {}).get("tags", []))
+        tags, labels = manifest
         payload = []
         for device_id, sv in rows:
-            entry = truth.get(device_id, {})
+            label, sample_tags = labels.get(device_id, (False, tags))
             payload.append(
                 {
                     "device_id": device_id,
                     **similarity.vector_to_row(sv),
-                    "label": bool(entry.get("spying", False)),
-                    "tags": tags + ([f"kind={entry['kind']}"] if "kind" in entry else []),
+                    "label": label,
+                    "tags": sample_tags,
                 }
             )
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -158,7 +165,7 @@ def cmd_classify(args) -> int:
         for device_id, sv in rows:
             cell: dict = {}
             for measure in args.measures.split(","):
-                cfg = cls.ThresholdConfig.for_measure(measure, thresholds[measure])
+                cfg = cls.ThresholdConfig(measure, thresholds[measure])
                 verdict = cls.threshold_classify(sv, cfg)
                 cell[f"spy_{measure}"] = verdict.spy
                 if verdict.indeterminate:
@@ -274,7 +281,7 @@ def cmd_converge(args) -> int:
             classifier = cls.load_model(fh)
     else:
         threshold = args.threshold if args.threshold is not None else cls.DEFAULT_THRESHOLDS[args.measure]
-        classifier = cls.ThresholdConfig.for_measure(args.measure, threshold)
+        classifier = cls.ThresholdConfig(args.measure, threshold)
 
     curves: list[list[cls.Metrics]] = []
     base = simulate.scenario_to_dict(scenario)
@@ -306,11 +313,7 @@ def cmd_converge(args) -> int:
 
 def cmd_portability(args) -> int:
     samples = _load_samples(args.samples)
-    if args.trainer in similarity.MEASURES:
-        trainer = args.trainer
-    else:
-        raise ParameterError(f"trainer must be a measure name, got {args.trainer!r}")
-    order, matrix = cls.portability_matrix(samples, args.partition_tag, trainer, seed=args.seed)
+    order, matrix = cls.portability_matrix(samples, args.partition_tag, args.trainer, seed=args.seed)
     lines = ["train\\test," + ",".join(order)]
     for name, row in zip(order, matrix):
         lines.append(name + "," + ",".join(repr(float(v)) for v in row))
@@ -321,9 +324,7 @@ def cmd_portability(args) -> int:
 def cmd_agreement(args) -> int:
     samples = _load_samples(args.samples)
     thresholds = _parse_thresholds(args.thresholds)
-    configs = [
-        cls.ThresholdConfig.for_measure(m, thresholds[m]) for m in args.measures.split(",")
-    ]
+    configs = [cls.ThresholdConfig(m, thresholds[m]) for m in args.measures.split(",")]
     report = cls.measure_agreement(samples, configs)
     payload = {
         "total_false_positives": report.total_false_positives,
@@ -357,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("extract", parents=[out, fmt], help="byte series from a pcap or MP4 file")
+    p = sub.add_parser("extract", parents=[out], help="byte series from a pcap or MP4 file")
     p.add_argument("--step", type=float, default=DEFAULT_STEP, help="time step in seconds")
     p.add_argument("--window", type=int, default=DEFAULT_WINDOW, help="window length in steps")
     p.add_argument("--pcap")
@@ -414,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("portability", parents=[out, seeded], help="train/test F1 across two partitions")
     p.add_argument("--samples", required=True)
     p.add_argument("--partition-tag", required=True)
-    p.add_argument("--trainer", default="kld", help="measure swept per cell")
+    p.add_argument("--trainer", choices=similarity.MEASURES, default="kld", help="measure swept per cell")
     p.set_defaults(func=cmd_portability)
 
     p = sub.add_parser("agreement", parents=[out], help="simultaneous false-positive counts")

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all simobs modules."""
+"""Exception hierarchy shared by all simobs modules, and the error
+policy of every JSON reader."""
+import json
+from typing import Callable, TextIO
 
 
 class SimobsError(Exception):
@@ -66,3 +69,18 @@ class PartitionError(SimobsError):
 
 class TrainingDivergedError(SimobsError):
     """Model training produced a non-finite loss."""
+
+
+def read_json(inp: TextIO, parse: Callable[[object], object], what: str):
+    """``parse`` of the JSON document in ``inp``.
+
+    Malformed JSON, or a document ``parse`` cannot read (a missing key,
+    a wrong type or value), raises FormatError naming ``what``.  The
+    package's own errors raised by ``parse`` keep their type.
+    """
+    try:
+        return parse(json.load(inp))
+    except SimobsError:
+        raise
+    except (ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise FormatError(f"malformed {what} JSON ({type(exc).__name__}: {exc})") from exc

@@ -13,13 +13,17 @@ from typing import BinaryIO, Iterator, Sequence
 import numpy as np
 
 from .errors import NoVideoTrackError, ParameterError, StructureError, TruncationError
-from .timeseries import ByteSeries
+from .timeseries import ByteSeries, bin_events, event_array
 
 VIDEO_HANDLER = "vide"
 
 # Parser sanity bound: refuse sample tables larger than any plausible
 # recording before allocating for them (fuzzed counts are 32-bit).
 MAX_SAMPLES = 50_000_000
+# The same for the length of the media: a corrupt decode delta can claim
+# centuries in a file of a few hundred bytes.  A month is longer than
+# MAX_SAMPLES frames at 30 fps.
+MAX_SECONDS = 31 * 24 * 3600
 
 
 @dataclass(frozen=True)
@@ -203,8 +207,7 @@ def video_byte_series(tables: Sequence[TrackSampleTable], step: float = 1.0) -> 
     if video.sample_count == 0:
         raise StructureError("video track has no samples")
     times = video.decode_times()
-    indices = np.floor(times / step).astype(np.int64)
-    n_steps = int(indices[-1]) + 1
-    bins = np.zeros(n_steps, dtype=np.int64)
-    np.add.at(bins, indices, np.asarray(video.sample_sizes, dtype=np.int64))
-    return ByteSeries(start_time=0.0, step=step, values=bins)
+    if times[-1] > MAX_SECONDS:
+        raise StructureError(f"video spans {times[-1]:.0f} s, beyond the {MAX_SECONDS} s parser limit")
+    n_steps = int(np.floor(times[-1] / step)) + 1
+    return bin_events(event_array(times, video.sample_sizes), 0.0, step, n_steps)

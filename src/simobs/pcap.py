@@ -8,7 +8,6 @@ the frames of each device are binned into a ByteSeries.
 from __future__ import annotations
 
 import ipaddress
-import json
 import re
 import struct
 from dataclasses import dataclass
@@ -33,6 +32,9 @@ PCAPNG_MAGIC = 0x0A0D0D0A
 
 GLOBAL_HEADER_LEN = 24
 RECORD_HEADER_LEN = 16
+# Payloads longer than this are read in pieces, so that a corrupt length
+# field cannot make one read allocate gigabytes for a short file.
+READ_CHUNK = 1 << 20
 
 ETHERTYPE_IPV4 = 0x0800
 ETHERTYPE_IPV6 = 0x86DD
@@ -111,7 +113,7 @@ def read_pcap(source: BinaryIO | bytes) -> Iterator[PacketRecord]:
             raise FormatError(
                 f"record at byte {offset} claims captured length {incl_len} > on-wire length {orig_len}"
             )
-        payload = stream.read(incl_len)
+        payload = _read_payload(stream, incl_len)
         if len(payload) < incl_len:
             raise TruncationError(f"record payload truncated at byte {offset}", offset=offset)
         yield PacketRecord(
@@ -122,6 +124,18 @@ def read_pcap(source: BinaryIO | bytes) -> Iterator[PacketRecord]:
             payload=payload,
         )
         offset += RECORD_HEADER_LEN + incl_len
+
+
+def _read_payload(stream: BinaryIO, n: int) -> bytes:
+    """Up to ``n`` bytes of ``stream``, read ``READ_CHUNK`` at a time."""
+    parts = []
+    while n > 0:
+        part = stream.read(min(n, READ_CHUNK))
+        if not part:
+            break
+        parts.append(part)
+        n -= len(part)
+    return b"".join(parts)
 
 
 def _mac_str(raw: bytes) -> str:
@@ -286,10 +300,10 @@ def read_devices_csv(inp: TextIO) -> list[DeviceStream]:
     placeholder frame_count of 1.  A device id is a MAC when it is six
     hex octets, else an IPv6 address when it holds a colon, else IPv4.
     """
-    lines = [ln.strip() for ln in inp if ln.strip()]
-    if len(lines) < 4 or lines[0] != "start_time,step":
-        raise FormatError("not a device-set CSV (expected start_time,step preamble)")
     try:
+        lines = [ln.strip() for ln in inp if ln.strip()]
+        if len(lines) < 4 or lines[0] != "start_time,step":
+            raise FormatError("not a device-set CSV (expected start_time,step preamble)")
         start_s, step_s = lines[1].split(",")
         start_time, step = float(start_s), float(step_s)
         ids = lines[2].split(",")
@@ -300,29 +314,13 @@ def read_devices_csv(inp: TextIO) -> list[DeviceStream]:
                 raise FormatError(f"row width {len(cells)} != device count {len(ids)}")
             for col, cell in zip(columns, cells):
                 col.append(int(cell))
-    except ValueError as exc:
-        raise FormatError(f"malformed device-set CSV row: {exc}") from exc
+        arrays = [np.array(col, dtype=np.int64) for col in columns]
+    except (ValueError, OverflowError) as exc:
+        raise FormatError(f"malformed device-set CSV: {exc}") from exc
     streams = []
-    for device_id, col in zip(ids, columns):
+    for device_id, values in zip(ids, arrays):
         kind = "mac" if _MAC.fullmatch(device_id) else ("ipv6" if ":" in device_id else "ipv4")
-        series = ByteSeries(start_time, step, np.array(col, dtype=np.int64))
+        series = ByteSeries(start_time, step, values)
         streams.append(DeviceStream(DeviceId(kind, device_id), series, frame_count=1))
     return streams
 
-
-def write_devices_json(streams: Sequence[DeviceStream], out: TextIO) -> None:
-    payload = {
-        "start_time": streams[0].series.start_time if streams else 0.0,
-        "step": streams[0].series.step if streams else 1.0,
-        "devices": [
-            {
-                "device_id": str(ds.device_id),
-                "kind": ds.device_id.kind,
-                "frame_count": ds.frame_count,
-                "values": [int(v) for v in ds.series.values],
-            }
-            for ds in streams
-        ],
-    }
-    json.dump(payload, out, indent=2, sort_keys=True)
-    out.write("\n")

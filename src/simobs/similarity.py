@@ -16,10 +16,10 @@ from typing import Callable, Iterable, Mapping, TextIO
 import numpy as np
 
 from .errors import (
-    FormatError,
     ParameterError,
     UndefinedCorrelationError,
     UndefinedDistributionError,
+    read_json,
 )
 from .timeseries import ByteSeries, NormalizedSeries, align, min_max_normalize
 
@@ -266,12 +266,8 @@ def vector_from_row(row: Mapping) -> SimilarityVector:
 
 
 def read_rows_json(inp: TextIO, parse_row: Callable[[Mapping], object]) -> list:
-    """``parse_row`` of each object in a JSON list; anything else, or a
-    missing or mistyped field, raises FormatError."""
-    try:
-        return [parse_row(row) for row in json.load(inp)]
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise FormatError(f"malformed similarity JSON ({type(exc).__name__}: {exc})") from exc
+    """``parse_row`` of each object in a JSON list, read by read_json."""
+    return read_json(inp, lambda rows: [parse_row(row) for row in rows], "similarity")
 
 
 def write_report_json(rows: Iterable[tuple[str, SimilarityVector]], out: TextIO) -> None:

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, read_json
 from .pcap import DeviceId, LinkType
 from .timeseries import ByteSeries, bin_events, event_array
 
@@ -490,7 +490,7 @@ def scenario_from_dict(data: Mapping) -> SimScenario:
 
 
 def load_scenario(inp: TextIO) -> SimScenario:
-    return scenario_from_dict(json.load(inp))
+    return read_json(inp, scenario_from_dict, "scenario")
 
 
 def save_scenario(scenario: SimScenario, out: TextIO) -> None:

@@ -181,10 +181,10 @@ def write_series_csv(series: ByteSeries, out: TextIO) -> None:
 
 
 def read_series_csv(inp: TextIO) -> ByteSeries:
-    lines = [ln.strip() for ln in inp if ln.strip()]
-    if len(lines) < 4 or lines[0] != "start_time,step" or lines[2] != "index,bytes":
-        raise FormatError("not a byte-series CSV (expected start_time,step / index,bytes headers)")
     try:
+        lines = [ln.strip() for ln in inp if ln.strip()]
+        if len(lines) < 4 or lines[0] != "start_time,step" or lines[2] != "index,bytes":
+            raise FormatError("not a byte-series CSV (expected start_time,step / index,bytes headers)")
         start_s, step_s = lines[1].split(",")
         start_time, step = float(start_s), float(step_s)
         values = []
@@ -193,6 +193,7 @@ def read_series_csv(inp: TextIO) -> ByteSeries:
             if int(idx_s) != len(values):
                 raise FormatError(f"non-contiguous index {idx_s} in byte-series CSV")
             values.append(int(bytes_s))
-    except ValueError as exc:
-        raise FormatError(f"malformed byte-series CSV row: {exc}") from exc
-    return ByteSeries(start_time, step, np.array(values, dtype=np.int64))
+        values = np.array(values, dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
+        raise FormatError(f"malformed byte-series CSV: {exc}") from exc
+    return ByteSeries(start_time, step, values)

@@ -324,7 +324,7 @@ class TestEndToEndDetection:
 class TestConvergence:
     def test_prefix_f1_curve(self):
         start = time.monotonic()
-        cfg = ThresholdConfig.for_measure("kld", 0.021)
+        cfg = ThresholdConfig("kld", 0.021)
         curves = []
         for trial in range(40):
             dataset = render_scenario(easy_scenario(seed=20_000 + trial, n_background=69))

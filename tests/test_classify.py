@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from simobs.classify import (
     DEFAULT_THRESHOLDS,
+    DIRECTION_BY_MEASURE,
     GridPoint,
     LabeledSample,
     ParamGrid,
@@ -28,7 +29,7 @@ from simobs.classify import (
     write_samples_json,
 )
 from simobs.errors import ClassImbalanceError, FormatError, ParameterError, PartitionError
-from simobs.similarity import SimilarityVector, read_report_json, write_report_json
+from simobs.similarity import MEASURES, SimilarityVector, read_report_json, write_report_json
 from simobs.timeseries import ByteSeries
 
 
@@ -42,33 +43,41 @@ def sample(label, tags=(), **kwargs):
 
 class TestThresholdClassify:
     def test_kld_below_default_threshold_is_spy(self):
-        cfg = ThresholdConfig.for_measure("kld", DEFAULT_THRESHOLDS["kld"])
+        cfg = ThresholdConfig("kld", DEFAULT_THRESHOLDS["kld"])
         assert cfg.threshold == 0.021
         assert threshold_classify(sv(kld=0.010), cfg).spy
 
     def test_high_cc_is_spy(self):
-        cfg = ThresholdConfig.for_measure("cc", DEFAULT_THRESHOLDS["cc"])
+        cfg = ThresholdConfig("cc", DEFAULT_THRESHOLDS["cc"])
         assert threshold_classify(sv(cc=1.0), cfg).spy
 
     def test_large_dtw_is_not_spy(self):
-        cfg = ThresholdConfig.for_measure("dtw", DEFAULT_THRESHOLDS["dtw"])
+        cfg = ThresholdConfig("dtw", DEFAULT_THRESHOLDS["dtw"])
         assert cfg.threshold == 12.51
         assert not threshold_classify(sv(dtw=30.0), cfg).spy
 
     def test_undefined_measure_indeterminate(self):
-        cfg = ThresholdConfig.for_measure("cc", 0.21)
+        cfg = ThresholdConfig("cc", 0.21)
         verdict = threshold_classify(sv(cc=None, flags={"cc_undefined"}), cfg)
         assert not verdict.spy
         assert verdict.indeterminate
 
-    def test_wrong_direction_rejected(self):
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_direction_follows_measure(self, measure):
+        cfg = ThresholdConfig(measure, 1.0)
+        assert cfg.direction == DIRECTION_BY_MEASURE[measure]
+        above = threshold_classify(sv(**{measure: 2.0}), cfg).spy
+        below = threshold_classify(sv(**{measure: 0.5}), cfg).spy
+        assert (above, below) == ((True, False) if measure == "cc" else (False, True))
+
+    def test_unknown_measure_rejected(self):
         with pytest.raises(ParameterError):
-            ThresholdConfig("kld", 0.021, "spy_if_at_least")
+            ThresholdConfig("rmse", 0.5)
 
     @given(st.floats(0, 5), st.floats(0, 5))
     def test_monotone_in_measure(self, low, high):
         low, high = min(low, high), max(low, high)
-        cfg = ThresholdConfig.for_measure("kld", 1.0)
+        cfg = ThresholdConfig("kld", 1.0)
         if threshold_classify(sv(kld=high), cfg).spy:
             assert threshold_classify(sv(kld=low), cfg).spy
 
@@ -145,7 +154,7 @@ class TestSweep:
             return
         samples = [sample(lab, kld=val) for lab, val in raw]
         threshold, f1 = sweep_threshold(samples, "kld")
-        cfg = ThresholdConfig.for_measure("kld", threshold)
+        cfg = ThresholdConfig("kld", threshold)
         preds = [bool(threshold_classify(s.features, cfg, impute=True)) for s in samples]
         assert evaluate(preds, labels).f1 == f1
 
@@ -298,7 +307,7 @@ class TestConvergence:
         rng = np.random.default_rng(14)
         ref = _ramp_series(rng.integers(1000, 50_000, 30))
         noise = _ramp_series(rng.integers(1000, 50_000, 30))
-        cfg = ThresholdConfig.for_measure("kld", 0.021)
+        cfg = ThresholdConfig("kld", 0.021)
         results = convergence_analysis(ref, [ref, noise], [True, False], cfg)
         assert results[-1][0] == 30
         from simobs.similarity import similarity_vector
@@ -309,14 +318,14 @@ class TestConvergence:
     def test_self_device_always_spy(self):
         rng = np.random.default_rng(15)
         ref = _ramp_series(rng.integers(1000, 50_000, 20))
-        cfg = ThresholdConfig.for_measure("kld", 0.021)
+        cfg = ThresholdConfig("kld", 0.021)
         results = convergence_analysis(ref, [ref], [True], cfg)
         assert all(m.recall == 1.0 for _, m in results)
 
     def test_window_too_short(self):
         ref = _ramp_series([1])
         with pytest.raises(ParameterError):
-            convergence_analysis(ref, [ref], [True], ThresholdConfig.for_measure("kld", 0.021))
+            convergence_analysis(ref, [ref], [True], ThresholdConfig("kld", 0.021))
 
 
 class TestPortability:
@@ -347,6 +356,10 @@ class TestPortability:
         with pytest.raises(PartitionError):
             portability_matrix(samples, "env", trainer="kld")
 
+    def test_trainer_must_be_a_measure(self):
+        with pytest.raises(ParameterError):
+            portability_matrix(self._samples(), "env", trainer="bogus")
+
 
 class TestAffineInvariance:
     def test_cc_verdict_invariant_under_candidate_scaling(self):
@@ -355,7 +368,7 @@ class TestAffineInvariance:
         from simobs.similarity import similarity_vector
 
         rng = np.random.default_rng(33)
-        cfg = ThresholdConfig.for_measure("cc", DEFAULT_THRESHOLDS["cc"])
+        cfg = ThresholdConfig("cc", DEFAULT_THRESHOLDS["cc"])
         for _ in range(20):
             ref = ByteSeries(0.0, 1.0, rng.integers(100, 100_000, 60))
             cand_vals = rng.integers(100, 100_000, 60)
@@ -373,7 +386,7 @@ class TestDefaultThresholds:
 
 class TestAgreement:
     def _configs(self):
-        return [ThresholdConfig.for_measure(m, DEFAULT_THRESHOLDS[m]) for m in ("cc", "kld", "jsd")]
+        return [ThresholdConfig(m, DEFAULT_THRESHOLDS[m]) for m in ("cc", "kld", "jsd")]
 
     def test_all_perfect_empty(self):
         samples = [sample(False, cc=-0.5, kld=5.0, jsd=0.5)] * 10 + [

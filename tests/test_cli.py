@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from conftest import ethernet_frame, mp4_file, pcap_header, pcap_record, trak_box
+from simobs import simulate
 from simobs.cli import main
 
 
@@ -47,14 +49,6 @@ class TestExtract:
         lines = out.read_text().splitlines()
         assert lines[3] == "0,30"
         assert lines[4] == "1,70"
-
-    def test_video_to_series_json(self, video_file, tmp_path):
-        out = tmp_path / "series.json"
-        assert run(["extract", "--video", str(video_file), "--format", "json",
-                    "--out", str(out)]) == 0
-        payload = json.loads(out.read_text())
-        assert payload["values"] == [30, 70]
-        assert payload["step"] == 1.0
 
     def test_missing_file_exit_2_no_output(self, tmp_path):
         out = tmp_path / "never.csv"
@@ -118,12 +112,9 @@ class TestSimulateAnalyzeClassify:
         assert best["device_id"] in spy_ids
 
 
-@pytest.fixture
-def synthetic_samples(tmp_path):
+def _synthetic_rows():
     # Big enough that every CV train split keeps >= 10 samples of each
     # class; half the rows are tagged regime=near, half regime=far.
-    import numpy as np
-
     rng = np.random.default_rng(0)
     rows = []
     for i in range(40):
@@ -136,8 +127,13 @@ def synthetic_samples(tmp_path):
                      "kld": float(abs(rng.normal(0.8, 0.2))),
                      "jsd": float(abs(rng.normal(0.2, 0.05))),
                      "flags": [], "label": False, "tags": tags})
+    return rows
+
+
+@pytest.fixture
+def synthetic_samples(tmp_path):
     path = tmp_path / "synthetic.json"
-    path.write_text(json.dumps(rows))
+    path.write_text(json.dumps(_synthetic_rows()))
     return path
 
 
@@ -274,6 +270,7 @@ class TestUsageErrors:
         ["train", "--samples", "s.json", "--format", "json"],
         ["simulate", "--preset", "easy", "--out-dir", "x", "--step", "2"],
         ["converge", "--preset", "easy", "--format", "json"],
+        ["extract", "--pcap", "c.pcap", "--format", "json"],
     ])
     def test_flag_the_command_never_reads_exits_2(self, argv, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -317,3 +314,157 @@ class TestMalformedInput:
                     "--devices", str(devices), "--out", str(out)]) == 1
         assert len(capsys.readouterr().err.splitlines()) == 1
         assert not out.exists()
+
+    @pytest.fixture(scope="class")
+    def scene(self, tmp_path_factory):
+        """An easy scene and its JSON similarity report."""
+        d = tmp_path_factory.mktemp("scene")
+        assert run(["simulate", "--preset", "easy", "--seed", "1", "--out-dir", str(d)]) == 0
+        assert run(["analyze", "--reference", str(d / "reference.csv"), "--devices", str(d / "devices.csv"),
+                    "--format", "json", "--out", str(d / "report.json")]) == 0
+        return d
+
+    @pytest.mark.parametrize("text", ['{"devices": [{"device_id": "02:00', '[{"devices": []}]'])
+    def test_garbled_manifest_one_line_exit_1(self, text, scene, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(text)
+        out = tmp_path / "samples.json"
+        assert run(["analyze", "--reference", str(scene / "reference.csv"),
+                    "--devices", str(scene / "devices.csv"), "--manifest", str(manifest),
+                    "--out", str(out)]) == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("garble", ["truncated", "list", "no layer_sizes", "no feature_subset",
+                                        "unknown activation", "unknown feature", "short mean"])
+    def test_garbled_model_one_line_exit_1(self, garble, scene, synthetic_samples, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        assert run(["train", "--samples", str(synthetic_samples), "--layers", "3", "--max-iter", "5",
+                    "--out", str(model)]) == 0
+        text = model.read_text()
+        payload = json.loads(text)
+        if garble == "truncated":
+            text = text[: len(text) // 2]
+        else:
+            if garble == "list":
+                payload = [payload]
+            elif garble.startswith("no "):
+                del payload[garble.removeprefix("no ")]
+            elif garble == "unknown activation":
+                payload["activation"] = "softmax"
+            elif garble == "unknown feature":
+                payload["feature_subset"][0] = "dtv"
+            else:
+                payload["standardization"]["mean"].pop()
+            text = json.dumps(payload)
+        model.write_text(text)
+        out = tmp_path / "verdicts.json"
+        assert run(["classify", "--report", str(scene / "report.json"), "--model", str(model),
+                    "--out", str(out)]) == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_truncated_scenario_one_line_exit_1(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        with open(scenario, "w") as fh:
+            simulate.save_scenario(simulate.easy_scenario(seed=1), fh)
+        scenario.write_text(scenario.read_text()[:100])
+        out_dir = tmp_path / "sim"
+        assert run(["simulate", "--scenario", str(scenario), "--out-dir", str(out_dir)]) == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out_dir.exists()
+
+    def test_no_device_overlaps_reference_exit_1(self, scene, tmp_path, capsys):
+        devices = tmp_path / "devices.csv"
+        lines = (scene / "devices.csv").read_text().splitlines()
+        lines[1] = "1700000000.0," + lines[1].split(",")[1]
+        devices.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "report.csv"
+        assert run(["analyze", "--reference", str(scene / "reference.csv"),
+                    "--devices", str(devices), "--out", str(out)]) == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
+
+
+class TestCliFuzz:
+    """Seeded truncations and byte flips of every input file.
+
+    Each run either exits 0 and writes its output, or exits 1 or 2 with
+    exactly one stderr line and no output; an exception escaping
+    ``main`` fails the test.
+    """
+
+    TRUNCATIONS = 15
+    FLIPS = 45
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        """Input name -> (file, argv with FILE and OUT placeholders)."""
+        d = tmp_path_factory.mktemp("fuzz")
+        capture = pcap_header()
+        for sec, mac, wire in [(0, "aa:00:00:00:00:01", 100), (1, "aa:00:00:00:00:01", 200),
+                               (1, "aa:00:00:00:00:02", 150), (2, "aa:00:00:00:00:03", 90)]:
+            capture += pcap_record(sec, 500_000, ethernet_frame(mac, body=bytes(wire - 14)), orig_len=wire)
+        (d / "capture.pcap").write_bytes(capture)
+        (d / "clip.mp4").write_bytes(mp4_file(trak_box(1000, "vide", sizes=[10, 20, 30, 40],
+                                                       deltas=[(4, 500)])))
+        with open(d / "scenario.json", "w") as fh:
+            simulate.save_scenario(simulate.easy_scenario(seed=1, duration=10, n_background=2), fh)
+        (d / "samples.json").write_text(json.dumps(_synthetic_rows()))
+        scene = d / "scene"
+        assert run(["simulate", "--preset", "easy", "--seed", "1", "--out-dir", str(scene)]) == 0
+        assert run(["analyze", "--reference", str(scene / "reference.csv"),
+                    "--devices", str(scene / "devices.csv"), "--format", "json",
+                    "--out", str(d / "report.json")]) == 0
+        assert run(["train", "--samples", str(d / "samples.json"), "--layers", "3",
+                    "--max-iter", "5", "--out", str(d / "model.json")]) == 0
+        reference, devices = str(scene / "reference.csv"), str(scene / "devices.csv")
+        return {
+            "pcap": (d / "capture.pcap", ["extract", "--pcap", "FILE", "--window", "3", "--out", "OUT"]),
+            "mp4": (d / "clip.mp4", ["extract", "--video", "FILE", "--out", "OUT"]),
+            "reference": (scene / "reference.csv",
+                          ["analyze", "--reference", "FILE", "--devices", devices, "--out", "OUT"]),
+            "devices": (scene / "devices.csv",
+                        ["analyze", "--reference", reference, "--devices", "FILE", "--out", "OUT"]),
+            "manifest": (scene / "manifest.json",
+                         ["analyze", "--reference", reference, "--devices", devices,
+                          "--manifest", "FILE", "--out", "OUT"]),
+            "report": (d / "report.json", ["classify", "--report", "FILE", "--out", "OUT"]),
+            "samples": (d / "samples.json",
+                        ["train", "--samples", "FILE", "--layers", "2", "--max-iter", "10", "--out", "OUT"]),
+            "model": (d / "model.json",
+                      ["classify", "--report", str(d / "report.json"), "--model", "FILE", "--out", "OUT"]),
+            "scenario": (d / "scenario.json", ["simulate", "--scenario", "FILE", "--out-dir", "OUT"]),
+        }
+
+    @pytest.mark.parametrize("name", ["pcap", "mp4", "reference", "devices", "manifest", "report",
+                                      "samples", "model", "scenario"])
+    def test_mutated_input(self, name, inputs, tmp_path, capsys):
+        path, argv = inputs[name]
+        base = path.read_bytes()
+        rng = np.random.default_rng(sorted(inputs).index(name))
+        mutants = [base[:cut] for cut in rng.integers(0, len(base), self.TRUNCATIONS)]
+        for pos, mask in zip(rng.integers(0, len(base), self.FLIPS), rng.integers(1, 256, self.FLIPS)):
+            mutant = bytearray(base)
+            mutant[pos] ^= mask
+            mutants.append(bytes(mutant))
+
+        failures = []
+        for i, mutant in enumerate(mutants):
+            data = tmp_path / f"input{i}"
+            data.write_bytes(mutant)
+            out = tmp_path / f"out{i}"
+            args = [str(data) if a == "FILE" else str(out) if a == "OUT" else a for a in argv]
+            try:
+                code = run(args)
+            except Exception as exc:  # a traceback: record it with the mutant that caused it
+                failures.append((i, f"{type(exc).__name__}: {exc}"))
+                continue
+            err = capsys.readouterr().err.splitlines()
+            if code == 0:
+                ok = out.exists()
+            else:
+                ok = code in (1, 2) and len(err) == 1 and not out.exists()
+            if not ok:
+                failures.append((i, f"exit {code}, stderr {err}, output {out.exists()}"))
+        assert failures == []

@@ -108,6 +108,20 @@ class TestVideoByteSeries:
         series = video_byte_series(parse_mp4(data), step=1.0)
         assert int(series.values.sum()) == 30
 
+    def test_span_beyond_duration_limit_rejected(self):
+        # Two samples 0xFF000000 ticks apart: 4.3 million seconds of media.
+        data = mp4_file(trak_box(1000, "vide", sizes=[10, 20], deltas=[(2, 0xFF000000)]))
+        with pytest.raises(StructureError):
+            video_byte_series(parse_mp4(data), step=1.0)
+
+    def test_long_video_at_small_step_bins(self):
+        # Three hours of media at a 10 ms step: over a million bins.
+        data = mp4_file(trak_box(1000, "vide", sizes=[10, 20], deltas=[(2, 3 * 3600 * 1000)]))
+        series = video_byte_series(parse_mp4(data), step=0.01)
+        assert len(series) == 3 * 3600 * 100 + 1
+        assert series.values[0] == 10 and series.values[-1] == 20
+        assert int(series.values.sum()) == 30
+
 
 class TestFuzzSmoke:
     def test_mutated_bytes_never_crash(self, simple_video_mp4):
