@@ -35,6 +35,7 @@ from .similarity import (
     jsd,
     pearson_cc,
     similarity_vector,
+    similarity_vectors,
 )
 from .simulate import (
     ActivitySignal,
@@ -96,6 +97,7 @@ __all__ = [
     "read_pcap",
     "render_scenario",
     "similarity_vector",
+    "similarity_vectors",
     "sweep_threshold",
     "threshold_classify",
     "transmitter_of",

@@ -23,7 +23,8 @@ from .errors import (
     TrainingDivergedError,
     read_json,
 )
-from .similarity import MEASURES, SimilarityVector, similarity_vector
+# similarity_vector is not called here; perfbench/layers.py wraps classify.similarity_vector.
+from .similarity import MEASURES, SimilarityVector, similarity_vector, similarity_vectors
 from .similarity import read_rows_json, vector_from_row, vector_to_row
 from .timeseries import ByteSeries, align
 
@@ -540,22 +541,17 @@ def convergence_analysis(
 ) -> list[tuple[int, Metrics]]:
     """Metrics at every prefix length t = 2..T of the shared window.
 
-    Each device is aligned with the reference once; at each t the
-    similarity vectors are recomputed on the first t steps only.
+    ``devices`` is one device set, aligned with the reference once; at
+    each t the similarity vectors are recomputed on the first t steps only.
     """
-    if len(devices) != len(labels):
-        raise ParameterError("devices and labels must have equal length")
-    pairs = [align(reference, series) for series in devices]
-    t_max = max(len(ref) for ref, _ in pairs)
-    if t_max < 2:
+    if not devices or len(devices) != len(labels):
+        raise ParameterError("devices and labels must be non-empty and of equal length")
+    window, _ = align(reference, devices[0])
+    if len(window) < 2:
         raise ParameterError("window must be at least 2 steps")
     results = []
-    for t in range(2, t_max + 1):
-        preds = []
-        for ref, cand in pairs:
-            n = min(t, len(ref))
-            sv = similarity_vector(ref.prefix(n), cand.prefix(n))
-            preds.append(classify_sample(sv, model_or_cfg))
+    for t in range(2, len(window) + 1):
+        preds = [classify_sample(sv, model_or_cfg) for sv in similarity_vectors(window.prefix(t), devices)]
         results.append((t, evaluate(preds, list(labels))))
     return results
 

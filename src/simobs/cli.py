@@ -19,7 +19,7 @@ import numpy as np
 
 from . import classify as cls
 from . import mp4, pcap, similarity, simulate
-from .errors import AlignmentError, ParameterError, SimobsError, read_json
+from .errors import ParameterError, SimobsError, read_json
 from .timeseries import DEFAULT_STEP, DEFAULT_WINDOW, ByteSeries, read_series_csv, write_series_csv
 
 
@@ -36,16 +36,21 @@ def _render(writer, *args) -> str:
     return buf.getvalue()
 
 
-def _parse_thresholds(text: str) -> dict[str, float]:
-    if text == "default":
-        return dict(cls.DEFAULT_THRESHOLDS)
-    out = dict(cls.DEFAULT_THRESHOLDS)
-    for part in text.split(","):
-        measure, _, value = part.partition("=")
-        if measure not in similarity.MEASURES or not value:
-            raise ParameterError(f"bad threshold {part!r} (want measure=value)")
-        out[measure] = float(value)
-    return out
+def _threshold_configs(args) -> list[cls.ThresholdConfig]:
+    """One ThresholdConfig per --measures name, at its --thresholds value."""
+    thresholds = dict(cls.DEFAULT_THRESHOLDS)
+    if args.thresholds != "default":
+        for part in args.thresholds.split(","):
+            measure, _, value = part.partition("=")
+            try:
+                threshold = float(value)
+            except ValueError:
+                threshold = None
+            if measure not in thresholds or threshold is None:
+                raise ParameterError(f"bad threshold {part!r} (want measure=value)")
+            thresholds[measure] = threshold
+    # ThresholdConfig rejects a name that is not a measure.
+    return [cls.ThresholdConfig(m, thresholds.get(m)) for m in args.measures.split(",")]
 
 
 def _load_samples(path: str) -> list[cls.LabeledSample]:
@@ -77,7 +82,7 @@ def cmd_extract(args) -> int:
                 group_by=args.group_by,
                 include_non_data=args.include_non_data,
             )
-        text = _render(pcap.write_devices_csv, streams)
+        text = _render(pcap.write_devices_csv, [(ds.device_id, ds.series) for ds in streams])
     else:
         data = Path(args.video).read_bytes()
         tables = mp4.parse_mp4(data)
@@ -105,28 +110,14 @@ def _manifest_labels(manifest) -> tuple[list, dict[str, tuple[bool, list]]]:
 def cmd_analyze(args) -> int:
     reference = _read_series(args.reference)
     with open(args.devices) as fh:
-        streams = pcap.read_devices_csv(fh)
+        devices = pcap.read_devices_csv(fh)
     manifest = None
     if args.manifest:
         with open(args.manifest) as fh:
             manifest = read_json(fh, _manifest_labels, "manifest")
 
-    rows = []
-    skipped = []
-    for ds in streams:
-        try:
-            sv = similarity.similarity_vector(reference, ds.series)
-        except AlignmentError as exc:
-            skipped.append((str(ds.device_id), str(exc)))
-            continue
-        rows.append((str(ds.device_id), sv))
-    if not rows:
-        raise AlignmentError(
-            f"none of the {len(streams)} devices overlaps the reference window "
-            f"[{reference.start_time}, {reference.end_time})"
-        )
-    for device_id, reason in skipped:
-        print(f"warning: {device_id}: {reason}", file=sys.stderr)
+    ids = [str(device_id) for device_id, _ in devices]
+    rows = list(zip(ids, similarity.similarity_vectors(reference, [series for _, series in devices])))
 
     if manifest is not None:
         tags, labels = manifest
@@ -161,15 +152,14 @@ def cmd_classify(args) -> int:
             probability = cls.mlp_predict(model, sv)
             out_rows.append((device_id, {"probability": probability, "spy": probability >= 0.5}))
     else:
-        thresholds = _parse_thresholds(args.thresholds)
+        configs = _threshold_configs(args)
         for device_id, sv in rows:
             cell: dict = {}
-            for measure in args.measures.split(","):
-                cfg = cls.ThresholdConfig(measure, thresholds[measure])
+            for cfg in configs:
                 verdict = cls.threshold_classify(sv, cfg)
-                cell[f"spy_{measure}"] = verdict.spy
+                cell[f"spy_{cfg.measure}"] = verdict.spy
                 if verdict.indeterminate:
-                    cell[f"indeterminate_{measure}"] = True
+                    cell[f"indeterminate_{cfg.measure}"] = True
             out_rows.append((device_id, cell))
 
     if args.format == "csv":
@@ -261,11 +251,8 @@ def cmd_simulate(args) -> int:
     write_series_csv(dataset.reference_series, buf)
     (out_dir / "reference.csv").write_text(buf.getvalue())
 
-    streams = [
-        pcap.DeviceStream(tr.device_id, tr.series, frame_count=max(1, len(tr.events)))
-        for tr in dataset.traces
-    ]
-    (out_dir / "devices.csv").write_text(_render(pcap.write_devices_csv, streams))
+    devices = [(tr.device_id, tr.series) for tr in dataset.traces]
+    (out_dir / "devices.csv").write_text(_render(pcap.write_devices_csv, devices))
     (out_dir / "manifest.json").write_text(
         json.dumps(dataset.manifest, indent=2, sort_keys=True) + "\n"
     )
@@ -323,9 +310,7 @@ def cmd_portability(args) -> int:
 
 def cmd_agreement(args) -> int:
     samples = _load_samples(args.samples)
-    thresholds = _parse_thresholds(args.thresholds)
-    configs = [cls.ThresholdConfig(m, thresholds[m]) for m in args.measures.split(",")]
-    report = cls.measure_agreement(samples, configs)
+    report = cls.measure_agreement(samples, _threshold_configs(args))
     payload = {
         "total_false_positives": report.total_false_positives,
         "counts": {str(k): v for k, v in sorted(report.counts.items())},

@@ -276,29 +276,28 @@ def extract_device_series(
 # device ids, then one row per step with one column per device.
 # ---------------------------------------------------------------------------
 
-def write_devices_csv(streams: Sequence[DeviceStream], out: TextIO) -> None:
-    if not streams:
-        raise ParameterError("no device streams to write")
-    first = streams[0].series
-    for ds in streams:
-        if len(ds.series) != len(first) or ds.series.step != first.step:
-            raise ParameterError("device streams must share one window to serialize together")
+def write_devices_csv(devices: Sequence[tuple[DeviceId, ByteSeries]], out: TextIO) -> None:
+    if not devices:
+        raise ParameterError("no device series to write")
+    first = devices[0][1]
+    for _, series in devices:
+        if len(series) != len(first) or series.step != first.step:
+            raise ParameterError("device series must share one window to serialize together")
     out.write("start_time,step\n")
     out.write(f"{first.start_time!r},{first.step!r}\n")
-    out.write(",".join(str(ds.device_id) for ds in streams) + "\n")
+    out.write(",".join(str(device_id) for device_id, _ in devices) + "\n")
     for i in range(len(first)):
-        out.write(",".join(str(int(ds.series.values[i])) for ds in streams) + "\n")
+        out.write(",".join(str(int(series.values[i])) for _, series in devices) + "\n")
 
 
 _MAC = re.compile(r"[0-9a-fA-F]{2}(:[0-9a-fA-F]{2}){5}")
 
 
-def read_devices_csv(inp: TextIO) -> list[DeviceStream]:
-    """Inverse of write_devices_csv.
+def read_devices_csv(inp: TextIO) -> list[tuple[DeviceId, ByteSeries]]:
+    """Inverse of write_devices_csv: (device id, series) pairs.
 
-    The CSV does not carry frame counts, so restored streams report a
-    placeholder frame_count of 1.  A device id is a MAC when it is six
-    hex octets, else an IPv6 address when it holds a colon, else IPv4.
+    A device id is a MAC when it is six hex octets, else an IPv6
+    address when it holds a colon, else IPv4.
     """
     try:
         lines = [ln.strip() for ln in inp if ln.strip()]
@@ -317,10 +316,8 @@ def read_devices_csv(inp: TextIO) -> list[DeviceStream]:
         arrays = [np.array(col, dtype=np.int64) for col in columns]
     except (ValueError, OverflowError) as exc:
         raise FormatError(f"malformed device-set CSV: {exc}") from exc
-    streams = []
+    devices = []
     for device_id, values in zip(ids, arrays):
         kind = "mac" if _MAC.fullmatch(device_id) else ("ipv6" if ":" in device_id else "ipv4")
-        series = ByteSeries(start_time, step, values)
-        streams.append(DeviceStream(DeviceId(kind, device_id), series, frame_count=1))
-    return streams
-
+        devices.append((DeviceId(kind, device_id), ByteSeries(start_time, step, values)))
+    return devices

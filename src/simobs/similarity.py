@@ -11,11 +11,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, TextIO
+from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
 from .errors import (
+    FormatError,
     ParameterError,
     UndefinedCorrelationError,
     UndefinedDistributionError,
@@ -83,17 +84,12 @@ def dtw_distance(a, b) -> float:
     Full dynamic program over {match, insert, delete} moves, no band
     constraint, not normalized by path length.
     """
-    x = _vals(a)
-    y = _vals(b)
-    if x.size == 0 or y.size == 0:
+    x = _vals(a).tolist()
+    y = _vals(b).tolist()
+    if not x or not y:
         raise ParameterError("dtw_distance needs non-empty series")
-    if x.size * y.size <= 256:
-        return _dtw_small(x.tolist(), y.tolist())
-    return _dtw_rows(x, y)
-
-
-def _dtw_small(x: list[float], y: list[float]) -> float:
-    # Plain-list DP; beats the vectorized version on short series.
+    # Plain-list DP: for one pair of series up to the default window it is
+    # as fast as the row recurrence below, and much faster when short.
     inf = math.inf
     m = len(y)
     prev = [0.0] + [inf] * m
@@ -110,22 +106,22 @@ def _dtw_small(x: list[float], y: list[float]) -> float:
     return prev[m]
 
 
-def _dtw_rows(x: np.ndarray, y: np.ndarray) -> float:
-    # Row-at-a-time DP.  Within a row, D[i,j] = c[j] + min(M[j], D[i,j-1])
-    # unrolls to a prefix-min over M[k] - csum[k-1], so each row is pure
-    # vector work instead of a Python scan.
-    m = y.size
-    prev = np.full(m + 1, np.inf)
-    prev[0] = 0.0
+def _dtw_rows(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    # DTW of x against each row of ys, one DP row at a time.  Within a row,
+    # D[i,j] = c[j] + min(M[j], D[i,j-1]) unrolls to a prefix-min over
+    # M[k] - csum[k-1], so each row is vector work instead of a Python scan.
+    d, m = ys.shape
+    prev = np.full((d, m + 1), np.inf)
+    prev[:, 0] = 0.0
     for xi in x:
-        cost = np.abs(xi - y)
-        csum = np.concatenate(([0.0], np.cumsum(cost)))
-        best_above = np.minimum(prev[1:], prev[:-1])
-        cur = np.empty(m + 1)
-        cur[0] = np.inf
-        cur[1:] = csum[1:] + np.minimum.accumulate(best_above - csum[:-1])
+        cost = np.abs(xi - ys)
+        csum = np.concatenate((np.zeros((d, 1)), np.cumsum(cost, axis=1)), axis=1)
+        best_above = np.minimum(prev[:, 1:], prev[:, :-1])
+        cur = np.empty((d, m + 1))
+        cur[:, 0] = np.inf
+        cur[:, 1:] = csum[:, 1:] + np.minimum.accumulate(best_above - csum[:, :-1], axis=1)
         prev = cur
-    return float(prev[m])
+    return prev[:, m]
 
 
 def gaussian_moments(series) -> tuple[float, float]:
@@ -180,57 +176,69 @@ def _kl_discrete(p: np.ndarray, m: np.ndarray) -> float:
     return float(np.sum(p[nz] * np.log(p[nz] / m[nz])))
 
 
-def similarity_vector(reference: ByteSeries, candidate: ByteSeries) -> SimilarityVector:
-    """Align, normalize, and compare a reference with one candidate.
+def similarity_vectors(reference: ByteSeries, candidates: Sequence[ByteSeries]) -> list[SimilarityVector]:
+    """Align, normalize, and compare a reference with each candidate.
 
-    Never raises for overlapping inputs: per-measure degeneracies become
-    flags.  Only a missing overlap propagates as AlignmentError.
+    The candidates are one device set: one or more series sharing
+    ``start_time``, ``step`` and length (else ParameterError), so one
+    alignment with the reference serves them all.  A missing overlap
+    raises AlignmentError; per-measure degeneracies become flags.
     """
-    ref, cand = align(reference, candidate)
+    if len({(c.start_time, c.step, len(c)) for c in candidates}) != 1:
+        raise ParameterError("candidates must be one or more series sharing start_time, step and length")
+    first = candidates[0]
+    ref, aligned = align(reference, first)
+    skip = round((aligned.start_time - first.start_time) / first.step)
+    raw = np.stack([c.values for c in candidates])[:, skip : skip + len(aligned)]
     ref_n = min_max_normalize(ref)
-    cand_n = min_max_normalize(cand)
+    cands_n = [min_max_normalize(row) for row in raw]
+    dtws = _dtw_rows(ref_n.values, np.stack([c.values for c in cands_n]))
 
-    flags: set[str] = set()
-    if ref_n.degenerate:
-        flags.add(FLAG_REF_DEGENERATE)
-    if cand_n.degenerate:
-        flags.add(FLAG_CAND_DEGENERATE)
+    vectors = []
+    for cand, cand_n, dtw in zip(raw, cands_n, dtws):
+        flags: set[str] = set()
+        if ref_n.degenerate:
+            flags.add(FLAG_REF_DEGENERATE)
+        if cand_n.degenerate:
+            flags.add(FLAG_CAND_DEGENERATE)
 
-    n = len(ref_n)
-    cc: float | None = None
-    kld: float | None = None
-    if n < 2 or ref_n.degenerate or cand_n.degenerate:
-        flags.add(FLAG_CC_UNDEFINED)
-        flags.add(FLAG_KLD_UNDEFINED)
-    else:
-        cc = pearson_cc(ref_n, cand_n)
-        kld = gaussian_kld(ref_n, cand_n)
+        cc: float | None = None
+        kld: float | None = None
+        if len(ref_n) < 2 or ref_n.degenerate or cand_n.degenerate:
+            flags.add(FLAG_CC_UNDEFINED)
+            flags.add(FLAG_KLD_UNDEFINED)
+        else:
+            cc = pearson_cc(ref_n, cand_n)
+            kld = gaussian_kld(ref_n, cand_n)
 
-    dtw = dtw_distance(ref_n, cand_n)
+        # JSD falls back to the raw bins when normalization flattened a side
+        # to all zeros; an idle-then-burst device still gets an informative
+        # value that way.  A side with zero raw bytes is maximally dissimilar.
+        jsd_val = _jsd_with_fallback(ref.values, cand, ref_n, cand_n)
+        vectors.append(SimilarityVector(cc, float(dtw), kld, jsd_val, frozenset(flags)))
+    return vectors
 
-    # JSD falls back to the raw bins when normalization flattened a side
-    # to all zeros; an idle-then-burst device still gets an informative
-    # value that way.  A side with zero raw bytes is maximally dissimilar.
-    jsd_val = _jsd_with_fallback(ref, cand, ref_n, cand_n)
 
-    return SimilarityVector(cc=cc, dtw=dtw, kld=kld, jsd=jsd_val, flags=frozenset(flags))
+def similarity_vector(reference: ByteSeries, candidate: ByteSeries) -> SimilarityVector:
+    """similarity_vectors of a single candidate."""
+    return similarity_vectors(reference, [candidate])[0]
 
 
 def _jsd_with_fallback(
-    ref: ByteSeries,
-    cand: ByteSeries,
+    ref: np.ndarray,
+    cand: np.ndarray,
     ref_n: NormalizedSeries,
     cand_n: NormalizedSeries,
 ) -> float:
     if not ref_n.degenerate and not cand_n.degenerate:
         return jsd(ref_n, cand_n)
-    ref_sum = int(ref.values.sum())
-    cand_sum = int(cand.values.sum())
+    ref_sum = int(ref.sum())
+    cand_sum = int(cand.sum())
     if ref_sum == 0 and cand_sum == 0:
         return 0.0
     if ref_sum == 0 or cand_sum == 0:
         return math.log(2)
-    return jsd(ref.values, cand.values)
+    return jsd(ref, cand)
 
 
 # ---------------------------------------------------------------------------
@@ -276,5 +284,12 @@ def write_report_json(rows: Iterable[tuple[str, SimilarityVector]], out: TextIO)
     out.write("\n")
 
 
+def _report_row(row: Mapping) -> tuple[str, SimilarityVector]:
+    device_id = row["device_id"]
+    if not isinstance(device_id, str):
+        raise FormatError(f"device_id must be a string, got {device_id!r}")
+    return device_id, vector_from_row(row)
+
+
 def read_report_json(inp: TextIO) -> list[tuple[str, SimilarityVector]]:
-    return read_rows_json(inp, lambda row: (row["device_id"], vector_from_row(row)))
+    return read_rows_json(inp, _report_row)

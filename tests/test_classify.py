@@ -322,6 +322,11 @@ class TestConvergence:
         results = convergence_analysis(ref, [ref], [True], cfg)
         assert all(m.recall == 1.0 for _, m in results)
 
+    def test_no_devices(self):
+        ref = _ramp_series([1, 2, 3])
+        with pytest.raises(ParameterError):
+            convergence_analysis(ref, [], [], ThresholdConfig("kld", 0.021))
+
     def test_window_too_short(self):
         ref = _ramp_series([1])
         with pytest.raises(ParameterError):

@@ -279,11 +279,27 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
 
+    @pytest.mark.parametrize("command", ["classify", "agreement"])
+    @pytest.mark.parametrize("flag", [["--measures", "cc,foo"], ["--thresholds", "kld=abc"]])
+    def test_bad_threshold_flag_one_line_exit_2(self, command, flag, synthetic_samples, tmp_path, capsys):
+        if command == "classify":
+            report = tmp_path / "report.json"
+            report.write_text('[{"device_id": "x", "cc": 0.5, "dtw": 1.0, "kld": 0.01, "jsd": 0.001}]')
+            argv = ["classify", "--report", str(report)]
+        else:
+            argv = ["agreement", "--samples", str(synthetic_samples)]
+        out = tmp_path / "out.json"
+        assert run(argv + flag + ["--out", str(out)]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize("text", [
         '[{"device_id": "x", "cc": 0.5',
         '[{"device_id": "x"}]',
         '{"device_id": "x"}',
+        '[{"device_id": 5, "cc": 0.5, "dtw": 1.0, "kld": 0.01, "jsd": 0.001}]',
     ])
     def test_garbled_report_one_line_exit_1(self, text, tmp_path, capsys):
         report = tmp_path / "report.json"

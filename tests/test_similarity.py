@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtw_oracle import dtw_bruteforce
+from dtw_oracle import bruteforce_matrix_halfunits, dtw_bruteforce
 from simobs.errors import (
     AlignmentError,
     ParameterError,
@@ -21,7 +22,9 @@ from simobs.similarity import (
     gaussian_kld,
     jsd,
     pearson_cc,
+    _dtw_rows,
     similarity_vector,
+    similarity_vectors,
 )
 from simobs.timeseries import ByteSeries
 
@@ -94,13 +97,24 @@ class TestDtw:
             assert dtw_distance(a, b) == pytest.approx(dtw_bruteforce(a, b), abs=1e-12)
 
     def test_vectorized_path_agrees_with_small_path(self):
-        # Lengths straddling the implementation's size cutoff must agree.
+        # The stacked row recurrence against the plain DP as reference.
         rng = np.random.default_rng(17)
         a = rng.uniform(0, 1, 40)
         b = rng.uniform(0, 1, 40)
-        from simobs.similarity import _dtw_rows, _dtw_small
+        assert _dtw_rows(a, b[None])[0] == pytest.approx(dtw_distance(a, b), abs=1e-9)
 
-        assert _dtw_rows(a, b) == pytest.approx(_dtw_small(a.tolist(), b.tolist()), abs=1e-9)
+    def test_stacked_rows_match_exhaustive_oracle(self):
+        # Every sequence over {0, 0.5, 1} of length <= 6 against the stack
+        # of all sequences of each length; half-unit sums are exact.
+        codes = [np.array(list(itertools.product((0, 1, 2), repeat=n)), dtype=np.uint8) for n in range(1, 7)]
+        for i, a_codes in enumerate(codes):
+            for b_codes in codes[i:]:
+                oracle = bruteforce_matrix_halfunits(a_codes, b_codes)
+                a_stack, b_stack = a_codes / 2.0, b_codes / 2.0
+                for s, a in enumerate(a_stack):
+                    assert np.array_equal(2.0 * _dtw_rows(a, b_stack), oracle[s])
+                for t, b in enumerate(b_stack):
+                    assert np.array_equal(2.0 * _dtw_rows(b, a_stack), oracle[:, t])
 
     @given(st.lists(st.floats(0, 1), min_size=1, max_size=30))
     @settings(max_examples=50)
@@ -229,6 +243,30 @@ class TestSimilarityVector:
         b = series(range(1, 11), start=100.0)
         with pytest.raises(AlignmentError):
             similarity_vector(a, b)
+
+    def test_vectors_equal_per_pair_vectors(self):
+        rng = np.random.default_rng(13)
+        ref = series(rng.integers(100, 10000, 70), start=-10.0)
+        candidates = [
+            series(rng.integers(100, 10000, 60)),
+            series(rng.integers(0, 5, 60)),
+            series([500] * 60),
+            series([0] * 60),
+            series([0] * 40 + list(rng.integers(100, 10000, 20))),
+        ]
+        stacked = similarity_vectors(ref, candidates)
+        assert stacked == [similarity_vector(ref, c) for c in candidates]
+        assert [sv.flags for sv in stacked[2:4]] == [{FLAG_CAND_DEGENERATE, FLAG_CC_UNDEFINED, FLAG_KLD_UNDEFINED}] * 2
+
+    @pytest.mark.parametrize("candidates", [
+        [],
+        [series([1, 2, 3]), series([1, 2, 3], start=1.0)],
+        [series([1, 2, 3]), series([1, 2, 3], step=2.0)],
+        [series([1, 2, 3]), series([1, 2, 3, 4])],
+    ])
+    def test_vectors_need_one_shared_window(self, candidates):
+        with pytest.raises(ParameterError):
+            similarity_vectors(series([1, 2, 3, 4]), candidates)
 
     def test_offset_windows_align_first(self):
         rng = np.random.default_rng(12)
