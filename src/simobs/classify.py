@@ -100,17 +100,14 @@ def imputed_measure(sv: SimilarityVector, measure: str) -> float:
     return value
 
 
-def threshold_classify(sv: SimilarityVector, cfg: ThresholdConfig, impute: bool = False) -> Verdict:
+def threshold_classify(sv: SimilarityVector, cfg: ThresholdConfig) -> Verdict:
     """Compare one measure against its threshold.
 
-    An undefined measure yields not-spy marked indeterminate unless
-    ``impute`` substitutes the stand-in value first.
+    An undefined measure yields not-spy marked indeterminate.
     """
     value = sv.measure(cfg.measure)
     if value is None:
-        if not impute:
-            return Verdict(spy=False, indeterminate=True)
-        value = IMPUTED_VALUES[cfg.measure]
+        return Verdict(spy=False, indeterminate=True)
     if cfg.direction == "spy_if_at_least":
         return Verdict(spy=value >= cfg.threshold)
     return Verdict(spy=value <= cfg.threshold)
@@ -181,19 +178,28 @@ def sweep_threshold(samples: Sequence[LabeledSample], measure: str) -> tuple[flo
     labels = [s.label for s in samples]
     if len(set(labels)) < 2:
         raise ClassImbalanceError("sweep needs both classes present")
-    values = np.array([imputed_measure(s.features, measure) for s in samples])
+    values = _imputed_values(samples, measure)
     distinct = np.unique(values)
     candidates = [-math.inf] + [float((a + b) / 2) for a, b in zip(distinct, distinct[1:])] + [math.inf]
-    at_least = DIRECTION_BY_MEASURE[measure] == "spy_if_at_least"
-    if at_least:
+    if DIRECTION_BY_MEASURE[measure] == "spy_if_at_least":
         candidates = candidates[::-1]  # fewest positives first
     best_threshold, best_f1 = candidates[0], -1.0
     for threshold in candidates:
-        preds = values >= threshold if at_least else values <= threshold
-        f1 = evaluate(preds.tolist(), labels).f1
+        f1 = evaluate(_spy_mask(values, measure, threshold).tolist(), labels).f1
         if f1 > best_f1:
             best_threshold, best_f1 = threshold, f1
     return best_threshold, best_f1
+
+
+def _imputed_values(samples: Sequence[LabeledSample], measure: str) -> np.ndarray:
+    return np.array([imputed_measure(s.features, measure) for s in samples])
+
+
+def _spy_mask(values: np.ndarray, measure: str, threshold: float) -> np.ndarray:
+    """Threshold verdicts of a measure's values, in its direction."""
+    if DIRECTION_BY_MEASURE[measure] == "spy_if_at_least":
+        return values >= threshold
+    return values <= threshold
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +273,10 @@ def mlp_train(
     """
     if activation not in ACTIVATIONS:
         raise ParameterError(f"activation must be one of {ACTIVATIONS}, got {activation!r}")
+    if any(width < 1 for width in layers):
+        raise ParameterError(f"hidden layer widths must be >= 1, got {tuple(layers)}")
+    if max_iter < 1:
+        raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
     labels = np.array([s.label for s in train], dtype=np.float64)
     n_pos = int(labels.sum())
     n_neg = len(labels) - n_pos
@@ -620,9 +630,8 @@ def portability_matrix(
             else:
                 train, test = parts[train_name], parts[test_name]
             threshold, _ = sweep_threshold(train, trainer)
-            cfg = ThresholdConfig(trainer, threshold)
-            preds = [bool(threshold_classify(s.features, cfg, impute=True)) for s in test]
-            matrix[i, j] = evaluate(preds, [s.label for s in test]).f1
+            preds = _spy_mask(_imputed_values(test, trainer), trainer, threshold)
+            matrix[i, j] = evaluate(preds.tolist(), [s.label for s in test]).f1
     return order, matrix
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import itertools
 import json
 import sys
 from pathlib import Path
@@ -66,21 +65,21 @@ def cmd_extract(args) -> int:
     if bool(args.pcap) == bool(args.video):
         raise ParameterError("give exactly one of --pcap or --video")
     if args.pcap:
+        drops: dict = {}
         with open(args.pcap, "rb") as fh:
-            records = iter(pcap.read_pcap(fh))
-            start = args.start
-            if start is None:
-                first = next(records, None)
-                start = first.timestamp if first is not None else 0.0
-                records = itertools.chain([first] if first is not None else [], records)
             streams = pcap.extract_device_series(
-                records,
-                start=start,
+                pcap.read_pcap(fh),
+                start=args.start,
                 step=args.step,
                 n_steps=args.window,
-                byte_basis=args.byte_basis,
                 group_by=args.group_by,
                 include_non_data=args.include_non_data,
+                counters=drops,
+            )
+        if not streams:
+            raise SimobsError(
+                "no device in the window: {malformed} frames malformed, {unattributed} unattributed, "
+                "{out_of_window} out of window".format(**drops)
             )
         text = _render(pcap.write_devices_csv, [(ds.device_id, ds.series) for ds in streams])
     else:
@@ -178,7 +177,10 @@ def cmd_classify(args) -> int:
 
 def cmd_train(args) -> int:
     samples = _load_samples(args.samples)
-    layers = tuple(int(x) for x in args.layers.split(","))
+    try:
+        layers = tuple(int(x) for x in args.layers.split(","))
+    except ValueError:
+        raise ParameterError(f"--layers must be comma-separated integers, got {args.layers!r}") from None
     model = cls.mlp_train(
         samples,
         layers=layers,
@@ -262,6 +264,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_converge(args) -> int:
+    if args.trials < 1:
+        raise ParameterError(f"--trials must be >= 1, got {args.trials}")
     scenario = _scenario_from_args(args)
     if args.model:
         with open(args.model) as fh:
@@ -349,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pcap")
     p.add_argument("--video")
     p.add_argument("--group-by", choices=("mac", "ip"), default="mac")
-    p.add_argument("--byte-basis", choices=("transmitted", "on_wire"), default="transmitted")
     p.add_argument("--include-non-data", action="store_true")
     p.add_argument("--start", type=float, default=None, help="window start (defaults to first packet)")
     p.set_defaults(func=cmd_extract)
@@ -384,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fit-out", help="also fit the best point on all samples, write model here")
     p.set_defaults(func=cmd_grid_search)
 
-    p = sub.add_parser("simulate", parents=[out, scene], help="render a synthetic labeled dataset")
+    p = sub.add_parser("simulate", parents=[scene], help="render a synthetic labeled dataset")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--pcap-out", help="also write the dataset as a pcap")
     p.add_argument("--link", choices=("ethernet", "radiotap"), default="ethernet")
@@ -409,6 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measures", default="cc,kld,jsd")
     p.set_defaults(func=cmd_agreement)
 
+    # A flag's prefix is not that flag: `simulate --out` must not read as --out-dir.
+    for command in sub.choices.values():
+        command.allow_abbrev = False
     return parser
 
 
@@ -417,13 +423,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ParameterError as exc:
+    except (OSError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SimobsError as exc:

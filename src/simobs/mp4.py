@@ -26,34 +26,32 @@ MAX_SAMPLES = 50_000_000
 MAX_SECONDS = 31 * 24 * 3600
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrackSampleTable:
     """Sample sizes and decode deltas of one track."""
 
     timescale: int
-    sample_sizes: tuple[int, ...]
-    sample_deltas: tuple[tuple[int, int], ...]  # (count, delta_ticks) runs
+    sample_sizes: np.ndarray  # int64, one per sample
+    sample_deltas: np.ndarray  # int64, shape (runs, 2): (count, delta_ticks)
     handler: str
 
     def __post_init__(self):
         if self.timescale <= 0:
             raise StructureError("track timescale must be > 0")
-        if sum(count for count, _ in self.sample_deltas) != len(self.sample_sizes):
+        total = int(self.sample_deltas[:, 0].sum())
+        if total != self.sample_sizes.size:
             raise StructureError(
-                "stts delta count does not match stsz sample count "
-                f"({sum(c for c, _ in self.sample_deltas)} vs {len(self.sample_sizes)})"
+                f"stts delta count does not match stsz sample count ({total} vs {self.sample_sizes.size})"
             )
 
     @property
     def sample_count(self) -> int:
-        return len(self.sample_sizes)
+        return self.sample_sizes.size
 
     def decode_times(self) -> np.ndarray:
         """Per-sample decode timestamps in seconds."""
-        deltas = np.concatenate(
-            [np.full(count, delta, dtype=np.int64) for count, delta in self.sample_deltas]
-        ) if self.sample_deltas else np.zeros(0, dtype=np.int64)
-        times = np.zeros(len(deltas), dtype=np.int64)
+        deltas = np.repeat(self.sample_deltas[:, 1], self.sample_deltas[:, 0])
+        times = np.zeros(deltas.size, dtype=np.int64)
         times[1:] = np.cumsum(deltas[:-1])
         return times / self.timescale
 
@@ -144,7 +142,7 @@ def _parse_trak(data: bytes, start: int, end: int) -> TrackSampleTable:
     timescale = _parse_mdhd(data, *mdhd)
     handler = _parse_hdlr(data, *hdlr)
     deltas = _parse_stts(data, *stts)
-    total = sum(count for count, _ in deltas)
+    total = int(deltas[:, 0].sum())
     if total > MAX_SAMPLES:
         raise StructureError(f"stts claims {total} samples, beyond the {MAX_SAMPLES} parser limit")
     sizes = _parse_stsz(data, *stsz, expected_count=total)
@@ -166,17 +164,16 @@ def _parse_hdlr(data: bytes, start: int, end: int) -> str:
     return data[start + 8 : start + 12].decode("latin-1")
 
 
-def _parse_stts(data: bytes, start: int, end: int) -> tuple[tuple[int, int], ...]:
+def _parse_stts(data: bytes, start: int, end: int) -> np.ndarray:
     entry_count = _read_u32(data, start + 4, end, "stts entry count")
     needed = start + 8 + entry_count * 8
     if needed > end:
         raise TruncationError(f"stts claims {entry_count} entries but box ends early", offset=start)
-    return tuple(
-        struct.unpack_from(">II", data, start + 8 + i * 8) for i in range(entry_count)
-    )
+    entries = np.frombuffer(data, ">u4", 2 * entry_count, start + 8)
+    return entries.reshape(entry_count, 2).astype(np.int64)
 
 
-def _parse_stsz(data: bytes, start: int, end: int, expected_count: int) -> tuple[int, ...]:
+def _parse_stsz(data: bytes, start: int, end: int, expected_count: int) -> np.ndarray:
     uniform_size = _read_u32(data, start + 4, end, "stsz sample size")
     sample_count = _read_u32(data, start + 8, end, "stsz sample count")
     if uniform_size != 0:
@@ -184,13 +181,11 @@ def _parse_stsz(data: bytes, start: int, end: int, expected_count: int) -> tuple
             raise StructureError(
                 f"stsz sample count {sample_count} does not match stts total {expected_count}"
             )
-        return (uniform_size,) * sample_count
+        return np.full(sample_count, uniform_size, dtype=np.int64)
     needed = start + 12 + sample_count * 4
     if needed > end:
         raise TruncationError(f"stsz claims {sample_count} entries but box ends early", offset=start)
-    return tuple(
-        struct.unpack_from(">I", data, start + 12 + i * 4)[0] for i in range(sample_count)
-    )
+    return np.frombuffer(data, ">u4", sample_count, start + 12).astype(np.int64)
 
 
 def video_byte_series(tables: Sequence[TrackSampleTable], step: float = 1.0) -> ByteSeries:

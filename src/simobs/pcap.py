@@ -13,7 +13,7 @@ import struct
 from dataclasses import dataclass
 from enum import IntEnum
 from io import BytesIO
-from typing import BinaryIO, Iterable, Iterator, Sequence, TextIO
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -32,9 +32,10 @@ PCAPNG_MAGIC = 0x0A0D0D0A
 
 GLOBAL_HEADER_LEN = 24
 RECORD_HEADER_LEN = 16
-# Payloads longer than this are read in pieces, so that a corrupt length
-# field cannot make one read allocate gigabytes for a short file.
-READ_CHUNK = 1 << 20
+# libpcap's MAXIMUM_SNAPLEN: no Ethernet or radiotap record is longer,
+# and refusing longer claims keeps a corrupt length from making one read
+# allocate gigabytes for a short file.
+MAX_CAPTURED_LEN = 262_144
 
 ETHERTYPE_IPV4 = 0x0800
 ETHERTYPE_IPV6 = 0x86DD
@@ -56,13 +57,12 @@ class DeviceId:
         return self.value
 
 
-@dataclass(frozen=True)
-class PacketRecord:
-    """One captured frame as stored in the pcap file."""
+class PacketRecord(NamedTuple):
+    """One captured frame as stored in the pcap file (a tuple, since a
+    capture holds hundreds of thousands of them)."""
 
     timestamp: float
     on_wire_len: int
-    captured_len: int
     link_type: LinkType
     payload: bytes
 
@@ -101,6 +101,7 @@ def read_pcap(source: BinaryIO | bytes) -> Iterator[PacketRecord]:
     except ValueError:
         raise UnsupportedLinkTypeError(network) from None
 
+    record_header = struct.Struct(order + "IIII")
     offset = GLOBAL_HEADER_LEN
     while True:
         header = stream.read(RECORD_HEADER_LEN)
@@ -108,50 +109,21 @@ def read_pcap(source: BinaryIO | bytes) -> Iterator[PacketRecord]:
             return
         if len(header) < RECORD_HEADER_LEN:
             raise TruncationError(f"record header truncated at byte {offset}", offset=offset)
-        ts_sec, ts_frac, incl_len, orig_len = struct.unpack(order + "IIII", header)
+        ts_sec, ts_frac, incl_len, orig_len = record_header.unpack(header)
         if incl_len > orig_len:
             raise FormatError(
                 f"record at byte {offset} claims captured length {incl_len} > on-wire length {orig_len}"
             )
-        payload = _read_payload(stream, incl_len)
+        if incl_len > MAX_CAPTURED_LEN:
+            raise FormatError(
+                f"record at byte {offset} claims captured length {incl_len} > {MAX_CAPTURED_LEN}, "
+                "the longest libpcap writes"
+            )
+        payload = stream.read(incl_len)
         if len(payload) < incl_len:
             raise TruncationError(f"record payload truncated at byte {offset}", offset=offset)
-        yield PacketRecord(
-            timestamp=ts_sec + ts_frac / frac_divisor,
-            on_wire_len=orig_len,
-            captured_len=incl_len,
-            link_type=link_type,
-            payload=payload,
-        )
+        yield PacketRecord(ts_sec + ts_frac / frac_divisor, orig_len, link_type, payload)
         offset += RECORD_HEADER_LEN + incl_len
-
-
-def _read_payload(stream: BinaryIO, n: int) -> bytes:
-    """Up to ``n`` bytes of ``stream``, read ``READ_CHUNK`` at a time."""
-    parts = []
-    while n > 0:
-        part = stream.read(min(n, READ_CHUNK))
-        if not part:
-            break
-        parts.append(part)
-        n -= len(part)
-    return b"".join(parts)
-
-
-def _mac_str(raw: bytes) -> str:
-    return ":".join(f"{b:02x}" for b in raw)
-
-
-def radiotap_header_len(record: PacketRecord) -> int:
-    """Length of the radiotap pseudo-header, 0 for non-radiotap links."""
-    if record.link_type is not LinkType.IEEE80211_RADIOTAP:
-        return 0
-    if len(record.payload) < 4:
-        raise MalformedFrameError("frame too short for a radiotap header")
-    (length,) = struct.unpack_from("<H", record.payload, 2)
-    if length < 8 or length > len(record.payload):
-        raise MalformedFrameError(f"radiotap header length {length} exceeds frame")
-    return length
 
 
 def transmitter_of(
@@ -166,98 +138,115 @@ def transmitter_of(
     transmitter address and always map to None.  ``group_by="ip"`` reads
     the source IP of Ethernet IPv4/IPv6 frames and skips everything else.
     """
+    _check_group_by(group_by)
+    key, _ = _attribute(record, group_by, include_non_data)
+    return None if key is None else DeviceId(*key)
+
+
+def _check_group_by(group_by: str) -> None:
     if group_by not in ("mac", "ip"):
         raise ParameterError(f"group_by must be 'mac' or 'ip', got {group_by!r}")
+
+
+def _attribute(
+    record: PacketRecord, group_by: str, include_non_data: bool
+) -> tuple[tuple[str, str] | None, int]:
+    """The ``(kind, value)`` of a frame's transmitter (or None) and the
+    bytes it sent: its on-wire length minus the radiotap pseudo-header,
+    which is capture metadata and never crossed the air."""
+    payload = record.payload
     if record.link_type is LinkType.ETHERNET:
         if group_by == "ip":
-            return _ethernet_source_ip(record.payload)
-        if len(record.payload) < 12:
+            return _ethernet_source_ip(payload), record.on_wire_len
+        if len(payload) < 12:
             raise MalformedFrameError("ethernet frame shorter than its address fields")
-        return DeviceId("mac", _mac_str(record.payload[6:12]))
+        return ("mac", payload[6:12].hex(":")), record.on_wire_len
 
-    # Radiotap-wrapped 802.11. IP grouping is not attempted here: frame
-    # bodies are typically encrypted, which is the whole point of the
-    # monitor-mode path.
+    if len(payload) < 4:
+        raise MalformedFrameError("frame too short for a radiotap header")
+    (rt_len,) = struct.unpack_from("<H", payload, 2)
+    if rt_len < 8 or rt_len > len(payload):
+        raise MalformedFrameError(f"radiotap header length {rt_len} exceeds frame")
+    size = record.on_wire_len - rt_len
+    # IP grouping is not attempted on 802.11: frame bodies are typically
+    # encrypted, which is the whole point of the monitor-mode path.
     if group_by == "ip":
-        return None
-    rt_len = radiotap_header_len(record)
-    dot11 = record.payload[rt_len:]
-    if len(dot11) < 2:
+        return None, size
+    if len(payload) < rt_len + 2:
         raise MalformedFrameError("802.11 header shorter than frame control")
-    fc0 = dot11[0]
+    fc0 = payload[rt_len]
     ftype = (fc0 >> 2) & 0b11
     subtype = fc0 >> 4
     if ftype == 1 and subtype in (12, 13):  # CTS / ACK: no Address 2
-        return None
+        return None, size
     if ftype != 2 and not include_non_data:
-        return None
-    if len(dot11) < 16:
+        return None, size
+    if len(payload) < rt_len + 16:
         raise MalformedFrameError("802.11 frame shorter than its Address 2 field")
-    return DeviceId("mac", _mac_str(dot11[10:16]))
+    return ("mac", payload[rt_len + 10 : rt_len + 16].hex(":")), size
 
 
-def _ethernet_source_ip(payload: bytes) -> DeviceId | None:
+def _ethernet_source_ip(payload: bytes) -> tuple[str, str] | None:
     if len(payload) < 14:
         raise MalformedFrameError("ethernet frame shorter than its header")
     (ethertype,) = struct.unpack_from(">H", payload, 12)
     if ethertype == ETHERTYPE_IPV4:
         if len(payload) < 14 + 20:
             raise MalformedFrameError("IPv4 header truncated")
-        return DeviceId("ipv4", str(ipaddress.IPv4Address(payload[26:30])))
+        return "ipv4", str(ipaddress.IPv4Address(payload[26:30]))
     if ethertype == ETHERTYPE_IPV6:
         if len(payload) < 14 + 40:
             raise MalformedFrameError("IPv6 header truncated")
-        return DeviceId("ipv6", str(ipaddress.IPv6Address(payload[22:38])))
+        return "ipv6", str(ipaddress.IPv6Address(payload[22:38]))
     return None  # non-IP ethertype: skip
 
 
 def extract_device_series(
     records: Iterable[PacketRecord],
-    start: float,
+    start: float | None,
     step: float,
     n_steps: int,
-    byte_basis: str = "transmitted",
     group_by: str = "mac",
     include_non_data: bool = False,
     counters: dict | None = None,
 ) -> list[DeviceStream]:
     """Group frames by transmitter and bin each device's bytes.
 
-    ``byte_basis="transmitted"`` (default) counts on-wire bytes minus the
-    radiotap pseudo-header, which is capture metadata and never crossed
-    the air; ``"on_wire"`` counts the stored on-wire length as is.
-    Malformed frames are skipped.  Devices come back in ascending id order.
+    The window is ``n_steps`` steps of ``step`` seconds from ``start``;
+    ``None`` starts it at the first record's timestamp, whether or not
+    that frame is attributed.  A frame counts its on-wire bytes minus the
+    radiotap pseudo-header.  Malformed frames are skipped.  Devices come
+    back in ascending id order.
 
     Pass a dict as ``counters`` to receive drop accounting: frames and
     bytes that were malformed, unattributable, or outside the window.
-    Binned bytes plus dropped bytes add up to the byte basis of all input
-    records.
+    Binned bytes plus dropped bytes add up to the counted bytes of all
+    input records.
     """
-    if byte_basis not in ("transmitted", "on_wire"):
-        raise ParameterError(f"byte_basis must be 'transmitted' or 'on_wire', got {byte_basis!r}")
+    if step <= 0 or n_steps < 1:
+        raise ParameterError(f"window needs step > 0 and n_steps >= 1, got step {step}, n_steps {n_steps}")
+    _check_group_by(group_by)
     drops = {"malformed": 0, "unattributed": 0, "out_of_window": 0, "dropped_bytes": 0}
-    per_device: dict[DeviceId, list[tuple[float, int]]] = {}
+    per_device: dict[tuple[str, str], list[tuple[float, int]]] = {}
     for record in records:
-        size = record.on_wire_len
+        if start is None:
+            start = record.timestamp
         try:
-            device = transmitter_of(record, group_by=group_by, include_non_data=include_non_data)
-            if byte_basis == "transmitted":
-                size -= radiotap_header_len(record)
+            key, size = _attribute(record, group_by, include_non_data)
         except MalformedFrameError:
             drops["malformed"] += 1
-            drops["dropped_bytes"] += size
+            drops["dropped_bytes"] += record.on_wire_len
             continue
-        if device is None:
+        if key is None:
             drops["unattributed"] += 1
             drops["dropped_bytes"] += size
             continue
-        per_device.setdefault(device, []).append((record.timestamp, max(size, 0)))
+        per_device.setdefault(key, []).append((record.timestamp, max(size, 0)))
 
-    end = start + n_steps * step
     streams = []
-    for device in sorted(per_device):
-        events = np.array(per_device[device], dtype=EVENT_DTYPE)
-        in_window = (events["timestamp"] >= start) & (events["timestamp"] < end)
+    for key in sorted(per_device):  # the order of DeviceId
+        events = np.array(per_device[key], dtype=EVENT_DTYPE)
+        in_window = (events["timestamp"] >= start) & (events["timestamp"] < start + n_steps * step)
         kept = int(in_window.sum())
         if kept < events.size:
             drops["out_of_window"] += events.size - kept
@@ -265,7 +254,7 @@ def extract_device_series(
         if not kept:
             continue
         series = bin_events(events[in_window], start, step, n_steps)
-        streams.append(DeviceStream(device_id=device, series=series, frame_count=kept))
+        streams.append(DeviceStream(device_id=DeviceId(*key), series=series, frame_count=kept))
     if counters is not None:
         counters.update(drops)
     return streams

@@ -155,7 +155,7 @@ class TestSweep:
         samples = [sample(lab, kld=val) for lab, val in raw]
         threshold, f1 = sweep_threshold(samples, "kld")
         cfg = ThresholdConfig("kld", threshold)
-        preds = [bool(threshold_classify(s.features, cfg, impute=True)) for s in samples]
+        preds = [bool(threshold_classify(s.features, cfg)) for s in samples]
         assert evaluate(preds, labels).f1 == f1
 
 

@@ -3,7 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from conftest import ethernet_frame, mp4_file, pcap_header, pcap_record, trak_box
+from conftest import (
+    dot11_ack_frame,
+    dot11_data_frame,
+    ethernet_frame,
+    mp4_file,
+    pcap_header,
+    pcap_record,
+    radiotap_frame,
+    trak_box,
+)
 from simobs import simulate
 from simobs.cli import main
 
@@ -60,6 +69,33 @@ class TestExtract:
         bad = tmp_path / "bad.pcap"
         bad.write_bytes(b"\x00" * 64)
         assert run(["extract", "--pcap", str(bad), "--out", "-"]) == 1
+
+    def test_default_start_is_first_frame(self, pcap_file, tmp_path):
+        default, explicit = tmp_path / "default.csv", tmp_path / "explicit.csv"
+        assert run(["extract", "--pcap", str(pcap_file), "--window", "3", "--out", str(default)]) == 0
+        assert run(["extract", "--pcap", str(pcap_file), "--window", "3", "--start", "0.5",
+                    "--out", str(explicit)]) == 0
+        assert default.read_bytes() == explicit.read_bytes()
+
+    @pytest.fixture
+    def radiotap_file(self, tmp_path):
+        data = pcap_header(network=127) + pcap_record(0, 0, radiotap_frame(dot11_ack_frame()))
+        data += pcap_record(1, 0, radiotap_frame(dot11_data_frame("aa:00:00:00:00:01", body=bytes(40))))
+        data += pcap_record(2, 0, b"\x00\x00")
+        path = tmp_path / "radiotap.pcap"
+        path.write_bytes(data)
+        return path
+
+    @pytest.mark.parametrize("flags, counts", [
+        (["--start", "1e9"], "1 frames malformed, 1 unattributed, 1 out of window"),
+        (["--group-by", "ip"], "1 frames malformed, 2 unattributed, 0 out of window"),
+    ])
+    def test_no_device_in_window_exit_1(self, radiotap_file, flags, counts, tmp_path, capsys):
+        out = tmp_path / "devices.csv"
+        assert run(["extract", "--pcap", str(radiotap_file), "--out", str(out)] + flags) == 1
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.endswith(counts)
+        assert not out.exists()
 
 
 class TestSimulateAnalyzeClassify:
@@ -271,6 +307,8 @@ class TestUsageErrors:
         ["simulate", "--preset", "easy", "--out-dir", "x", "--step", "2"],
         ["converge", "--preset", "easy", "--format", "json"],
         ["extract", "--pcap", "c.pcap", "--format", "json"],
+        ["simulate", "--preset", "easy", "--out-dir", "x", "--out", "y"],
+        ["extract", "--pcap", "c.pcap", "--byte-basis", "on_wire"],
     ])
     def test_flag_the_command_never_reads_exits_2(self, argv, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -278,6 +316,29 @@ class TestUsageErrors:
             run(argv)
         assert exc.value.code == 2
 
+
+    @pytest.mark.parametrize("flags", [["--step", "0"], ["--step", "-1"], ["--window", "0"]])
+    def test_empty_extract_window_one_line_exit_2(self, flags, pcap_file, tmp_path, capsys):
+        out = tmp_path / "devices.csv"
+        assert run(["extract", "--pcap", str(pcap_file), "--out", str(out)] + flags) == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert "window needs" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_converge_needs_a_trial(self, trials, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        assert run(["converge", "--preset", "easy", "--trials", trials, "--out", str(out)]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--layers", "abc"], ["--layers", ""], ["--layers", "0"],
+                                       ["--layers", "4,-2"], ["--max-iter", "0"]])
+    def test_bad_train_flag_one_line_exit_2(self, flags, synthetic_samples, tmp_path, capsys):
+        out = tmp_path / "model.json"
+        assert run(["train", "--samples", str(synthetic_samples), "--out", str(out)] + flags) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["classify", "agreement"])
     @pytest.mark.parametrize("flag", [["--measures", "cc,foo"], ["--thresholds", "kld=abc"]])

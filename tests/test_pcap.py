@@ -17,11 +17,13 @@ from conftest import (
 from simobs.errors import (
     FormatError,
     MalformedFrameError,
+    ParameterError,
     SimobsError,
     TruncationError,
     UnsupportedLinkTypeError,
 )
 from simobs.pcap import (
+    MAX_CAPTURED_LEN,
     DeviceId,
     LinkType,
     extract_device_series,
@@ -46,7 +48,7 @@ class TestReadPcap:
         records = list(read_pcap(data))
         assert [r.timestamp for r in records] == [0.5, 1.5, 1.5]
         assert [r.on_wire_len for r in records] == [100, 200, 300]
-        assert all(r.captured_len == len(r.payload) for r in records)
+        assert all(len(r.payload) == r.on_wire_len for r in records)
         assert all(r.link_type is LinkType.ETHERNET for r in records)
 
     def test_header_only_file(self):
@@ -87,6 +89,24 @@ class TestReadPcap:
         with pytest.raises(FormatError):
             list(read_pcap(data))
 
+    def test_record_length_bounded_before_reading(self):
+        class Stream(io.BytesIO):
+            largest = 0
+
+            def read(self, n=-1):
+                Stream.largest = max(Stream.largest, n)
+                return super().read(n)
+
+        payload = ethernet_frame("aa:bb:cc:dd:ee:01", body=bytes(MAX_CAPTURED_LEN - 14))
+        (record,) = read_pcap(Stream(pcap_header() + pcap_record(0, 0, payload)))
+        assert len(record.payload) == record.on_wire_len == MAX_CAPTURED_LEN
+
+        Stream.largest = 0
+        claim = struct.pack("<IIII", 0, 0, MAX_CAPTURED_LEN + 1, MAX_CAPTURED_LEN + 1)
+        with pytest.raises(FormatError, match="262145"):
+            list(read_pcap(Stream(pcap_header() + claim + payload + b"x")))
+        assert Stream.largest <= MAX_CAPTURED_LEN
+
     def test_accepts_stream_object(self):
         data = pcap_header() + pcap_record(0, 0, b"q" * 64)
         assert len(list(read_pcap(io.BytesIO(data)))) == 1
@@ -96,7 +116,7 @@ class TestTransmitterOf:
     def _record(self, payload, link=LinkType.ETHERNET):
         from simobs.pcap import PacketRecord
 
-        return PacketRecord(0.0, len(payload), len(payload), link, payload)
+        return PacketRecord(0.0, len(payload), link, payload)
 
     def test_ethernet_source_mac(self):
         record = self._record(ethernet_frame("aa:bb:cc:dd:ee:ff"))
@@ -171,15 +191,35 @@ class TestExtractDeviceSeries:
         streams = extract_device_series(list(read_pcap(data)), start=0.0, step=1.0, n_steps=5)
         assert streams == []
 
-    def test_byte_basis_excludes_radiotap_header(self):
+    def test_radiotap_header_not_counted(self):
         dot11 = dot11_data_frame("11:22:33:44:55:66", body=bytes(40))
         frame = radiotap_frame(dot11, rt_len=24)
         data = pcap_header(network=127) + pcap_record(0, 500_000, frame)
         records = list(read_pcap(data))
-        (default_basis,) = extract_device_series(records, 0.0, 1.0, 1)
-        (wire_basis,) = extract_device_series(records, 0.0, 1.0, 1, byte_basis="on_wire")
-        assert int(default_basis.series.values[0]) == len(frame) - 24
-        assert int(wire_basis.series.values[0]) == len(frame)
+        (stream,) = extract_device_series(records, 0.0, 1.0, 1)
+        assert int(stream.series.values[0]) == len(frame) - 24
+
+    def test_default_start_is_first_record_even_unattributed(self):
+        data = pcap_header(network=127) + pcap_record(3, 250_000, radiotap_frame(dot11_ack_frame()))
+        for sec in (3, 4, 6):
+            dot11 = dot11_data_frame("11:22:33:44:55:66", body=bytes(40))
+            data += pcap_record(sec, 750_000, radiotap_frame(dot11))
+        records = list(read_pcap(data))
+        (default,) = extract_device_series(records, None, 1.0, 3)
+        (explicit,) = extract_device_series(records, 3.25, 1.0, 3)
+        assert default.series == explicit.series
+        assert default.series.start_time == 3.25
+        assert default.frame_count == 2
+        assert extract_device_series([], None, 1.0, 3) == []
+
+    @pytest.mark.parametrize("step, n_steps", [(0.0, 10), (-1.0, 10), (1.0, 0)])
+    def test_bad_window_rejected_before_reading(self, step, n_steps):
+        def records():
+            raise AssertionError("a record was taken")
+            yield
+
+        with pytest.raises(ParameterError):
+            extract_device_series(records(), None, step, n_steps)
 
     def test_byte_conservation(self):
         rng = np.random.default_rng(3)

@@ -299,7 +299,7 @@ class TestWritePcap:
         rt_len = 8
         for record, (ts, device_id, size) in zip(records, events):
             assert record.on_wire_len - rt_len == size
-            assert record.captured_len == len(record.payload)
+            assert len(record.payload) == record.on_wire_len
             assert abs(record.timestamp - ts) < 1e-6
             assert str(transmitter_of(record)) == device_id
 
