@@ -27,7 +27,7 @@ from .classify import (
 )
 from .errors import SimobsError
 from .mp4 import TrackSampleTable, parse_mp4, video_byte_series
-from .pcap import DeviceId, DeviceStream, PacketRecord, extract_device_series, read_pcap, transmitter_of
+from .pcap import DeviceId, DeviceStream, FrameBatch, extract_device_series, read_pcap
 from .similarity import (
     SimilarityVector,
     dtw_distance,
@@ -60,12 +60,12 @@ __all__ = [
     "DEFAULT_THRESHOLDS",
     "DeviceId",
     "DeviceStream",
+    "FrameBatch",
     "GridPoint",
     "LabeledSample",
     "Metrics",
     "MlpModel",
     "NormalizedSeries",
-    "PacketRecord",
     "ParamGrid",
     "SimDataset",
     "SimScenario",
@@ -100,7 +100,6 @@ __all__ = [
     "similarity_vectors",
     "sweep_threshold",
     "threshold_classify",
-    "transmitter_of",
     "video_byte_series",
     "write_pcap",
 ]

@@ -39,10 +39,6 @@ class UnsupportedLinkTypeError(SimobsError):
         self.link_type = link_type
 
 
-class MalformedFrameError(SimobsError):
-    """A frame is too short for the header fields it should carry."""
-
-
 class StructureError(SimobsError):
     """An MP4 box tree is missing or misusing a required box."""
 

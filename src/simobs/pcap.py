@@ -1,9 +1,11 @@
 """Classic pcap parsing and per-device byte series extraction.
 
 Offline .pcap files only (both magics, both byte orders, link types 1
-and 127).  Each frame is attributed to its transmitting device (source
-MAC for Ethernet, Address 2 of 802.11 data frames behind radiotap) and
-the frames of each device are binned into a ByteSeries.
+and 127).  Frames are read in batches of columns over the bytes of one
+read.  Each frame is attributed to its transmitting device (source MAC
+for Ethernet, Address 2 of 802.11 data frames behind radiotap) by
+indexing into those bytes, and the frames of each device are binned
+into a ByteSeries.
 """
 from __future__ import annotations
 
@@ -19,12 +21,11 @@ import numpy as np
 
 from .errors import (
     FormatError,
-    MalformedFrameError,
     ParameterError,
     TruncationError,
     UnsupportedLinkTypeError,
 )
-from .timeseries import EVENT_DTYPE, ByteSeries, bin_events
+from .timeseries import ByteSeries, bin_events, event_array
 
 MAGIC_MICROS = 0xA1B2C3D4
 MAGIC_NANOS = 0xA1B23C4D
@@ -57,14 +58,17 @@ class DeviceId:
         return self.value
 
 
-class PacketRecord(NamedTuple):
-    """One captured frame as stored in the pcap file (a tuple, since a
-    capture holds hundreds of thousands of them)."""
+class FrameBatch(NamedTuple):
+    """Consecutive frames of one capture, as columns over the bytes they
+    were read from.  Frame ``i``'s payload is
+    ``data[offset[i] : offset[i] + captured_len[i]]``."""
 
-    timestamp: float
-    on_wire_len: int
     link_type: LinkType
-    payload: bytes
+    timestamp: np.ndarray  # f8 seconds
+    on_wire_len: np.ndarray  # i8
+    captured_len: np.ndarray  # i8
+    offset: np.ndarray  # i8, into data
+    data: bytes
 
 
 @dataclass(frozen=True)
@@ -76,8 +80,14 @@ class DeviceStream:
     frame_count: int
 
 
-def read_pcap(source: BinaryIO | bytes) -> Iterator[PacketRecord]:
-    """Yield PacketRecords from a classic pcap byte stream, in file order."""
+def read_pcap(source: BinaryIO | bytes) -> Iterator[FrameBatch]:
+    """Yield FrameBatches from a classic pcap byte stream, in file order.
+
+    The stream is read ``MAX_CAPTURED_LEN`` bytes at a time and each read
+    becomes one batch of the records it completes; a record that
+    straddles two reads goes into the next batch.  Every batch owns its
+    bytes, so batches stay valid after the iterator has moved on.
+    """
     stream = BytesIO(source) if isinstance(source, (bytes, bytearray)) else source
     head = stream.read(GLOBAL_HEADER_LEN)
     if len(head) < 4:
@@ -101,46 +111,51 @@ def read_pcap(source: BinaryIO | bytes) -> Iterator[PacketRecord]:
     except ValueError:
         raise UnsupportedLinkTypeError(network) from None
 
-    record_header = struct.Struct(order + "IIII")
-    offset = GLOBAL_HEADER_LEN
-    while True:
-        header = stream.read(RECORD_HEADER_LEN)
-        if not header:
-            return
-        if len(header) < RECORD_HEADER_LEN:
-            raise TruncationError(f"record header truncated at byte {offset}", offset=offset)
-        ts_sec, ts_frac, incl_len, orig_len = record_header.unpack(header)
-        if incl_len > orig_len:
-            raise FormatError(
-                f"record at byte {offset} claims captured length {incl_len} > on-wire length {orig_len}"
+    unpack_header = struct.Struct(order + "IIII").unpack_from
+    header_fields = np.dtype(order + "u4")
+    data = b""
+    base = GLOBAL_HEADER_LEN  # file offset of data[0]
+    while chunk := stream.read(MAX_CAPTURED_LEN):
+        data += chunk
+        starts = []
+        pos, end = 0, len(data)
+        while pos <= end - RECORD_HEADER_LEN:
+            _sec, _frac, incl_len, orig_len = unpack_header(data, pos)
+            if incl_len > orig_len or incl_len > MAX_CAPTURED_LEN:
+                raise _length_error(base + pos, incl_len, orig_len)
+            next_pos = pos + RECORD_HEADER_LEN + incl_len
+            if next_pos > end:
+                break
+            starts.append(pos)
+            pos = next_pos
+        if starts:
+            headers = np.array(starts)[:, None] + np.arange(RECORD_HEADER_LEN)
+            ts_sec, ts_frac, incl, orig = np.frombuffer(data, np.uint8)[headers].view(header_fields).T
+            yield FrameBatch(
+                link_type,
+                ts_sec.astype(np.float64) + ts_frac / frac_divisor,
+                orig.astype(np.int64),
+                incl.astype(np.int64),
+                headers[:, 0] + RECORD_HEADER_LEN,
+                data,
             )
-        if incl_len > MAX_CAPTURED_LEN:
-            raise FormatError(
-                f"record at byte {offset} claims captured length {incl_len} > {MAX_CAPTURED_LEN}, "
-                "the longest libpcap writes"
-            )
-        payload = stream.read(incl_len)
-        if len(payload) < incl_len:
-            raise TruncationError(f"record payload truncated at byte {offset}", offset=offset)
-        yield PacketRecord(ts_sec + ts_frac / frac_divisor, orig_len, link_type, payload)
-        offset += RECORD_HEADER_LEN + incl_len
+        data = data[pos:]
+        base += pos
+    if len(data) >= RECORD_HEADER_LEN:
+        raise TruncationError(f"record payload truncated at byte {base}", offset=base)
+    if data:
+        raise TruncationError(f"record header truncated at byte {base}", offset=base)
 
 
-def transmitter_of(
-    record: PacketRecord,
-    group_by: str = "mac",
-    include_non_data: bool = False,
-) -> DeviceId | None:
-    """The transmitting device of a frame, or None if unattributable.
-
-    For radiotap captures only 802.11 data frames are attributed unless
-    ``include_non_data`` is set; ACK/CTS control frames carry no
-    transmitter address and always map to None.  ``group_by="ip"`` reads
-    the source IP of Ethernet IPv4/IPv6 frames and skips everything else.
-    """
-    _check_group_by(group_by)
-    key, _ = _attribute(record, group_by, include_non_data)
-    return None if key is None else DeviceId(*key)
+def _length_error(offset: int, incl_len: int, orig_len: int) -> FormatError:
+    if incl_len > orig_len:
+        return FormatError(
+            f"record at byte {offset} claims captured length {incl_len} > on-wire length {orig_len}"
+        )
+    return FormatError(
+        f"record at byte {offset} claims captured length {incl_len} > {MAX_CAPTURED_LEN}, "
+        "the longest libpcap writes"
+    )
 
 
 def _check_group_by(group_by: str) -> None:
@@ -148,61 +163,98 @@ def _check_group_by(group_by: str) -> None:
         raise ParameterError(f"group_by must be 'mac' or 'ip', got {group_by!r}")
 
 
-def _attribute(
-    record: PacketRecord, group_by: str, include_non_data: bool
-) -> tuple[tuple[str, str] | None, int]:
-    """The ``(kind, value)`` of a frame's transmitter (or None) and the
-    bytes it sent: its on-wire length minus the radiotap pseudo-header,
-    which is capture metadata and never crossed the air."""
-    payload = record.payload
-    if record.link_type is LinkType.ETHERNET:
-        if group_by == "ip":
-            return _ethernet_source_ip(payload), record.on_wire_len
-        if len(payload) < 12:
-            raise MalformedFrameError("ethernet frame shorter than its address fields")
-        return ("mac", payload[6:12].hex(":")), record.on_wire_len
+# IP keys: the version (4 or 6), then the source address, zero-padded.
+_IP_KEY = np.dtype("V17")
 
-    if len(payload) < 4:
-        raise MalformedFrameError("frame too short for a radiotap header")
-    (rt_len,) = struct.unpack_from("<H", payload, 2)
-    if rt_len < 8 or rt_len > len(payload):
-        raise MalformedFrameError(f"radiotap header length {rt_len} exceeds frame")
-    size = record.on_wire_len - rt_len
+
+def _bytes_at(buf: np.ndarray, pos: np.ndarray, width: int) -> np.ndarray:
+    """``width`` bytes from each position, one row each.  Positions past
+    the end of ``buf`` read its last byte; the frames they belong to are
+    too short for the field and are never attributed by it."""
+    return buf[np.minimum(pos[:, None] + np.arange(width), buf.size - 1)]
+
+
+def _be_uint(rows: np.ndarray) -> np.ndarray:
+    """Each row of bytes read as a big-endian unsigned integer."""
+    return rows.astype(np.int64) @ (256 ** np.arange(rows.shape[1] - 1, -1, -1))
+
+
+def _transmitters(
+    batch: FrameBatch, group_by: str, include_non_data: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Attribute each frame of a batch to its transmitter.
+
+    Returns the malformed and attributed masks, the bytes each frame
+    sent (its on-wire length minus the radiotap pseudo-header, which is
+    capture metadata and never crossed the air), and one key per
+    attributed frame: the MAC as a 48-bit integer, or an ``_IP_KEY``.
+    Frames that are neither malformed nor attributed are unattributed.
+    For radiotap only 802.11 data frames are attributed unless
+    ``include_non_data`` is set; ACK/CTS control frames carry no
+    transmitter address and never are.
+    """
+    buf = np.frombuffer(batch.data, np.uint8)
+    off, cap, wire = batch.offset, batch.captured_len, batch.on_wire_len
+    if batch.link_type is LinkType.ETHERNET:
+        if group_by == "ip":
+            malformed, attributed, keys = _ip_sources(buf, off, cap)
+            return malformed, attributed, wire, keys
+        malformed = cap < 12  # shorter than its address fields
+        attributed = ~malformed
+        return malformed, attributed, wire, _be_uint(_bytes_at(buf, off[attributed] + 6, 6))
+
+    rt_len = _be_uint(_bytes_at(buf, off + 2, 2)[:, ::-1])  # little-endian
+    size = wire - rt_len
+    malformed = (cap < 4) | (rt_len < 8) | (rt_len > cap)
     # IP grouping is not attempted on 802.11: frame bodies are typically
     # encrypted, which is the whole point of the monitor-mode path.
     if group_by == "ip":
-        return None, size
-    if len(payload) < rt_len + 2:
-        raise MalformedFrameError("802.11 header shorter than frame control")
-    fc0 = payload[rt_len]
-    ftype = (fc0 >> 2) & 0b11
-    subtype = fc0 >> 4
-    if ftype == 1 and subtype in (12, 13):  # CTS / ACK: no Address 2
-        return None, size
-    if ftype != 2 and not include_non_data:
-        return None, size
-    if len(payload) < rt_len + 16:
-        raise MalformedFrameError("802.11 frame shorter than its Address 2 field")
-    return ("mac", payload[rt_len + 10 : rt_len + 16].hex(":")), size
+        return malformed, np.zeros_like(malformed), size, np.empty(0, _IP_KEY)
+    malformed |= cap < rt_len + 2  # no frame control
+    dot11 = _bytes_at(buf, off + rt_len, 16)  # frame control through Address 2
+    ftype = (dot11[:, 0] >> 2) & 0b11
+    subtype = dot11[:, 0] >> 4
+    cts_or_ack = (ftype == 1) & ((subtype == 12) | (subtype == 13))  # no Address 2
+    wanted = ~malformed & ~cts_or_ack & ((ftype == 2) | include_non_data)
+    malformed |= wanted & (cap < rt_len + 16)  # shorter than its Address 2 field
+    attributed = wanted & ~malformed
+    return malformed, attributed, size, _be_uint(dot11[attributed, 10:16])
 
 
-def _ethernet_source_ip(payload: bytes) -> tuple[str, str] | None:
-    if len(payload) < 14:
-        raise MalformedFrameError("ethernet frame shorter than its header")
-    (ethertype,) = struct.unpack_from(">H", payload, 12)
-    if ethertype == ETHERTYPE_IPV4:
-        if len(payload) < 14 + 20:
-            raise MalformedFrameError("IPv4 header truncated")
-        return "ipv4", str(ipaddress.IPv4Address(payload[26:30]))
-    if ethertype == ETHERTYPE_IPV6:
-        if len(payload) < 14 + 40:
-            raise MalformedFrameError("IPv6 header truncated")
-        return "ipv6", str(ipaddress.IPv6Address(payload[22:38]))
-    return None  # non-IP ethertype: skip
+def _ip_sources(
+    buf: np.ndarray, off: np.ndarray, cap: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The malformed and attributed masks and keys of Ethernet frames
+    grouped by source IP; frames that are neither IPv4 nor IPv6 are
+    unattributed."""
+    malformed = cap < 14  # shorter than its header
+    ethertype = _be_uint(_bytes_at(buf, off + 12, 2))
+    ipv4 = ~malformed & (ethertype == ETHERTYPE_IPV4)
+    ipv6 = ~malformed & (ethertype == ETHERTYPE_IPV6)
+    malformed |= (ipv4 & (cap < 14 + 20)) | (ipv6 & (cap < 14 + 40))  # IP header truncated
+    ipv4 &= ~malformed
+    ipv6 &= ~malformed
+    keys = np.zeros((off.size, _IP_KEY.itemsize), np.uint8)
+    keys[ipv4, 0] = 4
+    keys[ipv4, 1:5] = _bytes_at(buf, off[ipv4] + 26, 4)
+    keys[ipv6, 0] = 6
+    keys[ipv6, 1:] = _bytes_at(buf, off[ipv6] + 22, 16)
+    attributed = ipv4 | ipv6
+    return malformed, attributed, keys[attributed].view(_IP_KEY).ravel()
+
+
+def _device_id(key) -> DeviceId:
+    """The DeviceId of one key from ``_transmitters``."""
+    if isinstance(key, np.void):
+        raw = key.tobytes()
+        if raw[0] == 4:
+            return DeviceId("ipv4", str(ipaddress.IPv4Address(raw[1:5])))
+        return DeviceId("ipv6", str(ipaddress.IPv6Address(raw[1:])))
+    return DeviceId("mac", int(key).to_bytes(6, "big").hex(":"))
 
 
 def extract_device_series(
-    records: Iterable[PacketRecord],
+    batches: Iterable[FrameBatch],
     start: float | None,
     step: float,
     n_steps: int,
@@ -213,48 +265,53 @@ def extract_device_series(
     """Group frames by transmitter and bin each device's bytes.
 
     The window is ``n_steps`` steps of ``step`` seconds from ``start``;
-    ``None`` starts it at the first record's timestamp, whether or not
+    ``None`` starts it at the first frame's timestamp, whether or not
     that frame is attributed.  A frame counts its on-wire bytes minus the
-    radiotap pseudo-header.  Malformed frames are skipped.  Devices come
-    back in ascending id order.
+    radiotap pseudo-header, which is capture metadata and never crossed
+    the air.  Malformed frames are skipped.  Devices come back in
+    ascending id order.  ``group_by="ip"`` reads the source IP of
+    Ethernet IPv4/IPv6 frames and skips everything else.
 
     Pass a dict as ``counters`` to receive drop accounting: frames and
     bytes that were malformed, unattributable, or outside the window.
     Binned bytes plus dropped bytes add up to the counted bytes of all
-    input records.
+    input frames.
     """
     if step <= 0 or n_steps < 1:
         raise ParameterError(f"window needs step > 0 and n_steps >= 1, got step {step}, n_steps {n_steps}")
     _check_group_by(group_by)
     drops = {"malformed": 0, "unattributed": 0, "out_of_window": 0, "dropped_bytes": 0}
-    per_device: dict[tuple[str, str], list[tuple[float, int]]] = {}
-    for record in records:
+    keys, timestamps, sizes = [], [], []
+    for batch in batches:
+        if not batch.timestamp.size:
+            continue
         if start is None:
-            start = record.timestamp
-        try:
-            key, size = _attribute(record, group_by, include_non_data)
-        except MalformedFrameError:
-            drops["malformed"] += 1
-            drops["dropped_bytes"] += record.on_wire_len
-            continue
-        if key is None:
-            drops["unattributed"] += 1
-            drops["dropped_bytes"] += size
-            continue
-        per_device.setdefault(key, []).append((record.timestamp, max(size, 0)))
+            start = float(batch.timestamp[0])
+        malformed, attributed, size, key = _transmitters(batch, group_by, include_non_data)
+        unattributed = ~(malformed | attributed)
+        drops["malformed"] += int(np.count_nonzero(malformed))
+        drops["unattributed"] += int(np.count_nonzero(unattributed))
+        drops["dropped_bytes"] += int(batch.on_wire_len[malformed].sum()) + int(size[unattributed].sum())
+        keys.append(key)
+        timestamps.append(batch.timestamp[attributed])
+        sizes.append(np.maximum(size[attributed], 0))
 
     streams = []
-    for key in sorted(per_device):  # the order of DeviceId
-        events = np.array(per_device[key], dtype=EVENT_DTYPE)
-        in_window = (events["timestamp"] >= start) & (events["timestamp"] < start + n_steps * step)
-        kept = int(in_window.sum())
-        if kept < events.size:
-            drops["out_of_window"] += events.size - kept
-            drops["dropped_bytes"] += int(events["byte_count"][~in_window].sum())
-        if not kept:
-            continue
-        series = bin_events(events[in_window], start, step, n_steps)
-        streams.append(DeviceStream(device_id=DeviceId(*key), series=series, frame_count=kept))
+    if keys:
+        timestamp, size = np.concatenate(timestamps), np.concatenate(sizes)
+        in_window = (timestamp >= start) & (timestamp < start + n_steps * step)
+        drops["out_of_window"] = int(in_window.size - np.count_nonzero(in_window))
+        drops["dropped_bytes"] += int(size[~in_window].sum())
+        devices, device_of, frame_counts = np.unique(
+            np.concatenate(keys)[in_window], return_inverse=True, return_counts=True
+        )
+        by_device = np.argsort(device_of, kind="stable")
+        events = event_array(timestamp[in_window][by_device], size[in_window][by_device])
+        ends = np.cumsum(frame_counts).tolist()
+        for key, count, end in zip(devices, frame_counts.tolist(), ends):
+            series = bin_events(events[end - count : end], start, step, n_steps)
+            streams.append(DeviceStream(device_id=_device_id(key), series=series, frame_count=count))
+        streams.sort(key=lambda stream: stream.device_id)
     if counters is not None:
         counters.update(drops)
     return streams

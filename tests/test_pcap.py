@@ -1,4 +1,5 @@
 import io
+import ipaddress
 import struct
 
 import numpy as np
@@ -14,22 +15,23 @@ from conftest import (
     pcap_record,
     radiotap_frame,
 )
+import pcap_oracle as oracle
 from simobs.errors import (
     FormatError,
-    MalformedFrameError,
     ParameterError,
     SimobsError,
     TruncationError,
     UnsupportedLinkTypeError,
 )
 from simobs.pcap import (
+    GLOBAL_HEADER_LEN,
     MAX_CAPTURED_LEN,
     DeviceId,
+    FrameBatch,
     LinkType,
     extract_device_series,
     read_devices_csv,
     read_pcap,
-    transmitter_of,
     write_devices_csv,
 )
 
@@ -45,7 +47,7 @@ class TestReadPcap:
         for sec, usec, wire_len in frames:
             payload = ethernet_frame("aa:bb:cc:dd:ee:01", body=bytes(wire_len - 14))
             data += pcap_record(sec, usec, payload, orig_len=wire_len)
-        records = list(read_pcap(data))
+        records = oracle.records_of(read_pcap(data))
         assert [r.timestamp for r in records] == [0.5, 1.5, 1.5]
         assert [r.on_wire_len for r in records] == [100, 200, 300]
         assert all(len(r.payload) == r.on_wire_len for r in records)
@@ -56,12 +58,12 @@ class TestReadPcap:
 
     def test_nanosecond_magic(self):
         data = pcap_header(magic=0xA1B23C4D) + pcap_record(1, 500_000_000, b"x" * 64)
-        (record,) = read_pcap(data)
+        (record,) = oracle.records_of(read_pcap(data))
         assert record.timestamp == 1.5
 
     def test_big_endian(self):
         data = pcap_header(order=">") + pcap_record(2, 250_000, b"y" * 64, order=">")
-        (record,) = read_pcap(data)
+        (record,) = oracle.records_of(read_pcap(data))
         assert record.timestamp == 2.25
         assert record.on_wire_len == 64
 
@@ -98,7 +100,7 @@ class TestReadPcap:
                 return super().read(n)
 
         payload = ethernet_frame("aa:bb:cc:dd:ee:01", body=bytes(MAX_CAPTURED_LEN - 14))
-        (record,) = read_pcap(Stream(pcap_header() + pcap_record(0, 0, payload)))
+        (record,) = oracle.records_of(read_pcap(Stream(pcap_header() + pcap_record(0, 0, payload))))
         assert len(record.payload) == record.on_wire_len == MAX_CAPTURED_LEN
 
         Stream.largest = 0
@@ -109,50 +111,61 @@ class TestReadPcap:
 
     def test_accepts_stream_object(self):
         data = pcap_header() + pcap_record(0, 0, b"q" * 64)
-        assert len(list(read_pcap(io.BytesIO(data)))) == 1
+        assert len(oracle.records_of(read_pcap(io.BytesIO(data)))) == 1
 
 
 class TestTransmitterOf:
-    def _record(self, payload, link=LinkType.ETHERNET):
-        from simobs.pcap import PacketRecord
+    """Attribution rules, each on a one-frame capture read back through
+    extract and its drop counters."""
 
-        return PacketRecord(0.0, len(payload), link, payload)
+    def _extract(self, payload, link=LinkType.ETHERNET, **options):
+        data = pcap_header(network=int(link)) + pcap_record(0, 0, payload)
+        counters: dict = {}
+        streams = extract_device_series(read_pcap(data), 0.0, 1.0, 1, counters=counters, **options)
+        return [s.device_id for s in streams], counters
 
     def test_ethernet_source_mac(self):
-        record = self._record(ethernet_frame("aa:bb:cc:dd:ee:ff"))
-        assert transmitter_of(record) == DeviceId("mac", "aa:bb:cc:dd:ee:ff")
+        ids, _ = self._extract(ethernet_frame("aa:bb:cc:dd:ee:ff"))
+        assert ids == [DeviceId("mac", "aa:bb:cc:dd:ee:ff")]
 
     def test_ack_has_no_transmitter(self):
-        record = self._record(
-            radiotap_frame(dot11_ack_frame()), link=LinkType.IEEE80211_RADIOTAP
-        )
-        assert transmitter_of(record) is None
-        assert transmitter_of(record, include_non_data=True) is None
+        frame = radiotap_frame(dot11_ack_frame())
+        for include_non_data in (False, True):
+            ids, counters = self._extract(
+                frame, link=LinkType.IEEE80211_RADIOTAP, include_non_data=include_non_data
+            )
+            assert ids == []
+            assert counters["unattributed"] == 1
 
     def test_radiotap_data_frame_address2(self):
         dot11 = dot11_data_frame("11:22:33:44:55:66", body=bytes(40))
-        record = self._record(radiotap_frame(dot11, rt_len=24), link=LinkType.IEEE80211_RADIOTAP)
-        assert transmitter_of(record) == DeviceId("mac", "11:22:33:44:55:66")
+        ids, _ = self._extract(radiotap_frame(dot11, rt_len=24), link=LinkType.IEEE80211_RADIOTAP)
+        assert ids == [DeviceId("mac", "11:22:33:44:55:66")]
 
     def test_management_frame_skipped_by_default(self):
-        dot11 = dot11_beacon_frame("11:22:33:44:55:66")
-        record = self._record(radiotap_frame(dot11), link=LinkType.IEEE80211_RADIOTAP)
-        assert transmitter_of(record) is None
-        assert transmitter_of(record, include_non_data=True) == DeviceId("mac", "11:22:33:44:55:66")
+        frame = radiotap_frame(dot11_beacon_frame("11:22:33:44:55:66"))
+        ids, counters = self._extract(frame, link=LinkType.IEEE80211_RADIOTAP)
+        assert ids == []
+        assert counters["unattributed"] == 1
+        ids, _ = self._extract(frame, link=LinkType.IEEE80211_RADIOTAP, include_non_data=True)
+        assert ids == [DeviceId("mac", "11:22:33:44:55:66")]
 
     def test_short_frame_is_malformed(self):
-        record = self._record(b"\x08\x00", link=LinkType.IEEE80211_RADIOTAP)
-        with pytest.raises(MalformedFrameError):
-            transmitter_of(record)
+        ids, counters = self._extract(b"\x08\x00", link=LinkType.IEEE80211_RADIOTAP)
+        assert ids == []
+        assert counters["malformed"] == 1
+        assert counters["dropped_bytes"] == 2
 
     def test_ip_grouping(self):
         frame = ethernet_frame("aa:bb:cc:dd:ee:ff", body=ipv4_body("192.168.1.9"))
-        record = self._record(frame)
-        assert transmitter_of(record, group_by="ip") == DeviceId("ipv4", "192.168.1.9")
+        ids, _ = self._extract(frame, group_by="ip")
+        assert ids == [DeviceId("ipv4", "192.168.1.9")]
 
     def test_ip_grouping_skips_non_ip(self):
         frame = ethernet_frame("aa:bb:cc:dd:ee:ff", ethertype=0x0806, body=bytes(40))
-        assert transmitter_of(self._record(frame), group_by="ip") is None
+        ids, counters = self._extract(frame, group_by="ip")
+        assert ids == []
+        assert counters["unattributed"] == 1
 
 
 class TestExtractDeviceSeries:
@@ -271,6 +284,187 @@ class TestFuzzSmoke:
                 extract_device_series(records, 0.0, 1.0, 10)
             except SimobsError:
                 pass
+
+
+def _ipv6_body(src: str) -> bytes:
+    # version 6, payload length 0, next header UDP, hop limit 64
+    return struct.pack(">IHBB", 6 << 28, 0, 17, 64) + ipaddress.IPv6Address(src).packed + bytes(16)
+
+
+def _outcome(read, extract, source, group_by, include_non_data, start):
+    """(streams, counters) of one extract run, or the error that ended it."""
+    counters: dict = {}
+    try:
+        streams = extract(read(source), start, 1.0, 4, group_by=group_by,
+                          include_non_data=include_non_data, counters=counters)
+    except SimobsError as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+    return streams, counters
+
+
+OPTIONS = [
+    (group_by, include_non_data, start)
+    for group_by in ("mac", "ip")
+    for include_non_data in (False, True)
+    for start in (0.0, None)
+]
+
+
+class TestAgainstOracle:
+    """The columnar reader and attribution against the per-record oracle
+    in ``pcap_oracle``, on seeded mutations of captures that hold every
+    kind of frame the rules tell apart."""
+
+    ETHERNET = [
+        ethernet_frame("aa:00:00:00:00:01", body=ipv4_body("10.0.0.9", payload=bytes(30))),
+        ethernet_frame("aa:00:00:00:00:02", body=ipv4_body("10.0.0.10", payload=bytes(50))),
+        ethernet_frame("aa:00:00:00:00:01", ethertype=0x86DD, body=_ipv6_body("2001:db8::7")),
+        ethernet_frame("aa:00:00:00:00:03", ethertype=0x0806, body=bytes(28)),  # not IP
+        # each length check, one byte short and exactly met
+        *[ethernet_frame("aa:00:00:00:00:02")[:n] for n in (11, 12, 13, 14)],
+        *[ethernet_frame("aa:00:00:00:00:02", body=ipv4_body("10.0.0.10"))[:n] for n in (30, 33, 34)],
+        *[ethernet_frame("aa:00:00:00:00:01", ethertype=0x86DD, body=_ipv6_body("::1"))[:n] for n in (40, 53, 54)],
+    ]
+    RADIOTAP = [
+        radiotap_frame(dot11_data_frame("11:00:00:00:00:01", body=bytes(30)), rt_len=8),
+        radiotap_frame(dot11_data_frame("11:00:00:00:00:02", body=bytes(20)), rt_len=16),
+        radiotap_frame(dot11_data_frame("11:00:00:00:00:01", body=bytes(10)), rt_len=24),
+        radiotap_frame(dot11_ack_frame(), rt_len=8),
+        radiotap_frame(bytes([0xC4, 0]) + bytes(8), rt_len=12),  # CTS
+        radiotap_frame(dot11_beacon_frame("11:00:00:00:00:03"), rt_len=24),
+        # each length check, one byte short and exactly met
+        b"\x00\x00\x08",
+        struct.pack("<BBH", 0, 0, 4),
+        struct.pack("<BBHI", 0, 0, 7, 0) + bytes(20),
+        struct.pack("<BBHI", 0, 0, 64, 0) + bytes(20),
+        *[radiotap_frame(dot11_data_frame("11:00:00:00:00:02"), rt_len=8)[:n] for n in (8, 9, 10, 23, 24)],
+        radiotap_frame(dot11_ack_frame(), rt_len=8)[:9],
+    ]
+
+    def _base(self, link: LinkType, frames: list[bytes]) -> bytes:
+        data = pcap_header(network=int(link))
+        # out of time order, so some frames fall before a window that
+        # starts at the first frame and some after the fourth step
+        for i, frame in enumerate(frames * 2):
+            data += pcap_record(1 + (i * 7) % 6, (i * 137_000) % 1_000_000, frame, orig_len=len(frame) + i % 3)
+        return data
+
+    def _check(self, data: bytes) -> int:
+        """Compare every option on one capture; the number that parsed."""
+        try:
+            records = list(oracle.read_pcap(data))
+        except SimobsError:
+            records = None
+        parsed = 0
+        for options in OPTIONS:
+            expected = _outcome(oracle.read_pcap, oracle.extract_device_series, data, *options)
+            assert _outcome(read_pcap, extract_device_series, data, *options) == expected
+            if records is None:
+                continue
+            parsed += 1
+            streams, counters = expected
+            binned = sum(int(s.series.values.sum()) for s in streams)
+            counted = sum(oracle.counted_bytes(r, *options[:2]) for r in records)
+            assert binned + counters["dropped_bytes"] == counted
+        return parsed
+
+    @pytest.mark.parametrize("link", [LinkType.ETHERNET, LinkType.IEEE80211_RADIOTAP], ids=["ethernet", "radiotap"])
+    def test_mutated_captures_match_oracle(self, link):
+        base = self._base(link, self.ETHERNET if link is LinkType.ETHERNET else self.RADIOTAP)
+        assert self._check(base) == len(OPTIONS)
+        rng = np.random.default_rng(2024 + int(link))
+        parsed = 0
+        for _ in range(300):
+            data = bytearray(base)
+            for pos in rng.integers(0, len(data), size=rng.integers(1, 6)):
+                data[pos] = rng.integers(0, 256)
+            if rng.random() < 0.25:
+                del data[rng.integers(0, len(data)) :]
+            parsed += self._check(bytes(data))
+        assert parsed >= 300  # the identity was checked on many captures
+
+    def test_negative_size_bins_zero(self):
+        # a batch built by hand may claim fewer on-wire bytes than its
+        # radiotap header; the reader never yields one
+        frame = radiotap_frame(dot11_data_frame("11:00:00:00:00:01", body=bytes(30)), rt_len=24)
+        batch = FrameBatch(LinkType.IEEE80211_RADIOTAP, np.array([0.5]), np.array([10]),
+                           np.array([len(frame)]), np.array([0]), frame)
+        (record,) = oracle.records_of([batch])
+        for options in OPTIONS:
+            expected = _outcome(list, oracle.extract_device_series, [record], *options)
+            assert _outcome(list, extract_device_series, [batch], *options) == expected
+
+    def test_streamed_and_drained_runs_agree(self):
+        data = self._base(LinkType.IEEE80211_RADIOTAP, self.RADIOTAP)
+        for options in OPTIONS:
+            streamed = _outcome(lambda d: read_pcap(io.BytesIO(d)), extract_device_series, data, *options)
+            drained = _outcome(lambda d: list(read_pcap(d)), extract_device_series, data, *options)
+            assert streamed == drained
+
+
+class TestChunkBoundaries:
+    """Records that straddle the reader's MAX_CAPTURED_LEN reads."""
+
+    def _capture(self) -> tuple[bytes, list[int]]:
+        """A radiotap capture over 1 MiB and the file offsets where its
+        reads end: the first holds a record header cut 5 bytes in, the
+        second sits inside a MAX_CAPTURED_LEN record, the third inside a
+        payload, and the fourth and fifth fall between records."""
+        data = bytearray(pcap_header(network=127))
+        boundaries = [GLOBAL_HEADER_LEN + k * MAX_CAPTURED_LEN for k in range(1, 6)]
+        macs = ["11:00:00:00:00:01", "11:00:00:00:00:02", "11:00:00:00:00:03"]
+        count = 0
+
+        def add(length: int) -> None:
+            nonlocal count
+            if count % 9 == 4:
+                frame = radiotap_frame(dot11_ack_frame(), rt_len=8)
+                frame += bytes(length - len(frame))
+            else:
+                frame = radiotap_frame(dot11_data_frame(macs[count % 3], body=bytes(length - 32)), rt_len=8)
+            data.extend(pcap_record(count % 4, 250_000, frame))
+            count += 1
+
+        def fill_to(target: int) -> None:
+            while target - len(data) > 16 + 1500 + 16 + 40:
+                add(1500)
+            add(target - len(data) - 16)
+
+        fill_to(boundaries[0] - 5)
+        add(900)
+        fill_to(boundaries[1] - 100_000)
+        add(MAX_CAPTURED_LEN)
+        fill_to(boundaries[2] - 16 - 700)
+        add(1400)
+        fill_to(boundaries[3])
+        fill_to(boundaries[4])
+        add(600)
+        assert len(data) > 1 << 20
+        return bytes(data), boundaries
+
+    def test_boundaries_and_cuts_match_oracle(self):
+        data, boundaries = self._capture()
+        reads = []
+
+        class Stream(io.BytesIO):
+            def read(self, n=-1):
+                reads.append(n)
+                return super().read(n)
+
+        cuts = [len(data)] + [b + d for b in boundaries for d in (-1, 0, 1)]
+        errors = set()
+        for cut in cuts:
+            source = data[:cut]
+            expected = _outcome(oracle.read_pcap, oracle.extract_device_series, source, "mac", False, 0.0)
+            streamed = _outcome(lambda d: read_pcap(Stream(d)), extract_device_series, source, "mac", False, 0.0)
+            drained = _outcome(lambda d: list(read_pcap(d)), extract_device_series, source, "mac", False, 0.0)
+            assert streamed == drained == expected, cut
+            if expected[0] is TruncationError:
+                errors.add(expected[1].split(" at ")[0])
+            else:
+                assert oracle.records_of(read_pcap(source)) == list(oracle.read_pcap(source))
+        assert errors == {"record header truncated", "record payload truncated"}
+        assert max(reads) == MAX_CAPTURED_LEN
 
 
 class TestDevicesCsv:

@@ -1,0 +1,62 @@
+"""The benchmark's traced run against the program it wraps.
+
+``perfbench/layers.py`` replaces program functions by name and drains
+what ``read_pcap`` yields into a list before ``extract_device_series``
+sees it.  A renamed or deleted function, or a reader whose output does
+not survive that, breaks the traced run; this test breaks first.
+"""
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+from conftest import dot11_ack_frame, dot11_data_frame, pcap_header, pcap_record, radiotap_frame
+from simobs import cli
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _capture() -> bytes:
+    data = pcap_header(network=127)
+    for i in range(60):
+        if i % 7 == 3:
+            frame = radiotap_frame(dot11_ack_frame(), rt_len=8)
+        else:
+            mac = f"11:00:00:00:00:{i % 3 + 1:02x}"
+            frame = radiotap_frame(dot11_data_frame(mac, body=bytes(40 + 13 * i)), rt_len=8)
+        data += pcap_record(i // 4, (i * 250_000) % 1_000_000, frame)
+    return data
+
+
+def test_traced_extract_matches_untraced(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as checked in
+    from layers import install
+    from spans import Tracer
+
+    capture = tmp_path / "capture.pcap"
+    capture.write_bytes(_capture())
+
+    def extract(name: str) -> str:
+        out = tmp_path / name
+        assert cli.main(["extract", "--pcap", str(capture), "--start", "0", "--out", str(out)]) == 0
+        return out.read_text()
+
+    untraced = extract("untraced.csv")
+    tracer = Tracer()
+    try:
+        install(tracer)
+        wrapped = list(tracer._originals)
+        for module, attr, original in wrapped:
+            assert getattr(module, attr).__wrapped__ is original, f"{module.__name__}.{attr}"
+        traced = extract("traced.csv")
+        spans, counts = tracer.take()
+    finally:
+        tracer.unwrap()
+
+    assert traced == untraced
+    assert {"cli.extract", "pcap.read", "pcap.extract", "timeseries.bin_events"} <= {s[0] for s in spans}
+    assert counts["pcap.records"] > 0
+    assert counts["pcap.binned"] == 60 - 9  # every data frame; the 9 ACKs are unattributed
+    for module, attr, original in wrapped:
+        assert getattr(module, attr) is original

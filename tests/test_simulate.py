@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pcap_oracle import records_of, transmitter_of
 from simobs.errors import ParameterError
-from simobs.pcap import extract_device_series, read_pcap, transmitter_of
+from simobs.pcap import extract_device_series, read_pcap
 from simobs.similarity import gaussian_kld, pearson_cc
 from simobs.simulate import (
     MIN_FRAME,
@@ -294,7 +295,8 @@ class TestWritePcap:
         events = sorted(
             (ts, str(tr.device_id), size) for tr in dataset.traces for ts, size in tr.events.tolist()
         )
-        records = list(read_pcap(write_pcap(dataset, link="radiotap")))
+        data = write_pcap(dataset, link="radiotap")
+        records = records_of(read_pcap(data))
         assert len(records) == len(events)
         rt_len = 8
         for record, (ts, device_id, size) in zip(records, events):
@@ -302,6 +304,11 @@ class TestWritePcap:
             assert len(record.payload) == record.on_wire_len
             assert abs(record.timestamp - ts) < 1e-6
             assert str(transmitter_of(record)) == device_id
+        streams = extract_device_series(read_pcap(data), 0.0, 1.0, 60)
+        in_window = {}
+        for ts, device_id, _ in events:
+            in_window[device_id] = in_window.get(device_id, 0) + (0 <= ts < 60)
+        assert {str(s.device_id): s.frame_count for s in streams} == in_window
 
 
 class TestScenarioConfig:
