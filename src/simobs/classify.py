@@ -175,20 +175,24 @@ def sweep_threshold(samples: Sequence[LabeledSample], measure: str) -> tuple[flo
     """
     if measure not in MEASURES:
         raise ParameterError(f"unknown measure {measure!r}")
-    labels = [s.label for s in samples]
-    if len(set(labels)) < 2:
+    labels = np.array([s.label for s in samples], dtype=bool)
+    if labels.all() or not labels.any():
         raise ClassImbalanceError("sweep needs both classes present")
     values = _imputed_values(samples, measure)
     distinct = np.unique(values)
-    candidates = [-math.inf] + [float((a + b) / 2) for a, b in zip(distinct, distinct[1:])] + [math.inf]
-    if DIRECTION_BY_MEASURE[measure] == "spy_if_at_least":
-        candidates = candidates[::-1]  # fewest positives first
-    best_threshold, best_f1 = candidates[0], -1.0
-    for threshold in candidates:
-        f1 = evaluate(_spy_mask(values, measure, threshold).tolist(), labels).f1
-        if f1 > best_f1:
-            best_threshold, best_f1 = threshold, f1
-    return best_threshold, best_f1
+    candidates = np.concatenate(([-math.inf], (distinct[:-1] + distinct[1:]) / 2, [math.inf]))
+    # Spy iff sign * value <= sign * threshold, so one ascending sort
+    # counts the positives of every candidate, fewest first.
+    sign = -1 if DIRECTION_BY_MEASURE[measure] == "spy_if_at_least" else 1
+    candidates = candidates[::sign]
+    order = np.argsort(sign * values)
+    n_spy = np.searchsorted(sign * values[order], sign * candidates, side="right")
+    tp = np.concatenate(([0], np.cumsum(labels[order])))[n_spy]
+    precision = np.divide(tp, n_spy, out=np.zeros(len(tp)), where=n_spy > 0)
+    recall = tp / labels.sum()
+    f1 = np.divide(2 * precision * recall, precision + recall, out=np.zeros(len(tp)), where=tp > 0)
+    best = int(np.argmax(f1))  # the first best
+    return float(candidates[best]), float(f1[best])
 
 
 def _imputed_values(samples: Sequence[LabeledSample], measure: str) -> np.ndarray:
@@ -233,28 +237,101 @@ def feature_matrix(vectors: Sequence[SimilarityVector], subset: Sequence[str]) -
 
 
 def _act(z: np.ndarray, kind: str) -> np.ndarray:
+    """The activation of ``z``, written over ``z``."""
     if kind == "logistic":
-        return 1.0 / (1.0 + np.exp(-z))
+        np.exp(np.negative(z, out=z), out=z)
+        return np.divide(1.0, np.add(z, 1.0, out=z), out=z)
     if kind == "tanh":
-        return np.tanh(z)
-    return np.maximum(z, 0.0)
+        return np.tanh(z, out=z)
+    return np.maximum(z, 0.0, out=z)
 
 
 def _act_grad(a: np.ndarray, kind: str) -> np.ndarray:
+    """The activation's derivative from its output ``a``, written over ``a``."""
     if kind == "logistic":
-        return a * (1.0 - a)
+        return np.multiply(a, 1.0 - a, out=a)
     if kind == "tanh":
-        return 1.0 - a * a
-    return (a > 0).astype(np.float64)
+        return np.subtract(1.0, np.multiply(a, a, out=a), out=a)
+    return np.greater(a, 0, out=a)
 
 
 def _forward(model_weights, model_biases, activation: str, x: np.ndarray) -> list[np.ndarray]:
     acts = [x]
     last = len(model_weights) - 1
     for i, (w, b) in enumerate(zip(model_weights, model_biases)):
-        z = acts[-1] @ w + b
+        z = acts[-1] @ w
+        z += b
         acts.append(_act(z, "logistic" if i == last else activation))
     return acts
+
+
+def _training_set(x_raw: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Training rows scaled to zero mean and unit variance, with the mean
+    and std that scale them; needs 10 samples of each class."""
+    n_pos = int(labels.sum())
+    n_neg = len(labels) - n_pos
+    if n_pos < 10 or n_neg < 10:
+        raise ClassImbalanceError(f"need >= 10 samples per class, got {n_pos} spy / {n_neg} other")
+    mean = x_raw.mean(axis=0)
+    std = x_raw.std(axis=0)
+    std = np.where(std < 1e-12, 1.0, std)
+    return (x_raw - mean) / std, mean, std
+
+
+def _fit_stack(x, y, seeds, alphas, layers, activation: str, max_iter: int):
+    """Fit k networks of one shape at once by full-batch Adam on logistic loss.
+
+    ``x`` is (k, n, f) and ``y`` (k, n, 1); model j starts from ``seeds[j]``,
+    has penalty ``alphas[j]`` and stops on its own as a lone fit would.
+    The matmuls and reductions run slice by slice, so each model is
+    bit-identical to a fit of its own.
+    """
+    if activation not in ACTIVATIONS:
+        raise ParameterError(f"activation must be one of {ACTIVATIONS}, got {activation!r}")
+    if any(width < 1 for width in layers):
+        raise ParameterError(f"hidden layer widths must be >= 1, got {tuple(layers)}")
+    if max_iter < 1:
+        raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
+    k, n, n_features = x.shape
+    sizes = (n_features, *layers, 1)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    weights, biases = [], []
+    for fan_in, fan_out in zip(sizes, sizes[1:]):
+        limit = math.sqrt(6.0 / (fan_in + fan_out))
+        weights.append(np.stack([rng.uniform(-limit, limit, size=(fan_in, fan_out)) for rng in rngs]))
+        biases.append(np.zeros((k, 1, fan_out)))
+    alpha = np.asarray(alphas, dtype=np.float64).reshape(k, 1, 1)
+
+    m_w, v_w, m_b, v_b = ([np.zeros_like(a) for a in group] for group in (weights, weights, biases, biases))
+    lr, beta1, beta2, eps = 0.02, 0.9, 0.999, 1e-8
+    active = np.ones((k, 1, 1))  # 0 once stopped: parameters, and so the loss, stay put
+    prev_loss = np.full(k, math.inf)
+    for it in range(1, max_iter + 1):
+        acts = _forward(weights, biases, activation, x)
+        p = np.clip(acts[-1], 1e-12, 1 - 1e-12)
+        loss = -np.mean(y * np.log(p) + (1 - y) * np.log(1 - p), axis=(1, 2))
+        loss += 0.5 * alpha[:, 0, 0] * sum((w * w).reshape(k, -1).sum(axis=1) for w in weights) / n
+        if not np.isfinite(loss).all():
+            raise TrainingDivergedError(f"loss became non-finite at iteration {it}")
+        active[np.abs(prev_loss - loss) < 1e-6] = 0.0
+        prev_loss = loss
+        if not active.any():
+            break
+
+        delta = (acts.pop() - y) / n  # logistic output + BCE
+        for i in range(len(weights) - 1, -1, -1):
+            a = acts.pop()  # freed once this layer is done
+            gw = np.matmul(a.swapaxes(1, 2), delta) + alpha * weights[i] / n
+            gb = delta.sum(axis=1, keepdims=True)
+            if i > 0:
+                delta = np.matmul(delta, weights[i].swapaxes(1, 2))
+                delta *= _act_grad(a, activation)
+            corr1, corr2 = 1 - beta1**it, 1 - beta2**it
+            for param, m, v, g in ((weights[i], m_w[i], v_w[i], gw), (biases[i], m_b[i], v_b[i], gb)):
+                m[:] = beta1 * m + (1 - beta1) * g
+                v[:] = beta2 * v + (1 - beta2) * g * g
+                param -= active * (lr * (m / corr1) / (np.sqrt(v / corr2) + eps))
+    return weights, biases, prev_loss
 
 
 def mlp_train(
@@ -271,84 +348,22 @@ def mlp_train(
     Deterministic for a fixed seed; stops when the loss improves by less
     than 1e-6 or after ``max_iter`` iterations.
     """
-    if activation not in ACTIVATIONS:
-        raise ParameterError(f"activation must be one of {ACTIVATIONS}, got {activation!r}")
-    if any(width < 1 for width in layers):
-        raise ParameterError(f"hidden layer widths must be >= 1, got {tuple(layers)}")
-    if max_iter < 1:
-        raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
     labels = np.array([s.label for s in train], dtype=np.float64)
-    n_pos = int(labels.sum())
-    n_neg = len(labels) - n_pos
-    if n_pos < 10 or n_neg < 10:
-        raise ClassImbalanceError(f"need >= 10 samples per class, got {n_pos} spy / {n_neg} other")
-
-    x_raw = feature_matrix([s.features for s in train], tuple(feature_subset))
-    mean = x_raw.mean(axis=0)
-    std = x_raw.std(axis=0)
-    std = np.where(std < 1e-12, 1.0, std)
-    x = (x_raw - mean) / std
-    y = labels.reshape(-1, 1)
-
-    sizes = (x.shape[1], *layers, 1)
-    rng = np.random.default_rng(seed)
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(sizes, sizes[1:]):
-        limit = math.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-
-    n = x.shape[0]
-    m_w = [np.zeros_like(w) for w in weights]
-    v_w = [np.zeros_like(w) for w in weights]
-    m_b = [np.zeros_like(b) for b in biases]
-    v_b = [np.zeros_like(b) for b in biases]
-    lr, beta1, beta2, eps = 0.02, 0.9, 0.999, 1e-8
-
-    prev_loss = math.inf
-    loss = prev_loss
-    for it in range(1, max_iter + 1):
-        acts = _forward(weights, biases, activation, x)
-        p = np.clip(acts[-1], 1e-12, 1 - 1e-12)
-        loss = float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p)))
-        loss += 0.5 * alpha * sum(float((w * w).sum()) for w in weights) / n
-        if not math.isfinite(loss):
-            raise TrainingDivergedError(f"loss became non-finite at iteration {it}")
-        if abs(prev_loss - loss) < 1e-6:
-            break
-        prev_loss = loss
-
-        delta = (acts[-1] - y) / n  # logistic output + BCE
-        for i in range(len(weights) - 1, -1, -1):
-            gw = acts[i].T @ delta + alpha * weights[i] / n
-            gb = delta.sum(axis=0)
-            if i > 0:
-                delta = (delta @ weights[i].T) * _act_grad(acts[i], activation)
-            m_w[i] = beta1 * m_w[i] + (1 - beta1) * gw
-            v_w[i] = beta2 * v_w[i] + (1 - beta2) * gw * gw
-            m_b[i] = beta1 * m_b[i] + (1 - beta1) * gb
-            v_b[i] = beta2 * v_b[i] + (1 - beta2) * gb * gb
-            corr1 = 1 - beta1**it
-            corr2 = 1 - beta2**it
-            weights[i] = weights[i] - lr * (m_w[i] / corr1) / (np.sqrt(v_w[i] / corr2) + eps)
-            biases[i] = biases[i] - lr * (m_b[i] / corr1) / (np.sqrt(v_b[i] / corr2) + eps)
-
-    for w in weights:
-        w.setflags(write=False)
-    for b in biases:
-        b.setflags(write=False)
-    mean.setflags(write=False)
-    std.setflags(write=False)
+    x, mean, std = _training_set(feature_matrix([s.features for s in train], tuple(feature_subset)), labels)
+    weights, biases, loss = _fit_stack(
+        x[None], labels[None, :, None], [seed], [alpha], layers, activation, max_iter
+    )
+    for a in (*weights, *biases, mean, std):
+        a.setflags(write=False)
     return MlpModel(
-        layer_sizes=sizes,
+        layer_sizes=(x.shape[1], *layers, 1),
         activation=activation,
-        weights=tuple(weights),
-        biases=tuple(biases),
+        weights=tuple(w[0] for w in weights),
+        biases=tuple(b[0, 0] for b in biases),
         feature_subset=tuple(feature_subset),
         feature_mean=mean,
         feature_std=std,
-        training_loss=loss,
+        training_loss=float(loss[0]),
     )
 
 
@@ -476,35 +491,6 @@ def stratified_folds(labels: Sequence[bool], folds: int, seed: int) -> list[np.n
     return [np.flatnonzero(assignment == k) for k in range(folds)]
 
 
-def cross_validate(
-    samples: Sequence[LabeledSample],
-    point: GridPoint,
-    folds: int,
-    seed: int,
-    feature_subset: Sequence[str] = CAMERA_REF_FEATURES,
-) -> float:
-    """Mean held-out F1 of one hyperparameter point."""
-    labels = [s.label for s in samples]
-    fold_indices = stratified_folds(labels, folds, seed)
-    scores = []
-    for k, test_idx in enumerate(fold_indices):
-        test_set = set(test_idx.tolist())
-        train_split = [s for i, s in enumerate(samples) if i not in test_set]
-        test_split = [samples[i] for i in test_idx]
-        model = mlp_train(
-            train_split,
-            layers=point.hidden_layers,
-            activation=point.activation,
-            seed=seed + k,
-            max_iter=CV_MAX_ITER,
-            alpha=point.alpha,
-            feature_subset=feature_subset,
-        )
-        preds = mlp_verdicts(model, test_split)
-        scores.append(evaluate(preds, [s.label for s in test_split]).f1)
-    return float(np.mean(scores))
-
-
 def grid_search(
     samples: Sequence[LabeledSample],
     grid: ParamGrid | Sequence[GridPoint],
@@ -512,25 +498,43 @@ def grid_search(
     seed: int = 0,
     feature_subset: Sequence[str] = CAMERA_REF_FEATURES,
 ) -> tuple[GridPoint, float]:
-    """Pick the hyperparameter point with the best mean CV F1.
+    """Pick the hyperparameter point with the best mean held-out F1 over
+    stratified folds, fitting fold k from ``seed + k``.
 
-    Exact F1 ties break toward the architecture with fewer weights.
+    The folds and alphas of one architecture train as one stack per
+    training-set size.  Exact F1 ties break toward fewer weights.
     """
     points = grid.points() if isinstance(grid, ParamGrid) else list(grid)
     if not points:
         raise ParameterError("hyperparameter grid is empty")
-    n_features = 2 * len(feature_subset)
-    best: tuple[float, int, int] | None = None
-    best_point = points[0]
-    for order, point in enumerate(points):
-        score = cross_validate(samples, point, folds, seed, feature_subset)
-        sizes = (n_features, *point.hidden_layers, 1)
-        n_weights = sum((a + 1) * b for a, b in zip(sizes, sizes[1:]))
-        key = (-score, n_weights, order)
-        if best is None or key < best:
-            best = key
-            best_point = point
-    return best_point, -best[0]
+    labels = np.array([s.label for s in samples], dtype=np.float64)
+    x_all = feature_matrix([s.features for s in samples], tuple(feature_subset))
+    splits = []  # per fold: scaled training rows, their labels, scaled test rows, test labels
+    for test_idx in stratified_folds(labels, folds, seed):
+        train = np.setdiff1d(np.arange(len(samples)), test_idx)
+        x, mean, std = _training_set(x_all[train], labels[train])
+        splits.append((x, labels[train, None], (x_all[test_idx] - mean) / std, labels[test_idx] > 0))
+
+    stacks: dict[tuple, list[tuple[int, int]]] = {}
+    for (p, point), (k, split) in itertools.product(enumerate(points), enumerate(splits)):
+        stacks.setdefault((tuple(point.hidden_layers), point.activation, len(split[0])), []).append((p, k))
+    f1 = np.zeros((len(points), folds))
+    for (layers, activation, _), members in stacks.items():
+        stack = [splits[k] for _, k in members]
+        weights, biases, _ = _fit_stack(
+            np.stack([s[0] for s in stack]), np.stack([s[1] for s in stack]), [seed + k for _, k in members],
+            [points[p].alpha for p, _ in members], layers, activation, CV_MAX_ITER,
+        )
+        spy = _forward(weights, biases, activation, np.stack([s[2] for s in stack]))[-1][:, :, 0] >= 0.5
+        for (p, k), preds, s in zip(members, spy, stack):
+            f1[p, k] = evaluate(preds.tolist(), s[3].tolist()).f1
+
+    def key(p: int) -> tuple[float, int, int]:
+        sizes = (2 * len(feature_subset), *points[p].hidden_layers, 1)
+        return -float(np.mean(f1[p])), sum((a + 1) * b for a, b in zip(sizes, sizes[1:])), p
+
+    best = min(range(len(points)), key=key)
+    return points[best], float(np.mean(f1[best]))
 
 
 # ---------------------------------------------------------------------------

@@ -262,15 +262,20 @@ def vector_to_row(sv: SimilarityVector) -> dict:
 
 
 def vector_from_row(row: Mapping) -> SimilarityVector:
-    """Inverse of vector_to_row; other keys in ``row`` are ignored."""
+    """Inverse of vector_to_row; other keys in ``row`` are ignored.  A
+    measure that is not finite (JSON NaN or Infinity) raises FormatError."""
     cc, kld = row["cc"], row["kld"]
-    return SimilarityVector(
+    sv = SimilarityVector(
         cc=None if cc is None else float(cc),
         dtw=float(row["dtw"]),
         kld=None if kld is None else float(kld),
         jsd=float(row["jsd"]),
         flags=frozenset(row.get("flags", [])),
     )
+    for name in MEASURES:
+        if not math.isfinite(sv.measure(name) or 0.0):
+            raise FormatError(f"measure {name} is {sv.measure(name)!r}, not a finite number or null")
+    return sv
 
 
 def read_rows_json(inp: TextIO, parse_row: Callable[[Mapping], object]) -> list:

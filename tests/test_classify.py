@@ -1,11 +1,15 @@
 import io
+import math
 
+import mlp_oracle
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from simobs import classify
 from simobs.classify import (
+    ACTIVATIONS,
     DEFAULT_THRESHOLDS,
     DIRECTION_BY_MEASURE,
     GridPoint,
@@ -14,7 +18,9 @@ from simobs.classify import (
     ThresholdConfig,
     convergence_analysis,
     evaluate,
+    feature_matrix,
     grid_search,
+    imputed_measure,
     load_model,
     measure_agreement,
     mlp_predict,
@@ -28,7 +34,13 @@ from simobs.classify import (
     threshold_classify,
     write_samples_json,
 )
-from simobs.errors import ClassImbalanceError, FormatError, ParameterError, PartitionError
+from simobs.errors import (
+    ClassImbalanceError,
+    FormatError,
+    ParameterError,
+    PartitionError,
+    TrainingDivergedError,
+)
 from simobs.similarity import MEASURES, SimilarityVector, read_report_json, write_report_json
 from simobs.timeseries import ByteSeries
 
@@ -147,6 +159,15 @@ class TestSweep:
         assert f1 == 1.0
         assert 0.1 < threshold <= 0.8
 
+    @pytest.mark.parametrize("measure,values", [("cc", (0.9, 0.8, 0.7, 0.6)), ("kld", (0.1, 0.2, 0.3, 0.4))])
+    def test_f1_tie_breaks_toward_fewer_positives(self, measure, values):
+        # Ranked from most spy-like: spy, other, other, spy.  Admitting the
+        # first sample or all four both score F1 2/3.
+        samples = [sample(label, **{measure: v}) for label, v in zip((True, False, False, True), values)]
+        threshold, f1 = sweep_threshold(samples, measure)
+        assert f1 == 2 / 3
+        assert threshold == (values[0] + values[1]) / 2
+
     @given(st.lists(st.tuples(st.booleans(), st.floats(0, 1)), min_size=2, max_size=40))
     def test_self_consistency(self, raw):
         labels = [lab for lab, _ in raw]
@@ -157,6 +178,42 @@ class TestSweep:
         cfg = ThresholdConfig("kld", threshold)
         preds = [bool(threshold_classify(s.features, cfg)) for s in samples]
         assert evaluate(preds, labels).f1 == f1
+
+
+def _sweep_by_loop(samples, measure):
+    """sweep_threshold as one evaluate per candidate: the O(n^2) reference."""
+    labels = [s.label for s in samples]
+    values = np.array([imputed_measure(s.features, measure) for s in samples])
+    distinct = np.unique(values)
+    candidates = [-math.inf] + [float((a + b) / 2) for a, b in zip(distinct, distinct[1:])] + [math.inf]
+    at_least = DIRECTION_BY_MEASURE[measure] == "spy_if_at_least"
+    if at_least:
+        candidates = candidates[::-1]
+    best_threshold, best_f1 = candidates[0], -1.0
+    for threshold in candidates:
+        preds = values >= threshold if at_least else values <= threshold
+        f1 = evaluate(preds.tolist(), labels).f1
+        if f1 > best_f1:
+            best_threshold, best_f1 = threshold, f1
+    return best_threshold, best_f1
+
+
+# Ties, neighbouring doubles whose midpoint rounds onto one of them, and
+# undefined measures, besides arbitrary finite values.
+_sweep_values = st.one_of(
+    st.sampled_from([0.0, 0.1, 0.3, 0.30000000000000004, 1.0, 1.0000000000000002, 5.0]),
+    st.floats(-20, 20, allow_nan=False),
+    st.none(),
+)
+
+
+class TestSweepAgainstLoop:
+    @given(st.sampled_from(MEASURES), st.lists(st.tuples(st.booleans(), _sweep_values), min_size=2, max_size=60))
+    def test_threshold_and_f1_bit_identical(self, measure, raw):
+        if len({label for label, _ in raw}) < 2:
+            return
+        samples = [LabeledSample(sv(**{measure: value}), label) for label, value in raw]
+        assert sweep_threshold(samples, measure) == _sweep_by_loop(samples, measure)
 
 
 def _toy_separable(n=40, seed=0):
@@ -261,6 +318,131 @@ class TestMlp:
         first = [mlp_predict(model, s.features) for s in samples]
         second = [mlp_predict(model, s.features) for s in reversed(samples)]
         assert first == second[::-1]
+
+
+def _overlapping(n_spy, n_other, seed, sep=3.0):
+    """Two classes whose cc and kld overlap, so fits run for a while."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(n_spy + n_other):
+        spy = i < n_spy
+        out.append(sample(spy, cc=float(rng.normal(sep if spy else 0.0, 1.0)),
+                          kld=float(abs(rng.normal(0.0 if spy else sep, 1.0)))))
+    return out
+
+
+def _fold_training_sets(samples, folds, seed):
+    """Each fold's training samples, in sample order, as grid search splits them."""
+    out = []
+    for test_idx in stratified_folds([s.label for s in samples], folds, seed):
+        held_out = set(test_idx.tolist())
+        out.append([s for i, s in enumerate(samples) if i not in held_out])
+    return out
+
+
+def _scaled(train, subset):
+    """A training set's standardized rows and (n, 1) labels, as the fitter takes them."""
+    y = np.array([[float(s.label)] for s in train])
+    return classify._training_set(feature_matrix([s.features for s in train], subset), y)[0], y
+
+
+def _assert_slice_is_fit(weights, biases, losses, j, reference):
+    for stacked, lone in zip(weights, reference.weights):
+        assert np.array_equal(stacked[j], lone)
+    for stacked, lone in zip(biases, reference.biases):
+        assert np.array_equal(stacked[j, 0], lone)
+    assert losses[j] == reference.training_loss
+
+
+def _assert_same_fit(model, reference):
+    assert model.layer_sizes == reference.layer_sizes
+    for a, b in zip((*model.weights, *model.biases), (*reference.weights, *reference.biases)):
+        assert a.shape == b.shape and np.array_equal(a, b)
+    assert np.array_equal(model.feature_mean, reference.feature_mean)
+    assert np.array_equal(model.feature_std, reference.feature_std)
+    assert model.training_loss == reference.training_loss
+
+
+class TestStackedAgainstOracle:
+    """The stacked fitter against the per-fit 2-D loop in mlp_oracle."""
+
+    SUBSET = ("cc", "kld")
+    # With 150 iterations: alpha 1e-4 runs to the cap, 30.0 stops within
+    # a few dozen iterations, 3.0 stops in some architectures and not others.
+    ALPHAS = (1e-4, 3.0, 30.0)
+
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    @pytest.mark.parametrize("layers", [(3,), (4, 3), (3, 3, 2)])
+    def test_mlp_train_equals_oracle(self, activation, layers):
+        samples = _overlapping(20, 25, seed=3)
+        for alpha, seed in zip(self.ALPHAS, (0, 1, 2)):
+            kwargs = dict(layers=layers, activation=activation, seed=seed, max_iter=150,
+                          alpha=alpha, feature_subset=self.SUBSET)
+            _assert_same_fit(mlp_train(samples, **kwargs), mlp_oracle.mlp_train(samples, **kwargs))
+
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    @pytest.mark.parametrize("layers", [(3,), (4, 3), (3, 3, 2)])
+    def test_stack_of_folds_and_alphas_equals_lone_fits(self, activation, layers):
+        # 21 spy / 24 other in 3 folds: every training set has 30 rows.
+        training_sets = _fold_training_sets(_overlapping(21, 24, seed=4), 3, seed=5)
+        members = [(alpha, k) for alpha in self.ALPHAS for k in range(3)]
+        scaled = [_scaled(train, self.SUBSET) for train in training_sets]
+        weights, biases, losses = classify._fit_stack(
+            np.stack([scaled[k][0] for _, k in members]), np.stack([scaled[k][1] for _, k in members]),
+            [5 + k for _, k in members], [alpha for alpha, _ in members], layers, activation, 150,
+        )
+        stopped_early = set()
+        for j, (alpha, k) in enumerate(members):
+            kwargs = dict(layers=layers, activation=activation, seed=5 + k, alpha=alpha,
+                          feature_subset=self.SUBSET)
+            reference = mlp_oracle.mlp_train(training_sets[k], max_iter=150, **kwargs)
+            _assert_slice_is_fit(weights, biases, losses, j, reference)
+            one_more = mlp_oracle.mlp_train(training_sets[k], max_iter=151, **kwargs)
+            if one_more.training_loss == reference.training_loss:
+                stopped_early.add(j)
+        # The stack held models that stopped before the cap and models that ran to it.
+        assert 0 < len(stopped_early) < len(members)
+
+    def test_stack_whose_models_all_stop_together(self):
+        train = _overlapping(20, 25, seed=3)
+        x, y = _scaled(train, self.SUBSET)
+        weights, biases, losses = classify._fit_stack(
+            np.stack([x] * 3), np.stack([y] * 3), [1] * 3, [30.0] * 3, (4, 3), "tanh", 150
+        )
+        kwargs = dict(layers=(4, 3), activation="tanh", seed=1, alpha=30.0, feature_subset=self.SUBSET)
+        reference = mlp_oracle.mlp_train(train, max_iter=150, **kwargs)
+        # It stops before the cap.
+        assert mlp_oracle.mlp_train(train, max_iter=151, **kwargs).training_loss == reference.training_loss
+        for j in range(3):
+            _assert_slice_is_fit(weights, biases, losses, j, reference)
+
+    @pytest.mark.parametrize("n_spy,n_other,folds", [(23, 31, 3), (26, 40, 4)])
+    def test_grid_search_equals_oracle(self, n_spy, n_other, folds):
+        samples = _overlapping(n_spy, n_other, seed=n_spy, sep=1.5)
+        sizes = {len(t) for t in _fold_training_sets(samples, folds, seed=2)}
+        assert len(sizes) >= 2
+        points = [
+            GridPoint(hidden_layers=layers, activation=activation, alpha=alpha)
+            for layers in ((4,), (3, 3)) for activation in ("logistic", "relu") for alpha in (1e-4, 1.0)
+        ]
+        expected = mlp_oracle.grid_search(samples, points, folds=folds, seed=2, feature_subset=self.SUBSET)
+        assert grid_search(samples, points, folds=folds, seed=2, feature_subset=self.SUBSET) == expected
+        for point in points[::3]:
+            score = mlp_oracle.cross_validate(samples, point, folds, 2, self.SUBSET)
+            assert grid_search(samples, [point], folds=folds, seed=2, feature_subset=self.SUBSET) == (point, score)
+
+    def test_non_finite_loss_raises(self):
+        samples = _overlapping(20, 25, seed=3)
+        kwargs = dict(layers=(3,), feature_subset=self.SUBSET, alpha=math.inf)
+        for train in (mlp_train, mlp_oracle.mlp_train):
+            with pytest.raises(TrainingDivergedError, match="iteration 1$"):
+                train(samples, **kwargs)
+        nan_row = LabeledSample(sv(cc=math.nan), False)
+        with pytest.raises(TrainingDivergedError):
+            mlp_train(samples + [nan_row], layers=(3,), feature_subset=self.SUBSET)
+        points = [GridPoint((3,), "logistic", 1e-4), GridPoint((3,), "logistic", math.inf)]
+        with pytest.raises(TrainingDivergedError):
+            grid_search(samples, points, folds=3, feature_subset=self.SUBSET)
 
 
 class TestGridSearch:

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from conftest import (
 )
 from simobs import simulate
 from simobs.cli import main
+from simobs.similarity import MEASURES, read_report_json
 
 
 def run(args):
@@ -123,6 +126,19 @@ class TestSimulateAnalyzeClassify:
         truth = {d["device_id"] for d in manifest["devices"] if d["spying"]}
         assert truth <= spies
 
+    @pytest.mark.parametrize("preset", sorted(simulate.PRESETS))
+    def test_preset_reports_hold_finite_measures(self, preset, tmp_path):
+        out_dir = tmp_path / "sim"
+        assert run(["simulate", "--preset", preset, "--seed", "3", "--out-dir", str(out_dir)]) == 0
+        report = tmp_path / "report.json"
+        assert run(["analyze", "--reference", str(out_dir / "reference.csv"),
+                    "--devices", str(out_dir / "devices.csv"),
+                    "--format", "json", "--out", str(report)]) == 0
+        with open(report) as fh:
+            rows = read_report_json(fh)  # raises FormatError on a non-finite measure
+        values = [sv.measure(m) for _, sv in rows for m in MEASURES]
+        assert values and all(math.isfinite(v) for v in values if v is not None)
+
     def test_simulate_deterministic(self, tmp_path):
         dir_a = tmp_path / "a"
         dir_b = tmp_path / "b"
@@ -164,6 +180,49 @@ def _synthetic_rows():
                      "jsd": float(abs(rng.normal(0.2, 0.05))),
                      "flags": [], "label": False, "tags": tags})
     return rows
+
+
+def _overlapping_rows():
+    # 41 spy and 83 other rows whose measures overlap, so fits run for
+    # many iterations, and whose 3 stratified folds leave training sets
+    # of two sizes (82 and 84 rows).  Every seventh row has cc and kld
+    # undefined, so the indicator inputs vary.
+    rng = np.random.default_rng(11)
+    rows = []
+    for i in range(124):
+        spy = i % 3 == 0 and i < 123
+        undefined = i % 7 == 3
+        rows.append({
+            "cc": None if undefined else float(rng.normal(0.5 if spy else 0.3, 0.2)),
+            "dtw": float(abs(rng.normal(4.0 if spy else 6.0, 2.0))),
+            "kld": None if undefined else float(abs(rng.normal(0.05 if spy else 0.15, 0.08))),
+            "jsd": float(abs(rng.normal(0.01 if spy else 0.03, 0.015))),
+            "flags": ["cc_undefined", "kld_undefined"] if undefined else [],
+            "label": spy, "tags": [],
+        })
+    return rows
+
+
+class TestTrainingGoldenBytes:
+    """sha256 of the training outputs on a seeded corpus, as the pre-stacked
+    per-fit trainer wrote them.  The hashes hold for this float arithmetic
+    (numpy and its BLAS); a platform whose BLAS rounds differently needs
+    them recorded anew from a trainer known to be right."""
+
+    GRID = "bc52064719d8bb07efe22bd966e0a4f5d5a6a8dc3861796f3281e29ff5afcfb8"
+    FIT = "cdae5b5f796cb0934f46a334204004058a1e811f53ba0f170919f7b2f48b3279"
+    TRAIN = "62714fcd771b1faf2bdd14497d0cb6d0cf7aac8b5b00eeb25ac192b44b3c8609"
+
+    def test_grid_search_and_train_outputs(self, tmp_path):
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps(_overlapping_rows()))
+        assert run(["grid-search", "--samples", str(corpus), "--folds", "3", "--seed", "7",
+                    "--out", str(tmp_path / "grid.json"), "--fit-out", str(tmp_path / "fit.json")]) == 0
+        assert run(["train", "--samples", str(corpus), "--seed", "7",
+                    "--out", str(tmp_path / "model.json")]) == 0
+        digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("grid.json", "fit.json", "model.json")]
+        assert digests == [self.GRID, self.FIT, self.TRAIN]
 
 
 @pytest.fixture
@@ -355,6 +414,10 @@ class TestUsageErrors:
         assert not out.exists()
 
 
+# JSON writes these as NaN, Infinity and -Infinity.
+NON_FINITE_MEASURES = [("cc", math.nan), ("dtw", math.inf), ("kld", -math.inf), ("jsd", math.nan)]
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize("text", [
         '[{"device_id": "x", "cc": 0.5',
@@ -377,6 +440,31 @@ class TestMalformedInput:
         out = tmp_path / "model.json"
         assert run(["train", "--samples", str(samples), "--out", str(out)]) == 1
         assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("measure,value", NON_FINITE_MEASURES)
+    def test_non_finite_report_measure_one_line_exit_1(self, measure, value, tmp_path, capsys):
+        row = {"device_id": "x", "cc": 0.5, "dtw": 1.0, "kld": 0.01, "jsd": 0.001, "flags": []}
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps([{**row, measure: value}]))
+        out = tmp_path / "verdicts.json"
+        assert run(["classify", "--report", str(report), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"measure {measure} is" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("measure,value", NON_FINITE_MEASURES)
+    @pytest.mark.parametrize("argv", [["train"], ["grid-search", "--folds", "3"],
+                                      ["portability", "--partition-tag", "regime"], ["agreement"]])
+    def test_non_finite_sample_measure_one_line_exit_1(self, argv, measure, value, tmp_path, capsys):
+        rows = _synthetic_rows()
+        rows[5][measure] = value
+        samples = tmp_path / "samples.json"
+        samples.write_text(json.dumps(rows))
+        out = tmp_path / "out"
+        assert run(argv + ["--samples", str(samples), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"measure {measure} is" in err[0]
         assert not out.exists()
 
     def test_non_integer_device_cell_one_line_exit_1(self, tmp_path, capsys):
