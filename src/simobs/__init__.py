@@ -48,7 +48,7 @@ from .simulate import (
     render_scenario,
     write_pcap,
 )
-from .timeseries import ByteSeries, NormalizedSeries, align, bin_events, event_array, min_max_normalize
+from .timeseries import ByteSeries, align, bin_events, event_array, min_max_normalize
 
 __version__ = "0.1.0"
 
@@ -65,7 +65,6 @@ __all__ = [
     "LabeledSample",
     "Metrics",
     "MlpModel",
-    "NormalizedSeries",
     "ParamGrid",
     "SimDataset",
     "SimScenario",

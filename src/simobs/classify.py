@@ -57,6 +57,8 @@ class ThresholdConfig:
     def __post_init__(self):
         if self.measure not in MEASURES:
             raise ParameterError(f"unknown measure {self.measure!r}")
+        if math.isnan(self.threshold):  # +-inf stay: sweep_threshold's admit-all and admit-none points
+            raise ParameterError(f"threshold of {self.measure} is NaN")
 
     @property
     def direction(self) -> str:
@@ -450,6 +452,12 @@ def _model_from_payload(payload: dict) -> MlpModel:
 # Iteration cap of every fit made during cross validation.
 CV_MAX_ITER = 300
 
+# Most models x training rows x widest layer that one stacked fit of
+# grid_search holds (floats per layer array); a larger stack trains in
+# chunks of whole models.  Every stack of the compact grid on 400 samples
+# fits in one chunk.  Chunks are independent fits, so results do not change.
+STACK_BUDGET = 2**17
+
 @dataclass(frozen=True)
 class ParamGrid:
     layer_counts: tuple[int, ...] = (1, 2, 3)
@@ -502,7 +510,9 @@ def grid_search(
     stratified folds, fitting fold k from ``seed + k``.
 
     The folds and alphas of one architecture train as one stack per
-    training-set size.  Exact F1 ties break toward fewer weights.
+    training-set size, split into chunks of whole models that hold at
+    most STACK_BUDGET floats per layer array (one model may hold more).
+    Exact F1 ties break toward fewer weights.
     """
     points = grid.points() if isinstance(grid, ParamGrid) else list(grid)
     if not points:
@@ -519,7 +529,11 @@ def grid_search(
     for (p, point), (k, split) in itertools.product(enumerate(points), enumerate(splits)):
         stacks.setdefault((tuple(point.hidden_layers), point.activation, len(split[0])), []).append((p, k))
     f1 = np.zeros((len(points), folds))
-    for (layers, activation, _), members in stacks.items():
+    chunks = []
+    for (layers, activation, n_rows), members in stacks.items():
+        per_chunk = max(1, STACK_BUDGET // (n_rows * max(x_all.shape[1], *layers)))
+        chunks += [(layers, activation, members[lo : lo + per_chunk]) for lo in range(0, len(members), per_chunk)]
+    for layers, activation, members in chunks:
         stack = [splits[k] for _, k in members]
         weights, biases, _ = _fit_stack(
             np.stack([s[0] for s in stack]), np.stack([s[1] for s in stack]), [seed + k for _, k in members],

@@ -6,6 +6,7 @@ Chunk offsets, codecs and presentation offsets are irrelevant here.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import BinaryIO, Iterator, Sequence
@@ -194,8 +195,8 @@ def video_byte_series(tables: Sequence[TrackSampleTable], step: float = 1.0) -> 
     Each sample's bytes land in the bin of its decode time; the series
     starts at media time zero and runs through the last sample's bin.
     """
-    if step <= 0:
-        raise ParameterError(f"step must be > 0, got {step}")
+    if not 0 < step < math.inf:
+        raise ParameterError(f"step must be finite and > 0, got {step}")
     video = next((t for t in tables if t.handler == VIDEO_HANDLER), None)
     if video is None:
         raise NoVideoTrackError("no track with handler 'vide'")

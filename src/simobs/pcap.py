@@ -10,6 +10,7 @@ into a ByteSeries.
 from __future__ import annotations
 
 import ipaddress
+import math
 import re
 import struct
 from dataclasses import dataclass
@@ -277,8 +278,10 @@ def extract_device_series(
     Binned bytes plus dropped bytes add up to the counted bytes of all
     input frames.
     """
-    if step <= 0 or n_steps < 1:
-        raise ParameterError(f"window needs step > 0 and n_steps >= 1, got step {step}, n_steps {n_steps}")
+    if not 0 < step < math.inf or n_steps < 1 or (start is not None and not math.isfinite(start)):
+        raise ParameterError(
+            f"window needs a finite start, step > 0 and n_steps >= 1, got start {start}, step {step}, n_steps {n_steps}"
+        )
     _check_group_by(group_by)
     drops = {"malformed": 0, "unattributed": 0, "out_of_window": 0, "dropped_bytes": 0}
     keys, timestamps, sizes = [], [], []
@@ -343,7 +346,8 @@ def read_devices_csv(inp: TextIO) -> list[tuple[DeviceId, ByteSeries]]:
     """Inverse of write_devices_csv: (device id, series) pairs.
 
     A device id is a MAC when it is six hex octets, else an IPv6
-    address when it holds a colon, else IPv4.
+    address when it holds a colon, else IPv4.  An empty or repeated id
+    is malformed.
     """
     try:
         lines = [ln.strip() for ln in inp if ln.strip()]
@@ -352,6 +356,8 @@ def read_devices_csv(inp: TextIO) -> list[tuple[DeviceId, ByteSeries]]:
         start_s, step_s = lines[1].split(",")
         start_time, step = float(start_s), float(step_s)
         ids = lines[2].split(",")
+        if "" in ids or len(set(ids)) != len(ids):
+            raise FormatError(f"device ids must be non-empty and distinct, got {lines[2]!r}")
         columns: list[list[int]] = [[] for _ in ids]
         for ln in lines[3:]:
             cells = ln.split(",")
@@ -359,11 +365,10 @@ def read_devices_csv(inp: TextIO) -> list[tuple[DeviceId, ByteSeries]]:
                 raise FormatError(f"row width {len(cells)} != device count {len(ids)}")
             for col, cell in zip(columns, cells):
                 col.append(int(cell))
-        arrays = [np.array(col, dtype=np.int64) for col in columns]
-    except (ValueError, OverflowError) as exc:
+        devices = []
+        for device_id, col in zip(ids, columns):
+            kind = "mac" if _MAC.fullmatch(device_id) else ("ipv6" if ":" in device_id else "ipv4")
+            devices.append((DeviceId(kind, device_id), ByteSeries(start_time, step, np.array(col, dtype=np.int64))))
+    except (ValueError, OverflowError) as exc:  # ParameterError included
         raise FormatError(f"malformed device-set CSV: {exc}") from exc
-    devices = []
-    for device_id, values in zip(ids, arrays):
-        kind = "mac" if _MAC.fullmatch(device_id) else ("ipv6" if ":" in device_id else "ipv4")
-        devices.append((DeviceId(kind, device_id), ByteSeries(start_time, step, values)))
     return devices

@@ -22,7 +22,7 @@ from .errors import (
     UndefinedDistributionError,
     read_json,
 )
-from .timeseries import ByteSeries, NormalizedSeries, align, min_max_normalize
+from .timeseries import ByteSeries, align, min_max_normalize
 
 MEASURES = ("cc", "dtw", "kld", "jsd")
 
@@ -33,12 +33,6 @@ FLAG_REF_DEGENERATE = "ref_degenerate"
 FLAG_CAND_DEGENERATE = "cand_degenerate"
 
 _SIGMA_FLOOR = 1e-9
-
-
-def _vals(series) -> np.ndarray:
-    if isinstance(series, (NormalizedSeries, ByteSeries)):
-        return np.asarray(series.values, dtype=np.float64)
-    return np.asarray(series, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -61,49 +55,23 @@ class SimilarityVector:
         return getattr(self, name)
 
 
-def pearson_cc(a, b) -> float:
-    """Sample Pearson correlation, clamped into [-1, 1]."""
-    x = _vals(a)
-    y = _vals(b)
-    if x.size != y.size:
-        raise ParameterError(f"length mismatch: {x.size} vs {y.size}")
-    if x.size < 2:
-        raise ParameterError("pearson_cc needs length >= 2")
+# One kernel per measure: each scores a reference row x against every row
+# of a (D, T) stack ys and returns D values.  similarity_vectors and the
+# per-pair pearson_cc, gaussian_kld and jsd share them; dtw_distance keeps
+# a plain-list DP (see there).
+
+def _cc_rows(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    # Per-row dot products go through matmul on (D, 1, T) stacks, which
+    # rounds each row exactly as a 1-D ``@`` does.  NaN marks a row where
+    # either side has zero variance.
     xd = x - x.mean()
-    yd = y - y.mean()
-    sx = math.sqrt(float(xd @ xd))
-    sy = math.sqrt(float(yd @ yd))
-    if sx == 0.0 or sy == 0.0:
-        raise UndefinedCorrelationError("zero variance input")
-    return float(np.clip((xd @ yd) / (sx * sy), -1.0, 1.0))
-
-
-def dtw_distance(a, b) -> float:
-    """Dynamic time warping distance with |x - y| local cost.
-
-    Full dynamic program over {match, insert, delete} moves, no band
-    constraint, not normalized by path length.
-    """
-    x = _vals(a).tolist()
-    y = _vals(b).tolist()
-    if not x or not y:
-        raise ParameterError("dtw_distance needs non-empty series")
-    # Plain-list DP: for one pair of series up to the default window it is
-    # as fast as the row recurrence below, and much faster when short.
-    inf = math.inf
-    m = len(y)
-    prev = [0.0] + [inf] * m
-    for xi in x:
-        cur = [inf] * (m + 1)
-        for j in range(1, m + 1):
-            best = prev[j]
-            if prev[j - 1] < best:
-                best = prev[j - 1]
-            if cur[j - 1] < best:
-                best = cur[j - 1]
-            cur[j] = abs(xi - y[j - 1]) + best
-        prev = cur
-    return prev[m]
+    yd = ys - ys.mean(axis=1, keepdims=True)
+    rows = yd[:, None, :]
+    sx = np.sqrt(xd @ xd)
+    sy = np.sqrt(rows @ yd[:, :, None])[:, 0, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cc = np.clip((rows @ xd[:, None])[:, 0, 0] / (sx * sy), -1.0, 1.0)
+    return np.where((sx == 0.0) | (sy == 0.0), np.nan, cc)
 
 
 def _dtw_rows(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -124,12 +92,76 @@ def _dtw_rows(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return prev[:, m]
 
 
-def gaussian_moments(series) -> tuple[float, float]:
-    """Mean and population standard deviation of a series."""
-    v = _vals(series)
-    if v.size < 2:
-        raise ParameterError("moment fit needs length >= 2")
-    return float(v.mean()), float(v.std())
+def _kld_rows(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    # Moments come from row-wise mean and std.  The closed form then runs
+    # on Python floats: math.log and float ** 2 round through libm, and
+    # numpy's SIMD log and squaring differ from them in the last bit.
+    mu_a, sd_a = float(x.mean()), max(float(x.std()), _SIGMA_FLOOR)
+    sd_bs = np.maximum(ys.std(axis=1), _SIGMA_FLOOR)
+    return np.array([
+        math.log(sd_b / sd_a) + (sd_a**2 + (mu_a - mu_b) ** 2) / (2 * sd_b**2) - 0.5
+        for mu_b, sd_b in zip(ys.mean(axis=1).tolist(), sd_bs.tolist())
+    ])
+
+
+def _jsd_rows(p: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    # ``p`` is one row or one row per row of ``qs``; every row needs a
+    # positive sum.  0 * log 0 := 0, so each half sums only a row's
+    # positive terms, and sums them as one 1-D run: a sum over the whole
+    # row with zeros in their place rounds differently.
+    p = p / p.sum(axis=-1, keepdims=True)
+    q = qs / qs.sum(axis=1, keepdims=True)
+    m = 0.5 * (p + q)
+    halves = []
+    for r in (np.broadcast_to(p, m.shape), q):
+        nz = r > 0
+        terms = r[nz] * np.log(r[nz] / m[nz])
+        halves.append(np.array([t.sum() for t in np.split(terms, np.cumsum(nz.sum(axis=1))[:-1])]))
+    return 0.5 * halves[0] + 0.5 * halves[1]
+
+
+def pearson_cc(a, b) -> float:
+    """Sample Pearson correlation, clamped into [-1, 1]."""
+    x = np.asarray(a, dtype=np.float64)
+    y = np.asarray(b, dtype=np.float64)
+    if x.size != y.size:
+        raise ParameterError(f"length mismatch: {x.size} vs {y.size}")
+    if x.size < 2:
+        raise ParameterError("pearson_cc needs length >= 2")
+    cc = float(_cc_rows(x, y[None])[0])
+    if math.isnan(cc):
+        raise UndefinedCorrelationError("zero variance input")
+    return cc
+
+
+def dtw_distance(a, b) -> float:
+    """Dynamic time warping distance with |x - y| local cost.
+
+    Full dynamic program over {match, insert, delete} moves, no band
+    constraint, not normalized by path length.
+    """
+    x = np.asarray(a, dtype=np.float64).tolist()
+    y = np.asarray(b, dtype=np.float64).tolist()
+    if not x or not y:
+        raise ParameterError("dtw_distance needs non-empty series")
+    # A plain-list DP, not a one-row call of _dtw_rows: on a 6 x 6 pair
+    # this scan takes 16 us, _dtw_rows 108 us, and even four in-place numpy
+    # calls per row 34 us (2-core x86 host); the exhaustive DTW oracle
+    # check makes 1.2 M such calls under a 30 s bound.
+    inf = math.inf
+    m = len(y)
+    prev = [0.0] + [inf] * m
+    for xi in x:
+        cur = [inf] * (m + 1)
+        for j in range(1, m + 1):
+            best = prev[j]
+            if prev[j - 1] < best:
+                best = prev[j - 1]
+            if cur[j - 1] < best:
+                best = cur[j - 1]
+            cur[j] = abs(xi - y[j - 1]) + best
+        prev = cur
+    return prev[m]
 
 
 def gaussian_kld(a, b) -> float:
@@ -139,11 +171,11 @@ def gaussian_kld(a, b) -> float:
     so constant inputs yield a huge-but-finite divergence; callers that
     need to distinguish that case check degeneracy themselves.
     """
-    mu_a, sd_a = gaussian_moments(a)
-    mu_b, sd_b = gaussian_moments(b)
-    sd_a = max(sd_a, _SIGMA_FLOOR)
-    sd_b = max(sd_b, _SIGMA_FLOOR)
-    return math.log(sd_b / sd_a) + (sd_a**2 + (mu_a - mu_b) ** 2) / (2 * sd_b**2) - 0.5
+    x = np.asarray(a, dtype=np.float64)
+    y = np.asarray(b, dtype=np.float64)
+    if x.size < 2 or y.size < 2:
+        raise ParameterError("moment fit needs length >= 2")
+    return float(_kld_rows(x, y[None])[0])
 
 
 def jsd(a, b) -> float:
@@ -152,28 +184,17 @@ def jsd(a, b) -> float:
     Each series is scaled by its own sum into a probability vector;
     result lies in [0, ln 2].
     """
-    p = _vals(a)
-    q = _vals(b)
+    p = np.asarray(a, dtype=np.float64)
+    q = np.asarray(b, dtype=np.float64)
     if p.size != q.size:
         raise ParameterError(f"length mismatch: {p.size} vs {q.size}")
     if p.size < 1:
         raise ParameterError("jsd needs length >= 1")
     if (p < 0).any() or (q < 0).any():
         raise ParameterError("jsd inputs must be non-negative")
-    ps = p.sum()
-    qs = q.sum()
-    if ps <= 0 or qs <= 0:
+    if p.sum() <= 0 or q.sum() <= 0:
         raise UndefinedDistributionError("zero-sum series has no distribution")
-    p = p / ps
-    q = q / qs
-    m = 0.5 * (p + q)
-    return 0.5 * _kl_discrete(p, m) + 0.5 * _kl_discrete(q, m)
-
-
-def _kl_discrete(p: np.ndarray, m: np.ndarray) -> float:
-    # 0 * log 0 := 0; m[i] > 0 wherever p[i] > 0 by construction of the mix.
-    nz = p > 0
-    return float(np.sum(p[nz] * np.log(p[nz] / m[nz])))
+    return float(_jsd_rows(p, q[None])[0])
 
 
 def similarity_vectors(reference: ByteSeries, candidates: Sequence[ByteSeries]) -> list[SimilarityVector]:
@@ -181,64 +202,51 @@ def similarity_vectors(reference: ByteSeries, candidates: Sequence[ByteSeries]) 
 
     The candidates are one device set: one or more series sharing
     ``start_time``, ``step`` and length (else ParameterError), so one
-    alignment with the reference serves them all.  A missing overlap
-    raises AlignmentError; per-measure degeneracies become flags.
+    alignment with the reference serves them all, and each measure
+    scores the whole set at once.  A missing overlap raises
+    AlignmentError; per-measure degeneracies become flags.
     """
     if len({(c.start_time, c.step, len(c)) for c in candidates}) != 1:
         raise ParameterError("candidates must be one or more series sharing start_time, step and length")
     first = candidates[0]
     ref, aligned = align(reference, first)
     skip = round((aligned.start_time - first.start_time) / first.step)
-    raw = np.stack([c.values for c in candidates])[:, skip : skip + len(aligned)]
-    ref_n = min_max_normalize(ref)
-    cands_n = [min_max_normalize(row) for row in raw]
-    dtws = _dtw_rows(ref_n.values, np.stack([c.values for c in cands_n]))
+    cands = np.stack([c.values for c in candidates])[:, skip : skip + len(aligned)]
+    raw = np.concatenate((ref.values[None], cands))  # the reference, then each candidate
+    scaled, degenerate = min_max_normalize(raw)
+    x, ys = scaled[0], scaled[1:]
+    ccs, dtws, klds = _cc_rows(x, ys), _dtw_rows(x, ys), _kld_rows(x, ys)
 
+    # JSD falls back to the raw bins when normalization flattened a side
+    # to all zeros; an idle-then-burst device still gets an informative
+    # value that way.  A side with zero raw bytes is maximally dissimilar,
+    # and two such sides are identical.
+    raw_pair = (degenerate[0] | degenerate[1:])[:, None]
+    empty = raw.sum(axis=1) == 0
+    scored = ~(empty[0] | empty[1:])
+    jsds = np.where(empty[0] & empty[1:], 0.0, math.log(2))
+    jsds[scored] = _jsd_rows(np.where(raw_pair, raw[0], x)[scored], np.where(raw_pair, cands, ys)[scored])
+
+    ref_degenerate = bool(degenerate[0])
     vectors = []
-    for cand, cand_n, dtw in zip(raw, cands_n, dtws):
+    for cc, dtw, kld, jsd_val, cand_degenerate in zip(
+        ccs.tolist(), dtws.tolist(), klds.tolist(), jsds.tolist(), degenerate[1:].tolist()
+    ):
         flags: set[str] = set()
-        if ref_n.degenerate:
+        if ref_degenerate:
             flags.add(FLAG_REF_DEGENERATE)
-        if cand_n.degenerate:
+        if cand_degenerate:
             flags.add(FLAG_CAND_DEGENERATE)
-
-        cc: float | None = None
-        kld: float | None = None
-        if len(ref_n) < 2 or ref_n.degenerate or cand_n.degenerate:
-            flags.add(FLAG_CC_UNDEFINED)
-            flags.add(FLAG_KLD_UNDEFINED)
-        else:
-            cc = pearson_cc(ref_n, cand_n)
-            kld = gaussian_kld(ref_n, cand_n)
-
-        # JSD falls back to the raw bins when normalization flattened a side
-        # to all zeros; an idle-then-burst device still gets an informative
-        # value that way.  A side with zero raw bytes is maximally dissimilar.
-        jsd_val = _jsd_with_fallback(ref.values, cand, ref_n, cand_n)
-        vectors.append(SimilarityVector(cc, float(dtw), kld, jsd_val, frozenset(flags)))
+        if flags:  # a flattened side leaves cc and kld undefined
+            flags |= {FLAG_CC_UNDEFINED, FLAG_KLD_UNDEFINED}
+            cc = kld = None
+        vectors.append(SimilarityVector(cc, dtw, kld, jsd_val, frozenset(flags)))
     return vectors
 
 
 def similarity_vector(reference: ByteSeries, candidate: ByteSeries) -> SimilarityVector:
     """similarity_vectors of a single candidate."""
     return similarity_vectors(reference, [candidate])[0]
-
-
-def _jsd_with_fallback(
-    ref: np.ndarray,
-    cand: np.ndarray,
-    ref_n: NormalizedSeries,
-    cand_n: NormalizedSeries,
-) -> float:
-    if not ref_n.degenerate and not cand_n.degenerate:
-        return jsd(ref_n, cand_n)
-    ref_sum = int(ref.sum())
-    cand_sum = int(cand.sum())
-    if ref_sum == 0 and cand_sum == 0:
-        return 0.0
-    if ref_sum == 0 or cand_sum == 0:
-        return math.log(2)
-    return jsd(ref, cand)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ types are immutable values and all operations are pure functions.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, TextIO
 
@@ -46,8 +47,8 @@ class ByteSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ParameterError(f"step must be > 0, got {self.step}")
+        if not math.isfinite(self.start_time) or not 0 < self.step < math.inf:
+            raise ParameterError(f"need a finite start_time and step > 0, got {self.start_time}, {self.step}")
         vals = np.asarray(self.values, dtype=np.int64)
         if vals.ndim != 1 or vals.size < 1:
             raise ParameterError("values must be a non-empty 1-d sequence")
@@ -78,34 +79,6 @@ class ByteSeries:
         return ByteSeries(self.start_time, self.step, self.values[:n_steps])
 
 
-@dataclass(frozen=True, eq=False)
-class NormalizedSeries:
-    """A series rescaled into [0, 1].
-
-    ``degenerate`` marks a constant source, which maps to all zeros
-    instead of erroring so downstream measures still get a value.
-    """
-
-    values: np.ndarray
-    degenerate: bool = False
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim != 1 or vals.size < 1:
-            raise ParameterError("values must be a non-empty 1-d sequence")
-        if (vals < 0).any() or (vals > 1).any():
-            raise ParameterError("normalized values must lie in [0, 1]")
-        object.__setattr__(self, "values", _frozen(vals))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NormalizedSeries):
-            return NotImplemented
-        return self.degenerate == other.degenerate and np.array_equal(self.values, other.values)
-
-    def __len__(self) -> int:
-        return int(self.values.size)
-
-
 def bin_events(
     events: np.ndarray,
     start_time: float,
@@ -118,8 +91,8 @@ def bin_events(
     ``[start_time, start_time + n_steps*step)`` are dropped; input order
     does not matter.
     """
-    if step <= 0:
-        raise ParameterError(f"step must be > 0, got {step}")
+    if not math.isfinite(start_time) or not 0 < step < math.inf:
+        raise ParameterError(f"need a finite start_time and step > 0, got {start_time}, {step}")
     if n_steps < 1:
         raise ParameterError(f"n_steps must be >= 1, got {n_steps}")
     sizes = events["byte_count"]
@@ -132,16 +105,22 @@ def bin_events(
     return ByteSeries(start_time, step, bins)
 
 
-def min_max_normalize(series: ByteSeries | Sequence[float] | np.ndarray) -> NormalizedSeries:
-    """Rescale a series into [0, 1]; constant input becomes all zeros."""
+def min_max_normalize(series: ByteSeries | Sequence[float] | np.ndarray) -> tuple[np.ndarray, bool | np.ndarray]:
+    """Rescale a series, or each row of a 2-d array, into [0, 1].
+
+    Returns the float64 scaled values and the degenerate flag: a constant
+    series or row becomes all zeros and is marked degenerate.  The flag
+    is a bool for a series and a bool array with one entry per row for
+    a 2-d array.
+    """
     vals = np.asarray(series.values if isinstance(series, ByteSeries) else series, dtype=np.float64)
-    if vals.ndim != 1 or vals.size < 1:
-        raise ParameterError("series must be a non-empty 1-d sequence")
-    lo = vals.min()
-    hi = vals.max()
-    if hi == lo:
-        return NormalizedSeries(np.zeros_like(vals), degenerate=True)
-    return NormalizedSeries((vals - lo) / (hi - lo), degenerate=False)
+    if vals.ndim not in (1, 2) or vals.size < 1:
+        raise ParameterError("series must be a non-empty 1-d sequence or 2-d array of rows")
+    lo = vals.min(axis=-1, keepdims=True)
+    hi = vals.max(axis=-1, keepdims=True)
+    flat = hi == lo
+    scaled = np.divide(vals - lo, hi - lo, out=np.zeros_like(vals), where=~flat)
+    return scaled, flat[:, 0] if vals.ndim == 2 else bool(flat[0])
 
 
 def align(a: ByteSeries, b: ByteSeries) -> tuple[ByteSeries, ByteSeries]:
@@ -193,7 +172,6 @@ def read_series_csv(inp: TextIO) -> ByteSeries:
             if int(idx_s) != len(values):
                 raise FormatError(f"non-contiguous index {idx_s} in byte-series CSV")
             values.append(int(bytes_s))
-        values = np.array(values, dtype=np.int64)
-    except (ValueError, OverflowError) as exc:
+        return ByteSeries(start_time, step, np.array(values, dtype=np.int64))
+    except (ValueError, OverflowError) as exc:  # ParameterError included
         raise FormatError(f"malformed byte-series CSV: {exc}") from exc
-    return ByteSeries(start_time, step, values)

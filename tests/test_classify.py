@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import mlp_oracle
 import numpy as np
@@ -443,6 +444,52 @@ class TestStackedAgainstOracle:
         points = [GridPoint((3,), "logistic", 1e-4), GridPoint((3,), "logistic", math.inf)]
         with pytest.raises(TrainingDivergedError):
             grid_search(samples, points, folds=3, feature_subset=self.SUBSET)
+
+
+class TestGridSearchChunks:
+    """grid_search splits a stack larger than STACK_BUDGET into chunks of
+    whole models; the chunks are independent fits."""
+
+    SUBSET = ("cc", "kld")
+    POINTS = [GridPoint(hidden_layers=layers, activation="tanh", alpha=alpha)
+              for layers in ((4,), (3, 3)) for alpha in (1e-4, 1.0, 3.0)]
+
+    def _scores(self, samples):
+        per_point = [grid_search(samples, [p], folds=3, seed=2, feature_subset=self.SUBSET) for p in self.POINTS]
+        return per_point, grid_search(samples, self.POINTS, folds=3, seed=2, feature_subset=self.SUBSET)
+
+    @pytest.mark.parametrize("budget", [1, 300])
+    def test_chunks_score_as_one_stack(self, budget, monkeypatch):
+        samples = _overlapping(23, 31, seed=23, sep=1.5)
+        whole = self._scores(samples)
+        stack_sizes = []
+        fit_stack = classify._fit_stack
+        monkeypatch.setattr(classify, "_fit_stack", lambda x, *args: stack_sizes.append(len(x)) or fit_stack(x, *args))
+        monkeypatch.setattr(classify, "STACK_BUDGET", budget)
+        assert self._scores(samples) == whole
+        # Stacks of 3 alphas on 35-37 training rows x 4 inputs: 300 floats
+        # hold 2 models, 1 float holds one.
+        assert max(stack_sizes) == (1 if budget == 1 else 2)
+
+    def test_chunked_stack_peak_memory(self, monkeypatch):
+        # 24 models (8 alphas x 3 folds) of 3 x 17 units on 1 333 training rows.
+        samples = _overlapping(1000, 1000, seed=0)
+        points = [GridPoint((17, 17, 17), "logistic", float(a)) for a in np.logspace(-4, 0, 8)]
+        monkeypatch.setattr(classify, "CV_MAX_ITER", 2)  # memory does not grow with iterations
+
+        def peak(budget):
+            monkeypatch.setattr(classify, "STACK_BUDGET", budget)
+            tracemalloc.start()
+            try:
+                grid_search(samples, points, folds=3, seed=0, feature_subset=self.SUBSET)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        budget = classify.STACK_BUDGET
+        whole, chunked = peak(10**9), peak(budget)
+        assert chunked < 8 * 8 * budget  # eight layer arrays of float64
+        assert chunked < whole / 2
 
 
 class TestGridSearch:

@@ -225,6 +225,49 @@ class TestTrainingGoldenBytes:
         assert digests == [self.GRID, self.FIT, self.TRAIN]
 
 
+class TestSimilarityGoldenBytes:
+    """sha256 of the similarity outputs of seeded scenes, as the
+    per-candidate measures wrote them.  Like the training hashes, they
+    hold for this float arithmetic (numpy, its BLAS and libm)."""
+
+    ANALYZE = {
+        "json": "20a45d9ed9876c341b2836b5bdb3ac0618f7dae314c1404d079e9ded4b82c2c0",
+        "csv": "cc2c554795f0403048ec3186ed758e205e4ae6a519fe8b3869e3bf4a29a3749b",
+        "manifest": "eaf2ce550147e09f5d90226f0f45e160fe022a98a9c020f8fd9f5ca43823c8e7",
+    }
+    CONVERGE = {
+        "easy70": "2f1cc1789d95b45580420561081e48d96ba749c512187abd872d329e19737dec",
+        "far_cc": "c68d62c70dd494cbd3ab4ca94a913584b54a12ae89f3908d459ff686b8f58214",
+    }
+
+    @staticmethod
+    def _digest(path) -> str:
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_analyze_outputs(self, tmp_path):
+        scene = tmp_path / "scene"
+        assert run(["simulate", "--preset", "easy", "--seed", "3", "--out-dir", str(scene)]) == 0
+        inputs = ["--reference", str(scene / "reference.csv"), "--devices", str(scene / "devices.csv")]
+        flags = {"json": ["--format", "json"], "csv": [],
+                 "manifest": ["--manifest", str(scene / "manifest.json")]}
+        digests = {}
+        for name, extra in flags.items():
+            out = tmp_path / f"{name}.out"
+            assert run(["analyze", *inputs, *extra, "--out", str(out)]) == 0
+            digests[name] = self._digest(out)
+        assert digests == self.ANALYZE
+
+    def test_converge_outputs(self, tmp_path):
+        argvs = {"easy70": ["--preset", "easy70", "--trials", "1"],
+                 "far_cc": ["--preset", "far", "--trials", "3", "--seed", "11", "--measure", "cc"]}
+        digests = {}
+        for name, argv in argvs.items():
+            out = tmp_path / f"{name}.csv"
+            assert run(["converge", *argv, "--out", str(out)]) == 0
+            digests[name] = self._digest(out)
+        assert digests == self.CONVERGE
+
+
 @pytest.fixture
 def synthetic_samples(tmp_path):
     path = tmp_path / "synthetic.json"
@@ -549,6 +592,77 @@ class TestMalformedInput:
                     "--devices", str(devices), "--out", str(out)]) == 1
         assert len(capsys.readouterr().err.splitlines()) == 1
         assert not out.exists()
+
+
+class TestNonFiniteNumbers:
+    """A NaN or infinity where a finite number is needed ends in one
+    stderr line and exit 1 (in a file) or 2 (in a flag), never a
+    traceback or a silently wrong result."""
+
+    @pytest.fixture(scope="class")
+    def scene(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("scene")
+        assert run(["simulate", "--preset", "easy", "--seed", "1", "--out-dir", str(d)]) == 0
+        assert run(["analyze", "--reference", str(d / "reference.csv"), "--devices", str(d / "devices.csv"),
+                    "--format", "json", "--out", str(d / "report.json")]) == 0
+        return d
+
+    @staticmethod
+    def _one_line_error(code, expected, out, capsys):
+        err = capsys.readouterr().err
+        assert code == expected
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("target", ["reference.csv", "devices.csv"])
+    @pytest.mark.parametrize("preamble", ["nan,1.0", "inf,1.0", "-inf,1.0", "0.0,nan", "0.0,inf"])
+    def test_analyze_series_window(self, target, preamble, scene, tmp_path, capsys):
+        inputs = {name: scene / name for name in ("reference.csv", "devices.csv")}
+        lines = inputs[target].read_text().splitlines()
+        lines[1] = preamble
+        inputs[target] = tmp_path / target
+        inputs[target].write_text("\n".join(lines) + "\n")
+        out = tmp_path / "report.csv"
+        code = run(["analyze", "--reference", str(inputs["reference.csv"]),
+                    "--devices", str(inputs["devices.csv"]), "--out", str(out)])
+        self._one_line_error(code, 1, out, capsys)
+
+    @pytest.mark.parametrize("flags", [["--pcap", "--step", "nan"], ["--pcap", "--step", "inf"],
+                                       ["--pcap", "--start", "nan"], ["--pcap", "--start=-inf"],
+                                       ["--video", "--step", "nan"], ["--video", "--step", "inf"]])
+    def test_extract_window_flag(self, flags, pcap_file, video_file, tmp_path, capsys):
+        source = str(pcap_file if flags[0] == "--pcap" else video_file)
+        out = tmp_path / "series.csv"
+        code = run(["extract", flags[0], source, *flags[1:], "--out", str(out)])
+        self._one_line_error(code, 2, out, capsys)
+
+    @pytest.mark.parametrize("measure", ["kld", "cc"])
+    def test_converge_threshold(self, measure, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        code = run(["converge", "--preset", "easy", "--measure", measure, "--threshold", "nan",
+                    "--out", str(out)])
+        self._one_line_error(code, 2, out, capsys)
+
+    @pytest.mark.parametrize("command", ["classify", "agreement"])
+    def test_threshold_table(self, command, scene, synthetic_samples, tmp_path, capsys):
+        if command == "classify":
+            argv = ["classify", "--report", str(scene / "report.json")]
+        else:
+            argv = ["agreement", "--samples", str(synthetic_samples)]
+        out = tmp_path / "out.json"
+        code = run(argv + ["--thresholds", "kld=nan", "--out", str(out)])
+        self._one_line_error(code, 2, out, capsys)
+
+    def test_repeated_device_id(self, scene, tmp_path, capsys):
+        lines = (scene / "devices.csv").read_text().splitlines()
+        ids = lines[2].split(",")
+        lines[2] = ",".join([ids[0], ids[0], *ids[2:]])
+        devices = tmp_path / "devices.csv"
+        devices.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "report.csv"
+        code = run(["analyze", "--reference", str(scene / "reference.csv"), "--devices", str(devices),
+                    "--out", str(out)])
+        self._one_line_error(code, 1, out, capsys)
 
 
 class TestCliFuzz:

@@ -499,3 +499,13 @@ class TestDevicesCsv:
             DeviceId("ipv6", ids[2]),
             DeviceId("ipv4", ids[3]),
         ]
+
+    @pytest.mark.parametrize("header", ["aa:00:00:00:00:01,aa:00:00:00:00:01", "aa:00:00:00:00:01,", ",10.0.0.7"])
+    def test_repeated_or_empty_id_is_format_error(self, header):
+        with pytest.raises(FormatError, match="non-empty and distinct"):
+            read_devices_csv(io.StringIO(f"start_time,step\n0.0,1.0\n{header}\n1,2\n"))
+
+    @pytest.mark.parametrize("preamble", ["nan,1.0", "inf,1.0", "0.0,nan", "0.0,inf", "0.0,0.0"])
+    def test_bad_window_is_format_error(self, preamble):
+        with pytest.raises(FormatError):
+            read_devices_csv(io.StringIO(f"start_time,step\n{preamble}\naa:00:00:00:00:01\n12\n"))

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import similarity_oracle
 from dtw_oracle import bruteforce_matrix_halfunits, dtw_bruteforce
+from simobs import simulate
 from simobs.errors import (
     AlignmentError,
     ParameterError,
@@ -26,7 +28,7 @@ from simobs.similarity import (
     similarity_vector,
     similarity_vectors,
 )
-from simobs.timeseries import ByteSeries
+from simobs.timeseries import ByteSeries, align
 
 
 def series(values, start=0.0, step=1.0):
@@ -101,7 +103,7 @@ class TestDtw:
         rng = np.random.default_rng(17)
         a = rng.uniform(0, 1, 40)
         b = rng.uniform(0, 1, 40)
-        assert _dtw_rows(a, b[None])[0] == pytest.approx(dtw_distance(a, b), abs=1e-9)
+        assert _dtw_rows(a, b[None])[0] == pytest.approx(similarity_oracle.dtw_distance(a, b), abs=1e-9)
 
     def test_stacked_rows_match_exhaustive_oracle(self):
         # Every sequence over {0, 0.5, 1} of length <= 6 against the stack
@@ -276,3 +278,76 @@ class TestSimilarityVector:
         sv = similarity_vector(a, b)
         assert sv.cc == pytest.approx(1.0, abs=1e-9)
         assert sv.dtw == 0.0
+
+
+def _reprs(vectors):
+    # repr, not ==: equality would let -0.0 stand for 0.0.
+    return [(repr(v.cc), repr(v.dtw), repr(v.kld), repr(v.jsd), v.flags) for v in vectors]
+
+
+@st.composite
+def _byte_row(draw, n, base):
+    kind = draw(st.sampled_from(["wide", "small", "constant", "zero", "idle_then_burst", "jitter"]))
+    if kind == "jitter":  # a shared pattern plus noise: close moments, as of a spy and its reference
+        return [b + e for b, e in zip(base, draw(st.lists(st.integers(0, 50), min_size=n, max_size=n)))]
+    if kind == "wide":
+        return draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n))
+    if kind == "small":
+        return draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    if kind == "constant":
+        return [draw(st.integers(1, 10**6))] * n
+    if kind == "zero":
+        return [0] * n
+    idle = draw(st.integers(0, n))
+    return [0] * idle + draw(st.lists(st.integers(1, 10**6), min_size=n - idle, max_size=n - idle))
+
+
+@st.composite
+def _device_sets(draw):
+    """A reference and a device set whose windows overlap by 1 or more steps."""
+    n = draw(st.integers(1, 40))
+    ref_len = draw(st.integers(1, 45))
+    offset = draw(st.integers(-(ref_len - 1), n - 1))  # reference start minus device start, in steps
+    base = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(1000, 5000, 45).tolist()
+    reference = series(draw(_byte_row(ref_len, base)), start=100.0 + offset)
+    devices = [series(draw(_byte_row(n, base)), start=100.0) for _ in range(draw(st.integers(1, 6)))]
+    return reference, devices
+
+
+class TestEngineAgainstOracle:
+    """similarity_vectors against the per-candidate loop in similarity_oracle."""
+
+    @given(_device_sets())
+    @settings(max_examples=400, deadline=None)
+    def test_device_sets(self, scene):
+        reference, devices = scene
+        assert _reprs(similarity_vectors(reference, devices)) == _reprs(
+            similarity_oracle.similarity_vectors(reference, devices)
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_easy70_prefixes(self, seed):
+        dataset = simulate.render_scenario(simulate.preset_scenario("easy70", seed))
+        devices = [trace.series for trace in dataset.traces]
+        window, _ = align(dataset.reference_series, devices[0])
+        for t in range(2, len(window) + 1):
+            prefix = window.prefix(t)
+            assert _reprs(similarity_vectors(prefix, devices)) == _reprs(
+                similarity_oracle.similarity_vectors(prefix, devices)
+            ), f"prefix t={t}"
+
+    @given(_device_sets())
+    @settings(max_examples=200, deadline=None)
+    def test_per_pair_measures(self, scene):
+        # The per-pair functions are one-row calls of the same kernels.
+        reference, devices = scene
+        a = reference.values.astype(np.float64)
+        for device in devices:
+            b = device.values.astype(np.float64)
+            if a.size >= 2 and b.size >= 2:
+                assert repr(gaussian_kld(a, b)) == repr(similarity_oracle.gaussian_kld(a, b))
+            if a.size == b.size >= 2 and a.std() > 0 and b.std() > 0:
+                assert repr(pearson_cc(a, b)) == repr(similarity_oracle.pearson_cc(a, b))
+            if a.size == b.size and a.sum() > 0 and b.sum() > 0:
+                assert repr(jsd(a, b)) == repr(similarity_oracle.jsd(a, b))
+            assert dtw_distance(a, b) == pytest.approx(similarity_oracle.dtw_distance(a, b), rel=1e-12)

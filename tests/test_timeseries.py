@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from simobs.errors import AlignmentError, FormatError, ParameterError
 from simobs.timeseries import (
     ByteSeries,
-    NormalizedSeries,
     align,
     bin_events,
     event_array,
@@ -72,27 +71,27 @@ class TestBinEvents:
 
 class TestNormalize:
     def test_linear_scaling(self):
-        out = min_max_normalize(make_series([0, 5, 10]))
-        assert out.values.tolist() == [0.0, 0.5, 1.0]
-        assert not out.degenerate
+        values, degenerate = min_max_normalize(make_series([0, 5, 10]))
+        assert values.tolist() == [0.0, 0.5, 1.0]
+        assert degenerate is False
 
     def test_constant_series(self):
-        out = min_max_normalize(make_series([7, 7, 7]))
-        assert out.values.tolist() == [0.0, 0.0, 0.0]
-        assert out.degenerate
+        values, degenerate = min_max_normalize(make_series([7, 7, 7]))
+        assert values.tolist() == [0.0, 0.0, 0.0]
+        assert degenerate is True
 
     def test_interior_extremes(self):
-        out = min_max_normalize(make_series([3, 1, 2]))
-        assert out.values.tolist() == [1.0, 0.0, 0.5]
+        values, _ = min_max_normalize(make_series([3, 1, 2]))
+        assert values.tolist() == [1.0, 0.0, 0.5]
 
     @given(st.lists(st.integers(0, 10**9), min_size=2, max_size=80))
     def test_idempotent_on_non_degenerate(self, values):
-        first = min_max_normalize(make_series(values))
-        again = min_max_normalize(first.values)
-        if first.degenerate:
-            assert again.values.tolist() == first.values.tolist()
+        first, degenerate = min_max_normalize(make_series(values))
+        again, _ = min_max_normalize(first)
+        if degenerate:
+            assert again.tolist() == first.tolist()
         else:
-            assert np.allclose(again.values, first.values, atol=1e-12)
+            assert np.allclose(again, first, atol=1e-12)
 
     @given(
         st.lists(st.integers(0, 10**6), min_size=2, max_size=60),
@@ -100,14 +99,22 @@ class TestNormalize:
         st.integers(0, 10**6),
     )
     def test_scale_shift_invariant(self, values, alpha, beta):
-        base = min_max_normalize(make_series(values))
-        mapped = min_max_normalize(make_series([alpha * v + beta for v in values]))
-        assert mapped.degenerate == base.degenerate
-        assert np.allclose(mapped.values, base.values, atol=1e-9)
+        base, base_degenerate = min_max_normalize(make_series(values))
+        mapped, mapped_degenerate = min_max_normalize(make_series([alpha * v + beta for v in values]))
+        assert mapped_degenerate == base_degenerate
+        assert np.allclose(mapped, base, atol=1e-9)
 
-    def test_range_validation(self):
+    @given(st.lists(st.lists(st.integers(0, 10**6), min_size=3, max_size=3), min_size=1, max_size=8))
+    def test_rows_normalize_one_by_one(self, rows):
+        values, degenerate = min_max_normalize(np.array(rows))
+        for row, out, flat in zip(rows, values, degenerate.tolist()):
+            one, one_flat = min_max_normalize(row)
+            assert out.tolist() == one.tolist() and flat == one_flat
+
+    @pytest.mark.parametrize("bad", [[], [[]], [[[1.0]]]])
+    def test_shape_validation(self, bad):
         with pytest.raises(ParameterError):
-            NormalizedSeries(np.array([0.5, 1.2]))
+            min_max_normalize(np.array(bad))
 
 
 class TestAlign:
