@@ -453,10 +453,11 @@ def _model_from_payload(payload: dict) -> MlpModel:
 CV_MAX_ITER = 300
 
 # Most models x training rows x widest layer that one stacked fit of
-# grid_search holds (floats per layer array); a larger stack trains in
-# chunks of whole models.  Every stack of the compact grid on 400 samples
-# fits in one chunk.  Chunks are independent fits, so results do not change.
-STACK_BUDGET = 2**17
+# grid_search holds (floats per layer array, 8 MiB); a larger stack trains
+# in chunks of whole models.  Every stack of the full grid at 10 folds on
+# 400 samples (160 models x 360 rows x 17 units) fits in one chunk.
+# Chunks are independent fits, so results do not change.
+STACK_BUDGET = 2**20
 
 @dataclass(frozen=True)
 class ParamGrid:

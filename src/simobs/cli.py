@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -45,8 +46,8 @@ def _threshold_configs(args) -> list[cls.ThresholdConfig]:
                 threshold = float(value)
             except ValueError:
                 threshold = None
-            if measure not in thresholds or threshold is None:
-                raise ParameterError(f"bad threshold {part!r} (want measure=value)")
+            if measure not in thresholds or threshold is None or not math.isfinite(threshold):
+                raise ParameterError(f"bad threshold {part!r} (want measure=finite number)")
             thresholds[measure] = threshold
     # ThresholdConfig rejects a name that is not a measure.
     return [cls.ThresholdConfig(m, thresholds.get(m)) for m in args.measures.split(",")]
@@ -272,6 +273,8 @@ def cmd_converge(args) -> int:
             classifier = cls.load_model(fh)
     else:
         threshold = args.threshold if args.threshold is not None else cls.DEFAULT_THRESHOLDS[args.measure]
+        if not math.isfinite(threshold):
+            raise ParameterError(f"--threshold must be a finite number, got {threshold}")
         classifier = cls.ThresholdConfig(args.measure, threshold)
 
     curves: list[list[cls.Metrics]] = []

@@ -68,6 +68,10 @@ class ByteSeries:
     def __len__(self) -> int:
         return int(self.values.size)
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        # np.asarray(series) is its values, so every measure takes a series.
+        return np.array(self.values, dtype=dtype, copy=copy)
+
     @property
     def end_time(self) -> float:
         return self.start_time + len(self) * self.step
@@ -113,7 +117,7 @@ def min_max_normalize(series: ByteSeries | Sequence[float] | np.ndarray) -> tupl
     is a bool for a series and a bool array with one entry per row for
     a 2-d array.
     """
-    vals = np.asarray(series.values if isinstance(series, ByteSeries) else series, dtype=np.float64)
+    vals = np.asarray(series, dtype=np.float64)
     if vals.ndim not in (1, 2) or vals.size < 1:
         raise ParameterError("series must be a non-empty 1-d sequence or 2-d array of rows")
     lo = vals.min(axis=-1, keepdims=True)

@@ -486,7 +486,7 @@ class TestGridSearchChunks:
             finally:
                 tracemalloc.stop()
 
-        budget = classify.STACK_BUDGET
+        budget = 2**17  # under a quarter of the stack's 543 864 floats per layer array
         whole, chunked = peak(10**9), peak(budget)
         assert chunked < 8 * 8 * budget  # eight layer arrays of float64
         assert chunked < whole / 2

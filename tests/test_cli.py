@@ -636,21 +636,23 @@ class TestNonFiniteNumbers:
         code = run(["extract", flags[0], source, *flags[1:], "--out", str(out)])
         self._one_line_error(code, 2, out, capsys)
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("measure", ["kld", "cc"])
-    def test_converge_threshold(self, measure, tmp_path, capsys):
+    def test_converge_threshold(self, measure, threshold, tmp_path, capsys):
         out = tmp_path / "curve.csv"
-        code = run(["converge", "--preset", "easy", "--measure", measure, "--threshold", "nan",
+        code = run(["converge", "--preset", "easy", "--measure", measure, f"--threshold={threshold}",
                     "--out", str(out)])
         self._one_line_error(code, 2, out, capsys)
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("command", ["classify", "agreement"])
-    def test_threshold_table(self, command, scene, synthetic_samples, tmp_path, capsys):
+    def test_threshold_table(self, command, threshold, scene, synthetic_samples, tmp_path, capsys):
         if command == "classify":
             argv = ["classify", "--report", str(scene / "report.json")]
         else:
             argv = ["agreement", "--samples", str(synthetic_samples)]
         out = tmp_path / "out.json"
-        code = run(argv + ["--thresholds", "kld=nan", "--out", str(out)])
+        code = run(argv + ["--thresholds", f"kld={threshold}", "--out", str(out)])
         self._one_line_error(code, 2, out, capsys)
 
     def test_repeated_device_id(self, scene, tmp_path, capsys):

@@ -28,7 +28,7 @@ from simobs.similarity import (
     similarity_vector,
     similarity_vectors,
 )
-from simobs.timeseries import ByteSeries, align
+from simobs.timeseries import ByteSeries, align, min_max_normalize
 
 
 def series(values, start=0.0, step=1.0):
@@ -303,10 +303,10 @@ def _byte_row(draw, n, base):
 
 
 @st.composite
-def _device_sets(draw):
+def _device_sets(draw, max_len=40):
     """A reference and a device set whose windows overlap by 1 or more steps."""
-    n = draw(st.integers(1, 40))
-    ref_len = draw(st.integers(1, 45))
+    n = draw(st.integers(1, max_len))
+    ref_len = draw(st.integers(1, max_len + 5))
     offset = draw(st.integers(-(ref_len - 1), n - 1))  # reference start minus device start, in steps
     base = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(1000, 5000, 45).tolist()
     reference = series(draw(_byte_row(ref_len, base)), start=100.0 + offset)
@@ -336,6 +336,24 @@ class TestEngineAgainstOracle:
                 similarity_oracle.similarity_vectors(prefix, devices)
             ), f"prefix t={t}"
 
+    @pytest.mark.parametrize("measure", [pearson_cc, dtw_distance, gaussian_kld, jsd])
+    def test_per_pair_measures_take_a_series(self, measure):
+        a, b = series([3, 0, 7, 2, 9]), series([1, 4, 6, 2, 8])
+        assert repr(measure(a, b)) == repr(measure(a.values, b.values))
+
+    @given(_device_sets(max_len=6))
+    @settings(max_examples=200, deadline=None)
+    def test_dtw_against_path_enumeration(self, scene):
+        # The oracle's DTW is the engine's own _dtw_rows, so DTW gets an
+        # independent check: every warping path of the scaled windows.
+        reference, devices = scene
+        ref, window = align(reference, devices[0])
+        skip = round((window.start_time - devices[0].start_time) / window.step)
+        x, _ = min_max_normalize(ref)
+        for device, sv in zip(devices, similarity_vectors(reference, devices)):
+            y, _ = min_max_normalize(device.values[skip : skip + len(window)])
+            assert sv.dtw == pytest.approx(dtw_bruteforce(x, y), rel=1e-12, abs=1e-12)
+
     @given(_device_sets())
     @settings(max_examples=200, deadline=None)
     def test_per_pair_measures(self, scene):
@@ -350,4 +368,4 @@ class TestEngineAgainstOracle:
                 assert repr(pearson_cc(a, b)) == repr(similarity_oracle.pearson_cc(a, b))
             if a.size == b.size and a.sum() > 0 and b.sum() > 0:
                 assert repr(jsd(a, b)) == repr(similarity_oracle.jsd(a, b))
-            assert dtw_distance(a, b) == pytest.approx(similarity_oracle.dtw_distance(a, b), rel=1e-12)
+            assert dtw_distance(a[:6], b[:6]) == pytest.approx(dtw_bruteforce(a[:6], b[:6]), rel=1e-12)
