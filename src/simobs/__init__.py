@@ -14,16 +14,17 @@ from .classify import (
     MlpModel,
     ParamGrid,
     ThresholdConfig,
-    Verdict,
     convergence_analysis,
     evaluate,
     grid_search,
     measure_agreement,
     mlp_predict,
+    mlp_probabilities,
     mlp_train,
     portability_matrix,
     sweep_threshold,
     threshold_classify,
+    verdicts,
 )
 from .errors import SimobsError
 from .mp4 import TrackSampleTable, parse_mp4, video_byte_series
@@ -72,7 +73,6 @@ __all__ = [
     "SimobsError",
     "ThresholdConfig",
     "TrackSampleTable",
-    "Verdict",
     "align",
     "background_traffic",
     "bin_events",
@@ -89,6 +89,7 @@ __all__ = [
     "measure_agreement",
     "min_max_normalize",
     "mlp_predict",
+    "mlp_probabilities",
     "mlp_train",
     "parse_mp4",
     "pearson_cc",
@@ -99,6 +100,7 @@ __all__ = [
     "similarity_vectors",
     "sweep_threshold",
     "threshold_classify",
+    "verdicts",
     "video_byte_series",
     "write_pcap",
 ]

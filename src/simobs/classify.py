@@ -46,7 +46,6 @@ IMPUTED_VALUES = {"cc": 0.0, "dtw": 0.0, "kld": 10.0, "jsd": math.log(2)}
 KLD_FEATURE_CAP = 10.0
 
 CAMERA_REF_FEATURES = ("cc", "kld", "jsd")
-PHONE_REF_FEATURES = ("dtw", "kld", "jsd")
 
 
 @dataclass(frozen=True)
@@ -76,43 +75,40 @@ class LabeledSample:
     tags: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """A boolean decision that remembers when it was forced by an
-    undefined measure."""
+def measure_values(vectors: Sequence[SimilarityVector], measure: str) -> tuple[np.ndarray, np.ndarray]:
+    """One measure of every vector as a column: the values, NaN where the
+    measure is undefined (None), and the mask of undefined slots.
 
-    spy: bool
-    indeterminate: bool = False
-
-    def __bool__(self) -> bool:
-        return self.spy
-
-
-def imputed_measure(sv: SimilarityVector, measure: str) -> float:
-    """The measure's value with undefined slots filled by their stand-in.
-
-    kld is additionally capped so near-degenerate candidates cannot blow
-    up feature scaling.
+    A NaN measure is a value, not undefined, and stays NaN.
     """
-    value = sv.measure(measure)
-    if value is None:
-        return IMPUTED_VALUES[measure]
-    if measure == "kld":
-        return min(value, KLD_FEATURE_CAP)
-    return value
+    raw = [sv.measure(measure) for sv in vectors]
+    undefined = np.array([v is None for v in raw], dtype=bool)
+    return np.array([math.nan if v is None else v for v in raw], dtype=np.float64), undefined
 
 
-def threshold_classify(sv: SimilarityVector, cfg: ThresholdConfig) -> Verdict:
-    """Compare one measure against its threshold.
+def _imputed_values(vectors: Sequence[SimilarityVector], measure: str) -> np.ndarray:
+    """The measure's column with undefined slots filled by their stand-in;
+    kld is also capped so near-degenerate candidates cannot blow up
+    feature scaling."""
+    values, undefined = measure_values(vectors, measure)
+    values[undefined] = IMPUTED_VALUES[measure]
+    return np.minimum(values, KLD_FEATURE_CAP) if measure == "kld" else values
 
-    An undefined measure yields not-spy marked indeterminate.
-    """
-    value = sv.measure(cfg.measure)
-    if value is None:
-        return Verdict(spy=False, indeterminate=True)
-    if cfg.direction == "spy_if_at_least":
-        return Verdict(spy=value >= cfg.threshold)
-    return Verdict(spy=value <= cfg.threshold)
+
+def _sign(measure: str) -> int:
+    """Spy iff sign * value <= sign * threshold."""
+    return -1 if DIRECTION_BY_MEASURE[measure] == "spy_if_at_least" else 1
+
+
+def _spy_mask(values: np.ndarray, measure: str, threshold: float) -> np.ndarray:
+    """Threshold verdicts of a measure's values, in its direction; NaN is not spy."""
+    sign = _sign(measure)
+    return sign * values <= sign * threshold
+
+
+def threshold_classify(sv: SimilarityVector, cfg: ThresholdConfig) -> bool:
+    """Compare one measure against its threshold; an undefined measure is not spy."""
+    return bool(verdicts([sv], cfg)[0])
 
 
 @dataclass(frozen=True)
@@ -141,16 +137,9 @@ def evaluate(predictions: Sequence[bool], labels: Sequence[bool]) -> Metrics:
         raise ParameterError(f"length mismatch: {len(predictions)} vs {len(labels)}")
     if len(labels) < 1:
         raise ParameterError("need at least one prediction")
-    tp = fp = tn = fn = 0
-    for pred, label in zip(predictions, labels):
-        if pred and label:
-            tp += 1
-        elif pred and not label:
-            fp += 1
-        elif not pred and label:
-            fn += 1
-        else:
-            tn += 1
+    pred, label = np.asarray(predictions, dtype=bool), np.asarray(labels, dtype=bool)
+    tp, fp, fn = (int(np.count_nonzero(a & b)) for a, b in ((pred, label), (pred, ~label), (~pred, label)))
+    tn = len(labels) - tp - fp - fn
     undefined = set()
     if tp + fp > 0:
         precision = tp / (tp + fp)
@@ -180,12 +169,12 @@ def sweep_threshold(samples: Sequence[LabeledSample], measure: str) -> tuple[flo
     labels = np.array([s.label for s in samples], dtype=bool)
     if labels.all() or not labels.any():
         raise ClassImbalanceError("sweep needs both classes present")
-    values = _imputed_values(samples, measure)
+    values = _imputed_values([s.features for s in samples], measure)
     distinct = np.unique(values)
     candidates = np.concatenate(([-math.inf], (distinct[:-1] + distinct[1:]) / 2, [math.inf]))
-    # Spy iff sign * value <= sign * threshold, so one ascending sort
-    # counts the positives of every candidate, fewest first.
-    sign = -1 if DIRECTION_BY_MEASURE[measure] == "spy_if_at_least" else 1
+    # One ascending sort of sign * value counts the positives of every
+    # candidate, fewest first.
+    sign = _sign(measure)
     candidates = candidates[::sign]
     order = np.argsort(sign * values)
     n_spy = np.searchsorted(sign * values[order], sign * candidates, side="right")
@@ -195,17 +184,6 @@ def sweep_threshold(samples: Sequence[LabeledSample], measure: str) -> tuple[flo
     f1 = np.divide(2 * precision * recall, precision + recall, out=np.zeros(len(tp)), where=tp > 0)
     best = int(np.argmax(f1))  # the first best
     return float(candidates[best]), float(f1[best])
-
-
-def _imputed_values(samples: Sequence[LabeledSample], measure: str) -> np.ndarray:
-    return np.array([imputed_measure(s.features, measure) for s in samples])
-
-
-def _spy_mask(values: np.ndarray, measure: str, threshold: float) -> np.ndarray:
-    """Threshold verdicts of a measure's values, in its direction."""
-    if DIRECTION_BY_MEASURE[measure] == "spy_if_at_least":
-        return values >= threshold
-    return values <= threshold
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +208,10 @@ class MlpModel:
 
 def feature_matrix(vectors: Sequence[SimilarityVector], subset: Sequence[str]) -> np.ndarray:
     """Measures plus per-measure undefined indicators, one row per vector."""
-    rows = []
-    for sv in vectors:
-        vals = [imputed_measure(sv, m) for m in subset]
-        indicators = [1.0 if sv.measure(m) is None else 0.0 for m in subset]
-        rows.append(vals + indicators)
-    return np.array(rows, dtype=np.float64)
+    x = np.empty((len(vectors), 2 * len(subset)))
+    for j, m in enumerate(subset):
+        x[:, j], x[:, len(subset) + j] = _imputed_values(vectors, m), measure_values(vectors, m)[1]
+    return x
 
 
 def _act(z: np.ndarray, kind: str) -> np.ndarray:
@@ -369,19 +345,31 @@ def mlp_train(
     )
 
 
+def mlp_probabilities(model: MlpModel, vectors: Sequence[SimilarityVector]) -> np.ndarray:
+    """Spy probability in (0, 1) of every similarity vector.
+
+    Rows go through the network as an (n, 1, f) stack, so each is
+    computed, and rounded, as a lone row would be.
+    """
+    x = (feature_matrix(vectors, model.feature_subset) - model.feature_mean) / model.feature_std
+    return _forward(model.weights, model.biases, model.activation, x[:, None, :])[-1][:, 0, 0]
+
+
 def mlp_predict(model: MlpModel, sv: SimilarityVector) -> float:
     """Spy probability in (0, 1) for one similarity vector."""
-    return float(_mlp_predict_matrix(model, feature_matrix([sv], model.feature_subset))[0])
-
-
-def _mlp_predict_matrix(model: MlpModel, x_raw: np.ndarray) -> np.ndarray:
-    x = (x_raw - model.feature_mean) / model.feature_std
-    return _forward(model.weights, model.biases, model.activation, x)[-1][:, 0]
+    return float(mlp_probabilities(model, [sv])[0])
 
 
 def mlp_verdicts(model: MlpModel, samples: Sequence[LabeledSample]) -> list[bool]:
-    x = feature_matrix([s.features for s in samples], model.feature_subset)
-    return (_mlp_predict_matrix(model, x) >= 0.5).tolist()
+    return verdicts([s.features for s in samples], model).tolist()
+
+
+def verdicts(vectors: Sequence[SimilarityVector], classifier: MlpModel | ThresholdConfig) -> np.ndarray:
+    """Spy verdict of every vector: a spy probability of at least 0.5 under
+    a model, or the threshold test, where an undefined measure is not spy."""
+    if isinstance(classifier, MlpModel):
+        return mlp_probabilities(classifier, vectors) >= 0.5
+    return _spy_mask(measure_values(vectors, classifier.measure)[0], classifier.measure, classifier.threshold)
 
 
 def save_model(model: MlpModel, out: TextIO) -> None:
@@ -542,7 +530,7 @@ def grid_search(
         )
         spy = _forward(weights, biases, activation, np.stack([s[2] for s in stack]))[-1][:, :, 0] >= 0.5
         for (p, k), preds, s in zip(members, spy, stack):
-            f1[p, k] = evaluate(preds.tolist(), s[3].tolist()).f1
+            f1[p, k] = evaluate(preds, s[3]).f1
 
     def key(p: int) -> tuple[float, int, int]:
         sizes = (2 * len(feature_subset), *points[p].hidden_layers, 1)
@@ -555,12 +543,6 @@ def grid_search(
 # ---------------------------------------------------------------------------
 # Evaluation studies
 # ---------------------------------------------------------------------------
-
-def classify_sample(sv: SimilarityVector, model_or_cfg: MlpModel | ThresholdConfig) -> bool:
-    if isinstance(model_or_cfg, MlpModel):
-        return mlp_predict(model_or_cfg, sv) >= 0.5
-    return bool(threshold_classify(sv, model_or_cfg))
-
 
 def convergence_analysis(
     reference: ByteSeries,
@@ -578,11 +560,10 @@ def convergence_analysis(
     window, _ = align(reference, devices[0])
     if len(window) < 2:
         raise ParameterError("window must be at least 2 steps")
-    results = []
-    for t in range(2, len(window) + 1):
-        preds = [classify_sample(sv, model_or_cfg) for sv in similarity_vectors(window.prefix(t), devices)]
-        results.append((t, evaluate(preds, list(labels))))
-    return results
+    return [
+        (t, evaluate(verdicts(similarity_vectors(window.prefix(t), devices), model_or_cfg), labels))
+        for t in range(2, len(window) + 1)
+    ]
 
 
 def _split_tags(samples: Sequence[LabeledSample], partition_tag: str) -> dict[str, list[LabeledSample]]:
@@ -649,8 +630,8 @@ def portability_matrix(
             else:
                 train, test = parts[train_name], parts[test_name]
             threshold, _ = sweep_threshold(train, trainer)
-            preds = _spy_mask(_imputed_values(test, trainer), trainer, threshold)
-            matrix[i, j] = evaluate(preds.tolist(), [s.label for s in test]).f1
+            preds = _spy_mask(_imputed_values([s.features for s in test], trainer), trainer, threshold)
+            matrix[i, j] = evaluate(preds, [s.label for s in test]).f1
     return order, matrix
 
 
@@ -672,18 +653,16 @@ def measure_agreement(
     samples: Sequence[LabeledSample], configs: Sequence[ThresholdConfig]
 ) -> AgreementReport:
     """Distribution of simultaneous false positives across measures."""
-    if not any(not s.label for s in samples):
+    negatives = [s.features for s in samples if not s.label]
+    if not negatives:
         raise ParameterError("agreement analysis needs at least one negative sample")
-    counts: dict[int, int] = {}
-    total = 0
-    for s in samples:
-        if s.label:
-            continue
-        wrong = sum(1 for cfg in configs if bool(threshold_classify(s.features, cfg)))
-        if wrong > 0:
-            counts[wrong] = counts.get(wrong, 0) + 1
-            total += 1
-    return AgreementReport(total_false_positives=total, counts=counts)
+    wrong = np.zeros(len(negatives), dtype=np.int64)  # measures fooled, per negative
+    for cfg in configs:
+        wrong += verdicts(negatives, cfg)
+    fooled, counts = np.unique(wrong[wrong > 0], return_counts=True)
+    return AgreementReport(
+        total_false_positives=int(np.count_nonzero(wrong)), counts=dict(zip(fooled.tolist(), counts.tolist()))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -37,9 +37,10 @@ def _render(writer, *args) -> str:
 
 
 def _threshold_configs(args) -> list[cls.ThresholdConfig]:
-    """One ThresholdConfig per --measures name, at its --thresholds value."""
+    """One ThresholdConfig per --measures name (default: cc,kld,jsd), at its
+    --thresholds value (default: the published one)."""
     thresholds = dict(cls.DEFAULT_THRESHOLDS)
-    if args.thresholds != "default":
+    if args.thresholds not in (None, "default"):
         for part in args.thresholds.split(","):
             measure, _, value = part.partition("=")
             try:
@@ -49,8 +50,9 @@ def _threshold_configs(args) -> list[cls.ThresholdConfig]:
             if measure not in thresholds or threshold is None or not math.isfinite(threshold):
                 raise ParameterError(f"bad threshold {part!r} (want measure=finite number)")
             thresholds[measure] = threshold
+    measures = args.measures.split(",") if args.measures is not None else cls.CAMERA_REF_FEATURES
     # ThresholdConfig rejects a name that is not a measure.
-    return [cls.ThresholdConfig(m, thresholds.get(m)) for m in args.measures.split(",")]
+    return [cls.ThresholdConfig(m, thresholds.get(m)) for m in measures]
 
 
 def _load_samples(path: str) -> list[cls.LabeledSample]:
@@ -141,38 +143,37 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _verdict_table(ids: list[str], columns: dict[str, list], fmt: str) -> str:
+    """One row per device id, one column per name in ``columns``.  A None
+    cell is empty in CSV and absent in JSON; a column of None is left out."""
+    keys = sorted(k for k, cells in columns.items() if any(c is not None for c in cells))
+    table = [[columns[k][i] for k in keys] for i in range(len(ids))]
+    if fmt == "csv":
+        lines = ["device_id," + ",".join(keys)]
+        lines += [d + "," + ",".join("" if c is None else str(c) for c in row) for d, row in zip(ids, table)]
+        return "\n".join(lines) + "\n"
+    payload = [{"device_id": d, **{k: c for k, c in zip(keys, row) if c is not None}} for d, row in zip(ids, table)]
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def cmd_classify(args) -> int:
+    if args.model and (args.thresholds is not None or args.measures is not None):
+        raise ParameterError("--model decides alone; drop --thresholds and --measures")
     with open(args.report) as fh:
-        rows = similarity.read_report_json(fh)
-    out_rows = []
+        rows = similarity.read_report(fh)
+    vectors = [sv for _, sv in rows]
     if args.model:
         with open(args.model) as fh:
             model = cls.load_model(fh)
-        for device_id, sv in rows:
-            probability = cls.mlp_predict(model, sv)
-            out_rows.append((device_id, {"probability": probability, "spy": probability >= 0.5}))
+        probability = cls.mlp_probabilities(model, vectors)
+        columns = {"probability": probability.tolist(), "spy": (probability >= 0.5).tolist()}
     else:
-        configs = _threshold_configs(args)
-        for device_id, sv in rows:
-            cell: dict = {}
-            for cfg in configs:
-                verdict = cls.threshold_classify(sv, cfg)
-                cell[f"spy_{cfg.measure}"] = verdict.spy
-                if verdict.indeterminate:
-                    cell[f"indeterminate_{cfg.measure}"] = True
-            out_rows.append((device_id, cell))
-
-    if args.format == "csv":
-        keys = sorted({k for _, cell in out_rows for k in cell})
-        lines = ["device_id," + ",".join(keys)]
-        for device_id, cell in out_rows:
-            lines.append(device_id + "," + ",".join(str(cell.get(k, "")) for k in keys))
-        text = "\n".join(lines) + "\n"
-    else:
-        text = json.dumps(
-            [{"device_id": d, **cell} for d, cell in out_rows], indent=2, sort_keys=True
-        ) + "\n"
-    _write_text(args.out, text)
+        columns = {}
+        for cfg in _threshold_configs(args):
+            columns[f"spy_{cfg.measure}"] = cls.verdicts(vectors, cfg).tolist()
+            undefined = cls.measure_values(vectors, cfg.measure)[1]
+            columns[f"indeterminate_{cfg.measure}"] = np.where(undefined, True, None).tolist()
+    _write_text(args.out, _verdict_table([device_id for device_id, _ in rows], columns, args.format))
     return 0
 
 
@@ -267,15 +268,18 @@ def cmd_simulate(args) -> int:
 def cmd_converge(args) -> int:
     if args.trials < 1:
         raise ParameterError(f"--trials must be >= 1, got {args.trials}")
+    if args.model and (args.threshold is not None or args.measure is not None):
+        raise ParameterError("--model decides alone; drop --threshold and --measure")
     scenario = _scenario_from_args(args)
     if args.model:
         with open(args.model) as fh:
             classifier = cls.load_model(fh)
     else:
-        threshold = args.threshold if args.threshold is not None else cls.DEFAULT_THRESHOLDS[args.measure]
+        measure = args.measure or "kld"
+        threshold = args.threshold if args.threshold is not None else cls.DEFAULT_THRESHOLDS[measure]
         if not math.isfinite(threshold):
             raise ParameterError(f"--threshold must be a finite number, got {threshold}")
-        classifier = cls.ThresholdConfig(args.measure, threshold)
+        classifier = cls.ThresholdConfig(measure, threshold)
 
     curves: list[list[cls.Metrics]] = []
     base = simulate.scenario_to_dict(scenario)
@@ -367,10 +371,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("classify", parents=[out, fmt], help="verdicts from a similarity report")
-    p.add_argument("--report", required=True, help="similarity report (JSON)")
-    p.add_argument("--thresholds", default="default", help="'default' or measure=value,...")
-    p.add_argument("--measures", default="cc,kld,jsd")
-    p.add_argument("--model", help="trained model JSON (overrides thresholds)")
+    p.add_argument("--report", required=True, help="similarity report (CSV or JSON, as analyze writes it)")
+    p.add_argument("--thresholds", help="'default' (the published thresholds) or measure=value,...")
+    p.add_argument("--measures", help="comma-separated measures to threshold (default: cc,kld,jsd)")
+    p.add_argument("--model", help="trained model JSON (instead of thresholds)")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("train", parents=[out, seeded], help="train the network classifier")
@@ -398,9 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("converge", parents=[out, scene], help="metrics at every prefix length")
     p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--measure", choices=similarity.MEASURES, default="kld")
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--model")
+    p.add_argument("--measure", choices=similarity.MEASURES, help="measure to threshold (default: kld)")
+    p.add_argument("--threshold", type=float, help="threshold of --measure (default: its published one)")
+    p.add_argument("--model", help="trained model JSON (instead of a threshold)")
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("portability", parents=[out, seeded], help="train/test F1 across two partitions")

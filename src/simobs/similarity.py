@@ -8,6 +8,7 @@ combined vector instead of exceptions.
 """
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -306,3 +307,30 @@ def _report_row(row: Mapping) -> tuple[str, SimilarityVector]:
 
 def read_report_json(inp: TextIO) -> list[tuple[str, SimilarityVector]]:
     return read_rows_json(inp, _report_row)
+
+
+def read_report(inp: TextIO) -> list[tuple[str, SimilarityVector]]:
+    """A similarity report in either format analyze writes: CSV when the
+    first line is write_report_csv's header, else JSON.  CSV rows go
+    through the JSON rows' codec, with an empty cc or kld as null and
+    flags split on ';'."""
+    try:
+        text = inp.read()
+    except ValueError as exc:  # bytes that do not decode
+        raise FormatError(f"malformed similarity report ({exc})") from exc
+    lines = text.splitlines()
+    header = ["device_id", *MEASURES, "flags"]
+    if not lines or lines[0] != ",".join(header):
+        return read_report_json(io.StringIO(text))
+    rows = []
+    try:
+        for line in lines[1:]:
+            cells = line.split(",")
+            if len(cells) != len(header):
+                raise FormatError(f"similarity CSV row {line!r} does not have {len(header)} cells")
+            row = dict(zip(header, cells))
+            flags = row["flags"].split(";") if row["flags"] else []
+            rows.append(_report_row({**row, "cc": row["cc"] or None, "kld": row["kld"] or None, "flags": flags}))
+    except ValueError as exc:
+        raise FormatError(f"malformed similarity CSV ({exc})") from exc
+    return rows

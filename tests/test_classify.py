@@ -13,6 +13,8 @@ from simobs.classify import (
     ACTIVATIONS,
     DEFAULT_THRESHOLDS,
     DIRECTION_BY_MEASURE,
+    IMPUTED_VALUES,
+    KLD_FEATURE_CAP,
     GridPoint,
     LabeledSample,
     ParamGrid,
@@ -21,10 +23,11 @@ from simobs.classify import (
     evaluate,
     feature_matrix,
     grid_search,
-    imputed_measure,
     load_model,
     measure_agreement,
+    measure_values,
     mlp_predict,
+    mlp_probabilities,
     mlp_train,
     mlp_verdicts,
     portability_matrix,
@@ -33,6 +36,7 @@ from simobs.classify import (
     stratified_folds,
     sweep_threshold,
     threshold_classify,
+    verdicts,
     write_samples_json,
 )
 from simobs.errors import (
@@ -58,29 +62,29 @@ class TestThresholdClassify:
     def test_kld_below_default_threshold_is_spy(self):
         cfg = ThresholdConfig("kld", DEFAULT_THRESHOLDS["kld"])
         assert cfg.threshold == 0.021
-        assert threshold_classify(sv(kld=0.010), cfg).spy
+        assert threshold_classify(sv(kld=0.010), cfg) is True
 
     def test_high_cc_is_spy(self):
         cfg = ThresholdConfig("cc", DEFAULT_THRESHOLDS["cc"])
-        assert threshold_classify(sv(cc=1.0), cfg).spy
+        assert threshold_classify(sv(cc=1.0), cfg)
 
     def test_large_dtw_is_not_spy(self):
         cfg = ThresholdConfig("dtw", DEFAULT_THRESHOLDS["dtw"])
         assert cfg.threshold == 12.51
-        assert not threshold_classify(sv(dtw=30.0), cfg).spy
+        assert threshold_classify(sv(dtw=30.0), cfg) is False
 
     def test_undefined_measure_indeterminate(self):
         cfg = ThresholdConfig("cc", 0.21)
-        verdict = threshold_classify(sv(cc=None, flags={"cc_undefined"}), cfg)
-        assert not verdict.spy
-        assert verdict.indeterminate
+        vector = sv(cc=None, flags={"cc_undefined"})
+        assert threshold_classify(vector, cfg) is False
+        assert measure_values([vector], "cc")[1].tolist() == [True]
 
     @pytest.mark.parametrize("measure", MEASURES)
     def test_direction_follows_measure(self, measure):
         cfg = ThresholdConfig(measure, 1.0)
         assert cfg.direction == DIRECTION_BY_MEASURE[measure]
-        above = threshold_classify(sv(**{measure: 2.0}), cfg).spy
-        below = threshold_classify(sv(**{measure: 0.5}), cfg).spy
+        above = threshold_classify(sv(**{measure: 2.0}), cfg)
+        below = threshold_classify(sv(**{measure: 0.5}), cfg)
         assert (above, below) == ((True, False) if measure == "cc" else (False, True))
 
     def test_unknown_measure_rejected(self):
@@ -91,8 +95,8 @@ class TestThresholdClassify:
     def test_monotone_in_measure(self, low, high):
         low, high = min(low, high), max(low, high)
         cfg = ThresholdConfig("kld", 1.0)
-        if threshold_classify(sv(kld=high), cfg).spy:
-            assert threshold_classify(sv(kld=low), cfg).spy
+        if threshold_classify(sv(kld=high), cfg):
+            assert threshold_classify(sv(kld=low), cfg)
 
 
 class TestEvaluate:
@@ -181,10 +185,17 @@ class TestSweep:
         assert evaluate(preds, labels).f1 == f1
 
 
+def _imputed(value, measure):
+    """An undefined measure's stand-in, and kld capped, as the sweep ranks them."""
+    if value is None:
+        return IMPUTED_VALUES[measure]
+    return min(value, KLD_FEATURE_CAP) if measure == "kld" else value
+
+
 def _sweep_by_loop(samples, measure):
     """sweep_threshold as one evaluate per candidate: the O(n^2) reference."""
     labels = [s.label for s in samples]
-    values = np.array([imputed_measure(s.features, measure) for s in samples])
+    values = np.array([_imputed(s.features.measure(measure), measure) for s in samples])
     distinct = np.unique(values)
     candidates = [-math.inf] + [float((a + b) / 2) for a, b in zip(distinct, distinct[1:])] + [math.inf]
     at_least = DIRECTION_BY_MEASURE[measure] == "spy_if_at_least"
@@ -610,12 +621,73 @@ class TestAffineInvariance:
             scaled = ByteSeries(0.0, 1.0, 3 * cand_vals + 7)
             base = threshold_classify(similarity_vector(ref, cand), cfg)
             mapped = threshold_classify(similarity_vector(ref, scaled), cfg)
-            assert base.spy == mapped.spy
+            assert base == mapped
 
 
 class TestDefaultThresholds:
     def test_published_operating_points(self):
         assert DEFAULT_THRESHOLDS == {"cc": 0.21, "dtw": 12.51, "kld": 0.021, "jsd": 0.005}
+
+
+# Measure values for the column tests: undefined (None), NaN, ties and
+# arbitrary finite values.
+_column_values = st.one_of(st.none(), st.just(math.nan), st.sampled_from([0.0, 0.5, 1.0]),
+                           st.floats(-5, 5, allow_nan=False))
+
+
+class TestDecisionColumns:
+    """Every verdict comes from one threshold comparison or one network
+    forward over a whole set of vectors."""
+
+    def test_undefined_is_none_not_nan(self):
+        values, undefined = measure_values([sv(cc=None), sv(cc=math.nan), sv(cc=0.25)], "cc")
+        assert np.isnan(values[:2]).all() and values[2] == 0.25
+        assert undefined.tolist() == [True, False, False]
+
+    @given(st.sampled_from(MEASURES), st.sampled_from([-math.inf, 0.5, math.inf]),
+           st.lists(_column_values, max_size=12))
+    def test_verdicts_are_per_vector_comparisons(self, measure, threshold, values):
+        values = [*values, threshold]  # a value equal to the threshold is spy
+        vectors = [sv(**{measure: v}) for v in values]
+        cfg = ThresholdConfig(measure, threshold)
+        at_least = DIRECTION_BY_MEASURE[measure] == "spy_if_at_least"
+        expected = [v is not None and (v >= threshold if at_least else v <= threshold) for v in values]
+        assert verdicts(vectors, cfg).tolist() == expected
+        assert [threshold_classify(v, cfg) for v in vectors] == expected
+
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_network_paths_agree_by_repr(self, activation):
+        samples = _overlapping(40, 40, seed=7, sep=1.0)
+        samples += [LabeledSample(sv(cc=None, kld=None, flags=("cc_undefined", "kld_undefined")), i % 2 == 0)
+                    for i in range(8)]
+        model = mlp_train(samples, layers=(6, 5), activation=activation, seed=3, max_iter=200,
+                          feature_subset=("cc", "dtw", "kld", "jsd"))
+        vectors = [s.features for s in samples]
+        batch = mlp_probabilities(model, vectors)
+        assert [repr(p) for p in batch.tolist()] == [repr(mlp_predict(model, v)) for v in vectors]
+        assert mlp_verdicts(model, samples) == (batch >= 0.5).tolist() == verdicts(vectors, model).tolist()
+
+    @given(st.lists(st.tuples(st.booleans(), _column_values, _column_values), min_size=1, max_size=20))
+    def test_agreement_counts_per_negative(self, rows):
+        samples = [sample(label, cc=cc, kld=kld) for label, cc, kld in rows]
+        configs = [ThresholdConfig("cc", 0.5), ThresholdConfig("kld", 0.5)]
+        counts = {}
+        for s in samples:
+            wrong = sum(threshold_classify(s.features, cfg) for cfg in configs)
+            if not s.label and wrong:
+                counts[wrong] = counts.get(wrong, 0) + 1
+        if all(s.label for s in samples):
+            with pytest.raises(ParameterError):
+                measure_agreement(samples, configs)
+            return
+        report = measure_agreement(samples, configs)
+        assert report.counts == counts and report.total_false_positives == sum(counts.values())
+        assert all(type(k) is int and type(v) is int for k, v in report.counts.items())
+
+    def test_evaluate_takes_arrays(self):
+        preds, labels = [True, True, False, False, True], [True, False, False, True, True]
+        assert evaluate(np.array(preds), np.array(labels)) == evaluate(preds, labels)
+        assert type(evaluate(np.array(preds), labels).tp) is int
 
 
 class TestAgreement:

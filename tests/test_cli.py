@@ -275,27 +275,166 @@ def synthetic_samples(tmp_path):
     return path
 
 
+def _near_far_samples(directory):
+    """Labeled samples of near scenes at seeds 100-105, then far scenes at
+    seeds 200-205, merged into one file in that order."""
+    paths = []
+    for regime, base_seed in (("near", 100), ("far", 200)):
+        for seed in range(6):
+            out_dir = directory / f"{regime}{seed}"
+            run(["simulate", "--preset", regime, "--seed", str(base_seed + seed),
+                 "--out-dir", str(out_dir)])
+            report = out_dir / "samples.json"
+            run(["analyze", "--reference", str(out_dir / "reference.csv"),
+                 "--devices", str(out_dir / "devices.csv"),
+                 "--manifest", str(out_dir / "manifest.json"),
+                 "--out", str(report)])
+            paths.append(report)
+    merged = []
+    for p in paths:
+        merged.extend(json.loads(p.read_text()))
+    combined = directory / "samples.json"
+    combined.write_text(json.dumps(merged))
+    return combined
+
+
+class TestVerdictGoldenBytes:
+    """sha256 of the verdict outputs (classify, agreement, portability and
+    converge) as the per-sample decision loops wrote them.  Like the
+    training hashes, they hold for this float arithmetic."""
+
+    DIGESTS = {
+        "classify": "8154c610938f4f7ccaedb6ae3a201041a527101ea5d4bb7cfe6ed4510d9b31e2",
+        "classify_thresholds": "b85ce4f81bc53040cd59c6cfb826818ddb0843cf11b1d7ccd6ca9e9ae9da753f",
+        "classify_model": "af39a2242083c493b99027dde58ac5f4fe3e7fb817378dfe8c07ca6bc9b4df11",
+        "classify_model4": "c65e4a781d0cf65b60b73dfafcc0c123086b51e55d91676cc1371e817fd41c64",
+        "classify_samples_model4": "13588c927fa482c9f7303568844e8c4755641bec6a306285997fa8d83d6ec86a",
+        "agreement": "d1a7d13e1c5b9b7debf6123de0ca5950d5fecd7347e1534562294f477cea6e7a",
+        "agreement_thresholds": "7ae9fed29cc2c6078878b5f3d5e12018a7ad81197bb6bc0fe66712d68f7497c9",
+        "portability_kld": "6e94c0f0a9ad20c5125da3e4b67991d934a1554d629d7e0e1b7225bd75c1f7fe",
+        "portability_cc": "103ca5b781bb5ba5f56023fb1f1e01be2b423e42332c5aaea54bbb1b19307c04",
+        "converge_model4": "004c907fe0eff2d1b77adbb5866a0c508ce9bb6fe57e65e70cc95ef55688e9e6",
+        "converge_dtw": "b4137d2cedab372194f81733c6205fde97087817dc732b73700005443702c53a",
+    }
+
+    def test_verdict_outputs(self, tmp_path):
+        assert run(["simulate", "--preset", "easy", "--seed", "3", "--out-dir", str(tmp_path / "scene")]) == 0
+        report, samples = str(tmp_path / "report.json"), str(_near_far_samples(tmp_path))
+        assert run(["analyze", "--reference", str(tmp_path / "scene" / "reference.csv"),
+                    "--devices", str(tmp_path / "scene" / "devices.csv"), "--format", "json",
+                    "--out", report]) == 0
+        model, model4 = str(tmp_path / "model.json"), str(tmp_path / "model4.json")
+        assert run(["train", "--samples", samples, "--layers", "8", "--seed", "1", "--out", model]) == 0
+        assert run(["train", "--samples", samples, "--layers", "5,4", "--activation", "relu",
+                    "--features", "cc,dtw,kld,jsd", "--seed", "2", "--out", model4]) == 0
+        argvs = {
+            "classify": ["classify", "--report", report, "--format", "json"],
+            "classify_thresholds": ["classify", "--report", report, "--measures", "cc,dtw,kld,jsd",
+                                    "--thresholds", "cc=0.5,dtw=20,kld=0.1,jsd=0.01"],
+            "classify_model": ["classify", "--report", report, "--model", model, "--format", "json"],
+            "classify_model4": ["classify", "--report", report, "--model", model4],
+            "classify_samples_model4": ["classify", "--report", samples, "--model", model4, "--format", "json"],
+            "agreement": ["agreement", "--samples", samples],
+            "agreement_thresholds": ["agreement", "--samples", samples, "--measures", "cc,dtw,kld,jsd",
+                                     "--thresholds", "cc=0.1,dtw=30,kld=0.5,jsd=0.02"],
+            "portability_kld": ["portability", "--samples", samples, "--partition-tag", "regime",
+                                "--trainer", "kld", "--seed", "1"],
+            "portability_cc": ["portability", "--samples", samples, "--partition-tag", "regime",
+                               "--trainer", "cc", "--seed", "2"],
+            "converge_model4": ["converge", "--preset", "far", "--trials", "2", "--seed", "5", "--model", model4],
+            "converge_dtw": ["converge", "--preset", "near", "--trials", "2", "--seed", "6", "--measure", "dtw"],
+        }
+        digests = {}
+        for name, argv in argvs.items():
+            out = tmp_path / f"{name}.out"
+            assert run([*argv, "--out", str(out)]) == 0
+            digests[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digests == self.DIGESTS
+
+
+class TestClassifyReports:
+    @pytest.fixture(scope="class")
+    def scene(self, tmp_path_factory):
+        """An easy scene whose first device sends a constant 500 bytes a step,
+        its CSV and JSON similarity reports, and a model."""
+        d = tmp_path_factory.mktemp("scene")
+        assert run(["simulate", "--preset", "easy", "--seed", "2", "--out-dir", str(d)]) == 0
+        lines = (d / "devices.csv").read_text().splitlines()
+        lines[3:] = ["500," + line.split(",", 1)[1] for line in lines[3:]]
+        (d / "devices.csv").write_text("\n".join(lines) + "\n")
+        for fmt in ("csv", "json"):
+            assert run(["analyze", "--reference", str(d / "reference.csv"), "--devices", str(d / "devices.csv"),
+                        "--format", fmt, "--out", str(d / f"report.{fmt}")]) == 0
+        (d / "samples.json").write_text(json.dumps(_synthetic_rows()))
+        assert run(["train", "--samples", str(d / "samples.json"), "--layers", "4", "--max-iter", "50",
+                    "--features", "cc,dtw,kld,jsd", "--out", str(d / "model.json")]) == 0
+        return d
+
+    def _classify(self, scene, report, argv, out):
+        assert run(["classify", "--report", str(scene / report), *argv, "--out", str(out)]) == 0
+        return out.read_text()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_undefined_measure_is_indeterminate_not_spy(self, fmt, scene, tmp_path):
+        text = self._classify(scene, "report.json", ["--format", fmt], tmp_path / "verdicts")
+        if fmt == "json":
+            rows = json.loads(text)
+        else:
+            header, *lines = text.splitlines()
+            rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        constant = rows[0]
+        assert constant["device_id"] == (scene / "devices.csv").read_text().splitlines()[2].split(",")[0]
+        for measure in ("cc", "kld"):
+            assert constant[f"spy_{measure}"] in (False, "False")
+            assert constant[f"indeterminate_{measure}"] in (True, "True")
+        assert "indeterminate_jsd" not in constant or constant["indeterminate_jsd"] == ""
+        assert all(row.get("indeterminate_cc") in (None, "") for row in rows[1:])
+
+    @pytest.mark.parametrize("argv", [[], ["--format", "json"],
+                                      ["--measures", "cc,dtw,kld,jsd", "--thresholds", "cc=0.5,dtw=20"],
+                                      ["--model", "MODEL"], ["--model", "MODEL", "--format", "json"]])
+    def test_csv_report_classifies_as_json_report(self, argv, scene, tmp_path):
+        argv = [str(scene / "model.json") if a == "MODEL" else a for a in argv]
+        assert (self._classify(scene, "report.csv", argv, tmp_path / "from_csv")
+                == self._classify(scene, "report.json", argv, tmp_path / "from_json"))
+
+    @pytest.mark.parametrize("cell,value", [("dtw", ""), ("jsd", ""), ("cc", "nan"), ("dtw", "inf"),
+                                            ("kld", "abc"), ("width", "extra")])
+    def test_malformed_csv_cell_one_line_exit_1(self, cell, value, scene, tmp_path, capsys):
+        header, first, *rest = (scene / "report.csv").read_text().splitlines()
+        if cell == "width":
+            first += "," + value
+        else:
+            cells = dict(zip(header.split(","), first.split(",")))
+            cells[cell] = value
+            first = ",".join(cells.values())
+        report = tmp_path / "report.csv"
+        report.write_text("\n".join([header, first, *rest]) + "\n")
+        out = tmp_path / "verdicts.csv"
+        assert run(["classify", "--report", str(report), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--report", "REPORT", "--thresholds", "default"],
+        ["classify", "--report", "REPORT", "--measures", "kld"],
+        ["converge", "--preset", "easy", "--threshold", "0.5"],
+        ["converge", "--preset", "easy", "--measure", "kld"],
+    ])
+    def test_threshold_flag_with_model_one_line_exit_2(self, argv, scene, tmp_path, capsys):
+        argv = [str(scene / "report.json") if a == "REPORT" else a for a in argv]
+        out = tmp_path / "out"
+        assert run([*argv, "--model", str(scene / "model.json"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "--model" in err
+        assert not out.exists()
+
+
 class TestTrainAndStudies:
     @pytest.fixture
     def samples_file(self, tmp_path):
-        paths = []
-        for regime, base_seed in (("near", 100), ("far", 200)):
-            for seed in range(6):
-                out_dir = tmp_path / f"{regime}{seed}"
-                run(["simulate", "--preset", regime, "--seed", str(base_seed + seed),
-                     "--out-dir", str(out_dir)])
-                report = out_dir / "samples.json"
-                run(["analyze", "--reference", str(out_dir / "reference.csv"),
-                     "--devices", str(out_dir / "devices.csv"),
-                     "--manifest", str(out_dir / "manifest.json"),
-                     "--out", str(report)])
-                paths.append(report)
-        merged = []
-        for p in paths:
-            merged.extend(json.loads(p.read_text()))
-        combined = tmp_path / "samples.json"
-        combined.write_text(json.dumps(merged))
-        return combined
+        return _near_far_samples(tmp_path)
 
     def test_train_and_classify_with_model(self, samples_file, tmp_path):
         model = tmp_path / "model.json"
@@ -697,6 +836,8 @@ class TestCliFuzz:
         assert run(["analyze", "--reference", str(scene / "reference.csv"),
                     "--devices", str(scene / "devices.csv"), "--format", "json",
                     "--out", str(d / "report.json")]) == 0
+        assert run(["analyze", "--reference", str(scene / "reference.csv"),
+                    "--devices", str(scene / "devices.csv"), "--out", str(d / "report.csv")]) == 0
         assert run(["train", "--samples", str(d / "samples.json"), "--layers", "3",
                     "--max-iter", "5", "--out", str(d / "model.json")]) == 0
         reference, devices = str(scene / "reference.csv"), str(scene / "devices.csv")
@@ -711,6 +852,7 @@ class TestCliFuzz:
                          ["analyze", "--reference", reference, "--devices", devices,
                           "--manifest", "FILE", "--out", "OUT"]),
             "report": (d / "report.json", ["classify", "--report", "FILE", "--out", "OUT"]),
+            "similarity_csv": (d / "report.csv", ["classify", "--report", "FILE", "--out", "OUT"]),
             "samples": (d / "samples.json",
                         ["train", "--samples", "FILE", "--layers", "2", "--max-iter", "10", "--out", "OUT"]),
             "model": (d / "model.json",
@@ -719,7 +861,7 @@ class TestCliFuzz:
         }
 
     @pytest.mark.parametrize("name", ["pcap", "mp4", "reference", "devices", "manifest", "report",
-                                      "samples", "model", "scenario"])
+                                      "samples", "model", "scenario", "similarity_csv"])
     def test_mutated_input(self, name, inputs, tmp_path, capsys):
         path, argv = inputs[name]
         base = path.read_bytes()
