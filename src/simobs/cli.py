@@ -13,6 +13,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -236,32 +237,26 @@ def _scenario_from_args(args) -> simulate.SimScenario:
     if args.scenario:
         with open(args.scenario) as fh:
             scenario = simulate.load_scenario(fh)
-        if args.seed is not None:
-            scenario = simulate.scenario_from_dict(
-                {**simulate.scenario_to_dict(scenario), "seed": args.seed}
-            )
-        return scenario
+        return scenario if args.seed is None else replace(scenario, seed=args.seed)
     seed = args.seed if args.seed is not None else 0
     return simulate.preset_scenario(args.preset, seed)
 
 
 def cmd_simulate(args) -> int:
-    scenario = _scenario_from_args(args)
-    dataset = simulate.render_scenario(scenario)
+    dataset = simulate.render_scenario(_scenario_from_args(args))
+    devices = [(tr.device_id, tr.series) for tr in dataset.traces]
+    outputs = {
+        "reference.csv": _render(write_series_csv, dataset.reference_series),
+        "devices.csv": _render(pcap.write_devices_csv, devices),
+        "manifest.json": json.dumps(dataset.manifest, indent=2, sort_keys=True) + "\n",
+    }
+    capture = simulate.write_pcap(dataset, link=args.link) if args.pcap_out else None
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    buf = io.StringIO()
-    write_series_csv(dataset.reference_series, buf)
-    (out_dir / "reference.csv").write_text(buf.getvalue())
-
-    devices = [(tr.device_id, tr.series) for tr in dataset.traces]
-    (out_dir / "devices.csv").write_text(_render(pcap.write_devices_csv, devices))
-    (out_dir / "manifest.json").write_text(
-        json.dumps(dataset.manifest, indent=2, sort_keys=True) + "\n"
-    )
-    if args.pcap_out:
-        Path(args.pcap_out).write_bytes(simulate.write_pcap(dataset, link=args.link))
+    for name, text in outputs.items():
+        (out_dir / name).write_text(text)
+    if capture is not None:
+        Path(args.pcap_out).write_bytes(capture)
     return 0
 
 
@@ -282,10 +277,8 @@ def cmd_converge(args) -> int:
         classifier = cls.ThresholdConfig(measure, threshold)
 
     curves: list[list[cls.Metrics]] = []
-    base = simulate.scenario_to_dict(scenario)
     for trial in range(args.trials):
-        trial_scenario = simulate.scenario_from_dict({**base, "seed": scenario.seed + trial})
-        dataset = simulate.render_scenario(trial_scenario)
+        dataset = simulate.render_scenario(replace(scenario, seed=scenario.seed + trial))
         results = cls.convergence_analysis(
             dataset.reference_series,
             [tr.series for tr in dataset.traces],

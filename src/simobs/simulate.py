@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Mapping, Sequence, TextIO
 
 import numpy as np
 
 from .errors import ParameterError, read_json
-from .pcap import DeviceId, LinkType
+from .pcap import ETHERTYPE_IPV4, GLOBAL_HEADER_LEN, MAGIC_MICROS, RECORD_HEADER_LEN, DeviceId, LinkType
 from .timeseries import ByteSeries, bin_events, event_array
 
 MTU = 1500
@@ -62,6 +64,11 @@ class ActivitySignal:
         return self.values[: n_steps * per].reshape(n_steps, per).mean(axis=1)
 
 
+def _check_finite(name: str, value) -> None:
+    if not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ParameterError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CameraModel:
     """Byte-rate behavior of one streaming camera."""
@@ -77,6 +84,8 @@ class CameraModel:
     observed_fraction: float = 1.0  # share of the scene this camera sees
 
     def __post_init__(self):
+        for field in fields(self):
+            _check_finite(field.name, getattr(self, field.name))
         if min(self.idle_bytes_per_step, self.motion_gain, self.iframe_bytes, self.noise_std) < 0:
             raise ParameterError("byte quantities must be >= 0")
         if self.iframe_period < 1:
@@ -103,6 +112,11 @@ class SimScenario:
             raise ParameterError(f"unknown activity profile {self.activity_profile!r}")
         if not self.spies and not self.background:
             raise ParameterError("scenario needs at least one device")
+        _check_finite("step", self.step)
+        for kind, params in self.background:
+            for key, value in params.items():
+                if key != "profile":  # the one text parameter, an activity profile name
+                    _check_finite(f"{kind} {key}", value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,39 +141,35 @@ class SimDataset:
 # Scene activity
 # ---------------------------------------------------------------------------
 
-def gen_activity(
-    profile: str,
-    duration: int,
-    seed: int,
-    step: float = 1.0,
-    resolution: float = ACTIVITY_RESOLUTION,
-) -> ActivitySignal:
+def gen_activity(profile: str, duration: int, seed: int, step: float = 1.0) -> ActivitySignal:
     """Deterministic scene-motion signal for ``duration`` steps."""
     if duration < 1:
         raise ParameterError("duration must be >= 1")
     if profile not in ACTIVITY_PROFILES:
         raise ParameterError(f"unknown activity profile {profile!r}")
-    per = max(1, round(step / resolution))
-    n = duration * per
-    rng = np.random.default_rng(seed)
+    n = duration * max(1, round(step / ACTIVITY_RESOLUTION))
+    values = _profile_values(profile, np.random.default_rng(seed), n)
+    return ActivitySignal(resolution=ACTIVITY_RESOLUTION, values=np.clip(values, 0.0, 1.0))
+
+
+def _profile_values(profile: str, rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` unclipped samples of one activity profile."""
     if profile == "still":
-        values = rng.uniform(0.0, 0.02, n)
-    elif profile == "walking":
-        values = _walking(rng, n)
-    elif profile == "burst":
-        values = _burst(rng, n, resolution)
-    else:  # mixed: a few segments of the basic profiles
-        segments = []
-        remaining = n
-        while remaining > 0:
-            length = min(remaining, int(rng.integers(n // 6 + 1, n // 2 + 2)))
-            kind = str(rng.choice(["still", "walking", "burst"]))
-            sub = gen_activity(kind, 1, int(rng.integers(0, 2**32)), step=length * resolution,
-                               resolution=resolution)
-            segments.append(sub.values[:length])
-            remaining -= length
-        values = np.concatenate(segments)[:n]
-    return ActivitySignal(resolution=resolution, values=np.clip(values, 0.0, 1.0))
+        return rng.uniform(0.0, 0.02, n)
+    if profile == "walking":
+        return _walking(rng, n)
+    if profile == "burst":
+        return _burst(rng, n)
+    # mixed: a few segments of the basic profiles, each from its own seed
+    segments = []
+    remaining = n
+    while remaining > 0:
+        length = min(remaining, int(rng.integers(n // 6 + 1, n // 2 + 2)))
+        kind = str(rng.choice(["still", "walking", "burst"]))
+        sub = _profile_values(kind, np.random.default_rng(int(rng.integers(0, 2**32))), length)
+        segments.append(sub[:length])  # a walk shorter than its kernel comes back longer
+        remaining -= length
+    return np.concatenate(segments)
 
 
 def _walking(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -173,15 +183,15 @@ def _walking(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.convolve(folded, kernel, mode="same")
 
 
-def _burst(rng: np.random.Generator, n: int, resolution: float) -> np.ndarray:
+def _burst(rng: np.random.Generator, n: int) -> np.ndarray:
     values = np.zeros(n)
     t = float(rng.exponential(5.0))
-    horizon = n * resolution
+    horizon = n * ACTIVITY_RESOLUTION
     while t < horizon:
         length = rng.uniform(0.5, 2.0)
         magnitude = rng.uniform(0.5, 1.0)
-        i0 = int(t / resolution)
-        i1 = min(n, int((t + length) / resolution) + 1)
+        i0 = int(t / ACTIVITY_RESOLUTION)
+        i1 = min(n, int((t + length) / ACTIVITY_RESOLUTION) + 1)
         values[i0:i1] = np.maximum(values[i0:i1], magnitude)
         t += length + float(rng.exponential(6.0))
     return values
@@ -339,32 +349,20 @@ def render_scenario(scenario: SimScenario) -> SimDataset:
     )
     reference_series = bin_events(reference_events, 0.0, step, duration)
 
-    traces = []
-    for i, spy_model in enumerate(scenario.spies):
-        events = camera_traffic(scene, spy_model, step, derive_seed(scenario.seed, "spy", i))
-        traces.append(
-            LabeledTrace(
-                device_id=_device_mac(1, i),
-                kind="spy_camera",
-                spying=True,
-                events=events,
-                series=bin_events(events, 0.0, step, duration),
-            )
-        )
-    for i, (kind, params) in enumerate(scenario.background):
-        events = background_traffic(
-            kind, params, duration, derive_seed(scenario.seed, "background", i), step=step
-        )
-        traces.append(
-            LabeledTrace(
-                device_id=_device_mac(2, i),
-                kind=kind,
-                spying=False,
-                events=events,
-                series=bin_events(events, 0.0, step, duration),
-            )
-        )
-    traces.sort(key=lambda tr: tr.device_id)
+    devices = [
+        (_device_mac(1, i), "spy_camera", True,
+         camera_traffic(scene, model, step, derive_seed(scenario.seed, "spy", i)))
+        for i, model in enumerate(scenario.spies)
+    ] + [
+        (_device_mac(2, i), kind, False,
+         background_traffic(kind, params, duration, derive_seed(scenario.seed, "background", i), step=step))
+        for i, (kind, params) in enumerate(scenario.background)
+    ]
+    traces = sorted(
+        (LabeledTrace(device_id, kind, spying, events, bin_events(events, 0.0, step, duration))
+         for device_id, kind, spying, events in devices),
+        key=lambda tr: tr.device_id,
+    )
 
     manifest = {
         "scenario": scenario_to_dict(scenario),
@@ -381,48 +379,54 @@ def render_scenario(scenario: SimScenario) -> SimDataset:
 # ---------------------------------------------------------------------------
 
 _GATEWAY_MAC = bytes.fromhex("0200000000fe")
-
-
-def _mac_bytes(device_id: DeviceId) -> bytes:
-    return bytes.fromhex(device_id.value.replace(":", ""))
-
-
-def _ethernet_frame(src: bytes, on_wire: int, ip_index: int) -> bytes:
-    # 14B ethernet + 20B IPv4 header + zero fill; total == on_wire.
-    eth = _GATEWAY_MAC + src + struct.pack(">H", 0x0800)
-    ip = struct.pack(
-        ">BBHHHBBH4s4s",
-        0x45, 0, on_wire - 14, 0, 0, 64, 17, 0,
-        bytes([10, 0, 0, min(ip_index + 1, 253)]),
-        bytes([10, 0, 0, 254]),
-    )
-    return eth + ip + bytes(on_wire - 34)
-
-
 _RADIOTAP_HEADER = struct.pack("<BBHI", 0, 0, 8, 0)
+_LINK_TYPES = {"ethernet": LinkType.ETHERNET, "radiotap": LinkType.IEEE80211_RADIOTAP}
+SNAPLEN = 65535
 
 
-def _radiotap_frame(src: bytes, transmitted: int) -> bytes:
-    # Minimal radiotap header + 24B 802.11 data header (to-DS) + zero fill.
-    dot11 = bytes([0x08, 0x01]) + bytes(2) + _GATEWAY_MAC + src + _GATEWAY_MAC + bytes(2)
-    return _RADIOTAP_HEADER + dot11 + bytes(transmitted - len(dot11))
+def _frame_heads(traces: Sequence[LabeledTrace], link_type: LinkType) -> np.ndarray:
+    """One uint8 row per trace: its fixed frame head.  Ethernet is the
+    Ethernet header plus an IPv4 header from 10.0.0.min(i + 1, 253) with
+    total length 0; radiotap is the radiotap plus to-DS 802.11 header."""
+    rows = []
+    for i, tr in enumerate(traces):
+        src = bytes.fromhex(tr.device_id.value.replace(":", ""))
+        if link_type is LinkType.ETHERNET:
+            ip = bytes([0x45, 0, 0, 0, 0, 0, 0, 0, 64, 17, 0, 0,  # UDP, TTL 64, lengths and checksum 0
+                        10, 0, 0, min(i + 1, 253), 10, 0, 0, 254])
+            rows.append(_GATEWAY_MAC + src + ETHERTYPE_IPV4.to_bytes(2, "big") + ip)
+        else:
+            rows.append(_RADIOTAP_HEADER + b"\x08\x01\0\0" + _GATEWAY_MAC + src + _GATEWAY_MAC + b"\0\0")
+    return np.frombuffer(b"".join(rows), np.uint8).reshape(len(traces), -1)
+
+
+def _record_times(time: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whole seconds and rounded microseconds of each frame time, or
+    ParameterError for a time outside a classic pcap's u32 seconds."""
+    fits = (time >= 0) & (time < 2**32)  # False for NaN
+    if fits.all():
+        sec = time.astype(np.int64)
+        usec = np.round((time - sec) * 1e6).astype(np.int64)
+        sec += usec // 1_000_000  # a time that rounds up to the next second
+        usec %= 1_000_000
+        fits = sec < 2**32
+    if not fits.all():
+        raise ParameterError(f"frame time {float(time[~fits][0])} s is outside a classic pcap's [0, 2**32) s")
+    return sec, usec
 
 
 def write_pcap(dataset: SimDataset, link: str = "ethernet") -> bytes:
-    """Serialize a dataset's events as a classic pcap.
+    """Serialize a dataset's events as a classic microsecond pcap.
 
-    Frame lengths are chosen so reading the file back through the pcap
-    module's default byte basis reproduces each device's bins exactly.
+    Record headers and each device's fixed frame head are scattered into
+    a zero-filled buffer, so every frame body is zero fill.  Frame lengths
+    are chosen so reading the file back through the pcap module's default
+    byte basis reproduces each device's bins exactly.  Frame times must
+    lie in [0, 2**32) s.
     """
-    if link == "ethernet":
-        link_type = LinkType.ETHERNET
-    elif link == "radiotap":
-        link_type = LinkType.IEEE80211_RADIOTAP
-    else:
+    if link not in _LINK_TYPES:
         raise ParameterError(f"link must be 'ethernet' or 'radiotap', got {link!r}")
-
-    out = bytearray()
-    out += struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, int(link_type))
+    link_type = _LINK_TYPES[link]
 
     traces = dataset.traces
     events = np.concatenate([tr.events for tr in traces])
@@ -434,26 +438,27 @@ def write_pcap(dataset: SimDataset, link: str = "ethernet") -> bytes:
     # trace order, then event order.
     _, rank = np.unique([str(tr.device_id) for tr in traces], return_inverse=True)
     order = np.lexsort((rank[dev_index], events["timestamp"]))
-    sources = [_mac_bytes(tr.device_id) for tr in traces]
 
-    for timestamp, dev, size in zip(
-        events["timestamp"][order].tolist(),
-        dev_index[order].tolist(),
-        events["byte_count"][order].tolist(),
-    ):
-        if link_type is LinkType.ETHERNET:
-            frame = _ethernet_frame(sources[dev], size, dev)
-            on_wire = size
-        else:
-            frame = _radiotap_frame(sources[dev], size)
-            on_wire = size + len(_RADIOTAP_HEADER)
-        ts_sec = int(timestamp)
-        ts_usec = round((timestamp - ts_sec) * 1e6)
-        if ts_usec == 1_000_000:
-            ts_sec, ts_usec = ts_sec + 1, 0
-        out += struct.pack("<IIII", ts_sec, ts_usec, len(frame), on_wire)
-        out += frame
-    return bytes(out)
+    sec, usec = _record_times(events["timestamp"][order])
+    size = events["byte_count"][order]
+    frame_len = size if link_type is LinkType.ETHERNET else size + len(_RADIOTAP_HEADER)
+    if frame_len.max(initial=0) > SNAPLEN:
+        raise ParameterError(f"frame of {frame_len.max()} bytes is longer than the {SNAPLEN}-byte snaplen")
+    heads = _frame_heads(traces, link_type)
+    block = np.empty((len(order), RECORD_HEADER_LEN + heads.shape[1]), np.uint8)
+    header = np.stack([sec, usec, frame_len, frame_len], axis=1).astype("<u4")
+    block[:, :RECORD_HEADER_LEN] = header.view(np.uint8)
+    block[:, RECORD_HEADER_LEN:] = heads[dev_index[order]]
+    if link_type is LinkType.ETHERNET:  # IPv4 total length, 2 bytes into the IP header
+        ip_len = (size - 14).astype(">u2")
+        block[:, RECORD_HEADER_LEN + 16 : RECORD_HEADER_LEN + 18] = ip_len[:, None].view(np.uint8)
+
+    record_len = RECORD_HEADER_LEN + frame_len
+    out = np.zeros(GLOBAL_HEADER_LEN + int(record_len.sum()), np.uint8)
+    out[:GLOBAL_HEADER_LEN] = list(struct.pack("<IHHiIII", MAGIC_MICROS, 2, 4, 0, 0, SNAPLEN, link_type))
+    start = GLOBAL_HEADER_LEN + np.cumsum(record_len) - record_len
+    out[start[:, None] + np.arange(block.shape[1])] = block
+    return out.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +490,9 @@ def scenario_from_dict(data: Mapping) -> SimScenario:
             step=float(data.get("step", 1.0)),
             activity_profile=str(data.get("activity_profile", "walking")),
         )
-    except (KeyError, TypeError) as exc:
+    except ParameterError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"bad scenario config: {exc}") from exc
 
 
@@ -565,15 +572,7 @@ def regime_scenario(regime: str, seed: int, duration: int = 60, n_background: in
     else:
         raise ParameterError(f"unknown regime {regime!r}")
     base = easy_scenario(seed, duration=duration, n_background=n_background)
-    return SimScenario(
-        duration=duration,
-        seed=seed,
-        reference=base.reference,
-        spies=(spy,),
-        background=base.background,
-        tags=frozenset({f"regime={regime}"}),
-        activity_profile="walking",
-    )
+    return replace(base, spies=(spy,), tags=frozenset({f"regime={regime}"}))
 
 
 PRESETS = {

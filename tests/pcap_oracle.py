@@ -1,4 +1,5 @@
-"""Per-record pcap reader and frame attribution, the reference for tests.
+"""Per-record pcap reader, frame attribution and per-frame pcap writer,
+the reference for tests.
 
 One ``struct`` read and one Python decision per frame: slow, but each
 rule is a plain ``if``, so the columnar reader and attribution in
@@ -257,3 +258,31 @@ def extract_device_series(
     if counters is not None:
         counters.update(drops)
     return streams
+
+
+def write_pcap(dataset, link: str = "ethernet") -> bytes:
+    """The capture ``simobs.simulate.write_pcap`` must write, built one
+    ``struct``-packed record and frame at a time."""
+    link_type = {"ethernet": LinkType.ETHERNET, "radiotap": LinkType.IEEE80211_RADIOTAP}[link]
+    gateway = bytes.fromhex("0200000000fe")
+    radiotap = struct.pack("<BBHI", 0, 0, 8, 0)
+    frames = sorted((
+        (float(ts), str(tr.device_id), dev, int(size))
+        for dev, tr in enumerate(dataset.traces) for ts, size in tr.events.tolist()
+    ), key=lambda frame: frame[:2])  # stable: equal (time, id) keeps trace, then event order
+    out = struct.pack("<IHHiIII", MAGIC_MICROS, 2, 4, 0, 0, 65535, int(link_type))
+    for ts, device_id, dev, size in frames:
+        src = bytes.fromhex(device_id.replace(":", ""))
+        if link_type is LinkType.ETHERNET:
+            ip = struct.pack(">BBHHHBBH4s4s", 0x45, 0, size - 14, 0, 0, 64, 17, 0,
+                             bytes([10, 0, 0, min(dev + 1, 253)]), bytes([10, 0, 0, 254]))
+            frame = gateway + src + struct.pack(">H", ETHERTYPE_IPV4) + ip + bytes(size - 34)
+        else:
+            dot11 = bytes([0x08, 0x01, 0, 0]) + gateway + src + gateway + bytes(2)
+            frame = radiotap + dot11 + bytes(size - len(dot11))
+        sec = int(ts)
+        usec = round((ts - sec) * 1e6)
+        if usec == 1_000_000:
+            sec, usec = sec + 1, 0
+        out += struct.pack("<IIII", sec, usec, len(frame), len(frame)) + frame
+    return out

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from conftest import (
 )
 from simobs import simulate
 from simobs.cli import main
+from simobs.pcap import GLOBAL_HEADER_LEN, DeviceId
 from simobs.similarity import MEASURES, read_report_json
+from simobs.timeseries import bin_events, event_array
 
 
 def run(args):
@@ -266,6 +269,63 @@ class TestSimilarityGoldenBytes:
             assert run(["converge", *argv, "--out", str(out)]) == 0
             digests[name] = self._digest(out)
         assert digests == self.CONVERGE
+
+
+def _carry_dataset() -> simulate.SimDataset:
+    """Two devices whose frames share times, some rounding up to the next
+    whole second."""
+    traces = []
+    for i, (times, sizes) in enumerate([([0.5, 1.9999996, 3.0000004], [64, 1500, 700]),
+                                        ([1.9999996, 1.9999996, 2.9999995], [100, 64, 1400])]):
+        events = event_array(times, sizes)
+        traces.append(simulate.LabeledTrace(DeviceId("mac", f"02:00:00:00:01:0{2 - i}"), "spy_camera", True,
+                                            events, bin_events(events, 0.0, 1.0, 4)))
+    return simulate.SimDataset(traces[0].series, tuple(traces), {})
+
+
+class TestCaptureGoldenBytes:
+    """sha256 of simulated captures, as the per-frame writer built them."""
+
+    EASY3 = {
+        "ethernet": "8a5a7459befc3306a928470cfd789ca1c7569e5b9422416189bd18c3461fac6d",
+        "radiotap": "8191a148d5f4e9d9da7ab12624c053aa592472d631b146ee12d9329e4b18d12a",
+    }
+    EASY70_5 = {
+        "ethernet": "38049d57112a88779cd26d282bab07a403abe278d82bfc091db3aa0571e92d7d",
+        "radiotap": "703b7340854c14aee63998e1ca8bda345016561353e4bfc51f7c130e638fc854",
+    }
+    CARRY = {
+        "ethernet": "1f0e53b456a7b37a362fbcce1ab1ca7f9e192aefd2c7ffea1832df75dcc1beda",
+        "radiotap": "1a9e7dd0f3d07555e1ee9942ec2f27d5f109bf31abc61313a20a6e9eed159c70",
+    }
+
+    @pytest.mark.parametrize("link", ["ethernet", "radiotap"])
+    def test_simulate_pcap_out(self, link, tmp_path):
+        capture = tmp_path / "capture.pcap"
+        assert run(["simulate", "--preset", "easy", "--seed", "3", "--link", link,
+                    "--out-dir", str(tmp_path / "scene"), "--pcap-out", str(capture)]) == 0
+        assert hashlib.sha256(capture.read_bytes()).hexdigest() == self.EASY3[link]
+
+    @pytest.mark.parametrize("link", ["ethernet", "radiotap"])
+    def test_easy70_in_time_windows(self, link):
+        """The 1.85 GB easy70 capture, hashed from one write per ten-second
+        window: every window keeps all traces, so its records are the
+        whole capture's records of that window, heads and order included."""
+        dataset = simulate.render_scenario(simulate.preset_scenario("easy70", 5))
+        digest = hashlib.sha256()
+        for lo in range(0, 60, 10):
+            hi = math.inf if lo == 50 else lo + 10
+            window = tuple(replace(tr, events=tr.events[(tr.events["timestamp"] >= lo)
+                                                         & (tr.events["timestamp"] < hi)])
+                           for tr in dataset.traces)
+            data = simulate.write_pcap(replace(dataset, traces=window), link=link)
+            digest.update(data if lo == 0 else data[GLOBAL_HEADER_LEN:])
+        assert digest.hexdigest() == self.EASY70_5[link]
+
+    @pytest.mark.parametrize("link", ["ethernet", "radiotap"])
+    def test_microsecond_carry(self, link):
+        data = simulate.write_pcap(_carry_dataset(), link=link)
+        assert hashlib.sha256(data).hexdigest() == self.CARRY[link]
 
 
 @pytest.fixture
@@ -794,6 +854,30 @@ class TestNonFiniteNumbers:
         code = run(argv + ["--thresholds", f"kld={threshold}", "--out", str(out)])
         self._one_line_error(code, 2, out, capsys)
 
+    @pytest.mark.parametrize("key, value", [
+        (("spies", 0, "delay"), math.nan),
+        (("spies", 0, "delay"), -0.9),  # frames before the epoch
+        (("spies", 0, "delay"), 5e9),  # frames past 2**32 s
+        (("spies", 0, "noise_std"), math.nan),
+        (("reference", "idle_bytes_per_step"), math.inf),
+        (("step",), math.nan),
+        (("background", 7, 1, "ramp_steps"), "x"),
+    ], ids=["delay-nan", "delay-negative", "delay-past-2**32", "noise_std-nan", "idle_bytes_per_step-inf",
+            "step-nan", "ramp_steps-text"])
+    def test_scenario_number(self, key, value, tmp_path, capsys):
+        config = simulate.scenario_to_dict(simulate.easy_scenario(seed=1, duration=10))
+        *parents, last = key
+        target = config
+        for part in parents:
+            target = target[part]
+        target[last] = value
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(config))  # NaN and Infinity as Python's json writes them
+        code = run(["simulate", "--scenario", str(scenario), "--out-dir", str(tmp_path / "sim"),
+                    "--pcap-out", str(tmp_path / "capture.pcap")])
+        self._one_line_error(code, 2, tmp_path / "sim", capsys)
+        assert list(tmp_path.iterdir()) == [scenario]
+
     def test_repeated_device_id(self, scene, tmp_path, capsys):
         lines = (scene / "devices.csv").read_text().splitlines()
         ids = lines[2].split(",")
@@ -857,15 +941,20 @@ class TestCliFuzz:
                         ["train", "--samples", "FILE", "--layers", "2", "--max-iter", "10", "--out", "OUT"]),
             "model": (d / "model.json",
                       ["classify", "--report", str(d / "report.json"), "--model", "FILE", "--out", "OUT"]),
-            "scenario": (d / "scenario.json", ["simulate", "--scenario", "FILE", "--out-dir", "OUT"]),
+            "scenario": (d / "scenario.json", ["simulate", "--scenario", "FILE", "--out-dir", "OUT",
+                                               "--pcap-out", "OUT/capture.pcap"]),
         }
+
+    # Each input's own mutant seed, so adding an input leaves the others' mutants as they are.
+    SEEDS = {"devices": 0, "manifest": 1, "model": 2, "mp4": 3, "pcap": 4, "reference": 5, "report": 6,
+             "samples": 7, "scenario": 8, "similarity_csv": 9}
 
     @pytest.mark.parametrize("name", ["pcap", "mp4", "reference", "devices", "manifest", "report",
                                       "samples", "model", "scenario", "similarity_csv"])
     def test_mutated_input(self, name, inputs, tmp_path, capsys):
         path, argv = inputs[name]
         base = path.read_bytes()
-        rng = np.random.default_rng(sorted(inputs).index(name))
+        rng = np.random.default_rng(self.SEEDS[name])
         mutants = [base[:cut] for cut in rng.integers(0, len(base), self.TRUNCATIONS)]
         for pos, mask in zip(rng.integers(0, len(base), self.FLIPS), rng.integers(1, 256, self.FLIPS)):
             mutant = bytearray(base)
@@ -877,7 +966,7 @@ class TestCliFuzz:
             data = tmp_path / f"input{i}"
             data.write_bytes(mutant)
             out = tmp_path / f"out{i}"
-            args = [str(data) if a == "FILE" else str(out) if a == "OUT" else a for a in argv]
+            args = [str(data) if a == "FILE" else str(out) + a[3:] if a.startswith("OUT") else a for a in argv]
             try:
                 code = run(args)
             except Exception as exc:  # a traceback: record it with the mutant that caused it

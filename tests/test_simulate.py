@@ -1,19 +1,23 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import pcap_oracle
 from pcap_oracle import records_of, transmitter_of
 from simobs.errors import ParameterError
-from simobs.pcap import extract_device_series, read_pcap
+from simobs.pcap import DeviceId, extract_device_series, read_pcap
 from simobs.similarity import gaussian_kld, pearson_cc
 from simobs.simulate import (
     MIN_FRAME,
     MTU,
     ActivitySignal,
     CameraModel,
+    LabeledTrace,
+    SimDataset,
     SimScenario,
     background_traffic,
     camera_traffic,
@@ -29,7 +33,7 @@ from simobs.simulate import (
     scenario_to_dict,
     write_pcap,
 )
-from simobs.timeseries import bin_events, min_max_normalize
+from simobs.timeseries import bin_events, event_array, min_max_normalize
 
 
 class TestGenActivity:
@@ -285,6 +289,44 @@ class TestWritePcap:
         data = write_pcap(dataset)
         assert len(data) == 24
         assert list(read_pcap(data)) == []
+
+    @staticmethod
+    def _with_extra_frame(time: float, size: int):
+        dataset = render_scenario(easy_scenario(seed=1, duration=10, n_background=1))
+        trace = dataset.traces[0]
+        events = event_array(np.append(trace.events["timestamp"], time),
+                             np.append(trace.events["byte_count"], size))
+        return replace(dataset, traces=(replace(trace, events=events), *dataset.traces[1:]))
+
+    @pytest.mark.parametrize("time", [-1e-6, math.nan, math.inf, 2.0**32, np.nextafter(2.0**32, 0)])
+    @pytest.mark.parametrize("link", ["ethernet", "radiotap"])
+    def test_time_outside_classic_pcap(self, time, link):
+        # the last time rounds up to 2**32 s, one past the largest u32 second
+        with pytest.raises(ParameterError, match="classic pcap"):
+            write_pcap(self._with_extra_frame(time, 100), link=link)
+
+    @pytest.mark.parametrize("link, size", [("ethernet", 65_536), ("radiotap", 65_528)])
+    def test_frame_longer_than_snaplen(self, link, size):
+        write_pcap(self._with_extra_frame(1.0, size - 1), link=link)
+        with pytest.raises(ParameterError, match="snaplen"):
+            write_pcap(self._with_extra_frame(1.0, size), link=link)
+
+    @pytest.mark.parametrize("link", ["ethernet", "radiotap"])
+    def test_equals_per_frame_writer(self, link):
+        """Device sets in shuffled id order, with silent devices, more
+        devices than IPv4 host numbers, shared frame times and times
+        that round up to the next second."""
+        rng = np.random.default_rng(7)
+        times = np.array([0.0, 0.5, 1.9999996, 2.0, 2.9999995, 7.25, 4e9])
+        for n_devices in (1, 3, 40, 260):
+            traces = []
+            for i in rng.permutation(n_devices):
+                n = int(rng.integers(0, 6))
+                events = event_array(rng.choice(times, n), rng.integers(MIN_FRAME, MTU + 1, n))
+                traces.append(LabeledTrace(DeviceId("mac", f"02:00:00:00:{i // 256:02x}:{i % 256:02x}"),
+                                           "cbr", False, events, bin_events(events, 0.0, 1.0, 8)))
+            dataset = SimDataset(traces[0].series, tuple(traces), {})
+            assert write_pcap(dataset, link=link) == pcap_oracle.write_pcap(dataset, link=link)
 
     def test_deterministic_bytes(self):
         dataset = render_scenario(easy_scenario(seed=8))
