@@ -86,24 +86,9 @@ def measure_values(vectors: Sequence[SimilarityVector], measure: str) -> tuple[n
     return np.array([math.nan if v is None else v for v in raw], dtype=np.float64), undefined
 
 
-def _imputed_values(vectors: Sequence[SimilarityVector], measure: str) -> np.ndarray:
-    """The measure's column with undefined slots filled by their stand-in;
-    kld is also capped so near-degenerate candidates cannot blow up
-    feature scaling."""
-    values, undefined = measure_values(vectors, measure)
-    values[undefined] = IMPUTED_VALUES[measure]
-    return np.minimum(values, KLD_FEATURE_CAP) if measure == "kld" else values
-
-
 def _sign(measure: str) -> int:
     """Spy iff sign * value <= sign * threshold."""
     return -1 if DIRECTION_BY_MEASURE[measure] == "spy_if_at_least" else 1
-
-
-def _spy_mask(values: np.ndarray, measure: str, threshold: float) -> np.ndarray:
-    """Threshold verdicts of a measure's values, in its direction; NaN is not spy."""
-    sign = _sign(measure)
-    return sign * values <= sign * threshold
 
 
 def threshold_classify(sv: SimilarityVector, cfg: ThresholdConfig) -> bool:
@@ -160,16 +145,19 @@ def evaluate(predictions: Sequence[bool], labels: Sequence[bool]) -> Metrics:
 def sweep_threshold(samples: Sequence[LabeledSample], measure: str) -> tuple[float, float]:
     """Best F1 threshold for one measure over a labeled corpus.
 
-    Candidates are midpoints between consecutive distinct values plus
-    +-inf sentinels; ties break toward the threshold admitting fewer
-    positives.
+    Candidates are midpoints between consecutive distinct defined values
+    plus +-inf sentinels; ties break toward the threshold admitting fewer
+    positives.  As in ``verdicts``, an undefined or NaN value is never
+    spy, so an undefined spy counts as a miss at every candidate.
     """
     if measure not in MEASURES:
         raise ParameterError(f"unknown measure {measure!r}")
     labels = np.array([s.label for s in samples], dtype=bool)
     if labels.all() or not labels.any():
         raise ClassImbalanceError("sweep needs both classes present")
-    values = _imputed_values([s.features for s in samples], measure)
+    values = measure_values([s.features for s in samples], measure)[0]
+    defined = ~np.isnan(values)  # the rest are never spy
+    values, spies = values[defined], labels[defined]
     distinct = np.unique(values)
     candidates = np.concatenate(([-math.inf], (distinct[:-1] + distinct[1:]) / 2, [math.inf]))
     # One ascending sort of sign * value counts the positives of every
@@ -178,7 +166,7 @@ def sweep_threshold(samples: Sequence[LabeledSample], measure: str) -> tuple[flo
     candidates = candidates[::sign]
     order = np.argsort(sign * values)
     n_spy = np.searchsorted(sign * values[order], sign * candidates, side="right")
-    tp = np.concatenate(([0], np.cumsum(labels[order])))[n_spy]
+    tp = np.concatenate(([0], np.cumsum(spies[order])))[n_spy]
     precision = np.divide(tp, n_spy, out=np.zeros(len(tp)), where=n_spy > 0)
     recall = tp / labels.sum()
     f1 = np.divide(2 * precision * recall, precision + recall, out=np.zeros(len(tp)), where=tp > 0)
@@ -207,10 +195,17 @@ class MlpModel:
 
 
 def feature_matrix(vectors: Sequence[SimilarityVector], subset: Sequence[str]) -> np.ndarray:
-    """Measures plus per-measure undefined indicators, one row per vector."""
+    """Measures plus per-measure undefined indicators, one row per vector.
+
+    An undefined measure takes its stand-in, and kld is capped so
+    near-degenerate candidates cannot blow up feature scaling.
+    """
     x = np.empty((len(vectors), 2 * len(subset)))
     for j, m in enumerate(subset):
-        x[:, j], x[:, len(subset) + j] = _imputed_values(vectors, m), measure_values(vectors, m)[1]
+        values, undefined = measure_values(vectors, m)
+        values[undefined] = IMPUTED_VALUES[m]
+        x[:, j] = np.minimum(values, KLD_FEATURE_CAP) if m == "kld" else values
+        x[:, len(subset) + j] = undefined
     return x
 
 
@@ -366,10 +361,12 @@ def mlp_verdicts(model: MlpModel, samples: Sequence[LabeledSample]) -> list[bool
 
 def verdicts(vectors: Sequence[SimilarityVector], classifier: MlpModel | ThresholdConfig) -> np.ndarray:
     """Spy verdict of every vector: a spy probability of at least 0.5 under
-    a model, or the threshold test, where an undefined measure is not spy."""
+    a model, or the threshold test in the measure's direction, where an
+    undefined or NaN measure is not spy."""
     if isinstance(classifier, MlpModel):
         return mlp_probabilities(classifier, vectors) >= 0.5
-    return _spy_mask(measure_values(vectors, classifier.measure)[0], classifier.measure, classifier.threshold)
+    sign = _sign(classifier.measure)
+    return sign * measure_values(vectors, classifier.measure)[0] <= sign * classifier.threshold
 
 
 def save_model(model: MlpModel, out: TextIO) -> None:
@@ -604,9 +601,9 @@ def portability_matrix(
     Tags of the form ``<partition_tag>=<value>`` split the corpus; the
     matrix rows are training sets (A, B, both) and columns test sets.
     Each cell sweeps the threshold of the measure ``trainer`` on its
-    training set and scores it on its test set.  Diagonal cells use a
-    held-out half; off-diagonal cells train and test on the full
-    partitions, as is conventional for portability studies.
+    training set and scores its ``verdicts`` on its test set.  Diagonal
+    cells use a held-out half; off-diagonal cells train and test on the
+    full partitions, as is conventional for portability studies.
     """
     if trainer not in MEASURES:
         raise ParameterError(f"trainer must be a measure name, got {trainer!r}")
@@ -629,9 +626,8 @@ def portability_matrix(
                 train, test = _holdout_split(parts[train_name], seed)
             else:
                 train, test = parts[train_name], parts[test_name]
-            threshold, _ = sweep_threshold(train, trainer)
-            preds = _spy_mask(_imputed_values([s.features for s in test], trainer), trainer, threshold)
-            matrix[i, j] = evaluate(preds, [s.label for s in test]).f1
+            cfg = ThresholdConfig(trainer, sweep_threshold(train, trainer)[0])
+            matrix[i, j] = evaluate(verdicts([s.features for s in test], cfg), [s.label for s in test]).f1
     return order, matrix
 
 

@@ -68,6 +68,12 @@ def _load_samples(path: str) -> list[cls.LabeledSample]:
 def cmd_extract(args) -> int:
     if bool(args.pcap) == bool(args.video):
         raise ParameterError("give exactly one of --pcap or --video")
+    if args.video:  # the pcap window and device flags default to None, so a given one shows
+        pcap_flags = (("--window", args.window), ("--start", args.start), ("--group-by", args.group_by),
+                      ("--include-non-data", args.include_non_data))
+        given = [flag for flag, value in pcap_flags if value is not None]
+        if given:
+            raise ParameterError(f"--video reads the whole track; drop {', '.join(given)}")
     if args.pcap:
         drops: dict = {}
         with open(args.pcap, "rb") as fh:
@@ -75,9 +81,9 @@ def cmd_extract(args) -> int:
                 pcap.read_pcap(fh),
                 start=args.start,
                 step=args.step,
-                n_steps=args.window,
-                group_by=args.group_by,
-                include_non_data=args.include_non_data,
+                n_steps=DEFAULT_WINDOW if args.window is None else args.window,
+                group_by=args.group_by or "mac",
+                include_non_data=bool(args.include_non_data),
                 counters=drops,
             )
         if not streams:
@@ -111,6 +117,8 @@ def _manifest_labels(manifest) -> tuple[list, dict[str, tuple[bool, list]]]:
 
 
 def cmd_analyze(args) -> int:
+    if args.manifest and args.format is not None:
+        raise ParameterError("--manifest always writes JSON samples; drop --format")
     reference = _read_series(args.reference)
     with open(args.devices) as fh:
         devices = pcap.read_devices_csv(fh)
@@ -136,10 +144,10 @@ def cmd_analyze(args) -> int:
                 }
             )
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    elif args.format == "csv":
-        text = _render(similarity.write_report_csv, rows)
-    else:
+    elif args.format == "json":
         text = _render(similarity.write_report_json, rows)
+    else:
+        text = _render(similarity.write_report_csv, rows)
     _write_text(args.out, text)
     return 0
 
@@ -174,7 +182,7 @@ def cmd_classify(args) -> int:
             columns[f"spy_{cfg.measure}"] = cls.verdicts(vectors, cfg).tolist()
             undefined = cls.measure_values(vectors, cfg.measure)[1]
             columns[f"indeterminate_{cfg.measure}"] = np.where(undefined, True, None).tolist()
-    _write_text(args.out, _verdict_table([device_id for device_id, _ in rows], columns, args.format))
+    _write_text(args.out, _verdict_table([device_id for device_id, _ in rows], columns, args.format or "csv"))
     return 0
 
 
@@ -243,6 +251,8 @@ def _scenario_from_args(args) -> simulate.SimScenario:
 
 
 def cmd_simulate(args) -> int:
+    if args.link is not None and not args.pcap_out:
+        raise ParameterError("--link sets the capture's link type; give --pcap-out too")
     dataset = simulate.render_scenario(_scenario_from_args(args))
     devices = [(tr.device_id, tr.series) for tr in dataset.traces]
     outputs = {
@@ -250,7 +260,7 @@ def cmd_simulate(args) -> int:
         "devices.csv": _render(pcap.write_devices_csv, devices),
         "manifest.json": json.dumps(dataset.manifest, indent=2, sort_keys=True) + "\n",
     }
-    capture = simulate.write_pcap(dataset, link=args.link) if args.pcap_out else None
+    capture = simulate.write_pcap(dataset, link=args.link or "ethernet") if args.pcap_out else None
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in outputs.items():
@@ -336,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default="-", help="output path ('-' for stdout)")
     fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", choices=("csv", "json"), default="csv")
+    fmt.add_argument("--format", choices=("csv", "json"), help="output format (default: csv)")
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=0, help="seed for every stochastic path")
     scene = argparse.ArgumentParser(add_help=False)
@@ -349,12 +359,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", parents=[out], help="byte series from a pcap or MP4 file")
     p.add_argument("--step", type=float, default=DEFAULT_STEP, help="time step in seconds")
-    p.add_argument("--window", type=int, default=DEFAULT_WINDOW, help="window length in steps")
+    p.add_argument("--window", type=int, help=f"pcap window length in steps (default: {DEFAULT_WINDOW})")
     p.add_argument("--pcap")
     p.add_argument("--video")
-    p.add_argument("--group-by", choices=("mac", "ip"), default="mac")
-    p.add_argument("--include-non-data", action="store_true")
-    p.add_argument("--start", type=float, default=None, help="window start (defaults to first packet)")
+    p.add_argument("--group-by", choices=("mac", "ip"), help="pcap device key (default: mac)")
+    p.add_argument("--include-non-data", action="store_true", default=None)
+    p.add_argument("--start", type=float, help="pcap window start (default: the first packet)")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("analyze", parents=[out, fmt], help="similarity of each device to the reference")
@@ -390,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", parents=[scene], help="render a synthetic labeled dataset")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--pcap-out", help="also write the dataset as a pcap")
-    p.add_argument("--link", choices=("ethernet", "radiotap"), default="ethernet")
+    p.add_argument("--link", choices=("ethernet", "radiotap"), help="capture link type (default: ethernet)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("converge", parents=[out, scene], help="metrics at every prefix length")

@@ -58,8 +58,7 @@ class SimilarityVector:
 
 # One kernel per measure: each scores a reference row x against every row
 # of a (D, T) stack ys and returns D values.  similarity_vectors and the
-# per-pair pearson_cc, gaussian_kld and jsd share them; dtw_distance keeps
-# a plain-list DP (see there).
+# per-pair pearson_cc, dtw_distance, gaussian_kld and jsd share them.
 
 def _cc_rows(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
     # Per-row dot products go through matmul on (D, 1, T) stacks, which
@@ -105,16 +104,16 @@ def _kld_rows(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
     ])
 
 
-def _jsd_rows(p: np.ndarray, qs: np.ndarray) -> np.ndarray:
-    # ``p`` is one row or one row per row of ``qs``; every row needs a
-    # positive sum.  0 * log 0 := 0, so each half sums only a row's
-    # positive terms, and sums them as one 1-D run: a sum over the whole
-    # row with zeros in their place rounds differently.
-    p = p / p.sum(axis=-1, keepdims=True)
+def _jsd_rows(ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    # Row i of ``ps`` against row i of ``qs``; every row needs a positive
+    # sum.  0 * log 0 := 0, so each half sums only a row's positive terms,
+    # and sums them as one 1-D run: a sum over the whole row with zeros in
+    # their place rounds differently.
+    p = ps / ps.sum(axis=1, keepdims=True)
     q = qs / qs.sum(axis=1, keepdims=True)
     m = 0.5 * (p + q)
     halves = []
-    for r in (np.broadcast_to(p, m.shape), q):
+    for r in (p, q):
         nz = r > 0
         terms = r[nz] * np.log(r[nz] / m[nz])
         halves.append(np.array([t.sum() for t in np.split(terms, np.cumsum(nz.sum(axis=1))[:-1])]))
@@ -141,28 +140,11 @@ def dtw_distance(a, b) -> float:
     Full dynamic program over {match, insert, delete} moves, no band
     constraint, not normalized by path length.
     """
-    x = np.asarray(a, dtype=np.float64).tolist()
-    y = np.asarray(b, dtype=np.float64).tolist()
-    if not x or not y:
+    x = np.asarray(a, dtype=np.float64)
+    y = np.asarray(b, dtype=np.float64)
+    if x.size < 1 or y.size < 1:
         raise ParameterError("dtw_distance needs non-empty series")
-    # A plain-list DP, not a one-row call of _dtw_rows: on a 6 x 6 pair
-    # this scan takes 16 us, _dtw_rows 108 us, and even four in-place numpy
-    # calls per row 34 us (2-core x86 host); the exhaustive DTW oracle
-    # check makes 1.2 M such calls under a 30 s bound.
-    inf = math.inf
-    m = len(y)
-    prev = [0.0] + [inf] * m
-    for xi in x:
-        cur = [inf] * (m + 1)
-        for j in range(1, m + 1):
-            best = prev[j]
-            if prev[j - 1] < best:
-                best = prev[j - 1]
-            if cur[j - 1] < best:
-                best = cur[j - 1]
-            cur[j] = abs(xi - y[j - 1]) + best
-        prev = cur
-    return prev[m]
+    return float(_dtw_rows(x, y[None])[0])
 
 
 def gaussian_kld(a, b) -> float:
@@ -195,7 +177,7 @@ def jsd(a, b) -> float:
         raise ParameterError("jsd inputs must be non-negative")
     if p.sum() <= 0 or q.sum() <= 0:
         raise UndefinedDistributionError("zero-sum series has no distribution")
-    return float(_jsd_rows(p, q[None])[0])
+    return float(_jsd_rows(p[None], q[None])[0])
 
 
 def similarity_vectors(reference: ByteSeries, candidates: Sequence[ByteSeries]) -> list[SimilarityVector]:

@@ -166,8 +166,7 @@ def _profile_values(profile: str, rng: np.random.Generator, n: int) -> np.ndarra
     while remaining > 0:
         length = min(remaining, int(rng.integers(n // 6 + 1, n // 2 + 2)))
         kind = str(rng.choice(["still", "walking", "burst"]))
-        sub = _profile_values(kind, np.random.default_rng(int(rng.integers(0, 2**32))), length)
-        segments.append(sub[:length])  # a walk shorter than its kernel comes back longer
+        segments.append(_profile_values(kind, np.random.default_rng(int(rng.integers(0, 2**32))), length))
         remaining -= length
     return np.concatenate(segments)
 
@@ -180,7 +179,9 @@ def _walking(rng: np.random.Generator, n: int) -> np.ndarray:
     z = np.mod(raw - lo, 2 * width)
     folded = lo + width - np.abs(z - width)
     kernel = np.ones(12) / 12
-    return np.convolve(folded, kernel, mode="same")
+    # The centred n samples of the full convolution: mode="same" would
+    # return 12 when n < 12.
+    return np.convolve(folded, kernel, "full")[5 : 5 + n]
 
 
 def _burst(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -415,8 +416,9 @@ def _record_times(time: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sec, usec
 
 
-def write_pcap(dataset: SimDataset, link: str = "ethernet") -> bytes:
-    """Serialize a dataset's events as a classic microsecond pcap.
+def write_pcap(dataset: SimDataset, link: str = "ethernet") -> bytearray:
+    """Serialize a dataset's events as a classic microsecond pcap, returned
+    as the one buffer it is built in.
 
     Record headers and each device's fixed frame head are scattered into
     a zero-filled buffer, so every frame body is zero fill.  Frame lengths
@@ -454,11 +456,11 @@ def write_pcap(dataset: SimDataset, link: str = "ethernet") -> bytes:
         block[:, RECORD_HEADER_LEN + 16 : RECORD_HEADER_LEN + 18] = ip_len[:, None].view(np.uint8)
 
     record_len = RECORD_HEADER_LEN + frame_len
-    out = np.zeros(GLOBAL_HEADER_LEN + int(record_len.sum()), np.uint8)
-    out[:GLOBAL_HEADER_LEN] = list(struct.pack("<IHHiIII", MAGIC_MICROS, 2, 4, 0, 0, SNAPLEN, link_type))
+    buf = bytearray(GLOBAL_HEADER_LEN + int(record_len.sum()))
+    buf[:GLOBAL_HEADER_LEN] = struct.pack("<IHHiIII", MAGIC_MICROS, 2, 4, 0, 0, SNAPLEN, link_type)
     start = GLOBAL_HEADER_LEN + np.cumsum(record_len) - record_len
-    out[start[:, None] + np.arange(block.shape[1])] = block
-    return out.tobytes()
+    np.frombuffer(buf, np.uint8)[start[:, None] + np.arange(block.shape[1])] = block
+    return buf
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from simobs.errors import SimobsError
 from simobs.mp4 import parse_mp4, video_byte_series
 from simobs.pcap import extract_device_series, read_pcap
 from simobs.similarity import (
+    _dtw_rows,
     dtw_distance,
     gaussian_kld,
     jsd,
@@ -97,32 +98,26 @@ class TestMeasureIdentities:
 
 class TestDtwOracle:
     def test_exhaustive_small_grid_and_random(self):
+        # Every sequence over {0, 0.5, 1} of length <= 6 against every
+        # other, in both orders: one row of a length against the stack of
+        # all rows of another, through the engine's DTW kernel.  Half-unit
+        # sums are exact, so the kernel must equal the path enumeration.
         start = time.monotonic()
-        values = np.array([0, 1, 2], dtype=np.uint8)  # half-units of {0, 0.5, 1}
-        seqs = {
-            n: np.array(list(itertools.product(values, repeat=n)), dtype=np.uint8)
-            for n in range(1, 7)
-        }
-        floats = {n: (arr.astype(np.float64) / 2.0) for n, arr in seqs.items()}
+        codes = [np.array(list(itertools.product((0, 1, 2), repeat=n)), dtype=np.uint8) for n in range(1, 7)]
 
         mismatches = 0
         checked = 0
-        for n in range(1, 7):
-            for m in range(n, 7):
-                oracle = bruteforce_matrix_halfunits(seqs[n], seqs[m])
-                a_rows = [row.tolist() for row in floats[n]]
-                b_rows = [row.tolist() for row in floats[m]]
-                for s, a in enumerate(a_rows):
-                    row_oracle = oracle[s]
-                    for t, b in enumerate(b_rows):
-                        expected = row_oracle[t]
-                        if 2.0 * dtw_distance(a, b) != expected:
-                            mismatches += 1
-                        checked += 1
-                        if n < m:
-                            if 2.0 * dtw_distance(b, a) != expected:
-                                mismatches += 1
-                            checked += 1
+        for i, a_codes in enumerate(codes):
+            for j, b_codes in enumerate(codes[i:], start=i):
+                oracle = bruteforce_matrix_halfunits(a_codes, b_codes)
+                a_stack, b_stack = a_codes / 2.0, b_codes / 2.0
+                for s, a in enumerate(a_stack):
+                    mismatches += int(np.count_nonzero(2.0 * _dtw_rows(a, b_stack) != oracle[s]))
+                checked += oracle.size
+                if j > i:
+                    for t, b in enumerate(b_stack):
+                        mismatches += int(np.count_nonzero(2.0 * _dtw_rows(b, a_stack) != oracle[:, t]))
+                    checked += oracle.size
 
         rng = np.random.default_rng(777)
         for _ in range(500):
@@ -135,8 +130,8 @@ class TestDtwOracle:
 
         elapsed = time.monotonic() - start
         report(
-            "dtw oracle: DP equals exhaustive path minimum",
-            mismatches == 0 and elapsed < 30.0,
+            "dtw oracle: DTW kernel equals exhaustive path minimum",
+            mismatches == 0 and checked == 1092**2 + 500 and elapsed < 30.0,
             f"{checked} pairs, {elapsed:.1f}s",
         )
 

@@ -5,7 +5,7 @@ import tracemalloc
 import mlp_oracle
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from simobs import classify
@@ -13,8 +13,6 @@ from simobs.classify import (
     ACTIVATIONS,
     DEFAULT_THRESHOLDS,
     DIRECTION_BY_MEASURE,
-    IMPUTED_VALUES,
-    KLD_FEATURE_CAP,
     GridPoint,
     LabeledSample,
     ParamGrid,
@@ -173,38 +171,43 @@ class TestSweep:
         assert f1 == 2 / 3
         assert threshold == (values[0] + values[1]) / 2
 
-    @given(st.lists(st.tuples(st.booleans(), st.floats(0, 1)), min_size=2, max_size=40))
-    def test_self_consistency(self, raw):
+    # Three undefined negatives where an imputed cc of 0 would rank them
+    # above every spy.
+    MIXED = [(True, -0.5), (True, -0.52), (True, -0.55), (False, -0.6), (False, -0.9),
+             (False, None), (False, None), (False, None)]
+
+    @pytest.mark.parametrize("measure,raw,expected", [
+        ("cc", MIXED, ((-0.55 + -0.6) / 2, 1.0)),
+        ("kld", [(True, 0.01), (True, None), (False, 0.5)], ((0.01 + 0.5) / 2, 2 / 3)),  # a spy missed
+    ])
+    def test_undefined_is_never_spy(self, measure, raw, expected):
+        samples = [sample(label, **{measure: value}) for label, value in raw]
+        assert sweep_threshold(samples, measure) == expected
+
+    @given(st.sampled_from(MEASURES), st.lists(st.tuples(st.booleans(), st.one_of(
+        st.floats(-20, 20), st.none())), min_size=2, max_size=40))
+    @example("cc", MIXED)
+    def test_self_consistency(self, measure, raw):
         labels = [lab for lab, _ in raw]
         if len(set(labels)) < 2:
             return
-        samples = [sample(lab, kld=val) for lab, val in raw]
-        threshold, f1 = sweep_threshold(samples, "kld")
-        cfg = ThresholdConfig("kld", threshold)
-        preds = [bool(threshold_classify(s.features, cfg)) for s in samples]
-        assert evaluate(preds, labels).f1 == f1
-
-
-def _imputed(value, measure):
-    """An undefined measure's stand-in, and kld capped, as the sweep ranks them."""
-    if value is None:
-        return IMPUTED_VALUES[measure]
-    return min(value, KLD_FEATURE_CAP) if measure == "kld" else value
+        samples = [sample(lab, **{measure: val}) for lab, val in raw]
+        threshold, f1 = sweep_threshold(samples, measure)
+        cfg = ThresholdConfig(measure, threshold)
+        assert evaluate(verdicts([s.features for s in samples], cfg), labels).f1 == f1
 
 
 def _sweep_by_loop(samples, measure):
-    """sweep_threshold as one evaluate per candidate: the O(n^2) reference."""
-    labels = [s.label for s in samples]
-    values = np.array([_imputed(s.features.measure(measure), measure) for s in samples])
-    distinct = np.unique(values)
+    """sweep_threshold as one evaluate(verdicts(...)) per candidate: the O(n^2) reference."""
+    vectors, labels = [s.features for s in samples], [s.label for s in samples]
+    values = [sv.measure(measure) for sv in vectors]
+    distinct = np.unique([v for v in values if v is not None and not math.isnan(v)])
     candidates = [-math.inf] + [float((a + b) / 2) for a, b in zip(distinct, distinct[1:])] + [math.inf]
-    at_least = DIRECTION_BY_MEASURE[measure] == "spy_if_at_least"
-    if at_least:
+    if DIRECTION_BY_MEASURE[measure] == "spy_if_at_least":
         candidates = candidates[::-1]
     best_threshold, best_f1 = candidates[0], -1.0
     for threshold in candidates:
-        preds = values >= threshold if at_least else values <= threshold
-        f1 = evaluate(preds.tolist(), labels).f1
+        f1 = evaluate(verdicts(vectors, ThresholdConfig(measure, threshold)), labels).f1
         if f1 > best_f1:
             best_threshold, best_f1 = threshold, f1
     return best_threshold, best_f1
@@ -595,6 +598,19 @@ class TestPortability:
         diag = np.mean([matrix[i, i] for i in range(3)])
         off = np.mean([matrix[i, j] for i in range(3) for j in range(3) if i != j])
         assert diag >= off
+
+    def test_undefined_measure_is_never_spy(self):
+        # Defined values separate the classes; an imputed cc of 0 would
+        # rank the undefined negatives above every spy.
+        rng = np.random.default_rng(2)
+        samples = []
+        for regime in ("a", "b"):
+            for _ in range(20):
+                samples.append(sample(True, cc=float(rng.uniform(-0.55, -0.5)), tags={f"env={regime}"}))
+                samples.append(sample(False, cc=float(rng.uniform(-0.95, -0.6)), tags={f"env={regime}"}))
+                samples.append(sample(False, cc=None, tags={f"env={regime}"}))
+        _, matrix = portability_matrix(samples, "env", trainer="cc", seed=1)
+        assert (matrix == 1.0).all()
 
     def test_single_partition_errors(self):
         samples = [s for s in self._samples() if "env=a" in s.tags]

@@ -618,6 +618,33 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
 
+    @pytest.mark.parametrize("flags", [["--window", "60"], ["--start", "0"], ["--group-by", "mac"],
+                                       ["--include-non-data"]])
+    def test_extract_video_rejects_pcap_flags(self, flags, video_file, tmp_path, capsys):
+        out = tmp_path / "reference.csv"
+        assert run(["extract", "--video", str(video_file), "--out", str(out)] + flags) == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert flags[0] in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_analyze_manifest_rejects_format(self, fmt, tmp_path, capsys):
+        scene = tmp_path / "scene"
+        assert run(["simulate", "--preset", "easy", "--out-dir", str(scene)]) == 0
+        out = tmp_path / "samples.json"
+        assert run(["analyze", "--reference", str(scene / "reference.csv"), "--devices", str(scene / "devices.csv"),
+                    "--manifest", str(scene / "manifest.json"), "--format", fmt, "--out", str(out)]) == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert "--format" in err
+        assert not out.exists()
+
+    def test_simulate_link_needs_pcap_out(self, tmp_path, capsys):
+        scene = tmp_path / "scene"
+        assert run(["simulate", "--preset", "easy", "--link", "radiotap", "--out-dir", str(scene)]) == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert "--pcap-out" in err
+        assert not scene.exists()
+
     @pytest.mark.parametrize("flags", [["--step", "0"], ["--step", "-1"], ["--window", "0"]])
     def test_empty_extract_window_one_line_exit_2(self, flags, pcap_file, tmp_path, capsys):
         out = tmp_path / "devices.csv"

@@ -12,6 +12,7 @@ from simobs.errors import ParameterError
 from simobs.pcap import DeviceId, extract_device_series, read_pcap
 from simobs.similarity import gaussian_kld, pearson_cc
 from simobs.simulate import (
+    ACTIVITY_RESOLUTION,
     MIN_FRAME,
     MTU,
     ActivitySignal,
@@ -56,6 +57,13 @@ class TestGenActivity:
         signal = gen_activity("burst", 60, 3)
         assert (signal.values == 0).any()
         assert signal.values.max() <= 1.0
+
+    @pytest.mark.parametrize("step", [0.1, 0.5, 1.0])
+    def test_short_walk_has_requested_length(self, step):
+        # durations below the 12-sample smoothing kernel
+        per_step = round(step / ACTIVITY_RESOLUTION)
+        for duration in range(1, 12 // per_step + 1):
+            assert len(gen_activity("walking", duration, 5, step=step).values) == duration * per_step
 
     def test_mixed_profile_runs(self):
         signal = gen_activity("mixed", 60, 9)
@@ -327,6 +335,15 @@ class TestWritePcap:
                                            "cbr", False, events, bin_events(events, 0.0, 1.0, 8)))
             dataset = SimDataset(traces[0].series, tuple(traces), {})
             assert write_pcap(dataset, link=link) == pcap_oracle.write_pcap(dataset, link=link)
+
+    def test_returns_the_buffer_it_fills(self):
+        dataset = render_scenario(easy_scenario(seed=5, duration=10, n_background=2))
+        data = write_pcap(dataset, link="radiotap")
+        assert type(data) is bytearray
+        streams = extract_device_series(read_pcap(data), 0.0, 1.0, 10)
+        assert {str(s.device_id): s.series.values.tolist() for s in streams} == {
+            str(tr.device_id): tr.series.values.tolist() for tr in dataset.traces
+        }
 
     def test_deterministic_bytes(self):
         dataset = render_scenario(easy_scenario(seed=8))
