@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TextIO
 
@@ -440,9 +441,21 @@ CV_MAX_ITER = 300
 # Most models x training rows x widest layer that one stacked fit of
 # grid_search holds (floats per layer array, 8 MiB); a larger stack trains
 # in chunks of whole models.  Every stack of the full grid at 10 folds on
-# 400 samples (160 models x 360 rows x 17 units) fits in one chunk.
-# Chunks are independent fits, so results do not change.
+# 400 samples (160 models x 360 rows x 17 units) fits in one chunk.  A
+# stack is also split into one chunk per worker, and the workers (one per
+# CPU in the process's affinity mask) fit chunks at the same time, so
+# peak memory is up to workers x one chunk.  Chunks are independent fits,
+# so results are bit-identical to one serial stack.
 STACK_BUDGET = 2**20
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: grid_search's worker count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
 
 @dataclass(frozen=True)
 class ParamGrid:
@@ -485,6 +498,42 @@ def stratified_folds(labels: Sequence[bool], folds: int, seed: int) -> list[np.n
     return [np.flatnonzero(assignment == k) for k in range(folds)]
 
 
+def _plan_chunks(
+    stacks: dict[tuple, list[tuple[int, int]]], n_features: int, workers: int
+) -> list[tuple[tuple[int, ...], str, list[tuple[int, int]]]]:
+    """Split every stack of (point, fold) models, keyed by (hidden layers,
+    activation, training rows), into chunks of whole models: each holds at
+    most STACK_BUDGET floats per layer array (one model may hold more) and
+    at most ceil(models / workers) models, so a lone stack still spreads
+    over every worker.  Returns (layers, activation, members), the costliest
+    chunk (models x rows x weights) first, so the workers finish together.
+    """
+    costed = []
+    for (layers, activation, n_rows), members in stacks.items():
+        fit = STACK_BUDGET // (n_rows * max(n_features, *layers))
+        per_chunk = max(1, min(fit, math.ceil(len(members) / workers)))
+        sizes = (n_features, *layers, 1)
+        model_cost = n_rows * sum(a * b for a, b in zip(sizes, sizes[1:]))
+        for lo in range(0, len(members), per_chunk):
+            part = members[lo : lo + per_chunk]
+            costed.append((len(part) * model_cost, (layers, activation, part)))
+    return [chunk for _, chunk in sorted(costed, key=lambda c: c[0], reverse=True)]
+
+
+def _chunk_f1(splits, seeds, alphas, layers, activation: str, max_iter: int) -> list[float]:
+    """Held-out F1 of every model of one grid_search chunk, fit as one stack.
+
+    Model j trains on ``splits[j]`` (scaled training rows, their (n, 1)
+    labels, scaled test rows, test labels) from ``seeds[j]`` with penalty
+    ``alphas[j]``.  It takes arrays and plain values only, so a process
+    pool of any start method can run it.
+    """
+    x, y, x_test, y_test = zip(*splits)
+    weights, biases, _ = _fit_stack(np.stack(x), np.stack(y), seeds, alphas, layers, activation, max_iter)
+    spy = _forward(weights, biases, activation, np.stack(x_test))[-1][:, :, 0] >= 0.5
+    return [evaluate(preds, truth).f1 for preds, truth in zip(spy, y_test)]
+
+
 def grid_search(
     samples: Sequence[LabeledSample],
     grid: ParamGrid | Sequence[GridPoint],
@@ -496,9 +545,10 @@ def grid_search(
     stratified folds, fitting fold k from ``seed + k``.
 
     The folds and alphas of one architecture train as one stack per
-    training-set size, split into chunks of whole models that hold at
-    most STACK_BUDGET floats per layer array (one model may hold more).
-    Exact F1 ties break toward fewer weights.
+    training-set size, split into chunks of whole models (see
+    ``_plan_chunks``).  With more than one CPU and chunk, a process pool
+    fits the chunks, one worker per CPU; every model's F1 is bit-identical
+    to a serial search.  Exact F1 ties break toward fewer weights.
     """
     points = grid.points() if isinstance(grid, ParamGrid) else list(grid)
     if not points:
@@ -514,20 +564,25 @@ def grid_search(
     stacks: dict[tuple, list[tuple[int, int]]] = {}
     for (p, point), (k, split) in itertools.product(enumerate(points), enumerate(splits)):
         stacks.setdefault((tuple(point.hidden_layers), point.activation, len(split[0])), []).append((p, k))
+    cpus = _cpu_count()
+    chunks = _plan_chunks(stacks, x_all.shape[1], cpus)
+    columns = zip(*(
+        ([splits[k] for _, k in members], [seed + k for _, k in members], [points[p].alpha for p, _ in members],
+         layers, activation, CV_MAX_ITER)
+        for layers, activation, members in chunks
+    ))
+    workers = min(cpus, len(chunks))
+    if workers == 1:
+        scores = list(map(_chunk_f1, *columns))
+    else:
+        from concurrent.futures import ProcessPoolExecutor  # imports logging; kept off the module's import
+
+        with ProcessPoolExecutor(workers) as pool:
+            scores = list(pool.map(_chunk_f1, *columns))
     f1 = np.zeros((len(points), folds))
-    chunks = []
-    for (layers, activation, n_rows), members in stacks.items():
-        per_chunk = max(1, STACK_BUDGET // (n_rows * max(x_all.shape[1], *layers)))
-        chunks += [(layers, activation, members[lo : lo + per_chunk]) for lo in range(0, len(members), per_chunk)]
-    for layers, activation, members in chunks:
-        stack = [splits[k] for _, k in members]
-        weights, biases, _ = _fit_stack(
-            np.stack([s[0] for s in stack]), np.stack([s[1] for s in stack]), [seed + k for _, k in members],
-            [points[p].alpha for p, _ in members], layers, activation, CV_MAX_ITER,
-        )
-        spy = _forward(weights, biases, activation, np.stack([s[2] for s in stack]))[-1][:, :, 0] >= 0.5
-        for (p, k), preds, s in zip(members, spy, stack):
-            f1[p, k] = evaluate(preds, s[3]).f1
+    for (_, _, members), chunk_f1 in zip(chunks, scores):
+        for (p, k), value in zip(members, chunk_f1):
+            f1[p, k] = value
 
     def key(p: int) -> tuple[float, int, int]:
         sizes = (2 * len(feature_subset), *points[p].hidden_layers, 1)

@@ -31,6 +31,20 @@ def _write_text(path: str, text: str) -> None:
         Path(path).write_text(text)
 
 
+def _write_texts(outputs: dict[str, str]) -> None:
+    """Write every path's text, stdout last; if a file cannot be written,
+    remove the files already written and raise."""
+    written = []
+    try:
+        for path in sorted(outputs, key=lambda path: path == "-"):
+            _write_text(path, outputs[path])
+            written.append(path)
+    except OSError:
+        for path in written:
+            Path(path).unlink()
+        raise
+
+
 def _render(writer, *args) -> str:
     buf = io.StringIO()
     writer(*args, buf)
@@ -225,7 +239,7 @@ def cmd_grid_search(args) -> int:
         "folds": args.folds,
         "grid_points": len(grid.points()),
     }
-    _write_text(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    outputs = {args.out: json.dumps(report, indent=2, sort_keys=True) + "\n"}
     if args.fit_out:
         model = cls.mlp_train(
             samples,
@@ -235,7 +249,8 @@ def cmd_grid_search(args) -> int:
             alpha=best.alpha,
             feature_subset=subset,
         )
-        _write_text(args.fit_out, _render(cls.save_model, model))
+        outputs[args.fit_out] = _render(cls.save_model, model)
+    _write_texts(outputs)
     return 0
 
 

@@ -1,5 +1,7 @@
 import io
+import itertools
 import math
+import multiprocessing
 import tracemalloc
 
 import mlp_oracle
@@ -432,7 +434,7 @@ class TestStackedAgainstOracle:
             _assert_slice_is_fit(weights, biases, losses, j, reference)
 
     @pytest.mark.parametrize("n_spy,n_other,folds", [(23, 31, 3), (26, 40, 4)])
-    def test_grid_search_equals_oracle(self, n_spy, n_other, folds):
+    def test_grid_search_equals_oracle(self, n_spy, n_other, folds, monkeypatch):
         samples = _overlapping(n_spy, n_other, seed=n_spy, sep=1.5)
         sizes = {len(t) for t in _fold_training_sets(samples, folds, seed=2)}
         assert len(sizes) >= 2
@@ -442,6 +444,13 @@ class TestStackedAgainstOracle:
         ]
         expected = mlp_oracle.grid_search(samples, points, folds=folds, seed=2, feature_subset=self.SUBSET)
         assert grid_search(samples, points, folds=folds, seed=2, feature_subset=self.SUBSET) == expected
+        # Neither the worker count nor the chunk size changes a result.
+        for workers, budget in itertools.product((1, 2, 3), (1, 300, classify.STACK_BUDGET)):
+            monkeypatch.setattr(classify, "_cpu_count", lambda: workers)
+            monkeypatch.setattr(classify, "STACK_BUDGET", budget)
+            got = grid_search(samples, points, folds=folds, seed=2, feature_subset=self.SUBSET)
+            assert got == expected, (workers, budget)
+        monkeypatch.undo()
         for point in points[::3]:
             score = mlp_oracle.cross_validate(samples, point, folds, 2, self.SUBSET)
             assert grid_search(samples, [point], folds=folds, seed=2, feature_subset=self.SUBSET) == (point, score)
@@ -459,10 +468,25 @@ class TestStackedAgainstOracle:
         with pytest.raises(TrainingDivergedError):
             grid_search(samples, points, folds=3, feature_subset=self.SUBSET)
 
+    @pytest.mark.parametrize("bad", ["nan_row", "infinite_alpha"])
+    def test_non_finite_loss_raises_from_pool_workers(self, bad, monkeypatch):
+        samples = _overlapping(20, 25, seed=3)
+        points = [GridPoint((3,), "logistic", 1e-4), GridPoint((4,), "tanh", 1e-4)]
+        if bad == "nan_row":
+            samples.append(LabeledSample(sv(cc=math.nan), False))
+        else:
+            points.append(GridPoint((3,), "logistic", math.inf))
+        monkeypatch.setattr(classify, "_cpu_count", lambda: 2)
+        with pytest.raises(TrainingDivergedError, match="iteration 1$"):
+            grid_search(samples, points, folds=3, feature_subset=self.SUBSET)
+        # The pool is shut down and its workers joined.
+        assert multiprocessing.active_children() == []
+
 
 class TestGridSearchChunks:
-    """grid_search splits a stack larger than STACK_BUDGET into chunks of
-    whole models; the chunks are independent fits."""
+    """grid_search splits a stack larger than STACK_BUDGET, or shared by
+    several workers, into chunks of whole models; the chunks are
+    independent fits."""
 
     SUBSET = ("cc", "kld")
     POINTS = [GridPoint(hidden_layers=layers, activation="tanh", alpha=alpha)
@@ -478,6 +502,7 @@ class TestGridSearchChunks:
         whole = self._scores(samples)
         stack_sizes = []
         fit_stack = classify._fit_stack
+        monkeypatch.setattr(classify, "_cpu_count", lambda: 1)  # fits run in this process, where they are seen
         monkeypatch.setattr(classify, "_fit_stack", lambda x, *args: stack_sizes.append(len(x)) or fit_stack(x, *args))
         monkeypatch.setattr(classify, "STACK_BUDGET", budget)
         assert self._scores(samples) == whole
@@ -490,6 +515,7 @@ class TestGridSearchChunks:
         samples = _overlapping(1000, 1000, seed=0)
         points = [GridPoint((17, 17, 17), "logistic", float(a)) for a in np.logspace(-4, 0, 8)]
         monkeypatch.setattr(classify, "CV_MAX_ITER", 2)  # memory does not grow with iterations
+        monkeypatch.setattr(classify, "_cpu_count", lambda: 1)  # tracemalloc sees this process only
 
         def peak(budget):
             monkeypatch.setattr(classify, "STACK_BUDGET", budget)
@@ -504,6 +530,30 @@ class TestGridSearchChunks:
         whole, chunked = peak(10**9), peak(budget)
         assert chunked < 8 * 8 * budget  # eight layer arrays of float64
         assert chunked < whole / 2
+
+    def test_chunk_plan(self, monkeypatch):
+        # 4 inputs; 12 models of (4,) on 36 rows (20 weights each), 5 of
+        # (3, 3) on 35 rows (24 weights each).
+        a = [(p, k) for p in range(4) for k in range(3)]
+        b = [(4, k) for k in range(5)]
+        stacks = {((4,), "tanh", 36): a, ((3, 3), "tanh", 35): b}
+        # Two workers split each stack in two; the costliest chunks go first.
+        assert classify._plan_chunks(stacks, 4, 2) == [
+            ((4,), "tanh", a[:6]), ((4,), "tanh", a[6:]), ((3, 3), "tanh", b[:3]), ((3, 3), "tanh", b[3:]),
+        ]
+        default = classify.STACK_BUDGET
+        for workers, budget in itertools.product((1, 2, 3, 20), (1, 150, 300, default)):
+            monkeypatch.setattr(classify, "STACK_BUDGET", budget)
+            chunks = classify._plan_chunks(stacks, 4, workers)
+            for (layers, activation, n_rows), members in stacks.items():
+                parts = [part for l, act, part in chunks if (l, act) == (layers, activation)]
+                # Whole models of one stack, each model in one chunk.
+                assert [m for part in parts for m in part] == members
+                for part in parts:
+                    assert len(part) == 1 or len(part) * n_rows * max(4, *layers) <= budget
+                    assert len(part) <= math.ceil(len(members) / workers)
+                if budget == default:  # the budget splits no stack: the workers do
+                    assert len(parts) == min(workers, len(members))
 
 
 class TestGridSearch:

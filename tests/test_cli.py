@@ -1,7 +1,11 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from conftest import (
     radiotap_frame,
     trak_box,
 )
+import simobs
 from simobs import simulate
 from simobs.cli import main
 from simobs.pcap import GLOBAL_HEADER_LEN, DeviceId
@@ -226,6 +231,30 @@ class TestTrainingGoldenBytes:
         digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in ("grid.json", "fit.json", "model.json")]
         assert digests == [self.GRID, self.FIT, self.TRAIN]
+
+    def test_grid_search_in_spawned_workers(self, tmp_path):
+        """grid-search run where workers start by spawn (the macOS default;
+        Python 3.14 defaults to forkserver on Linux) writes the bytes of an
+        in-process run: the worker and its arguments pickle."""
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps(_overlapping_rows()))
+        argv = ["grid-search", "--samples", str(corpus), "--folds", "3", "--seed", "7"]
+        assert run(argv + ["--out", str(tmp_path / "grid.json"), "--fit-out", str(tmp_path / "fit.json")]) == 0
+        script = (
+            "import multiprocessing, sys\n"
+            "from simobs import classify, cli\n"
+            "multiprocessing.set_start_method('spawn')\n"
+            "classify._cpu_count = lambda: 2  # a pool starts on a one-CPU host too\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(simobs.__file__).parents[1])}
+        subprocess.run(
+            [sys.executable, "-c", script, *argv, "--out", str(tmp_path / "spawn_grid.json"),
+             "--fit-out", str(tmp_path / "spawn_fit.json")],
+            env=env, check=True, timeout=300,
+        )
+        for name in ("grid.json", "fit.json"):
+            assert (tmp_path / f"spawn_{name}").read_bytes() == (tmp_path / name).read_bytes()
 
 
 class TestSimilarityGoldenBytes:
@@ -636,6 +665,14 @@ class TestUsageErrors:
                     "--manifest", str(scene / "manifest.json"), "--format", fmt, "--out", str(out)]) == 2
         (err,) = capsys.readouterr().err.splitlines()
         assert "--format" in err
+        assert not out.exists()
+
+    def test_grid_search_unwritable_fit_out(self, synthetic_samples, tmp_path, capsys):
+        out = tmp_path / "grid.json"
+        assert run(["grid-search", "--samples", str(synthetic_samples), "--folds", "3", "--out", str(out),
+                    "--fit-out", str(tmp_path / "missing" / "model.json")]) == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert "missing" in err
         assert not out.exists()
 
     def test_simulate_link_needs_pcap_out(self, tmp_path, capsys):
