@@ -12,7 +12,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -21,11 +21,12 @@ from .errors import (
     FormatError,
     ParameterError,
     PartitionError,
+    SimobsError,
     TrainingDivergedError,
     read_json,
 )
 # similarity_vector is not called here; perfbench/layers.py wraps classify.similarity_vector.
-from .similarity import MEASURES, SimilarityVector, similarity_vector, similarity_vectors
+from .similarity import MEASURES, SimilarityVector, measure_columns, similarity_vector
 from .similarity import read_rows_json, vector_from_row, vector_to_row
 from .timeseries import ByteSeries, align
 
@@ -47,6 +48,10 @@ IMPUTED_VALUES = {"cc": 0.0, "dtw": 0.0, "kld": 10.0, "jsd": math.log(2)}
 KLD_FEATURE_CAP = 10.0
 
 CAMERA_REF_FEATURES = ("cc", "kld", "jsd")
+
+# {measure: (values, undefined)}: what a decision reads, one entry per
+# vector, with NaN where the measure is undefined.
+Columns = Mapping[str, tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -85,6 +90,11 @@ def measure_values(vectors: Sequence[SimilarityVector], measure: str) -> tuple[n
     raw = [sv.measure(measure) for sv in vectors]
     undefined = np.array([v is None for v in raw], dtype=bool)
     return np.array([math.nan if v is None else v for v in raw], dtype=np.float64), undefined
+
+
+def vector_columns(vectors: Sequence[SimilarityVector], measures: Iterable[str]) -> Columns:
+    """The measure_values of each of ``measures`` over ``vectors``."""
+    return {m: measure_values(vectors, m) for m in measures}
 
 
 def _sign(measure: str) -> int:
@@ -195,16 +205,19 @@ class MlpModel:
     training_loss: float = math.nan
 
 
-def feature_matrix(vectors: Sequence[SimilarityVector], subset: Sequence[str]) -> np.ndarray:
-    """Measures plus per-measure undefined indicators, one row per vector.
+def feature_matrix(columns: Columns, subset: Sequence[str]) -> np.ndarray:
+    """The ``subset`` measures of ``columns`` plus per-measure undefined
+    indicators, one row per entry.
 
     An undefined measure takes its stand-in, and kld is capped so
     near-degenerate candidates cannot blow up feature scaling.
     """
-    x = np.empty((len(vectors), 2 * len(subset)))
+    if not subset:
+        raise ParameterError("the feature subset is empty")
+    x = np.empty((len(columns[subset[0]][0]), 2 * len(subset)))
     for j, m in enumerate(subset):
-        values, undefined = measure_values(vectors, m)
-        values[undefined] = IMPUTED_VALUES[m]
+        values, undefined = columns[m]
+        values = np.where(undefined, IMPUTED_VALUES[m], values)
         x[:, j] = np.minimum(values, KLD_FEATURE_CAP) if m == "kld" else values
         x[:, len(subset) + j] = undefined
     return x
@@ -323,7 +336,9 @@ def mlp_train(
     than 1e-6 or after ``max_iter`` iterations.
     """
     labels = np.array([s.label for s in train], dtype=np.float64)
-    x, mean, std = _training_set(feature_matrix([s.features for s in train], tuple(feature_subset)), labels)
+    subset = tuple(feature_subset)
+    x_raw = feature_matrix(vector_columns([s.features for s in train], subset), subset)
+    x, mean, std = _training_set(x_raw, labels)
     weights, biases, loss = _fit_stack(
         x[None], labels[None, :, None], [seed], [alpha], layers, activation, max_iter
     )
@@ -334,21 +349,23 @@ def mlp_train(
         activation=activation,
         weights=tuple(w[0] for w in weights),
         biases=tuple(b[0, 0] for b in biases),
-        feature_subset=tuple(feature_subset),
+        feature_subset=subset,
         feature_mean=mean,
         feature_std=std,
         training_loss=float(loss[0]),
     )
 
 
-def mlp_probabilities(model: MlpModel, vectors: Sequence[SimilarityVector]) -> np.ndarray:
-    """Spy probability in (0, 1) of every similarity vector.
-
-    Rows go through the network as an (n, 1, f) stack, so each is
-    computed, and rounded, as a lone row would be.
-    """
-    x = (feature_matrix(vectors, model.feature_subset) - model.feature_mean) / model.feature_std
+def _probabilities(model: MlpModel, columns: Columns) -> np.ndarray:
+    # Rows go through the network as an (n, 1, f) stack, so each is
+    # computed, and rounded, as a lone row would be.
+    x = (feature_matrix(columns, model.feature_subset) - model.feature_mean) / model.feature_std
     return _forward(model.weights, model.biases, model.activation, x[:, None, :])[-1][:, 0, 0]
+
+
+def mlp_probabilities(model: MlpModel, vectors: Sequence[SimilarityVector]) -> np.ndarray:
+    """Spy probability in (0, 1) of every similarity vector."""
+    return _probabilities(model, vector_columns(vectors, model.feature_subset))
 
 
 def mlp_predict(model: MlpModel, sv: SimilarityVector) -> float:
@@ -360,14 +377,25 @@ def mlp_verdicts(model: MlpModel, samples: Sequence[LabeledSample]) -> list[bool
     return verdicts([s.features for s in samples], model).tolist()
 
 
-def verdicts(vectors: Sequence[SimilarityVector], classifier: MlpModel | ThresholdConfig) -> np.ndarray:
-    """Spy verdict of every vector: a spy probability of at least 0.5 under
+def _measures_read(classifier: MlpModel | ThresholdConfig) -> tuple[str, ...]:
+    """The measures a classifier's verdicts depend on."""
+    return classifier.feature_subset if isinstance(classifier, MlpModel) else (classifier.measure,)
+
+
+def column_verdicts(columns: Columns, classifier: MlpModel | ThresholdConfig) -> np.ndarray:
+    """Spy verdict of every entry of ``columns``, which hold at least the
+    measures the classifier reads: a spy probability of at least 0.5 under
     a model, or the threshold test in the measure's direction, where an
     undefined or NaN measure is not spy."""
     if isinstance(classifier, MlpModel):
-        return mlp_probabilities(classifier, vectors) >= 0.5
+        return _probabilities(classifier, columns) >= 0.5
     sign = _sign(classifier.measure)
-    return sign * measure_values(vectors, classifier.measure)[0] <= sign * classifier.threshold
+    return sign * columns[classifier.measure][0] <= sign * classifier.threshold
+
+
+def verdicts(vectors: Sequence[SimilarityVector], classifier: MlpModel | ThresholdConfig) -> np.ndarray:
+    """column_verdicts of every vector."""
+    return column_verdicts(vector_columns(vectors, _measures_read(classifier)), classifier)
 
 
 def save_model(model: MlpModel, out: TextIO) -> None:
@@ -416,8 +444,8 @@ def _model_from_payload(payload: dict) -> MlpModel:
     )
     if model.activation not in ACTIVATIONS:
         raise FormatError(f"model activation {model.activation!r} is not one of {ACTIVATIONS}")
-    if not set(model.feature_subset) <= set(MEASURES):
-        raise FormatError(f"model features {list(model.feature_subset)} are not all in {MEASURES}")
+    if not model.feature_subset or not set(model.feature_subset) <= set(MEASURES):
+        raise FormatError(f"model features {list(model.feature_subset)} are not one or more of {MEASURES}")
     n_inputs = 2 * len(model.feature_subset)
     shapes_ok = (
         sizes[0] == n_inputs
@@ -554,7 +582,8 @@ def grid_search(
     if not points:
         raise ParameterError("hyperparameter grid is empty")
     labels = np.array([s.label for s in samples], dtype=np.float64)
-    x_all = feature_matrix([s.features for s in samples], tuple(feature_subset))
+    subset = tuple(feature_subset)
+    x_all = feature_matrix(vector_columns([s.features for s in samples], subset), subset)
     splits = []  # per fold: scaled training rows, their labels, scaled test rows, test labels
     for test_idx in stratified_folds(labels, folds, seed):
         train = np.setdiff1d(np.arange(len(samples)), test_idx)
@@ -576,9 +605,16 @@ def grid_search(
         scores = list(map(_chunk_f1, *columns))
     else:
         from concurrent.futures import ProcessPoolExecutor  # imports logging; kept off the module's import
+        from concurrent.futures.process import BrokenProcessPool
 
-        with ProcessPoolExecutor(workers) as pool:
-            scores = list(pool.map(_chunk_f1, *columns))
+        try:
+            with ProcessPoolExecutor(workers) as pool:
+                scores = list(pool.map(_chunk_f1, *columns))
+        except BrokenProcessPool as exc:
+            raise SimobsError(
+                f"a grid search worker process died ({exc}); a script that starts workers by spawn or "
+                "forkserver must call the CLI or grid_search under `if __name__ == '__main__':`"
+            ) from exc
     f1 = np.zeros((len(points), folds))
     for (_, _, members), chunk_f1 in zip(chunks, scores):
         for (p, k), value in zip(members, chunk_f1):
@@ -605,17 +641,20 @@ def convergence_analysis(
     """Metrics at every prefix length t = 2..T of the shared window.
 
     ``devices`` is one device set, aligned with the reference once; at
-    each t the similarity vectors are recomputed on the first t steps only.
+    each t the measures the classifier reads are recomputed on the first
+    t steps only, and no other measure is computed.
     """
     if not devices or len(devices) != len(labels):
         raise ParameterError("devices and labels must be non-empty and of equal length")
     window, _ = align(reference, devices[0])
     if len(window) < 2:
         raise ParameterError("window must be at least 2 steps")
-    return [
-        (t, evaluate(verdicts(similarity_vectors(window.prefix(t), devices), model_or_cfg), labels))
-        for t in range(2, len(window) + 1)
-    ]
+    measures = _measures_read(model_or_cfg)
+    results = []
+    for t in range(2, len(window) + 1):
+        columns = measure_columns(window.prefix(t), devices, measures).columns
+        results.append((t, evaluate(column_verdicts(columns, model_or_cfg), labels)))
+    return results
 
 
 def _split_tags(samples: Sequence[LabeledSample], partition_tag: str) -> dict[str, list[LabeledSample]]:

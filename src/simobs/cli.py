@@ -24,20 +24,27 @@ from .errors import ParameterError, SimobsError, read_json
 from .timeseries import DEFAULT_STEP, DEFAULT_WINDOW, ByteSeries, read_series_csv, write_series_csv
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_output(path: str, data: str | bytearray) -> None:
+    """Write text, or bytes, to a file or to stdout ('-')."""
     if path == "-":
-        sys.stdout.write(text)
+        if isinstance(data, str):
+            sys.stdout.write(data)
+        else:
+            sys.stdout.flush()
+            sys.stdout.buffer.write(data)
+    elif isinstance(data, str):
+        Path(path).write_text(data)
     else:
-        Path(path).write_text(text)
+        Path(path).write_bytes(data)
 
 
-def _write_texts(outputs: dict[str, str]) -> None:
-    """Write every path's text, stdout last; if a file cannot be written,
-    remove the files already written and raise."""
+def _write_outputs(outputs: dict[str, str | bytearray]) -> None:
+    """Write every path's text or bytes, stdout last; if a file cannot be
+    written, remove the files already written and raise."""
     written = []
     try:
         for path in sorted(outputs, key=lambda path: path == "-"):
-            _write_text(path, outputs[path])
+            _write_output(path, outputs[path])
             written.append(path)
     except OSError:
         for path in written:
@@ -110,7 +117,7 @@ def cmd_extract(args) -> int:
         data = Path(args.video).read_bytes()
         tables = mp4.parse_mp4(data)
         text = _render(write_series_csv, mp4.video_byte_series(tables, step=args.step))
-    _write_text(args.out, text)
+    _write_output(args.out, text)
     return 0
 
 
@@ -162,7 +169,7 @@ def cmd_analyze(args) -> int:
         text = _render(similarity.write_report_json, rows)
     else:
         text = _render(similarity.write_report_csv, rows)
-    _write_text(args.out, text)
+    _write_output(args.out, text)
     return 0
 
 
@@ -196,7 +203,7 @@ def cmd_classify(args) -> int:
             columns[f"spy_{cfg.measure}"] = cls.verdicts(vectors, cfg).tolist()
             undefined = cls.measure_values(vectors, cfg.measure)[1]
             columns[f"indeterminate_{cfg.measure}"] = np.where(undefined, True, None).tolist()
-    _write_text(args.out, _verdict_table([device_id for device_id, _ in rows], columns, args.format or "csv"))
+    _write_output(args.out, _verdict_table([device_id for device_id, _ in rows], columns, args.format or "csv"))
     return 0
 
 
@@ -215,7 +222,7 @@ def cmd_train(args) -> int:
         alpha=args.alpha,
         feature_subset=tuple(args.features.split(",")),
     )
-    _write_text(args.out, _render(cls.save_model, model))
+    _write_output(args.out, _render(cls.save_model, model))
     return 0
 
 
@@ -250,7 +257,7 @@ def cmd_grid_search(args) -> int:
             feature_subset=subset,
         )
         outputs[args.fit_out] = _render(cls.save_model, model)
-    _write_texts(outputs)
+    _write_outputs(outputs)
     return 0
 
 
@@ -270,18 +277,16 @@ def cmd_simulate(args) -> int:
         raise ParameterError("--link sets the capture's link type; give --pcap-out too")
     dataset = simulate.render_scenario(_scenario_from_args(args))
     devices = [(tr.device_id, tr.series) for tr in dataset.traces]
-    outputs = {
-        "reference.csv": _render(write_series_csv, dataset.reference_series),
-        "devices.csv": _render(pcap.write_devices_csv, devices),
-        "manifest.json": json.dumps(dataset.manifest, indent=2, sort_keys=True) + "\n",
-    }
-    capture = simulate.write_pcap(dataset, link=args.link or "ethernet") if args.pcap_out else None
     out_dir = Path(args.out_dir)
+    outputs: dict[str, str | bytearray] = {
+        str(out_dir / "reference.csv"): _render(write_series_csv, dataset.reference_series),
+        str(out_dir / "devices.csv"): _render(pcap.write_devices_csv, devices),
+        str(out_dir / "manifest.json"): json.dumps(dataset.manifest, indent=2, sort_keys=True) + "\n",
+    }
+    if args.pcap_out:
+        outputs[args.pcap_out] = simulate.write_pcap(dataset, link=args.link or "ethernet")
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, text in outputs.items():
-        (out_dir / name).write_text(text)
-    if capture is not None:
-        Path(args.pcap_out).write_bytes(capture)
+    _write_outputs(outputs)
     return 0
 
 
@@ -323,7 +328,7 @@ def cmd_converge(args) -> int:
             float(np.mean([m.recall for m in ms])),
         ]
         lines.append(f"{i + 2}," + ",".join(repr(c) for c in cells))
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_output(args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -333,7 +338,7 @@ def cmd_portability(args) -> int:
     lines = ["train\\test," + ",".join(order)]
     for name, row in zip(order, matrix):
         lines.append(name + "," + ",".join(repr(float(v)) for v in row))
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_output(args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -345,7 +350,7 @@ def cmd_agreement(args) -> int:
         "counts": {str(k): v for k, v in sorted(report.counts.items())},
         "distribution": {str(k): v for k, v in report.distribution.items()},
     }
-    _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_output(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -414,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", parents=[scene], help="render a synthetic labeled dataset")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--pcap-out", help="also write the dataset as a pcap")
+    p.add_argument("--pcap-out", help="also write the dataset as a pcap ('-' for stdout)")
     p.add_argument("--link", choices=("ethernet", "radiotap"), help="capture link type (default: ethernet)")
     p.set_defaults(func=cmd_simulate)
 

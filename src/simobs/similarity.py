@@ -12,7 +12,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence, TextIO
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -180,15 +180,35 @@ def jsd(a, b) -> float:
     return float(_jsd_rows(p[None], q[None])[0])
 
 
-def similarity_vectors(reference: ByteSeries, candidates: Sequence[ByteSeries]) -> list[SimilarityVector]:
-    """Align, normalize, and compare a reference with each candidate.
+class MeasureColumns(NamedTuple):
+    """Measures of one device set, one entry per candidate.
+
+    ``columns`` maps each requested measure to its values and the mask of
+    candidates where it is undefined, with NaN there: cc and kld are
+    undefined where min-max scaling flattened either side, dtw and jsd
+    never.  ``ref_degenerate`` and ``cand_degenerate`` say which side
+    was flattened.
+    """
+
+    columns: dict[str, tuple[np.ndarray, np.ndarray]]
+    ref_degenerate: bool
+    cand_degenerate: np.ndarray
+
+
+def measure_columns(
+    reference: ByteSeries, candidates: Sequence[ByteSeries], measures: Sequence[str]
+) -> MeasureColumns:
+    """Align, normalize, and score each candidate against the reference
+    on ``measures`` only.
 
     The candidates are one device set: one or more series sharing
     ``start_time``, ``step`` and length (else ParameterError), so one
     alignment with the reference serves them all, and each measure
     scores the whole set at once.  A missing overlap raises
-    AlignmentError; per-measure degeneracies become flags.
+    AlignmentError.
     """
+    if unknown := set(measures) - set(MEASURES):
+        raise ParameterError(f"unknown measures {sorted(unknown)}")
     if len({(c.start_time, c.step, len(c)) for c in candidates}) != 1:
         raise ParameterError("candidates must be one or more series sharing start_time, step and length")
     first = candidates[0]
@@ -198,31 +218,49 @@ def similarity_vectors(reference: ByteSeries, candidates: Sequence[ByteSeries]) 
     raw = np.concatenate((ref.values[None], cands))  # the reference, then each candidate
     scaled, degenerate = min_max_normalize(raw)
     x, ys = scaled[0], scaled[1:]
-    ccs, dtws, klds = _cc_rows(x, ys), _dtw_rows(x, ys), _kld_rows(x, ys)
+    flattened = degenerate[0] | degenerate[1:]
+    never = np.zeros(len(candidates), dtype=bool)
 
-    # JSD falls back to the raw bins when normalization flattened a side
-    # to all zeros; an idle-then-burst device still gets an informative
-    # value that way.  A side with zero raw bytes is maximally dissimilar,
-    # and two such sides are identical.
-    raw_pair = (degenerate[0] | degenerate[1:])[:, None]
-    empty = raw.sum(axis=1) == 0
-    scored = ~(empty[0] | empty[1:])
-    jsds = np.where(empty[0] & empty[1:], 0.0, math.log(2))
-    jsds[scored] = _jsd_rows(np.where(raw_pair, raw[0], x)[scored], np.where(raw_pair, cands, ys)[scored])
+    columns = {}
+    for name in measures:
+        if name == "cc":
+            columns[name] = (np.where(flattened, np.nan, _cc_rows(x, ys)), flattened)
+        elif name == "kld":
+            columns[name] = (np.where(flattened, np.nan, _kld_rows(x, ys)), flattened)
+        elif name == "dtw":
+            columns[name] = (_dtw_rows(x, ys), never)
+        else:
+            # JSD falls back to the raw bins when normalization flattened
+            # a side to all zeros; an idle-then-burst device still gets an
+            # informative value that way.  A side with zero raw bytes is
+            # maximally dissimilar, and two such sides are identical.
+            empty = raw.sum(axis=1) == 0
+            scored = ~(empty[0] | empty[1:])
+            jsds = np.where(empty[0] & empty[1:], 0.0, math.log(2))
+            jsds[scored] = _jsd_rows(
+                np.where(flattened[:, None], raw[0], x)[scored], np.where(flattened[:, None], cands, ys)[scored]
+            )
+            columns[name] = (jsds, never)
+    return MeasureColumns(columns, bool(degenerate[0]), degenerate[1:])
 
-    ref_degenerate = bool(degenerate[0])
+
+def similarity_vectors(reference: ByteSeries, candidates: Sequence[ByteSeries]) -> list[SimilarityVector]:
+    """All four measure_columns of a device set, one vector per candidate;
+    an undefined measure is None and a flattened side is a flag."""
+    scored = measure_columns(reference, candidates, MEASURES)
+    cells = [
+        [None if undefined else value for value, undefined in zip(values.tolist(), mask.tolist())]
+        for values, mask in scored.columns.values()
+    ]
     vectors = []
-    for cc, dtw, kld, jsd_val, cand_degenerate in zip(
-        ccs.tolist(), dtws.tolist(), klds.tolist(), jsds.tolist(), degenerate[1:].tolist()
-    ):
+    for (cc, dtw, kld, jsd_val), cand_degenerate in zip(zip(*cells), scored.cand_degenerate.tolist()):
         flags: set[str] = set()
-        if ref_degenerate:
+        if scored.ref_degenerate:
             flags.add(FLAG_REF_DEGENERATE)
         if cand_degenerate:
             flags.add(FLAG_CAND_DEGENERATE)
         if flags:  # a flattened side leaves cc and kld undefined
             flags |= {FLAG_CC_UNDEFINED, FLAG_KLD_UNDEFINED}
-            cc = kld = None
         vectors.append(SimilarityVector(cc, dtw, kld, jsd_val, frozenset(flags)))
     return vectors
 

@@ -24,6 +24,7 @@ from simobs.classify import (
     ParamGrid,
     evaluate,
     feature_matrix,
+    vector_columns,
     stratified_folds,
 )
 from simobs.errors import ClassImbalanceError, ParameterError, TrainingDivergedError
@@ -81,7 +82,8 @@ def mlp_train(
     if n_pos < 10 or n_neg < 10:
         raise ClassImbalanceError(f"need >= 10 samples per class, got {n_pos} spy / {n_neg} other")
 
-    x_raw = feature_matrix([s.features for s in train], tuple(feature_subset))
+    subset = tuple(feature_subset)
+    x_raw = feature_matrix(vector_columns([s.features for s in train], subset), subset)
     mean = x_raw.mean(axis=0)
     std = x_raw.std(axis=0)
     std = np.where(std < 1e-12, 1.0, std)
@@ -152,7 +154,7 @@ def mlp_train(
 
 
 def mlp_verdicts(model: MlpModel, samples: Sequence[LabeledSample]) -> list[bool]:
-    x = feature_matrix([s.features for s in samples], model.feature_subset)
+    x = feature_matrix(vector_columns([s.features for s in samples], model.feature_subset), model.feature_subset)
     x = (x - model.feature_mean) / model.feature_std
     return (_forward(model.weights, model.biases, model.activation, x)[-1][:, 0] >= 0.5).tolist()
 

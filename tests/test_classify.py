@@ -2,6 +2,7 @@ import io
 import itertools
 import math
 import multiprocessing
+import os
 import tracemalloc
 
 import mlp_oracle
@@ -10,9 +11,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from simobs import classify
+from simobs import classify, cli
 from simobs.classify import (
     ACTIVATIONS,
+    CAMERA_REF_FEATURES,
     DEFAULT_THRESHOLDS,
     DIRECTION_BY_MEASURE,
     GridPoint,
@@ -36,6 +38,7 @@ from simobs.classify import (
     stratified_folds,
     sweep_threshold,
     threshold_classify,
+    vector_columns,
     verdicts,
     write_samples_json,
 )
@@ -44,10 +47,18 @@ from simobs.errors import (
     FormatError,
     ParameterError,
     PartitionError,
+    SimobsError,
     TrainingDivergedError,
 )
-from simobs.similarity import MEASURES, SimilarityVector, read_report_json, write_report_json
-from simobs.timeseries import ByteSeries
+from simobs.similarity import (
+    MEASURES,
+    SimilarityVector,
+    measure_columns,
+    read_report_json,
+    similarity_vectors,
+    write_report_json,
+)
+from simobs.timeseries import ByteSeries, align
 
 
 def sv(cc=0.0, dtw=1.0, kld=1.0, jsd=0.1, flags=()):
@@ -360,7 +371,8 @@ def _fold_training_sets(samples, folds, seed):
 def _scaled(train, subset):
     """A training set's standardized rows and (n, 1) labels, as the fitter takes them."""
     y = np.array([[float(s.label)] for s in train])
-    return classify._training_set(feature_matrix([s.features for s in train], subset), y)[0], y
+    x = feature_matrix(vector_columns([s.features for s in train], subset), subset)
+    return classify._training_set(x, y)[0], y
 
 
 def _assert_slice_is_fit(weights, biases, losses, j, reference):
@@ -481,6 +493,30 @@ class TestStackedAgainstOracle:
             grid_search(samples, points, folds=3, feature_subset=self.SUBSET)
         # The pool is shut down and its workers joined.
         assert multiprocessing.active_children() == []
+
+    def test_dead_worker_is_one_error(self, tmp_path, monkeypatch, capsys):
+        samples = _overlapping(20, 25, seed=3)
+        points = [GridPoint((3,), "logistic", 1e-4), GridPoint((4,), "tanh", 1e-4)]
+        monkeypatch.setattr(classify, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(classify, "_chunk_f1", _exit_in_worker)
+        with pytest.raises(SimobsError, match="worker process died.*__main__"):
+            grid_search(samples, points, folds=3, feature_subset=self.SUBSET)
+        assert multiprocessing.active_children() == []
+        corpus, out = tmp_path / "samples.json", tmp_path / "grid.json"
+        with open(corpus, "w") as fh:
+            write_samples_json(samples, fh)
+        assert cli.main(["grid-search", "--samples", str(corpus), "--folds", "3", "--out", str(out)]) == 1
+        (err,) = capsys.readouterr().err.splitlines()
+        assert "worker process died" in err
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+
+def _exit_in_worker(*args):
+    """A grid_search chunk whose worker process dies without raising."""
+    if multiprocessing.parent_process() is None:  # never end the test process itself
+        raise AssertionError("chunk ran in the calling process")
+    os._exit(1)
 
 
 class TestGridSearchChunks:
@@ -624,6 +660,83 @@ class TestConvergence:
         ref = _ramp_series([1])
         with pytest.raises(ParameterError):
             convergence_analysis(ref, [ref], [True], ThresholdConfig("kld", 0.021))
+
+
+def _device_set(flat_head: int, seed: int):
+    """A 30-step reference, flat for its first ``flat_head`` steps, and a
+    device set of 8 scaled noisy copies of it (the spies), 8 unrelated
+    devices, an all-zero device, a constant device and one idle for 10
+    steps before it bursts."""
+    rng = np.random.default_rng(seed)
+    ref = rng.integers(1000, 50_000, 30)
+    ref[:flat_head] = 5000
+    spies = [ref * rng.uniform(0.5, 2.0) + rng.normal(0, 3000, 30) for _ in range(8)]
+    others = [rng.integers(1000, 50_000, 30) for _ in range(8)]
+    burst = np.concatenate((np.zeros(10), rng.integers(1000, 9000, 20)))
+    devices = [*spies, *others, np.zeros(30), np.full(30, 700), burst]
+    labels = [True] * 8 + [False] * 11
+    return _ramp_series(ref), [_ramp_series(np.abs(d).astype(np.int64)) for d in devices], labels
+
+
+def _converge_by_vectors(reference, devices, labels, classifier):
+    """convergence_analysis as four-measure similarity vectors at every prefix."""
+    window, _ = align(reference, devices[0])
+    return [
+        (t, evaluate(verdicts(similarity_vectors(window.prefix(t), devices), classifier), labels))
+        for t in range(2, len(window) + 1)
+    ]
+
+
+class TestConvergenceColumns:
+    """convergence_analysis scores only the measures its classifier reads,
+    and decides as the four-measure vectors do."""
+
+    SCENES = [(0, 31), (6, 32)]  # (steps the reference starts flat, seed)
+
+    @pytest.mark.parametrize("flat_head,seed", SCENES)
+    def test_columns_are_the_vectors_measures(self, flat_head, seed):
+        reference, devices, _ = _device_set(flat_head, seed)
+        for t in range(2, 31):
+            prefix = reference.prefix(t)
+            vectors = similarity_vectors(prefix, devices)
+            scored = measure_columns(prefix, devices, MEASURES)
+            for m in MEASURES:
+                values, undefined = scored.columns[m]
+                expected_values, expected_undefined = measure_values(vectors, m)
+                assert [repr(v) for v in values.tolist()] == [repr(v) for v in expected_values.tolist()], (t, m)
+                assert undefined.tolist() == expected_undefined.tolist(), (t, m)
+            assert [(scored.ref_degenerate, bool(c)) for c in scored.cand_degenerate] == [
+                ("ref_degenerate" in v.flags, "cand_degenerate" in v.flags) for v in vectors
+            ]
+            one = measure_columns(prefix, devices, ["kld"])
+            assert list(one.columns) == ["kld"]
+            assert np.array_equal(one.columns["kld"][0], scored.columns["kld"][0], equal_nan=True)
+        # The flat head and the constant and all-zero devices leave measures undefined.
+        assert measure_columns(reference.prefix(4), devices, ["cc"]).columns["cc"][1].all() == (flat_head > 0)
+        assert measure_columns(reference, devices, ["cc"]).columns["cc"][1].sum() == 2
+
+    @pytest.mark.parametrize("flat_head,seed", SCENES)
+    def test_threshold_metrics_equal_the_vector_path(self, flat_head, seed):
+        reference, devices, labels = _device_set(flat_head, seed)
+        full = similarity_vectors(reference, devices)
+        for m in MEASURES:
+            values = measure_values(full, m)[0]
+            cfg = ThresholdConfig(m, float(np.nanmedian(values)))
+            expected = _converge_by_vectors(reference, devices, labels, cfg)
+            assert len({r[1] for r in expected}) > 1, m  # the verdicts change with t
+            assert convergence_analysis(reference, devices, labels, cfg) == expected, m
+
+    @pytest.mark.parametrize("subset", [("cc", "dtw", "kld", "jsd"), CAMERA_REF_FEATURES])
+    @pytest.mark.parametrize("flat_head,seed", SCENES)
+    def test_network_metrics_equal_the_vector_path(self, subset, flat_head, seed):
+        reference, devices, labels = _device_set(flat_head, seed)
+        train = [
+            LabeledSample(v, label)
+            for t in (5, 10, 20, 30) for v, label in zip(similarity_vectors(reference.prefix(t), devices), labels)
+        ]
+        model = mlp_train(train, layers=(5,), seed=1, max_iter=150, feature_subset=subset)
+        expected = _converge_by_vectors(reference, devices, labels, model)
+        assert convergence_analysis(reference, devices, labels, model) == expected
 
 
 class TestPortability:

@@ -617,6 +617,28 @@ class TestConverge:
                         "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @staticmethod
+    def _unscored(name):
+        def kernel(*args):
+            raise AssertionError(f"converge ran {name}")
+        return kernel
+
+    def test_kld_threshold_scores_kld_only(self, tmp_path, monkeypatch):
+        for name in ("_cc_rows", "_dtw_rows", "_jsd_rows"):
+            monkeypatch.setattr(simobs.similarity, name, self._unscored(name))
+        out = tmp_path / "curve.csv"
+        assert run(["converge", "--preset", "easy70", "--trials", "1", "--measure", "kld", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == TestSimilarityGoldenBytes.CONVERGE["easy70"]
+
+    def test_default_model_never_scores_dtw(self, synthetic_samples, tmp_path, monkeypatch):
+        model = tmp_path / "model.json"
+        assert run(["train", "--samples", str(synthetic_samples), "--layers", "4", "--out", str(model)]) == 0
+        argv = ["converge", "--preset", "easy", "--seed", "8", "--model", str(model), "--out"]
+        assert run([*argv, str(tmp_path / "all.csv")]) == 0
+        monkeypatch.setattr(simobs.similarity, "_dtw_rows", self._unscored("_dtw_rows"))
+        assert run([*argv, str(tmp_path / "no_dtw.csv")]) == 0
+        assert (tmp_path / "no_dtw.csv").read_bytes() == (tmp_path / "all.csv").read_bytes()
+
 
 class TestUsageErrors:
     def test_extract_needs_exactly_one_input(self, pcap_file, video_file):
@@ -674,6 +696,14 @@ class TestUsageErrors:
         (err,) = capsys.readouterr().err.splitlines()
         assert "missing" in err
         assert not out.exists()
+
+    def test_simulate_unwritable_pcap_out(self, tmp_path, capsys):
+        scene = tmp_path / "scene"
+        assert run(["simulate", "--preset", "easy", "--out-dir", str(scene),
+                    "--pcap-out", str(tmp_path / "missing" / "c.pcap")]) == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert "missing" in err
+        assert list(scene.iterdir()) == []
 
     def test_simulate_link_needs_pcap_out(self, tmp_path, capsys):
         scene = tmp_path / "scene"
@@ -807,7 +837,7 @@ class TestMalformedInput:
         assert not out.exists()
 
     @pytest.mark.parametrize("garble", ["truncated", "list", "no layer_sizes", "no feature_subset",
-                                        "unknown activation", "unknown feature", "short mean"])
+                                        "unknown activation", "unknown feature", "short mean", "empty feature_subset"])
     def test_garbled_model_one_line_exit_1(self, garble, scene, synthetic_samples, tmp_path, capsys):
         model = tmp_path / "model.json"
         assert run(["train", "--samples", str(synthetic_samples), "--layers", "3", "--max-iter", "5",
@@ -825,6 +855,9 @@ class TestMalformedInput:
                 payload["activation"] = "softmax"
             elif garble == "unknown feature":
                 payload["feature_subset"][0] = "dtv"
+            elif garble == "empty feature_subset":  # a consistent network of no inputs
+                payload.update(layer_sizes=[0, 1], weights=[[]], biases=[[0.0]], feature_subset=[],
+                               standardization={"mean": [], "std": []})
             else:
                 payload["standardization"]["mean"].pop()
             text = json.dumps(payload)
