@@ -275,7 +275,9 @@ def _scenario_from_args(args) -> simulate.SimScenario:
 def cmd_simulate(args) -> int:
     if args.link is not None and not args.pcap_out:
         raise ParameterError("--link sets the capture's link type; give --pcap-out too")
-    dataset = simulate.render_scenario(_scenario_from_args(args))
+    scenario = _scenario_from_args(args)
+    # Only a capture needs frames; the series are the same either way.
+    dataset = simulate.render_scenario(scenario) if args.pcap_out else simulate.render_series(scenario)
     devices = [(tr.device_id, tr.series) for tr in dataset.traces]
     out_dir = Path(args.out_dir)
     outputs: dict[str, str | bytearray] = {
@@ -308,7 +310,7 @@ def cmd_converge(args) -> int:
 
     curves: list[list[cls.Metrics]] = []
     for trial in range(args.trials):
-        dataset = simulate.render_scenario(replace(scenario, seed=scenario.seed + trial))
+        dataset = simulate.render_series(replace(scenario, seed=scenario.seed + trial))
         results = cls.convergence_analysis(
             dataset.reference_series,
             [tr.series for tr in dataset.traces],

@@ -69,6 +69,14 @@ def _check_finite(name: str, value) -> None:
         raise ParameterError(f"{name} must be a finite number, got {value!r}")
 
 
+def _whole_steps(name: str, value) -> int:
+    """A count of steps: a finite number with no fractional part (10.0 is 10)."""
+    _check_finite(name, value)
+    if value != math.floor(value):
+        raise ParameterError(f"{name} must be a whole number of steps, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class CameraModel:
     """Byte-rate behavior of one streaming camera."""
@@ -86,6 +94,7 @@ class CameraModel:
     def __post_init__(self):
         for field in fields(self):
             _check_finite(field.name, getattr(self, field.name))
+        _whole_steps("iframe_period", self.iframe_period)
         if min(self.idle_bytes_per_step, self.motion_gain, self.iframe_bytes, self.noise_std) < 0:
             raise ParameterError("byte quantities must be >= 0")
         if self.iframe_period < 1:
@@ -208,6 +217,11 @@ def packetize(step_bytes: Sequence[int], step: float, delay: float = 0.0) -> np.
     Nonzero emissions are padded to the 64-byte minimum frame; packets
     sit at evenly spaced sub-step offsets, shifted by ``delay``.
     """
+    return event_array(*_frames(step_bytes, step, delay))
+
+
+def _frames(step_bytes: Sequence[int], step: float, delay: float) -> tuple[np.ndarray, np.ndarray]:
+    """Timestamps and sizes of the packets ``packetize`` builds."""
     totals = np.asarray(step_bytes, dtype=np.int64)
     steps = np.flatnonzero(totals > 0)
     totals = np.maximum(totals[steps], MIN_FRAME)
@@ -216,17 +230,46 @@ def packetize(step_bytes: Sequence[int], step: float, delay: float = 0.0) -> np.
     n = np.repeat(n_pkts, n_pkts)
     j = np.arange(n.size) - np.repeat(np.cumsum(n_pkts) - n_pkts, n_pkts)
     sizes = np.repeat(base, n_pkts) + (j < np.repeat(extra, n_pkts))
-    timestamps = (np.repeat(steps, n_pkts) + (j + 0.5) / n) * step + delay
-    return event_array(timestamps, sizes)
+    return _packet_times(np.repeat(steps, n_pkts), j, n, step, delay), sizes
 
 
-def camera_traffic(
-    activity: ActivitySignal,
-    model: CameraModel,
-    step: float,
-    seed: int,
-) -> np.ndarray:
-    """Packet events a camera with this model produces for the scene."""
+def _packet_times(steps: np.ndarray, j: np.ndarray, n: np.ndarray, step: float, delay: float) -> np.ndarray:
+    """Time of packet ``j`` of the ``n`` a step sends, monotone in ``j``."""
+    return (steps + (j + 0.5) / n) * step + delay
+
+
+def step_series(step_bytes: Sequence[int], step: float, delay: float, n_steps: int) -> ByteSeries:
+    """The series ``bin_events(packetize(step_bytes, step, delay), 0.0,
+    step, n_steps)`` would give, bit for bit, without building packets.
+
+    A step whose first and last packet fall in the same bin adds its
+    padded total there, as packet times rise with the packet index; only
+    a step that straddles a bin boundary is split packet by packet.
+    """
+    if n_steps < 1 or not 0 < step < math.inf:
+        raise ParameterError(f"need n_steps >= 1 and a finite step > 0, got {n_steps}, {step}")
+    totals = np.asarray(step_bytes, dtype=np.int64)
+    steps = np.flatnonzero(totals > 0)
+    sizes = np.maximum(totals[steps], MIN_FRAME)
+    n_pkts = -(-sizes // MTU)
+
+    def bin_of(j):  # as bin_events bins from start time 0.0
+        return np.floor(_packet_times(steps, j, n_pkts, step, delay) / step)
+
+    first, last = bin_of(0), bin_of(n_pkts - 1)
+    whole = (first == last) & (first >= 0) & (first < n_steps)
+    values = np.zeros(n_steps, dtype=np.int64)
+    np.add.at(values, first[whole].astype(np.int64), sizes[whole])
+    straddle = np.flatnonzero(first != last)
+    if straddle.size:
+        split = np.zeros(totals.size, dtype=np.int64)
+        split[steps[straddle]] = totals[steps[straddle]]
+        values += bin_events(event_array(*_frames(split, step, delay)), 0.0, step, n_steps).values
+    return ByteSeries(0.0, step, values)
+
+
+def _camera_bytes(activity: ActivitySignal, model: CameraModel, step: float, seed: int) -> np.ndarray:
+    """Bytes a camera with this model sends in each step of the scene."""
     act = activity.per_step_means(step) * model.observed_fraction
     n_steps = len(act)
     rng = np.random.default_rng(seed)
@@ -245,7 +288,17 @@ def camera_traffic(
                 buffered = 0.0
         else:
             step_bytes[i] = round(produced)
-    return packetize(step_bytes, step, model.delay)
+    return step_bytes
+
+
+def camera_traffic(
+    activity: ActivitySignal,
+    model: CameraModel,
+    step: float,
+    seed: int,
+) -> np.ndarray:
+    """Packet events a camera with this model produces for the scene."""
+    return packetize(_camera_bytes(activity, model, step, seed), step, model.delay)
 
 
 def background_traffic(
@@ -256,23 +309,28 @@ def background_traffic(
     step: float = 1.0,
 ) -> np.ndarray:
     """Packet events for one non-camera (or non-spying camera) device."""
+    return packetize(_background_bytes(kind, parameters, duration, seed, step), step)
+
+
+def _background_bytes(kind: str, parameters: Mapping, duration: int, seed: int, step: float) -> np.ndarray:
+    """Bytes one background device sends in each step; it never delays."""
     params = dict(parameters)
     rng = np.random.default_rng(seed)
     if kind == "cbr":
-        return _cbr(params, duration, rng, step)
+        return _cbr(params, duration, rng)
     if kind == "vbr_stream":
         return _vbr_stream(params, duration, seed, step)
     if kind == "browsing":
         return _browsing(params, duration, rng, step)
     if kind == "download":
-        return _download(params, duration, rng, step)
+        return _download(params, duration, rng)
     raise ParameterError(f"unknown background kind {kind!r}")
 
 
-def _cbr(params: dict, duration: int, rng: np.random.Generator, step: float) -> np.ndarray:
+def _cbr(params: dict, duration: int, rng: np.random.Generator) -> np.ndarray:
     base = float(params.get("bytes_per_step", 300_000.0))
     jitter = float(params.get("jitter", 0.0))
-    surge_period = int(params.get("surge_period", 0))
+    surge_period = _whole_steps("surge_period", params.get("surge_period", 0))
     surge_factor = float(params.get("surge_factor", 0.0))
     step_bytes = np.full(duration, base)
     if jitter > 0:
@@ -280,7 +338,7 @@ def _cbr(params: dict, duration: int, rng: np.random.Generator, step: float) -> 
     if surge_period > 0:
         surge_at = np.arange(duration) % surge_period == surge_period - 1
         step_bytes += np.where(surge_at, base * surge_factor, 0.0)
-    return packetize(np.maximum(0, np.round(step_bytes)).astype(np.int64), step)
+    return np.maximum(0, np.round(step_bytes)).astype(np.int64)
 
 
 def _vbr_stream(params: dict, duration: int, seed: int, step: float) -> np.ndarray:
@@ -288,13 +346,13 @@ def _vbr_stream(params: dict, duration: int, seed: int, step: float) -> np.ndarr
     model = CameraModel(
         idle_bytes_per_step=float(params.get("idle_bytes_per_step", 40_000.0)),
         motion_gain=float(params.get("motion_gain", 350_000.0)),
-        iframe_period=int(params.get("iframe_period", 10)),
+        iframe_period=_whole_steps("iframe_period", params.get("iframe_period", 10)),
         iframe_bytes=float(params.get("iframe_bytes", 100_000.0)),
         noise_std=float(params.get("noise_std", 10_000.0)),
     )
     # Its own scene: seed-derived, independent of the observed one.
     activity = gen_activity(profile, duration, derive_seed(seed, "vbr-activity"), step=step)
-    return camera_traffic(activity, model, step, derive_seed(seed, "vbr-camera"))
+    return _camera_bytes(activity, model, step, derive_seed(seed, "vbr-camera"))
 
 
 def _browsing(params: dict, duration: int, rng: np.random.Generator, step: float) -> np.ndarray:
@@ -313,16 +371,16 @@ def _browsing(params: dict, duration: int, rng: np.random.Generator, step: float
         share = np.ones(i1 - i0) / (i1 - i0)
         step_bytes[i0:i1] += np.round(total * share).astype(np.int64)
         t += length + float(rng.exponential(off_mean))
-    return packetize(step_bytes, step)
+    return step_bytes
 
 
-def _download(params: dict, duration: int, rng: np.random.Generator, step: float) -> np.ndarray:
+def _download(params: dict, duration: int, rng: np.random.Generator) -> np.ndarray:
     rate = float(params.get("bytes_per_step", 2_000_000.0))
-    ramp = max(1, int(params.get("ramp_steps", 5)))
+    ramp = max(1, _whole_steps("ramp_steps", params.get("ramp_steps", 5)))
     jitter = float(params.get("jitter", rate * 0.01))
     ramp_curve = np.minimum(1.0, (np.arange(duration) + 1) / ramp)
     step_bytes = rate * ramp_curve + (rng.laplace(0.0, jitter, duration) if jitter > 0 else 0.0)
-    return packetize(np.maximum(0, np.round(step_bytes)).astype(np.int64), step)
+    return np.maximum(0, np.round(step_bytes)).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -333,35 +391,57 @@ def _device_mac(group: int, index: int) -> DeviceId:
     return DeviceId("mac", f"02:00:00:00:{group:02x}:{index + 1:02x}")
 
 
-def render_scenario(scenario: SimScenario) -> SimDataset:
-    """Generate the labeled dataset one scenario describes.
+@dataclass(frozen=True, eq=False)
+class DeviceSteps:
+    """One simulated device before it is packetized: its per-step byte
+    totals, transmit delay, binned stream and ground truth."""
+
+    device_id: DeviceId
+    kind: str
+    spying: bool
+    step_bytes: np.ndarray
+    delay: float
+    series: ByteSeries
+
+
+@dataclass(frozen=True)
+class SimSeries:
+    """A scenario rendered as series only; ``render_scenario`` adds frames."""
+
+    reference_series: ByteSeries
+    traces: tuple[DeviceSteps, ...]
+    manifest: dict
+
+
+def render_series(scenario: SimScenario) -> SimSeries:
+    """Every device's per-step totals and binned series for one scenario.
 
     All randomness flows from the scenario seed through per-device
     sub-seeds, so datasets are byte-identical across runs and adding a
-    device never changes the others.
+    device never changes the others.  Each series is the exact binning
+    of the frames ``render_scenario`` would build from the same totals.
     """
     step = scenario.step
     duration = scenario.duration
     scene = gen_activity(
         scenario.activity_profile, duration, derive_seed(scenario.seed, "scene"), step=step
     )
-    reference_events = camera_traffic(
-        scene, scenario.reference, step, derive_seed(scenario.seed, "reference")
-    )
-    reference_series = bin_events(reference_events, 0.0, step, duration)
+    reference = scenario.reference
+    reference_bytes = _camera_bytes(scene, reference, step, derive_seed(scenario.seed, "reference"))
+    reference_series = step_series(reference_bytes, step, reference.delay, duration)
 
     devices = [
         (_device_mac(1, i), "spy_camera", True,
-         camera_traffic(scene, model, step, derive_seed(scenario.seed, "spy", i)))
+         _camera_bytes(scene, model, step, derive_seed(scenario.seed, "spy", i)), model.delay)
         for i, model in enumerate(scenario.spies)
     ] + [
         (_device_mac(2, i), kind, False,
-         background_traffic(kind, params, duration, derive_seed(scenario.seed, "background", i), step=step))
+         _background_bytes(kind, params, duration, derive_seed(scenario.seed, "background", i), step), 0.0)
         for i, (kind, params) in enumerate(scenario.background)
     ]
     traces = sorted(
-        (LabeledTrace(device_id, kind, spying, events, bin_events(events, 0.0, step, duration))
-         for device_id, kind, spying, events in devices),
+        (DeviceSteps(device_id, kind, spying, step_bytes, delay, step_series(step_bytes, step, delay, duration))
+         for device_id, kind, spying, step_bytes, delay in devices),
         key=lambda tr: tr.device_id,
     )
 
@@ -372,7 +452,17 @@ def render_scenario(scenario: SimScenario) -> SimDataset:
             for tr in traces
         ],
     }
-    return SimDataset(reference_series=reference_series, traces=tuple(traces), manifest=manifest)
+    return SimSeries(reference_series=reference_series, traces=tuple(traces), manifest=manifest)
+
+
+def render_scenario(scenario: SimScenario) -> SimDataset:
+    """``render_series`` plus the frames of every device, for a capture."""
+    rendered = render_series(scenario)
+    traces = tuple(
+        LabeledTrace(tr.device_id, tr.kind, tr.spying, packetize(tr.step_bytes, scenario.step, tr.delay), tr.series)
+        for tr in rendered.traces
+    )
+    return SimDataset(rendered.reference_series, traces, rendered.manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +573,7 @@ def scenario_to_dict(scenario: SimScenario) -> dict:
 def scenario_from_dict(data: Mapping) -> SimScenario:
     try:
         return SimScenario(
-            duration=int(data["duration"]),
+            duration=_whole_steps("duration", data["duration"]),
             seed=int(data["seed"]),
             reference=CameraModel(**data["reference"]),
             spies=tuple(CameraModel(**m) for m in data.get("spies", [])),

@@ -640,6 +640,33 @@ class TestConverge:
         assert (tmp_path / "no_dtw.csv").read_bytes() == (tmp_path / "all.csv").read_bytes()
 
 
+    def test_series_commands_build_no_frames(self, synthetic_samples, tmp_path, monkeypatch):
+        """converge and a simulate without --pcap-out bin per-step byte
+        totals; only a capture packetizes."""
+        model = tmp_path / "model.json"
+        assert run(["train", "--samples", str(synthetic_samples), "--layers", "4", "--out", str(model)]) == 0
+        argvs = [["converge", "--preset", "far", "--seed", "8", "--model", str(model), "--out", "model.csv"],
+                 ["simulate", "--preset", "far", "--seed", "2", "--out-dir", "far"]]
+
+        def outputs(name):
+            root = tmp_path / name
+            root.mkdir()
+            for argv in argvs:
+                assert run([*argv[:-1], str(root / argv[-1])]) == 0
+            return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+        framed = outputs("framed")
+        monkeypatch.setattr(simulate, "packetize", self._unscored("packetize"))
+        assert outputs("frameless") == framed
+        assert len(framed) == 4
+        out = tmp_path / "curve.csv"
+        assert run(["converge", "--preset", "easy70", "--trials", "1", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == TestSimilarityGoldenBytes.CONVERGE["easy70"]
+        with pytest.raises(AssertionError, match="packetize"):  # a capture still packetizes
+            run(["simulate", "--preset", "far", "--out-dir", str(tmp_path / "capture"),
+                 "--pcap-out", str(tmp_path / "capture.pcap")])
+
+
 class TestUsageErrors:
     def test_extract_needs_exactly_one_input(self, pcap_file, video_file):
         assert run(["extract", "--pcap", str(pcap_file), "--video", str(video_file)]) == 2
@@ -959,8 +986,16 @@ class TestNonFiniteNumbers:
         (("reference", "idle_bytes_per_step"), math.inf),
         (("step",), math.nan),
         (("background", 7, 1, "ramp_steps"), "x"),
+        # a count of steps with a fractional part
+        (("spies", 0, "iframe_period"), 2.5),
+        (("reference", "iframe_period"), 9.5),
+        (("background", 0, 1, "surge_period"), 8.7),
+        (("background", 3, 1, "iframe_period"), 8.5),
+        (("background", 7, 1, "ramp_steps"), 5.5),
+        (("duration",), 10.5),
     ], ids=["delay-nan", "delay-negative", "delay-past-2**32", "noise_std-nan", "idle_bytes_per_step-inf",
-            "step-nan", "ramp_steps-text"])
+            "step-nan", "ramp_steps-text", "spy-iframe_period-2.5", "reference-iframe_period-9.5",
+            "surge_period-8.7", "vbr-iframe_period-8.5", "ramp_steps-5.5", "duration-10.5"])
     def test_scenario_number(self, key, value, tmp_path, capsys):
         config = simulate.scenario_to_dict(simulate.easy_scenario(seed=1, duration=10))
         *parents, last = key

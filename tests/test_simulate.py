@@ -15,6 +15,7 @@ from simobs.simulate import (
     ACTIVITY_RESOLUTION,
     MIN_FRAME,
     MTU,
+    PRESETS,
     ActivitySignal,
     CameraModel,
     LabeledTrace,
@@ -29,9 +30,11 @@ from simobs.simulate import (
     packetize,
     preset_scenario,
     render_scenario,
+    render_series,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
+    step_series,
     write_pcap,
 )
 from simobs.timeseries import bin_events, event_array, min_max_normalize
@@ -97,6 +100,63 @@ class TestPacketize:
     def test_matches_per_packet_loop(self, step_bytes, step, delay):
         events = packetize(np.array(step_bytes, dtype=np.int64), step, delay)
         assert events.tolist() == packetize_oracle(step_bytes, step, delay)
+
+
+class TestStepSeries:
+    """``step_series`` is ``bin_events`` over ``packetize``, bit for bit."""
+
+    # Totals of one packet, and of several that may straddle a bin boundary.
+    SMALL = [-3, 0, *range(1, 64), 64]
+    LARGE = [MTU - 1, MTU, MTU + 1, 2 * MTU - 1, 2 * MTU + 1, 40 * MTU - 1, 40 * MTU + 1, 2_000_000]
+    STEPS = [1.0, 0.5, 0.3, 0.1, 1 / 3]
+    DELAYS = [0.0, 0.3, -0.7, 2.5, 59.9, 1e-9]
+
+    @staticmethod
+    def _straddles(totals, step, delay) -> int:
+        """Steps whose packets fall in more than one bin."""
+        count = 0
+        for i in np.flatnonzero(totals > 0):
+            alone = np.zeros_like(totals)
+            alone[i] = totals[i]
+            bins = np.floor(packetize(alone, step, delay)["timestamp"] / step)
+            count += bins.min() != bins.max()
+        return count
+
+    def test_equals_binned_packets(self):
+        rng = np.random.default_rng(14)
+        cases = straddled = 0
+        for step in self.STEPS:
+            for delay in self.DELAYS:
+                for _ in range(8):
+                    size = int(rng.integers(1, 30))
+                    totals = np.where(rng.random(size) < 0.5, rng.choice(self.SMALL, size), rng.choice(self.LARGE, size))
+                    for n_steps in (1, len(totals) // 2 + 1, len(totals), len(totals) + 70):
+                        expected = bin_events(packetize(totals, step, delay), 0.0, step, n_steps)
+                        assert step_series(totals, step, delay, n_steps) == expected, (totals, step, delay)
+                        cases += 1
+                    straddled += self._straddles(totals, step, delay)
+        assert cases == 960
+        assert straddled >= 400
+
+    def test_rejects_what_bin_events_rejects(self):
+        for step, n_steps in [(1.0, 0), (0.0, 5), (math.inf, 5), (math.nan, 5)]:
+            with pytest.raises(ParameterError):
+                step_series(np.array([100]), step, 0.0, n_steps)
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_presets_bin_their_frames(self, preset):
+        for seed, step in [(0, 1.0), (9, 1.0), (4, 0.3)]:
+            scenario = replace(preset_scenario(preset, seed), step=step)
+            series, frames = render_series(scenario), render_scenario(scenario)
+            assert series.manifest == frames.manifest
+            assert len(series.traces) == len(frames.traces)
+            for tr, framed in zip(series.traces, frames.traces):
+                assert (tr.device_id, tr.kind, tr.spying) == (framed.device_id, framed.kind, framed.spying)
+                assert tr.series == framed.series == bin_events(framed.events, 0.0, step, scenario.duration)
+            scene = gen_activity(scenario.activity_profile, scenario.duration,
+                                 derive_seed(scenario.seed, "scene"), step=step)
+            reference = camera_traffic(scene, scenario.reference, step, derive_seed(scenario.seed, "reference"))
+            assert series.reference_series == bin_events(reference, 0.0, step, scenario.duration)
 
 
 class TestCameraTraffic:
@@ -189,6 +249,13 @@ class TestBackgroundTraffic:
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):
             background_traffic("torrent", {}, 60, 0)
+
+    @pytest.mark.parametrize("kind, key", [("cbr", "surge_period"), ("vbr_stream", "iframe_period"),
+                                           ("download", "ramp_steps")])
+    def test_step_count_must_be_whole(self, kind, key):
+        with pytest.raises(ParameterError, match="whole number of steps"):
+            background_traffic(kind, {key: 8.7}, 60, 0)
+        assert np.array_equal(background_traffic(kind, {key: 8.0}, 60, 0), background_traffic(kind, {key: 8}, 60, 0))
 
 
 class TestRenderScenario:
@@ -391,3 +458,20 @@ class TestScenarioConfig:
     def test_unknown_preset(self):
         with pytest.raises(ParameterError):
             preset_scenario("nightmare", seed=0)
+
+    def test_whole_float_step_counts_accepted(self):
+        config = scenario_to_dict(easy_scenario(seed=1, duration=10))
+        config["duration"] = 10.0
+        config["spies"][0]["iframe_period"] = 10.0
+        config["background"][0][1]["surge_period"] = 8.0
+        config["background"][3][1]["iframe_period"] = 8.0
+        config["background"][7][1]["ramp_steps"] = 5.0
+        floats = render_series(scenario_from_dict(config))
+        ints = render_series(easy_scenario(seed=1, duration=10))
+        assert floats.reference_series == ints.reference_series
+        assert [tr.series for tr in floats.traces] == [tr.series for tr in ints.traces]
+
+    @pytest.mark.parametrize("model", [{"iframe_period": 2.5}, {"iframe_period": 0.5}])
+    def test_camera_iframe_period_must_be_whole(self, model):
+        with pytest.raises(ParameterError, match="whole number of steps"):
+            CameraModel(**model)
