@@ -26,9 +26,9 @@ from .errors import (
     read_json,
 )
 # similarity_vector is not called here; perfbench/layers.py wraps classify.similarity_vector.
-from .similarity import MEASURES, SimilarityVector, measure_columns, similarity_vector
+from .similarity import MEASURES, SimilarityVector, aligned_rows, score_rows, similarity_vector
 from .similarity import read_rows_json, vector_from_row, vector_to_row
-from .timeseries import ByteSeries, align
+from .timeseries import ByteSeries
 
 # Measures where larger means more similar classify spy at-or-above the
 # threshold; distance/divergence measures at-or-below.
@@ -640,19 +640,19 @@ def convergence_analysis(
 ) -> list[tuple[int, Metrics]]:
     """Metrics at every prefix length t = 2..T of the shared window.
 
-    ``devices`` is one device set, aligned with the reference once; at
-    each t the measures the classifier reads are recomputed on the first
-    t steps only, and no other measure is computed.
+    ``devices`` is one device set, aligned with the reference and stacked
+    once; at each t the measures the classifier reads are scored on the
+    first t steps of those rows only, and no other measure is computed.
     """
     if not devices or len(devices) != len(labels):
         raise ParameterError("devices and labels must be non-empty and of equal length")
-    window, _ = align(reference, devices[0])
-    if len(window) < 2:
+    raw = aligned_rows(reference, devices)
+    if raw.shape[1] < 2:
         raise ParameterError("window must be at least 2 steps")
     measures = _measures_read(model_or_cfg)
     results = []
-    for t in range(2, len(window) + 1):
-        columns = measure_columns(window.prefix(t), devices, measures).columns
+    for t in range(2, raw.shape[1] + 1):
+        columns = score_rows(raw[:, :t], measures).columns
         results.append((t, evaluate(column_verdicts(columns, model_or_cfg), labels)))
     return results
 

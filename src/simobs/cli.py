@@ -9,6 +9,7 @@ I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -360,6 +361,7 @@ def cmd_agreement(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache  # one parser per process; parse_args leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="simobs",

@@ -195,31 +195,35 @@ class MeasureColumns(NamedTuple):
     cand_degenerate: np.ndarray
 
 
-def measure_columns(
-    reference: ByteSeries, candidates: Sequence[ByteSeries], measures: Sequence[str]
-) -> MeasureColumns:
-    """Align, normalize, and score each candidate against the reference
-    on ``measures`` only.
+def aligned_rows(reference: ByteSeries, candidates: Sequence[ByteSeries]) -> np.ndarray:
+    """The reference's and each candidate's bins over their shared window,
+    as one ``(1 + D, T)`` int64 array: the reference, then each candidate.
 
     The candidates are one device set: one or more series sharing
     ``start_time``, ``step`` and length (else ParameterError), so one
-    alignment with the reference serves them all, and each measure
-    scores the whole set at once.  A missing overlap raises
-    AlignmentError.
+    alignment with the reference serves them all.  A missing overlap
+    raises AlignmentError.
     """
-    if unknown := set(measures) - set(MEASURES):
-        raise ParameterError(f"unknown measures {sorted(unknown)}")
     if len({(c.start_time, c.step, len(c)) for c in candidates}) != 1:
         raise ParameterError("candidates must be one or more series sharing start_time, step and length")
     first = candidates[0]
     ref, aligned = align(reference, first)
     skip = round((aligned.start_time - first.start_time) / first.step)
     cands = np.stack([c.values for c in candidates])[:, skip : skip + len(aligned)]
-    raw = np.concatenate((ref.values[None], cands))  # the reference, then each candidate
+    return np.concatenate((ref.values[None], cands))
+
+
+def score_rows(raw: np.ndarray, measures: Sequence[str]) -> MeasureColumns:
+    """Normalize the rows ``aligned_rows`` stacks and score each candidate
+    row against the reference row on ``measures`` only, each measure
+    scoring the whole set at once.  Any leading columns of those rows,
+    such as the first t steps, are rows of the same kind."""
+    if unknown := set(measures) - set(MEASURES):
+        raise ParameterError(f"unknown measures {sorted(unknown)}")
     scaled, degenerate = min_max_normalize(raw)
     x, ys = scaled[0], scaled[1:]
     flattened = degenerate[0] | degenerate[1:]
-    never = np.zeros(len(candidates), dtype=bool)
+    never = np.zeros(len(ys), dtype=bool)
 
     columns = {}
     for name in measures:
@@ -238,10 +242,19 @@ def measure_columns(
             scored = ~(empty[0] | empty[1:])
             jsds = np.where(empty[0] & empty[1:], 0.0, math.log(2))
             jsds[scored] = _jsd_rows(
-                np.where(flattened[:, None], raw[0], x)[scored], np.where(flattened[:, None], cands, ys)[scored]
+                np.where(flattened[:, None], raw[0], x)[scored], np.where(flattened[:, None], raw[1:], ys)[scored]
             )
             columns[name] = (jsds, never)
     return MeasureColumns(columns, bool(degenerate[0]), degenerate[1:])
+
+
+def measure_columns(
+    reference: ByteSeries, candidates: Sequence[ByteSeries], measures: Sequence[str]
+) -> MeasureColumns:
+    """Align, normalize, and score each candidate of one device set
+    against the reference on ``measures`` only: ``score_rows`` of
+    ``aligned_rows``."""
+    return score_rows(aligned_rows(reference, candidates), measures)
 
 
 def similarity_vectors(reference: ByteSeries, candidates: Sequence[ByteSeries]) -> list[SimilarityVector]:

@@ -240,7 +240,16 @@ def _packet_times(steps: np.ndarray, j: np.ndarray, n: np.ndarray, step: float, 
 
 def step_series(step_bytes: Sequence[int], step: float, delay: float, n_steps: int) -> ByteSeries:
     """The series ``bin_events(packetize(step_bytes, step, delay), 0.0,
-    step, n_steps)`` would give, bit for bit, without building packets.
+    step, n_steps)`` would give, bit for bit, without building packets:
+    the one-row case of ``step_bins``."""
+    values = step_bins(np.asarray(step_bytes, dtype=np.int64)[None], step, [delay], n_steps)[0]
+    return ByteSeries(0.0, step, values)
+
+
+def step_bins(step_bytes: np.ndarray, step: float, delays: Sequence[float], n_steps: int) -> np.ndarray:
+    """``step_series`` of every row of a ``(D, T)`` block of per-step
+    totals, row ``i`` sent with ``delays[i]``, as a ``(D, n_steps)``
+    int64 array.
 
     A step whose first and last packet fall in the same bin adds its
     padded total there, as packet times rise with the packet index; only
@@ -249,23 +258,25 @@ def step_series(step_bytes: Sequence[int], step: float, delay: float, n_steps: i
     if n_steps < 1 or not 0 < step < math.inf:
         raise ParameterError(f"need n_steps >= 1 and a finite step > 0, got {n_steps}, {step}")
     totals = np.asarray(step_bytes, dtype=np.int64)
-    steps = np.flatnonzero(totals > 0)
-    sizes = np.maximum(totals[steps], MIN_FRAME)
+    delays = np.asarray(delays, dtype=np.float64)
+    rows, steps = np.nonzero(totals > 0)
+    sizes = np.maximum(totals[rows, steps], MIN_FRAME)
     n_pkts = -(-sizes // MTU)
 
     def bin_of(j):  # as bin_events bins from start time 0.0
-        return np.floor(_packet_times(steps, j, n_pkts, step, delay) / step)
+        return np.floor(_packet_times(steps, j, n_pkts, step, delays[rows]) / step)
 
     first, last = bin_of(0), bin_of(n_pkts - 1)
     whole = (first == last) & (first >= 0) & (first < n_steps)
-    values = np.zeros(n_steps, dtype=np.int64)
-    np.add.at(values, first[whole].astype(np.int64), sizes[whole])
-    straddle = np.flatnonzero(first != last)
-    if straddle.size:
-        split = np.zeros(totals.size, dtype=np.int64)
-        split[steps[straddle]] = totals[steps[straddle]]
-        values += bin_events(event_array(*_frames(split, step, delay)), 0.0, step, n_steps).values
-    return ByteSeries(0.0, step, values)
+    values = np.zeros((len(totals), n_steps), dtype=np.int64)
+    np.add.at(values, (rows[whole], first[whole].astype(np.int64)), sizes[whole])
+    straddle = first != last
+    for row in np.unique(rows[straddle]):
+        split = np.zeros(totals.shape[1], dtype=np.int64)
+        at = steps[straddle & (rows == row)]
+        split[at] = totals[row, at]
+        values[row] += bin_events(event_array(*_frames(split, step, delays[row])), 0.0, step, n_steps).values
+    return values
 
 
 def _camera_bytes(activity: ActivitySignal, model: CameraModel, step: float, seed: int) -> np.ndarray:
@@ -274,21 +285,27 @@ def _camera_bytes(activity: ActivitySignal, model: CameraModel, step: float, see
     n_steps = len(act)
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, model.noise_std, n_steps) if model.noise_std > 0 else np.zeros(n_steps)
-    step_bytes = np.zeros(n_steps, dtype=np.int64)
-    buffered = 0.0
-    for i in range(n_steps):
-        produced = model.idle_bytes_per_step + model.motion_gain * act[i] + noise[i]
-        if i % model.iframe_period == 0:
-            produced += model.iframe_bytes
-        produced = max(0.0, produced)
-        if model.burst_accumulate:
-            buffered += produced
+    produced = model.idle_bytes_per_step + model.motion_gain * act + noise
+    produced[:: _whole_steps("iframe_period", model.iframe_period)] += model.iframe_bytes
+    produced = np.maximum(produced, 0.0)
+    if model.burst_accumulate:  # a store-then-burst camera carries its buffer from step to step
+        released = np.zeros(n_steps)
+        buffered = 0.0
+        for i, amount in enumerate(produced.tolist()):
+            buffered += amount
             if buffered >= model.release_threshold:
-                step_bytes[i] = round(buffered)
-                buffered = 0.0
-        else:
-            step_bytes[i] = round(produced)
-    return step_bytes
+                released[i], buffered = buffered, 0.0
+        produced = released
+    return _byte_counts(produced)
+
+
+def _byte_counts(step_bytes: np.ndarray) -> np.ndarray:
+    """Per-step byte amounts rounded half to even, as ``round`` does, into
+    int64 totals; ParameterError for an amount that no int64 holds."""
+    rounded = np.rint(step_bytes)
+    if not (rounded < 2.0**63).all():  # NaN fails too
+        raise ParameterError(f"a step's byte total {float(rounded.max())!r} does not fit in 64 bits")
+    return rounded.astype(np.int64)
 
 
 def camera_traffic(
@@ -338,7 +355,7 @@ def _cbr(params: dict, duration: int, rng: np.random.Generator) -> np.ndarray:
     if surge_period > 0:
         surge_at = np.arange(duration) % surge_period == surge_period - 1
         step_bytes += np.where(surge_at, base * surge_factor, 0.0)
-    return np.maximum(0, np.round(step_bytes)).astype(np.int64)
+    return _byte_counts(np.maximum(step_bytes, 0.0))
 
 
 def _vbr_stream(params: dict, duration: int, seed: int, step: float) -> np.ndarray:
@@ -358,7 +375,7 @@ def _vbr_stream(params: dict, duration: int, seed: int, step: float) -> np.ndarr
 def _browsing(params: dict, duration: int, rng: np.random.Generator, step: float) -> np.ndarray:
     burst_mean = float(params.get("burst_bytes", 400_000.0))
     off_mean = float(params.get("off_mean", 6.0))
-    step_bytes = np.zeros(duration, dtype=np.int64)
+    step_bytes = np.zeros(duration)
     t = float(rng.exponential(off_mean))
     horizon = duration * step
     while t < horizon:
@@ -368,10 +385,10 @@ def _browsing(params: dict, duration: int, rng: np.random.Generator, step: float
         length = rng.uniform(0.3, 1.5)
         i0 = int(t / step)
         i1 = min(duration, int((t + length) / step) + 1)
-        share = np.ones(i1 - i0) / (i1 - i0)
-        step_bytes[i0:i1] += np.round(total * share).astype(np.int64)
+        if i1 > i0:  # t / step can round up to the horizon
+            step_bytes[i0:i1] += np.rint(total * (1.0 / (i1 - i0)))
         t += length + float(rng.exponential(off_mean))
-    return step_bytes
+    return _byte_counts(step_bytes)
 
 
 def _download(params: dict, duration: int, rng: np.random.Generator) -> np.ndarray:
@@ -380,7 +397,7 @@ def _download(params: dict, duration: int, rng: np.random.Generator) -> np.ndarr
     jitter = float(params.get("jitter", rate * 0.01))
     ramp_curve = np.minimum(1.0, (np.arange(duration) + 1) / ramp)
     step_bytes = rate * ramp_curve + (rng.laplace(0.0, jitter, duration) if jitter > 0 else 0.0)
-    return np.maximum(0, np.round(step_bytes)).astype(np.int64)
+    return _byte_counts(np.maximum(step_bytes, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +445,6 @@ def render_series(scenario: SimScenario) -> SimSeries:
     )
     reference = scenario.reference
     reference_bytes = _camera_bytes(scene, reference, step, derive_seed(scenario.seed, "reference"))
-    reference_series = step_series(reference_bytes, step, reference.delay, duration)
-
     devices = [
         (_device_mac(1, i), "spy_camera", True,
          _camera_bytes(scene, model, step, derive_seed(scenario.seed, "spy", i)), model.delay)
@@ -439,9 +454,15 @@ def render_series(scenario: SimScenario) -> SimSeries:
          _background_bytes(kind, params, duration, derive_seed(scenario.seed, "background", i), step), 0.0)
         for i, (kind, params) in enumerate(scenario.background)
     ]
+    # The reference is row 0 of one block that bins every device at once.
+    bins = step_bins(
+        np.stack([reference_bytes, *(step_bytes for *_, step_bytes, _ in devices)]),
+        step, [reference.delay, *(delay for *_, delay in devices)], duration,
+    )
+    reference_series = ByteSeries(0.0, step, bins[0])
     traces = sorted(
-        (DeviceSteps(device_id, kind, spying, step_bytes, delay, step_series(step_bytes, step, delay, duration))
-         for device_id, kind, spying, step_bytes, delay in devices),
+        (DeviceSteps(device_id, kind, spying, step_bytes, delay, ByteSeries(0.0, step, values))
+         for (device_id, kind, spying, step_bytes, delay), values in zip(devices, bins[1:])),
         key=lambda tr: tr.device_id,
     )
 
@@ -570,11 +591,20 @@ def scenario_to_dict(scenario: SimScenario) -> dict:
     }
 
 
+def _seed(value) -> int:
+    """A scenario seed: an integer, or a float with no fractional part
+    (7.0 is 7); not a bool."""
+    whole = isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not whole:
+        raise ParameterError(f"seed must be a whole number, got {value!r}")
+    return int(value)
+
+
 def scenario_from_dict(data: Mapping) -> SimScenario:
     try:
         return SimScenario(
             duration=_whole_steps("duration", data["duration"]),
-            seed=int(data["seed"]),
+            seed=_seed(data["seed"]),
             reference=CameraModel(**data["reference"]),
             spies=tuple(CameraModel(**m) for m in data.get("spies", [])),
             background=tuple((str(k), dict(p)) for k, p in data.get("background", [])),

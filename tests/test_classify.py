@@ -21,6 +21,7 @@ from simobs.classify import (
     LabeledSample,
     ParamGrid,
     ThresholdConfig,
+    column_verdicts,
     convergence_analysis,
     evaluate,
     feature_matrix,
@@ -685,6 +686,56 @@ def _converge_by_vectors(reference, devices, labels, classifier):
         (t, evaluate(verdicts(similarity_vectors(window.prefix(t), devices), classifier), labels))
         for t in range(2, len(window) + 1)
     ]
+
+
+def _converge_by_prefix_columns(reference, devices, labels, classifier):
+    """convergence_analysis as ``measure_columns`` of every prefix window
+    against each device aligned with it on its own, then ``column_verdicts``."""
+    window, _ = align(reference, devices[0])
+    results = []
+    for t in range(2, len(window) + 1):
+        prefix = window.prefix(t)
+        columns = measure_columns(prefix, [align(prefix, d)[1] for d in devices], MEASURES).columns
+        results.append((t, evaluate(column_verdicts(columns, classifier), labels)))
+    return results
+
+
+def _shifted(series, skip):
+    return ByteSeries(series.start_time + skip * series.step, series.step, series.values[skip:])
+
+
+class TestConvergenceStackedOnce:
+    """convergence_analysis stacks the device set once and scores its
+    leading columns, with the metrics of scoring every prefix window on
+    its own: for each measure's threshold and for a model, on a scene
+    whose reference starts flat, aligned with either side starting later."""
+
+    @pytest.fixture(scope="class")
+    def scene(self):
+        reference, devices, labels = _device_set(6, 32)
+        model = mlp_train([LabeledSample(v, label) for t in (5, 30)
+                           for v, label in zip(similarity_vectors(reference.prefix(t), devices), labels)],
+                          layers=(4,), seed=2, max_iter=100, feature_subset=MEASURES)
+        return reference, devices, labels, model
+
+    @pytest.mark.parametrize("shift", ["none", "reference later", "devices later"])
+    @pytest.mark.parametrize("classifier", [*MEASURES, "model"])
+    def test_equals_per_prefix_columns(self, scene, classifier, shift):
+        reference, devices, labels, model = scene
+        if shift == "reference later":
+            reference = _shifted(reference, 3)
+        elif shift == "devices later":
+            devices = [_shifted(d, 2) for d in devices]
+        if classifier == "model":
+            classifier = model
+        else:
+            values = measure_values(similarity_vectors(reference, devices), classifier)[0]
+            classifier = ThresholdConfig(classifier, float(np.nanmedian(values)))
+        expected = _converge_by_prefix_columns(reference, devices, labels, classifier)
+        window, _ = align(reference, devices[0])
+        assert measure_columns(window.prefix(3), devices, ["cc"]).columns["cc"][1].all()  # flattened early
+        assert len({m for _, m in expected}) > 1  # the verdicts change with t
+        assert convergence_analysis(reference, devices, labels, classifier) == expected
 
 
 class TestConvergenceColumns:

@@ -21,7 +21,7 @@ from conftest import (
     trak_box,
 )
 import simobs
-from simobs import simulate
+from simobs import cli, simulate
 from simobs.cli import main
 from simobs.pcap import GLOBAL_HEADER_LEN, DeviceId
 from simobs.similarity import MEASURES, read_report_json
@@ -668,6 +668,32 @@ class TestConverge:
 
 
 class TestUsageErrors:
+    def test_usage_error_leaves_the_parser_for_later_commands(self, synthetic_samples, tmp_path):
+        """main builds its parser once per process; a usage error (exit 2)
+        leaves it as it was for the commands run after it."""
+        argvs = [["converge", "--preset", "easy", "--seed", "2", "--measure", "cc", "--out", "curve.csv"],
+                 ["agreement", "--samples", str(synthetic_samples), "--out", "agreement.json"],
+                 ["simulate", "--preset", "far", "--seed", "2", "--out-dir", "far"]]
+
+        def outputs(name):
+            root = tmp_path / name
+            root.mkdir()
+            for argv in argvs:
+                assert run([*argv[:-1], str(root / argv[-1])]) == 0
+            return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+        before = outputs("before")
+        for argv in (["converge", "--preset", "easy", "--trials", "x"], ["simulate", "--preset", "easy"],
+                     ["converge", "--preset", "easy", "--format", "json"]):
+            with pytest.raises(SystemExit) as exc:
+                run(argv)
+            assert exc.value.code == 2
+        assert cli.build_parser() is cli.build_parser()
+        assert outputs("after") == before
+        out = tmp_path / "easy70.csv"
+        assert run(["converge", "--preset", "easy70", "--trials", "1", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == TestSimilarityGoldenBytes.CONVERGE["easy70"]
+
     def test_extract_needs_exactly_one_input(self, pcap_file, video_file):
         assert run(["extract", "--pcap", str(pcap_file), "--video", str(video_file)]) == 2
         assert run(["extract"]) == 2
@@ -993,9 +1019,15 @@ class TestNonFiniteNumbers:
         (("background", 3, 1, "iframe_period"), 8.5),
         (("background", 7, 1, "ramp_steps"), 5.5),
         (("duration",), 10.5),
+        # a seed that is not a whole number
+        (("seed",), 1.5),
+        (("seed",), math.nan),
+        (("seed",), math.inf),
+        (("seed",), True),
     ], ids=["delay-nan", "delay-negative", "delay-past-2**32", "noise_std-nan", "idle_bytes_per_step-inf",
             "step-nan", "ramp_steps-text", "spy-iframe_period-2.5", "reference-iframe_period-9.5",
-            "surge_period-8.7", "vbr-iframe_period-8.5", "ramp_steps-5.5", "duration-10.5"])
+            "surge_period-8.7", "vbr-iframe_period-8.5", "ramp_steps-5.5", "duration-10.5",
+            "seed-1.5", "seed-nan", "seed-inf", "seed-true"])
     def test_scenario_number(self, key, value, tmp_path, capsys):
         config = simulate.scenario_to_dict(simulate.easy_scenario(seed=1, duration=10))
         *parents, last = key

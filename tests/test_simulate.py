@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import pcap_oracle
+import render_oracle
 from pcap_oracle import records_of, transmitter_of
 from simobs.errors import ParameterError
 from simobs.pcap import DeviceId, extract_device_series, read_pcap
@@ -34,6 +35,7 @@ from simobs.simulate import (
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
+    step_bins,
     step_series,
     write_pcap,
 )
@@ -138,6 +140,23 @@ class TestStepSeries:
         assert cases == 960
         assert straddled >= 400
 
+    def test_block_equals_binned_packets_per_row(self):
+        """``step_bins`` of a block, one delay per row, is each row binned
+        through its own frames, including rows whose steps straddle."""
+        rng = np.random.default_rng(15)
+        straddled = 0
+        for step in [1.0, 0.5, 0.3, 1 / 3]:
+            for _ in range(50):
+                n_rows, size = int(rng.integers(1, 12)), int(rng.integers(1, 40))
+                block = np.where(rng.random((n_rows, size)) < 0.5, rng.choice(self.SMALL, (n_rows, size)),
+                                 rng.choice(self.LARGE, (n_rows, size)))
+                delays = rng.choice(self.DELAYS, n_rows)
+                for n_steps in (1, size, size + 5):
+                    expected = render_oracle.render_bins(block, step, delays, n_steps)
+                    assert np.array_equal(step_bins(block, step, delays, n_steps), expected), (step, delays)
+                straddled += sum(self._straddles(row, step, delay) > 0 for row, delay in zip(block, delays))
+        assert straddled >= 100
+
     def test_rejects_what_bin_events_rejects(self):
         for step, n_steps in [(1.0, 0), (0.0, 5), (math.inf, 5), (math.nan, 5)]:
             with pytest.raises(ParameterError):
@@ -157,6 +176,55 @@ class TestStepSeries:
                                  derive_seed(scenario.seed, "scene"), step=step)
             reference = camera_traffic(scene, scenario.reference, step, derive_seed(scenario.seed, "reference"))
             assert series.reference_series == bin_events(reference, 0.0, step, scenario.duration)
+
+
+def _burst_scenario(seed: int) -> SimScenario:
+    """The easy scene with a store-then-burst spy and a delayed spy."""
+    spies = (CameraModel(burst_accumulate=True, release_threshold=300_000.0),
+             CameraModel(noise_std=8_000.0, delay=0.3, iframe_period=10.0))
+    return replace(easy_scenario(seed), spies=spies)
+
+
+class TestRenderOracle:
+    """The array render (cameras, browsing, one block of bins) equals the
+    per-step loops and per-device binning in ``render_oracle``."""
+
+    SCENARIOS = {**PRESETS, "burst": _burst_scenario}
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_render_series_equals_per_step_loops(self, name):
+        for seed in range(10):
+            for step in (1.0, 0.5, 0.3):
+                scenario = replace(self.SCENARIOS[name](seed), step=step)
+                rendered = render_series(scenario)
+                reference, devices = render_oracle.render_totals(scenario)
+                assert [str(tr.device_id) for tr in rendered.traces] == [d[0] for d in devices]
+                for tr, (_, totals, delay) in zip(rendered.traces, devices):
+                    assert np.array_equal(tr.step_bytes, totals), (seed, step, tr.device_id)
+                    assert tr.delay == delay
+                bins = render_oracle.render_bins([reference, *(d[1] for d in devices)], step,
+                                                 [scenario.reference.delay, *(d[2] for d in devices)],
+                                                 scenario.duration)
+                assert np.array_equal(rendered.reference_series.values, bins[0]), (seed, step)
+                assert np.array_equal([tr.series.values for tr in rendered.traces], bins[1:]), (seed, step)
+
+    def test_burst_camera_releases_and_carries(self):
+        scenario = _burst_scenario(3)
+        spy = next(tr for tr in render_series(scenario).traces if tr.kind == "spy_camera")  # the burst one
+        released = spy.step_bytes > 0
+        assert 0 < released.sum() < scenario.duration  # steps with no release carry their bytes on
+        assert (spy.step_bytes[released] >= 300_000).all()
+
+    @pytest.mark.parametrize("kind, params", [
+        ("cbr", {"bytes_per_step": 1e19}),
+        ("download", {"bytes_per_step": 1e19}),
+        ("browsing", {"burst_bytes": 1e21}),
+        ("browsing", {"burst_bytes": 1e307}),
+        ("vbr_stream", {"idle_bytes_per_step": 1e19}),
+    ])
+    def test_total_past_int64_is_a_parameter_error(self, kind, params):
+        with pytest.raises(ParameterError, match="does not fit in 64 bits"):
+            background_traffic(kind, params, 60, 1)
 
 
 class TestCameraTraffic:
@@ -197,6 +265,14 @@ class TestCameraTraffic:
             k_blind = gaussian_kld(min_max_normalize(ref)[0], min_max_normalize(c_blind)[0])
             wins += k_blind > k_see
         assert wins >= 90
+
+    @pytest.mark.parametrize("model", [
+        CameraModel(idle_bytes_per_step=1e19),
+        CameraModel(burst_accumulate=True, idle_bytes_per_step=5e18, release_threshold=8e18),
+    ])
+    def test_total_past_int64_is_a_parameter_error(self, model):
+        with pytest.raises(ParameterError, match="does not fit in 64 bits"):
+            camera_traffic(gen_activity("walking", 20, 1), model, 1.0, 0)
 
     def test_burst_accumulate_buffers(self):
         activity = ActivitySignal(0.1, np.zeros(100))
@@ -466,6 +542,7 @@ class TestScenarioConfig:
         config["background"][0][1]["surge_period"] = 8.0
         config["background"][3][1]["iframe_period"] = 8.0
         config["background"][7][1]["ramp_steps"] = 5.0
+        config["seed"] = 1.0
         floats = render_series(scenario_from_dict(config))
         ints = render_series(easy_scenario(seed=1, duration=10))
         assert floats.reference_series == ints.reference_series
