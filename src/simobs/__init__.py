@@ -47,7 +47,6 @@ from .simulate import (
     camera_traffic,
     gen_activity,
     render_scenario,
-    render_series,
     write_pcap,
 )
 from .timeseries import ByteSeries, align, bin_events, event_array, min_max_normalize
@@ -97,7 +96,6 @@ __all__ = [
     "portability_matrix",
     "read_pcap",
     "render_scenario",
-    "render_series",
     "similarity_vector",
     "similarity_vectors",
     "sweep_threshold",

@@ -321,6 +321,12 @@ def _fit_stack(x, y, seeds, alphas, layers, activation: str, max_iter: int):
     return weights, biases, prev_loss
 
 
+def _check_seed(seed: int) -> None:
+    """numpy seeds its generators from integers >= 0 only."""
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
+
+
 def mlp_train(
     train: Sequence[LabeledSample],
     layers: Sequence[int] = (13, 13, 13),
@@ -335,6 +341,7 @@ def mlp_train(
     Deterministic for a fixed seed; stops when the loss improves by less
     than 1e-6 or after ``max_iter`` iterations.
     """
+    _check_seed(seed)
     labels = np.array([s.label for s in train], dtype=np.float64)
     subset = tuple(feature_subset)
     x_raw = feature_matrix(vector_columns([s.features for s in train], subset), subset)
@@ -578,6 +585,7 @@ def grid_search(
     fits the chunks, one worker per CPU; every model's F1 is bit-identical
     to a serial search.  Exact F1 ties break toward fewer weights.
     """
+    _check_seed(seed)
     points = grid.points() if isinstance(grid, ParamGrid) else list(grid)
     if not points:
         raise ParameterError("hyperparameter grid is empty")
@@ -701,6 +709,7 @@ def portability_matrix(
     """
     if trainer not in MEASURES:
         raise ParameterError(f"trainer must be a measure name, got {trainer!r}")
+    _check_seed(seed)
     groups = _split_tags(samples, partition_tag)
     if len(groups) != 2:
         raise PartitionError(

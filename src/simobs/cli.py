@@ -13,6 +13,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -39,13 +40,18 @@ def _write_output(path: str, data: str | bytearray) -> None:
         Path(path).write_bytes(data)
 
 
-def _write_outputs(outputs: dict[str, str | bytearray]) -> None:
-    """Write every path's text or bytes, stdout last; if a file cannot be
+def _write_outputs(outputs: list[tuple[str, str | bytearray]]) -> None:
+    """Write each (path, text or bytes) pair, stdout last; refuse two paths
+    that name one file before writing any, and if a file cannot be
     written, remove the files already written and raise."""
+    names = [path if path == "-" else os.path.realpath(path) for path, _ in outputs]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ParameterError(f"{outputs[i][0]} would overwrite another output of this command")
     written = []
     try:
-        for path in sorted(outputs, key=lambda path: path == "-"):
-            _write_output(path, outputs[path])
+        for path, data in sorted(outputs, key=lambda output: output[0] == "-"):
+            _write_output(path, data)
             written.append(path)
     except OSError:
         for path in written:
@@ -247,7 +253,7 @@ def cmd_grid_search(args) -> int:
         "folds": args.folds,
         "grid_points": len(grid.points()),
     }
-    outputs = {args.out: json.dumps(report, indent=2, sort_keys=True) + "\n"}
+    outputs = [(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")]
     if args.fit_out:
         model = cls.mlp_train(
             samples,
@@ -257,7 +263,7 @@ def cmd_grid_search(args) -> int:
             alpha=best.alpha,
             feature_subset=subset,
         )
-        outputs[args.fit_out] = _render(cls.save_model, model)
+        outputs.append((args.fit_out, _render(cls.save_model, model)))
     _write_outputs(outputs)
     return 0
 
@@ -277,17 +283,18 @@ def cmd_simulate(args) -> int:
     if args.link is not None and not args.pcap_out:
         raise ParameterError("--link sets the capture's link type; give --pcap-out too")
     scenario = _scenario_from_args(args)
-    # Only a capture needs frames; the series are the same either way.
-    dataset = simulate.render_scenario(scenario) if args.pcap_out else simulate.render_series(scenario)
+    dataset = simulate.render_scenario(scenario)
     devices = [(tr.device_id, tr.series) for tr in dataset.traces]
     out_dir = Path(args.out_dir)
-    outputs: dict[str, str | bytearray] = {
-        str(out_dir / "reference.csv"): _render(write_series_csv, dataset.reference_series),
-        str(out_dir / "devices.csv"): _render(pcap.write_devices_csv, devices),
-        str(out_dir / "manifest.json"): json.dumps(dataset.manifest, indent=2, sort_keys=True) + "\n",
-    }
-    if args.pcap_out:
-        outputs[args.pcap_out] = simulate.write_pcap(dataset, link=args.link or "ethernet")
+    outputs: list[tuple[str, str | bytearray]] = [
+        (str(out_dir / "reference.csv"), _render(write_series_csv, dataset.reference_series)),
+        (str(out_dir / "devices.csv"), _render(pcap.write_devices_csv, devices)),
+        (str(out_dir / "manifest.json"), json.dumps(dataset.manifest, indent=2, sort_keys=True) + "\n"),
+    ]
+    if args.pcap_out:  # only a capture needs frames; the series are binned from the same totals
+        frames = [(tr.device_id, simulate.packetize(tr.step_bytes, scenario.step, tr.delay))
+                  for tr in dataset.traces]
+        outputs.append((args.pcap_out, simulate.write_pcap(frames, link=args.link or "ethernet")))
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_outputs(outputs)
     return 0
@@ -311,7 +318,7 @@ def cmd_converge(args) -> int:
 
     curves: list[list[cls.Metrics]] = []
     for trial in range(args.trials):
-        dataset = simulate.render_series(replace(scenario, seed=scenario.seed + trial))
+        dataset = simulate.render_scenario(replace(scenario, seed=scenario.seed + trial))
         results = cls.convergence_analysis(
             dataset.reference_series,
             [tr.series for tr in dataset.traces],

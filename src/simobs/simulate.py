@@ -69,9 +69,17 @@ def _check_finite(name: str, value) -> None:
         raise ParameterError(f"{name} must be a finite number, got {value!r}")
 
 
+def _number(name: str, value) -> float:
+    """A finite number that is not a bool (JSON ``true`` is not 1), as a float."""
+    if isinstance(value, bool):
+        raise ParameterError(f"{name} must be a number, got {value!r}")
+    _check_finite(name, value)
+    return float(value)
+
+
 def _whole_steps(name: str, value) -> int:
     """A count of steps: a finite number with no fractional part (10.0 is 10)."""
-    _check_finite(name, value)
+    _number(name, value)
     if value != math.floor(value):
         raise ParameterError(f"{name} must be a whole number of steps, got {value!r}")
     return int(value)
@@ -121,21 +129,23 @@ class SimScenario:
             raise ParameterError(f"unknown activity profile {self.activity_profile!r}")
         if not self.spies and not self.background:
             raise ParameterError("scenario needs at least one device")
-        _check_finite("step", self.step)
+        _number("step", self.step)
         for kind, params in self.background:
             for key, value in params.items():
                 if key != "profile":  # the one text parameter, an activity profile name
-                    _check_finite(f"{kind} {key}", value)
+                    _number(f"{kind} {key}", value)
 
 
 @dataclass(frozen=True, eq=False)
 class LabeledTrace:
-    """One simulated device: its event array, binned stream and ground truth."""
+    """One simulated device: its per-step byte totals, transmit delay,
+    binned stream and ground truth."""
 
     device_id: DeviceId
     kind: str
     spying: bool
-    events: np.ndarray
+    step_bytes: np.ndarray
+    delay: float
     series: ByteSeries
 
 
@@ -238,18 +248,11 @@ def _packet_times(steps: np.ndarray, j: np.ndarray, n: np.ndarray, step: float, 
     return (steps + (j + 0.5) / n) * step + delay
 
 
-def step_series(step_bytes: Sequence[int], step: float, delay: float, n_steps: int) -> ByteSeries:
-    """The series ``bin_events(packetize(step_bytes, step, delay), 0.0,
-    step, n_steps)`` would give, bit for bit, without building packets:
-    the one-row case of ``step_bins``."""
-    values = step_bins(np.asarray(step_bytes, dtype=np.int64)[None], step, [delay], n_steps)[0]
-    return ByteSeries(0.0, step, values)
-
-
 def step_bins(step_bytes: np.ndarray, step: float, delays: Sequence[float], n_steps: int) -> np.ndarray:
-    """``step_series`` of every row of a ``(D, T)`` block of per-step
-    totals, row ``i`` sent with ``delays[i]``, as a ``(D, n_steps)``
-    int64 array.
+    """The series ``bin_events(packetize(step_bytes[i], step, delays[i]),
+    0.0, step, n_steps)`` would give for every row ``i`` of a ``(D, T)``
+    block of per-step totals, bit for bit and without building packets,
+    as a ``(D, n_steps)`` int64 array.
 
     A step whose first and last packet fall in the same bin adds its
     padded total there, as packet times rise with the packet index; only
@@ -408,35 +411,14 @@ def _device_mac(group: int, index: int) -> DeviceId:
     return DeviceId("mac", f"02:00:00:00:{group:02x}:{index + 1:02x}")
 
 
-@dataclass(frozen=True, eq=False)
-class DeviceSteps:
-    """One simulated device before it is packetized: its per-step byte
-    totals, transmit delay, binned stream and ground truth."""
-
-    device_id: DeviceId
-    kind: str
-    spying: bool
-    step_bytes: np.ndarray
-    delay: float
-    series: ByteSeries
-
-
-@dataclass(frozen=True)
-class SimSeries:
-    """A scenario rendered as series only; ``render_scenario`` adds frames."""
-
-    reference_series: ByteSeries
-    traces: tuple[DeviceSteps, ...]
-    manifest: dict
-
-
-def render_series(scenario: SimScenario) -> SimSeries:
+def render_scenario(scenario: SimScenario) -> SimDataset:
     """Every device's per-step totals and binned series for one scenario.
 
     All randomness flows from the scenario seed through per-device
     sub-seeds, so datasets are byte-identical across runs and adding a
     device never changes the others.  Each series is the exact binning
-    of the frames ``render_scenario`` would build from the same totals.
+    of the frames ``packetize`` builds from the same totals and delay,
+    which only a capture needs.
     """
     step = scenario.step
     duration = scenario.duration
@@ -461,7 +443,7 @@ def render_series(scenario: SimScenario) -> SimSeries:
     )
     reference_series = ByteSeries(0.0, step, bins[0])
     traces = sorted(
-        (DeviceSteps(device_id, kind, spying, step_bytes, delay, ByteSeries(0.0, step, values))
+        (LabeledTrace(device_id, kind, spying, step_bytes, delay, ByteSeries(0.0, step, values))
          for (device_id, kind, spying, step_bytes, delay), values in zip(devices, bins[1:])),
         key=lambda tr: tr.device_id,
     )
@@ -473,17 +455,7 @@ def render_series(scenario: SimScenario) -> SimSeries:
             for tr in traces
         ],
     }
-    return SimSeries(reference_series=reference_series, traces=tuple(traces), manifest=manifest)
-
-
-def render_scenario(scenario: SimScenario) -> SimDataset:
-    """``render_series`` plus the frames of every device, for a capture."""
-    rendered = render_series(scenario)
-    traces = tuple(
-        LabeledTrace(tr.device_id, tr.kind, tr.spying, packetize(tr.step_bytes, scenario.step, tr.delay), tr.series)
-        for tr in rendered.traces
-    )
-    return SimDataset(rendered.reference_series, traces, rendered.manifest)
+    return SimDataset(reference_series=reference_series, traces=tuple(traces), manifest=manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -496,20 +468,20 @@ _LINK_TYPES = {"ethernet": LinkType.ETHERNET, "radiotap": LinkType.IEEE80211_RAD
 SNAPLEN = 65535
 
 
-def _frame_heads(traces: Sequence[LabeledTrace], link_type: LinkType) -> np.ndarray:
-    """One uint8 row per trace: its fixed frame head.  Ethernet is the
+def _frame_heads(device_ids: Sequence[DeviceId], link_type: LinkType) -> np.ndarray:
+    """One uint8 row per device: its fixed frame head.  Ethernet is the
     Ethernet header plus an IPv4 header from 10.0.0.min(i + 1, 253) with
     total length 0; radiotap is the radiotap plus to-DS 802.11 header."""
     rows = []
-    for i, tr in enumerate(traces):
-        src = bytes.fromhex(tr.device_id.value.replace(":", ""))
+    for i, device_id in enumerate(device_ids):
+        src = bytes.fromhex(device_id.value.replace(":", ""))
         if link_type is LinkType.ETHERNET:
             ip = bytes([0x45, 0, 0, 0, 0, 0, 0, 0, 64, 17, 0, 0,  # UDP, TTL 64, lengths and checksum 0
                         10, 0, 0, min(i + 1, 253), 10, 0, 0, 254])
             rows.append(_GATEWAY_MAC + src + ETHERTYPE_IPV4.to_bytes(2, "big") + ip)
         else:
             rows.append(_RADIOTAP_HEADER + b"\x08\x01\0\0" + _GATEWAY_MAC + src + _GATEWAY_MAC + b"\0\0")
-    return np.frombuffer(b"".join(rows), np.uint8).reshape(len(traces), -1)
+    return np.frombuffer(b"".join(rows), np.uint8).reshape(len(device_ids), -1)
 
 
 def _record_times(time: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -527,29 +499,30 @@ def _record_times(time: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sec, usec
 
 
-def write_pcap(dataset: SimDataset, link: str = "ethernet") -> bytearray:
-    """Serialize a dataset's events as a classic microsecond pcap, returned
-    as the one buffer it is built in.
+def write_pcap(frames: Sequence[tuple[DeviceId, np.ndarray]], link: str = "ethernet") -> bytearray:
+    """Serialize ``(device id, event array)`` pairs as a classic
+    microsecond pcap, returned as the one buffer it is built in.
 
     Record headers and each device's fixed frame head are scattered into
     a zero-filled buffer, so every frame body is zero fill.  Frame lengths
     are chosen so reading the file back through the pcap module's default
-    byte basis reproduces each device's bins exactly.  Frame times must
-    lie in [0, 2**32) s.
+    byte basis reproduces each device's bins exactly.  Every frame must
+    hold at least 64 bytes, fit the snaplen and lie in [0, 2**32) s.
     """
     if link not in _LINK_TYPES:
         raise ParameterError(f"link must be 'ethernet' or 'radiotap', got {link!r}")
     link_type = _LINK_TYPES[link]
 
-    traces = dataset.traces
-    events = np.concatenate([tr.events for tr in traces])
+    device_ids = [device_id for device_id, _ in frames]
+    per_device = [events for _, events in frames]
+    events = np.concatenate(per_device)
     smallest = int(events["byte_count"].min(initial=MIN_FRAME))
     if smallest < MIN_FRAME:
         raise ParameterError(f"event of {smallest} bytes is below the {MIN_FRAME}-byte frame minimum")
-    dev_index = np.repeat(np.arange(len(traces)), [len(tr.events) for tr in traces])
+    dev_index = np.repeat(np.arange(len(per_device)), [len(e) for e in per_device])
     # Frames go out in (timestamp, device id) order; equal keys keep
-    # trace order, then event order.
-    _, rank = np.unique([str(tr.device_id) for tr in traces], return_inverse=True)
+    # device order, then event order.
+    _, rank = np.unique([str(device_id) for device_id in device_ids], return_inverse=True)
     order = np.lexsort((rank[dev_index], events["timestamp"]))
 
     sec, usec = _record_times(events["timestamp"][order])
@@ -557,7 +530,7 @@ def write_pcap(dataset: SimDataset, link: str = "ethernet") -> bytearray:
     frame_len = size if link_type is LinkType.ETHERNET else size + len(_RADIOTAP_HEADER)
     if frame_len.max(initial=0) > SNAPLEN:
         raise ParameterError(f"frame of {frame_len.max()} bytes is longer than the {SNAPLEN}-byte snaplen")
-    heads = _frame_heads(traces, link_type)
+    heads = _frame_heads(device_ids, link_type)
     block = np.empty((len(order), RECORD_HEADER_LEN + heads.shape[1]), np.uint8)
     header = np.stack([sec, usec, frame_len, frame_len], axis=1).astype("<u4")
     block[:, :RECORD_HEADER_LEN] = header.view(np.uint8)
@@ -600,6 +573,13 @@ def _seed(value) -> int:
     return int(value)
 
 
+def _tags(value) -> frozenset[str]:
+    """Scenario tags: a list of strings, not one string of tag characters."""
+    if not isinstance(value, (list, tuple)) or not all(isinstance(tag, str) for tag in value):
+        raise ParameterError(f"tags must be a list of strings, got {value!r}")
+    return frozenset(value)
+
+
 def scenario_from_dict(data: Mapping) -> SimScenario:
     try:
         return SimScenario(
@@ -608,8 +588,8 @@ def scenario_from_dict(data: Mapping) -> SimScenario:
             reference=CameraModel(**data["reference"]),
             spies=tuple(CameraModel(**m) for m in data.get("spies", [])),
             background=tuple((str(k), dict(p)) for k, p in data.get("background", [])),
-            tags=frozenset(data.get("tags", [])),
-            step=float(data.get("step", 1.0)),
+            tags=_tags(data.get("tags", [])),
+            step=_number("step", data.get("step", 1.0)),
             activity_profile=str(data.get("activity_profile", "walking")),
         )
     except ParameterError:

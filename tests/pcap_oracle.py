@@ -260,18 +260,19 @@ def extract_device_series(
     return streams
 
 
-def write_pcap(dataset, link: str = "ethernet") -> bytes:
-    """The capture ``simobs.simulate.write_pcap`` must write, built one
-    ``struct``-packed record and frame at a time."""
+def write_pcap(frames, link: str = "ethernet") -> bytes:
+    """The capture ``simobs.simulate.write_pcap`` must write from
+    ``(device id, event array)`` pairs, built one ``struct``-packed record
+    and frame at a time."""
     link_type = {"ethernet": LinkType.ETHERNET, "radiotap": LinkType.IEEE80211_RADIOTAP}[link]
     gateway = bytes.fromhex("0200000000fe")
     radiotap = struct.pack("<BBHI", 0, 0, 8, 0)
-    frames = sorted((
-        (float(ts), str(tr.device_id), dev, int(size))
-        for dev, tr in enumerate(dataset.traces) for ts, size in tr.events.tolist()
-    ), key=lambda frame: frame[:2])  # stable: equal (time, id) keeps trace, then event order
+    records = sorted((
+        (float(ts), str(device_id), dev, int(size))
+        for dev, (device_id, events) in enumerate(frames) for ts, size in events.tolist()
+    ), key=lambda record: record[:2])  # stable: equal (time, id) keeps device, then event order
     out = struct.pack("<IHHiIII", MAGIC_MICROS, 2, 4, 0, 0, 65535, int(link_type))
-    for ts, device_id, dev, size in frames:
+    for ts, device_id, dev, size in records:
         src = bytes.fromhex(device_id.replace(":", ""))
         if link_type is LinkType.ETHERNET:
             ip = struct.pack(">BBHHHBBH4s4s", 0x45, 0, size - 14, 0, 0, 64, 17, 0,

@@ -35,7 +35,7 @@ from simobs.similarity import (
     pearson_cc,
     similarity_vector,
 )
-from simobs.simulate import easy_scenario, regime_scenario, render_scenario, write_pcap
+from simobs.simulate import easy_scenario, packetize, regime_scenario, render_scenario, write_pcap
 from simobs.timeseries import ByteSeries
 
 
@@ -247,7 +247,8 @@ class TestRoundTrip:
         for link in ("ethernet", "radiotap"):
             for seed in (1, 2, 3):
                 dataset = render_scenario(easy_scenario(seed=seed))
-                records = list(read_pcap(write_pcap(dataset, link=link)))
+                frames = [(tr.device_id, packetize(tr.step_bytes, 1.0, tr.delay)) for tr in dataset.traces]
+                records = list(read_pcap(write_pcap(frames, link=link)))
                 streams = extract_device_series(records, 0.0, 1.0, 60)
                 by_id = {str(s.device_id): s.series.values.tolist() for s in streams}
                 for trace in dataset.traces:

@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +24,7 @@ from simobs import cli, simulate
 from simobs.cli import main
 from simobs.pcap import GLOBAL_HEADER_LEN, DeviceId
 from simobs.similarity import MEASURES, read_report_json
-from simobs.timeseries import bin_events, event_array
+from simobs.timeseries import event_array
 
 
 def run(args):
@@ -300,16 +299,12 @@ class TestSimilarityGoldenBytes:
         assert digests == self.CONVERGE
 
 
-def _carry_dataset() -> simulate.SimDataset:
+def _carry_frames() -> list:
     """Two devices whose frames share times, some rounding up to the next
     whole second."""
-    traces = []
-    for i, (times, sizes) in enumerate([([0.5, 1.9999996, 3.0000004], [64, 1500, 700]),
-                                        ([1.9999996, 1.9999996, 2.9999995], [100, 64, 1400])]):
-        events = event_array(times, sizes)
-        traces.append(simulate.LabeledTrace(DeviceId("mac", f"02:00:00:00:01:0{2 - i}"), "spy_camera", True,
-                                            events, bin_events(events, 0.0, 1.0, 4)))
-    return simulate.SimDataset(traces[0].series, tuple(traces), {})
+    return [(DeviceId("mac", f"02:00:00:00:01:0{2 - i}"), event_array(times, sizes))
+            for i, (times, sizes) in enumerate([([0.5, 1.9999996, 3.0000004], [64, 1500, 700]),
+                                                ([1.9999996, 1.9999996, 2.9999995], [100, 64, 1400])])]
 
 
 class TestCaptureGoldenBytes:
@@ -341,19 +336,19 @@ class TestCaptureGoldenBytes:
         window: every window keeps all traces, so its records are the
         whole capture's records of that window, heads and order included."""
         dataset = simulate.render_scenario(simulate.preset_scenario("easy70", 5))
+        frames = [(tr.device_id, simulate.packetize(tr.step_bytes, 1.0, tr.delay)) for tr in dataset.traces]
         digest = hashlib.sha256()
         for lo in range(0, 60, 10):
             hi = math.inf if lo == 50 else lo + 10
-            window = tuple(replace(tr, events=tr.events[(tr.events["timestamp"] >= lo)
-                                                         & (tr.events["timestamp"] < hi)])
-                           for tr in dataset.traces)
-            data = simulate.write_pcap(replace(dataset, traces=window), link=link)
+            window = [(device_id, events[(events["timestamp"] >= lo) & (events["timestamp"] < hi)])
+                      for device_id, events in frames]
+            data = simulate.write_pcap(window, link=link)
             digest.update(data if lo == 0 else data[GLOBAL_HEADER_LEN:])
         assert digest.hexdigest() == self.EASY70_5[link]
 
     @pytest.mark.parametrize("link", ["ethernet", "radiotap"])
     def test_microsecond_carry(self, link):
-        data = simulate.write_pcap(_carry_dataset(), link=link)
+        data = simulate.write_pcap(_carry_frames(), link=link)
         assert hashlib.sha256(data).hexdigest() == self.CARRY[link]
 
 
@@ -758,6 +753,55 @@ class TestUsageErrors:
         assert "missing" in err
         assert list(scene.iterdir()) == []
 
+    @pytest.mark.parametrize("command, flags", [("train", []), ("grid-search", ["--folds", "3"]),
+                                                ("portability", ["--partition-tag", "regime"])])
+    def test_negative_seed_one_line_exit_2(self, command, flags, synthetic_samples, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run([command, "--samples", str(synthetic_samples), "--seed", "-1", *flags, "--out", str(out)]) == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert "seed must be >= 0" in err
+        assert not out.exists()
+
+    def test_negative_scenario_seed_still_runs(self, tmp_path):
+        """A scenario seed only names sub-seeds through ``derive_seed``."""
+        assert run(["simulate", "--preset", "far", "--seed", "-1", "--out-dir", str(tmp_path / "far")]) == 0
+        assert run(["converge", "--preset", "far", "--seed", "-1", "--out", str(tmp_path / "curve.csv")]) == 0
+        assert len((tmp_path / "curve.csv").read_text().splitlines()) == 60
+
+    @pytest.mark.parametrize("fit_out", ["grid.json", "./grid.json", "sub/../grid.json"])
+    def test_grid_search_outputs_name_one_file(self, fit_out, synthetic_samples, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        assert run(["grid-search", "--samples", str(synthetic_samples), "--folds", "3", "--out", "grid.json",
+                    "--fit-out", fit_out]) == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert "would overwrite" in err
+        assert not (tmp_path / "grid.json").exists()
+
+    def test_grid_search_outputs_both_stdout(self, synthetic_samples, capsys):
+        assert run(["grid-search", "--samples", str(synthetic_samples), "--folds", "3", "--out", "-",
+                    "--fit-out", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "would overwrite" in captured.err and len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("name", ["devices.csv", "manifest.json", "../scene/reference.csv"])
+    def test_simulate_capture_names_a_scene_file(self, name, tmp_path, capsys):
+        scene = tmp_path / "scene"
+        assert run(["simulate", "--preset", "easy", "--out-dir", str(scene), "--pcap-out", str(scene / name)]) == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert "would overwrite" in err
+        assert list(scene.iterdir()) == []
+
+    def test_simulate_capture_through_a_symlink(self, tmp_path, capsys):
+        scene, link = tmp_path / "scene", tmp_path / "link"
+        scene.mkdir()
+        link.symlink_to(scene)
+        assert run(["simulate", "--preset", "easy", "--out-dir", str(scene),
+                    "--pcap-out", str(link / "devices.csv")]) == 2
+        assert "would overwrite" in capsys.readouterr().err
+        assert list(scene.iterdir()) == []
+
     def test_simulate_link_needs_pcap_out(self, tmp_path, capsys):
         scene = tmp_path / "scene"
         assert run(["simulate", "--preset", "easy", "--link", "radiotap", "--out-dir", str(scene)]) == 2
@@ -1029,6 +1073,28 @@ class TestNonFiniteNumbers:
             "surge_period-8.7", "vbr-iframe_period-8.5", "ramp_steps-5.5", "duration-10.5",
             "seed-1.5", "seed-nan", "seed-inf", "seed-true"])
     def test_scenario_number(self, key, value, tmp_path, capsys):
+        self._scenario_error(key, value, tmp_path, capsys)
+
+    @pytest.mark.parametrize("key, value", [
+        (("spies", 0, "iframe_period"), True),
+        (("reference", "iframe_period"), True),
+        (("background", 0, 1, "surge_period"), True),
+        (("background", 3, 1, "iframe_period"), True),
+        (("background", 7, 1, "ramp_steps"), True),
+        (("step",), True),
+        (("step",), "0.5"),
+        (("background", 0, 1, "jitter"), True),
+        (("tags",), "regime=near"),
+        (("tags",), ["regime=near", 3]),
+    ], ids=["spy-iframe_period-true", "reference-iframe_period-true", "surge_period-true",
+            "vbr-iframe_period-true", "ramp_steps-true", "step-true", "step-text",
+            "jitter-true", "tags-text", "tags-number"])
+    def test_scenario_type(self, key, value, tmp_path, capsys):
+        """A JSON bool is not a number, text is not a step, and one string
+        is not a list of tags."""
+        self._scenario_error(key, value, tmp_path, capsys)
+
+    def _scenario_error(self, key, value, tmp_path, capsys):
         config = simulate.scenario_to_dict(simulate.easy_scenario(seed=1, duration=10))
         *parents, last = key
         target = config

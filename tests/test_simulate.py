@@ -19,7 +19,6 @@ from simobs.simulate import (
     PRESETS,
     ActivitySignal,
     CameraModel,
-    LabeledTrace,
     SimDataset,
     SimScenario,
     background_traffic,
@@ -31,15 +30,13 @@ from simobs.simulate import (
     packetize,
     preset_scenario,
     render_scenario,
-    render_series,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
     step_bins,
-    step_series,
     write_pcap,
 )
-from simobs.timeseries import bin_events, event_array, min_max_normalize
+from simobs.timeseries import ByteSeries, bin_events, event_array, min_max_normalize
 
 
 class TestGenActivity:
@@ -104,8 +101,14 @@ class TestPacketize:
         assert events.tolist() == packetize_oracle(step_bytes, step, delay)
 
 
+def capture_frames(dataset: SimDataset) -> list:
+    """The (device id, event array) pairs ``simulate --pcap-out`` writes."""
+    step = dataset.reference_series.step
+    return [(tr.device_id, packetize(tr.step_bytes, step, tr.delay)) for tr in dataset.traces]
+
+
 class TestStepSeries:
-    """``step_series`` is ``bin_events`` over ``packetize``, bit for bit."""
+    """``step_bins`` is ``bin_events`` over ``packetize``, bit for bit."""
 
     # Totals of one packet, and of several that may straddle a bin boundary.
     SMALL = [-3, 0, *range(1, 64), 64]
@@ -134,7 +137,8 @@ class TestStepSeries:
                     totals = np.where(rng.random(size) < 0.5, rng.choice(self.SMALL, size), rng.choice(self.LARGE, size))
                     for n_steps in (1, len(totals) // 2 + 1, len(totals), len(totals) + 70):
                         expected = bin_events(packetize(totals, step, delay), 0.0, step, n_steps)
-                        assert step_series(totals, step, delay, n_steps) == expected, (totals, step, delay)
+                        row = step_bins(totals[None], step, [delay], n_steps)[0]
+                        assert ByteSeries(0.0, step, row) == expected, (totals, step, delay)
                         cases += 1
                     straddled += self._straddles(totals, step, delay)
         assert cases == 960
@@ -160,18 +164,17 @@ class TestStepSeries:
     def test_rejects_what_bin_events_rejects(self):
         for step, n_steps in [(1.0, 0), (0.0, 5), (math.inf, 5), (math.nan, 5)]:
             with pytest.raises(ParameterError):
-                step_series(np.array([100]), step, 0.0, n_steps)
+                step_bins(np.array([[100]]), step, [0.0], n_steps)
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_presets_bin_their_frames(self, preset):
         for seed, step in [(0, 1.0), (9, 1.0), (4, 0.3)]:
             scenario = replace(preset_scenario(preset, seed), step=step)
-            series, frames = render_series(scenario), render_scenario(scenario)
-            assert series.manifest == frames.manifest
-            assert len(series.traces) == len(frames.traces)
-            for tr, framed in zip(series.traces, frames.traces):
-                assert (tr.device_id, tr.kind, tr.spying) == (framed.device_id, framed.kind, framed.spying)
-                assert tr.series == framed.series == bin_events(framed.events, 0.0, step, scenario.duration)
+            series = render_scenario(scenario)
+            assert len(series.traces) == len(scenario.spies) + len(scenario.background)
+            for tr, (device_id, events) in zip(series.traces, capture_frames(series)):
+                assert tr.device_id == device_id
+                assert tr.series == bin_events(events, 0.0, step, scenario.duration)
             scene = gen_activity(scenario.activity_profile, scenario.duration,
                                  derive_seed(scenario.seed, "scene"), step=step)
             reference = camera_traffic(scene, scenario.reference, step, derive_seed(scenario.seed, "reference"))
@@ -196,7 +199,7 @@ class TestRenderOracle:
         for seed in range(10):
             for step in (1.0, 0.5, 0.3):
                 scenario = replace(self.SCENARIOS[name](seed), step=step)
-                rendered = render_series(scenario)
+                rendered = render_scenario(scenario)
                 reference, devices = render_oracle.render_totals(scenario)
                 assert [str(tr.device_id) for tr in rendered.traces] == [d[0] for d in devices]
                 for tr, (_, totals, delay) in zip(rendered.traces, devices):
@@ -210,7 +213,7 @@ class TestRenderOracle:
 
     def test_burst_camera_releases_and_carries(self):
         scenario = _burst_scenario(3)
-        spy = next(tr for tr in render_series(scenario).traces if tr.kind == "spy_camera")  # the burst one
+        spy = next(tr for tr in render_scenario(scenario).traces if tr.kind == "spy_camera")  # the burst one
         released = spy.step_bytes > 0
         assert 0 < released.sum() < scenario.duration  # steps with no release carry their bytes on
         assert (spy.step_bytes[released] >= 300_000).all()
@@ -351,8 +354,9 @@ class TestRenderScenario:
         assert len(a.traces) == len(b.traces)
         for ta, tb in zip(a.traces, b.traces):
             assert (ta.device_id, ta.kind, ta.spying) == (tb.device_id, tb.kind, tb.spying)
-            assert ta.events.dtype == tb.events.dtype
-            assert np.array_equal(ta.events, tb.events)
+            assert ta.step_bytes.dtype == tb.step_bytes.dtype
+            assert np.array_equal(ta.step_bytes, tb.step_bytes)
+            assert ta.delay == tb.delay
             assert ta.series == tb.series
         assert a.manifest == b.manifest
 
@@ -363,7 +367,8 @@ class TestRenderScenario:
         ds_more = render_scenario(more)
         by_id = {str(tr.device_id): tr for tr in ds_more.traces}
         for tr in ds_base.traces:
-            assert np.array_equal(by_id[str(tr.device_id)].events, tr.events)
+            assert np.array_equal(by_id[str(tr.device_id)].step_bytes, tr.step_bytes)
+            assert by_id[str(tr.device_id)].delay == tr.delay
 
     def test_manifest_covers_every_device(self):
         dataset = render_scenario(easy_scenario(seed=2))
@@ -408,7 +413,7 @@ class TestRenderScenario:
 class TestWritePcap:
     def test_round_trip_ethernet(self):
         dataset = render_scenario(easy_scenario(seed=3))
-        records = list(read_pcap(write_pcap(dataset, link="ethernet")))
+        records = list(read_pcap(write_pcap(capture_frames(dataset), link="ethernet")))
         streams = extract_device_series(records, 0.0, 1.0, 60)
         by_id = {str(s.device_id): s for s in streams}
         for tr in dataset.traces:
@@ -416,7 +421,7 @@ class TestWritePcap:
 
     def test_round_trip_radiotap(self):
         dataset = render_scenario(easy_scenario(seed=4))
-        records = list(read_pcap(write_pcap(dataset, link="radiotap")))
+        records = list(read_pcap(write_pcap(capture_frames(dataset), link="radiotap")))
         streams = extract_device_series(records, 0.0, 1.0, 60)
         by_id = {str(s.device_id): s for s in streams}
         for tr in dataset.traces:
@@ -424,7 +429,7 @@ class TestWritePcap:
 
     def test_round_trip_ip_grouping(self):
         dataset = render_scenario(easy_scenario(seed=6, n_background=3))
-        records = list(read_pcap(write_pcap(dataset, link="ethernet")))
+        records = list(read_pcap(write_pcap(capture_frames(dataset), link="ethernet")))
         streams = extract_device_series(records, 0.0, 1.0, 60, group_by="ip")
         assert len(streams) == len(dataset.traces)
         totals = sorted(int(s.series.values.sum()) for s in streams)
@@ -437,17 +442,16 @@ class TestWritePcap:
                                                   iframe_bytes=0, noise_std=0),))
         dataset = render_scenario(scenario)
         # the only device is silent: valid pcap with just the global header
-        data = write_pcap(dataset)
+        data = write_pcap(capture_frames(dataset))
         assert len(data) == 24
         assert list(read_pcap(data)) == []
 
     @staticmethod
     def _with_extra_frame(time: float, size: int):
         dataset = render_scenario(easy_scenario(seed=1, duration=10, n_background=1))
-        trace = dataset.traces[0]
-        events = event_array(np.append(trace.events["timestamp"], time),
-                             np.append(trace.events["byte_count"], size))
-        return replace(dataset, traces=(replace(trace, events=events), *dataset.traces[1:]))
+        (device_id, events), *rest = capture_frames(dataset)
+        events = event_array(np.append(events["timestamp"], time), np.append(events["byte_count"], size))
+        return [(device_id, events), *rest]
 
     @pytest.mark.parametrize("time", [-1e-6, math.nan, math.inf, 2.0**32, np.nextafter(2.0**32, 0)])
     @pytest.mark.parametrize("link", ["ethernet", "radiotap"])
@@ -470,18 +474,16 @@ class TestWritePcap:
         rng = np.random.default_rng(7)
         times = np.array([0.0, 0.5, 1.9999996, 2.0, 2.9999995, 7.25, 4e9])
         for n_devices in (1, 3, 40, 260):
-            traces = []
+            frames = []
             for i in rng.permutation(n_devices):
                 n = int(rng.integers(0, 6))
                 events = event_array(rng.choice(times, n), rng.integers(MIN_FRAME, MTU + 1, n))
-                traces.append(LabeledTrace(DeviceId("mac", f"02:00:00:00:{i // 256:02x}:{i % 256:02x}"),
-                                           "cbr", False, events, bin_events(events, 0.0, 1.0, 8)))
-            dataset = SimDataset(traces[0].series, tuple(traces), {})
-            assert write_pcap(dataset, link=link) == pcap_oracle.write_pcap(dataset, link=link)
+                frames.append((DeviceId("mac", f"02:00:00:00:{i // 256:02x}:{i % 256:02x}"), events))
+            assert write_pcap(frames, link=link) == pcap_oracle.write_pcap(frames, link=link)
 
     def test_returns_the_buffer_it_fills(self):
         dataset = render_scenario(easy_scenario(seed=5, duration=10, n_background=2))
-        data = write_pcap(dataset, link="radiotap")
+        data = write_pcap(capture_frames(dataset), link="radiotap")
         assert type(data) is bytearray
         streams = extract_device_series(read_pcap(data), 0.0, 1.0, 10)
         assert {str(s.device_id): s.series.values.tolist() for s in streams} == {
@@ -489,15 +491,15 @@ class TestWritePcap:
         }
 
     def test_deterministic_bytes(self):
-        dataset = render_scenario(easy_scenario(seed=8))
-        assert write_pcap(dataset) == write_pcap(dataset)
+        frames = capture_frames(render_scenario(easy_scenario(seed=8)))
+        assert write_pcap(frames) == write_pcap(frames)
 
     def test_records_match_events_verbatim(self):
-        dataset = render_scenario(easy_scenario(seed=12, n_background=2))
+        frames = capture_frames(render_scenario(easy_scenario(seed=12, n_background=2)))
         events = sorted(
-            (ts, str(tr.device_id), size) for tr in dataset.traces for ts, size in tr.events.tolist()
+            (ts, str(device_id), size) for device_id, sent in frames for ts, size in sent.tolist()
         )
-        data = write_pcap(dataset, link="radiotap")
+        data = write_pcap(frames, link="radiotap")
         records = records_of(read_pcap(data))
         assert len(records) == len(events)
         rt_len = 8
@@ -543,8 +545,8 @@ class TestScenarioConfig:
         config["background"][3][1]["iframe_period"] = 8.0
         config["background"][7][1]["ramp_steps"] = 5.0
         config["seed"] = 1.0
-        floats = render_series(scenario_from_dict(config))
-        ints = render_series(easy_scenario(seed=1, duration=10))
+        floats = render_scenario(scenario_from_dict(config))
+        ints = render_scenario(easy_scenario(seed=1, duration=10))
         assert floats.reference_series == ints.reference_series
         assert [tr.series for tr in floats.traces] == [tr.series for tr in ints.traces]
 
