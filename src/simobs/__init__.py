@@ -32,9 +32,6 @@ from .pcap import DeviceId, DeviceStream, FrameBatch, extract_device_series, rea
 from .similarity import (
     SimilarityVector,
     dtw_distance,
-    gaussian_kld,
-    jsd,
-    pearson_cc,
     similarity_vector,
     similarity_vectors,
 )
@@ -43,8 +40,6 @@ from .simulate import (
     CameraModel,
     SimDataset,
     SimScenario,
-    background_traffic,
-    camera_traffic,
     gen_activity,
     render_scenario,
     write_pcap,
@@ -74,25 +69,20 @@ __all__ = [
     "ThresholdConfig",
     "TrackSampleTable",
     "align",
-    "background_traffic",
     "bin_events",
-    "camera_traffic",
     "convergence_analysis",
     "dtw_distance",
     "evaluate",
     "event_array",
     "extract_device_series",
-    "gaussian_kld",
     "gen_activity",
     "grid_search",
-    "jsd",
     "measure_agreement",
     "min_max_normalize",
     "mlp_predict",
     "mlp_probabilities",
     "mlp_train",
     "parse_mp4",
-    "pearson_cc",
     "portability_matrix",
     "read_pcap",
     "render_scenario",

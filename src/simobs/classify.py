@@ -23,6 +23,8 @@ from .errors import (
     PartitionError,
     SimobsError,
     TrainingDivergedError,
+    json_bool,
+    json_strings,
     read_json,
 )
 # similarity_vector is not called here; perfbench/layers.py wraps classify.similarity_vector.
@@ -571,7 +573,7 @@ def _chunk_f1(splits, seeds, alphas, layers, activation: str, max_iter: int) -> 
 
 def grid_search(
     samples: Sequence[LabeledSample],
-    grid: ParamGrid | Sequence[GridPoint],
+    points: Sequence[GridPoint],
     folds: int = 10,
     seed: int = 0,
     feature_subset: Sequence[str] = CAMERA_REF_FEATURES,
@@ -586,7 +588,6 @@ def grid_search(
     to a serial search.  Exact F1 ties break toward fewer weights.
     """
     _check_seed(seed)
-    points = grid.points() if isinstance(grid, ParamGrid) else list(grid)
     if not points:
         raise ParameterError("hyperparameter grid is empty")
     labels = np.array([s.label for s in samples], dtype=np.float64)
@@ -768,14 +769,21 @@ def measure_agreement(
 # Labeled-sample serialization (feature rows joined with ground truth)
 # ---------------------------------------------------------------------------
 
-def write_samples_json(samples: Sequence[LabeledSample], out: TextIO) -> None:
-    payload = [{**vector_to_row(s.features), "label": s.label, "tags": sorted(s.tags)} for s in samples]
+def write_samples_json(rows: Iterable[tuple[str, SimilarityVector, bool, Sequence[str]]], out: TextIO) -> None:
+    """One JSON object per (device id, vector, label, tags) row; the tags
+    are written in the order given."""
+    payload = [
+        {"device_id": device_id, **vector_to_row(sv), "label": label, "tags": list(tags)}
+        for device_id, sv, label, tags in rows
+    ]
     json.dump(payload, out, indent=2, sort_keys=True)
     out.write("\n")
 
 
+def _sample_row(row: Mapping) -> LabeledSample:
+    tags = json_strings(row.get("tags", []), "tags")
+    return LabeledSample(vector_from_row(row), json_bool(row["label"], "label"), frozenset(tags))
+
+
 def read_samples_json(inp: TextIO) -> list[LabeledSample]:
-    return read_rows_json(
-        inp,
-        lambda row: LabeledSample(vector_from_row(row), bool(row["label"]), frozenset(row.get("tags", []))),
-    )
+    return read_rows_json(inp, _sample_row)

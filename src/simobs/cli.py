@@ -22,7 +22,7 @@ import numpy as np
 
 from . import classify as cls
 from . import mp4, pcap, similarity, simulate
-from .errors import ParameterError, SimobsError, read_json
+from .errors import ParameterError, SimobsError, json_bool, json_strings, read_json
 from .timeseries import DEFAULT_STEP, DEFAULT_WINDOW, ByteSeries, read_series_csv, write_series_csv
 
 
@@ -136,11 +136,11 @@ def _read_series(path: str) -> ByteSeries:
 def _manifest_labels(manifest) -> tuple[list, dict[str, tuple[bool, list]]]:
     """The scenario's sorted tags, and the spying label and sample tags
     of each device the simulator manifest lists."""
-    tags = sorted(manifest.get("scenario", {}).get("tags", []))
+    tags = sorted(json_strings(manifest.get("scenario", {}).get("tags", []), "scenario tags"))
     labels = {}
     for d in manifest.get("devices", []):
         kind = [f"kind={d['kind']}"] if "kind" in d else []
-        labels[d["device_id"]] = (bool(d.get("spying", False)), tags + kind)
+        labels[d["device_id"]] = (json_bool(d.get("spying", False), "spying"), tags + kind)
     return tags, labels
 
 
@@ -160,18 +160,8 @@ def cmd_analyze(args) -> int:
 
     if manifest is not None:
         tags, labels = manifest
-        payload = []
-        for device_id, sv in rows:
-            label, sample_tags = labels.get(device_id, (False, tags))
-            payload.append(
-                {
-                    "device_id": device_id,
-                    **similarity.vector_to_row(sv),
-                    "label": label,
-                    "tags": sample_tags,
-                }
-            )
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        samples = [(device_id, sv, *labels.get(device_id, (False, tags))) for device_id, sv in rows]
+        text = _render(cls.write_samples_json, samples)
     elif args.format == "json":
         text = _render(similarity.write_report_json, rows)
     else:
@@ -242,8 +232,9 @@ def cmd_grid_search(args) -> int:
         grid = cls.ParamGrid(
             layer_counts=(1, 3), widths=(8, 13), activations=("logistic",), alphas=(1e-4, 1e-2)
         )
+    points = grid.points()
     best, cv_f1 = cls.grid_search(
-        samples, grid, folds=args.folds, seed=args.seed, feature_subset=subset
+        samples, points, folds=args.folds, seed=args.seed, feature_subset=subset
     )
     report = {
         "cv_f1": cv_f1,
@@ -251,7 +242,7 @@ def cmd_grid_search(args) -> int:
         "activation": best.activation,
         "alpha": best.alpha,
         "folds": args.folds,
-        "grid_points": len(grid.points()),
+        "grid_points": len(points),
     }
     outputs = [(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")]
     if args.fit_out:

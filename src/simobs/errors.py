@@ -47,14 +47,6 @@ class NoVideoTrackError(SimobsError):
     """No track with a 'vide' handler was found."""
 
 
-class UndefinedCorrelationError(SimobsError):
-    """Pearson correlation is undefined (zero variance input)."""
-
-
-class UndefinedDistributionError(SimobsError):
-    """A series with zero sum cannot be turned into a distribution."""
-
-
 class ClassImbalanceError(SimobsError):
     """An operation needs both classes (or enough of each) present."""
 
@@ -80,3 +72,18 @@ def read_json(inp: TextIO, parse: Callable[[object], object], what: str):
         raise
     except (ValueError, LookupError, TypeError, AttributeError) as exc:
         raise FormatError(f"malformed {what} JSON ({type(exc).__name__}: {exc})") from exc
+
+
+def json_bool(value, what: str) -> bool:
+    """``value`` if it is a JSON true or false, else FormatError naming ``what``."""
+    if not isinstance(value, bool):
+        raise FormatError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
+def json_strings(value, what: str) -> list[str]:
+    """``value`` if it is a JSON list of strings, else FormatError naming
+    ``what``: a lone string is not read as its characters."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise FormatError(f"{what} must be a list of strings, got {value!r}")
+    return value

@@ -16,13 +16,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from .errors import (
-    FormatError,
-    ParameterError,
-    UndefinedCorrelationError,
-    UndefinedDistributionError,
-    read_json,
-)
+from .errors import FormatError, ParameterError, json_strings, read_json
 from .timeseries import ByteSeries, align, min_max_normalize
 
 MEASURES = ("cc", "dtw", "kld", "jsd")
@@ -57,8 +51,8 @@ class SimilarityVector:
 
 
 # One kernel per measure: each scores a reference row x against every row
-# of a (D, T) stack ys and returns D values.  similarity_vectors and the
-# per-pair pearson_cc, dtw_distance, gaussian_kld and jsd share them.
+# of a (D, T) stack ys and returns D values.  score_rows, and dtw_distance
+# as a one-row call, share them.
 
 def _cc_rows(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
     # Per-row dot products go through matmul on (D, 1, T) stacks, which
@@ -120,20 +114,6 @@ def _jsd_rows(ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
     return 0.5 * halves[0] + 0.5 * halves[1]
 
 
-def pearson_cc(a, b) -> float:
-    """Sample Pearson correlation, clamped into [-1, 1]."""
-    x = np.asarray(a, dtype=np.float64)
-    y = np.asarray(b, dtype=np.float64)
-    if x.size != y.size:
-        raise ParameterError(f"length mismatch: {x.size} vs {y.size}")
-    if x.size < 2:
-        raise ParameterError("pearson_cc needs length >= 2")
-    cc = float(_cc_rows(x, y[None])[0])
-    if math.isnan(cc):
-        raise UndefinedCorrelationError("zero variance input")
-    return cc
-
-
 def dtw_distance(a, b) -> float:
     """Dynamic time warping distance with |x - y| local cost.
 
@@ -145,39 +125,6 @@ def dtw_distance(a, b) -> float:
     if x.size < 1 or y.size < 1:
         raise ParameterError("dtw_distance needs non-empty series")
     return float(_dtw_rows(x, y[None])[0])
-
-
-def gaussian_kld(a, b) -> float:
-    """KL divergence between Gaussians fit to each series' moments.
-
-    Direction is KL(a || b).  Standard deviations are floored at 1e-9,
-    so constant inputs yield a huge-but-finite divergence; callers that
-    need to distinguish that case check degeneracy themselves.
-    """
-    x = np.asarray(a, dtype=np.float64)
-    y = np.asarray(b, dtype=np.float64)
-    if x.size < 2 or y.size < 2:
-        raise ParameterError("moment fit needs length >= 2")
-    return float(_kld_rows(x, y[None])[0])
-
-
-def jsd(a, b) -> float:
-    """Jensen-Shannon divergence (natural log) between two series.
-
-    Each series is scaled by its own sum into a probability vector;
-    result lies in [0, ln 2].
-    """
-    p = np.asarray(a, dtype=np.float64)
-    q = np.asarray(b, dtype=np.float64)
-    if p.size != q.size:
-        raise ParameterError(f"length mismatch: {p.size} vs {q.size}")
-    if p.size < 1:
-        raise ParameterError("jsd needs length >= 1")
-    if (p < 0).any() or (q < 0).any():
-        raise ParameterError("jsd inputs must be non-negative")
-    if p.sum() <= 0 or q.sum() <= 0:
-        raise UndefinedDistributionError("zero-sum series has no distribution")
-    return float(_jsd_rows(p[None], q[None])[0])
 
 
 class MeasureColumns(NamedTuple):
@@ -248,19 +195,10 @@ def score_rows(raw: np.ndarray, measures: Sequence[str]) -> MeasureColumns:
     return MeasureColumns(columns, bool(degenerate[0]), degenerate[1:])
 
 
-def measure_columns(
-    reference: ByteSeries, candidates: Sequence[ByteSeries], measures: Sequence[str]
-) -> MeasureColumns:
-    """Align, normalize, and score each candidate of one device set
-    against the reference on ``measures`` only: ``score_rows`` of
-    ``aligned_rows``."""
-    return score_rows(aligned_rows(reference, candidates), measures)
-
-
 def similarity_vectors(reference: ByteSeries, candidates: Sequence[ByteSeries]) -> list[SimilarityVector]:
-    """All four measure_columns of a device set, one vector per candidate;
-    an undefined measure is None and a flattened side is a flag."""
-    scored = measure_columns(reference, candidates, MEASURES)
+    """All four measures of a device set, one vector per candidate; an
+    undefined measure is None and a flattened side is a flag."""
+    scored = score_rows(aligned_rows(reference, candidates), MEASURES)
     cells = [
         [None if undefined else value for value, undefined in zip(values.tolist(), mask.tolist())]
         for values, mask in scored.columns.values()
@@ -305,14 +243,15 @@ def vector_to_row(sv: SimilarityVector) -> dict:
 
 def vector_from_row(row: Mapping) -> SimilarityVector:
     """Inverse of vector_to_row; other keys in ``row`` are ignored.  A
-    measure that is not finite (JSON NaN or Infinity) raises FormatError."""
+    measure that is not finite (JSON NaN or Infinity), or flags that are
+    not a list of strings, raise FormatError."""
     cc, kld = row["cc"], row["kld"]
     sv = SimilarityVector(
         cc=None if cc is None else float(cc),
         dtw=float(row["dtw"]),
         kld=None if kld is None else float(kld),
         jsd=float(row["jsd"]),
-        flags=frozenset(row.get("flags", [])),
+        flags=frozenset(json_strings(row.get("flags", []), "flags")),
     )
     for name in MEASURES:
         if not math.isfinite(sv.measure(name) or 0.0):
@@ -338,10 +277,6 @@ def _report_row(row: Mapping) -> tuple[str, SimilarityVector]:
     return device_id, vector_from_row(row)
 
 
-def read_report_json(inp: TextIO) -> list[tuple[str, SimilarityVector]]:
-    return read_rows_json(inp, _report_row)
-
-
 def read_report(inp: TextIO) -> list[tuple[str, SimilarityVector]]:
     """A similarity report in either format analyze writes: CSV when the
     first line is write_report_csv's header, else JSON.  CSV rows go
@@ -354,7 +289,7 @@ def read_report(inp: TextIO) -> list[tuple[str, SimilarityVector]]:
     lines = text.splitlines()
     header = ["device_id", *MEASURES, "flags"]
     if not lines or lines[0] != ",".join(header):
-        return read_report_json(io.StringIO(text))
+        return read_rows_json(io.StringIO(text), _report_row)
     rows = []
     try:
         for line in lines[1:]:

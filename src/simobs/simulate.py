@@ -311,27 +311,6 @@ def _byte_counts(step_bytes: np.ndarray) -> np.ndarray:
     return rounded.astype(np.int64)
 
 
-def camera_traffic(
-    activity: ActivitySignal,
-    model: CameraModel,
-    step: float,
-    seed: int,
-) -> np.ndarray:
-    """Packet events a camera with this model produces for the scene."""
-    return packetize(_camera_bytes(activity, model, step, seed), step, model.delay)
-
-
-def background_traffic(
-    kind: str,
-    parameters: Mapping,
-    duration: int,
-    seed: int,
-    step: float = 1.0,
-) -> np.ndarray:
-    """Packet events for one non-camera (or non-spying camera) device."""
-    return packetize(_background_bytes(kind, parameters, duration, seed, step), step)
-
-
 def _background_bytes(kind: str, parameters: Mapping, duration: int, seed: int, step: float) -> np.ndarray:
     """Bytes one background device sends in each step; it never delays."""
     params = dict(parameters)

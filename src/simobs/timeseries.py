@@ -69,18 +69,12 @@ class ByteSeries:
         return int(self.values.size)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        # np.asarray(series) is its values, so every measure takes a series.
+        # np.asarray(series) is its values, so dtw_distance takes a series.
         return np.array(self.values, dtype=dtype, copy=copy)
 
     @property
     def end_time(self) -> float:
         return self.start_time + len(self) * self.step
-
-    def prefix(self, n_steps: int) -> "ByteSeries":
-        """First ``n_steps`` steps as a new series."""
-        if not 1 <= n_steps <= len(self):
-            raise ParameterError(f"prefix length {n_steps} outside 1..{len(self)}")
-        return ByteSeries(self.start_time, self.step, self.values[:n_steps])
 
 
 def bin_events(

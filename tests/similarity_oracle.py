@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from simobs.errors import ParameterError, UndefinedCorrelationError, UndefinedDistributionError
+from simobs.errors import ParameterError, SimobsError
 from simobs.similarity import (
     FLAG_CAND_DEGENERATE,
     FLAG_CC_UNDEFINED,
@@ -25,6 +25,14 @@ from simobs.similarity import (
 from simobs.timeseries import ByteSeries, align
 
 _SIGMA_FLOOR = 1e-9
+
+
+class UndefinedCorrelationError(SimobsError):
+    """Pearson correlation is undefined (zero variance input)."""
+
+
+class UndefinedDistributionError(SimobsError):
+    """A series with zero sum cannot be turned into a distribution."""
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,14 +27,7 @@ from simobs.cli import main as cli_main
 from simobs.errors import SimobsError
 from simobs.mp4 import parse_mp4, video_byte_series
 from simobs.pcap import extract_device_series, read_pcap
-from simobs.similarity import (
-    _dtw_rows,
-    dtw_distance,
-    gaussian_kld,
-    jsd,
-    pearson_cc,
-    similarity_vector,
-)
+from simobs.similarity import _cc_rows, _dtw_rows, _jsd_rows, _kld_rows, dtw_distance, similarity_vector
 from simobs.simulate import easy_scenario, packetize, regime_scenario, render_scenario, write_pcap
 from simobs.timeseries import ByteSeries
 
@@ -143,15 +136,15 @@ class TestMeasureBounds:
         for _ in range(1000):
             a = rng.uniform(0, 1, 60)
             b = rng.uniform(0, 1, 60)
-            cc = pearson_cc(a, b)
+            cc = _cc_rows(a, b[None])[0]
             dtw = dtw_distance(a, b)
-            kld = gaussian_kld(a, b)
-            j = jsd(a, b)
+            kld = _kld_rows(a, b[None])[0]
+            j = _jsd_rows(a[None], b[None])[0]
             ok &= -1.0 <= cc <= 1.0
             ok &= dtw >= 0.0
             ok &= kld >= -1e-12
             ok &= 0.0 <= j <= math.log(2) + 1e-12
-            ok &= abs(j - jsd(b, a)) <= 1e-12
+            ok &= abs(j - _jsd_rows(b[None], a[None])[0]) <= 1e-12
             ok &= abs(dtw - dtw_distance(b, a)) <= 1e-12
         report("measure bounds and symmetry on 1000 random pairs", ok)
 
@@ -159,8 +152,7 @@ class TestMeasureBounds:
 class TestKldClosedForm:
     def test_hand_evaluated_values(self):
         # exact moment constructions: [-1,1] -> (mu 0, sd 1), [0,2] -> (1,1), [-2,2] -> (0,2)
-        shift = gaussian_kld([-1.0, 1.0], [0.0, 2.0])
-        widen = gaussian_kld([-1.0, 1.0], [-2.0, 2.0])
+        shift, widen = _kld_rows(np.array([-1.0, 1.0]), np.array([[0.0, 2.0], [-2.0, 2.0]]))
         ok = abs(shift - 0.5) <= 1e-9 and abs(widen - (math.log(2) - 3 / 8)) <= 1e-9
         report("gaussian kld closed form: 0.5 and ln2 - 3/8", ok,
                f"{shift:.10f}, {widen:.10f}")

@@ -1,5 +1,6 @@
 import io
 import itertools
+import json
 import math
 import multiprocessing
 import os
@@ -54,8 +55,9 @@ from simobs.errors import (
 from simobs.similarity import (
     MEASURES,
     SimilarityVector,
-    measure_columns,
-    read_report_json,
+    aligned_rows,
+    read_report,
+    score_rows,
     similarity_vectors,
     write_report_json,
 )
@@ -505,7 +507,7 @@ class TestStackedAgainstOracle:
         assert multiprocessing.active_children() == []
         corpus, out = tmp_path / "samples.json", tmp_path / "grid.json"
         with open(corpus, "w") as fh:
-            write_samples_json(samples, fh)
+            write_samples_json([(str(i), s.features, s.label, []) for i, s in enumerate(samples)], fh)
         assert cli.main(["grid-search", "--samples", str(corpus), "--folds", "3", "--out", str(out)]) == 1
         (err,) = capsys.readouterr().err.splitlines()
         assert "worker process died" in err
@@ -679,23 +681,27 @@ def _device_set(flat_head: int, seed: int):
     return _ramp_series(ref), [_ramp_series(np.abs(d).astype(np.int64)) for d in devices], labels
 
 
+def _prefix(series, t):
+    return ByteSeries(series.start_time, series.step, series.values[:t])
+
+
 def _converge_by_vectors(reference, devices, labels, classifier):
     """convergence_analysis as four-measure similarity vectors at every prefix."""
     window, _ = align(reference, devices[0])
     return [
-        (t, evaluate(verdicts(similarity_vectors(window.prefix(t), devices), classifier), labels))
+        (t, evaluate(verdicts(similarity_vectors(_prefix(window, t), devices), classifier), labels))
         for t in range(2, len(window) + 1)
     ]
 
 
 def _converge_by_prefix_columns(reference, devices, labels, classifier):
-    """convergence_analysis as ``measure_columns`` of every prefix window
+    """convergence_analysis as ``score_rows`` of every prefix window
     against each device aligned with it on its own, then ``column_verdicts``."""
     window, _ = align(reference, devices[0])
     results = []
     for t in range(2, len(window) + 1):
-        prefix = window.prefix(t)
-        columns = measure_columns(prefix, [align(prefix, d)[1] for d in devices], MEASURES).columns
+        prefix = _prefix(window, t)
+        columns = score_rows(aligned_rows(prefix, [align(prefix, d)[1] for d in devices]), MEASURES).columns
         results.append((t, evaluate(column_verdicts(columns, classifier), labels)))
     return results
 
@@ -714,7 +720,7 @@ class TestConvergenceStackedOnce:
     def scene(self):
         reference, devices, labels = _device_set(6, 32)
         model = mlp_train([LabeledSample(v, label) for t in (5, 30)
-                           for v, label in zip(similarity_vectors(reference.prefix(t), devices), labels)],
+                           for v, label in zip(similarity_vectors(_prefix(reference, t), devices), labels)],
                           layers=(4,), seed=2, max_iter=100, feature_subset=MEASURES)
         return reference, devices, labels, model
 
@@ -733,7 +739,7 @@ class TestConvergenceStackedOnce:
             classifier = ThresholdConfig(classifier, float(np.nanmedian(values)))
         expected = _converge_by_prefix_columns(reference, devices, labels, classifier)
         window, _ = align(reference, devices[0])
-        assert measure_columns(window.prefix(3), devices, ["cc"]).columns["cc"][1].all()  # flattened early
+        assert score_rows(aligned_rows(_prefix(window, 3), devices), ["cc"]).columns["cc"][1].all()  # flattened early
         assert len({m for _, m in expected}) > 1  # the verdicts change with t
         assert convergence_analysis(reference, devices, labels, classifier) == expected
 
@@ -748,9 +754,9 @@ class TestConvergenceColumns:
     def test_columns_are_the_vectors_measures(self, flat_head, seed):
         reference, devices, _ = _device_set(flat_head, seed)
         for t in range(2, 31):
-            prefix = reference.prefix(t)
+            prefix = _prefix(reference, t)
             vectors = similarity_vectors(prefix, devices)
-            scored = measure_columns(prefix, devices, MEASURES)
+            scored = score_rows(aligned_rows(prefix, devices), MEASURES)
             for m in MEASURES:
                 values, undefined = scored.columns[m]
                 expected_values, expected_undefined = measure_values(vectors, m)
@@ -759,12 +765,12 @@ class TestConvergenceColumns:
             assert [(scored.ref_degenerate, bool(c)) for c in scored.cand_degenerate] == [
                 ("ref_degenerate" in v.flags, "cand_degenerate" in v.flags) for v in vectors
             ]
-            one = measure_columns(prefix, devices, ["kld"])
+            one = score_rows(aligned_rows(prefix, devices), ["kld"])
             assert list(one.columns) == ["kld"]
             assert np.array_equal(one.columns["kld"][0], scored.columns["kld"][0], equal_nan=True)
         # The flat head and the constant and all-zero devices leave measures undefined.
-        assert measure_columns(reference.prefix(4), devices, ["cc"]).columns["cc"][1].all() == (flat_head > 0)
-        assert measure_columns(reference, devices, ["cc"]).columns["cc"][1].sum() == 2
+        assert score_rows(aligned_rows(_prefix(reference, 4), devices), ["cc"]).columns["cc"][1].all() == (flat_head > 0)
+        assert score_rows(aligned_rows(reference, devices), ["cc"]).columns["cc"][1].sum() == 2
 
     @pytest.mark.parametrize("flat_head,seed", SCENES)
     def test_threshold_metrics_equal_the_vector_path(self, flat_head, seed):
@@ -783,7 +789,7 @@ class TestConvergenceColumns:
         reference, devices, labels = _device_set(flat_head, seed)
         train = [
             LabeledSample(v, label)
-            for t in (5, 10, 20, 30) for v, label in zip(similarity_vectors(reference.prefix(t), devices), labels)
+            for t in (5, 10, 20, 30) for v, label in zip(similarity_vectors(_prefix(reference, t), devices), labels)
         ]
         model = mlp_train(train, layers=(5,), seed=1, max_iter=150, feature_subset=subset)
         expected = _converge_by_vectors(reference, devices, labels, model)
@@ -953,20 +959,36 @@ class TestSimilarityJson:
     def test_report_round_trip(self):
         buf = io.StringIO()
         write_report_json(self.ROWS, buf)
-        assert read_report_json(io.StringIO(buf.getvalue())) == self.ROWS
+        assert read_report(io.StringIO(buf.getvalue())) == self.ROWS
 
     def test_samples_round_trip(self):
         samples = [LabeledSample(v, i == 0, frozenset({"regime=near", f"kind={i}"}))
                    for i, (_, v) in enumerate(self.ROWS)]
         buf = io.StringIO()
-        write_samples_json(samples, buf)
+        write_samples_json([(device_id, s.features, s.label, sorted(s.tags))
+                            for (device_id, _), s in zip(self.ROWS, samples)], buf)
         assert read_samples_json(io.StringIO(buf.getvalue())) == samples
+        assert [row["device_id"] for row in json.loads(buf.getvalue())] == [d for d, _ in self.ROWS]
+
+    @pytest.mark.parametrize("key,value", [("label", "false"), ("label", 0), ("label", None),
+                                           ("tags", "regime=near"), ("tags", [["regime=near"]]),
+                                           ("flags", "cc_undefined"), ("flags", [None])])
+    def test_mistyped_sample_field_is_format_error(self, key, value):
+        row = {"cc": 0.25, "dtw": 3.5, "kld": 0.0125, "jsd": 0.001, "flags": [], "label": False,
+               "tags": ["regime=near"]}
+        expected = sample(False, tags={"regime=near"}, cc=0.25, dtw=3.5, kld=0.0125, jsd=0.001)
+        assert read_samples_json(io.StringIO(json.dumps([row]))) == [expected]
+        with pytest.raises(FormatError, match=f"{key} must be "):
+            read_samples_json(io.StringIO(json.dumps([{**row, key: value}])))
+        if key == "flags":
+            with pytest.raises(FormatError, match="flags must be "):
+                read_report(io.StringIO(json.dumps([{**row, "device_id": "x", key: value}])))
 
     @pytest.mark.parametrize("text", [
         "", "[{", "7", '[{"cc": 0.1}]', '[{"cc": 0.1, "dtw": null, "kld": 0.1, "jsd": 0.1}]',
     ])
     def test_malformed_is_format_error(self, text):
         with pytest.raises(FormatError):
-            read_report_json(io.StringIO(text))
+            read_report(io.StringIO(text))
         with pytest.raises(FormatError):
             read_samples_json(io.StringIO(text))

@@ -23,7 +23,7 @@ import simobs
 from simobs import cli, simulate
 from simobs.cli import main
 from simobs.pcap import GLOBAL_HEADER_LEN, DeviceId
-from simobs.similarity import MEASURES, read_report_json
+from simobs.similarity import MEASURES, read_report
 from simobs.timeseries import event_array
 
 
@@ -142,7 +142,7 @@ class TestSimulateAnalyzeClassify:
                     "--devices", str(out_dir / "devices.csv"),
                     "--format", "json", "--out", str(report)]) == 0
         with open(report) as fh:
-            rows = read_report_json(fh)  # raises FormatError on a non-finite measure
+            rows = read_report(fh)  # raises FormatError on a non-finite measure
         values = [sv.measure(m) for _, sv in rows for m in MEASURES]
         assert values and all(math.isfinite(v) for v in values if v is not None)
 
@@ -931,6 +931,51 @@ class TestMalformedInput:
                     "--devices", str(scene / "devices.csv"), "--manifest", str(manifest),
                     "--out", str(out)]) == 1
         assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("garble", ["text tags", "tag not a string", "text spying"])
+    def test_mistyped_manifest_field_one_line_exit_1(self, garble, scene, tmp_path, capsys):
+        payload = json.loads((scene / "manifest.json").read_text())
+        if garble == "text tags":  # not read as the set of its characters
+            payload["scenario"]["tags"] = "regime=near"
+        elif garble == "tag not a string":
+            payload["scenario"]["tags"] = [7]
+        else:
+            payload["devices"][0]["spying"] = "false"
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(payload))
+        out = tmp_path / "samples.json"
+        assert run(["analyze", "--reference", str(scene / "reference.csv"),
+                    "--devices", str(scene / "devices.csv"), "--manifest", str(manifest),
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and " must be " in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,value", [("label", "false"), ("label", 1), ("tags", "regime=near"),
+                                           ("tags", ["regime=near", None]), ("flags", "cc_undefined")])
+    @pytest.mark.parametrize("argv", [["train"], ["grid-search", "--folds", "3"],
+                                      ["portability", "--partition-tag", "regime"], ["agreement"]])
+    def test_mistyped_sample_field_one_line_exit_1(self, argv, key, value, tmp_path, capsys):
+        rows = _synthetic_rows()
+        rows[5][key] = value
+        samples = tmp_path / "samples.json"
+        samples.write_text(json.dumps(rows))
+        out = tmp_path / "out"
+        assert run(argv + ["--samples", str(samples), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"{key} must be " in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", ["cc_undefined", ["cc_undefined", 1]])
+    def test_mistyped_report_flags_one_line_exit_1(self, flags, tmp_path, capsys):
+        row = {"device_id": "x", "cc": 0.5, "dtw": 1.0, "kld": 0.01, "jsd": 0.001, "flags": flags}
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps([row]))
+        out = tmp_path / "verdicts.json"
+        assert run(["classify", "--report", str(report), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "flags must be " in err[0]
         assert not out.exists()
 
     @pytest.mark.parametrize("garble", ["truncated", "list", "no layer_sizes", "no feature_subset",

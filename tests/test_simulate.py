@@ -11,7 +11,7 @@ import render_oracle
 from pcap_oracle import records_of, transmitter_of
 from simobs.errors import ParameterError
 from simobs.pcap import DeviceId, extract_device_series, read_pcap
-from simobs.similarity import gaussian_kld, pearson_cc
+from simobs.similarity import _cc_rows, _kld_rows
 from simobs.simulate import (
     ACTIVITY_RESOLUTION,
     MIN_FRAME,
@@ -21,8 +21,8 @@ from simobs.simulate import (
     CameraModel,
     SimDataset,
     SimScenario,
-    background_traffic,
-    camera_traffic,
+    _background_bytes,
+    _camera_bytes,
     derive_seed,
     easy_scenario,
     gen_activity,
@@ -177,7 +177,8 @@ class TestStepSeries:
                 assert tr.series == bin_events(events, 0.0, step, scenario.duration)
             scene = gen_activity(scenario.activity_profile, scenario.duration,
                                  derive_seed(scenario.seed, "scene"), step=step)
-            reference = camera_traffic(scene, scenario.reference, step, derive_seed(scenario.seed, "reference"))
+            reference = packetize(_camera_bytes(scene, scenario.reference, step,
+                                                derive_seed(scenario.seed, "reference")), step, scenario.reference.delay)
             assert series.reference_series == bin_events(reference, 0.0, step, scenario.duration)
 
 
@@ -227,45 +228,43 @@ class TestRenderOracle:
     ])
     def test_total_past_int64_is_a_parameter_error(self, kind, params):
         with pytest.raises(ParameterError, match="does not fit in 64 bits"):
-            background_traffic(kind, params, 60, 1)
+            _background_bytes(kind, params, 60, 1, 1.0)
 
 
 class TestCameraTraffic:
     def test_silent_camera_no_events(self):
         activity = ActivitySignal(0.1, np.zeros(600))
         model = CameraModel(idle_bytes_per_step=0, motion_gain=1000, iframe_bytes=0, noise_std=0)
-        assert len(camera_traffic(activity, model, 1.0, 0)) == 0
+        assert len(packetize(_camera_bytes(activity, model, 1.0, 0), 1.0)) == 0
 
     def test_constant_activity_closed_form(self):
         activity = ActivitySignal(0.1, np.ones(600))
         model = CameraModel(
             idle_bytes_per_step=10_000, motion_gain=90_000, iframe_bytes=0, noise_std=0
         )
-        events = camera_traffic(activity, model, 1.0, 0)
-        bins = bin_events(events, 0.0, 1.0, 60)
-        assert bins.values.tolist() == [100_000] * 60
+        assert _camera_bytes(activity, model, 1.0, 0).tolist() == [100_000] * 60
 
     def test_iframe_spikes_on_period(self):
         activity = ActivitySignal(0.1, np.zeros(600))
         model = CameraModel(
             idle_bytes_per_step=1000, motion_gain=0, iframe_period=10, iframe_bytes=5000, noise_std=0
         )
-        bins = bin_events(camera_traffic(activity, model, 1.0, 0), 0.0, 1.0, 60)
-        assert bins.values[0] == 6000
-        assert bins.values[10] == 6000
-        assert bins.values[1] == 1000
+        totals = _camera_bytes(activity, model, 1.0, 0)
+        assert totals[0] == 6000
+        assert totals[10] == 6000
+        assert totals[1] == 1000
 
     def test_observed_fraction_degrades_similarity(self):
         wins = 0
         for seed in range(100):
             act = gen_activity("walking", 60, 1000 + seed)
-            ref = bin_events(camera_traffic(act, CameraModel(), 1.0, seed), 0.0, 1.0, 60)
+            ref = _camera_bytes(act, CameraModel(), 1.0, seed)
             seeing = CameraModel(noise_std=5000, observed_fraction=1.0)
             blind = CameraModel(noise_std=5000, observed_fraction=0.0)
-            c_see = bin_events(camera_traffic(act, seeing, 1.0, seed + 7), 0.0, 1.0, 60)
-            c_blind = bin_events(camera_traffic(act, blind, 1.0, seed + 7), 0.0, 1.0, 60)
-            k_see = gaussian_kld(min_max_normalize(ref)[0], min_max_normalize(c_see)[0])
-            k_blind = gaussian_kld(min_max_normalize(ref)[0], min_max_normalize(c_blind)[0])
+            c_see = _camera_bytes(act, seeing, 1.0, seed + 7)
+            c_blind = _camera_bytes(act, blind, 1.0, seed + 7)
+            k_see = _kld_rows(min_max_normalize(ref)[0], min_max_normalize(c_see)[0][None])[0]
+            k_blind = _kld_rows(min_max_normalize(ref)[0], min_max_normalize(c_blind)[0][None])[0]
             wins += k_blind > k_see
         assert wins >= 90
 
@@ -275,7 +274,7 @@ class TestCameraTraffic:
     ])
     def test_total_past_int64_is_a_parameter_error(self, model):
         with pytest.raises(ParameterError, match="does not fit in 64 bits"):
-            camera_traffic(gen_activity("walking", 20, 1), model, 1.0, 0)
+            _camera_bytes(gen_activity("walking", 20, 1), model, 1.0, 0)
 
     def test_burst_accumulate_buffers(self):
         activity = ActivitySignal(0.1, np.zeros(100))
@@ -283,58 +282,52 @@ class TestCameraTraffic:
             idle_bytes_per_step=1000, motion_gain=0, iframe_bytes=0, noise_std=0,
             burst_accumulate=True, release_threshold=2500,
         )
-        bins = bin_events(camera_traffic(activity, model, 1.0, 0), 0.0, 1.0, 10)
         # 1000/step buffers to >= 2500 every third step
-        assert bins.values.tolist() == [0, 0, 3000, 0, 0, 3000, 0, 0, 3000, 0]
+        assert _camera_bytes(activity, model, 1.0, 0).tolist() == [0, 0, 3000, 0, 0, 3000, 0, 0, 3000, 0]
 
     def test_delay_shifts_events(self):
         activity = ActivitySignal(0.1, np.zeros(20))
         model = CameraModel(idle_bytes_per_step=1000, motion_gain=0, iframe_bytes=0,
                             noise_std=0, delay=1.0)
-        events = camera_traffic(activity, model, 1.0, 0)
+        events = packetize(_camera_bytes(activity, model, 1.0, 0), 1.0, model.delay)
         assert events["timestamp"].min() >= 1.0
 
 
 class TestBackgroundTraffic:
     def test_cbr_exact_without_jitter(self):
-        events = background_traffic("cbr", {"bytes_per_step": 1000.0, "jitter": 0.0}, 60, 0)
-        bins = bin_events(events, 0.0, 1.0, 60)
-        assert bins.values.tolist() == [1000] * 60
+        totals = _background_bytes("cbr", {"bytes_per_step": 1000.0, "jitter": 0.0}, 60, 0, 1.0)
+        assert totals.tolist() == [1000] * 60
 
     def test_vbr_uses_independent_activity(self):
         misses = 0
         for seed in range(100):
             scene = gen_activity("walking", 60, derive_seed(seed, "scene"))
-            ref = bin_events(camera_traffic(scene, CameraModel(), 1.0, seed), 0.0, 1.0, 60)
-            events = background_traffic("vbr_stream", {"profile": "walking"}, 60, seed)
-            bins = bin_events(events, 0.0, 1.0, 60)
-            cc = pearson_cc(min_max_normalize(ref)[0], min_max_normalize(bins)[0])
+            ref = _camera_bytes(scene, CameraModel(), 1.0, seed)
+            totals = _background_bytes("vbr_stream", {"profile": "walking"}, 60, seed, 1.0)
+            cc = _cc_rows(min_max_normalize(ref)[0], min_max_normalize(totals)[0][None])[0]
             misses += abs(cc) < 0.5
         assert misses >= 90
 
     def test_browsing_has_idle_bins(self):
-        events = background_traffic("browsing", {}, 60, 1)
-        bins = bin_events(events, 0.0, 1.0, 60)
-        assert (bins.values == 0).any()
+        assert (_background_bytes("browsing", {}, 60, 1, 1.0) == 0).any()
 
     def test_download_ramps_to_rate(self):
-        events = background_traffic(
-            "download", {"bytes_per_step": 1_000_000.0, "ramp_steps": 5, "jitter": 0.0}, 60, 0
+        totals = _background_bytes(
+            "download", {"bytes_per_step": 1_000_000.0, "ramp_steps": 5, "jitter": 0.0}, 60, 0, 1.0
         )
-        bins = bin_events(events, 0.0, 1.0, 60)
-        assert bins.values[0] == pytest.approx(200_000, rel=0.01)
-        assert bins.values[10] == pytest.approx(1_000_000, rel=0.01)
+        assert totals[0] == pytest.approx(200_000, rel=0.01)
+        assert totals[10] == pytest.approx(1_000_000, rel=0.01)
 
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):
-            background_traffic("torrent", {}, 60, 0)
+            _background_bytes("torrent", {}, 60, 0, 1.0)
 
     @pytest.mark.parametrize("kind, key", [("cbr", "surge_period"), ("vbr_stream", "iframe_period"),
                                            ("download", "ramp_steps")])
     def test_step_count_must_be_whole(self, kind, key):
         with pytest.raises(ParameterError, match="whole number of steps"):
-            background_traffic(kind, {key: 8.7}, 60, 0)
-        assert np.array_equal(background_traffic(kind, {key: 8.0}, 60, 0), background_traffic(kind, {key: 8}, 60, 0))
+            _background_bytes(kind, {key: 8.7}, 60, 0, 1.0)
+        assert np.array_equal(_background_bytes(kind, {key: 8.0}, 60, 0, 1.0), _background_bytes(kind, {key: 8}, 60, 0, 1.0))
 
 
 class TestRenderScenario:
