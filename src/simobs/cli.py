@@ -22,7 +22,7 @@ import numpy as np
 
 from . import classify as cls
 from . import mp4, pcap, similarity, simulate
-from .errors import ParameterError, SimobsError, json_bool, json_strings, read_json
+from .errors import FormatError, ParameterError, SimobsError, json_bool, json_strings, read_json
 from .timeseries import DEFAULT_STEP, DEFAULT_WINDOW, ByteSeries, read_series_csv, write_series_csv
 
 
@@ -133,15 +133,17 @@ def _read_series(path: str) -> ByteSeries:
         return read_series_csv(fh)
 
 
-def _manifest_labels(manifest) -> tuple[list, dict[str, tuple[bool, list]]]:
-    """The scenario's sorted tags, and the spying label and sample tags
-    of each device the simulator manifest lists."""
+def _manifest_labels(manifest) -> dict[str, tuple[bool, list]]:
+    """The spying label and sample tags (the scenario's sorted tags,
+    then the device kind) of each device the simulator manifest lists."""
     tags = sorted(json_strings(manifest.get("scenario", {}).get("tags", []), "scenario tags"))
     labels = {}
     for d in manifest.get("devices", []):
+        if not isinstance(d["device_id"], str):
+            raise FormatError(f"manifest device_id must be a string, got {d['device_id']!r}")
         kind = [f"kind={d['kind']}"] if "kind" in d else []
         labels[d["device_id"]] = (json_bool(d.get("spying", False), "spying"), tags + kind)
-    return tags, labels
+    return labels
 
 
 def cmd_analyze(args) -> int:
@@ -150,17 +152,21 @@ def cmd_analyze(args) -> int:
     reference = _read_series(args.reference)
     with open(args.devices) as fh:
         devices = pcap.read_devices_csv(fh)
-    manifest = None
+    labels = None
     if args.manifest:
         with open(args.manifest) as fh:
-            manifest = read_json(fh, _manifest_labels, "manifest")
+            labels = read_json(fh, _manifest_labels, "manifest")
 
     ids = [str(device_id) for device_id, _ in devices]
+    if labels is not None:
+        unlisted = [device_id for device_id in ids if device_id not in labels]
+        if unlisted:
+            raise FormatError(f"the manifest does not list {len(unlisted)} of the {len(ids)} devices, "
+                              f"first {unlisted[0]}")
     rows = list(zip(ids, similarity.similarity_vectors(reference, [series for _, series in devices])))
 
-    if manifest is not None:
-        tags, labels = manifest
-        samples = [(device_id, sv, *labels.get(device_id, (False, tags))) for device_id, sv in rows]
+    if labels is not None:
+        samples = [(device_id, sv, *labels[device_id]) for device_id, sv in rows]
         text = _render(cls.write_samples_json, samples)
     elif args.format == "json":
         text = _render(similarity.write_report_json, rows)

@@ -1,11 +1,11 @@
 """Classic pcap parsing and per-device byte series extraction.
 
 Offline .pcap files only (both magics, both byte orders, link types 1
-and 127).  Frames are read in batches of columns over the bytes of one
-read.  Each frame is attributed to its transmitting device (source MAC
-for Ethernet, Address 2 of 802.11 data frames behind radiotap) by
-indexing into those bytes, and the frames of each device are binned
-into a ByteSeries.
+and 127).  Frames are read in batches of columns over the bytes of a
+few reads.  Each frame is attributed to its transmitting device (source
+MAC for Ethernet, Address 2 of 802.11 data frames behind radiotap) by
+gathering the bytes its rules read, and the frames of each device are
+binned into a ByteSeries.
 """
 from __future__ import annotations
 
@@ -38,6 +38,9 @@ RECORD_HEADER_LEN = 16
 # and refusing longer claims keeps a corrupt length from making one read
 # allocate gigabytes for a short file.
 MAX_CAPTURED_LEN = 262_144
+# Reads joined into one FrameBatch: larger batches spread the fixed cost
+# of each batch's array calls over more frames.
+BATCH_READS = 4
 
 ETHERTYPE_IPV4 = 0x0800
 ETHERTYPE_IPV6 = 0x86DD
@@ -84,10 +87,11 @@ class DeviceStream:
 def read_pcap(source: BinaryIO | bytes) -> Iterator[FrameBatch]:
     """Yield FrameBatches from a classic pcap byte stream, in file order.
 
-    The stream is read ``MAX_CAPTURED_LEN`` bytes at a time and each read
-    becomes one batch of the records it completes; a record that
-    straddles two reads goes into the next batch.  Every batch owns its
-    bytes, so batches stay valid after the iterator has moved on.
+    The stream is read ``MAX_CAPTURED_LEN`` bytes at a time and up to
+    ``BATCH_READS`` reads are joined into one batch of the records they
+    complete; a record that straddles the end of a batch goes into the
+    next one.  Every batch owns its bytes, so batches stay valid after
+    the iterator has moved on.
     """
     stream = BytesIO(source) if isinstance(source, (bytes, bytearray)) else source
     head = stream.read(GLOBAL_HEADER_LEN)
@@ -112,34 +116,57 @@ def read_pcap(source: BinaryIO | bytes) -> Iterator[FrameBatch]:
     except ValueError:
         raise UnsupportedLinkTypeError(network) from None
 
-    unpack_header = struct.Struct(order + "IIII").unpack_from
+    unpack_incl_len = struct.Struct(order + "I").unpack_from
     header_fields = np.dtype(order + "u4")
     data = b""
     base = GLOBAL_HEADER_LEN  # file offset of data[0]
-    while chunk := stream.read(MAX_CAPTURED_LEN):
-        data += chunk
-        starts = []
-        pos, end = 0, len(data)
-        while pos <= end - RECORD_HEADER_LEN:
-            _sec, _frac, incl_len, orig_len = unpack_header(data, pos)
-            if incl_len > orig_len or incl_len > MAX_CAPTURED_LEN:
-                raise _length_error(base + pos, incl_len, orig_len)
-            next_pos = pos + RECORD_HEADER_LEN + incl_len
-            if next_pos > end:
+    reading = True
+    while reading:
+        chunks = [data]
+        for _ in range(BATCH_READS):
+            chunk = stream.read(MAX_CAPTURED_LEN)
+            if not chunk:
+                reading = False
                 break
-            starts.append(pos)
-            pos = next_pos
+            chunks.append(chunk)
+        if len(chunks) == 1:
+            break
+        data = b"".join(chunks)
+        # Free the reads before the batch is yielded, not at the next
+        # batch: held across the yield, they sit between the batches a
+        # caller keeps in a list, and freeing that list then handed the
+        # memory back to the system, to be faulted in on the next pass.
+        del chunks
+        # The walk follows incl_len alone.  Both lengths of every header
+        # it passed are checked as arrays before the batch is yielded, so
+        # the first bad header in file order raises, as in a per-record
+        # check; a bad length only sends the walk on through this batch.
+        starts = []  # where each record whose header is whole starts
+        append = starts.append
+        pos, last = 0, len(data) - RECORD_HEADER_LEN
+        while pos <= last:
+            append(pos)
+            pos += RECORD_HEADER_LEN + unpack_incl_len(data, pos + 8)[0]
         if starts:
-            headers = np.array(starts)[:, None] + np.arange(RECORD_HEADER_LEN)
-            ts_sec, ts_frac, incl, orig = np.frombuffer(data, np.uint8)[headers].view(header_fields).T
-            yield FrameBatch(
-                link_type,
-                ts_sec.astype(np.float64) + ts_frac / frac_divisor,
-                orig.astype(np.int64),
-                incl.astype(np.int64),
-                headers[:, 0] + RECORD_HEADER_LEN,
-                data,
-            )
+            begin = np.fromiter(starts, np.int64, len(starts))
+            ts_sec, ts_frac, incl, orig = _window(data, "V16")[begin].view(header_fields).reshape(-1, 4).T
+            bad = np.flatnonzero((incl > orig) | (incl > MAX_CAPTURED_LEN))
+            if bad.size:
+                i = bad[0]
+                raise _length_error(base + starts[i], int(incl[i]), int(orig[i]))
+            n = len(starts)
+            if pos > len(data):  # the last record's payload is not all read yet
+                n -= 1
+                pos = starts[-1]
+            if n:
+                yield FrameBatch(
+                    link_type,
+                    ts_sec[:n] + ts_frac[:n] / frac_divisor,
+                    orig[:n].astype(np.int64),
+                    incl[:n].astype(np.int64),
+                    begin[:n] + RECORD_HEADER_LEN,
+                    data,
+                )
         data = data[pos:]
         base += pos
     if len(data) >= RECORD_HEADER_LEN:
@@ -166,18 +193,37 @@ def _check_group_by(group_by: str) -> None:
 
 # IP keys: the version (4 or 6), then the source address, zero-padded.
 _IP_KEY = np.dtype("V17")
+_MAC_MASK = np.uint64(0xFFFF_FFFF_FFFF)
 
 
-def _bytes_at(buf: np.ndarray, pos: np.ndarray, width: int) -> np.ndarray:
-    """``width`` bytes from each position, one row each.  Positions past
-    the end of ``buf`` read its last byte; the frames they belong to are
-    too short for the field and are never attributed by it."""
-    return buf[np.minimum(pos[:, None] + np.arange(width), buf.size - 1)]
+def _window(data: bytes, dtype) -> np.ndarray:
+    """A read-only view of ``data`` holding one ``dtype`` value per byte
+    offset: element ``i`` is read from ``data[i : i + itemsize]``.
+    Indexing it gathers only the bytes a field spans; nothing else of the
+    batch is copied."""
+    dtype = np.dtype(dtype)
+    return np.ndarray((max(len(data) - dtype.itemsize + 1, 0),), dtype, buffer=data, strides=(1,))
 
 
-def _be_uint(rows: np.ndarray) -> np.ndarray:
-    """Each row of bytes read as a big-endian unsigned integer."""
-    return rows.astype(np.int64) @ (256 ** np.arange(rows.shape[1] - 1, -1, -1))
+def _at(window: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """The values of ``window`` at each position.  Positions past the
+    last whole value read that value; the frames they belong to are too
+    short for the field and are never attributed by it."""
+    return window[np.minimum(pos, window.size - 1)]
+
+
+def _mac(data: bytes, pos: np.ndarray) -> np.ndarray:
+    """The 6-byte address at each position as a 48-bit integer, read as
+    the low bytes of the big-endian 8-byte word that ends with it."""
+    return _window(data, ">u8")[pos - 2] & _MAC_MASK
+
+
+# Per 802.11 frame-control byte: is the frame a data frame, and does it
+# carry Address 2?  CTS and ACK control frames (type 1, subtypes 12 and
+# 13) are the ones that do not.
+_FTYPE, _SUBTYPE = (np.arange(256) >> 2) & 0b11, np.arange(256) >> 4
+_DATA_FRAME = _FTYPE == 2
+_HAS_ADDRESS2 = ~((_FTYPE == 1) & ((_SUBTYPE == 12) | (_SUBTYPE == 13)))
 
 
 def _transmitters(
@@ -194,42 +240,40 @@ def _transmitters(
     ``include_non_data`` is set; ACK/CTS control frames carry no
     transmitter address and never are.
     """
-    buf = np.frombuffer(batch.data, np.uint8)
+    data = batch.data
     off, cap, wire = batch.offset, batch.captured_len, batch.on_wire_len
     if batch.link_type is LinkType.ETHERNET:
         if group_by == "ip":
-            malformed, attributed, keys = _ip_sources(buf, off, cap)
+            malformed, attributed, keys = _ip_sources(data, off, cap)
             return malformed, attributed, wire, keys
         malformed = cap < 12  # shorter than its address fields
         attributed = ~malformed
-        return malformed, attributed, wire, _be_uint(_bytes_at(buf, off[attributed] + 6, 6))
+        return malformed, attributed, wire, _mac(data, off[attributed] + 6)
 
-    rt_len = _be_uint(_bytes_at(buf, off + 2, 2)[:, ::-1])  # little-endian
+    rt_len = _at(_window(data, "<u2"), off + 2).astype(np.int64)
     size = wire - rt_len
     malformed = (cap < 4) | (rt_len < 8) | (rt_len > cap)
     # IP grouping is not attempted on 802.11: frame bodies are typically
     # encrypted, which is the whole point of the monitor-mode path.
     if group_by == "ip":
         return malformed, np.zeros_like(malformed), size, np.empty(0, _IP_KEY)
+    dot11 = off + rt_len  # frame control, then Address 2 at byte 10
     malformed |= cap < rt_len + 2  # no frame control
-    dot11 = _bytes_at(buf, off + rt_len, 16)  # frame control through Address 2
-    ftype = (dot11[:, 0] >> 2) & 0b11
-    subtype = dot11[:, 0] >> 4
-    cts_or_ack = (ftype == 1) & ((subtype == 12) | (subtype == 13))  # no Address 2
-    wanted = ~malformed & ~cts_or_ack & ((ftype == 2) | include_non_data)
+    frame_control = _at(np.frombuffer(data, np.uint8), dot11)
+    wanted = ~malformed & (_HAS_ADDRESS2 if include_non_data else _DATA_FRAME)[frame_control]
     malformed |= wanted & (cap < rt_len + 16)  # shorter than its Address 2 field
     attributed = wanted & ~malformed
-    return malformed, attributed, size, _be_uint(dot11[attributed, 10:16])
+    return malformed, attributed, size, _mac(data, dot11[attributed] + 10)
 
 
 def _ip_sources(
-    buf: np.ndarray, off: np.ndarray, cap: np.ndarray
+    data: bytes, off: np.ndarray, cap: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The malformed and attributed masks and keys of Ethernet frames
     grouped by source IP; frames that are neither IPv4 nor IPv6 are
     unattributed."""
     malformed = cap < 14  # shorter than its header
-    ethertype = _be_uint(_bytes_at(buf, off + 12, 2))
+    ethertype = _at(_window(data, ">u2"), off + 12)
     ipv4 = ~malformed & (ethertype == ETHERTYPE_IPV4)
     ipv6 = ~malformed & (ethertype == ETHERTYPE_IPV6)
     malformed |= (ipv4 & (cap < 14 + 20)) | (ipv6 & (cap < 14 + 40))  # IP header truncated
@@ -237,9 +281,9 @@ def _ip_sources(
     ipv6 &= ~malformed
     keys = np.zeros((off.size, _IP_KEY.itemsize), np.uint8)
     keys[ipv4, 0] = 4
-    keys[ipv4, 1:5] = _bytes_at(buf, off[ipv4] + 26, 4)
+    keys[ipv4, 1:5] = _window(data, "V4")[off[ipv4] + 26].view(np.uint8).reshape(-1, 4)
     keys[ipv6, 0] = 6
-    keys[ipv6, 1:] = _bytes_at(buf, off[ipv6] + 22, 16)
+    keys[ipv6, 1:] = _window(data, "V16")[off[ipv6] + 22].view(np.uint8).reshape(-1, 16)
     attributed = ipv4 | ipv6
     return malformed, attributed, keys[attributed].view(_IP_KEY).ravel()
 
@@ -291,29 +335,39 @@ def extract_device_series(
         if start is None:
             start = float(batch.timestamp[0])
         malformed, attributed, size, key = _transmitters(batch, group_by, include_non_data)
-        unattributed = ~(malformed | attributed)
-        drops["malformed"] += int(np.count_nonzero(malformed))
-        drops["unattributed"] += int(np.count_nonzero(unattributed))
-        drops["dropped_bytes"] += int(batch.on_wire_len[malformed].sum()) + int(size[unattributed].sum())
-        keys.append(key)
-        timestamps.append(batch.timestamp[attributed])
-        sizes.append(np.maximum(size[attributed], 0))
+        n_malformed = int(np.count_nonzero(malformed))
+        n_unattributed = batch.timestamp.size - n_malformed - key.size
+        drops["malformed"] += n_malformed
+        drops["unattributed"] += n_unattributed
+        # The masks and sums below are skipped when they select nothing.
+        if n_malformed:
+            drops["dropped_bytes"] += int(batch.on_wire_len[malformed].sum())
+        if n_unattributed:
+            drops["dropped_bytes"] += int(size[~(malformed | attributed)].sum())
+        if key.size:
+            keys.append(key)
+            timestamps.append(batch.timestamp[attributed])
+            sizes.append(np.maximum(size[attributed], 0))
 
     streams = []
     if keys:
-        timestamp, size = np.concatenate(timestamps), np.concatenate(sizes)
+        key, timestamp, size = (np.concatenate(parts) for parts in (keys, timestamps, sizes))
         in_window = (timestamp >= start) & (timestamp < start + n_steps * step)
         drops["out_of_window"] = int(in_window.size - np.count_nonzero(in_window))
-        drops["dropped_bytes"] += int(size[~in_window].sum())
-        devices, device_of, frame_counts = np.unique(
-            np.concatenate(keys)[in_window], return_inverse=True, return_counts=True
-        )
-        by_device = np.argsort(device_of, kind="stable")
-        events = event_array(timestamp[in_window][by_device], size[in_window][by_device])
-        ends = np.cumsum(frame_counts).tolist()
-        for key, count, end in zip(devices, frame_counts.tolist(), ends):
-            series = bin_events(events[end - count : end], start, step, n_steps)
-            streams.append(DeviceStream(device_id=_device_id(key), series=series, frame_count=count))
+        if drops["out_of_window"]:
+            drops["dropped_bytes"] += int(size[~in_window].sum())
+            key, timestamp, size = key[in_window], timestamp[in_window], size[in_window]
+        # One stable sort groups the frames by device and keeps each
+        # device's frames in capture order; a device starts where the
+        # key changes (nowhere if no frame is left in the window).
+        by_device = np.argsort(key, kind="stable")
+        key = key[by_device]
+        firsts = np.flatnonzero(np.concatenate(([key.size > 0], key[1:] != key[:-1])))
+        events = event_array(timestamp[by_device], size[by_device])
+        ends = [*firsts[1:].tolist(), key.size]
+        for first, end in zip(firsts.tolist(), ends):
+            series = bin_events(events[first:end], start, step, n_steps)
+            streams.append(DeviceStream(device_id=_device_id(key[first]), series=series, frame_count=end - first))
         streams.sort(key=lambda stream: stream.device_id)
     if counters is not None:
         counters.update(drops)

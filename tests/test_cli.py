@@ -952,6 +952,25 @@ class TestMalformedInput:
         assert len(err) == 1 and " must be " in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("garble", ["int ids", "device unlisted"])
+    def test_manifest_that_misses_a_device_one_line_exit_1(self, garble, scene, tmp_path, capsys):
+        """A device the manifest does not name is not labelled not spy."""
+        payload = json.loads((scene / "manifest.json").read_text())
+        if garble == "int ids":
+            for i, device in enumerate(payload["devices"]):
+                device["device_id"] = i
+        else:
+            del payload["devices"][-1]
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(payload))
+        out = tmp_path / "samples.json"
+        assert run(["analyze", "--reference", str(scene / "reference.csv"),
+                    "--devices", str(scene / "devices.csv"), "--manifest", str(manifest),
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and ("must be a string" in err[0] or "does not list 1 of the 10" in err[0])
+        assert not out.exists()
+
     @pytest.mark.parametrize("key,value", [("label", "false"), ("label", 1), ("tags", "regime=near"),
                                            ("tags", ["regime=near", None]), ("flags", "cc_undefined")])
     @pytest.mark.parametrize("argv", [["train"], ["grid-search", "--folds", "3"],

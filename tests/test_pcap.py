@@ -24,6 +24,7 @@ from simobs.errors import (
     UnsupportedLinkTypeError,
 )
 from simobs.pcap import (
+    BATCH_READS,
     GLOBAL_HEADER_LEN,
     MAX_CAPTURED_LEN,
     DeviceId,
@@ -402,69 +403,128 @@ class TestAgainstOracle:
             assert streamed == drained
 
 
-class TestChunkBoundaries:
-    """Records that straddle the reader's MAX_CAPTURED_LEN reads."""
+class LoggingStream(io.BytesIO):
+    """A byte stream that logs the size of every read it is asked for.
+    Given ``short`` sizes, it answers reads of MAX_CAPTURED_LEN with
+    fewer bytes, cycling through them, as a raw pipe or socket may."""
 
-    def _capture(self) -> tuple[bytes, list[int]]:
-        """A radiotap capture over 1 MiB and the file offsets where its
-        reads end: the first holds a record header cut 5 bytes in, the
-        second sits inside a MAX_CAPTURED_LEN record, the third inside a
-        payload, and the fourth and fifth fall between records."""
+    def __init__(self, data: bytes, reads: list, short: tuple = ()):
+        super().__init__(data)
+        self.reads, self.short = reads, short
+
+    def read(self, n=-1):
+        self.reads.append(n)
+        if self.short and n == MAX_CAPTURED_LEN:
+            n = self.short[len(self.reads) % len(self.short)]
+        return super().read(n)
+
+
+class TestChunkBoundaries:
+    """Records that straddle the reader's MAX_CAPTURED_LEN reads, inside
+    a batch of BATCH_READS reads and at its end."""
+
+    READ_ENDS = [GLOBAL_HEADER_LEN + k * MAX_CAPTURED_LEN for k in range(1, 2 * BATCH_READS + 1)]
+
+    @pytest.fixture(scope="class")
+    def capture(self) -> tuple[bytes, list[int]]:
+        """A radiotap capture over 2 MiB (two whole batches and a tail)
+        and the file offset of every record header.  At the ends of its
+        reads: a record header cut 5 bytes in, a MAX_CAPTURED_LEN record
+        inside a batch, a payload, a MAX_CAPTURED_LEN record across the
+        first batch end, a gap between records, a header cut 10 bytes in,
+        a payload, and a gap at the second batch end."""
         data = bytearray(pcap_header(network=127))
-        boundaries = [GLOBAL_HEADER_LEN + k * MAX_CAPTURED_LEN for k in range(1, 6)]
+        headers = []
         macs = ["11:00:00:00:00:01", "11:00:00:00:00:02", "11:00:00:00:00:03"]
-        count = 0
 
         def add(length: int) -> None:
-            nonlocal count
+            count = len(headers)
             if count % 9 == 4:
                 frame = radiotap_frame(dot11_ack_frame(), rt_len=8)
                 frame += bytes(length - len(frame))
             else:
                 frame = radiotap_frame(dot11_data_frame(macs[count % 3], body=bytes(length - 32)), rt_len=8)
+            headers.append(len(data))
             data.extend(pcap_record(count % 4, 250_000, frame))
-            count += 1
 
         def fill_to(target: int) -> None:
             while target - len(data) > 16 + 1500 + 16 + 40:
                 add(1500)
             add(target - len(data) - 16)
 
-        fill_to(boundaries[0] - 5)
+        ends = self.READ_ENDS
+        fill_to(ends[0] - 5)
         add(900)
-        fill_to(boundaries[1] - 100_000)
+        fill_to(ends[1] - 100_000)
         add(MAX_CAPTURED_LEN)
-        fill_to(boundaries[2] - 16 - 700)
+        fill_to(ends[2] - 16 - 700)
         add(1400)
-        fill_to(boundaries[3])
-        fill_to(boundaries[4])
+        fill_to(ends[3] - 60_000)
+        add(MAX_CAPTURED_LEN)
+        fill_to(ends[4])
+        fill_to(ends[5] - 10)
+        add(500)
+        fill_to(ends[6] - 16 - 300)
+        add(800)
+        fill_to(ends[7])
         add(600)
-        assert len(data) > 1 << 20
-        return bytes(data), boundaries
+        assert len(data) > 2 << 20
+        return bytes(data), headers
 
-    def test_boundaries_and_cuts_match_oracle(self):
-        data, boundaries = self._capture()
+    def test_boundaries_and_cuts_match_oracle(self, capture):
+        data, _ = capture
         reads = []
-
-        class Stream(io.BytesIO):
-            def read(self, n=-1):
-                reads.append(n)
-                return super().read(n)
-
-        cuts = [len(data)] + [b + d for b in boundaries for d in (-1, 0, 1)]
+        cuts = [len(data)] + [end + d for end in self.READ_ENDS for d in (-1, 0, 1)]
         errors = set()
         for cut in cuts:
             source = data[:cut]
             expected = _outcome(oracle.read_pcap, oracle.extract_device_series, source, "mac", False, 0.0)
-            streamed = _outcome(lambda d: read_pcap(Stream(d)), extract_device_series, source, "mac", False, 0.0)
+            streamed = _outcome(lambda d: read_pcap(LoggingStream(d, reads)), extract_device_series, source, "mac", False, 0.0)
             drained = _outcome(lambda d: list(read_pcap(d)), extract_device_series, source, "mac", False, 0.0)
             assert streamed == drained == expected, cut
             if expected[0] is TruncationError:
                 errors.add(expected[1].split(" at ")[0])
             else:
-                assert oracle.records_of(read_pcap(source)) == list(oracle.read_pcap(source))
+                # every batch is read before the first is looked at
+                assert oracle.records_of(list(read_pcap(LoggingStream(source, reads)))) == list(oracle.read_pcap(source))
         assert errors == {"record header truncated", "record payload truncated"}
         assert max(reads) == MAX_CAPTURED_LEN
+        batch_bytes = BATCH_READS * MAX_CAPTURED_LEN
+        assert len(list(read_pcap(data))) == -(-(len(data) - GLOBAL_HEADER_LEN) // batch_bytes)
+
+    # (incl_len, orig_len): longer than the wire; longer than any record,
+    # landing inside the batch; and reaching past the end of the batch
+    @pytest.mark.parametrize("claim", [(70, 69), (MAX_CAPTURED_LEN + 1,) * 2, (2**32 - 1,) * 2])
+    def test_length_errors_in_each_read_match_oracle(self, capture, claim):
+        """A bad record header in the 2nd to 4th read of either batch
+        ends the run with the oracle's error, message and offset."""
+        data, headers = capture
+        for k, end in enumerate(self.READ_ENDS[:-1]):
+            if (k + 1) % BATCH_READS == 0:
+                continue  # the next read starts a batch
+            at = next(h for h in headers if h >= end)
+            corrupt = bytearray(data)
+            corrupt[at + 8 : at + 16] = struct.pack("<II", *claim)
+            source = bytes(corrupt)
+            expected = _outcome(oracle.read_pcap, oracle.extract_device_series, source, "mac", False, 0.0)
+            assert expected[0] is FormatError and expected[2] is None and f"at byte {at} " in expected[1]
+            for read in (lambda d: read_pcap(LoggingStream(d, [])), lambda d: list(read_pcap(d))):
+                assert _outcome(read, extract_device_series, source, "mac", False, 0.0) == expected, k
+
+    @pytest.mark.parametrize("short", [(1, 7, 5000), (MAX_CAPTURED_LEN - 3, 100_000, 17)])
+    def test_short_reads_match_oracle(self, capture, short):
+        """A stream whose reads return fewer bytes than asked yields what
+        the same bytes yield read whole."""
+        data, _ = capture
+        for cut in (len(data), self.READ_ENDS[3] + 1):
+            source = data[:cut]
+            expected = _outcome(oracle.read_pcap, oracle.extract_device_series, source, "mac", False, 0.0)
+            reads = []
+            got = _outcome(lambda d: read_pcap(LoggingStream(d, reads, short)), extract_device_series,
+                           source, "mac", False, 0.0)
+            assert got == expected and max(reads) == MAX_CAPTURED_LEN, cut
+        batches = list(read_pcap(LoggingStream(data, [], short)))
+        assert oracle.records_of(batches) == list(oracle.read_pcap(data))
 
 
 class TestDevicesCsv:
