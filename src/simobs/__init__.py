@@ -36,7 +36,6 @@ from .similarity import (
     similarity_vectors,
 )
 from .simulate import (
-    ActivitySignal,
     CameraModel,
     SimDataset,
     SimScenario,
@@ -49,7 +48,6 @@ from .timeseries import ByteSeries, align, bin_events, event_array, min_max_norm
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActivitySignal",
     "AgreementReport",
     "ByteSeries",
     "CameraModel",

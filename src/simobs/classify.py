@@ -67,14 +67,6 @@ class ThresholdConfig:
         if math.isnan(self.threshold):  # +-inf stay: sweep_threshold's admit-all and admit-none points
             raise ParameterError(f"threshold of {self.measure} is NaN")
 
-    @property
-    def direction(self) -> str:
-        return DIRECTION_BY_MEASURE[self.measure]
-
-
-def default_configs(measures: Iterable[str] = MEASURES) -> list[ThresholdConfig]:
-    return [ThresholdConfig(m, DEFAULT_THRESHOLDS[m]) for m in measures]
-
 
 @dataclass(frozen=True)
 class LabeledSample:

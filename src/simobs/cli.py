@@ -26,24 +26,11 @@ from .errors import FormatError, ParameterError, SimobsError, json_bool, json_st
 from .timeseries import DEFAULT_STEP, DEFAULT_WINDOW, ByteSeries, read_series_csv, write_series_csv
 
 
-def _write_output(path: str, data: str | bytearray) -> None:
-    """Write text, or bytes, to a file or to stdout ('-')."""
-    if path == "-":
-        if isinstance(data, str):
-            sys.stdout.write(data)
-        else:
-            sys.stdout.flush()
-            sys.stdout.buffer.write(data)
-    elif isinstance(data, str):
-        Path(path).write_text(data)
-    else:
-        Path(path).write_bytes(data)
-
-
 def _write_outputs(outputs: list[tuple[str, str | bytearray]]) -> None:
-    """Write each (path, text or bytes) pair, stdout last; refuse two paths
-    that name one file before writing any, and if a file cannot be
-    written, remove the files already written and raise."""
+    """Write each (path, text or bytes) pair to its file, or to stdout for
+    '-', stdout last; refuse two paths that name one file before writing
+    any, and if a file cannot be written, remove the files already
+    written and raise."""
     names = [path if path == "-" else os.path.realpath(path) for path, _ in outputs]
     for i, name in enumerate(names):
         if name in names[:i]:
@@ -51,7 +38,15 @@ def _write_outputs(outputs: list[tuple[str, str | bytearray]]) -> None:
     written = []
     try:
         for path, data in sorted(outputs, key=lambda output: output[0] == "-"):
-            _write_output(path, data)
+            if path == "-" and isinstance(data, str):
+                sys.stdout.write(data)
+            elif path == "-":
+                sys.stdout.flush()
+                sys.stdout.buffer.write(data)
+            elif isinstance(data, str):
+                Path(path).write_text(data)
+            else:
+                Path(path).write_bytes(data)
             written.append(path)
     except OSError:
         for path in written:
@@ -67,8 +62,10 @@ def _render(writer, *args) -> str:
 
 def _threshold_configs(args) -> list[cls.ThresholdConfig]:
     """One ThresholdConfig per --measures name (default: cc,kld,jsd), at its
-    --thresholds value (default: the published one)."""
+    --thresholds value (default: the published one).  A --thresholds
+    entry for a measure that is not classified is an error."""
     thresholds = dict(cls.DEFAULT_THRESHOLDS)
+    measures = args.measures.split(",") if args.measures is not None else cls.CAMERA_REF_FEATURES
     if args.thresholds not in (None, "default"):
         for part in args.thresholds.split(","):
             measure, _, value = part.partition("=")
@@ -78,8 +75,9 @@ def _threshold_configs(args) -> list[cls.ThresholdConfig]:
                 threshold = None
             if measure not in thresholds or threshold is None or not math.isfinite(threshold):
                 raise ParameterError(f"bad threshold {part!r} (want measure=finite number)")
+            if measure not in measures:
+                raise ParameterError(f"--thresholds sets {measure}, but only {','.join(measures)} are classified")
             thresholds[measure] = threshold
-    measures = args.measures.split(",") if args.measures is not None else cls.CAMERA_REF_FEATURES
     # ThresholdConfig rejects a name that is not a measure.
     return [cls.ThresholdConfig(m, thresholds.get(m)) for m in measures]
 
@@ -124,7 +122,7 @@ def cmd_extract(args) -> int:
         data = Path(args.video).read_bytes()
         tables = mp4.parse_mp4(data)
         text = _render(write_series_csv, mp4.video_byte_series(tables, step=args.step))
-    _write_output(args.out, text)
+    _write_outputs([(args.out, text)])
     return 0
 
 
@@ -172,7 +170,7 @@ def cmd_analyze(args) -> int:
         text = _render(similarity.write_report_json, rows)
     else:
         text = _render(similarity.write_report_csv, rows)
-    _write_output(args.out, text)
+    _write_outputs([(args.out, text)])
     return 0
 
 
@@ -206,7 +204,8 @@ def cmd_classify(args) -> int:
             columns[f"spy_{cfg.measure}"] = cls.verdicts(vectors, cfg).tolist()
             undefined = cls.measure_values(vectors, cfg.measure)[1]
             columns[f"indeterminate_{cfg.measure}"] = np.where(undefined, True, None).tolist()
-    _write_output(args.out, _verdict_table([device_id for device_id, _ in rows], columns, args.format or "csv"))
+    ids = [device_id for device_id, _ in rows]
+    _write_outputs([(args.out, _verdict_table(ids, columns, args.format or "csv"))])
     return 0
 
 
@@ -225,7 +224,7 @@ def cmd_train(args) -> int:
         alpha=args.alpha,
         feature_subset=tuple(args.features.split(",")),
     )
-    _write_output(args.out, _render(cls.save_model, model))
+    _write_outputs([(args.out, _render(cls.save_model, model))])
     return 0
 
 
@@ -335,7 +334,7 @@ def cmd_converge(args) -> int:
             float(np.mean([m.recall for m in ms])),
         ]
         lines.append(f"{i + 2}," + ",".join(repr(c) for c in cells))
-    _write_output(args.out, "\n".join(lines) + "\n")
+    _write_outputs([(args.out, "\n".join(lines) + "\n")])
     return 0
 
 
@@ -345,7 +344,7 @@ def cmd_portability(args) -> int:
     lines = ["train\\test," + ",".join(order)]
     for name, row in zip(order, matrix):
         lines.append(name + "," + ",".join(repr(float(v)) for v in row))
-    _write_output(args.out, "\n".join(lines) + "\n")
+    _write_outputs([(args.out, "\n".join(lines) + "\n")])
     return 0
 
 
@@ -357,7 +356,7 @@ def cmd_agreement(args) -> int:
         "counts": {str(k): v for k, v in sorted(report.counts.items())},
         "distribution": {str(k): v for k, v in report.distribution.items()},
     }
-    _write_output(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_outputs([(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")])
     return 0
 
 

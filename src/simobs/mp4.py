@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -107,9 +107,8 @@ def _read_u32(data: bytes, offset: int, end: int, what: str) -> int:
     return struct.unpack_from(">I", data, offset)[0]
 
 
-def parse_mp4(source: BinaryIO | bytes) -> list[TrackSampleTable]:
-    """Parse every track's sample table from an MP4/MOV byte stream."""
-    data = source if isinstance(source, (bytes, bytearray)) else source.read()
+def parse_mp4(data: bytes) -> list[TrackSampleTable]:
+    """Parse every track's sample table from the bytes of an MP4/MOV file."""
     data = bytes(data)
 
     moov_span = None

@@ -94,7 +94,12 @@ def read_pcap(source: BinaryIO | bytes) -> Iterator[FrameBatch]:
     the iterator has moved on.
     """
     stream = BytesIO(source) if isinstance(source, (bytes, bytearray)) else source
-    head = stream.read(GLOBAL_HEADER_LEN)
+    head = b""
+    while len(head) < GLOBAL_HEADER_LEN:  # a raw pipe or socket may return fewer bytes than asked
+        chunk = stream.read(GLOBAL_HEADER_LEN - len(head))
+        if not chunk:
+            break
+        head += chunk
     if len(head) < 4:
         raise FormatError("not a pcap file: shorter than a magic number")
     (magic_le,) = struct.unpack("<I", head[:4])
@@ -352,7 +357,11 @@ def extract_device_series(
     streams = []
     if keys:
         key, timestamp, size = (np.concatenate(parts) for parts in (keys, timestamps, sizes))
-        in_window = (timestamp >= start) & (timestamp < start + n_steps * step)
+        # The step index bin_events computes, so one rule decides both
+        # what is out of the window and what is binned.
+        index = np.floor((timestamp - start) / step)
+        in_window = (index >= 0) & (index < n_steps)
+        del index  # not held through the per-device binning below
         drops["out_of_window"] = int(in_window.size - np.count_nonzero(in_window))
         if drops["out_of_window"]:
             drops["dropped_bytes"] += int(size[~in_window].sum())

@@ -10,7 +10,6 @@ mistaken for cameras watching the scene.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import numbers
 import struct
@@ -28,40 +27,12 @@ MIN_FRAME = 64  # nonzero step emissions are padded to the physical minimum
 
 ACTIVITY_RESOLUTION = 0.1
 ACTIVITY_PROFILES = ("still", "walking", "burst", "mixed")
-BACKGROUND_KINDS = ("cbr", "vbr_stream", "browsing", "download")
 
 
 def derive_seed(root_seed: int, *scope: object) -> int:
     """Stable per-device sub-seed: adding devices never reshuffles others."""
     text = ":".join([str(root_seed), *map(str, scope)])
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
-
-
-@dataclass(frozen=True, eq=False)
-class ActivitySignal:
-    """Scene motion magnitude in [0, 1] at sub-step resolution."""
-
-    resolution: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if self.resolution <= 0:
-            raise ParameterError("resolution must be > 0")
-        if (vals < 0).any() or (vals > 1).any():
-            raise ParameterError("activity values must lie in [0, 1]")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ActivitySignal):
-            return NotImplemented
-        return self.resolution == other.resolution and np.array_equal(self.values, other.values)
-
-    def per_step_means(self, step: float) -> np.ndarray:
-        per = max(1, round(step / self.resolution))
-        n_steps = len(self.values) // per
-        return self.values[: n_steps * per].reshape(n_steps, per).mean(axis=1)
 
 
 def _check_finite(name: str, value) -> None:
@@ -160,15 +131,16 @@ class SimDataset:
 # Scene activity
 # ---------------------------------------------------------------------------
 
-def gen_activity(profile: str, duration: int, seed: int, step: float = 1.0) -> ActivitySignal:
-    """Deterministic scene-motion signal for ``duration`` steps."""
+def gen_activity(profile: str, duration: int, seed: int, step: float = 1.0) -> np.ndarray:
+    """Deterministic scene motion for ``duration`` steps: magnitudes in
+    [0, 1], ``ACTIVITY_RESOLUTION`` seconds apart."""
     if duration < 1:
         raise ParameterError("duration must be >= 1")
     if profile not in ACTIVITY_PROFILES:
         raise ParameterError(f"unknown activity profile {profile!r}")
     n = duration * max(1, round(step / ACTIVITY_RESOLUTION))
     values = _profile_values(profile, np.random.default_rng(seed), n)
-    return ActivitySignal(resolution=ACTIVITY_RESOLUTION, values=np.clip(values, 0.0, 1.0))
+    return np.clip(values, 0.0, 1.0)
 
 
 def _profile_values(profile: str, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -282,10 +254,11 @@ def step_bins(step_bytes: np.ndarray, step: float, delays: Sequence[float], n_st
     return values
 
 
-def _camera_bytes(activity: ActivitySignal, model: CameraModel, step: float, seed: int) -> np.ndarray:
+def _camera_bytes(activity: np.ndarray, model: CameraModel, step: float, seed: int) -> np.ndarray:
     """Bytes a camera with this model sends in each step of the scene."""
-    act = activity.per_step_means(step) * model.observed_fraction
-    n_steps = len(act)
+    per = max(1, round(step / ACTIVITY_RESOLUTION))
+    n_steps = len(activity) // per
+    act = activity[: n_steps * per].reshape(n_steps, per).mean(axis=1) * model.observed_fraction
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, model.noise_std, n_steps) if model.noise_std > 0 else np.zeros(n_steps)
     produced = model.idle_bytes_per_step + model.motion_gain * act + noise
@@ -312,25 +285,32 @@ def _byte_counts(step_bytes: np.ndarray) -> np.ndarray:
 
 
 def _background_bytes(kind: str, parameters: Mapping, duration: int, seed: int, step: float) -> np.ndarray:
-    """Bytes one background device sends in each step; it never delays."""
+    """Bytes one background device sends in each step; it never delays.
+
+    Each generator pops the parameters it reads, so any left over is one
+    the kind does not have."""
     params = dict(parameters)
     rng = np.random.default_rng(seed)
     if kind == "cbr":
-        return _cbr(params, duration, rng)
-    if kind == "vbr_stream":
-        return _vbr_stream(params, duration, seed, step)
-    if kind == "browsing":
-        return _browsing(params, duration, rng, step)
-    if kind == "download":
-        return _download(params, duration, rng)
-    raise ParameterError(f"unknown background kind {kind!r}")
+        step_bytes = _cbr(params, duration, rng)
+    elif kind == "vbr_stream":
+        step_bytes = _vbr_stream(params, duration, seed, step)
+    elif kind == "browsing":
+        step_bytes = _browsing(params, duration, rng, step)
+    elif kind == "download":
+        step_bytes = _download(params, duration, rng)
+    else:
+        raise ParameterError(f"unknown background kind {kind!r}")
+    if params:
+        raise ParameterError(f"{kind} has no parameter {', '.join(map(repr, sorted(params)))}")
+    return step_bytes
 
 
 def _cbr(params: dict, duration: int, rng: np.random.Generator) -> np.ndarray:
-    base = float(params.get("bytes_per_step", 300_000.0))
-    jitter = float(params.get("jitter", 0.0))
-    surge_period = _whole_steps("surge_period", params.get("surge_period", 0))
-    surge_factor = float(params.get("surge_factor", 0.0))
+    base = float(params.pop("bytes_per_step", 300_000.0))
+    jitter = float(params.pop("jitter", 0.0))
+    surge_period = _whole_steps("surge_period", params.pop("surge_period", 0))
+    surge_factor = float(params.pop("surge_factor", 0.0))
     step_bytes = np.full(duration, base)
     if jitter > 0:
         step_bytes += rng.laplace(0.0, jitter, duration)
@@ -341,13 +321,13 @@ def _cbr(params: dict, duration: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _vbr_stream(params: dict, duration: int, seed: int, step: float) -> np.ndarray:
-    profile = str(params.get("profile", "walking"))
+    profile = str(params.pop("profile", "walking"))
     model = CameraModel(
-        idle_bytes_per_step=float(params.get("idle_bytes_per_step", 40_000.0)),
-        motion_gain=float(params.get("motion_gain", 350_000.0)),
-        iframe_period=_whole_steps("iframe_period", params.get("iframe_period", 10)),
-        iframe_bytes=float(params.get("iframe_bytes", 100_000.0)),
-        noise_std=float(params.get("noise_std", 10_000.0)),
+        idle_bytes_per_step=float(params.pop("idle_bytes_per_step", 40_000.0)),
+        motion_gain=float(params.pop("motion_gain", 350_000.0)),
+        iframe_period=_whole_steps("iframe_period", params.pop("iframe_period", 10)),
+        iframe_bytes=float(params.pop("iframe_bytes", 100_000.0)),
+        noise_std=float(params.pop("noise_std", 10_000.0)),
     )
     # Its own scene: seed-derived, independent of the observed one.
     activity = gen_activity(profile, duration, derive_seed(seed, "vbr-activity"), step=step)
@@ -355,8 +335,8 @@ def _vbr_stream(params: dict, duration: int, seed: int, step: float) -> np.ndarr
 
 
 def _browsing(params: dict, duration: int, rng: np.random.Generator, step: float) -> np.ndarray:
-    burst_mean = float(params.get("burst_bytes", 400_000.0))
-    off_mean = float(params.get("off_mean", 6.0))
+    burst_mean = float(params.pop("burst_bytes", 400_000.0))
+    off_mean = float(params.pop("off_mean", 6.0))
     step_bytes = np.zeros(duration)
     t = float(rng.exponential(off_mean))
     horizon = duration * step
@@ -374,9 +354,9 @@ def _browsing(params: dict, duration: int, rng: np.random.Generator, step: float
 
 
 def _download(params: dict, duration: int, rng: np.random.Generator) -> np.ndarray:
-    rate = float(params.get("bytes_per_step", 2_000_000.0))
-    ramp = max(1, _whole_steps("ramp_steps", params.get("ramp_steps", 5)))
-    jitter = float(params.get("jitter", rate * 0.01))
+    rate = float(params.pop("bytes_per_step", 2_000_000.0))
+    ramp = max(1, _whole_steps("ramp_steps", params.pop("ramp_steps", 5)))
+    jitter = float(params.pop("jitter", rate * 0.01))
     ramp_curve = np.minimum(1.0, (np.arange(duration) + 1) / ramp)
     step_bytes = rate * ramp_curve + (rng.laplace(0.0, jitter, duration) if jitter > 0 else 0.0)
     return _byte_counts(np.maximum(step_bytes, 0.0))
@@ -581,11 +561,6 @@ def load_scenario(inp: TextIO) -> SimScenario:
     return read_json(inp, scenario_from_dict, "scenario")
 
 
-def save_scenario(scenario: SimScenario, out: TextIO) -> None:
-    json.dump(scenario_to_dict(scenario), out, indent=2, sort_keys=True)
-    out.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # Presets used by the CLI and the end-to-end studies
 # ---------------------------------------------------------------------------
@@ -640,7 +615,7 @@ _FAR_SPY = CameraModel(
 )
 
 
-def regime_scenario(regime: str, seed: int, duration: int = 60, n_background: int = 9) -> SimScenario:
+def regime_scenario(regime: str, seed: int) -> SimScenario:
     """Two data regimes with different spy-camera hardware behavior.
 
     ``near`` matches the reference closely; ``far`` is a weaker, noisier,
@@ -652,8 +627,7 @@ def regime_scenario(regime: str, seed: int, duration: int = 60, n_background: in
         spy = _FAR_SPY
     else:
         raise ParameterError(f"unknown regime {regime!r}")
-    base = easy_scenario(seed, duration=duration, n_background=n_background)
-    return replace(base, spies=(spy,), tags=frozenset({f"regime={regime}"}))
+    return replace(easy_scenario(seed), spies=(spy,), tags=frozenset({f"regime={regime}"}))
 
 
 PRESETS = {

@@ -246,7 +246,8 @@ def extract_device_series(
     streams = []
     for key in sorted(per_device):  # the order of DeviceId
         events = np.array(per_device[key], dtype=EVENT_DTYPE)
-        in_window = (events["timestamp"] >= start) & (events["timestamp"] < start + n_steps * step)
+        index = np.floor((events["timestamp"] - start) / step)  # the step bin_events bins it in
+        in_window = (index >= 0) & (index < n_steps)
         kept = int(in_window.sum())
         if kept < events.size:
             drops["out_of_window"] += events.size - kept

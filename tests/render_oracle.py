@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from simobs.simulate import (
-    ActivitySignal,
+    ACTIVITY_RESOLUTION,
     CameraModel,
     SimScenario,
     _device_mac,
@@ -26,9 +26,10 @@ from simobs.simulate import (
 from simobs.timeseries import bin_events
 
 
-def camera_bytes(activity: ActivitySignal, model: CameraModel, step: float, seed: int) -> np.ndarray:
-    act = activity.per_step_means(step) * model.observed_fraction
-    n_steps = len(act)
+def camera_bytes(activity: np.ndarray, model: CameraModel, step: float, seed: int) -> np.ndarray:
+    per = max(1, round(step / ACTIVITY_RESOLUTION))
+    n_steps = len(activity) // per
+    act = activity[: n_steps * per].reshape(n_steps, per).mean(axis=1) * model.observed_fraction
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, model.noise_std, n_steps) if model.noise_std > 0 else np.zeros(n_steps)
     step_bytes = np.zeros(n_steps, dtype=np.int64)

@@ -274,9 +274,10 @@ class TestEndToEndDetection:
         # when measures are wrong at their fixed thresholds they are
         # rarely all wrong at once, which is the headroom the combined
         # model exploits
-        from simobs.classify import measure_agreement, default_configs
+        from simobs.classify import DEFAULT_THRESHOLDS, measure_agreement
 
-        report_out = measure_agreement(easy_corpus, default_configs(("cc", "kld", "jsd")))
+        configs = [ThresholdConfig(m, DEFAULT_THRESHOLDS[m]) for m in ("cc", "kld", "jsd")]
+        report_out = measure_agreement(easy_corpus, configs)
         if report_out.total_false_positives:
             assert report_out.distribution.get(3, 0.0) < 1.0
 

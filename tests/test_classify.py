@@ -96,7 +96,6 @@ class TestThresholdClassify:
     @pytest.mark.parametrize("measure", MEASURES)
     def test_direction_follows_measure(self, measure):
         cfg = ThresholdConfig(measure, 1.0)
-        assert cfg.direction == DIRECTION_BY_MEASURE[measure]
         above = threshold_classify(sv(**{measure: 2.0}), cfg)
         below = threshold_classify(sv(**{measure: 0.5}), cfg)
         assert (above, below) == ((True, False) if measure == "cc" else (False, True))

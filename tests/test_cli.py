@@ -833,7 +833,9 @@ class TestUsageErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["classify", "agreement"])
-    @pytest.mark.parametrize("flag", [["--measures", "cc,foo"], ["--thresholds", "kld=abc"]])
+    @pytest.mark.parametrize("flag", [["--measures", "cc,foo"], ["--thresholds", "kld=abc"],
+                                      # a threshold for a measure that is not classified
+                                      ["--thresholds", "dtw=5"], ["--measures", "cc", "--thresholds", "kld=0.1"]])
     def test_bad_threshold_flag_one_line_exit_2(self, command, flag, synthetic_samples, tmp_path, capsys):
         if command == "classify":
             report = tmp_path / "report.json"
@@ -1031,8 +1033,8 @@ class TestMalformedInput:
 
     def test_truncated_scenario_one_line_exit_1(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.json"
-        with open(scenario, "w") as fh:
-            simulate.save_scenario(simulate.easy_scenario(seed=1), fh)
+        scenario.write_text(json.dumps(simulate.scenario_to_dict(simulate.easy_scenario(seed=1)),
+                                       indent=2, sort_keys=True) + "\n")
         scenario.write_text(scenario.read_text()[:100])
         out_dir = tmp_path / "sim"
         assert run(["simulate", "--scenario", str(scenario), "--out-dir", str(out_dir)]) == 1
@@ -1158,6 +1160,17 @@ class TestNonFiniteNumbers:
         is not a list of tags."""
         self._scenario_error(key, value, tmp_path, capsys)
 
+    @pytest.mark.parametrize("key, value", [
+        (("background", 0, 1), {"bytes_per_stepp": 5.0, "jiter": 1.0}),
+        (("background", 0, 1), {"profile": 7}),
+        (("background", 4, 1, "profile"), "walking"),
+        (("background", 7, 1, "surge_period"), 3),
+    ], ids=["cbr-misspelled", "cbr-profile", "browsing-profile", "download-surge_period"])
+    def test_scenario_parameter_the_kind_does_not_read(self, key, value, tmp_path, capsys):
+        """A background parameter its kind does not read is an error, not
+        a default run under a manifest that records it."""
+        self._scenario_error(key, value, tmp_path, capsys)
+
     def _scenario_error(self, key, value, tmp_path, capsys):
         config = simulate.scenario_to_dict(simulate.easy_scenario(seed=1, duration=10))
         *parents, last = key
@@ -1206,8 +1219,8 @@ class TestCliFuzz:
         (d / "capture.pcap").write_bytes(capture)
         (d / "clip.mp4").write_bytes(mp4_file(trak_box(1000, "vide", sizes=[10, 20, 30, 40],
                                                        deltas=[(4, 500)])))
-        with open(d / "scenario.json", "w") as fh:
-            simulate.save_scenario(simulate.easy_scenario(seed=1, duration=10, n_background=2), fh)
+        small = simulate.easy_scenario(seed=1, duration=10, n_background=2)
+        (d / "scenario.json").write_text(json.dumps(simulate.scenario_to_dict(small), indent=2, sort_keys=True) + "\n")
         (d / "samples.json").write_text(json.dumps(_synthetic_rows()))
         scene = d / "scene"
         assert run(["simulate", "--preset", "easy", "--seed", "1", "--out-dir", str(scene)]) == 0

@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     dot11_ack_frame,
@@ -35,6 +37,7 @@ from simobs.pcap import (
     read_pcap,
     write_devices_csv,
 )
+from simobs.timeseries import bin_events, event_array
 
 
 class TestReadPcap:
@@ -113,6 +116,36 @@ class TestReadPcap:
     def test_accepts_stream_object(self):
         data = pcap_header() + pcap_record(0, 0, b"q" * 64)
         assert len(oracle.records_of(read_pcap(io.BytesIO(data)))) == 1
+
+    @pytest.mark.parametrize("most", [1, 7, 16])
+    def test_reads_shorter_than_the_global_header(self, most):
+        """A stream that returns at most ``most`` bytes per read, as a raw
+        pipe or socket may, yields what the same bytes yield."""
+        frame = radiotap_frame(dot11_data_frame("11:00:00:00:00:01", body=bytes(40)), rt_len=8)
+        data = pcap_header(network=127) + pcap_record(3, 250_000, frame)
+        assert oracle.records_of(read_pcap(Trickle(data, most))) == oracle.records_of(read_pcap(data))
+
+    @pytest.mark.parametrize("most", [1, 7, 16])
+    @pytest.mark.parametrize("length, error, message", [
+        (3, FormatError, "not a pcap file: shorter than a magic number"),
+        (20, TruncationError, "pcap global header truncated"),
+    ])
+    def test_short_file_in_short_reads(self, most, length, error, message):
+        for source in (pcap_header()[:length], Trickle(pcap_header()[:length], most)):
+            with pytest.raises(error, match=message) as err:
+                list(read_pcap(source))
+            assert getattr(err.value, "offset", 0) == 0
+
+
+class Trickle(io.BytesIO):
+    """A byte stream that returns at most ``most`` bytes per read."""
+
+    def __init__(self, data: bytes, most: int):
+        super().__init__(data)
+        self.most = most
+
+    def read(self, n=-1):
+        return super().read(self.most if n < 0 else min(n, self.most))
 
 
 class TestTransmitterOf:
@@ -226,6 +259,18 @@ class TestExtractDeviceSeries:
         assert default.frame_count == 2
         assert extract_device_series([], None, 1.0, 3) == []
 
+    def test_frame_at_the_window_end_is_binned_or_counted(self):
+        # (63.5 - 0.1) / 0.1 floors to step 634, past the window, although
+        # 63.5 < 0.1 + 634 * 0.1: the frame is out of the window, not lost
+        data = pcap_header(network=127)
+        for sec, usec, body in [(0, 100_000, 100), (63, 500_000, 1000)]:
+            frame = radiotap_frame(dot11_data_frame("11:00:00:00:00:01", body=bytes(body)), rt_len=8)
+            data += pcap_record(sec, usec, frame)
+        counters: dict = {}
+        (stream,) = extract_device_series(read_pcap(data), start=0.1, step=0.1, n_steps=634, counters=counters)
+        assert int(stream.series.values.sum()) == 124 and stream.frame_count == 1
+        assert counters["out_of_window"] == 1 and counters["dropped_bytes"] == 1024
+
     @pytest.mark.parametrize("step, n_steps", [(0.0, 10), (-1.0, 10), (1.0, 0)])
     def test_bad_window_rejected_before_reading(self, step, n_steps):
         def records():
@@ -268,6 +313,65 @@ class TestExtractDeviceSeries:
         assert binned + counters["dropped_bytes"] == total_basis
         assert counters["unattributed"] == 8
         assert counters["out_of_window"] > 0
+
+
+@st.composite
+def _windowed_capture(draw):
+    """A radiotap capture of data, ACK and malformed frames, with its
+    window: (data, start, step, n_steps).  Frame times are whole
+    microseconds, anywhere near the window or within one microsecond of
+    its first, second, last or one-past-last step boundary; steps are not
+    dyadic."""
+    start_us = draw(st.integers(0, 5_000_000))
+    step_us = draw(st.sampled_from([100_000, 300_000, 700_000, 1_100_000, 33_333, 1_000_003]))
+    n_steps = draw(st.integers(1, 700))
+    edges = [start_us, start_us + step_us, start_us + (n_steps - 1) * step_us,
+             start_us + n_steps * step_us, start_us + (n_steps + 1) * step_us]
+    times = draw(st.lists(st.one_of(
+        st.integers(max(start_us - step_us, 0), start_us + (n_steps + 1) * step_us),
+        st.builds(lambda edge, d: max(edge + d, 0), st.sampled_from(edges), st.integers(-1, 1)),
+    ), min_size=1, max_size=30))
+    data = pcap_header(network=127)
+    for t in times:
+        kind = draw(st.sampled_from(["data", "data", "data", "ack", "short"]))
+        if kind == "data":
+            mac = f"11:00:00:00:00:{draw(st.integers(1, 3)):02x}"
+            frame = radiotap_frame(dot11_data_frame(mac, body=bytes(draw(st.integers(0, 1400)))), rt_len=8)
+        elif kind == "ack":
+            frame = radiotap_frame(dot11_ack_frame(), rt_len=8)
+        else:  # shorter than its Address 2 field
+            frame = radiotap_frame(dot11_data_frame("11:00:00:00:00:01"), rt_len=8)[:20]
+        data += pcap_record(t // 1_000_000, t % 1_000_000, frame)
+    start = draw(st.sampled_from([None, start_us // 1_000_000 + start_us % 1_000_000 / 1e6]))
+    return data, start, step_us / 1e6, n_steps
+
+
+class TestDropAccounting:
+    @settings(max_examples=200, deadline=None)
+    @given(_windowed_capture())
+    def test_binned_plus_dropped_is_every_frame(self, capture):
+        """Binned bytes plus dropped bytes are the counted bytes of all
+        frames, and every frame is binned or counted as dropped once,
+        wherever the window's edges fall."""
+        data, start, step, n_steps = capture
+        counters: dict = {}
+        streams = extract_device_series(read_pcap(data), start, step, n_steps, counters=counters)
+        records = list(oracle.read_pcap(data))
+        binned = sum(int(s.series.values.sum()) for s in streams)
+        assert binned + counters["dropped_bytes"] == sum(oracle.counted_bytes(r) for r in records)
+        dropped = counters["malformed"] + counters["unattributed"] + counters["out_of_window"]
+        assert sum(s.frame_count for s in streams) + dropped == len(records)
+        # a device's frames are the ones bin_events bins, one at a time
+        first = records[0].timestamp if start is None else start
+        in_window = {}
+        for r in records:
+            try:
+                device = oracle.transmitter_of(r)
+            except oracle.MalformedFrameError:
+                continue
+            if device is not None and bin_events(event_array([r.timestamp], [1]), first, step, n_steps).values.any():
+                in_window[device] = in_window.get(device, 0) + 1
+        assert {s.device_id: s.frame_count for s in streams} == in_window
 
 
 class TestFuzzSmoke:
