@@ -8,7 +8,6 @@ cross-partition portability matrices and false-positive agreement.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -25,6 +24,7 @@ from .errors import (
     TrainingDivergedError,
     json_bool,
     json_strings,
+    json_text,
     read_json,
 )
 # similarity_vector is not called here; perfbench/layers.py wraps classify.similarity_vector.
@@ -413,8 +413,7 @@ def save_model(model: MlpModel, out: TextIO) -> None:
         },
         "training_loss": model.training_loss,
     }
-    json.dump(payload, out, indent=2, sort_keys=True)
-    out.write("\n")
+    out.write(json_text(payload))
 
 
 def load_model(inp: TextIO) -> MlpModel:
@@ -768,8 +767,7 @@ def write_samples_json(rows: Iterable[tuple[str, SimilarityVector, bool, Sequenc
         {"device_id": device_id, **vector_to_row(sv), "label": label, "tags": list(tags)}
         for device_id, sv, label, tags in rows
     ]
-    json.dump(payload, out, indent=2, sort_keys=True)
-    out.write("\n")
+    out.write(json_text(payload))
 
 
 def _sample_row(row: Mapping) -> LabeledSample:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import io
-import json
 import math
 import os
 import sys
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import classify as cls
 from . import mp4, pcap, similarity, simulate
-from .errors import FormatError, ParameterError, SimobsError, json_bool, json_strings, read_json
+from .errors import FormatError, ParameterError, SimobsError, json_bool, json_strings, json_text, read_json
 from .timeseries import DEFAULT_STEP, DEFAULT_WINDOW, ByteSeries, read_series_csv, write_series_csv
 
 
@@ -184,7 +183,7 @@ def _verdict_table(ids: list[str], columns: dict[str, list], fmt: str) -> str:
         lines += [d + "," + ",".join("" if c is None else str(c) for c in row) for d, row in zip(ids, table)]
         return "\n".join(lines) + "\n"
     payload = [{"device_id": d, **{k: c for k, c in zip(keys, row) if c is not None}} for d, row in zip(ids, table)]
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json_text(payload)
 
 
 def cmd_classify(args) -> int:
@@ -249,7 +248,7 @@ def cmd_grid_search(args) -> int:
         "folds": args.folds,
         "grid_points": len(points),
     }
-    outputs = [(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")]
+    outputs = [(args.out, json_text(report))]
     if args.fit_out:
         model = cls.mlp_train(
             samples,
@@ -285,7 +284,7 @@ def cmd_simulate(args) -> int:
     outputs: list[tuple[str, str | bytearray]] = [
         (str(out_dir / "reference.csv"), _render(write_series_csv, dataset.reference_series)),
         (str(out_dir / "devices.csv"), _render(pcap.write_devices_csv, devices)),
-        (str(out_dir / "manifest.json"), json.dumps(dataset.manifest, indent=2, sort_keys=True) + "\n"),
+        (str(out_dir / "manifest.json"), json_text(dataset.manifest)),
     ]
     if args.pcap_out:  # only a capture needs frames; the series are binned from the same totals
         frames = [(tr.device_id, simulate.packetize(tr.step_bytes, scenario.step, tr.delay))
@@ -356,7 +355,7 @@ def cmd_agreement(args) -> int:
         "counts": {str(k): v for k, v in sorted(report.counts.items())},
         "distribution": {str(k): v for k, v in report.distribution.items()},
     }
-    _write_outputs([(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")])
+    _write_outputs([(args.out, json_text(payload))])
     return 0
 
 

@@ -74,6 +74,11 @@ def read_json(inp: TextIO, parse: Callable[[object], object], what: str):
         raise FormatError(f"malformed {what} JSON ({type(exc).__name__}: {exc})") from exc
 
 
+def json_text(payload) -> str:
+    """``payload`` as every JSON output is written: indent 2, sorted keys, a final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def json_bool(value, what: str) -> bool:
     """``value`` if it is a JSON true or false, else FormatError naming ``what``."""
     if not isinstance(value, bool):

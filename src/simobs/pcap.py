@@ -389,12 +389,9 @@ def extract_device_series(
 # ---------------------------------------------------------------------------
 
 def write_devices_csv(devices: Sequence[tuple[DeviceId, ByteSeries]], out: TextIO) -> None:
-    if not devices:
-        raise ParameterError("no device series to write")
+    if len({(series.start_time, series.step, len(series)) for _, series in devices}) != 1:
+        raise ParameterError("need one or more device series sharing start_time, step and length")
     first = devices[0][1]
-    for _, series in devices:
-        if len(series) != len(first) or series.step != first.step:
-            raise ParameterError("device series must share one window to serialize together")
     out.write("start_time,step\n")
     out.write(f"{first.start_time!r},{first.step!r}\n")
     out.write(",".join(str(device_id) for device_id, _ in devices) + "\n")

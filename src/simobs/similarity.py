@@ -9,14 +9,13 @@ combined vector instead of exceptions.
 from __future__ import annotations
 
 import io
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from .errors import FormatError, ParameterError, json_strings, read_json
+from .errors import FormatError, ParameterError, json_strings, json_text, read_json
 from .timeseries import ByteSeries, align, min_max_normalize
 
 MEASURES = ("cc", "dtw", "kld", "jsd")
@@ -266,8 +265,7 @@ def read_rows_json(inp: TextIO, parse_row: Callable[[Mapping], object]) -> list:
 
 def write_report_json(rows: Iterable[tuple[str, SimilarityVector]], out: TextIO) -> None:
     payload = [{"device_id": device_id, **vector_to_row(sv)} for device_id, sv in rows]
-    json.dump(payload, out, indent=2, sort_keys=True)
-    out.write("\n")
+    out.write(json_text(payload))
 
 
 def _report_row(row: Mapping) -> tuple[str, SimilarityVector]:

@@ -94,17 +94,31 @@ class SimScenario:
     activity_profile: str = "walking"
 
     def __post_init__(self):
-        if self.duration < 2:
-            raise ParameterError("duration must be >= 2 steps")
+        # 10.0 steps is 10, seed 7.0 is 7 and a step of 1 is 1.0, as the manifest records them.
+        object.__setattr__(self, "duration", _whole_steps("duration", self.duration))
+        object.__setattr__(self, "seed", _seed(self.seed))
+        object.__setattr__(self, "step", _number("step", self.step))
+        if self.duration < 2 or self.step <= 0:
+            raise ParameterError(f"need duration >= 2 steps and step > 0, got {self.duration}, {self.step!r}")
         if self.activity_profile not in ACTIVITY_PROFILES:
             raise ParameterError(f"unknown activity profile {self.activity_profile!r}")
         if not self.spies and not self.background:
             raise ParameterError("scenario needs at least one device")
-        _number("step", self.step)
         for kind, params in self.background:
+            defaults = BACKGROUND_PARAMS.get(kind) if isinstance(kind, str) else None
+            if defaults is None:
+                raise ParameterError(f"unknown background kind {kind!r} (have {sorted(BACKGROUND_PARAMS)})")
+            if unknown := params.keys() - defaults.keys():
+                raise ParameterError(f"{kind} has no parameter {', '.join(map(repr, sorted(unknown)))}")
             for key, value in params.items():
-                if key != "profile":  # the one text parameter, an activity profile name
-                    _number(f"{kind} {key}", value)
+                default, name = defaults[key], f"{kind} {key}"
+                if isinstance(default, str):
+                    if value not in ACTIVITY_PROFILES:
+                        raise ParameterError(f"{name} must be one of {ACTIVITY_PROFILES}, got {value!r}")
+                elif (_whole_steps if isinstance(default, int) else _number)(name, value) < 0:
+                    raise ParameterError(f"{name} must be >= 0, got {value!r}")
+            if kind == "vbr_stream" and params.get("iframe_period", 1) < 1:  # as CameraModel's
+                raise ParameterError("vbr_stream iframe_period must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,7 +276,7 @@ def _camera_bytes(activity: np.ndarray, model: CameraModel, step: float, seed: i
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, model.noise_std, n_steps) if model.noise_std > 0 else np.zeros(n_steps)
     produced = model.idle_bytes_per_step + model.motion_gain * act + noise
-    produced[:: _whole_steps("iframe_period", model.iframe_period)] += model.iframe_bytes
+    produced[:: int(model.iframe_period)] += model.iframe_bytes
     produced = np.maximum(produced, 0.0)
     if model.burst_accumulate:  # a store-then-burst camera carries its buffer from step to step
         released = np.zeros(n_steps)
@@ -284,59 +298,44 @@ def _byte_counts(step_bytes: np.ndarray) -> np.ndarray:
     return rounded.astype(np.int64)
 
 
-def _background_bytes(kind: str, parameters: Mapping, duration: int, seed: int, step: float) -> np.ndarray:
-    """Bytes one background device sends in each step; it never delays.
-
-    Each generator pops the parameters it reads, so any left over is one
-    the kind does not have."""
-    params = dict(parameters)
-    rng = np.random.default_rng(seed)
-    if kind == "cbr":
-        step_bytes = _cbr(params, duration, rng)
-    elif kind == "vbr_stream":
-        step_bytes = _vbr_stream(params, duration, seed, step)
-    elif kind == "browsing":
-        step_bytes = _browsing(params, duration, rng, step)
-    elif kind == "download":
-        step_bytes = _download(params, duration, rng)
-    else:
-        raise ParameterError(f"unknown background kind {kind!r}")
-    if params:
-        raise ParameterError(f"{kind} has no parameter {', '.join(map(repr, sorted(params)))}")
-    return step_bytes
+# Every background kind, its parameters and their defaults.  A default's
+# type is its parameter's: text is an activity profile name, an int a
+# whole count of steps >= 0, a float a finite number >= 0.
+BACKGROUND_PARAMS: dict[str, dict[str, str | int | float]] = {
+    "cbr": {"bytes_per_step": 300_000.0, "jitter": 0.0, "surge_period": 0, "surge_factor": 0.0},
+    "vbr_stream": {"profile": "walking", "idle_bytes_per_step": 40_000.0, "motion_gain": 350_000.0,
+                   "iframe_period": 10, "iframe_bytes": 100_000.0, "noise_std": 10_000.0},
+    "browsing": {"burst_bytes": 400_000.0, "off_mean": 6.0},
+    "download": {"bytes_per_step": 2_000_000.0, "ramp_steps": 5, "jitter": math.nan},  # NaN: 1 % of the rate
+}
 
 
-def _cbr(params: dict, duration: int, rng: np.random.Generator) -> np.ndarray:
-    base = float(params.pop("bytes_per_step", 300_000.0))
-    jitter = float(params.pop("jitter", 0.0))
-    surge_period = _whole_steps("surge_period", params.pop("surge_period", 0))
-    surge_factor = float(params.pop("surge_factor", 0.0))
+def _background_bytes(kind: str, params: Mapping, duration: int, seed: int, step: float) -> np.ndarray:
+    """Bytes one background device sends in each step; it never delays."""
+    return _GENERATORS[kind]({**BACKGROUND_PARAMS[kind], **params}, duration, seed, step)
+
+
+def _cbr(params: dict, duration: int, seed: int, step: float) -> np.ndarray:
+    base, surge_period = float(params["bytes_per_step"]), params["surge_period"]
     step_bytes = np.full(duration, base)
-    if jitter > 0:
-        step_bytes += rng.laplace(0.0, jitter, duration)
+    if params["jitter"] > 0:
+        step_bytes += np.random.default_rng(seed).laplace(0.0, params["jitter"], duration)
     if surge_period > 0:
         surge_at = np.arange(duration) % surge_period == surge_period - 1
-        step_bytes += np.where(surge_at, base * surge_factor, 0.0)
+        step_bytes += np.where(surge_at, base * params["surge_factor"], 0.0)
     return _byte_counts(np.maximum(step_bytes, 0.0))
 
 
 def _vbr_stream(params: dict, duration: int, seed: int, step: float) -> np.ndarray:
-    profile = str(params.pop("profile", "walking"))
-    model = CameraModel(
-        idle_bytes_per_step=float(params.pop("idle_bytes_per_step", 40_000.0)),
-        motion_gain=float(params.pop("motion_gain", 350_000.0)),
-        iframe_period=_whole_steps("iframe_period", params.pop("iframe_period", 10)),
-        iframe_bytes=float(params.pop("iframe_bytes", 100_000.0)),
-        noise_std=float(params.pop("noise_std", 10_000.0)),
-    )
+    model = CameraModel(**{key: value for key, value in params.items() if key != "profile"})
     # Its own scene: seed-derived, independent of the observed one.
-    activity = gen_activity(profile, duration, derive_seed(seed, "vbr-activity"), step=step)
+    activity = gen_activity(params["profile"], duration, derive_seed(seed, "vbr-activity"), step=step)
     return _camera_bytes(activity, model, step, derive_seed(seed, "vbr-camera"))
 
 
-def _browsing(params: dict, duration: int, rng: np.random.Generator, step: float) -> np.ndarray:
-    burst_mean = float(params.pop("burst_bytes", 400_000.0))
-    off_mean = float(params.pop("off_mean", 6.0))
+def _browsing(params: dict, duration: int, seed: int, step: float) -> np.ndarray:
+    burst_mean, off_mean = params["burst_bytes"], params["off_mean"]
+    rng = np.random.default_rng(seed)
     step_bytes = np.zeros(duration)
     t = float(rng.exponential(off_mean))
     horizon = duration * step
@@ -353,13 +352,15 @@ def _browsing(params: dict, duration: int, rng: np.random.Generator, step: float
     return _byte_counts(step_bytes)
 
 
-def _download(params: dict, duration: int, rng: np.random.Generator) -> np.ndarray:
-    rate = float(params.pop("bytes_per_step", 2_000_000.0))
-    ramp = max(1, _whole_steps("ramp_steps", params.pop("ramp_steps", 5)))
-    jitter = float(params.pop("jitter", rate * 0.01))
-    ramp_curve = np.minimum(1.0, (np.arange(duration) + 1) / ramp)
-    step_bytes = rate * ramp_curve + (rng.laplace(0.0, jitter, duration) if jitter > 0 else 0.0)
-    return _byte_counts(np.maximum(step_bytes, 0.0))
+def _download(params: dict, duration: int, seed: int, step: float) -> np.ndarray:
+    rate = params["bytes_per_step"]
+    jitter = rate * 0.01 if math.isnan(params["jitter"]) else params["jitter"]
+    ramp_curve = np.minimum(1.0, (np.arange(duration) + 1) / max(1, params["ramp_steps"]))
+    noise = np.random.default_rng(seed).laplace(0.0, jitter, duration) if jitter > 0 else 0.0
+    return _byte_counts(np.maximum(rate * ramp_curve + noise, 0.0))
+
+
+_GENERATORS = {"cbr": _cbr, "vbr_stream": _vbr_stream, "browsing": _browsing, "download": _download}
 
 
 # ---------------------------------------------------------------------------
@@ -542,14 +543,14 @@ def _tags(value) -> frozenset[str]:
 def scenario_from_dict(data: Mapping) -> SimScenario:
     try:
         return SimScenario(
-            duration=_whole_steps("duration", data["duration"]),
-            seed=_seed(data["seed"]),
+            duration=data["duration"],
+            seed=data["seed"],
             reference=CameraModel(**data["reference"]),
             spies=tuple(CameraModel(**m) for m in data.get("spies", [])),
-            background=tuple((str(k), dict(p)) for k, p in data.get("background", [])),
+            background=tuple((kind, dict(params)) for kind, params in data.get("background", [])),
             tags=_tags(data.get("tags", [])),
-            step=_number("step", data.get("step", 1.0)),
-            activity_profile=str(data.get("activity_profile", "walking")),
+            step=data.get("step", 1.0),
+            activity_profile=data.get("activity_profile", "walking"),
         )
     except ParameterError:
         raise

@@ -37,7 +37,7 @@ from simobs.pcap import (
     read_pcap,
     write_devices_csv,
 )
-from simobs.timeseries import bin_events, event_array
+from simobs.timeseries import ByteSeries, bin_events, event_array
 
 
 class TestReadPcap:
@@ -643,6 +643,16 @@ class TestDevicesCsv:
         write_devices_csv(devices, buf)
         back = read_devices_csv(io.StringIO(buf.getvalue()))
         assert back == devices
+
+    @pytest.mark.parametrize("start_time, step, values", [(5.0, 1.0, [4, 0]), (5.0, 0.5, [4, 0, 6]), (0.0, 1.0, [4, 0, 6])],
+                             ids=["length", "step", "start_time"])
+    def test_one_window_or_parameter_error(self, start_time, step, values):
+        """A device set shares one window: the CSV preamble holds one start and step."""
+        devices = [(DeviceId("mac", "aa:00:00:00:00:01"), ByteSeries(5.0, 1.0, np.array([1, 2, 3]))),
+                   (DeviceId("mac", "aa:00:00:00:00:02"), ByteSeries(start_time, step, np.array(values)))]
+        for bad in (devices, []):
+            with pytest.raises(ParameterError, match="sharing start_time, step and length"):
+                write_devices_csv(bad, io.StringIO())
 
     def test_non_integer_cell_is_format_error(self):
         text = "start_time,step\n0.0,1.0\naa:00:00:00:00:01\n12\nlots\n"

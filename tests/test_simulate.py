@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pcap_oracle
@@ -14,7 +14,9 @@ from simobs.errors import ParameterError
 from simobs.pcap import DeviceId, extract_device_series, read_pcap
 from simobs.similarity import _cc_rows, _kld_rows
 from simobs.simulate import (
+    ACTIVITY_PROFILES,
     ACTIVITY_RESOLUTION,
+    BACKGROUND_PARAMS,
     MIN_FRAME,
     MTU,
     PRESETS,
@@ -290,6 +292,10 @@ class TestCameraTraffic:
         assert events["timestamp"].min() >= 1.0
 
 
+def _one_background(kind, params):
+    return SimScenario(duration=10, seed=1, reference=CameraModel(), background=((kind, params),))
+
+
 class TestBackgroundTraffic:
     @pytest.mark.parametrize("kind, params, unread", [
         ("cbr", {"jitter": 1.0, "bytes_per_stepp": 5.0}, "bytes_per_stepp"),
@@ -300,7 +306,7 @@ class TestBackgroundTraffic:
     ])
     def test_parameter_the_kind_does_not_read(self, kind, params, unread):
         with pytest.raises(ParameterError, match=f"{kind} has no parameter '{unread}'"):
-            _background_bytes(kind, params, 10, 1, 1.0)
+            _one_background(kind, params)
 
     def test_cbr_exact_without_jitter(self):
         totals = _background_bytes("cbr", {"bytes_per_step": 1000.0, "jitter": 0.0}, 60, 0, 1.0)
@@ -327,14 +333,15 @@ class TestBackgroundTraffic:
         assert totals[10] == pytest.approx(1_000_000, rel=0.01)
 
     def test_unknown_kind(self):
-        with pytest.raises(ParameterError):
-            _background_bytes("torrent", {}, 60, 0, 1.0)
+        for kind in ("torrent", 7, ["cbr"]):
+            with pytest.raises(ParameterError, match="unknown background kind"):
+                _one_background(kind, {})
 
     @pytest.mark.parametrize("kind, key", [("cbr", "surge_period"), ("vbr_stream", "iframe_period"),
                                            ("download", "ramp_steps")])
     def test_step_count_must_be_whole(self, kind, key):
         with pytest.raises(ParameterError, match="whole number of steps"):
-            _background_bytes(kind, {key: 8.7}, 60, 0, 1.0)
+            _one_background(kind, {key: 8.7})
         assert np.array_equal(_background_bytes(kind, {key: 8.0}, 60, 0, 1.0), _background_bytes(kind, {key: 8}, 60, 0, 1.0))
 
 
@@ -554,3 +561,79 @@ class TestScenarioConfig:
     def test_camera_iframe_period_must_be_whole(self, model):
         with pytest.raises(ParameterError, match="whole number of steps"):
             CameraModel(**model)
+
+
+# Each scenario field change that fails when the scenario is built, as (field, value).
+UNBUILDABLE = {
+    "misspelled-key": ("background", (("cbr", {"jiter": 1.0}),)),
+    "unknown-kind": ("background", (("torrent", {}),)),
+    "unknown-vbr-profile": ("background", (("vbr_stream", {"profile": "running"}),)),
+    "negative-vbr-rate": ("background", (("vbr_stream", {"idle_bytes_per_step": -1.0}),)),
+    "negative-off-mean": ("background", (("browsing", {"off_mean": -1.0}),)),  # numpy's ValueError in render
+    "negative-burst": ("background", (("browsing", {"burst_bytes": -1e6}),)),  # negative step totals
+    "step-0": ("step", 0),
+    "step-negative": ("step", -1),
+    "duration-10.5": ("duration", 10.5),
+    "seed-1.5": ("seed", 1.5),  # a manifest holding it could not be loaded back
+}
+
+
+def _nodes(node, path=()):
+    """(key path, value) of every node of a JSON-like tree, the root included."""
+    yield path, node
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _nodes(child, (*path, key))
+
+
+_MUTANT_VALUES = st.one_of(
+    st.booleans(),
+    st.just(math.nan),
+    st.floats(0.1, 20.0).filter(lambda x: not x.is_integer()),  # a fractional count of steps
+    st.floats(-1e6, -1e-3),  # a negative byte rate
+    st.sampled_from([0, 0.0, -1, -1.0]),  # a step <= 0
+    st.text(max_size=12),  # an unknown kind or profile
+    st.sampled_from(ACTIVITY_PROFILES + tuple(BACKGROUND_PARAMS)),
+)
+
+
+class TestScenarioChecks:
+    """A scenario is checked when it is built: one that builds renders."""
+
+    @pytest.mark.parametrize("field, value", UNBUILDABLE.values(), ids=UNBUILDABLE.keys())
+    def test_rejected_at_construction(self, field, value):
+        base = easy_scenario(seed=1, duration=10)
+        with pytest.raises(ParameterError):
+            SimScenario(**{"duration": 10, "seed": 1, "reference": CameraModel(), "spies": (CameraModel(),),
+                           field: value})
+        with pytest.raises(ParameterError):
+            replace(base, **{field: value})
+        with pytest.raises(ParameterError):
+            scenario_from_dict({**scenario_to_dict(base), field: value})
+
+    def test_counts_and_step_are_stored_as_int_and_float(self):
+        """So a whole float duration renders, and the manifest reads as one from a file would."""
+        scenario = SimScenario(duration=10.0, seed=7.0, reference=CameraModel(), spies=(CameraModel(),), step=1)
+        assert [type(v) for v in (scenario.duration, scenario.seed, scenario.step)] == [int, int, float]
+        render_scenario(scenario)
+
+    @settings(max_examples=300, deadline=None)
+    @given(preset=st.sampled_from(sorted(PRESETS)), data=st.data())
+    def test_one_field_mutants_raise_or_render(self, preset, data):
+        config = scenario_to_dict(preset_scenario(preset, seed=2))
+        if data.draw(st.booleans(), label="add a key"):
+            dicts = [path for path, node in _nodes(config) if isinstance(node, dict)]
+            *parents, last = (*data.draw(st.sampled_from(dicts), label="dict"),
+                              data.draw(st.text(min_size=1, max_size=12), label="key"))
+        else:
+            leaves = [path for path, node in _nodes(config) if not isinstance(node, (dict, list))]
+            *parents, last = data.draw(st.sampled_from(leaves), label="leaf")
+        target = config
+        for part in parents:
+            target = target[part]
+        target[last] = data.draw(_MUTANT_VALUES, label="value")
+        try:
+            scenario = scenario_from_dict(config)
+        except ParameterError:
+            return
+        render_scenario(scenario)
