@@ -273,6 +273,8 @@ def _fit_stack(x, y, seeds, alphas, layers, activation: str, max_iter: int):
         raise ParameterError(f"hidden layer widths must be >= 1, got {tuple(layers)}")
     if max_iter < 1:
         raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
+    if bad := [alpha for alpha in alphas if not alpha >= 0]:  # NaN fails too; an infinite one diverges
+        raise ParameterError(f"alpha must be >= 0, got {bad[0]!r}")
     k, n, n_features = x.shape
     sizes = (n_features, *layers, 1)
     rngs = [np.random.default_rng(seed) for seed in seeds]

@@ -61,10 +61,13 @@ def _render(writer, *args) -> str:
 
 def _threshold_configs(args) -> list[cls.ThresholdConfig]:
     """One ThresholdConfig per --measures name (default: cc,kld,jsd), at its
-    --thresholds value (default: the published one).  A --thresholds
-    entry for a measure that is not classified is an error."""
+    --thresholds value (default: the published one).  A measure named
+    twice, or a --thresholds entry for one that is not classified, is an
+    error."""
     thresholds = dict(cls.DEFAULT_THRESHOLDS)
     measures = args.measures.split(",") if args.measures is not None else cls.CAMERA_REF_FEATURES
+    if len(set(measures)) < len(measures):
+        raise ParameterError(f"--measures names a measure twice: {args.measures}")
     if args.thresholds not in (None, "default"):
         for part in args.thresholds.split(","):
             measure, _, value = part.partition("=")
@@ -209,6 +212,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if not math.isfinite(args.alpha):  # an infinite penalty would only diverge
+        raise ParameterError(f"--alpha must be a finite number, got {args.alpha}")
     samples = _load_samples(args.samples)
     try:
         layers = tuple(int(x) for x in args.layers.split(","))

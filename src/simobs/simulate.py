@@ -35,25 +35,22 @@ def derive_seed(root_seed: int, *scope: object) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
-def _check_finite(name: str, value) -> None:
-    if not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise ParameterError(f"{name} must be a finite number, got {value!r}")
-
-
-def _number(name: str, value) -> float:
-    """A finite number that is not a bool (JSON ``true`` is not 1), as a float."""
-    if isinstance(value, bool):
-        raise ParameterError(f"{name} must be a number, got {value!r}")
-    _check_finite(name, value)
-    return float(value)
-
-
-def _whole_steps(name: str, value) -> int:
-    """A count of steps: a finite number with no fractional part (10.0 is 10)."""
-    _number(name, value)
-    if value != math.floor(value):
-        raise ParameterError(f"{name} must be a whole number of steps, got {value!r}")
-    return int(value)
+def _check(name: str, value, kind: type) -> None:
+    """The one rule for a simulator value, by the type of its default: a
+    bool is a JSON bool, text an activity profile name, an int a whole
+    count of steps >= 0 (10.0 is 10) and a float a finite number >= 0.  A
+    bool is not a number."""
+    if kind is bool:
+        ok = isinstance(value, bool)
+    elif kind is str:
+        ok = value in ACTIVITY_PROFILES
+    else:  # NaN fails 0 <= value
+        number = type(value) in (float, int) or (isinstance(value, numbers.Real) and not isinstance(value, bool))
+        ok = number and 0 <= value < math.inf and (kind is float or value == math.floor(value))
+    if not ok:
+        want = {bool: "true or false", str: f"one of {ACTIVITY_PROFILES}", int: "a whole number of steps >= 0",
+                float: "a finite number >= 0"}[kind]
+        raise ParameterError(f"{name} must be {want}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -72,14 +69,11 @@ class CameraModel:
 
     def __post_init__(self):
         for field in fields(self):
-            _check_finite(field.name, getattr(self, field.name))
-        _whole_steps("iframe_period", self.iframe_period)
-        if min(self.idle_bytes_per_step, self.motion_gain, self.iframe_bytes, self.noise_std) < 0:
-            raise ParameterError("byte quantities must be >= 0")
+            _check(field.name, getattr(self, field.name), type(field.default))
         if self.iframe_period < 1:
-            raise ParameterError("iframe_period must be >= 1")
-        if not 0.0 <= self.observed_fraction <= 1.0:
-            raise ParameterError("observed_fraction must lie in [0, 1]")
+            raise ParameterError(f"iframe_period must be >= 1, got {self.iframe_period!r}")
+        if self.observed_fraction > 1.0:
+            raise ParameterError(f"observed_fraction must be <= 1, got {self.observed_fraction!r}")
 
 
 @dataclass(frozen=True)
@@ -94,14 +88,18 @@ class SimScenario:
     activity_profile: str = "walking"
 
     def __post_init__(self):
+        _check("duration", self.duration, int)
+        _check("step", self.step, float)
+        _check("activity_profile", self.activity_profile, str)
+        if not isinstance(self.tags, (list, tuple, set, frozenset)) or not all(isinstance(t, str) for t in self.tags):
+            raise ParameterError(f"tags must be a list of strings, got {self.tags!r}")
         # 10.0 steps is 10, seed 7.0 is 7 and a step of 1 is 1.0, as the manifest records them.
-        object.__setattr__(self, "duration", _whole_steps("duration", self.duration))
+        object.__setattr__(self, "duration", int(self.duration))
         object.__setattr__(self, "seed", _seed(self.seed))
-        object.__setattr__(self, "step", _number("step", self.step))
+        object.__setattr__(self, "step", float(self.step))
+        object.__setattr__(self, "tags", frozenset(self.tags))
         if self.duration < 2 or self.step <= 0:
             raise ParameterError(f"need duration >= 2 steps and step > 0, got {self.duration}, {self.step!r}")
-        if self.activity_profile not in ACTIVITY_PROFILES:
-            raise ParameterError(f"unknown activity profile {self.activity_profile!r}")
         if not self.spies and not self.background:
             raise ParameterError("scenario needs at least one device")
         for kind, params in self.background:
@@ -111,14 +109,9 @@ class SimScenario:
             if unknown := params.keys() - defaults.keys():
                 raise ParameterError(f"{kind} has no parameter {', '.join(map(repr, sorted(unknown)))}")
             for key, value in params.items():
-                default, name = defaults[key], f"{kind} {key}"
-                if isinstance(default, str):
-                    if value not in ACTIVITY_PROFILES:
-                        raise ParameterError(f"{name} must be one of {ACTIVITY_PROFILES}, got {value!r}")
-                elif (_whole_steps if isinstance(default, int) else _number)(name, value) < 0:
-                    raise ParameterError(f"{name} must be >= 0, got {value!r}")
-            if kind == "vbr_stream" and params.get("iframe_period", 1) < 1:  # as CameraModel's
-                raise ParameterError("vbr_stream iframe_period must be >= 1")
+                _check(f"{kind} {key}", value, type(defaults[key]))
+            if kind == "vbr_stream":  # the camera it runs, whose iframe_period is >= 1
+                _vbr_camera(params)
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,9 +291,8 @@ def _byte_counts(step_bytes: np.ndarray) -> np.ndarray:
     return rounded.astype(np.int64)
 
 
-# Every background kind, its parameters and their defaults.  A default's
-# type is its parameter's: text is an activity profile name, an int a
-# whole count of steps >= 0, a float a finite number >= 0.
+# Every background kind, its parameters and their defaults.  A value is
+# checked by its default's type, as a camera field is (``_check``).
 BACKGROUND_PARAMS: dict[str, dict[str, str | int | float]] = {
     "cbr": {"bytes_per_step": 300_000.0, "jitter": 0.0, "surge_period": 0, "surge_factor": 0.0},
     "vbr_stream": {"profile": "walking", "idle_bytes_per_step": 40_000.0, "motion_gain": 350_000.0,
@@ -326,8 +318,13 @@ def _cbr(params: dict, duration: int, seed: int, step: float) -> np.ndarray:
     return _byte_counts(np.maximum(step_bytes, 0.0))
 
 
+def _vbr_camera(params: Mapping) -> CameraModel:
+    """The camera a ``vbr_stream`` runs: all its parameters but its scene's ``profile``."""
+    return CameraModel(**{key: value for key, value in params.items() if key != "profile"})
+
+
 def _vbr_stream(params: dict, duration: int, seed: int, step: float) -> np.ndarray:
-    model = CameraModel(**{key: value for key, value in params.items() if key != "profile"})
+    model = _vbr_camera(params)
     # Its own scene: seed-derived, independent of the observed one.
     activity = gen_activity(params["profile"], duration, derive_seed(seed, "vbr-activity"), step=step)
     return _camera_bytes(activity, model, step, derive_seed(seed, "vbr-camera"))
@@ -533,28 +530,21 @@ def _seed(value) -> int:
     return int(value)
 
 
-def _tags(value) -> frozenset[str]:
-    """Scenario tags: a list of strings, not one string of tag characters."""
-    if not isinstance(value, (list, tuple)) or not all(isinstance(tag, str) for tag in value):
-        raise ParameterError(f"tags must be a list of strings, got {value!r}")
-    return frozenset(value)
-
-
 def scenario_from_dict(data: Mapping) -> SimScenario:
+    """The scenario a ``scenario_to_dict`` mapping describes; a key it
+    leaves out takes the field's default."""
+    decode = {
+        "reference": lambda model: CameraModel(**model),
+        "spies": lambda models: tuple(CameraModel(**model) for model in models),
+        "background": lambda devices: tuple((kind, dict(params)) for kind, params in devices),
+    }
     try:
-        return SimScenario(
-            duration=data["duration"],
-            seed=data["seed"],
-            reference=CameraModel(**data["reference"]),
-            spies=tuple(CameraModel(**m) for m in data.get("spies", [])),
-            background=tuple((kind, dict(params)) for kind, params in data.get("background", [])),
-            tags=_tags(data.get("tags", [])),
-            step=data.get("step", 1.0),
-            activity_profile=data.get("activity_profile", "walking"),
-        )
+        if unknown := data.keys() - {field.name for field in fields(SimScenario)}:
+            raise ParameterError(f"a scenario has no field {', '.join(map(repr, sorted(unknown)))}")
+        return SimScenario(**{key: decode.get(key, lambda value: value)(value) for key, value in data.items()})
     except ParameterError:
         raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError, AttributeError) as exc:
         raise ParameterError(f"bad scenario config: {exc}") from exc
 
 

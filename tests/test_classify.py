@@ -482,6 +482,14 @@ class TestStackedAgainstOracle:
         with pytest.raises(TrainingDivergedError):
             grid_search(samples, points, folds=3, feature_subset=self.SUBSET)
 
+    @pytest.mark.parametrize("alpha", [-1.0, math.nan])
+    def test_penalty_below_zero_is_a_parameter_error(self, alpha):
+        samples = _overlapping(20, 25, seed=3)
+        with pytest.raises(ParameterError, match="alpha"):
+            mlp_train(samples, layers=(3,), feature_subset=self.SUBSET, alpha=alpha)
+        with pytest.raises(ParameterError, match="alpha"):
+            grid_search(samples, [GridPoint((3,), "logistic", alpha)], folds=3, feature_subset=self.SUBSET)
+
     @pytest.mark.parametrize("bad", ["nan_row", "infinite_alpha"])
     def test_non_finite_loss_raises_from_pool_workers(self, bad, monkeypatch):
         samples = _overlapping(20, 25, seed=3)

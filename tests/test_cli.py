@@ -1067,11 +1067,12 @@ class TestNonFiniteNumbers:
         return d
 
     @staticmethod
-    def _one_line_error(code, expected, out, capsys):
+    def _one_line_error(code, expected, out, capsys) -> str:
         err = capsys.readouterr().err
         assert code == expected
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert not out.exists()
+        return err
 
     @pytest.mark.parametrize("target", ["reference.csv", "devices.csv"])
     @pytest.mark.parametrize("preamble", ["nan,1.0", "inf,1.0", "-inf,1.0", "0.0,nan", "0.0,inf"])
@@ -1114,6 +1115,24 @@ class TestNonFiniteNumbers:
         code = run(argv + ["--thresholds", f"kld={threshold}", "--out", str(out)])
         self._one_line_error(code, 2, out, capsys)
 
+    @pytest.mark.parametrize("command", ["classify", "agreement"])
+    def test_measure_named_twice(self, command, scene, synthetic_samples, tmp_path, capsys):
+        """A repeated measure would count one measure's vote twice, or write one column for two."""
+        if command == "classify":
+            argv = ["classify", "--report", str(scene / "report.json"), "--measures", "cc,cc"]
+        else:
+            argv = ["agreement", "--samples", str(synthetic_samples), "--measures", "kld,kld",
+                    "--thresholds", "kld=0.5"]
+        out = tmp_path / "out.json"
+        self._one_line_error(run(argv + ["--out", str(out)]), 2, out, capsys)
+
+    @pytest.mark.parametrize("alpha", ["-1", "nan", "inf"])
+    def test_train_alpha(self, alpha, synthetic_samples, tmp_path, capsys):
+        out = tmp_path / "model.json"
+        code = run(["train", "--samples", str(synthetic_samples), "--layers", "4", "--max-iter", "50",
+                    f"--alpha={alpha}", "--out", str(out)])
+        assert "alpha" in self._one_line_error(code, 2, out, capsys)
+
     @pytest.mark.parametrize("key, value", [
         (("spies", 0, "delay"), math.nan),
         (("spies", 0, "delay"), -0.9),  # frames before the epoch
@@ -1134,10 +1153,11 @@ class TestNonFiniteNumbers:
         (("seed",), math.nan),
         (("seed",), math.inf),
         (("seed",), True),
+        (("spies", 0, "release_threshold"), -1.0),
     ], ids=["delay-nan", "delay-negative", "delay-past-2**32", "noise_std-nan", "idle_bytes_per_step-inf",
             "step-nan", "ramp_steps-text", "spy-iframe_period-2.5", "reference-iframe_period-9.5",
             "surge_period-8.7", "vbr-iframe_period-8.5", "ramp_steps-5.5", "duration-10.5",
-            "seed-1.5", "seed-nan", "seed-inf", "seed-true"])
+            "seed-1.5", "seed-nan", "seed-inf", "seed-true", "release_threshold-negative"])
     def test_scenario_number(self, key, value, tmp_path, capsys):
         self._scenario_error(key, value, tmp_path, capsys)
 
@@ -1152,12 +1172,17 @@ class TestNonFiniteNumbers:
         (("background", 0, 1, "jitter"), True),
         (("tags",), "regime=near"),
         (("tags",), ["regime=near", 3]),
+        (("reference", "motion_gain"), True),
+        (("spies", 0, "burst_accumulate"), 0.5),
+        (("activity_proflie",), "still"),
     ], ids=["spy-iframe_period-true", "reference-iframe_period-true", "surge_period-true",
             "vbr-iframe_period-true", "ramp_steps-true", "step-true", "step-text",
-            "jitter-true", "tags-text", "tags-number"])
+            "jitter-true", "tags-text", "tags-number", "motion_gain-true", "burst_accumulate-0.5",
+            "unknown-field"])
     def test_scenario_type(self, key, value, tmp_path, capsys):
-        """A JSON bool is not a number, text is not a step, and one string
-        is not a list of tags."""
+        """A JSON bool is not a number, a number is not a bool, text is not
+        a step, one string is not a list of tags, and a key that is not a
+        scenario field is not ignored."""
         self._scenario_error(key, value, tmp_path, capsys)
 
     @pytest.mark.parametrize("key, value", [

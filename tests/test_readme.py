@@ -1,11 +1,15 @@
 """The README's simulated walkthroughs run as written, in order, through
-``python -m simobs.cli`` in a shell."""
+``python -m simobs.cli`` in a shell, and its Python blocks run as
+written on a simulated scene."""
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import simobs
+from conftest import mp4_file, trak_box
+from simobs.simulate import packetize, preset_scenario, render_scenario, write_pcap
 
 README = Path(__file__).parents[1] / "README.md"
 
@@ -54,3 +58,24 @@ def test_walkthroughs_run_as_written(tmp_path):
     for name in ("scene/verdicts.json", "model.json", "grid.json", "curve.csv", "matrix.csv", "agreement.json"):
         assert (tmp_path / name).stat().st_size > 0, name
     assert (tmp_path / "matrix.csv").read_text().startswith("train\\test,far,near,both\n")
+
+
+def test_python_blocks_run_as_written(tmp_path, monkeypatch, capsys):
+    """The library example, then the two-step similarity pass on its
+    devices, then the event binning, as README.md shows them, on the
+    capture and the reference recording of one simulated scene."""
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 3
+    dataset = render_scenario(preset_scenario("easy", 7))
+    frames = [(tr.device_id, packetize(tr.step_bytes, 1.0, tr.delay)) for tr in dataset.traces]
+    (tmp_path / "capture.pcap").write_bytes(write_pcap(frames))
+    sizes = dataset.reference_series.values.tolist()  # one video sample per 1 s step
+    (tmp_path / "ref.mp4").write_bytes(mp4_file(trak_box(1, "vide", sizes=sizes, deltas=[(len(sizes), 1)])))
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    for block in blocks:
+        exec(block, namespace)
+    assert capsys.readouterr().out == "02:00:00:00:01:01 looks like a camera watching this scene\n"
+    assert len(namespace["values"]) == len(namespace["devices"]) == len(dataset.traces)
+    expression, _, shown = blocks[2].splitlines()[-1].partition("  # ")
+    assert str(eval(expression, namespace).tolist()) == shown == "[150, 200]"

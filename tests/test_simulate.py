@@ -524,13 +524,16 @@ class TestWritePcap:
 
 
 class TestScenarioConfig:
-    def test_round_trip(self, tmp_path):
-        scenario = preset_scenario("easy", seed=9)
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_round_trip(self, preset, tmp_path):
+        scenario = preset_scenario(preset, seed=9)
+        text = json.dumps(scenario_to_dict(scenario))
         path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(scenario_to_dict(scenario)))
+        path.write_text(text)
         with open(path) as fh:
             back = load_scenario(fh)
         assert back == scenario
+        assert json.dumps(scenario_to_dict(back)) == text
 
     def test_dict_round_trip(self):
         scenario = preset_scenario("far", seed=1)
@@ -575,6 +578,15 @@ UNBUILDABLE = {
     "step-negative": ("step", -1),
     "duration-10.5": ("duration", 10.5),
     "seed-1.5": ("seed", 1.5),  # a manifest holding it could not be loaded back
+    "tags-text": ("tags", "regime=near"),  # was stored as its characters
+}
+
+# Each camera field value that fails when the camera is built, as (field, value).
+UNBUILDABLE_CAMERA = {
+    "burst_accumulate-0.5": ("burst_accumulate", 0.5),  # ran a store-then-burst camera
+    "delay-negative": ("delay", -0.9),  # a spy ahead of the reference: raise the reference's delay
+    "release_threshold-negative": ("release_threshold", -1.0),
+    "motion_gain-true": ("motion_gain", True),  # a JSON bool is not a number
 }
 
 
@@ -610,6 +622,30 @@ class TestScenarioChecks:
             replace(base, **{field: value})
         with pytest.raises(ParameterError):
             scenario_from_dict({**scenario_to_dict(base), field: value})
+
+    @pytest.mark.parametrize("field, value", UNBUILDABLE_CAMERA.values(), ids=UNBUILDABLE_CAMERA.keys())
+    def test_camera_rejected_at_construction(self, field, value):
+        with pytest.raises(ParameterError, match=field):
+            SimScenario(duration=10, seed=1, reference=CameraModel(), spies=(CameraModel(**{field: value}),))
+        with pytest.raises(ParameterError, match=field):
+            replace(CameraModel(), **{field: value})
+        config = scenario_to_dict(easy_scenario(seed=1, duration=10))
+        config["spies"][0][field] = value
+        with pytest.raises(ParameterError, match=field):
+            scenario_from_dict(config)
+
+    def test_unknown_field(self):
+        with pytest.raises(ParameterError, match="activity_proflie"):
+            scenario_from_dict({**scenario_to_dict(easy_scenario(seed=1, duration=10)), "activity_proflie": "still"})
+
+    def test_left_out_fields_take_the_defaults(self):
+        config = {"duration": 10, "seed": 1, "reference": {}, "spies": [{}]}
+        assert scenario_from_dict(config) == SimScenario(duration=10, seed=1, reference=CameraModel(),
+                                                         spies=(CameraModel(),))
+
+    def test_tags_are_stored_as_a_frozenset(self):
+        scenario = replace(easy_scenario(seed=1, duration=10), tags=["b", "a"])
+        assert scenario.tags == frozenset({"a", "b"})
 
     def test_counts_and_step_are_stored_as_int_and_float(self):
         """So a whole float duration renders, and the manifest reads as one from a file would."""
