@@ -1,22 +1,26 @@
 """Classic pcap parsing and per-device byte series extraction.
 
 Offline .pcap files only (both magics, both byte orders, link types 1
-and 127).  Frames are read in batches of columns over the bytes of a
-few reads.  Each frame is attributed to its transmitting device (source
+and 127).  Frames are read in batches of columns over the capture's
+bytes: a mapped file, a bytes object, or the joined reads of a stream.
+Each frame is attributed to its transmitting device (source
 MAC for Ethernet, Address 2 of 802.11 data frames behind radiotap) by
 gathering the bytes its rules read, and the frames of each device are
 binned into a ByteSeries.
 """
 from __future__ import annotations
 
+import io
 import ipaddress
 import math
+import mmap
+import os
 import re
+import stat
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
-from io import BytesIO
-from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -65,14 +69,18 @@ class DeviceId:
 class FrameBatch(NamedTuple):
     """Consecutive frames of one capture, as columns over the bytes they
     were read from.  Frame ``i``'s payload is
-    ``data[offset[i] : offset[i] + captured_len[i]]``."""
+    ``data[offset[i] : offset[i] + captured_len[i]]``.
+
+    ``data`` is a shared, read-only buffer: the read-only map of a
+    capture file or the bytes given to ``read_pcap``, shared by every
+    batch of the capture, or the joined reads of a stream."""
 
     link_type: LinkType
     timestamp: np.ndarray  # f8 seconds
     on_wire_len: np.ndarray  # i8
     captured_len: np.ndarray  # i8
     offset: np.ndarray  # i8, into data
-    data: bytes
+    data: bytes | bytearray | mmap.mmap
 
 
 @dataclass(frozen=True)
@@ -85,21 +93,63 @@ class DeviceStream:
 
 
 def read_pcap(source: BinaryIO | bytes) -> Iterator[FrameBatch]:
-    """Yield FrameBatches from a classic pcap byte stream, in file order.
+    """Yield FrameBatches from a classic pcap, in file order.
 
-    The stream is read ``MAX_CAPTURED_LEN`` bytes at a time and up to
-    ``BATCH_READS`` reads are joined into one batch of the records they
-    complete; a record that straddles the end of a batch goes into the
-    next one.  Every batch owns its bytes, so batches stay valid after
-    the iterator has moved on.
+    ``bytes`` are walked in place, and so is a regular file, mapped
+    read-only from the stream's position (which is left as it was):
+    every batch's ``data`` is the bytes or the whole map.  After each
+    batch of a map, the whole pages walked past are released, so a
+    streamed walk holds only the pages of the batch it is on; a batch a
+    caller keeps stays valid, its pages read back from the file when it
+    is used.  Any other stream (a pipe, ``BytesIO``) is read
+    ``MAX_CAPTURED_LEN`` bytes at a time, and up to ``BATCH_READS``
+    reads are joined, with the record carried over from the last batch,
+    into the ``data`` of one batch.
+
+    Either way batch ``j`` holds the records that end by capture offset
+    ``GLOBAL_HEADER_LEN + (j + 1) * BATCH_READS * MAX_CAPTURED_LEN``, so
+    a file, its bytes and a stream whose reads return all they are asked
+    for yield the same batches and raise the same errors.  Error offsets
+    count from the capture's first byte.  A mapped file truncated while
+    it is read kills the process with SIGBUS.
     """
-    stream = BytesIO(source) if isinstance(source, (bytes, bytearray)) else source
-    head = b""
-    while len(head) < GLOBAL_HEADER_LEN:  # a raw pipe or socket may return fewer bytes than asked
-        chunk = stream.read(GLOBAL_HEADER_LEN - len(head))
-        if not chunk:
-            break
-        head += chunk
+    if isinstance(source, (bytes, bytearray)):
+        yield from _walk(source, 0, None)
+        return
+    mapped = _map(source)
+    if mapped is None:
+        yield from _read(source)
+    else:
+        yield from _walk(mapped, source.tell(), mapped.madvise)
+
+
+def _map(stream: BinaryIO) -> mmap.mmap | None:
+    """A read-only map of the regular file ``stream`` reads, or None.
+
+    Only a file object of the ``io`` module's own (``open``'s) is
+    mapped: a compressed file object's ``fileno`` is that of its
+    compressed file.  An empty file cannot be mapped, and a platform
+    without ``madvise`` could not release the pages walked.
+    """
+    if not isinstance(getattr(stream, "raw", stream), io.FileIO) or not hasattr(mmap.mmap, "madvise"):
+        return None
+    fd = stream.fileno()
+    status = os.fstat(fd)
+    if not stat.S_ISREG(status.st_mode) or not status.st_size:
+        return None
+    return mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
+
+
+class _Format(NamedTuple):
+    """What a capture's global header says about its records."""
+
+    link_type: LinkType
+    incl_len: Callable  # unpack_from of a record header's incl_len field
+    header_fields: np.dtype  # the four u4 fields of a record header
+    frac_divisor: float
+
+
+def _global_header(head: bytes) -> _Format:
     if len(head) < 4:
         raise FormatError("not a pcap file: shorter than a magic number")
     (magic_le,) = struct.unpack("<I", head[:4])
@@ -114,17 +164,45 @@ def read_pcap(source: BinaryIO | bytes) -> Iterator[FrameBatch]:
         raise FormatError(f"unknown pcap magic 0x{magic_le:08x}")
     if len(head) < GLOBAL_HEADER_LEN:
         raise TruncationError("pcap global header truncated", offset=0)
-    frac_divisor = 1e6 if magic == MAGIC_MICROS else 1e9
     _vmaj, _vmin, _zone, _sigfigs, _snaplen, network = struct.unpack(order + "HHiIII", head[4:])
     try:
         link_type = LinkType(network)
     except ValueError:
         raise UnsupportedLinkTypeError(network) from None
+    return _Format(link_type, struct.Struct(order + "I").unpack_from, np.dtype(order + "u4"),
+                   1e6 if magic == MAGIC_MICROS else 1e9)
 
-    unpack_incl_len = struct.Struct(order + "I").unpack_from
-    header_fields = np.dtype(order + "u4")
+
+def _walk(data, origin: int, release: Callable | None) -> Iterator[FrameBatch]:
+    """The batches of the capture at ``data[origin:]``, walked in place.
+    ``release`` (an mmap's ``madvise``) drops the pages walked past."""
+    fmt = _global_header(data[origin : origin + GLOBAL_HEADER_LEN])
+    end = len(data)
+    pos = limit = origin + GLOBAL_HEADER_LEN
+    released = 0
+    while limit < end:
+        limit = min(limit + BATCH_READS * MAX_CAPTURED_LEN, end)
+        batch, pos = _batch(data, pos, limit, -origin, fmt)
+        if batch is not None:
+            yield batch
+        if release is not None and pos - released >= mmap.PAGESIZE:
+            page = pos - pos % mmap.PAGESIZE
+            release(mmap.MADV_DONTNEED, released, page - released)
+            released = page
+    _check_end(end - pos, pos - origin)
+
+
+def _read(stream: BinaryIO) -> Iterator[FrameBatch]:
+    """The batches of a capture read from ``stream``."""
+    head = b""
+    while len(head) < GLOBAL_HEADER_LEN:  # a raw pipe or socket may return fewer bytes than asked
+        chunk = stream.read(GLOBAL_HEADER_LEN - len(head))
+        if not chunk:
+            break
+        head += chunk
+    fmt = _global_header(head)
     data = b""
-    base = GLOBAL_HEADER_LEN  # file offset of data[0]
+    base = GLOBAL_HEADER_LEN  # capture offset of data[0]
     reading = True
     while reading:
         chunks = [data]
@@ -142,42 +220,64 @@ def read_pcap(source: BinaryIO | bytes) -> Iterator[FrameBatch]:
         # caller keeps in a list, and freeing that list then handed the
         # memory back to the system, to be faulted in on the next pass.
         del chunks
-        # The walk follows incl_len alone.  Both lengths of every header
-        # it passed are checked as arrays before the batch is yielded, so
-        # the first bad header in file order raises, as in a per-record
-        # check; a bad length only sends the walk on through this batch.
-        starts = []  # where each record whose header is whole starts
-        append = starts.append
-        pos, last = 0, len(data) - RECORD_HEADER_LEN
-        while pos <= last:
-            append(pos)
-            pos += RECORD_HEADER_LEN + unpack_incl_len(data, pos + 8)[0]
-        if starts:
-            begin = np.fromiter(starts, np.int64, len(starts))
-            ts_sec, ts_frac, incl, orig = _window(data, "V16")[begin].view(header_fields).reshape(-1, 4).T
-            bad = np.flatnonzero((incl > orig) | (incl > MAX_CAPTURED_LEN))
-            if bad.size:
-                i = bad[0]
-                raise _length_error(base + starts[i], int(incl[i]), int(orig[i]))
-            n = len(starts)
-            if pos > len(data):  # the last record's payload is not all read yet
-                n -= 1
-                pos = starts[-1]
-            if n:
-                yield FrameBatch(
-                    link_type,
-                    ts_sec[:n] + ts_frac[:n] / frac_divisor,
-                    orig[:n].astype(np.int64),
-                    incl[:n].astype(np.int64),
-                    begin[:n] + RECORD_HEADER_LEN,
-                    data,
-                )
+        batch, pos = _batch(data, 0, len(data), base, fmt)
+        if batch is not None:
+            yield batch
         data = data[pos:]
         base += pos
-    if len(data) >= RECORD_HEADER_LEN:
-        raise TruncationError(f"record payload truncated at byte {base}", offset=base)
-    if data:
-        raise TruncationError(f"record header truncated at byte {base}", offset=base)
+    _check_end(len(data), base)
+
+
+def _batch(data, pos: int, limit: int, base: int, fmt: _Format) -> tuple[FrameBatch | None, int]:
+    """The batch of the records from ``data[pos]`` that end by
+    ``data[limit]``, or None if none does, and where the next batch
+    starts.  ``base`` turns a position in ``data`` into a capture offset.
+
+    The walk follows incl_len alone, from one incl_len field (8 bytes
+    into its header) to the next.  Both lengths of every header it
+    passed are checked as arrays before the batch is returned, so the
+    first bad header in file order raises, as in a per-record check; a
+    bad length only sends the walk on to ``limit``.
+    """
+    fields = []  # the incl_len field of each record whose header is whole
+    append, incl_len = fields.append, fmt.incl_len
+    at, last = pos + 8, limit - 8
+    while at <= last:
+        append(at)
+        at += RECORD_HEADER_LEN + incl_len(data, at)[0]
+    if not fields:
+        return None, pos
+    begin = np.fromiter(fields, np.int64, len(fields)) - 8
+    ts_sec, ts_frac, incl, orig = _window(data, "V16")[begin].view(fmt.header_fields).reshape(-1, 4).T
+    bad = np.flatnonzero((incl > orig) | (incl > MAX_CAPTURED_LEN))
+    if bad.size:
+        i = bad[0]
+        raise _length_error(base + int(begin[i]), int(incl[i]), int(orig[i]))
+    n = len(fields)
+    pos = at - 8
+    if pos > limit:  # the last record's payload ends past the limit
+        n -= 1
+        pos = fields[-1] - 8
+    if not n:
+        return None, pos
+    batch = FrameBatch(
+        fmt.link_type,
+        ts_sec[:n] + ts_frac[:n] / fmt.frac_divisor,
+        orig[:n].astype(np.int64),
+        incl[:n].astype(np.int64),
+        begin[:n] + RECORD_HEADER_LEN,
+        data,
+    )
+    return batch, pos
+
+
+def _check_end(rest: int, offset: int) -> None:
+    """Raise if the capture ends ``rest`` bytes into a record that starts
+    at capture offset ``offset``."""
+    if rest >= RECORD_HEADER_LEN:
+        raise TruncationError(f"record payload truncated at byte {offset}", offset=offset)
+    if rest:
+        raise TruncationError(f"record header truncated at byte {offset}", offset=offset)
 
 
 def _length_error(offset: int, incl_len: int, orig_len: int) -> FormatError:

@@ -102,16 +102,19 @@ class SimScenario:
             raise ParameterError(f"need duration >= 2 steps and step > 0, got {self.duration}, {self.step!r}")
         if not self.spies and not self.background:
             raise ParameterError("scenario needs at least one device")
-        for kind, params in self.background:
+        for index, (kind, params) in enumerate(self.background):
             defaults = BACKGROUND_PARAMS.get(kind) if isinstance(kind, str) else None
             if defaults is None:
-                raise ParameterError(f"unknown background kind {kind!r} (have {sorted(BACKGROUND_PARAMS)})")
+                raise ParameterError(
+                    f"background[{index}]: unknown background kind {kind!r} (have {sorted(BACKGROUND_PARAMS)})"
+                )
+            owner = f"background[{index}] {kind}"
             if unknown := params.keys() - defaults.keys():
-                raise ParameterError(f"{kind} has no parameter {', '.join(map(repr, sorted(unknown)))}")
+                raise ParameterError(f"{owner} has no parameter {', '.join(map(repr, sorted(unknown)))}")
             for key, value in params.items():
-                _check(f"{kind} {key}", value, type(defaults[key]))
+                _check(f"{owner} {key}", value, type(defaults[key]))
             if kind == "vbr_stream":  # the camera it runs, whose iframe_period is >= 1
-                _vbr_camera(params)
+                _owned(owner + " ", _vbr_camera, params)
 
 
 @dataclass(frozen=True, eq=False)
@@ -534,8 +537,10 @@ def scenario_from_dict(data: Mapping) -> SimScenario:
     """The scenario a ``scenario_to_dict`` mapping describes; a key it
     leaves out takes the field's default."""
     decode = {
-        "reference": lambda model: CameraModel(**model),
-        "spies": lambda models: tuple(CameraModel(**model) for model in models),
+        "reference": lambda model: _owned("reference: ", CameraModel, **model),
+        "spies": lambda models: tuple(
+            _owned(f"spies[{index}]: ", CameraModel, **model) for index, model in enumerate(models)
+        ),
         "background": lambda devices: tuple((kind, dict(params)) for kind, params in devices),
     }
     try:
@@ -546,6 +551,15 @@ def scenario_from_dict(data: Mapping) -> SimScenario:
         raise
     except (TypeError, ValueError, OverflowError, AttributeError) as exc:
         raise ParameterError(f"bad scenario config: {exc}") from exc
+
+
+def _owned(owner: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, whose error names ``owner`` first: a
+    bad value raises ParameterError, an unknown camera field TypeError."""
+    try:
+        return build(*args, **kwargs)
+    except (ParameterError, TypeError) as exc:
+        raise type(exc)(owner + str(exc)) from None
 
 
 def load_scenario(inp: TextIO) -> SimScenario:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -1207,8 +1208,19 @@ class TestNonFiniteNumbers:
         scenario.write_text(json.dumps(config))  # NaN and Infinity as Python's json writes them
         code = run(["simulate", "--scenario", str(scenario), "--out-dir", str(tmp_path / "sim"),
                     "--pcap-out", str(tmp_path / "capture.pcap")])
-        self._one_line_error(code, 2, tmp_path / "sim", capsys)
+        err = self._one_line_error(code, 2, tmp_path / "sim", capsys)
         assert list(tmp_path.iterdir()) == [scenario]
+        return err
+
+    @pytest.mark.parametrize("key, value, pattern", [
+        (("spies",), [{}, {"delay": -0.9}], r"spies\[1\]: delay must be a finite number >= 0, got -0\.9"),
+        (("spies",), [{}, {"delya": 0.3}], r"spies\[1\]: .*unexpected keyword argument 'delya'"),
+        (("reference", "iframe_period"), 0, r"reference: iframe_period must be >= 1, got 0"),
+        (("background", 3, 1, "iframe_period"), 0, r"background\[3\] vbr_stream iframe_period must be >= 1, got 0"),
+        (("background", 3, 1, "profile"), "running", r"background\[3\] vbr_stream profile must be one of"),
+    ], ids=["second-spy", "second-spy-misspelled", "reference", "vbr_stream", "vbr_stream-profile"])
+    def test_camera_and_background_errors_name_their_owner(self, key, value, pattern, tmp_path, capsys):
+        assert re.search(pattern, self._scenario_error(key, value, tmp_path, capsys))
 
     def test_repeated_device_id(self, scene, tmp_path, capsys):
         lines = (scene / "devices.csv").read_text().splitlines()

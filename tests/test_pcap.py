@@ -1,6 +1,13 @@
+import gzip
 import io
 import ipaddress
+import mmap
+import os
 import struct
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +25,7 @@ from conftest import (
     radiotap_frame,
 )
 import pcap_oracle as oracle
+import simobs
 from simobs.errors import (
     FormatError,
     ParameterError,
@@ -403,7 +411,7 @@ def _outcome(read, extract, source, group_by, include_non_data, start):
         streams = extract(read(source), start, 1.0, 4, group_by=group_by,
                           include_non_data=include_non_data, counters=counters)
     except SimobsError as exc:
-        return type(exc), str(exc), getattr(exc, "offset", None)
+        return _error(exc)
     return streams, counters
 
 
@@ -629,6 +637,157 @@ class TestChunkBoundaries:
             assert got == expected and max(reads) == MAX_CAPTURED_LEN, cut
         batches = list(read_pcap(LoggingStream(data, [], short)))
         assert oracle.records_of(batches) == list(oracle.read_pcap(data))
+
+
+    def _variants(self, data: bytes, headers: list[int]):
+        """Every cut and every length corruption the tests above make."""
+        for cut in [len(data)] + [end + d for end in self.READ_ENDS for d in (-1, 0, 1)]:
+            yield data[:cut]
+        for claim in [(70, 69), (MAX_CAPTURED_LEN + 1,) * 2, (2**32 - 1,) * 2]:
+            for k, end in enumerate(self.READ_ENDS[:-1]):
+                if (k + 1) % BATCH_READS:
+                    at = next(h for h in headers if h >= end)
+                    yield data[: at + 8] + struct.pack("<II", *claim) + data[at + 16 :]
+
+    def test_file_bytes_stream_and_pipe_match_oracle(self, capture, tmp_path):
+        """Each variant on disk, read through an open file, its bytes, a
+        stream and a pipe: the oracle's records or its error, message and
+        offset.  The file, the bytes and the stream of whole reads also
+        cut the same batches."""
+        path = tmp_path / "capture.pcap"
+        errors = set()
+        for source in self._variants(*capture):
+            path.write_bytes(source)
+            try:
+                expected = list(oracle.read_pcap(source))
+            except SimobsError as exc:
+                expected = _error(exc)
+                errors.add(type(exc))
+            with open(path, "rb") as fh:
+                from_file = _batch_records(fh)
+            batched = [from_file, _batch_records(source), _batch_records(LoggingStream(source, []))]
+            assert batched[1] == batched[0] == batched[2]
+            for got in (from_file, _piped(path, _batch_records)):
+                assert (got if isinstance(got, tuple) else [r for batch in got for r in batch]) == expected
+        assert errors == {TruncationError, FormatError}
+
+    def test_capture_at_a_nonzero_file_position(self, capture, tmp_path):
+        """A capture after other bytes of its file reads from the file's
+        position, with error offsets counted from the capture's start."""
+        data, headers = capture
+        path = tmp_path / "capture.pcap"
+        prefix = bytes(range(256)) * 17 + b"x"  # not a whole number of pages
+        *_, corrupt = self._variants(data, headers)
+        outcomes = []
+        for source in (data, data[: self.READ_ENDS[2] + 1], corrupt):
+            path.write_bytes(prefix + source)
+            with open(path, "rb") as fh:
+                fh.read(len(prefix))
+                outcomes.append(_batch_records(fh))
+            assert outcomes[-1] == _batch_records(source)
+        assert [type(outcome) for outcome in outcomes] == [list, tuple, tuple]
+
+    def test_batches_kept_after_the_file_is_closed(self, capture, tmp_path):
+        """Batches drained into a list stay valid once the file is closed,
+        although the pages walked past were released."""
+        data, _ = capture
+        path = tmp_path / "capture.pcap"
+        path.write_bytes(data)
+        with open(path, "rb") as fh:
+            batches = list(read_pcap(fh))
+        assert all(isinstance(batch.data, mmap.mmap) for batch in batches)
+        counters, expected_counters = {}, {}
+        streams = extract_device_series(batches, 0.0, 1.0, 4, counters=counters)
+        assert streams == extract_device_series(read_pcap(data), 0.0, 1.0, 4, counters=expected_counters)
+        assert counters == expected_counters
+        assert oracle.records_of(batches) == list(oracle.read_pcap(data))
+
+
+def _error(exc: SimobsError) -> tuple:
+    return type(exc), str(exc), getattr(exc, "offset", None)
+
+
+def _batch_records(source) -> list | tuple:
+    """The records of each batch of ``source``, or the error that ended the read."""
+    try:
+        return [oracle.records_of([batch]) for batch in read_pcap(source)]
+    except SimobsError as exc:
+        return _error(exc)
+
+
+def _piped(path, consume):
+    """``consume`` of the read end of a pipe that a thread fills with the
+    file at ``path``; the reads return at most what the pipe holds."""
+    read_end, write_end = os.pipe()
+
+    def fill():
+        try:
+            with open(write_end, "wb") as out:
+                out.write(path.read_bytes())
+        except BrokenPipeError:  # consume stopped at an error
+            pass
+
+    thread = threading.Thread(target=fill)
+    thread.start()
+    try:
+        with open(read_end, "rb", buffering=0) as stream:
+            return consume(stream)
+    finally:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+
+
+class TestFilesOnDisk:
+    @pytest.mark.parametrize("content", [b"", pcap_header()[:3], pcap_header()], ids=["empty", "3-byte", "header-only"])
+    def test_short_files(self, content, tmp_path):
+        path = tmp_path / "capture.pcap"
+        path.write_bytes(content)
+        with open(path, "rb") as fh:
+            got = _batch_records(fh)
+        assert got == _batch_records(content)
+        short = (FormatError, "not a pcap file: shorter than a magic number", None)
+        assert got == ([] if len(content) == GLOBAL_HEADER_LEN else short)
+
+    def test_compressed_file_reads_its_contents(self, tmp_path):
+        """A compressed file object is read, not mapped: its ``fileno`` is
+        that of the compressed bytes."""
+        data = pcap_header() + pcap_record(0, 0, ethernet_frame("aa:bb:cc:dd:ee:01", body=bytes(80)))
+        path = tmp_path / "capture.pcap.gz"
+        path.write_bytes(gzip.compress(data))
+        with gzip.open(path, "rb") as fh:
+            assert _batch_records(fh) == _batch_records(data)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads the peak RSS from /proc")
+    def test_walk_releases_the_pages_it_passed(self, tmp_path):
+        """Extracting a 64 MiB capture from disk grows a process's peak RSS
+        by under 32 MiB over one that only imports simobs: the mapped
+        file's pages are released behind the walk."""
+        frames = [radiotap_frame(dot11_data_frame(f"11:00:00:00:00:0{sec % 3 + 1}", body=bytes(1400)), rt_len=8)
+                  for sec in range(60)]
+        block = b"".join(pcap_record(sec, 0, frame) for sec, frame in enumerate(frames))
+        repeats = -(-(64 << 20) // len(block))
+        path = tmp_path / "capture.pcap"
+        with open(path, "wb") as out:
+            out.write(pcap_header(network=127))
+            for _ in range(repeats):
+                out.write(block)
+        # The child's own peak: ru_maxrss also counts the peak of the process it was started from.
+        peak = "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')))"
+        extract = (
+            "from simobs.pcap import extract_device_series, read_pcap\n"
+            f"with open({str(path)!r}, 'rb') as fh:\n"
+            "    streams = extract_device_series(read_pcap(fh), 0.0, 1.0, 60)\n"
+            f"assert sum(s.frame_count for s in streams) == {repeats * len(frames)}\n"
+        )
+        paths = [str(Path(simobs.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        try:
+            kib = [int(subprocess.run([sys.executable, "-c", script + peak], env=env, check=True,
+                                      capture_output=True, text=True, timeout=120).stdout)
+                   for script in ("import simobs\n", extract)]
+        finally:
+            path.unlink()
+        assert kib[1] - kib[0] < 32 << 10, kib
 
 
 class TestDevicesCsv:

@@ -634,6 +634,22 @@ class TestScenarioChecks:
         with pytest.raises(ParameterError, match=field):
             scenario_from_dict(config)
 
+    @pytest.mark.parametrize("change, message", [
+        (lambda c: c["spies"].append({**c["spies"][0], "delay": -0.9}), "spies[1]: delay must be "),
+        (lambda c: c["reference"].update(iframe_period=0), "reference: iframe_period must be >= 1"),
+        (lambda c: c["background"][3][1].update(iframe_period=0),
+         "background[3] vbr_stream iframe_period must be >= 1"),
+        (lambda c: c["background"][3][1].update(iframe_period=1.5), "background[3] vbr_stream iframe_period must be a whole"),
+        (lambda c: c["background"][5].__setitem__(0, "torrent"), "background[5]: unknown background kind 'torrent'"),
+        (lambda c: c["background"][0][1].update(jiter=1.0), "background[0] cbr has no parameter 'jiter'"),
+    ], ids=["second-spy", "reference", "vbr_stream-camera", "vbr_stream-value", "unknown-kind", "unknown-parameter"])
+    def test_errors_name_the_camera_or_background(self, change, message):
+        config = scenario_to_dict(easy_scenario(seed=1, duration=10))
+        change(config)
+        with pytest.raises(ParameterError) as err:
+            scenario_from_dict(config)
+        assert message in str(err.value)
+
     def test_unknown_field(self):
         with pytest.raises(ParameterError, match="activity_proflie"):
             scenario_from_dict({**scenario_to_dict(easy_scenario(seed=1, duration=10)), "activity_proflie": "still"})
