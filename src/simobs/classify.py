@@ -23,6 +23,7 @@ from .errors import (
     SimobsError,
     TrainingDivergedError,
     json_bool,
+    json_number,
     json_strings,
     json_text,
     read_json,
@@ -429,19 +430,23 @@ def _model_from_payload(payload: dict) -> MlpModel:
     if version != MODEL_FORMAT_VERSION:
         raise ParameterError(f"unsupported model format version {version}")
     sizes = tuple(payload["layer_sizes"])
+
+    def numbers(values, what: str) -> np.ndarray:
+        return np.array([json_number(v, what) for v in values], dtype=np.float64)
+
     weights = tuple(
-        np.array(flat, dtype=np.float64).reshape(fan_in, fan_out)
+        numbers(flat, "a weight").reshape(fan_in, fan_out)
         for flat, fan_in, fan_out in zip(payload["weights"], sizes, sizes[1:])
     )
-    biases = tuple(np.array(b, dtype=np.float64) for b in payload["biases"])
+    biases = tuple(numbers(b, "a bias") for b in payload["biases"])
     model = MlpModel(
         layer_sizes=sizes,
         activation=payload["activation"],
         weights=weights,
         biases=biases,
         feature_subset=tuple(payload["feature_subset"]),
-        feature_mean=np.array(payload["standardization"]["mean"], dtype=np.float64),
-        feature_std=np.array(payload["standardization"]["std"], dtype=np.float64),
+        feature_mean=numbers(payload["standardization"]["mean"], "a standardization mean"),
+        feature_std=numbers(payload["standardization"]["std"], "a standardization std"),
         training_loss=payload.get("training_loss", math.nan),
     )
     if model.activation not in ACTIVATIONS:

@@ -62,14 +62,17 @@ def _render(writer, *args) -> str:
 def _threshold_configs(args) -> list[cls.ThresholdConfig]:
     """One ThresholdConfig per --measures name (default: cc,kld,jsd), at its
     --thresholds value (default: the published one).  A measure named
-    twice, or a --thresholds entry for one that is not classified, is an
-    error."""
+    twice in either flag, or a --thresholds entry for one that is not
+    classified, is an error."""
     thresholds = dict(cls.DEFAULT_THRESHOLDS)
     measures = args.measures.split(",") if args.measures is not None else cls.CAMERA_REF_FEATURES
     if len(set(measures)) < len(measures):
         raise ParameterError(f"--measures names a measure twice: {args.measures}")
     if args.thresholds not in (None, "default"):
-        for part in args.thresholds.split(","):
+        parts = args.thresholds.split(",")
+        if len({part.partition("=")[0] for part in parts}) < len(parts):
+            raise ParameterError(f"--thresholds names a measure twice: {args.thresholds}")
+        for part in parts:
             measure, _, value = part.partition("=")
             try:
                 threshold = float(value)

@@ -1,6 +1,7 @@
 """Exception hierarchy shared by all simobs modules, and the error
 policy of every JSON reader."""
 import json
+import sys
 from typing import Callable, TextIO
 
 
@@ -84,6 +85,14 @@ def json_bool(value, what: str) -> bool:
     if not isinstance(value, bool):
         raise FormatError(f"{what} must be true or false, got {value!r}")
     return value
+
+
+def json_number(value, what: str) -> float:
+    """``value`` as a float if it is a finite JSON number, else FormatError
+    naming ``what``: true, false and text are not numbers."""
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:  # NaN fails too
+        raise FormatError(f"{what} is {value!r}, not a finite number")
+    return float(value)
 
 
 def json_strings(value, what: str) -> list[str]:

@@ -6,7 +6,6 @@ Chunk offsets, codecs and presentation offsets are irrelevant here.
 """
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -14,7 +13,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import NoVideoTrackError, ParameterError, StructureError, TruncationError
-from .timeseries import ByteSeries, bin_events, event_array
+from .timeseries import MAX_STEPS, ByteSeries, bin_events, check_window, event_array, step_index
 
 VIDEO_HANDLER = "vide"
 
@@ -194,8 +193,7 @@ def video_byte_series(tables: Sequence[TrackSampleTable], step: float = 1.0) -> 
     Each sample's bytes land in the bin of its decode time; the series
     starts at media time zero and runs through the last sample's bin.
     """
-    if not 0 < step < math.inf:
-        raise ParameterError(f"step must be finite and > 0, got {step}")
+    check_window(0.0, step)
     video = next((t for t in tables if t.handler == VIDEO_HANDLER), None)
     if video is None:
         raise NoVideoTrackError("no track with handler 'vide'")
@@ -204,5 +202,7 @@ def video_byte_series(tables: Sequence[TrackSampleTable], step: float = 1.0) -> 
     times = video.decode_times()
     if times[-1] > MAX_SECONDS:
         raise StructureError(f"video spans {times[-1]:.0f} s, beyond the {MAX_SECONDS} s parser limit")
-    n_steps = int(np.floor(times[-1] / step)) + 1
-    return bin_events(event_array(times, video.sample_sizes), 0.0, step, n_steps)
+    last, held = step_index(times[-1], 0.0, step, MAX_STEPS)
+    if not held:
+        raise ParameterError(f"step {step} s is too small for a video of {times[-1]:g} s (over {MAX_STEPS} steps)")
+    return bin_events(event_array(times, video.sample_sizes), 0.0, step, int(last) + 1)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import io
 import ipaddress
-import math
 import mmap
 import os
 import re
@@ -30,7 +29,7 @@ from .errors import (
     TruncationError,
     UnsupportedLinkTypeError,
 )
-from .timeseries import ByteSeries, bin_events, event_array
+from .timeseries import ByteSeries, bin_events, check_window, device_set, event_array, step_index
 
 MAGIC_MICROS = 0xA1B2C3D4
 MAGIC_NANOS = 0xA1B23C4D
@@ -427,10 +426,7 @@ def extract_device_series(
     Binned bytes plus dropped bytes add up to the counted bytes of all
     input frames.
     """
-    if not 0 < step < math.inf or n_steps < 1 or (start is not None and not math.isfinite(start)):
-        raise ParameterError(
-            f"window needs a finite start, step > 0 and n_steps >= 1, got start {start}, step {step}, n_steps {n_steps}"
-        )
+    check_window(0.0 if start is None else start, step, n_steps)
     _check_group_by(group_by)
     drops = {"malformed": 0, "unattributed": 0, "out_of_window": 0, "dropped_bytes": 0}
     keys, timestamps, sizes = [], [], []
@@ -457,11 +453,8 @@ def extract_device_series(
     streams = []
     if keys:
         key, timestamp, size = (np.concatenate(parts) for parts in (keys, timestamps, sizes))
-        # The step index bin_events computes, so one rule decides both
-        # what is out of the window and what is binned.
-        index = np.floor((timestamp - start) / step)
-        in_window = (index >= 0) & (index < n_steps)
-        del index  # not held through the per-device binning below
+        # The rule bin_events bins by decides what is out of the window.
+        in_window = step_index(timestamp, start, step, n_steps)[1]
         drops["out_of_window"] = int(in_window.size - np.count_nonzero(in_window))
         if drops["out_of_window"]:
             drops["dropped_bytes"] += int(size[~in_window].sum())
@@ -489,9 +482,7 @@ def extract_device_series(
 # ---------------------------------------------------------------------------
 
 def write_devices_csv(devices: Sequence[tuple[DeviceId, ByteSeries]], out: TextIO) -> None:
-    if len({(series.start_time, series.step, len(series)) for _, series in devices}) != 1:
-        raise ParameterError("need one or more device series sharing start_time, step and length")
-    first = devices[0][1]
+    first = device_set([series for _, series in devices])
     out.write("start_time,step\n")
     out.write(f"{first.start_time!r},{first.step!r}\n")
     out.write(",".join(str(device_id) for device_id, _ in devices) + "\n")

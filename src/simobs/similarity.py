@@ -15,8 +15,8 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from .errors import FormatError, ParameterError, json_strings, json_text, read_json
-from .timeseries import ByteSeries, align, min_max_normalize
+from .errors import FormatError, ParameterError, json_number, json_strings, json_text, read_json
+from .timeseries import ByteSeries, align, device_set, min_max_normalize
 
 MEASURES = ("cc", "dtw", "kld", "jsd")
 
@@ -150,9 +150,7 @@ def aligned_rows(reference: ByteSeries, candidates: Sequence[ByteSeries]) -> np.
     alignment with the reference serves them all.  A missing overlap
     raises AlignmentError.
     """
-    if len({(c.start_time, c.step, len(c)) for c in candidates}) != 1:
-        raise ParameterError("candidates must be one or more series sharing start_time, step and length")
-    first = candidates[0]
+    first = device_set(candidates)
     ref, aligned = align(reference, first)
     skip = round((aligned.start_time - first.start_time) / first.step)
     cands = np.stack([c.values for c in candidates])[:, skip : skip + len(aligned)]
@@ -242,20 +240,19 @@ def vector_to_row(sv: SimilarityVector) -> dict:
 
 def vector_from_row(row: Mapping) -> SimilarityVector:
     """Inverse of vector_to_row; other keys in ``row`` are ignored.  A
-    measure that is not finite (JSON NaN or Infinity), or flags that are
-    not a list of strings, raise FormatError."""
-    cc, kld = row["cc"], row["kld"]
-    sv = SimilarityVector(
-        cc=None if cc is None else float(cc),
-        dtw=float(row["dtw"]),
-        kld=None if kld is None else float(kld),
-        jsd=float(row["jsd"]),
+    measure that is not a finite JSON number (cc and kld may be null), or
+    flags that are not a list of strings, raise FormatError."""
+    def measure(name: str) -> float | None:
+        value = row[name]
+        return None if value is None and name in ("cc", "kld") else json_number(value, f"measure {name}")
+
+    return SimilarityVector(
+        cc=measure("cc"),
+        dtw=measure("dtw"),
+        kld=measure("kld"),
+        jsd=measure("jsd"),
         flags=frozenset(json_strings(row.get("flags", []), "flags")),
     )
-    for name in MEASURES:
-        if not math.isfinite(sv.measure(name) or 0.0):
-            raise FormatError(f"measure {name} is {sv.measure(name)!r}, not a finite number or null")
-    return sv
 
 
 def read_rows_json(inp: TextIO, parse_row: Callable[[Mapping], object]) -> list:
@@ -277,9 +274,10 @@ def _report_row(row: Mapping) -> tuple[str, SimilarityVector]:
 
 def read_report(inp: TextIO) -> list[tuple[str, SimilarityVector]]:
     """A similarity report in either format analyze writes: CSV when the
-    first line is write_report_csv's header, else JSON.  CSV rows go
-    through the JSON rows' codec, with an empty cc or kld as null and
-    flags split on ';'."""
+    first line is write_report_csv's header, else JSON.  CSV cells are
+    read as numbers, an empty one as null, and flags split on ';', then
+    the rows go through the JSON rows' codec.  A report with no device
+    row is malformed."""
     try:
         text = inp.read()
     except ValueError as exc:  # bytes that do not decode
@@ -287,16 +285,19 @@ def read_report(inp: TextIO) -> list[tuple[str, SimilarityVector]]:
     lines = text.splitlines()
     header = ["device_id", *MEASURES, "flags"]
     if not lines or lines[0] != ",".join(header):
-        return read_rows_json(io.StringIO(text), _report_row)
-    rows = []
-    try:
-        for line in lines[1:]:
-            cells = line.split(",")
-            if len(cells) != len(header):
-                raise FormatError(f"similarity CSV row {line!r} does not have {len(header)} cells")
-            row = dict(zip(header, cells))
-            flags = row["flags"].split(";") if row["flags"] else []
-            rows.append(_report_row({**row, "cc": row["cc"] or None, "kld": row["kld"] or None, "flags": flags}))
-    except ValueError as exc:
-        raise FormatError(f"malformed similarity CSV ({exc})") from exc
+        rows = read_rows_json(io.StringIO(text), _report_row)
+    else:
+        rows = []
+        try:
+            for line in lines[1:]:
+                cells = line.split(",")
+                if len(cells) != len(header):
+                    raise FormatError(f"similarity CSV row {line!r} does not have {len(header)} cells")
+                row = dict(zip(header, cells))
+                measures = {name: float(row[name]) if row[name] else None for name in MEASURES}
+                rows.append(_report_row({**row, **measures, "flags": row["flags"].split(";") if row["flags"] else []}))
+        except ValueError as exc:
+            raise FormatError(f"malformed similarity CSV ({exc})") from exc
+    if not rows:
+        raise FormatError("a similarity report needs at least one device row")
     return rows

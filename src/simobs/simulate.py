@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import ParameterError, read_json
 from .pcap import ETHERTYPE_IPV4, GLOBAL_HEADER_LEN, MAGIC_MICROS, RECORD_HEADER_LEN, DeviceId, LinkType
-from .timeseries import ByteSeries, bin_events, event_array
+# bin_events is not called here; perfbench/layers.py wraps simulate.bin_events.
+from .timeseries import ByteSeries, bin_events, check_window, event_array, step_index
 
 MTU = 1500
 MIN_FRAME = 64  # nonzero step emissions are padded to the physical minimum
@@ -98,8 +99,9 @@ class SimScenario:
         object.__setattr__(self, "seed", _seed(self.seed))
         object.__setattr__(self, "step", float(self.step))
         object.__setattr__(self, "tags", frozenset(self.tags))
-        if self.duration < 2 or self.step <= 0:
-            raise ParameterError(f"need duration >= 2 steps and step > 0, got {self.duration}, {self.step!r}")
+        check_window(0.0, self.step, self.duration)
+        if self.duration < 2:
+            raise ParameterError(f"duration must be >= 2 steps, got {self.duration}")
         if not self.spies and not self.background:
             raise ParameterError("scenario needs at least one device")
         for index, (kind, params) in enumerate(self.background):
@@ -209,20 +211,24 @@ def packetize(step_bytes: Sequence[int], step: float, delay: float = 0.0) -> np.
     Nonzero emissions are padded to the 64-byte minimum frame; packets
     sit at evenly spaced sub-step offsets, shifted by ``delay``.
     """
-    return event_array(*_frames(step_bytes, step, delay))
-
-
-def _frames(step_bytes: Sequence[int], step: float, delay: float) -> tuple[np.ndarray, np.ndarray]:
-    """Timestamps and sizes of the packets ``packetize`` builds."""
     totals = np.asarray(step_bytes, dtype=np.int64)
     steps = np.flatnonzero(totals > 0)
-    totals = np.maximum(totals[steps], MIN_FRAME)
-    n_pkts = -(-totals // MTU)
-    base, extra = np.divmod(totals, n_pkts)
-    n = np.repeat(n_pkts, n_pkts)
-    j = np.arange(n.size) - np.repeat(np.cumsum(n_pkts) - n_pkts, n_pkts)
-    sizes = np.repeat(base, n_pkts) + (j < np.repeat(extra, n_pkts))
-    return _packet_times(np.repeat(steps, n_pkts), j, n, step, delay), sizes
+    which, j, n, sizes = _packets(totals[steps])
+    return event_array(_packet_times(steps[which], j, n, step, delay), sizes)
+
+
+def _packets(totals: np.ndarray, whole=False) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each step total padded to the frame minimum and cut into ``n``
+    MTU-sized packets a byte apart at most, the larger first: per packet,
+    the index of its total, its index ``j`` of the ``n`` and its size.  A
+    total marked ``whole`` is one piece, packet 0 of its ``n``."""
+    sizes = np.maximum(totals, MIN_FRAME)
+    n = -(-sizes // MTU)
+    parts = np.where(whole, 1, n)
+    base, extra = np.divmod(sizes, parts)
+    which = np.repeat(np.arange(sizes.size), parts)
+    j = np.arange(which.size) - (np.cumsum(parts) - parts)[which]
+    return which, j, n[which], base[which] + (j < extra[which])
 
 
 def _packet_times(steps: np.ndarray, j: np.ndarray, n: np.ndarray, step: float, delay: float) -> np.ndarray:
@@ -233,34 +239,24 @@ def _packet_times(steps: np.ndarray, j: np.ndarray, n: np.ndarray, step: float, 
 def step_bins(step_bytes: np.ndarray, step: float, delays: Sequence[float], n_steps: int) -> np.ndarray:
     """The series ``bin_events(packetize(step_bytes[i], step, delays[i]),
     0.0, step, n_steps)`` would give for every row ``i`` of a ``(D, T)``
-    block of per-step totals, bit for bit and without building packets,
-    as a ``(D, n_steps)`` int64 array.
+    block of per-step totals, bit for bit, as a ``(D, n_steps)`` int64
+    array.
 
-    A step whose first and last packet fall in the same bin adds its
-    padded total there, as packet times rise with the packet index; only
-    a step that straddles a bin boundary is split packet by packet.
+    A step whose first and last packet fall in one bin is binned whole, as
+    packet times rise with the packet index; a step that straddles a bin
+    boundary is binned packet by packet, in the same scatter.
     """
-    if n_steps < 1 or not 0 < step < math.inf:
-        raise ParameterError(f"need n_steps >= 1 and a finite step > 0, got {n_steps}, {step}")
+    check_window(0.0, step, n_steps)
     totals = np.asarray(step_bytes, dtype=np.int64)
-    delays = np.asarray(delays, dtype=np.float64)
     rows, steps = np.nonzero(totals > 0)
-    sizes = np.maximum(totals[rows, steps], MIN_FRAME)
-    n_pkts = -(-sizes // MTU)
-
-    def bin_of(j):  # as bin_events bins from start time 0.0
-        return np.floor(_packet_times(steps, j, n_pkts, step, delays[rows]) / step)
-
-    first, last = bin_of(0), bin_of(n_pkts - 1)
-    whole = (first == last) & (first >= 0) & (first < n_steps)
+    delays = np.asarray(delays, dtype=np.float64)[rows]
+    n_pkts = _packets(totals[rows, steps], whole=True)[2]
+    first, last = (step_index(_packet_times(steps, j, n_pkts, step, delays), 0.0, step, n_steps)[0]
+                   for j in (0, n_pkts - 1))
+    which, j, n, sizes = _packets(totals[rows, steps], whole=first == last)
+    index, held = step_index(_packet_times(steps[which], j, n, step, delays[which]), 0.0, step, n_steps)
     values = np.zeros((len(totals), n_steps), dtype=np.int64)
-    np.add.at(values, (rows[whole], first[whole].astype(np.int64)), sizes[whole])
-    straddle = first != last
-    for row in np.unique(rows[straddle]):
-        split = np.zeros(totals.shape[1], dtype=np.int64)
-        at = steps[straddle & (rows == row)]
-        split[at] = totals[row, at]
-        values[row] += bin_events(event_array(*_frames(split, step, delays[row])), 0.0, step, n_steps).values
+    np.add.at(values, (rows[which][held], index[held].astype(np.int64)), sizes[held])
     return values
 
 
@@ -368,7 +364,10 @@ _GENERATORS = {"cbr": _cbr, "vbr_stream": _vbr_stream, "browsing": _browsing, "d
 # ---------------------------------------------------------------------------
 
 def _device_mac(group: int, index: int) -> DeviceId:
-    return DeviceId("mac", f"02:00:00:00:{group:02x}:{index + 1:02x}")
+    """The MAC of a group's device: ``index + 1`` in the last octet, its
+    higher bytes in the fourth and third."""
+    n = index + 1
+    return DeviceId("mac", f"02:00:{n >> 16:02x}:{n >> 8 & 0xFF:02x}:{group:02x}:{n & 0xFF:02x}")
 
 
 def render_scenario(scenario: SimScenario) -> SimDataset:

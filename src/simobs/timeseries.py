@@ -16,6 +16,8 @@ from .errors import AlignmentError, FormatError, ParameterError
 
 DEFAULT_STEP = 1.0
 DEFAULT_WINDOW = 60
+# The longest window: 48 days of 1 s steps, 32 MiB per int64 series.
+MAX_STEPS = 2**22
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -25,6 +27,19 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 # Timestamped byte counts (packets, video samples, ...), one record each.
 EVENT_DTYPE = np.dtype([("timestamp", "f8"), ("byte_count", "i8")])
+
+
+def check_window(start: float, step: float, n_steps: int = 1) -> None:
+    """The one rule for a window of ``n_steps`` steps from ``start``, else ParameterError."""
+    if not (math.isfinite(start) and 0 < step < math.inf and 1 <= n_steps <= MAX_STEPS):
+        raise ParameterError(f"a window needs a finite start, 0 < step < inf and 1 <= n_steps <= {MAX_STEPS}, "
+                             f"got start {start}, step {step}, n_steps {n_steps}")
+
+
+def step_index(times, start: float, step: float, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each time's step, ``floor((t - start) / step)``, and whether the window holds it."""
+    index = np.floor((np.asarray(times) - start) / step)
+    return index, (index >= 0) & (index < n_steps)
 
 
 def event_array(timestamps, byte_counts) -> np.ndarray:
@@ -47,11 +62,10 @@ class ByteSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        if not math.isfinite(self.start_time) or not 0 < self.step < math.inf:
-            raise ParameterError(f"need a finite start_time and step > 0, got {self.start_time}, {self.step}")
         vals = np.asarray(self.values, dtype=np.int64)
-        if vals.ndim != 1 or vals.size < 1:
-            raise ParameterError("values must be a non-empty 1-d sequence")
+        if vals.ndim != 1:
+            raise ParameterError("values must be a 1-d sequence")
+        check_window(self.start_time, self.step, vals.size)
         if (vals < 0).any():
             raise ParameterError("byte counts must be non-negative")
         object.__setattr__(self, "values", _frozen(vals))
@@ -89,15 +103,11 @@ def bin_events(
     ``[start_time, start_time + n_steps*step)`` are dropped; input order
     does not matter.
     """
-    if not math.isfinite(start_time) or not 0 < step < math.inf:
-        raise ParameterError(f"need a finite start_time and step > 0, got {start_time}, {step}")
-    if n_steps < 1:
-        raise ParameterError(f"n_steps must be >= 1, got {n_steps}")
+    check_window(start_time, step, n_steps)
     sizes = events["byte_count"]
     if (sizes < 0).any():
         raise ParameterError(f"byte_count must be >= 0, got {sizes.min()}")
-    idx = np.floor((events["timestamp"] - start_time) / step)
-    keep = (idx >= 0) & (idx < n_steps)
+    idx, keep = step_index(events["timestamp"], start_time, step, n_steps)
     bins = np.zeros(n_steps, dtype=np.int64)
     np.add.at(bins, idx[keep].astype(np.int64), sizes[keep])
     return ByteSeries(start_time, step, bins)
@@ -119,6 +129,13 @@ def min_max_normalize(series: ByteSeries | Sequence[float] | np.ndarray) -> tupl
     flat = hi == lo
     scaled = np.divide(vals - lo, hi - lo, out=np.zeros_like(vals), where=~flat)
     return scaled, flat[:, 0] if vals.ndim == 2 else bool(flat[0])
+
+
+def device_set(series: Sequence[ByteSeries]) -> ByteSeries:
+    """The first of a device set: series sharing start_time, step and length."""
+    if len({(s.start_time, s.step, len(s)) for s in series}) != 1:
+        raise ParameterError("a device set needs one or more series sharing start_time, step and length")
+    return series[0]
 
 
 def align(a: ByteSeries, b: ByteSeries) -> tuple[ByteSeries, ByteSeries]:

@@ -25,7 +25,7 @@ from simobs import cli, simulate
 from simobs.cli import main
 from simobs.pcap import GLOBAL_HEADER_LEN, DeviceId
 from simobs.similarity import MEASURES, read_report
-from simobs.timeseries import event_array
+from simobs.timeseries import MAX_STEPS, event_array
 
 
 def run(args):
@@ -146,6 +146,22 @@ class TestSimulateAnalyzeClassify:
             rows = read_report(fh)  # raises FormatError on a non-finite measure
         values = [sv.measure(m) for _, sv in rows for m in MEASURES]
         assert values and all(math.isfinite(v) for v in values if v is not None)
+
+    def test_capture_of_300_devices_extracts_as_its_devices_csv(self, tmp_path):
+        """Devices past the 255th of a group get valid, distinct MACs, so the
+        capture can be written and read back."""
+        config = {"duration": 5, "seed": 1, "reference": {}, "spies": [{"idle_bytes_per_step": 2000.0}],
+                  "background": [["cbr", {"bytes_per_step": 1000.0 + i}] for i in range(299)]}
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(config))
+        out_dir, capture = tmp_path / "sim", tmp_path / "capture.pcap"
+        assert run(["simulate", "--scenario", str(scenario), "--out-dir", str(out_dir),
+                    "--pcap-out", str(capture), "--link", "radiotap"]) == 0
+        extracted = tmp_path / "extracted.csv"
+        assert run(["extract", "--pcap", str(capture), "--start", "0", "--window", "5", "--out", str(extracted)]) == 0
+        assert extracted.read_text() == (out_dir / "devices.csv").read_text()
+        ids = extracted.read_text().splitlines()[2].split(",")
+        assert len(set(ids)) == 300 and "02:00:00:01:02:00" in ids
 
     def test_simulate_deterministic(self, tmp_path):
         dir_a = tmp_path / "a"
@@ -1127,6 +1143,18 @@ class TestNonFiniteNumbers:
         out = tmp_path / "out.json"
         self._one_line_error(run(argv + ["--out", str(out)]), 2, out, capsys)
 
+    @pytest.mark.parametrize("command", ["classify", "agreement"])
+    @pytest.mark.parametrize("thresholds", ["kld=1,kld=0.001", "kld=0.001,kld=1"])
+    def test_threshold_named_twice(self, command, thresholds, scene, synthetic_samples, tmp_path, capsys):
+        """Neither entry wins: the order of the two would decide the verdicts."""
+        if command == "classify":
+            argv = ["classify", "--report", str(scene / "report.json")]
+        else:
+            argv = ["agreement", "--samples", str(synthetic_samples)]
+        out = tmp_path / "out.json"
+        code = run(argv + ["--measures", "kld", "--thresholds", thresholds, "--out", str(out)])
+        assert "--thresholds names a measure twice" in self._one_line_error(code, 2, out, capsys)
+
     @pytest.mark.parametrize("alpha", ["-1", "nan", "inf"])
     def test_train_alpha(self, alpha, synthetic_samples, tmp_path, capsys):
         out = tmp_path / "model.json"
@@ -1232,6 +1260,96 @@ class TestNonFiniteNumbers:
         code = run(["analyze", "--reference", str(scene / "reference.csv"), "--devices", str(devices),
                     "--out", str(out)])
         self._one_line_error(code, 1, out, capsys)
+
+
+class TestWindowBound:
+    """A window longer than MAX_STEPS steps ends in one stderr line and
+    exit 2, whichever command asks for it."""
+
+    @staticmethod
+    def _one_line_error(code, out, capsys) -> str:
+        return TestNonFiniteNumbers._one_line_error(code, 2, out, capsys)
+
+    def test_extract_pcap_window(self, pcap_file, tmp_path, capsys):
+        out = tmp_path / "devices.csv"
+        code = run(["extract", "--pcap", str(pcap_file), "--window", str(10**20), "--out", str(out)])
+        assert f"n_steps <= {MAX_STEPS}" in self._one_line_error(code, out, capsys)
+
+    def test_extract_video_step(self, video_file, tmp_path, capsys):
+        out = tmp_path / "series.csv"
+        code = run(["extract", "--video", str(video_file), "--step", "1e-300", "--out", str(out)])
+        err = self._one_line_error(code, out, capsys)
+        assert "too small for a video of 1.5 s" in err and len(err) < 200
+
+    @pytest.mark.parametrize("command", ["simulate", "converge"])
+    def test_scenario_duration(self, command, tmp_path, capsys):
+        config = simulate.scenario_to_dict(simulate.easy_scenario(seed=1, duration=10))
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({**config, "duration": 1e20}))
+        out = tmp_path / "out"
+        flags = ["--out-dir", str(out)] if command == "simulate" else ["--out", str(out)]
+        code = run([command, "--scenario", str(scenario), *flags])
+        assert f"n_steps <= {MAX_STEPS}" in self._one_line_error(code, out, capsys)
+
+
+class TestJsonNumbers:
+    """A measure, weight, bias or standardization entry must be a JSON
+    number: text and true/false are not read as numbers."""
+
+    ROW = {"device_id": "x", "cc": 0.5, "dtw": 1.0, "kld": 0.01, "jsd": 0.001, "flags": []}
+
+    @staticmethod
+    def _one_line_error(code, out, capsys) -> str:
+        return TestNonFiniteNumbers._one_line_error(code, 1, out, capsys)
+
+    @pytest.mark.parametrize("measure, value", [("kld", "0.001"), ("kld", True), ("cc", "0.5"), ("dtw", False),
+                                                ("jsd", "0"), ("dtw", None), ("cc", [0.5])])
+    def test_report_measure(self, measure, value, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps([{**self.ROW, measure: value}]))
+        out = tmp_path / "verdicts.csv"
+        code = run(["classify", "--report", str(report), "--measures", "kld", "--out", str(out)])
+        assert f"measure {measure} is {value!r}, not a finite number" in self._one_line_error(code, out, capsys)
+
+    @pytest.mark.parametrize("argv", [["train"], ["agreement"]])
+    @pytest.mark.parametrize("measure, value", [("kld", "0.001"), ("cc", True)])
+    def test_sample_measure(self, argv, measure, value, tmp_path, capsys):
+        rows = _synthetic_rows()
+        rows[5][measure] = value
+        samples = tmp_path / "samples.json"
+        samples.write_text(json.dumps(rows))
+        out = tmp_path / "out"
+        code = run(argv + ["--samples", str(samples), "--out", str(out)])
+        assert f"measure {measure} is" in self._one_line_error(code, out, capsys)
+
+    @pytest.mark.parametrize("garble", ["text weight", "true bias", "text std", "nested weights"])
+    def test_model_array(self, garble, synthetic_samples, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        assert run(["train", "--samples", str(synthetic_samples), "--layers", "3", "--max-iter", "5",
+                    "--out", str(model)]) == 0
+        payload = json.loads(model.read_text())
+        if garble == "text weight":
+            payload["weights"][0][0] = "0.5"
+        elif garble == "true bias":
+            payload["biases"][0][0] = True
+        elif garble == "text std":
+            payload["standardization"]["std"][0] = str(payload["standardization"]["std"][0])
+        else:
+            payload["weights"][0] = [payload["weights"][0]]
+        model.write_text(json.dumps(payload))
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps([self.ROW]))
+        out = tmp_path / "verdicts.csv"
+        code = run(["classify", "--report", str(report), "--model", str(model), "--out", str(out)])
+        assert "not a finite number" in self._one_line_error(code, out, capsys)
+
+    @pytest.mark.parametrize("text", ["device_id,cc,dtw,kld,jsd,flags\n", "[]"], ids=["csv", "json"])
+    def test_report_with_no_device(self, text, tmp_path, capsys):
+        report = tmp_path / "report"
+        report.write_text(text)
+        out = tmp_path / "verdicts.csv"
+        code = run(["classify", "--report", str(report), "--out", str(out)])
+        assert "at least one device row" in self._one_line_error(code, out, capsys)
 
 
 class TestCliFuzz:

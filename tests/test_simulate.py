@@ -25,6 +25,7 @@ from simobs.simulate import (
     SimScenario,
     _background_bytes,
     _camera_bytes,
+    _device_mac,
     derive_seed,
     easy_scenario,
     gen_activity,
@@ -37,7 +38,7 @@ from simobs.simulate import (
     step_bins,
     write_pcap,
 )
-from simobs.timeseries import ByteSeries, bin_events, event_array, min_max_normalize
+from simobs.timeseries import MAX_STEPS, ByteSeries, bin_events, event_array, min_max_normalize
 
 
 class TestGenActivity:
@@ -164,6 +165,23 @@ class TestStepSeries:
         for step, n_steps in [(1.0, 0), (0.0, 5), (math.inf, 5), (math.nan, 5)]:
             with pytest.raises(ParameterError):
                 step_bins(np.array([[100]]), step, [0.0], n_steps)
+
+    def test_rejects_a_window_past_the_bound(self):
+        with pytest.raises(ParameterError, match="n_steps <= "):
+            step_bins(np.array([[100]]), 1.0, [0.0], MAX_STEPS + 1)
+
+    def test_straddling_steps_build_no_events(self, monkeypatch):
+        """Whole and straddling steps are binned in one scatter: no row
+        builds an event array or calls bin_events."""
+        block = np.array([[3000, 0, 1500 * 40 + 1, 64], [1, 2 * MTU + 1, 0, 5000]])
+        delays = [0.3, 0.7]
+        expected = render_oracle.render_bins(block, 1.0, delays, 5)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("step_bins built events")
+        monkeypatch.setattr("simobs.simulate.event_array", refuse)
+        monkeypatch.setattr("simobs.simulate.bin_events", refuse)
+        assert np.array_equal(step_bins(block, 1.0, delays, 5), expected)
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_presets_bin_their_frames(self, preset):
@@ -378,6 +396,15 @@ class TestRenderScenario:
             assert np.array_equal(by_id[str(tr.device_id)].step_bytes, tr.step_bytes)
             assert by_id[str(tr.device_id)].delay == tr.delay
 
+    def test_device_macs_past_255_are_valid_and_distinct(self):
+        """Ids below 255 keep their names; larger indexes carry into the fourth octet."""
+        assert _device_mac(2, 0).value == "02:00:00:00:02:01"
+        assert _device_mac(2, 254).value == "02:00:00:00:02:ff"
+        macs = [_device_mac(group, i).value for group in (1, 2) for i in range(70_000)]
+        assert len(set(macs)) == len(macs)
+        assert all(bytes.fromhex(mac.replace(":", "")).hex(":") == mac for mac in macs)
+        assert _device_mac(2, 255).value == "02:00:00:01:02:00"
+
     def test_manifest_covers_every_device(self):
         dataset = render_scenario(easy_scenario(seed=2))
         listed = {d["device_id"] for d in dataset.manifest["devices"]}
@@ -577,6 +604,8 @@ UNBUILDABLE = {
     "step-0": ("step", 0),
     "step-negative": ("step", -1),
     "duration-10.5": ("duration", 10.5),
+    "duration-1e20": ("duration", 1e20),  # numpy's ValueError in render
+    "duration-past-the-bound": ("duration", MAX_STEPS + 1),
     "seed-1.5": ("seed", 1.5),  # a manifest holding it could not be loaded back
     "tags-text": ("tags", "regime=near"),  # was stored as its characters
 }

@@ -7,12 +7,16 @@ from hypothesis import strategies as st
 
 from simobs.errors import AlignmentError, FormatError, ParameterError
 from simobs.timeseries import (
+    MAX_STEPS,
     ByteSeries,
     align,
     bin_events,
+    check_window,
+    device_set,
     event_array,
     min_max_normalize,
     read_series_csv,
+    step_index,
     write_series_csv,
 )
 
@@ -67,6 +71,42 @@ class TestBinEvents:
         series = bin_events(events, 0.0, 1.0, 60)
         in_window = sum(b for t, b in raw if 0 <= np.floor(t) < 60)
         assert int(series.values.sum()) == in_window
+
+
+class TestWindowRule:
+    """One rule says what a window is and which step a time falls in."""
+
+    @pytest.mark.parametrize("start,step,n_steps", [
+        (0.0, 0.0, 3), (0.0, -1.0, 3), (0.0, np.inf, 3), (0.0, np.nan, 3), (np.nan, 1.0, 3), (-np.inf, 1.0, 3),
+        (0.0, 1.0, 0), (0.0, 1.0, MAX_STEPS + 1), (0.0, 1.0, 10**20),
+    ])
+    def test_every_window_check_refuses_a_bad_window_with_one_message(self, start, step, n_steps):
+        checks = [
+            lambda: check_window(start, step, n_steps),
+            lambda: bin_events(event_array([], []), start, step, n_steps),
+        ]
+        if n_steps <= MAX_STEPS + 1:  # a series holds its values
+            checks.append(lambda: ByteSeries(start, step, np.zeros(n_steps, dtype=np.int64)))
+        for check in checks:
+            with pytest.raises(ParameterError, match="window needs a finite start, 0 < step < inf and 1 <= n_steps"):
+                check()
+
+    def test_longest_window_is_accepted(self):
+        check_window(-5.0, 1e-9, MAX_STEPS)
+        assert len(bin_events(event_array([0.5], [7]), 0.0, 1.0, MAX_STEPS)) == MAX_STEPS
+
+    def test_step_index_is_floor_inside_the_window(self):
+        index, held = step_index([-0.5, 0.0, 0.99, 1.0, 2.9, 3.0, np.nan], 0.0, 1.0, 3)
+        assert index[:6].tolist() == [-1.0, 0.0, 0.0, 1.0, 2.0, 3.0]
+        assert held.tolist() == [False, True, True, True, True, False, False]
+
+    def test_device_set_is_series_sharing_a_window(self):
+        a, b = make_series([1, 2]), make_series([3, 4])
+        assert device_set([a, b]) is a
+        for bad in ([], [a, make_series([1, 2], start=1.0)], [a, make_series([1, 2, 3])],
+                    [a, make_series([1, 2], step=2.0)]):
+            with pytest.raises(ParameterError, match="sharing start_time, step and length"):
+                device_set(bad)
 
 
 class TestNormalize:
