@@ -218,32 +218,35 @@ def feature_matrix(columns: Columns, subset: Sequence[str]) -> np.ndarray:
     return x
 
 
-def _act(z: np.ndarray, kind: str) -> np.ndarray:
-    """The activation of ``z``, written over ``z``."""
+def _act_grad(a: np.ndarray, kind: str, scratch: np.ndarray) -> np.ndarray:
+    """The activation's derivative from its output ``a``, written over
+    ``a``; the logistic's ``1 - a`` goes to ``scratch``, of ``a``'s shape."""
     if kind == "logistic":
-        np.exp(np.negative(z, out=z), out=z)
-        return np.divide(1.0, np.add(z, 1.0, out=z), out=z)
-    if kind == "tanh":
-        return np.tanh(z, out=z)
-    return np.maximum(z, 0.0, out=z)
-
-
-def _act_grad(a: np.ndarray, kind: str) -> np.ndarray:
-    """The activation's derivative from its output ``a``, written over ``a``."""
-    if kind == "logistic":
-        return np.multiply(a, 1.0 - a, out=a)
+        return np.multiply(a, np.subtract(1.0, a, out=scratch), out=a)
     if kind == "tanh":
         return np.subtract(1.0, np.multiply(a, a, out=a), out=a)
     return np.greater(a, 0, out=a)
 
 
-def _forward(model_weights, model_biases, activation: str, x: np.ndarray) -> list[np.ndarray]:
-    acts = [x]
+def _forward(model_weights, model_biases, activation: str, x: np.ndarray, out=None) -> list[np.ndarray]:
+    """``x`` and every layer's output; layer i is written into ``out[i]``
+    (fresh arrays when ``out`` is None)."""
+    if out is None:
+        out = [np.empty((*x.shape[:-1], w.shape[-1])) for w in model_weights]
+    acts = [x, *out]
     last = len(model_weights) - 1
     for i, (w, b) in enumerate(zip(model_weights, model_biases)):
-        z = acts[-1] @ w
-        z += b
-        acts.append(_act(z, "logistic" if i == last else activation))
+        a, z = acts[i], acts[i + 1]
+        np.matmul(a, w, out=z)
+        if i == last or activation == "logistic":
+            # 1 / (1 + exp(-(z + b))), with -(z + b) taken as (-b) - z: the
+            # same but for the sign of a zero, and exp(+-0) is 1.
+            np.exp(np.subtract(-b, z, out=z), out=z)
+            np.divide(1.0, np.add(z, 1.0, out=z), out=z)
+        elif activation == "tanh":
+            np.tanh(np.add(z, b, out=z), out=z)
+        else:
+            np.maximum(np.add(z, b, out=z), 0.0, out=z)
     return acts
 
 
@@ -260,13 +263,32 @@ def _training_set(x_raw: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np
     return (x_raw - mean) / std, mean, std
 
 
+def _layer_views(params: np.ndarray, sizes: Sequence[int]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The (k, fan_in, fan_out) weight and (k, 1, fan_out) bias views of a
+    (k, P) array that holds each model's layers, weights then biases, in
+    one row."""
+    k, at = len(params), 0
+    weights, biases = [], []
+    for fan_in, fan_out in zip(sizes, sizes[1:]):
+        weights.append(params[:, at : at + fan_in * fan_out].reshape(k, fan_in, fan_out))
+        at += fan_in * fan_out
+        biases.append(params[:, at : at + fan_out].reshape(k, 1, fan_out))
+        at += fan_out
+    return weights, biases
+
+
 def _fit_stack(x, y, seeds, alphas, layers, activation: str, max_iter: int):
     """Fit k networks of one shape at once by full-batch Adam on logistic loss.
 
     ``x`` is (k, n, f) and ``y`` (k, n, 1); model j starts from ``seeds[j]``,
     has penalty ``alphas[j]`` and stops on its own as a lone fit would.
     The matmuls and reductions run slice by slice, so each model is
-    bit-identical to a fit of its own.
+    bit-identical to a fit of its own.  Model j's weights and biases are
+    row j of one (k, P) array, as are its gradients and Adam moments, so
+    one Adam step updates the whole stack.  Every (k, n, width) array, one
+    output per layer and two deltas, is allocated once per call and
+    written in place at every iteration.  Returns the per-layer weight and
+    bias views and each model's last loss.
     """
     if activation not in ACTIVATIONS:
         raise ParameterError(f"activation must be one of {ACTIVATIONS}, got {activation!r}")
@@ -278,23 +300,32 @@ def _fit_stack(x, y, seeds, alphas, layers, activation: str, max_iter: int):
         raise ParameterError(f"alpha must be >= 0, got {bad[0]!r}")
     k, n, n_features = x.shape
     sizes = (n_features, *layers, 1)
+    params = np.zeros((k, sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))))
+    weights, biases = _layer_views(params, sizes)  # biases start at 0
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes, sizes[1:]):
+    for w, fan_in, fan_out in zip(weights, sizes, sizes[1:]):
         limit = math.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(np.stack([rng.uniform(-limit, limit, size=(fan_in, fan_out)) for rng in rngs]))
-        biases.append(np.zeros((k, 1, fan_out)))
-    alpha = np.asarray(alphas, dtype=np.float64).reshape(k, 1, 1)
+        for j, rng in enumerate(rngs):
+            w[j] = rng.uniform(-limit, limit, size=(fan_in, fan_out))
+    alpha = np.asarray(alphas, dtype=np.float64).reshape(k, 1)
 
-    m_w, v_w, m_b, v_b = ([np.zeros_like(a) for a in group] for group in (weights, weights, biases, biases))
+    grads, penalty, m, v, step, denom = (np.zeros_like(params) for _ in range(6))
+    grad_w, grad_b = _layer_views(grads, sizes)
+    penalty_w = _layer_views(penalty, sizes)[0]
+    outputs = [np.empty((k, n, width)) for width in sizes[1:]]
+    deltas = [np.empty(k * n * max(sizes[1:])) for _ in range(2)]  # a layer's delta and the one below
+
+    def delta_rows(c: int, width: int) -> np.ndarray:
+        return deltas[c][: k * n * width].reshape(k, n, width)
+
     lr, beta1, beta2, eps = 0.02, 0.9, 0.999, 1e-8
-    active = np.ones((k, 1, 1))  # 0 once stopped: parameters, and so the loss, stay put
+    active = np.ones((k, 1))  # 0 once stopped: parameters, and so the loss, stay put
     prev_loss = np.full(k, math.inf)
     for it in range(1, max_iter + 1):
-        acts = _forward(weights, biases, activation, x)
+        acts = _forward(weights, biases, activation, x, outputs)
         p = np.clip(acts[-1], 1e-12, 1 - 1e-12)
         loss = -np.mean(y * np.log(p) + (1 - y) * np.log(1 - p), axis=(1, 2))
-        loss += 0.5 * alpha[:, 0, 0] * sum((w * w).reshape(k, -1).sum(axis=1) for w in weights) / n
+        loss += 0.5 * alpha[:, 0] * sum((w * w).reshape(k, -1).sum(axis=1) for w in weights) / n
         if not np.isfinite(loss).all():
             raise TrainingDivergedError(f"loss became non-finite at iteration {it}")
         active[np.abs(prev_loss - loss) < 1e-6] = 0.0
@@ -302,19 +333,44 @@ def _fit_stack(x, y, seeds, alphas, layers, activation: str, max_iter: int):
         if not active.any():
             break
 
-        delta = (acts.pop() - y) / n  # logistic output + BCE
+        c = 0
+        delta = np.subtract(acts[-1], y, out=delta_rows(c, 1))  # logistic output + BCE
+        delta /= n
+        np.divide(np.multiply(params, alpha, out=penalty), n, out=penalty)  # alpha * w / n; bias cells unused
         for i in range(len(weights) - 1, -1, -1):
-            a = acts.pop()  # freed once this layer is done
-            gw = np.matmul(a.swapaxes(1, 2), delta) + alpha * weights[i] / n
-            gb = delta.sum(axis=1, keepdims=True)
+            a = acts[i]
+            np.add(np.matmul(a.swapaxes(1, 2), delta, out=grad_w[i]), penalty_w[i], out=grad_w[i])
+            # The bias gradient sums delta's rows.  A lone fit's np.sum adds
+            # a single column pairwise and wider rows one after another;
+            # einsum adds wider rows in that same order at about a quarter
+            # of np.sum's cost.
+            if delta.shape[-1] == 1:
+                np.sum(delta, axis=1, keepdims=True, out=grad_b[i])
+            else:
+                np.einsum("knu->ku", delta, out=grad_b[i][:, 0])
             if i > 0:
-                delta = np.matmul(delta, weights[i].swapaxes(1, 2))
-                delta *= _act_grad(a, activation)
-            corr1, corr2 = 1 - beta1**it, 1 - beta2**it
-            for param, m, v, g in ((weights[i], m_w[i], v_w[i], gw), (biases[i], m_b[i], v_b[i], gb)):
-                m[:] = beta1 * m + (1 - beta1) * g
-                v[:] = beta2 * v + (1 - beta2) * g * g
-                param -= active * (lr * (m / corr1) / (np.sqrt(v / corr2) + eps))
+                below = delta_rows(1 - c, sizes[i])
+                if delta.shape[-1] == 1:  # one product per cell: the matmul, exactly
+                    np.multiply(delta, weights[i].swapaxes(1, 2), out=below)
+                else:
+                    np.matmul(delta, weights[i].swapaxes(1, 2), out=below)
+                # This layer's delta is spent: its buffer takes the logistic's 1 - a.
+                below *= _act_grad(a, activation, delta_rows(c, sizes[i]))
+                c, delta = 1 - c, below
+        # Adam, element by element as in a lone fit:
+        # m = beta1 * m + (1 - beta1) * g; v = beta2 * v + (1 - beta2) * g * g;
+        # param -= active * (lr * (m / corr1) / (sqrt(v / corr2) + eps)).
+        corr1, corr2 = 1 - beta1**it, 1 - beta2**it
+        m *= beta1
+        m += np.multiply(grads, 1 - beta1, out=step)
+        v *= beta2
+        v += np.multiply(np.multiply(grads, 1 - beta2, out=step), grads, out=step)
+        np.sqrt(np.divide(v, corr2, out=denom), out=denom)
+        denom += eps
+        np.multiply(np.divide(m, corr1, out=step), lr, out=step)
+        step /= denom
+        step *= active
+        params -= step
     return weights, biases, prev_loss
 
 
@@ -414,8 +470,9 @@ def save_model(model: MlpModel, out: TextIO) -> None:
             "mean": model.feature_mean.tolist(),
             "std": model.feature_std.tolist(),
         },
-        "training_loss": model.training_loss,
     }
+    if math.isfinite(model.training_loss):  # a model without one reads back as NaN
+        payload["training_loss"] = model.training_loss
     out.write(json_text(payload))
 
 
@@ -439,6 +496,7 @@ def _model_from_payload(payload: dict) -> MlpModel:
         for flat, fan_in, fan_out in zip(payload["weights"], sizes, sizes[1:])
     )
     biases = tuple(numbers(b, "a bias") for b in payload["biases"])
+    loss = json_number(payload["training_loss"], "training_loss") if "training_loss" in payload else math.nan
     model = MlpModel(
         layer_sizes=sizes,
         activation=payload["activation"],
@@ -447,7 +505,7 @@ def _model_from_payload(payload: dict) -> MlpModel:
         feature_subset=tuple(payload["feature_subset"]),
         feature_mean=numbers(payload["standardization"]["mean"], "a standardization mean"),
         feature_std=numbers(payload["standardization"]["std"], "a standardization std"),
-        training_loss=payload.get("training_loss", math.nan),
+        training_loss=loss,
     )
     if model.activation not in ACTIVATIONS:
         raise FormatError(f"model activation {model.activation!r} is not one of {ACTIVATIONS}")
@@ -475,8 +533,11 @@ CV_MAX_ITER = 300
 
 # Most models x training rows x widest layer that one stacked fit of
 # grid_search holds (floats per layer array, 8 MiB); a larger stack trains
-# in chunks of whole models.  Every stack of the full grid at 10 folds on
-# 400 samples (160 models x 360 rows x 17 units) fits in one chunk.  A
+# in chunks of whole models.  A chunk's fit allocates its layer arrays
+# once, one output per layer and two deltas, so it holds about
+# (hidden layers + 2) such arrays whatever its iteration count.  Every
+# stack of the full grid at 10 folds on 400 samples (160 models x 360
+# rows x 17 units) fits in one chunk.  A
 # stack is also split into one chunk per worker, and the workers (one per
 # CPU in the process's affinity mask) fit chunks at the same time, so
 # peak memory is up to workers x one chunk.  Chunks are independent fits,

@@ -429,14 +429,17 @@ SNAPLEN = 65535
 
 def _frame_heads(device_ids: Sequence[DeviceId], link_type: LinkType) -> np.ndarray:
     """One uint8 row per device: its fixed frame head.  Ethernet is the
-    Ethernet header plus an IPv4 header from 10.0.0.min(i + 1, 253) with
-    total length 0; radiotap is the radiotap plus to-DS 802.11 header."""
+    Ethernet header plus an IPv4 header with total length 0 from a source
+    of its own: 10.0.0.(i + 1) for the first 253 devices, then on from
+    10.0.1.0, past the gateway's 10.0.0.254 and 10.0.0.255.  Radiotap is
+    the radiotap plus to-DS 802.11 header."""
     rows = []
     for i, device_id in enumerate(device_ids):
         src = bytes.fromhex(device_id.value.replace(":", ""))
         if link_type is LinkType.ETHERNET:
+            n = i + 1 if i < 253 else i + 3
             ip = bytes([0x45, 0, 0, 0, 0, 0, 0, 0, 64, 17, 0, 0,  # UDP, TTL 64, lengths and checksum 0
-                        10, 0, 0, min(i + 1, 253), 10, 0, 0, 254])
+                        10, n >> 16, n >> 8 & 0xFF, n & 0xFF, 10, 0, 0, 254])
             rows.append(_GATEWAY_MAC + src + ETHERTYPE_IPV4.to_bytes(2, "big") + ip)
         else:
             rows.append(_RADIOTAP_HEADER + b"\x08\x01\0\0" + _GATEWAY_MAC + src + _GATEWAY_MAC + b"\0\0")

@@ -276,8 +276,10 @@ def write_pcap(frames, link: str = "ethernet") -> bytes:
     for ts, device_id, dev, size in records:
         src = bytes.fromhex(device_id.replace(":", ""))
         if link_type is LinkType.ETHERNET:
+            # 10.0.0.1 to 10.0.0.253, then on from 10.0.1.0: never the gateway's 10.0.0.254
+            host = dev + 1 if dev < 253 else dev + 3
             ip = struct.pack(">BBHHHBBH4s4s", 0x45, 0, size - 14, 0, 0, 64, 17, 0,
-                             bytes([10, 0, 0, min(dev + 1, 253)]), bytes([10, 0, 0, 254]))
+                             (10 << 24 | host).to_bytes(4, "big"), bytes([10, 0, 0, 254]))
             frame = gateway + src + struct.pack(">H", ETHERTYPE_IPV4) + ip + bytes(size - 34)
         else:
             dot11 = bytes([0x08, 0x01, 0, 0]) + gateway + src + gateway + bytes(2)

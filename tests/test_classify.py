@@ -411,6 +411,37 @@ class TestStackedAgainstOracle:
                           alpha=alpha, feature_subset=self.SUBSET)
             _assert_same_fit(mlp_train(samples, **kwargs), mlp_oracle.mlp_train(samples, **kwargs))
 
+    @pytest.mark.parametrize("max_iter", [1, 150])
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    @pytest.mark.parametrize("layers", [(1,), (3, 1), (1, 3), (1, 1, 1)])
+    def test_width_one_layers_equal_oracle(self, activation, layers, max_iter):
+        # A layer of width 1 makes the matmul into and out of it an outer
+        # product, and sums its bias gradient over a single column.
+        samples = _overlapping(20, 25, seed=3)
+        x, y = _scaled(samples, self.SUBSET)
+        seeds = (0, 1, 2)
+        references = []
+        for alpha, seed in zip(self.ALPHAS, seeds):
+            kwargs = dict(layers=layers, activation=activation, seed=seed, max_iter=max_iter,
+                          alpha=alpha, feature_subset=self.SUBSET)
+            references.append(mlp_oracle.mlp_train(samples, **kwargs))
+            _assert_same_fit(mlp_train(samples, **kwargs), references[-1])
+        weights, biases, losses = classify._fit_stack(
+            np.stack([x] * 3), np.stack([y] * 3), seeds, self.ALPHAS, layers, activation, max_iter
+        )
+        for j, reference in enumerate(references):
+            _assert_slice_is_fit(weights, biases, losses, j, reference)
+
+    def test_fits_share_no_memory(self):
+        samples = _overlapping(20, 25, seed=3)
+        first = mlp_train(samples, layers=(4, 3), seed=0, max_iter=50, feature_subset=self.SUBSET)
+        kept = [a.copy() for a in (*first.weights, *first.biases)]
+        second = mlp_train(samples, layers=(4, 3), seed=1, max_iter=50, feature_subset=self.SUBSET)
+        for a, b in zip((*first.weights, *first.biases), kept):
+            assert np.array_equal(a, b)
+        for a, b in itertools.product((*first.weights, *first.biases), (*second.weights, *second.biases)):
+            assert not np.shares_memory(a, b)
+
     @pytest.mark.parametrize("activation", ACTIVATIONS)
     @pytest.mark.parametrize("layers", [(3,), (4, 3), (3, 3, 2)])
     def test_stack_of_folds_and_alphas_equals_lone_fits(self, activation, layers):

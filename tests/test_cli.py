@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import os
@@ -21,7 +22,7 @@ from conftest import (
     trak_box,
 )
 import simobs
-from simobs import cli, simulate
+from simobs import classify, cli, simulate
 from simobs.cli import main
 from simobs.pcap import GLOBAL_HEADER_LEN, DeviceId
 from simobs.similarity import MEASURES, read_report
@@ -162,6 +163,27 @@ class TestSimulateAnalyzeClassify:
         assert extracted.read_text() == (out_dir / "devices.csv").read_text()
         ids = extracted.read_text().splitlines()[2].split(",")
         assert len(set(ids)) == 300 and "02:00:00:01:02:00" in ids
+
+    def test_ethernet_capture_of_300_devices_extracts_by_ip_as_its_devices_csv(self, tmp_path):
+        """Devices past the 253rd get IPv4 sources of their own, none of them the gateway's."""
+        config = {"duration": 5, "seed": 1, "reference": {}, "spies": [{"idle_bytes_per_step": 2000.0}],
+                  "background": [["cbr", {"bytes_per_step": 1000.0 + i}] for i in range(299)]}
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(config))
+        out_dir, capture = tmp_path / "sim", tmp_path / "capture.pcap"
+        assert run(["simulate", "--scenario", str(scenario), "--out-dir", str(out_dir),
+                    "--pcap-out", str(capture), "--link", "ethernet"]) == 0
+        extracted = tmp_path / "extracted.csv"
+        assert run(["extract", "--pcap", str(capture), "--start", "0", "--window", "5", "--group-by", "ip",
+                    "--out", str(extracted)]) == 0
+        by_ip = extracted.read_text().splitlines()
+        by_mac = (out_dir / "devices.csv").read_text().splitlines()
+        ips = by_ip[2].split(",")
+        assert len(ips) == len(set(ips)) == len(by_mac[2].split(",")) == 300
+        assert {"10.0.0.1", "10.0.0.253", "10.0.1.0"} <= set(ips) and "10.0.0.254" not in ips
+        # The same series, one per device: each background sends its own rate.
+        assert by_ip[:2] == by_mac[:2]
+        assert sorted(zip(*(ln.split(",") for ln in by_ip[3:]))) == sorted(zip(*(ln.split(",") for ln in by_mac[3:])))
 
     def test_simulate_deterministic(self, tmp_path):
         dir_a = tmp_path / "a"
@@ -1342,6 +1364,39 @@ class TestJsonNumbers:
         out = tmp_path / "verdicts.csv"
         code = run(["classify", "--report", str(report), "--model", str(model), "--out", str(out)])
         assert "not a finite number" in self._one_line_error(code, out, capsys)
+
+    @pytest.mark.parametrize("loss", ["abc", True, "1.0"])
+    def test_model_training_loss(self, loss, synthetic_samples, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        assert run(["train", "--samples", str(synthetic_samples), "--layers", "3", "--max-iter", "5",
+                    "--out", str(model)]) == 0
+        model.write_text(json.dumps({**json.loads(model.read_text()), "training_loss": loss}))
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps([self.ROW]))
+        out = tmp_path / "verdicts.csv"
+        code = run(["classify", "--report", str(report), "--model", str(model), "--out", str(out)])
+        assert f"training_loss is {loss!r}, not a finite number" in self._one_line_error(code, out, capsys)
+
+    def test_model_training_loss_read_back(self, synthetic_samples, tmp_path):
+        model = tmp_path / "model.json"
+        assert run(["train", "--samples", str(synthetic_samples), "--layers", "3", "--max-iter", "5",
+                    "--out", str(model)]) == 0
+        text = model.read_text()
+        with open(model) as fh:
+            loaded = classify.load_model(fh)
+        assert math.isfinite(loaded.training_loss)
+        resaved = io.StringIO()
+        classify.save_model(loaded, resaved)
+        assert resaved.getvalue() == text
+        # A model without a loss reads it as NaN, and is saved without one again.
+        payload = json.loads(text)
+        del payload["training_loss"]
+        lossless = classify.load_model(io.StringIO(json.dumps(payload)))
+        assert math.isnan(lossless.training_loss)
+        resaved = io.StringIO()
+        classify.save_model(lossless, resaved)
+        assert "training_loss" not in json.loads(resaved.getvalue())
+        assert math.isnan(classify.load_model(io.StringIO(resaved.getvalue())).training_loss)
 
     @pytest.mark.parametrize("text", ["device_id,cc,dtw,kld,jsd,flags\n", "[]"], ids=["csv", "json"])
     def test_report_with_no_device(self, text, tmp_path, capsys):
