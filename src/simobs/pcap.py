@@ -3,10 +3,12 @@
 Offline .pcap files only (both magics, both byte orders, link types 1
 and 127).  Frames are read in batches of columns over the capture's
 bytes: a mapped file, a bytes object, or the joined reads of a stream.
-Each frame is attributed to its transmitting device (source
-MAC for Ethernet, Address 2 of 802.11 data frames behind radiotap) by
-gathering the bytes its rules read, and the frames of each device are
-binned into a ByteSeries.
+The walk reads record lengths through native views when the capture's
+byte order is the host's.  Each frame is attributed to its transmitting
+device (source MAC for Ethernet, Address 2 of 802.11 data frames behind
+radiotap) by gathering the bytes its rules read, and each batch is
+binned as it arrives into one row of steps per device, so extraction
+holds devices x steps plus one batch, not anything per frame.
 """
 from __future__ import annotations
 
@@ -29,7 +31,8 @@ from .errors import (
     TruncationError,
     UnsupportedLinkTypeError,
 )
-from .timeseries import ByteSeries, bin_events, check_window, device_set, event_array, step_index
+# bin_events is not called here; perfbench/layers.py wraps pcap.bin_events.
+from .timeseries import ByteSeries, add_to_steps, bin_events, check_window, device_set, step_index
 
 MAGIC_MICROS = 0xA1B2C3D4
 MAGIC_NANOS = 0xA1B23C4D
@@ -238,12 +241,7 @@ def _batch(data, pos: int, limit: int, base: int, fmt: _Format) -> tuple[FrameBa
     first bad header in file order raises, as in a per-record check; a
     bad length only sends the walk on to ``limit``.
     """
-    fields = []  # the incl_len field of each record whose header is whole
-    append, incl_len = fields.append, fmt.incl_len
-    at, last = pos + 8, limit - 8
-    while at <= last:
-        append(at)
-        at += RECORD_HEADER_LEN + incl_len(data, at)[0]
+    fields, at = _incl_len_fields(data, pos + 8, limit - 8, fmt)
     if not fields:
         return None, pos
     begin = np.fromiter(fields, np.int64, len(fields)) - 8
@@ -268,6 +266,37 @@ def _batch(data, pos: int, limit: int, base: int, fmt: _Format) -> tuple[FrameBa
         data,
     )
     return batch, pos
+
+
+def _incl_len_fields(data, at: int, last: int, fmt: _Format) -> tuple[list[int], int]:
+    """The position of the incl_len field of each record whose header is
+    whole, from the field at ``at`` to the last that starts by ``last``,
+    and the position the walk stopped at.
+
+    In the host's byte order the fields are read through four views of
+    ``data`` as native u4, one per offset mod 4 (``unpack_from`` takes
+    and releases a buffer export of ``data`` on every call); the views
+    are released before this returns.
+    """
+    fields = []
+    append = fields.append
+    if not fmt.header_fields.isnative:
+        incl_len = fmt.incl_len
+        while at <= last:
+            append(at)
+            at += RECORD_HEADER_LEN + incl_len(data, at)[0]
+        return fields, at
+    whole = memoryview(data)
+    n = max(len(whole) - 3, 0) & ~3  # bytes per view: as many whole u4 in each
+    views = [whole[r : r + n].cast("I") for r in range(4)]
+    try:
+        while at <= last:
+            append(at)
+            at += RECORD_HEADER_LEN + views[at & 3][at >> 2]
+    finally:
+        for view in (*views, whole):
+            view.release()
+    return fields, at
 
 
 def _check_end(rest: int, offset: int) -> None:
@@ -301,10 +330,11 @@ _MAC_MASK = np.uint64(0xFFFF_FFFF_FFFF)
 
 
 def _window(data: bytes, dtype) -> np.ndarray:
-    """A read-only view of ``data`` holding one ``dtype`` value per byte
-    offset: element ``i`` is read from ``data[i : i + itemsize]``.
-    Indexing it gathers only the bytes a field spans; nothing else of the
-    batch is copied."""
+    """A view of ``data`` holding one ``dtype`` value per byte offset:
+    element ``i`` is ``data[i : i + itemsize]``.  Indexing it gathers
+    only the bytes a field spans; nothing else of the batch is copied.
+    It is read-only unless ``data`` is writable (a ``bytearray``), and
+    then assigning to it scatters whole items into ``data``."""
     dtype = np.dtype(dtype)
     return np.ndarray((max(len(data) - dtype.itemsize + 1, 0),), dtype, buffer=data, strides=(1,))
 
@@ -392,14 +422,61 @@ def _ip_sources(
     return malformed, attributed, keys[attributed].view(_IP_KEY).ravel()
 
 
-def _device_id(key) -> DeviceId:
-    """The DeviceId of one key from ``_transmitters``."""
-    if isinstance(key, np.void):
-        raw = key.tobytes()
-        if raw[0] == 4:
-            return DeviceId("ipv4", str(ipaddress.IPv4Address(raw[1:5])))
-        return DeviceId("ipv6", str(ipaddress.IPv6Address(raw[1:])))
-    return DeviceId("mac", int(key).to_bytes(6, "big").hex(":"))
+def _device_id(key: int | bytes) -> DeviceId:
+    """The DeviceId of one key from ``_transmitters``, as ``tolist`` gives it."""
+    if isinstance(key, bytes):
+        if key[0] == 4:
+            return DeviceId("ipv4", str(ipaddress.IPv4Address(key[1:5])))
+        return DeviceId("ipv6", str(ipaddress.IPv6Address(key[1:])))
+    return DeviceId("mac", key.to_bytes(6, "big").hex(":"))
+
+
+def _with_room(array: np.ndarray, rows: int) -> np.ndarray:
+    """``array`` with ``rows`` rows, the new ones zero."""
+    grown = np.zeros((rows, *array.shape[1:]), array.dtype)
+    grown[: len(array)] = array
+    return grown
+
+
+class _DeviceBins:
+    """One row of steps and one frame count per device, filled a batch at
+    a time.  Each key's row is looked up in the keys seen so far, kept
+    sorted; a key not seen before takes the next free row."""
+
+    def __init__(self, key: np.ndarray, n_steps: int):
+        """Rows for the devices of ``key``, the first keys to be binned."""
+        self.keys = np.unique(key)
+        self.rows = np.arange(self.keys.size)  # the row of each of keys
+        self.bins = np.zeros((self.keys.size, n_steps), np.int64)
+        self.frame_counts = np.zeros(self.keys.size, np.int64)
+
+    def add(self, key: np.ndarray, index: np.ndarray, size: np.ndarray) -> None:
+        """Bin frames with these keys, in-window step indices and sizes."""
+        at = np.searchsorted(self.keys, key)
+        fresh = self.keys.take(at, mode="clip") != key
+        if fresh.any():
+            self._add_keys(np.unique(key[fresh]))
+            at = np.searchsorted(self.keys, key)
+        row = self.rows[at]
+        add_to_steps(self.bins, row, index, size)
+        self.frame_counts += np.bincount(row, minlength=self.frame_counts.size)
+
+    def _add_keys(self, fresh: np.ndarray) -> None:
+        keys = np.concatenate((self.keys, fresh))
+        order = np.argsort(keys)
+        self.keys = keys[order]
+        self.rows = np.concatenate((self.rows, np.arange(self.rows.size, keys.size)))[order]
+        if keys.size > len(self.bins):
+            # The room doubles, so a table that grows a row at a time is
+            # copied a logarithmic number of times.
+            room = max(keys.size, 2 * len(self.bins))
+            self.bins, self.frame_counts = (_with_room(a, room) for a in (self.bins, self.frame_counts))
+
+    def streams(self, start: float, step: float) -> list[DeviceStream]:
+        """One stream per device, in ascending id order."""
+        streams = [DeviceStream(_device_id(key), ByteSeries(start, step, self.bins[row]), int(self.frame_counts[row]))
+                   for key, row in zip(self.keys.tolist(), self.rows.tolist())]
+        return sorted(streams, key=lambda stream: stream.device_id)
 
 
 def extract_device_series(
@@ -425,11 +502,16 @@ def extract_device_series(
     bytes that were malformed, unattributable, or outside the window.
     Binned bytes plus dropped bytes add up to the counted bytes of all
     input frames.
+
+    Each batch is binned as it arrives, into one row of steps and one
+    frame count per device: nothing per frame outlives its batch, so
+    the memory this holds is devices x steps plus one batch, however
+    long the capture.
     """
     check_window(0.0 if start is None else start, step, n_steps)
     _check_group_by(group_by)
     drops = {"malformed": 0, "unattributed": 0, "out_of_window": 0, "dropped_bytes": 0}
-    keys, timestamps, sizes = [], [], []
+    devices = None  # until a frame is binned
     for batch in batches:
         if not batch.timestamp.size:
             continue
@@ -445,35 +527,21 @@ def extract_device_series(
             drops["dropped_bytes"] += int(batch.on_wire_len[malformed].sum())
         if n_unattributed:
             drops["dropped_bytes"] += int(size[~(malformed | attributed)].sum())
-        if key.size:
-            keys.append(key)
-            timestamps.append(batch.timestamp[attributed])
-            sizes.append(np.maximum(size[attributed], 0))
-
-    streams = []
-    if keys:
-        key, timestamp, size = (np.concatenate(parts) for parts in (keys, timestamps, sizes))
-        # The rule bin_events bins by decides what is out of the window.
-        in_window = step_index(timestamp, start, step, n_steps)[1]
-        drops["out_of_window"] = int(in_window.size - np.count_nonzero(in_window))
-        if drops["out_of_window"]:
+        if not key.size:
+            continue
+        size = np.maximum(size[attributed], 0)
+        index, in_window = step_index(batch.timestamp[attributed], start, step, n_steps)
+        n_out = key.size - int(np.count_nonzero(in_window))
+        if n_out:
+            drops["out_of_window"] += n_out
             drops["dropped_bytes"] += int(size[~in_window].sum())
-            key, timestamp, size = key[in_window], timestamp[in_window], size[in_window]
-        # One stable sort groups the frames by device and keeps each
-        # device's frames in capture order; a device starts where the
-        # key changes (nowhere if no frame is left in the window).
-        by_device = np.argsort(key, kind="stable")
-        key = key[by_device]
-        firsts = np.flatnonzero(np.concatenate(([key.size > 0], key[1:] != key[:-1])))
-        events = event_array(timestamp[by_device], size[by_device])
-        ends = [*firsts[1:].tolist(), key.size]
-        for first, end in zip(firsts.tolist(), ends):
-            series = bin_events(events[first:end], start, step, n_steps)
-            streams.append(DeviceStream(device_id=_device_id(key[first]), series=series, frame_count=end - first))
-        streams.sort(key=lambda stream: stream.device_id)
+            key, index, size = key[in_window], index[in_window], size[in_window]
+        if key.size:  # a device gets a row with its first frame in the window
+            devices = devices or _DeviceBins(key, n_steps)
+            devices.add(key, index, size)
     if counters is not None:
         counters.update(drops)
-    return streams
+    return devices.streams(start, step) if devices else []
 
 
 # ---------------------------------------------------------------------------

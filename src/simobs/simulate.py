@@ -19,9 +19,9 @@ from typing import Mapping, Sequence, TextIO
 import numpy as np
 
 from .errors import ParameterError, read_json
-from .pcap import ETHERTYPE_IPV4, GLOBAL_HEADER_LEN, MAGIC_MICROS, RECORD_HEADER_LEN, DeviceId, LinkType
+from .pcap import ETHERTYPE_IPV4, GLOBAL_HEADER_LEN, MAGIC_MICROS, RECORD_HEADER_LEN, DeviceId, LinkType, _window
 # bin_events is not called here; perfbench/layers.py wraps simulate.bin_events.
-from .timeseries import ByteSeries, bin_events, check_window, event_array, step_index
+from .timeseries import ByteSeries, add_to_steps, bin_events, check_window, event_array, step_index
 
 MTU = 1500
 MIN_FRAME = 64  # nonzero step emissions are padded to the physical minimum
@@ -256,7 +256,7 @@ def step_bins(step_bytes: np.ndarray, step: float, delays: Sequence[float], n_st
     which, j, n, sizes = _packets(totals[rows, steps], whole=first == last)
     index, held = step_index(_packet_times(steps[which], j, n, step, delays[which]), 0.0, step, n_steps)
     values = np.zeros((len(totals), n_steps), dtype=np.int64)
-    np.add.at(values, (rows[which][held], index[held].astype(np.int64)), sizes[held])
+    add_to_steps(values, rows[which][held], index[held], sizes[held])
     return values
 
 
@@ -505,7 +505,8 @@ def write_pcap(frames: Sequence[tuple[DeviceId, np.ndarray]], link: str = "ether
     buf = bytearray(GLOBAL_HEADER_LEN + int(record_len.sum()))
     buf[:GLOBAL_HEADER_LEN] = struct.pack("<IHHiIII", MAGIC_MICROS, 2, 4, 0, 0, SNAPLEN, link_type)
     start = GLOBAL_HEADER_LEN + np.cumsum(record_len) - record_len
-    np.frombuffer(buf, np.uint8)[start[:, None] + np.arange(block.shape[1])] = block
+    head = np.dtype((np.void, block.shape[1]))  # one record header and frame head as one item
+    _window(buf, head)[start] = block.view(head)[:, 0]
     return buf
 
 

@@ -42,6 +42,15 @@ def step_index(times, start: float, step: float, n_steps: int) -> tuple[np.ndarr
     return index, (index >= 0) & (index < n_steps)
 
 
+def add_to_steps(bins: np.ndarray, rows, index: np.ndarray, sizes) -> None:
+    """Add each of ``sizes`` to ``bins[rows, index]`` in place: the one
+    scatter every binning ends in.  ``bins`` is a C-contiguous int64
+    array whose last axis is the steps (``rows`` is 0 for a single row),
+    and ``index`` holds in-window steps from ``step_index``.  Integer
+    sums do not depend on order, so every bin is exact."""
+    np.add.at(bins.reshape(-1), rows * bins.shape[-1] + index.astype(np.int64), sizes)
+
+
 def event_array(timestamps, byte_counts) -> np.ndarray:
     """Read-only events from parallel timestamp and byte-count sequences."""
     events = np.empty(len(timestamps), dtype=EVENT_DTYPE)
@@ -109,7 +118,7 @@ def bin_events(
         raise ParameterError(f"byte_count must be >= 0, got {sizes.min()}")
     idx, keep = step_index(events["timestamp"], start_time, step, n_steps)
     bins = np.zeros(n_steps, dtype=np.int64)
-    np.add.at(bins, idx[keep].astype(np.int64), sizes[keep])
+    add_to_steps(bins, 0, idx[keep], sizes[keep])
     return ByteSeries(start_time, step, bins)
 
 

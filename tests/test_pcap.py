@@ -36,6 +36,7 @@ from simobs.errors import (
 from simobs.pcap import (
     BATCH_READS,
     GLOBAL_HEADER_LEN,
+    MAGIC_NANOS,
     MAX_CAPTURED_LEN,
     DeviceId,
     FrameBatch,
@@ -404,6 +405,40 @@ def _ipv6_body(src: str) -> bytes:
     return struct.pack(">IHBB", 6 << 28, 0, 17, 64) + ipaddress.IPv6Address(src).packed + bytes(16)
 
 
+def _record_offsets(data: bytes) -> list[int]:
+    """The offset of every record header of a well-formed little-endian capture."""
+    offsets, at = [], GLOBAL_HEADER_LEN
+    while at < len(data):
+        offsets.append(at)
+        at += 16 + struct.unpack_from("<I", data, at + 8)[0]
+    return offsets
+
+
+# (byte order, nanosecond timestamps) of the captures other than the
+# little-endian microsecond ones the fixtures write
+OTHER_FORMATS = pytest.mark.parametrize("order, nanos", [(">", False), ("<", True), (">", True)],
+                                        ids=["big-endian", "nanoseconds", "big-endian-nanoseconds"])
+
+
+def _reordered(data: bytes, headers: list[int], order: str, nanos: bool) -> bytes:
+    """``data``, a little-endian microsecond capture whose record headers
+    start at ``headers``, rewritten in byte order ``order`` and, if
+    ``nanos``, with a nanosecond magic and fractions.  Every field is
+    rewritten as it stands, a corrupt length included; a field cut short
+    by the end of ``data`` is left as it is."""
+    out = bytearray(data)
+    magic, *fields = struct.unpack_from("<IHHiIII", data)
+    struct.pack_into(order + "IHHiIII", out, 0, MAGIC_NANOS if nanos else magic, *fields)
+    for at in headers:
+        values = struct.unpack_from("<IIII", data[at : at + 16].ljust(16, b"\0"))
+        if nanos:
+            values = (values[0], values[1] * 1000, *values[2:])
+        for i, value in enumerate(values):
+            if at + 4 * i + 4 <= len(data):
+                struct.pack_into(order + "I", out, at + 4 * i, value)
+    return bytes(out)
+
+
 def _outcome(read, extract, source, group_by, include_non_data, start):
     """(streams, counters) of one extract run, or the error that ended it."""
     counters: dict = {}
@@ -495,6 +530,59 @@ class TestAgainstOracle:
                 del data[rng.integers(0, len(data)) :]
             parsed += self._check(bytes(data))
         assert parsed >= 300  # the identity was checked on many captures
+
+    @OTHER_FORMATS
+    @pytest.mark.parametrize("link", [LinkType.ETHERNET, LinkType.IEEE80211_RADIOTAP], ids=["ethernet", "radiotap"])
+    def test_other_formats_match_oracle(self, link, order, nanos, tmp_path):
+        """Both captures in another byte order or time unit: the oracle's
+        streams and counters from the bytes, and its records from a file,
+        the bytes, a stream and a pipe."""
+        base = self._base(link, self.ETHERNET if link is LinkType.ETHERNET else self.RADIOTAP)
+        data = _reordered(base, _record_offsets(base), order, nanos)
+        assert self._check(data) == len(OPTIONS)
+        path = tmp_path / "capture.pcap"
+        path.write_bytes(data)
+        with open(path, "rb") as fh:
+            from_file = _batch_records(fh)
+        expected = [list(oracle.read_pcap(data))]
+        assert from_file == _batch_records(data) == _batch_records(io.BytesIO(data)) == expected
+        assert _piped(path, _batch_records) == expected
+
+    @pytest.mark.parametrize("link", [LinkType.ETHERNET, LinkType.IEEE80211_RADIOTAP], ids=["ethernet", "radiotap"])
+    def test_mutated_big_endian_captures_match_oracle(self, link):
+        """The mutated corpus of ``test_mutated_captures_match_oracle``,
+        in big-endian, which the walk reads through ``unpack_from``."""
+        base = self._base(link, self.ETHERNET if link is LinkType.ETHERNET else self.RADIOTAP)
+        base = _reordered(base, _record_offsets(base), ">", False)
+        rng = np.random.default_rng(4048 + int(link))
+        parsed = 0
+        for _ in range(300):
+            data = bytearray(base)
+            for pos in rng.integers(0, len(data), size=rng.integers(1, 6)):
+                data[pos] = rng.integers(0, 256)
+            if rng.random() < 0.25:
+                del data[rng.integers(0, len(data)) :]
+            parsed += self._check(bytes(data))
+        assert parsed >= 300
+
+    @pytest.mark.parametrize("frames_per_batch", [1, 4, 7])
+    def test_devices_first_seen_in_later_batches(self, frames_per_batch):
+        """Devices that first appear batch after batch, in no key order,
+        each keep their own bins and frame count."""
+        macs = [f"11:00:00:00:00:{b:02x}" for b in (0x50, 0x20, 0x90, 0x10, 0x70, 0x30, 0x80, 0x60, 0x40)]
+        data = pcap_header(network=127)
+        for i in range(6 * len(macs)):
+            seen = i // 6 + 1  # device j first transmits in frame 6 j
+            mac = macs[seen - 1 if i % 6 == 0 else i * 5 % seen]
+            data += pcap_record(i % 5, i * 37_000 % 1_000_000,
+                                radiotap_frame(dot11_data_frame(mac, body=bytes(i)), rt_len=8))
+        (whole,) = read_pcap(data)
+        batches = [FrameBatch(whole.link_type, *(column[i : i + frames_per_batch] for column in whole[1:5]), data)
+                   for i in range(0, whole.timestamp.size, frames_per_batch)]
+        for options in OPTIONS:
+            expected = _outcome(oracle.read_pcap, oracle.extract_device_series, data, *options)
+            assert _outcome(list, extract_device_series, batches, *options) == expected
+            assert options[0] == "ip" or len(expected[0]) == len(macs)
 
     def test_negative_size_bins_zero(self):
         # a batch built by hand may claim fewer on-wire bytes than its
@@ -671,6 +759,32 @@ class TestChunkBoundaries:
                 assert (got if isinstance(got, tuple) else [r for batch in got for r in batch]) == expected
         assert errors == {TruncationError, FormatError}
 
+    @OTHER_FORMATS
+    def test_other_formats_match_oracle(self, capture, order, nanos, tmp_path):
+        """Every variant of ``_variants`` in another byte order or time
+        unit, read through an open file, its bytes, a stream and a pipe:
+        the oracle's records, streams and counters, or its error, message
+        and offset."""
+        data, headers = capture
+        path = tmp_path / "capture.pcap"
+        errors = set()
+        for variant in self._variants(data, headers):
+            source = _reordered(variant, headers, order, nanos)
+            path.write_bytes(source)
+            try:
+                expected = list(oracle.read_pcap(source))
+            except SimobsError as exc:
+                expected = _error(exc)
+                errors.add(type(exc))
+            with open(path, "rb") as fh:
+                from_file = _batch_records(fh)
+            assert _batch_records(source) == from_file == _batch_records(LoggingStream(source, []))
+            for got in (from_file, _piped(path, _batch_records)):
+                assert (got if isinstance(got, tuple) else [r for batch in got for r in batch]) == expected
+            extracted = _outcome(oracle.read_pcap, oracle.extract_device_series, source, "mac", False, 0.0)
+            assert _outcome(read_pcap, extract_device_series, source, "mac", False, 0.0) == extracted
+        assert errors == {TruncationError, FormatError}
+
     def test_capture_at_a_nonzero_file_position(self, capture, tmp_path):
         """A capture after other bytes of its file reads from the file's
         position, with error offsets counted from the capture's start."""
@@ -788,6 +902,43 @@ class TestFilesOnDisk:
         finally:
             path.unlink()
         assert kib[1] - kib[0] < 32 << 10, kib
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads the peak RSS from /proc")
+    def test_extract_memory_does_not_grow_with_frames(self, tmp_path):
+        """Extracting 500 000 minimum-size radiotap frames grows a
+        process's peak RSS by under 16 MiB over one that only imports
+        simobs: each batch is binned as it is walked, so nothing per frame
+        outlives its batch."""
+        frames = [pcap_record(i % 60, i * 997 % 1_000_000,
+                              radiotap_frame(dot11_data_frame(f"11:00:00:00:00:0{i % 5 + 1}"), rt_len=8))
+                  for i in range(1000)]
+        path = tmp_path / "capture.pcap"
+        with open(path, "wb") as out:
+            out.write(pcap_header(network=127))
+            for _ in range(500):
+                out.write(b"".join(frames))
+        extract = (
+            "from simobs.pcap import extract_device_series, read_pcap\n"
+            f"with open({str(path)!r}, 'rb') as fh:\n"
+            "    streams = extract_device_series(read_pcap(fh), 0.0, 1.0, 60)\n"
+            "assert sum(s.frame_count for s in streams) == 500_000\n"
+        )
+        try:
+            kib = [_peak_kib(script) for script in ("import simobs\n", extract)]
+        finally:
+            path.unlink()
+        assert kib[1] - kib[0] < 16 << 10, kib
+
+
+def _peak_kib(script: str) -> int:
+    """The peak RSS of a child process that runs ``script``, in KiB: its
+    own VmHWM, since ru_maxrss also counts the peak of the process it
+    was started from."""
+    peak = "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')))"
+    paths = [str(Path(simobs.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    return int(subprocess.run([sys.executable, "-c", script + peak], env=env, check=True,
+                              capture_output=True, text=True, timeout=120).stdout)
 
 
 class TestDevicesCsv:
