@@ -14,6 +14,7 @@ from .classify import (
     MlpModel,
     ParamGrid,
     ThresholdConfig,
+    column_verdicts,
     convergence_analysis,
     evaluate,
     grid_search,
@@ -24,17 +25,11 @@ from .classify import (
     portability_matrix,
     sweep_threshold,
     threshold_classify,
-    verdicts,
 )
 from .errors import SimobsError
 from .mp4 import TrackSampleTable, parse_mp4, video_byte_series
 from .pcap import DeviceId, DeviceStream, FrameBatch, extract_device_series, read_pcap
-from .similarity import (
-    SimilarityVector,
-    dtw_distance,
-    similarity_vector,
-    similarity_vectors,
-)
+from .similarity import Report, dtw_distance, score_report, similarity_vector
 from .simulate import (
     CameraModel,
     SimDataset,
@@ -62,12 +57,13 @@ __all__ = [
     "ParamGrid",
     "SimDataset",
     "SimScenario",
-    "SimilarityVector",
+    "Report",
     "SimobsError",
     "ThresholdConfig",
     "TrackSampleTable",
     "align",
     "bin_events",
+    "column_verdicts",
     "convergence_analysis",
     "dtw_distance",
     "evaluate",
@@ -84,11 +80,10 @@ __all__ = [
     "portability_matrix",
     "read_pcap",
     "render_scenario",
+    "score_report",
     "similarity_vector",
-    "similarity_vectors",
     "sweep_threshold",
     "threshold_classify",
-    "verdicts",
     "video_byte_series",
     "write_pcap",
 ]

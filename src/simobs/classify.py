@@ -1,4 +1,4 @@
-"""Spy/not-spy decisions from similarity vectors.
+"""Spy/not-spy decisions from similarity reports.
 
 Two classifier families: per-measure thresholds (cheap, tunable by F1
 sweep) and a small feed-forward network over several measures at once.
@@ -11,7 +11,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -22,15 +22,12 @@ from .errors import (
     PartitionError,
     SimobsError,
     TrainingDivergedError,
-    json_bool,
     json_number,
-    json_strings,
     json_text,
     read_json,
 )
 # similarity_vector is not called here; perfbench/layers.py wraps classify.similarity_vector.
-from .similarity import MEASURES, SimilarityVector, aligned_rows, score_rows, similarity_vector
-from .similarity import read_rows_json, vector_from_row, vector_to_row
+from .similarity import MEASURES, Columns, Report, aligned_rows, read_samples, score_rows, similarity_vector
 from .timeseries import ByteSeries
 
 # Measures where larger means more similar classify spy at-or-above the
@@ -52,10 +49,6 @@ KLD_FEATURE_CAP = 10.0
 
 CAMERA_REF_FEATURES = ("cc", "kld", "jsd")
 
-# {measure: (values, undefined)}: what a decision reads, one entry per
-# vector, with NaN where the measure is undefined.
-Columns = Mapping[str, tuple[np.ndarray, np.ndarray]]
-
 
 @dataclass(frozen=True)
 class ThresholdConfig:
@@ -69,37 +62,15 @@ class ThresholdConfig:
             raise ParameterError(f"threshold of {self.measure} is NaN")
 
 
-@dataclass(frozen=True)
-class LabeledSample:
-    features: SimilarityVector
-    label: bool
-    tags: frozenset[str] = frozenset()
-
-
-def measure_values(vectors: Sequence[SimilarityVector], measure: str) -> tuple[np.ndarray, np.ndarray]:
-    """One measure of every vector as a column: the values, NaN where the
-    measure is undefined (None), and the mask of undefined slots.
-
-    A NaN measure is a value, not undefined, and stays NaN.
-    """
-    raw = [sv.measure(measure) for sv in vectors]
-    undefined = np.array([v is None for v in raw], dtype=bool)
-    return np.array([math.nan if v is None else v for v in raw], dtype=np.float64), undefined
-
-
-def vector_columns(vectors: Sequence[SimilarityVector], measures: Iterable[str]) -> Columns:
-    """The measure_values of each of ``measures`` over ``vectors``."""
-    return {m: measure_values(vectors, m) for m in measures}
-
-
 def _sign(measure: str) -> int:
     """Spy iff sign * value <= sign * threshold."""
     return -1 if DIRECTION_BY_MEASURE[measure] == "spy_if_at_least" else 1
 
 
-def threshold_classify(sv: SimilarityVector, cfg: ThresholdConfig) -> bool:
-    """Compare one measure against its threshold; an undefined measure is not spy."""
-    return bool(verdicts([sv], cfg)[0])
+def threshold_classify(row: Report, cfg: ThresholdConfig) -> bool:
+    """column_verdicts of a one-row report under a threshold.  A row view
+    kept because perfbench/layers.py wraps it by name."""
+    return bool(column_verdicts(row.columns, cfg)[0])
 
 
 @dataclass(frozen=True)
@@ -148,20 +119,20 @@ def evaluate(predictions: Sequence[bool], labels: Sequence[bool]) -> Metrics:
     return Metrics(tp, fp, tn, fn, accuracy, precision, recall, f1, frozenset(undefined))
 
 
-def sweep_threshold(samples: Sequence[LabeledSample], measure: str) -> tuple[float, float]:
-    """Best F1 threshold for one measure over a labeled corpus.
+def sweep_threshold(samples: Report, measure: str) -> tuple[float, float]:
+    """Best F1 threshold for one measure over a labeled report.
 
     Candidates are midpoints between consecutive distinct defined values
     plus +-inf sentinels; ties break toward the threshold admitting fewer
-    positives.  As in ``verdicts``, an undefined or NaN value is never
-    spy, so an undefined spy counts as a miss at every candidate.
+    positives.  As in ``column_verdicts``, an undefined or NaN value is
+    never spy, so an undefined spy counts as a miss at every candidate.
     """
     if measure not in MEASURES:
         raise ParameterError(f"unknown measure {measure!r}")
-    labels = np.array([s.label for s in samples], dtype=bool)
+    labels = samples.labels
     if labels.all() or not labels.any():
         raise ClassImbalanceError("sweep needs both classes present")
-    values = measure_values([s.features for s in samples], measure)[0]
+    values = samples.columns[measure][0]
     defined = ~np.isnan(values)  # the rest are never spy
     values, spies = values[defined], labels[defined]
     distinct = np.unique(values)
@@ -209,6 +180,8 @@ def feature_matrix(columns: Columns, subset: Sequence[str]) -> np.ndarray:
     """
     if not subset:
         raise ParameterError("the feature subset is empty")
+    if unknown := [m for m in subset if m not in MEASURES]:
+        raise ParameterError(f"unknown measure {unknown[0]!r}")
     x = np.empty((len(columns[subset[0]][0]), 2 * len(subset)))
     for j, m in enumerate(subset):
         values, undefined = columns[m]
@@ -381,7 +354,7 @@ def _check_seed(seed: int) -> None:
 
 
 def mlp_train(
-    train: Sequence[LabeledSample],
+    train: Report,
     layers: Sequence[int] = (13, 13, 13),
     activation: str = "logistic",
     seed: int = 0,
@@ -395,9 +368,9 @@ def mlp_train(
     than 1e-6 or after ``max_iter`` iterations.
     """
     _check_seed(seed)
-    labels = np.array([s.label for s in train], dtype=np.float64)
+    labels = train.labels.astype(np.float64)
     subset = tuple(feature_subset)
-    x_raw = feature_matrix(vector_columns([s.features for s in train], subset), subset)
+    x_raw = feature_matrix(train.columns, subset)
     x, mean, std = _training_set(x_raw, labels)
     weights, biases, loss = _fit_stack(
         x[None], labels[None, :, None], [seed], [alpha], layers, activation, max_iter
@@ -416,25 +389,25 @@ def mlp_train(
     )
 
 
-def _probabilities(model: MlpModel, columns: Columns) -> np.ndarray:
+def mlp_probabilities(model: MlpModel, columns: Columns) -> np.ndarray:
+    """Spy probability in (0, 1) of every entry of ``columns``, which hold
+    at least the model's features."""
     # Rows go through the network as an (n, 1, f) stack, so each is
     # computed, and rounded, as a lone row would be.
     x = (feature_matrix(columns, model.feature_subset) - model.feature_mean) / model.feature_std
     return _forward(model.weights, model.biases, model.activation, x[:, None, :])[-1][:, 0, 0]
 
 
-def mlp_probabilities(model: MlpModel, vectors: Sequence[SimilarityVector]) -> np.ndarray:
-    """Spy probability in (0, 1) of every similarity vector."""
-    return _probabilities(model, vector_columns(vectors, model.feature_subset))
-
-
-def mlp_predict(model: MlpModel, sv: SimilarityVector) -> float:
-    """Spy probability in (0, 1) for one similarity vector."""
-    return float(mlp_probabilities(model, [sv])[0])
+def mlp_predict(model: MlpModel, row: Report) -> float:
+    """Spy probability in (0, 1) of a one-row report.  A row view kept for
+    perfbench/: layers.py wraps it by name and the learn check calls it."""
+    return float(mlp_probabilities(model, row.columns)[0])
 
 
 def mlp_verdicts(model: MlpModel, samples: Sequence[LabeledSample]) -> list[bool]:
-    return verdicts([s.features for s in samples], model).tolist()
+    """The model's verdict on each sample's one-row features.  A row view
+    kept because perfbench/layers.py wraps it by name."""
+    return [bool(mlp_probabilities(model, s.features.columns)[0] >= 0.5) for s in samples]
 
 
 def _measures_read(classifier: MlpModel | ThresholdConfig) -> tuple[str, ...]:
@@ -448,14 +421,9 @@ def column_verdicts(columns: Columns, classifier: MlpModel | ThresholdConfig) ->
     a model, or the threshold test in the measure's direction, where an
     undefined or NaN measure is not spy."""
     if isinstance(classifier, MlpModel):
-        return _probabilities(classifier, columns) >= 0.5
+        return mlp_probabilities(classifier, columns) >= 0.5
     sign = _sign(classifier.measure)
     return sign * columns[classifier.measure][0] <= sign * classifier.threshold
-
-
-def verdicts(vectors: Sequence[SimilarityVector], classifier: MlpModel | ThresholdConfig) -> np.ndarray:
-    """column_verdicts of every vector."""
-    return column_verdicts(vector_columns(vectors, _measures_read(classifier)), classifier)
 
 
 def save_model(model: MlpModel, out: TextIO) -> None:
@@ -631,7 +599,7 @@ def _chunk_f1(splits, seeds, alphas, layers, activation: str, max_iter: int) -> 
 
 
 def grid_search(
-    samples: Sequence[LabeledSample],
+    samples: Report,
     points: Sequence[GridPoint],
     folds: int = 10,
     seed: int = 0,
@@ -649,9 +617,9 @@ def grid_search(
     _check_seed(seed)
     if not points:
         raise ParameterError("hyperparameter grid is empty")
-    labels = np.array([s.label for s in samples], dtype=np.float64)
+    labels = samples.labels.astype(np.float64)
     subset = tuple(feature_subset)
-    x_all = feature_matrix(vector_columns([s.features for s in samples], subset), subset)
+    x_all = feature_matrix(samples.columns, subset)
     splits = []  # per fold: scaled training rows, their labels, scaled test rows, test labels
     for test_idx in stratified_folds(labels, folds, seed):
         train = np.setdiff1d(np.arange(len(samples)), test_idx)
@@ -725,35 +693,32 @@ def convergence_analysis(
     return results
 
 
-def _split_tags(samples: Sequence[LabeledSample], partition_tag: str) -> dict[str, list[LabeledSample]]:
+def _split_tags(tags: Sequence[Sequence[str]], partition_tag: str) -> dict[str, np.ndarray]:
+    """The positions of the entries of each ``<partition_tag>=<value>`` value."""
     prefix = partition_tag + "="
-    groups: dict[str, list[LabeledSample]] = {}
-    for s in samples:
-        values = [t[len(prefix):] for t in s.tags if t.startswith(prefix)]
+    groups: dict[str, list[int]] = {}
+    for i, entry_tags in enumerate(tags):
+        values = {t[len(prefix):] for t in entry_tags if t.startswith(prefix)}
         if len(values) != 1:
             raise PartitionError(f"sample lacks a single {partition_tag}=... tag")
-        groups.setdefault(values[0], []).append(s)
-    return groups
+        groups.setdefault(values.pop(), []).append(i)
+    return {value: np.array(part) for value, part in groups.items()}
 
 
-def _holdout_split(
-    samples: Sequence[LabeledSample], seed: int
-) -> tuple[list[LabeledSample], list[LabeledSample]]:
-    labels = [s.label for s in samples]
+def _holdout_split(part: np.ndarray, labels: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each class of the entries at ``part`` halved at random, as (train, test) positions."""
     rng = np.random.default_rng(seed)
-    train: list[LabeledSample] = []
-    test: list[LabeledSample] = []
+    train, test = [], []
     for cls in (True, False):
-        idx = np.flatnonzero(np.asarray(labels, dtype=bool) == cls)
+        idx = part[labels[part] == cls]
         rng.shuffle(idx)
-        half = idx.size // 2
-        train.extend(samples[i] for i in idx[:half])
-        test.extend(samples[i] for i in idx[half:])
-    return train, test
+        train.append(idx[: idx.size // 2])
+        test.append(idx[idx.size // 2 :])
+    return np.concatenate(train), np.concatenate(test)
 
 
 def portability_matrix(
-    samples: Sequence[LabeledSample],
+    samples: Report,
     partition_tag: str,
     trainer: str,
     seed: int = 0,
@@ -763,34 +728,33 @@ def portability_matrix(
     Tags of the form ``<partition_tag>=<value>`` split the corpus; the
     matrix rows are training sets (A, B, both) and columns test sets.
     Each cell sweeps the threshold of the measure ``trainer`` on its
-    training set and scores its ``verdicts`` on its test set.  Diagonal
-    cells use a held-out half; off-diagonal cells train and test on the
-    full partitions, as is conventional for portability studies.
+    training set and scores its ``column_verdicts`` on its test set.
+    Diagonal cells use a held-out half; off-diagonal cells train and test
+    on the full partitions, as is conventional for portability studies.
     """
     if trainer not in MEASURES:
         raise ParameterError(f"trainer must be a measure name, got {trainer!r}")
     _check_seed(seed)
-    groups = _split_tags(samples, partition_tag)
+    groups = _split_tags(samples.tags, partition_tag)
     if len(groups) != 2:
         raise PartitionError(
             f"portability needs exactly two {partition_tag}=... values, got {sorted(groups)}"
         )
     name_a, name_b = sorted(groups)
-    parts = {name_a: groups[name_a], name_b: groups[name_b], "both": list(samples)}
+    parts = {name_a: groups[name_a], name_b: groups[name_b], "both": np.arange(len(samples))}
     for name, part in parts.items():
-        labels = {s.label for s in part}
-        if len(labels) < 2:
+        if samples.labels[part].all() or not samples.labels[part].any():
             raise PartitionError(f"partition {name!r} lacks one of the classes")
     order = (name_a, name_b, "both")
     matrix = np.zeros((3, 3))
     for i, train_name in enumerate(order):
         for j, test_name in enumerate(order):
             if train_name == test_name:
-                train, test = _holdout_split(parts[train_name], seed)
+                train, test = _holdout_split(parts[train_name], samples.labels, seed)
             else:
                 train, test = parts[train_name], parts[test_name]
-            cfg = ThresholdConfig(trainer, sweep_threshold(train, trainer)[0])
-            matrix[i, j] = evaluate(verdicts([s.features for s in test], cfg), [s.label for s in test]).f1
+            cfg = ThresholdConfig(trainer, sweep_threshold(samples.take(train), trainer)[0])
+            matrix[i, j] = evaluate(column_verdicts(samples.columns, cfg)[test], samples.labels[test]).f1
     return order, matrix
 
 
@@ -808,16 +772,14 @@ class AgreementReport:
         return {k: v / self.total_false_positives for k, v in sorted(self.counts.items())}
 
 
-def measure_agreement(
-    samples: Sequence[LabeledSample], configs: Sequence[ThresholdConfig]
-) -> AgreementReport:
+def measure_agreement(samples: Report, configs: Sequence[ThresholdConfig]) -> AgreementReport:
     """Distribution of simultaneous false positives across measures."""
-    negatives = [s.features for s in samples if not s.label]
-    if not negatives:
+    negatives = ~samples.labels
+    if not negatives.any():
         raise ParameterError("agreement analysis needs at least one negative sample")
-    wrong = np.zeros(len(negatives), dtype=np.int64)  # measures fooled, per negative
+    wrong = np.zeros(int(negatives.sum()), dtype=np.int64)  # measures fooled, per negative
     for cfg in configs:
-        wrong += verdicts(negatives, cfg)
+        wrong += column_verdicts(samples.columns, cfg)[negatives]
     fooled, counts = np.unique(wrong[wrong > 0], return_counts=True)
     return AgreementReport(
         total_false_positives=int(np.count_nonzero(wrong)), counts=dict(zip(fooled.tolist(), counts.tolist()))
@@ -825,23 +787,23 @@ def measure_agreement(
 
 
 # ---------------------------------------------------------------------------
-# Labeled-sample serialization (feature rows joined with ground truth)
+# Labeled samples as rows.  Every decision above takes the whole Report.
 # ---------------------------------------------------------------------------
 
-def write_samples_json(rows: Iterable[tuple[str, SimilarityVector, bool, Sequence[str]]], out: TextIO) -> None:
-    """One JSON object per (device id, vector, label, tags) row; the tags
-    are written in the order given."""
-    payload = [
-        {"device_id": device_id, **vector_to_row(sv), "label": label, "tags": list(tags)}
-        for device_id, sv, label, tags in rows
-    ]
-    out.write(json_text(payload))
+@dataclass(frozen=True)
+class LabeledSample:
+    """One entry of a samples file, ``features`` a one-row Report.  A row
+    view kept for perfbench/workloads.py, whose learn check passes each
+    sample's features to mlp_predict."""
 
-
-def _sample_row(row: Mapping) -> LabeledSample:
-    tags = json_strings(row.get("tags", []), "tags")
-    return LabeledSample(vector_from_row(row), json_bool(row["label"], "label"), frozenset(tags))
+    features: Report
+    label: bool
+    tags: frozenset[str] = frozenset()
 
 
 def read_samples_json(inp: TextIO) -> list[LabeledSample]:
-    return read_rows_json(inp, _sample_row)
+    """similarity.read_samples, one LabeledSample per entry.  A row view
+    kept because perfbench/workloads.py reads its corpus with it."""
+    samples = read_samples(inp)
+    return [LabeledSample(samples.take([i]), label, frozenset(tags))
+            for i, (label, tags) in enumerate(zip(samples.labels.tolist(), samples.tags))]

@@ -87,9 +87,9 @@ def _threshold_configs(args) -> list[cls.ThresholdConfig]:
     return [cls.ThresholdConfig(m, thresholds.get(m)) for m in measures]
 
 
-def _load_samples(path: str) -> list[cls.LabeledSample]:
+def _load_samples(path: str) -> similarity.Report:
     with open(path) as fh:
-        return cls.read_samples_json(fh)
+        return similarity.read_samples(fh)
 
 
 # ---------------------------------------------------------------------------
@@ -166,16 +166,13 @@ def cmd_analyze(args) -> int:
         if unlisted:
             raise FormatError(f"the manifest does not list {len(unlisted)} of the {len(ids)} devices, "
                               f"first {unlisted[0]}")
-    rows = list(zip(ids, similarity.similarity_vectors(reference, [series for _, series in devices])))
-
-    if labels is not None:
-        samples = [(device_id, sv, *labels[device_id]) for device_id, sv in rows]
-        text = _render(cls.write_samples_json, samples)
-    elif args.format == "json":
-        text = _render(similarity.write_report_json, rows)
-    else:
-        text = _render(similarity.write_report_csv, rows)
-    _write_outputs([(args.out, text)])
+    report = similarity.score_report(reference, [series for _, series in devices], ids)
+    if labels is not None:  # a samples file: the JSON report plus labels and tags
+        report = replace(report, labels=np.array([labels[d][0] for d in ids], dtype=bool),
+                         tags=[labels[d][1] for d in ids])
+    json_out = labels is not None or args.format == "json"
+    writer = similarity.write_report_json if json_out else similarity.write_report_csv
+    _write_outputs([(args.out, _render(writer, report))])
     return 0
 
 
@@ -196,21 +193,19 @@ def cmd_classify(args) -> int:
     if args.model and (args.thresholds is not None or args.measures is not None):
         raise ParameterError("--model decides alone; drop --thresholds and --measures")
     with open(args.report) as fh:
-        rows = similarity.read_report(fh)
-    vectors = [sv for _, sv in rows]
+        report = similarity.read_report(fh)
     if args.model:
         with open(args.model) as fh:
             model = cls.load_model(fh)
-        probability = cls.mlp_probabilities(model, vectors)
+        probability = cls.mlp_probabilities(model, report.columns)
         columns = {"probability": probability.tolist(), "spy": (probability >= 0.5).tolist()}
     else:
         columns = {}
         for cfg in _threshold_configs(args):
-            columns[f"spy_{cfg.measure}"] = cls.verdicts(vectors, cfg).tolist()
-            undefined = cls.measure_values(vectors, cfg.measure)[1]
+            columns[f"spy_{cfg.measure}"] = cls.column_verdicts(report.columns, cfg).tolist()
+            undefined = report.columns[cfg.measure][1]
             columns[f"indeterminate_{cfg.measure}"] = np.where(undefined, True, None).tolist()
-    ids = [device_id for device_id, _ in rows]
-    _write_outputs([(args.out, _verdict_table(ids, columns, args.format or "csv"))])
+    _write_outputs([(args.out, _verdict_table(report.device_ids, columns, args.format or "csv"))])
     return 0
 
 
@@ -388,6 +383,15 @@ def build_parser() -> argparse.ArgumentParser:
     scene.add_argument("--preset", choices=sorted(simulate.PRESETS))
     scene.add_argument("--seed", type=int, default=None,
                        help="scenario seed (default: the scenario file's, or 0 for a preset)")
+    samples = argparse.ArgumentParser(add_help=False)
+    samples.add_argument("--samples", required=True, help="labeled samples JSON, as analyze --manifest writes it")
+    features = argparse.ArgumentParser(add_help=False)
+    features.add_argument("--features", default=",".join(cls.CAMERA_REF_FEATURES),
+                          help="comma-separated measures the network reads")
+    thresholds = argparse.ArgumentParser(add_help=False)
+    thresholds.add_argument("--thresholds", help="'default' (the published thresholds) or measure=value,...")
+    thresholds.add_argument("--measures", help="comma-separated measures to threshold "
+                            f"(default: {','.join(cls.CAMERA_REF_FEATURES)})")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -407,26 +411,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", help="simulator manifest; adds labels/tags and forces JSON")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("classify", parents=[out, fmt], help="verdicts from a similarity report")
+    p = sub.add_parser("classify", parents=[out, fmt, thresholds], help="verdicts from a similarity report")
     p.add_argument("--report", required=True, help="similarity report (CSV or JSON, as analyze writes it)")
-    p.add_argument("--thresholds", help="'default' (the published thresholds) or measure=value,...")
-    p.add_argument("--measures", help="comma-separated measures to threshold (default: cc,kld,jsd)")
     p.add_argument("--model", help="trained model JSON (instead of thresholds)")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("train", parents=[out, seeded], help="train the network classifier")
-    p.add_argument("--samples", required=True, help="labeled samples JSON")
+    p = sub.add_parser("train", parents=[out, seeded, samples, features], help="train the network classifier")
     p.add_argument("--layers", default="13,13,13")
     p.add_argument("--activation", choices=cls.ACTIVATIONS, default="logistic")
     p.add_argument("--alpha", type=float, default=1e-4)
     p.add_argument("--max-iter", type=int, default=400)
-    p.add_argument("--features", default="cc,kld,jsd")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("grid-search", parents=[out, seeded], help="hyperparameter search with CV")
-    p.add_argument("--samples", required=True)
+    p = sub.add_parser("grid-search", parents=[out, seeded, samples, features], help="hyperparameter search with CV")
     p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--features", default="cc,kld,jsd")
     p.add_argument("--full-grid", action="store_true", help="all 768 combinations")
     p.add_argument("--fit-out", help="also fit the best point on all samples, write model here")
     p.set_defaults(func=cmd_grid_search)
@@ -444,16 +442,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="trained model JSON (instead of a threshold)")
     p.set_defaults(func=cmd_converge)
 
-    p = sub.add_parser("portability", parents=[out, seeded], help="train/test F1 across two partitions")
-    p.add_argument("--samples", required=True)
+    p = sub.add_parser("portability", parents=[out, seeded, samples], help="train/test F1 across two partitions")
     p.add_argument("--partition-tag", required=True)
     p.add_argument("--trainer", choices=similarity.MEASURES, default="kld", help="measure swept per cell")
     p.set_defaults(func=cmd_portability)
 
-    p = sub.add_parser("agreement", parents=[out], help="simultaneous false-positive counts")
-    p.add_argument("--samples", required=True)
-    p.add_argument("--thresholds", default="default")
-    p.add_argument("--measures", default="cc,kld,jsd")
+    p = sub.add_parser("agreement", parents=[out, samples, thresholds], help="simultaneous false-positive counts")
     p.set_defaults(func=cmd_agreement)
 
     # A flag's prefix is not that flag: `simulate --out` must not read as --out-dir.

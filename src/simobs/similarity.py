@@ -1,26 +1,27 @@
-"""The four series-similarity measures and their combined evaluation.
+"""The four series-similarity measures and the report that holds them.
 
 A reference recording and a candidate device trace are aligned,
 min-max scaled, and compared with Pearson correlation, dynamic time
 warping, a Gaussian-moment Kullback-Leibler divergence, and
 Jensen-Shannon divergence.  Degenerate inputs surface as flags on the
-combined vector instead of exceptions.
+report's entries instead of exceptions.
 """
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TextIO
+from typing import NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from .errors import FormatError, ParameterError, json_number, json_strings, json_text, read_json
+from .errors import FormatError, ParameterError, json_bool, json_number, json_strings, json_text, read_json
 from .timeseries import ByteSeries, align, device_set, min_max_normalize
 
 MEASURES = ("cc", "dtw", "kld", "jsd")
 
-# Flags carried by a SimilarityVector.
+# Flags carried by a report entry.
 FLAG_CC_UNDEFINED = "cc_undefined"
 FLAG_KLD_UNDEFINED = "kld_undefined"
 FLAG_REF_DEGENERATE = "ref_degenerate"
@@ -28,25 +29,9 @@ FLAG_CAND_DEGENERATE = "cand_degenerate"
 
 _SIGMA_FLOOR = 1e-9
 
-
-@dataclass(frozen=True)
-class SimilarityVector:
-    """All four measures for one reference/candidate pair.
-
-    ``cc`` and ``kld`` are None when undefined (constant input); the
-    reason is in ``flags``.  ``dtw`` and ``jsd`` are always defined.
-    """
-
-    cc: float | None
-    dtw: float
-    kld: float | None
-    jsd: float
-    flags: frozenset[str] = frozenset()
-
-    def measure(self, name: str) -> float | None:
-        if name not in MEASURES:
-            raise ParameterError(f"unknown measure {name!r}")
-        return getattr(self, name)
+# {measure: (values, undefined)}: what a decision reads, one entry per
+# device, with NaN where the measure is undefined.
+Columns = dict[str, tuple[np.ndarray, np.ndarray]]
 
 
 # One kernel per measure: each scores a reference row x against every row
@@ -136,7 +121,7 @@ class MeasureColumns(NamedTuple):
     was flattened.
     """
 
-    columns: dict[str, tuple[np.ndarray, np.ndarray]]
+    columns: Columns
     ref_degenerate: bool
     cand_degenerate: np.ndarray
 
@@ -192,112 +177,152 @@ def score_rows(raw: np.ndarray, measures: Sequence[str]) -> MeasureColumns:
     return MeasureColumns(columns, bool(degenerate[0]), degenerate[1:])
 
 
-def similarity_vectors(reference: ByteSeries, candidates: Sequence[ByteSeries]) -> list[SimilarityVector]:
-    """All four measures of a device set, one vector per candidate; an
-    undefined measure is None and a flattened side is a flag."""
+
+
+@dataclass(frozen=True, eq=False)
+class Report:
+    """The similarity of each device of a set to one reference, as columns.
+
+    Entry i of every column is device i.  ``columns`` maps each of the
+    four measures to its values and undefined mask, as score_rows returns
+    them (NaN where undefined: cc and kld only); ``flags`` holds each
+    entry's flags.  A labeled samples file adds ``labels``, a bool array,
+    and ``tags``, each entry's tags in file order; a samples row may have
+    no device id, and its entry in ``device_ids`` is None.
+    """
+
+    device_ids: list
+    columns: Columns
+    flags: list[frozenset[str]]
+    labels: np.ndarray | None = None
+    tags: list[list[str]] | None = None
+
+    def __len__(self) -> int:
+        return len(self.device_ids)
+
+    def take(self, index) -> Report:
+        """The entries at ``index``, a sequence or array of positions, in its order."""
+        index = np.asarray(index, dtype=np.intp)
+
+        def pick(cells):
+            return None if cells is None else [cells[i] for i in index.tolist()]
+
+        return Report(pick(self.device_ids), {m: (v[index], u[index]) for m, (v, u) in self.columns.items()},
+                      pick(self.flags), None if self.labels is None else self.labels[index], pick(self.tags))
+
+
+def score_report(reference: ByteSeries, candidates: Sequence[ByteSeries], device_ids: Sequence | None = None) -> Report:
+    """All four measures of a device set, one entry per candidate, with
+    ``device_ids`` (default None each); a flattened side is a flag, and
+    leaves cc and kld undefined."""
     scored = score_rows(aligned_rows(reference, candidates), MEASURES)
-    cells = [
-        [None if undefined else value for value, undefined in zip(values.tolist(), mask.tolist())]
-        for values, mask in scored.columns.values()
-    ]
-    vectors = []
-    for (cc, dtw, kld, jsd_val), cand_degenerate in zip(zip(*cells), scored.cand_degenerate.tolist()):
-        flags: set[str] = set()
-        if scored.ref_degenerate:
-            flags.add(FLAG_REF_DEGENERATE)
+    flags = []
+    for cand_degenerate in scored.cand_degenerate.tolist():
+        sides = {FLAG_REF_DEGENERATE} if scored.ref_degenerate else set()
         if cand_degenerate:
-            flags.add(FLAG_CAND_DEGENERATE)
-        if flags:  # a flattened side leaves cc and kld undefined
-            flags |= {FLAG_CC_UNDEFINED, FLAG_KLD_UNDEFINED}
-        vectors.append(SimilarityVector(cc, dtw, kld, jsd_val, frozenset(flags)))
-    return vectors
+            sides.add(FLAG_CAND_DEGENERATE)
+        flags.append(frozenset(sides | {FLAG_CC_UNDEFINED, FLAG_KLD_UNDEFINED} if sides else sides))
+    ids = [None] * len(candidates) if device_ids is None else list(device_ids)
+    return Report(ids, scored.columns, flags)
 
 
-def similarity_vector(reference: ByteSeries, candidate: ByteSeries) -> SimilarityVector:
-    """similarity_vectors of a single candidate."""
-    return similarity_vectors(reference, [candidate])[0]
+def similarity_vector(reference: ByteSeries, candidate: ByteSeries) -> Report:
+    """score_report of a single candidate.  A one-row view kept because
+    perfbench/layers.py wraps it by name."""
+    return score_report(reference, [candidate])
 
 
 # ---------------------------------------------------------------------------
-# Similarity report serialization: one row per candidate device.
+# Report serialization: CSV, JSON, and samples JSON (the JSON report plus
+# each entry's label and tags).  Every codec reads and writes whole columns.
 # ---------------------------------------------------------------------------
 
-def _fmt(value: float | None) -> str:
-    return "" if value is None else repr(float(value))
+def _cells(values: np.ndarray, undefined: np.ndarray) -> list:
+    """A measure column as JSON cells: None where undefined, else a float."""
+    return [None if u else v for v, u in zip(values.tolist(), undefined.tolist())]
 
 
-def write_report_csv(rows: Iterable[tuple[str, SimilarityVector]], out: TextIO) -> None:
+def _measure_column(name: str, cells: list) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of _cells: a cell that is not a finite JSON number (cc and
+    kld may be None) raises FormatError."""
+    undefined = [cell is None and name in ("cc", "kld") for cell in cells]
+    values = [math.nan if u else json_number(cell, f"measure {name}") for cell, u in zip(cells, undefined)]
+    return np.array(values, dtype=np.float64), np.array(undefined, dtype=bool)
+
+
+def write_report_csv(report: Report, out: TextIO) -> None:
+    cells = [["" if c is None else repr(c) for c in _cells(*report.columns[m])] for m in MEASURES]
+    flags = [";".join(sorted(f)) for f in report.flags]
     out.write("device_id,cc,dtw,kld,jsd,flags\n")
-    for device_id, sv in rows:
-        flags = ";".join(sorted(sv.flags))
-        out.write(f"{device_id},{_fmt(sv.cc)},{_fmt(sv.dtw)},{_fmt(sv.kld)},{_fmt(sv.jsd)},{flags}\n")
+    out.write("".join(",".join(row) + "\n" for row in zip(report.device_ids, *cells, flags)))
 
 
-def vector_to_row(sv: SimilarityVector) -> dict:
-    """The JSON object form of a vector: the four measures and sorted flags."""
-    return {"cc": sv.cc, "dtw": sv.dtw, "kld": sv.kld, "jsd": sv.jsd, "flags": sorted(sv.flags)}
-
-
-def vector_from_row(row: Mapping) -> SimilarityVector:
-    """Inverse of vector_to_row; other keys in ``row`` are ignored.  A
-    measure that is not a finite JSON number (cc and kld may be null), or
-    flags that are not a list of strings, raise FormatError."""
-    def measure(name: str) -> float | None:
-        value = row[name]
-        return None if value is None and name in ("cc", "kld") else json_number(value, f"measure {name}")
-
-    return SimilarityVector(
-        cc=measure("cc"),
-        dtw=measure("dtw"),
-        kld=measure("kld"),
-        jsd=measure("jsd"),
-        flags=frozenset(json_strings(row.get("flags", []), "flags")),
-    )
-
-
-def read_rows_json(inp: TextIO, parse_row: Callable[[Mapping], object]) -> list:
-    """``parse_row`` of each object in a JSON list, read by read_json."""
-    return read_json(inp, lambda rows: [parse_row(row) for row in rows], "similarity")
-
-
-def write_report_json(rows: Iterable[tuple[str, SimilarityVector]], out: TextIO) -> None:
-    payload = [{"device_id": device_id, **vector_to_row(sv)} for device_id, sv in rows]
+def write_report_json(report: Report, out: TextIO) -> None:
+    """One JSON object per entry: its device id (unless None), measures and
+    sorted flags, and, for a labeled report, its label and tags."""
+    columns = {m: _cells(*report.columns[m]) for m in MEASURES}
+    columns["flags"] = [sorted(f) for f in report.flags]
+    if report.labels is not None:
+        columns["label"] = report.labels.tolist()
+        columns["tags"] = [list(t) for t in report.tags]
+    payload = [dict(zip(columns, row)) for row in zip(*columns.values())]
+    for row, device_id in zip(payload, report.device_ids):
+        if device_id is not None:
+            row["device_id"] = device_id
     out.write(json_text(payload))
 
 
-def _report_row(row: Mapping) -> tuple[str, SimilarityVector]:
-    device_id = row["device_id"]
-    if not isinstance(device_id, str):
-        raise FormatError(f"device_id must be a string, got {device_id!r}")
-    return device_id, vector_from_row(row)
+def _report_from_rows(rows: list, labeled: bool) -> Report:
+    """The Report of a JSON list of report rows, or of samples rows when
+    ``labeled``.  Other keys are ignored.  A device id that is present
+    must be a string, and only a samples row may leave it out; flags and
+    tags are lists of strings and a label is true or false, else
+    FormatError."""
+    ids = []
+    for row in rows:
+        present = not labeled or "device_id" in row
+        ids.append(row["device_id"] if present else None)
+        if present and not isinstance(ids[-1], str):
+            raise FormatError(f"device_id must be a string, got {ids[-1]!r}")
+    columns = {m: _measure_column(m, [row[m] for row in rows]) for m in MEASURES}
+    flags = [frozenset(json_strings(row.get("flags", []), "flags")) for row in rows]
+    if not labeled:
+        return Report(ids, columns, flags)
+    labels = np.array([json_bool(row["label"], "label") for row in rows], dtype=bool)
+    return Report(ids, columns, flags, labels, [json_strings(row.get("tags", []), "tags") for row in rows])
 
 
-def read_report(inp: TextIO) -> list[tuple[str, SimilarityVector]]:
+def read_samples(inp: TextIO) -> Report:
+    """A labeled samples file, as ``analyze --manifest`` writes it."""
+    return read_json(inp, functools.partial(_report_from_rows, labeled=True), "similarity")
+
+
+def read_report(inp: TextIO) -> Report:
     """A similarity report in either format analyze writes: CSV when the
-    first line is write_report_csv's header, else JSON.  CSV cells are
-    read as numbers, an empty one as null, and flags split on ';', then
-    the rows go through the JSON rows' codec.  A report with no device
-    row is malformed."""
+    first non-blank line is write_report_csv's header, else JSON.  As in
+    every CSV reader, blank lines are skipped; a cell is read as a
+    number, an empty one as undefined, and flags split on ';'.  A report
+    with no device row is malformed."""
     try:
         text = inp.read()
     except ValueError as exc:  # bytes that do not decode
         raise FormatError(f"malformed similarity report ({exc})") from exc
-    lines = text.splitlines()
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     header = ["device_id", *MEASURES, "flags"]
     if not lines or lines[0] != ",".join(header):
-        rows = read_rows_json(io.StringIO(text), _report_row)
+        report = read_json(io.StringIO(text), functools.partial(_report_from_rows, labeled=False), "similarity")
     else:
-        rows = []
+        rows = [line.split(",") for line in lines[1:]]
+        for line, cells in zip(lines[1:], rows):
+            if len(cells) != len(header):
+                raise FormatError(f"similarity CSV row {line!r} does not have {len(header)} cells")
+        ids, *measures, flags = map(list, zip(*rows)) if rows else [[]] * len(header)
         try:
-            for line in lines[1:]:
-                cells = line.split(",")
-                if len(cells) != len(header):
-                    raise FormatError(f"similarity CSV row {line!r} does not have {len(header)} cells")
-                row = dict(zip(header, cells))
-                measures = {name: float(row[name]) if row[name] else None for name in MEASURES}
-                rows.append(_report_row({**row, **measures, "flags": row["flags"].split(";") if row["flags"] else []}))
+            cells = [[float(c) if c else None for c in column] for column in measures]
         except ValueError as exc:
             raise FormatError(f"malformed similarity CSV ({exc})") from exc
-    if not rows:
+        columns = {m: _measure_column(m, column) for m, column in zip(MEASURES, cells)}
+        report = Report(ids, columns, [frozenset(f.split(";")) if f else frozenset() for f in flags])
+    if not len(report):
         raise FormatError("a similarity report needs at least one device row")
-    return rows
+    return report

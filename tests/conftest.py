@@ -1,4 +1,5 @@
-"""Shared byte-level fixture builders.
+"""Shared byte-level fixture builders, and similarity reports built
+entry by entry.
 
 These writers are deliberately independent of the package's own
 serializers so that parser tests check against hand-assembled bytes,
@@ -6,8 +7,11 @@ not against the code under test.
 """
 from __future__ import annotations
 
+import dataclasses
+import math
 import struct
 
+import numpy as np
 import pytest
 
 
@@ -137,3 +141,60 @@ def mp4_file(*traks: bytes, with_ftyp: bool = True) -> bytes:
 def simple_video_mp4() -> bytes:
     """One video track: timescale 1000, sizes [10, 20, 30], deltas 3x500."""
     return mp4_file(trak_box(1000, "vide", sizes=[10, 20, 30], deltas=[(3, 500)]))
+
+
+# ---------------------------------------------------------------------------
+# Similarity reports, built and read entry by entry
+# ---------------------------------------------------------------------------
+
+def report_of(rows: list[dict]):
+    """A Report with one entry per row dict: each measure's value (None
+    where undefined) and optionally its ``flags`` and ``device_id``.  Rows
+    that hold a ``label`` (and optionally ``tags``) make a labeled report."""
+    from simobs.similarity import MEASURES, Report
+
+    columns = {m: (np.array([math.nan if r[m] is None else r[m] for r in rows], dtype=np.float64),
+                   np.array([r[m] is None for r in rows], dtype=bool)) for m in MEASURES}
+    report = Report([r.get("device_id") for r in rows], columns, [frozenset(r.get("flags", ())) for r in rows])
+    if not any("label" in r for r in rows):
+        return report
+    return labeled(report, [r["label"] for r in rows], [list(r.get("tags", ())) for r in rows])
+
+
+def labeled(report, labels, tags=None):
+    """``report`` with a label per entry, and ``tags`` (default none)."""
+    tags = [[] for _ in labels] if tags is None else [list(t) for t in tags]
+    return dataclasses.replace(report, labels=np.array(labels, dtype=bool), tags=tags)
+
+
+def stack_reports(reports):
+    """The entries of ``reports``, in order, as one Report."""
+    from simobs.similarity import Report
+
+    def joined(name):
+        parts = [getattr(r, name) for r in reports]
+        return None if parts[0] is None else [cell for part in parts for cell in part]
+
+    columns = {m: tuple(np.concatenate([r.columns[m][k] for r in reports]) for k in (0, 1))
+               for m in reports[0].columns}
+    labels = None if reports[0].labels is None else np.concatenate([r.labels for r in reports])
+    return Report(joined("device_ids"), columns, joined("flags"), labels, joined("tags"))
+
+
+def report_entries(report) -> list[dict]:
+    """Each entry of ``report`` as a dict: its device id, each measure (None
+    where undefined), its flags and, for a labeled report, its label and tags."""
+    cells = {m: [None if u else v for v, u in zip(values.tolist(), undefined.tolist())]
+             for m, (values, undefined) in report.columns.items()}
+    entries = [dict(zip(cells, row)) for row in zip(*cells.values())]
+    for i, entry in enumerate(entries):
+        entry.update(device_id=report.device_ids[i], flags=report.flags[i])
+        if report.labels is not None:
+            entry.update(label=bool(report.labels[i]), tags=list(report.tags[i]))
+    return entries
+
+
+def report_reprs(report) -> list[tuple]:
+    """Each entry's four measures by repr (None where undefined) and its
+    flags: repr, not ==, so that -0.0 does not stand for 0.0."""
+    return [(*(repr(e[m]) for m in ("cc", "dtw", "kld", "jsd")), e["flags"]) for e in report_entries(report)]

@@ -19,15 +19,14 @@ from simobs.classify import (
     CAMERA_REF_FEATURES,
     CV_MAX_ITER,
     GridPoint,
-    LabeledSample,
     MlpModel,
     ParamGrid,
     evaluate,
     feature_matrix,
-    vector_columns,
     stratified_folds,
 )
 from simobs.errors import ClassImbalanceError, ParameterError, TrainingDivergedError
+from simobs.similarity import Report
 
 
 def _act(z: np.ndarray, kind: str) -> np.ndarray:
@@ -57,7 +56,7 @@ def _forward(model_weights, model_biases, activation: str, x: np.ndarray) -> lis
 
 
 def mlp_train(
-    train: Sequence[LabeledSample],
+    train: Report,
     layers: Sequence[int] = (13, 13, 13),
     activation: str = "logistic",
     seed: int = 0,
@@ -76,14 +75,14 @@ def mlp_train(
         raise ParameterError(f"hidden layer widths must be >= 1, got {tuple(layers)}")
     if max_iter < 1:
         raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
-    labels = np.array([s.label for s in train], dtype=np.float64)
+    labels = train.labels.astype(np.float64)
     n_pos = int(labels.sum())
     n_neg = len(labels) - n_pos
     if n_pos < 10 or n_neg < 10:
         raise ClassImbalanceError(f"need >= 10 samples per class, got {n_pos} spy / {n_neg} other")
 
     subset = tuple(feature_subset)
-    x_raw = feature_matrix(vector_columns([s.features for s in train], subset), subset)
+    x_raw = feature_matrix(train.columns, subset)
     mean = x_raw.mean(axis=0)
     std = x_raw.std(axis=0)
     std = np.where(std < 1e-12, 1.0, std)
@@ -153,27 +152,26 @@ def mlp_train(
 
 
 
-def mlp_verdicts(model: MlpModel, samples: Sequence[LabeledSample]) -> list[bool]:
-    x = feature_matrix(vector_columns([s.features for s in samples], model.feature_subset), model.feature_subset)
+def mlp_verdicts(model: MlpModel, samples: Report) -> list[bool]:
+    x = feature_matrix(samples.columns, model.feature_subset)
     x = (x - model.feature_mean) / model.feature_std
     return (_forward(model.weights, model.biases, model.activation, x)[-1][:, 0] >= 0.5).tolist()
 
 
 def cross_validate(
-    samples: Sequence[LabeledSample],
+    samples: Report,
     point: GridPoint,
     folds: int,
     seed: int,
     feature_subset: Sequence[str] = CAMERA_REF_FEATURES,
 ) -> float:
     """Mean held-out F1 of one hyperparameter point."""
-    labels = [s.label for s in samples]
-    fold_indices = stratified_folds(labels, folds, seed)
+    fold_indices = stratified_folds(samples.labels, folds, seed)
     scores = []
     for k, test_idx in enumerate(fold_indices):
         test_set = set(test_idx.tolist())
-        train_split = [s for i, s in enumerate(samples) if i not in test_set]
-        test_split = [samples[i] for i in test_idx]
+        train_split = samples.take([i for i in range(len(samples)) if i not in test_set])
+        test_split = samples.take(test_idx)
         model = mlp_train(
             train_split,
             layers=point.hidden_layers,
@@ -184,12 +182,12 @@ def cross_validate(
             feature_subset=feature_subset,
         )
         preds = mlp_verdicts(model, test_split)
-        scores.append(evaluate(preds, [s.label for s in test_split]).f1)
+        scores.append(evaluate(preds, test_split.labels).f1)
     return float(np.mean(scores))
 
 
 def grid_search(
-    samples: Sequence[LabeledSample],
+    samples: Report,
     grid: ParamGrid | Sequence[GridPoint],
     folds: int = 10,
     seed: int = 0,

@@ -5,6 +5,8 @@ scored by four scalar functions, and DTW also has a plain-list dynamic
 program.  ``simobs.similarity`` scores the whole device set as row
 arrays, one kernel per measure, and is checked against these
 functions bit for bit: the ``repr`` of every measure and the flags.
+``score_report`` gathers each candidate's measures into the columns
+of a ``Report``, as the engine returns them.
 """
 from __future__ import annotations
 
@@ -20,7 +22,8 @@ from simobs.similarity import (
     FLAG_CC_UNDEFINED,
     FLAG_KLD_UNDEFINED,
     FLAG_REF_DEGENERATE,
-    SimilarityVector,
+    MEASURES,
+    Report,
 )
 from simobs.timeseries import ByteSeries, align
 
@@ -182,7 +185,7 @@ def _jsd_with_fallback(
     return jsd(ref, cand)
 
 
-def similarity_vectors(reference: ByteSeries, candidates: Sequence[ByteSeries]) -> list[SimilarityVector]:
+def score_report(reference: ByteSeries, candidates: Sequence[ByteSeries]) -> Report:
     if len({(c.start_time, c.step, len(c)) for c in candidates}) != 1:
         raise ParameterError("candidates must be one or more series sharing start_time, step and length")
     first = candidates[0]
@@ -193,7 +196,7 @@ def similarity_vectors(reference: ByteSeries, candidates: Sequence[ByteSeries]) 
     cands_n = [min_max_normalize(row) for row in raw]
     dtws = _dtw_rows(ref_n.values, np.stack([c.values for c in cands_n]))
 
-    vectors = []
+    entries = []  # per candidate: cc, dtw, kld, jsd, flags
     for cand, cand_n, dtw in zip(raw, cands_n, dtws):
         flags: set[str] = set()
         if ref_n.degenerate:
@@ -211,5 +214,8 @@ def similarity_vectors(reference: ByteSeries, candidates: Sequence[ByteSeries]) 
             kld = gaussian_kld(ref_n, cand_n)
 
         jsd_val = _jsd_with_fallback(ref.values, cand, ref_n, cand_n)
-        vectors.append(SimilarityVector(cc, float(dtw), kld, jsd_val, frozenset(flags)))
-    return vectors
+        entries.append((cc, float(dtw), kld, jsd_val, frozenset(flags)))
+    *measures, flags = zip(*entries)
+    columns = {m: (np.array([math.nan if v is None else v for v in cells], dtype=np.float64),
+                   np.array([v is None for v in cells], dtype=bool)) for m, cells in zip(MEASURES, measures)}
+    return Report([None] * len(entries), columns, list(flags))

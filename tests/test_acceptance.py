@@ -12,11 +12,19 @@ import time
 import numpy as np
 import pytest
 
-from conftest import ethernet_frame, mp4_file, pcap_header, pcap_record, trak_box
+from conftest import (
+    ethernet_frame,
+    labeled,
+    mp4_file,
+    pcap_header,
+    pcap_record,
+    report_entries,
+    stack_reports,
+    trak_box,
+)
 from dtw_oracle import bruteforce_matrix_halfunits, dtw_bruteforce
 from simobs.classify import (
     GridPoint,
-    LabeledSample,
     ThresholdConfig,
     convergence_analysis,
     grid_search,
@@ -27,7 +35,8 @@ from simobs.cli import main as cli_main
 from simobs.errors import SimobsError
 from simobs.mp4 import parse_mp4, video_byte_series
 from simobs.pcap import extract_device_series, read_pcap
-from simobs.similarity import _cc_rows, _dtw_rows, _jsd_rows, _kld_rows, dtw_distance, similarity_vector
+from simobs.similarity import Report, _cc_rows, _dtw_rows, _jsd_rows, _kld_rows, dtw_distance, score_report
+from simobs.similarity import similarity_vector
 from simobs.simulate import easy_scenario, packetize, regime_scenario, render_scenario, write_pcap
 from simobs.timeseries import ByteSeries
 
@@ -43,18 +52,18 @@ def report(name: str, ok: bool, detail: str = "") -> None:
 # Shared corpora
 # ---------------------------------------------------------------------------
 
-def _labeled_corpus(scenarios) -> list[LabeledSample]:
-    samples = []
+def _labeled_corpus(scenarios) -> Report:
+    reports = []
     for scenario in scenarios:
         dataset = render_scenario(scenario)
-        for trace in dataset.traces:
-            sv = similarity_vector(dataset.reference_series, trace.series)
-            samples.append(LabeledSample(sv, trace.spying, scenario.tags))
-    return samples
+        report = score_report(dataset.reference_series, [trace.series for trace in dataset.traces])
+        reports.append(labeled(report, [trace.spying for trace in dataset.traces],
+                               [sorted(scenario.tags)] * len(dataset.traces)))
+    return stack_reports(reports)
 
 
 @pytest.fixture(scope="module")
-def easy_renders() -> list[list[LabeledSample]]:
+def easy_renders() -> list[Report]:
     """200 seeded renders of the easy scenario: 1 spy + 9 background each."""
     renders = []
     for i in range(200):
@@ -64,8 +73,8 @@ def easy_renders() -> list[list[LabeledSample]]:
 
 
 @pytest.fixture(scope="module")
-def easy_corpus(easy_renders) -> list[LabeledSample]:
-    return [sample for render in easy_renders for sample in render]
+def easy_corpus(easy_renders) -> Report:
+    return stack_reports(easy_renders)
 
 
 # ---------------------------------------------------------------------------
@@ -79,11 +88,11 @@ class TestMeasureIdentities:
         ok = True
         for n in (2, 17, 60, 300):
             s = ByteSeries(0.0, 1.0, rng.integers(0, 100_000, n))
-            sv = similarity_vector(s, s)
-            ok &= abs(sv.cc - 1.0) <= 1e-9
-            ok &= sv.dtw == 0.0
-            ok &= abs(sv.kld) <= 1e-9
-            ok &= abs(sv.jsd) <= 1e-12
+            (sv,) = report_entries(similarity_vector(s, s))
+            ok &= abs(sv["cc"] - 1.0) <= 1e-9
+            ok &= sv["dtw"] == 0.0
+            ok &= abs(sv["kld"]) <= 1e-9
+            ok &= abs(sv["jsd"]) <= 1e-12
         elapsed = time.monotonic() - start
         report("measure identities: sv(s,s) = (1, 0, 0, 0)", ok and elapsed < 1.0,
                f"{elapsed:.3f}s")
@@ -256,14 +265,14 @@ class TestEndToEndDetection:
         spy_hits = 0
         for render in easy_renders:
             spy_ok = all(
-                s.features.kld is not None and s.features.kld <= 0.021
-                for s in render
-                if s.label
+                s["kld"] is not None and s["kld"] <= 0.021
+                for s in report_entries(render)
+                if s["label"]
             )
             bg_ok = all(
-                s.features.kld is None or s.features.kld > 0.021
-                for s in render
-                if not s.label
+                s["kld"] is None or s["kld"] > 0.021
+                for s in report_entries(render)
+                if not s["label"]
             )
             spy_hits += spy_ok
             separated += spy_ok and bg_ok
@@ -283,8 +292,7 @@ class TestEndToEndDetection:
 
     def test_sweep_and_grid_search(self, easy_corpus):
         start = time.monotonic()
-        labels = [s.label for s in easy_corpus]
-        assert len(easy_corpus) == 2000 and sum(labels) == 200
+        assert len(easy_corpus) == 2000 and easy_corpus.labels.sum() == 200
 
         best_measure_f1 = 0.0
         sweep_results = {}

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import labeled, report_entries, report_of, stack_reports
 from simobs import classify, cli
 from simobs.classify import (
     ACTIVATIONS,
@@ -29,7 +30,6 @@ from simobs.classify import (
     grid_search,
     load_model,
     measure_agreement,
-    measure_values,
     mlp_predict,
     mlp_probabilities,
     mlp_train,
@@ -40,9 +40,6 @@ from simobs.classify import (
     stratified_folds,
     sweep_threshold,
     threshold_classify,
-    vector_columns,
-    verdicts,
-    write_samples_json,
 )
 from simobs.errors import (
     ClassImbalanceError,
@@ -54,22 +51,38 @@ from simobs.errors import (
 )
 from simobs.similarity import (
     MEASURES,
-    SimilarityVector,
     aligned_rows,
     read_report,
+    read_samples,
+    score_report,
     score_rows,
-    similarity_vectors,
+    write_report_csv,
     write_report_json,
 )
 from simobs.timeseries import ByteSeries, align
 
 
-def sv(cc=0.0, dtw=1.0, kld=1.0, jsd=0.1, flags=()):
-    return SimilarityVector(cc=cc, dtw=dtw, kld=kld, jsd=jsd, flags=frozenset(flags))
+def row(cc=0.0, dtw=1.0, kld=1.0, jsd=0.1, flags=()):
+    return {"cc": cc, "dtw": dtw, "kld": kld, "jsd": jsd, "flags": flags}
+
+
+def sv(**kwargs):
+    """A one-row report."""
+    return report_of([row(**kwargs)])
 
 
 def sample(label, tags=(), **kwargs):
-    return LabeledSample(sv(**kwargs), label, frozenset(tags))
+    """A labeled row; corpus() makes rows into a labeled report."""
+    return {**row(**kwargs), "label": label, "tags": sorted(tags)}
+
+
+def corpus(samples):
+    return report_of(list(samples))
+
+
+def rows_of(report):
+    """Each entry of ``report`` as a one-row report."""
+    return [report.take([i]) for i in range(len(report))]
 
 
 class TestThresholdClassify:
@@ -91,7 +104,7 @@ class TestThresholdClassify:
         cfg = ThresholdConfig("cc", 0.21)
         vector = sv(cc=None, flags={"cc_undefined"})
         assert threshold_classify(vector, cfg) is False
-        assert measure_values([vector], "cc")[1].tolist() == [True]
+        assert vector.columns["cc"][1].tolist() == [True]
 
     @pytest.mark.parametrize("measure", MEASURES)
     def test_direction_follows_measure(self, measure):
@@ -147,32 +160,32 @@ class TestEvaluate:
 
 class TestSweep:
     def test_perfectly_separable(self):
-        samples = [
+        samples = corpus([
             sample(True, kld=0.01),
             sample(True, kld=0.02),
             sample(False, kld=0.5),
             sample(False, kld=0.9),
-        ]
+        ])
         threshold, f1 = sweep_threshold(samples, "kld")
         assert f1 == 1.0
         assert threshold == pytest.approx(0.26)
 
     def test_inverted_labels_not_perfect(self):
-        samples = [
+        samples = corpus([
             sample(False, kld=0.01),
             sample(False, kld=0.02),
             sample(True, kld=0.5),
             sample(True, kld=0.9),
-        ]
+        ])
         _, f1 = sweep_threshold(samples, "kld")
         assert f1 < 1.0
 
     def test_single_class_raises(self):
         with pytest.raises(ClassImbalanceError):
-            sweep_threshold([sample(True, kld=0.1)] * 4, "kld")
+            sweep_threshold(corpus([sample(True, kld=0.1)] * 4), "kld")
 
     def test_cc_direction(self):
-        samples = [sample(True, cc=0.9), sample(True, cc=0.8), sample(False, cc=0.1)]
+        samples = corpus([sample(True, cc=0.9), sample(True, cc=0.8), sample(False, cc=0.1)])
         threshold, f1 = sweep_threshold(samples, "cc")
         assert f1 == 1.0
         assert 0.1 < threshold <= 0.8
@@ -181,7 +194,7 @@ class TestSweep:
     def test_f1_tie_breaks_toward_fewer_positives(self, measure, values):
         # Ranked from most spy-like: spy, other, other, spy.  Admitting the
         # first sample or all four both score F1 2/3.
-        samples = [sample(label, **{measure: v}) for label, v in zip((True, False, False, True), values)]
+        samples = corpus(sample(label, **{measure: v}) for label, v in zip((True, False, False, True), values))
         threshold, f1 = sweep_threshold(samples, measure)
         assert f1 == 2 / 3
         assert threshold == (values[0] + values[1]) / 2
@@ -196,7 +209,7 @@ class TestSweep:
         ("kld", [(True, 0.01), (True, None), (False, 0.5)], ((0.01 + 0.5) / 2, 2 / 3)),  # a spy missed
     ])
     def test_undefined_is_never_spy(self, measure, raw, expected):
-        samples = [sample(label, **{measure: value}) for label, value in raw]
+        samples = corpus(sample(label, **{measure: value}) for label, value in raw)
         assert sweep_threshold(samples, measure) == expected
 
     @given(st.sampled_from(MEASURES), st.lists(st.tuples(st.booleans(), st.one_of(
@@ -206,23 +219,23 @@ class TestSweep:
         labels = [lab for lab, _ in raw]
         if len(set(labels)) < 2:
             return
-        samples = [sample(lab, **{measure: val}) for lab, val in raw]
+        samples = corpus(sample(lab, **{measure: val}) for lab, val in raw)
         threshold, f1 = sweep_threshold(samples, measure)
         cfg = ThresholdConfig(measure, threshold)
-        assert evaluate(verdicts([s.features for s in samples], cfg), labels).f1 == f1
+        assert evaluate(column_verdicts(samples.columns, cfg), labels).f1 == f1
 
 
 def _sweep_by_loop(samples, measure):
-    """sweep_threshold as one evaluate(verdicts(...)) per candidate: the O(n^2) reference."""
-    vectors, labels = [s.features for s in samples], [s.label for s in samples]
-    values = [sv.measure(measure) for sv in vectors]
+    """sweep_threshold as one evaluate(column_verdicts(...)) per candidate: the O(n^2) reference."""
+    labels = samples.labels.tolist()
+    values = [e[measure] for e in report_entries(samples)]
     distinct = np.unique([v for v in values if v is not None and not math.isnan(v)])
     candidates = [-math.inf] + [float((a + b) / 2) for a, b in zip(distinct, distinct[1:])] + [math.inf]
     if DIRECTION_BY_MEASURE[measure] == "spy_if_at_least":
         candidates = candidates[::-1]
     best_threshold, best_f1 = candidates[0], -1.0
     for threshold in candidates:
-        f1 = evaluate(verdicts(vectors, ThresholdConfig(measure, threshold)), labels).f1
+        f1 = evaluate(column_verdicts(samples.columns, ThresholdConfig(measure, threshold)), labels).f1
         if f1 > best_f1:
             best_threshold, best_f1 = threshold, f1
     return best_threshold, best_f1
@@ -242,7 +255,7 @@ class TestSweepAgainstLoop:
     def test_threshold_and_f1_bit_identical(self, measure, raw):
         if len({label for label, _ in raw}) < 2:
             return
-        samples = [LabeledSample(sv(**{measure: value}), label) for label, value in raw]
+        samples = corpus(sample(label, **{measure: value}) for label, value in raw)
         assert sweep_threshold(samples, measure) == _sweep_by_loop(samples, measure)
 
 
@@ -252,7 +265,7 @@ def _toy_separable(n=40, seed=0):
     for _ in range(n // 2):
         out.append(sample(True, cc=float(rng.normal(0.8, 0.05)), kld=float(rng.normal(0.01, 0.003))))
         out.append(sample(False, cc=float(rng.normal(0.1, 0.05)), kld=float(rng.normal(0.5, 0.1))))
-    return out
+    return corpus(out)
 
 
 def _toy_xor(n_per_cluster=12, seed=1):
@@ -263,15 +276,15 @@ def _toy_xor(n_per_cluster=12, seed=1):
             out.append(
                 sample(label, cc=float(cx + rng.normal(0, 0.03)), kld=float(cy + rng.normal(0, 0.03)))
             )
-    return out
+    return corpus(out)
 
 
 class TestMlp:
     def test_separable_training_accuracy(self):
         samples = _toy_separable()
         model = mlp_train(samples, layers=(5,), seed=0, feature_subset=("cc", "kld"))
-        preds = mlp_verdicts(model, samples)
-        assert evaluate(preds, [s.label for s in samples]).accuracy == 1.0
+        preds = column_verdicts(samples.columns, model)
+        assert evaluate(preds, samples.labels).accuracy == 1.0
 
     def test_xor_capability(self):
         samples = _toy_xor()
@@ -279,14 +292,14 @@ class TestMlp:
             samples, layers=(4,), activation="tanh", seed=2, max_iter=800,
             feature_subset=("cc", "kld"),
         )
-        preds = mlp_verdicts(model, samples)
-        assert evaluate(preds, [s.label for s in samples]).accuracy >= 0.95
+        preds = column_verdicts(samples.columns, model)
+        assert evaluate(preds, samples.labels).accuracy >= 0.95
 
     def test_probability_in_open_interval(self):
         samples = _toy_separable()
         model = mlp_train(samples, layers=(5,), seed=0, feature_subset=("cc", "kld"))
-        for s in samples:
-            assert 0.0 < mlp_predict(model, s.features) < 1.0
+        for features in rows_of(samples):
+            assert 0.0 < mlp_predict(model, features) < 1.0
 
     def test_training_deterministic(self):
         samples = _toy_separable()
@@ -299,19 +312,14 @@ class TestMlp:
     def test_too_few_per_class(self):
         samples = _toy_separable(n=10)
         with pytest.raises(ClassImbalanceError):
-            mlp_train(samples[:12], layers=(5,), feature_subset=("cc", "kld"))
+            mlp_train(samples, layers=(5,), feature_subset=("cc", "kld"))
 
     def test_undefined_features_imputed(self):
         samples = _toy_separable()
-        flagged = [
-            LabeledSample(
-                SimilarityVector(cc=None, dtw=1.0, kld=None, jsd=0.1,
-                                 flags=frozenset({"cc_undefined", "kld_undefined"})),
-                False,
-            )
-        ] * 12
-        model = mlp_train(samples + flagged, layers=(5,), seed=1, feature_subset=("cc", "kld"))
-        p = mlp_predict(model, flagged[0].features)
+        flagged = corpus([sample(False, cc=None, dtw=1.0, kld=None, jsd=0.1,
+                                 flags={"cc_undefined", "kld_undefined"})] * 12)
+        model = mlp_train(stack_reports([samples, flagged]), layers=(5,), seed=1, feature_subset=("cc", "kld"))
+        p = mlp_predict(model, flagged.take([0]))
         assert 0.0 < p < 1.0
 
     def test_save_load_round_trip(self):
@@ -322,9 +330,9 @@ class TestMlp:
         back = load_model(io.StringIO(buf.getvalue()))
         assert back.layer_sizes == model.layer_sizes
         assert back.feature_subset == model.feature_subset
-        for s in samples[:5]:
-            assert mlp_predict(back, s.features) == pytest.approx(
-                mlp_predict(model, s.features), abs=1e-12
+        for features in rows_of(samples)[:5]:
+            assert mlp_predict(back, features) == pytest.approx(
+                mlp_predict(model, features), abs=1e-12
             )
 
     def test_zero_weight_model_predicts_half(self):
@@ -345,8 +353,8 @@ class TestMlp:
     def test_prediction_order_invariant(self):
         samples = _toy_separable()
         model = mlp_train(samples, layers=(5,), seed=0, feature_subset=("cc", "kld"))
-        first = [mlp_predict(model, s.features) for s in samples]
-        second = [mlp_predict(model, s.features) for s in reversed(samples)]
+        first = [mlp_predict(model, features) for features in rows_of(samples)]
+        second = [mlp_predict(model, features) for features in reversed(rows_of(samples))]
         assert first == second[::-1]
 
 
@@ -358,22 +366,19 @@ def _overlapping(n_spy, n_other, seed, sep=3.0):
         spy = i < n_spy
         out.append(sample(spy, cc=float(rng.normal(sep if spy else 0.0, 1.0)),
                           kld=float(abs(rng.normal(0.0 if spy else sep, 1.0)))))
-    return out
+    return corpus(out)
 
 
 def _fold_training_sets(samples, folds, seed):
     """Each fold's training samples, in sample order, as grid search splits them."""
-    out = []
-    for test_idx in stratified_folds([s.label for s in samples], folds, seed):
-        held_out = set(test_idx.tolist())
-        out.append([s for i, s in enumerate(samples) if i not in held_out])
-    return out
+    return [samples.take(np.setdiff1d(np.arange(len(samples)), test_idx))
+            for test_idx in stratified_folds(samples.labels, folds, seed)]
 
 
 def _scaled(train, subset):
     """A training set's standardized rows and (n, 1) labels, as the fitter takes them."""
-    y = np.array([[float(s.label)] for s in train])
-    x = feature_matrix(vector_columns([s.features for s in train], subset), subset)
+    y = train.labels.astype(np.float64)[:, None]
+    x = feature_matrix(train.columns, subset)
     return classify._training_set(x, y)[0], y
 
 
@@ -506,9 +511,9 @@ class TestStackedAgainstOracle:
         for train in (mlp_train, mlp_oracle.mlp_train):
             with pytest.raises(TrainingDivergedError, match="iteration 1$"):
                 train(samples, **kwargs)
-        nan_row = LabeledSample(sv(cc=math.nan), False)
+        nan_row = corpus([sample(False, cc=math.nan)])
         with pytest.raises(TrainingDivergedError):
-            mlp_train(samples + [nan_row], layers=(3,), feature_subset=self.SUBSET)
+            mlp_train(stack_reports([samples, nan_row]), layers=(3,), feature_subset=self.SUBSET)
         points = [GridPoint((3,), "logistic", 1e-4), GridPoint((3,), "logistic", math.inf)]
         with pytest.raises(TrainingDivergedError):
             grid_search(samples, points, folds=3, feature_subset=self.SUBSET)
@@ -526,7 +531,7 @@ class TestStackedAgainstOracle:
         samples = _overlapping(20, 25, seed=3)
         points = [GridPoint((3,), "logistic", 1e-4), GridPoint((4,), "tanh", 1e-4)]
         if bad == "nan_row":
-            samples.append(LabeledSample(sv(cc=math.nan), False))
+            samples = stack_reports([samples, corpus([sample(False, cc=math.nan)])])
         else:
             points.append(GridPoint((3,), "logistic", math.inf))
         monkeypatch.setattr(classify, "_cpu_count", lambda: 2)
@@ -543,10 +548,10 @@ class TestStackedAgainstOracle:
         with pytest.raises(SimobsError, match="worker process died.*__main__"):
             grid_search(samples, points, folds=3, feature_subset=self.SUBSET)
         assert multiprocessing.active_children() == []
-        corpus, out = tmp_path / "samples.json", tmp_path / "grid.json"
-        with open(corpus, "w") as fh:
-            write_samples_json([(str(i), s.features, s.label, []) for i, s in enumerate(samples)], fh)
-        assert cli.main(["grid-search", "--samples", str(corpus), "--folds", "3", "--out", str(out)]) == 1
+        samples_file, out = tmp_path / "samples.json", tmp_path / "grid.json"
+        with open(samples_file, "w") as fh:
+            write_report_json(samples, fh)
+        assert cli.main(["grid-search", "--samples", str(samples_file), "--folds", "3", "--out", str(out)]) == 1
         (err,) = capsys.readouterr().err.splitlines()
         assert "worker process died" in err
         assert not out.exists()
@@ -723,11 +728,11 @@ def _prefix(series, t):
     return ByteSeries(series.start_time, series.step, series.values[:t])
 
 
-def _converge_by_vectors(reference, devices, labels, classifier):
-    """convergence_analysis as four-measure similarity vectors at every prefix."""
+def _converge_by_reports(reference, devices, labels, classifier):
+    """convergence_analysis as four-measure similarity reports at every prefix."""
     window, _ = align(reference, devices[0])
     return [
-        (t, evaluate(verdicts(similarity_vectors(_prefix(window, t), devices), classifier), labels))
+        (t, evaluate(column_verdicts(score_report(_prefix(window, t), devices).columns, classifier), labels))
         for t in range(2, len(window) + 1)
     ]
 
@@ -757,9 +762,8 @@ class TestConvergenceStackedOnce:
     @pytest.fixture(scope="class")
     def scene(self):
         reference, devices, labels = _device_set(6, 32)
-        model = mlp_train([LabeledSample(v, label) for t in (5, 30)
-                           for v, label in zip(similarity_vectors(_prefix(reference, t), devices), labels)],
-                          layers=(4,), seed=2, max_iter=100, feature_subset=MEASURES)
+        train = stack_reports([labeled(score_report(_prefix(reference, t), devices), labels) for t in (5, 30)])
+        model = mlp_train(train, layers=(4,), seed=2, max_iter=100, feature_subset=MEASURES)
         return reference, devices, labels, model
 
     @pytest.mark.parametrize("shift", ["none", "reference later", "devices later"])
@@ -773,7 +777,7 @@ class TestConvergenceStackedOnce:
         if classifier == "model":
             classifier = model
         else:
-            values = measure_values(similarity_vectors(reference, devices), classifier)[0]
+            values = score_report(reference, devices).columns[classifier][0]
             classifier = ThresholdConfig(classifier, float(np.nanmedian(values)))
         expected = _converge_by_prefix_columns(reference, devices, labels, classifier)
         window, _ = align(reference, devices[0])
@@ -784,24 +788,24 @@ class TestConvergenceStackedOnce:
 
 class TestConvergenceColumns:
     """convergence_analysis scores only the measures its classifier reads,
-    and decides as the four-measure vectors do."""
+    and decides as the four-measure reports do."""
 
     SCENES = [(0, 31), (6, 32)]  # (steps the reference starts flat, seed)
 
     @pytest.mark.parametrize("flat_head,seed", SCENES)
-    def test_columns_are_the_vectors_measures(self, flat_head, seed):
+    def test_columns_are_the_reports_measures(self, flat_head, seed):
         reference, devices, _ = _device_set(flat_head, seed)
         for t in range(2, 31):
             prefix = _prefix(reference, t)
-            vectors = similarity_vectors(prefix, devices)
+            report = score_report(prefix, devices)
             scored = score_rows(aligned_rows(prefix, devices), MEASURES)
             for m in MEASURES:
                 values, undefined = scored.columns[m]
-                expected_values, expected_undefined = measure_values(vectors, m)
+                expected_values, expected_undefined = report.columns[m]
                 assert [repr(v) for v in values.tolist()] == [repr(v) for v in expected_values.tolist()], (t, m)
                 assert undefined.tolist() == expected_undefined.tolist(), (t, m)
             assert [(scored.ref_degenerate, bool(c)) for c in scored.cand_degenerate] == [
-                ("ref_degenerate" in v.flags, "cand_degenerate" in v.flags) for v in vectors
+                ("ref_degenerate" in flags, "cand_degenerate" in flags) for flags in report.flags
             ]
             one = score_rows(aligned_rows(prefix, devices), ["kld"])
             assert list(one.columns) == ["kld"]
@@ -811,26 +815,23 @@ class TestConvergenceColumns:
         assert score_rows(aligned_rows(reference, devices), ["cc"]).columns["cc"][1].sum() == 2
 
     @pytest.mark.parametrize("flat_head,seed", SCENES)
-    def test_threshold_metrics_equal_the_vector_path(self, flat_head, seed):
+    def test_threshold_metrics_equal_the_report_path(self, flat_head, seed):
         reference, devices, labels = _device_set(flat_head, seed)
-        full = similarity_vectors(reference, devices)
+        full = score_report(reference, devices)
         for m in MEASURES:
-            values = measure_values(full, m)[0]
+            values = full.columns[m][0]
             cfg = ThresholdConfig(m, float(np.nanmedian(values)))
-            expected = _converge_by_vectors(reference, devices, labels, cfg)
+            expected = _converge_by_reports(reference, devices, labels, cfg)
             assert len({r[1] for r in expected}) > 1, m  # the verdicts change with t
             assert convergence_analysis(reference, devices, labels, cfg) == expected, m
 
     @pytest.mark.parametrize("subset", [("cc", "dtw", "kld", "jsd"), CAMERA_REF_FEATURES])
     @pytest.mark.parametrize("flat_head,seed", SCENES)
-    def test_network_metrics_equal_the_vector_path(self, subset, flat_head, seed):
+    def test_network_metrics_equal_the_report_path(self, subset, flat_head, seed):
         reference, devices, labels = _device_set(flat_head, seed)
-        train = [
-            LabeledSample(v, label)
-            for t in (5, 10, 20, 30) for v, label in zip(similarity_vectors(_prefix(reference, t), devices), labels)
-        ]
+        train = stack_reports([labeled(score_report(_prefix(reference, t), devices), labels) for t in (5, 10, 20, 30)])
         model = mlp_train(train, layers=(5,), seed=1, max_iter=150, feature_subset=subset)
-        expected = _converge_by_vectors(reference, devices, labels, model)
+        expected = _converge_by_reports(reference, devices, labels, model)
         assert convergence_analysis(reference, devices, labels, model) == expected
 
 
@@ -844,7 +845,7 @@ class TestPortability:
                                   tags={f"env={regime}"}))
                 out.append(sample(False, kld=float(abs(rng.normal(0.5, 0.1))),
                                   tags={f"env={regime}"}))
-        return out
+        return corpus(out)
 
     def test_identical_partitions_all_cells_close(self):
         order, matrix = portability_matrix(self._samples(), "env", trainer="kld", seed=1)
@@ -867,11 +868,12 @@ class TestPortability:
                 samples.append(sample(True, cc=float(rng.uniform(-0.55, -0.5)), tags={f"env={regime}"}))
                 samples.append(sample(False, cc=float(rng.uniform(-0.95, -0.6)), tags={f"env={regime}"}))
                 samples.append(sample(False, cc=None, tags={f"env={regime}"}))
-        _, matrix = portability_matrix(samples, "env", trainer="cc", seed=1)
+        _, matrix = portability_matrix(corpus(samples), "env", trainer="cc", seed=1)
         assert (matrix == 1.0).all()
 
     def test_single_partition_errors(self):
-        samples = [s for s in self._samples() if "env=a" in s.tags]
+        samples = self._samples()
+        samples = samples.take([i for i, tags in enumerate(samples.tags) if "env=a" in tags])
         with pytest.raises(PartitionError):
             portability_matrix(samples, "env", trainer="kld")
 
@@ -911,46 +913,49 @@ _column_values = st.one_of(st.none(), st.just(math.nan), st.sampled_from([0.0, 0
 
 class TestDecisionColumns:
     """Every verdict comes from one threshold comparison or one network
-    forward over a whole set of vectors."""
+    forward over a whole report."""
 
     def test_undefined_is_none_not_nan(self):
-        values, undefined = measure_values([sv(cc=None), sv(cc=math.nan), sv(cc=0.25)], "cc")
+        report = report_of([row(cc=None), row(cc=math.nan), row(cc=0.25)])
+        values, undefined = report.columns["cc"]
         assert np.isnan(values[:2]).all() and values[2] == 0.25
         assert undefined.tolist() == [True, False, False]
+        assert column_verdicts(report.columns, ThresholdConfig("cc", -1.0)).tolist() == [False, False, True]
 
     @given(st.sampled_from(MEASURES), st.sampled_from([-math.inf, 0.5, math.inf]),
            st.lists(_column_values, max_size=12))
-    def test_verdicts_are_per_vector_comparisons(self, measure, threshold, values):
+    def test_verdicts_are_per_entry_comparisons(self, measure, threshold, values):
         values = [*values, threshold]  # a value equal to the threshold is spy
-        vectors = [sv(**{measure: v}) for v in values]
+        report = report_of([row(**{measure: v}) for v in values])
         cfg = ThresholdConfig(measure, threshold)
         at_least = DIRECTION_BY_MEASURE[measure] == "spy_if_at_least"
         expected = [v is not None and (v >= threshold if at_least else v <= threshold) for v in values]
-        assert verdicts(vectors, cfg).tolist() == expected
-        assert [threshold_classify(v, cfg) for v in vectors] == expected
+        assert column_verdicts(report.columns, cfg).tolist() == expected
+        assert [threshold_classify(v, cfg) for v in rows_of(report)] == expected
 
     @pytest.mark.parametrize("activation", ACTIVATIONS)
     def test_network_paths_agree_by_repr(self, activation):
-        samples = _overlapping(40, 40, seed=7, sep=1.0)
-        samples += [LabeledSample(sv(cc=None, kld=None, flags=("cc_undefined", "kld_undefined")), i % 2 == 0)
-                    for i in range(8)]
+        undefined = corpus(sample(i % 2 == 0, cc=None, kld=None, flags=("cc_undefined", "kld_undefined"))
+                           for i in range(8))
+        samples = stack_reports([_overlapping(40, 40, seed=7, sep=1.0), undefined])
         model = mlp_train(samples, layers=(6, 5), activation=activation, seed=3, max_iter=200,
                           feature_subset=("cc", "dtw", "kld", "jsd"))
-        vectors = [s.features for s in samples]
-        batch = mlp_probabilities(model, vectors)
-        assert [repr(p) for p in batch.tolist()] == [repr(mlp_predict(model, v)) for v in vectors]
-        assert mlp_verdicts(model, samples) == (batch >= 0.5).tolist() == verdicts(vectors, model).tolist()
+        rows = rows_of(samples)
+        batch = mlp_probabilities(model, samples.columns)
+        assert [repr(p) for p in batch.tolist()] == [repr(mlp_predict(model, v)) for v in rows]
+        views = [LabeledSample(v, label) for v, label in zip(rows, samples.labels.tolist())]
+        assert mlp_verdicts(model, views) == (batch >= 0.5).tolist() == column_verdicts(samples.columns, model).tolist()
 
     @given(st.lists(st.tuples(st.booleans(), _column_values, _column_values), min_size=1, max_size=20))
     def test_agreement_counts_per_negative(self, rows):
-        samples = [sample(label, cc=cc, kld=kld) for label, cc, kld in rows]
+        samples = corpus(sample(label, cc=cc, kld=kld) for label, cc, kld in rows)
         configs = [ThresholdConfig("cc", 0.5), ThresholdConfig("kld", 0.5)]
         counts = {}
-        for s in samples:
-            wrong = sum(threshold_classify(s.features, cfg) for cfg in configs)
-            if not s.label and wrong:
+        for features, label in zip(rows_of(samples), samples.labels):
+            wrong = sum(threshold_classify(features, cfg) for cfg in configs)
+            if not label and wrong:
                 counts[wrong] = counts.get(wrong, 0) + 1
-        if all(s.label for s in samples):
+        if samples.labels.all():
             with pytest.raises(ParameterError):
                 measure_agreement(samples, configs)
             return
@@ -969,58 +974,83 @@ class TestAgreement:
         return [ThresholdConfig(m, DEFAULT_THRESHOLDS[m]) for m in ("cc", "kld", "jsd")]
 
     def test_all_perfect_empty(self):
-        samples = [sample(False, cc=-0.5, kld=5.0, jsd=0.5)] * 10 + [
+        samples = corpus([sample(False, cc=-0.5, kld=5.0, jsd=0.5)] * 10 + [
             sample(True, cc=0.9, kld=0.001, jsd=0.001)
-        ]
+        ])
         report = measure_agreement(samples, self._configs())
         assert report.total_false_positives == 0
         assert report.distribution == {}
 
     def test_single_measure_fooled(self):
-        samples = [sample(False, cc=-0.5, kld=0.001, jsd=0.5)] * 4
+        samples = corpus([sample(False, cc=-0.5, kld=0.001, jsd=0.5)] * 4)
         report = measure_agreement(samples, self._configs())
         assert report.total_false_positives == 4
         assert report.distribution == {1: 1.0}
 
     def test_needs_negative_sample(self):
         with pytest.raises(ParameterError):
-            measure_agreement([sample(True)], self._configs())
+            measure_agreement(corpus([sample(True)]), self._configs())
 
 
 class TestSimilarityJson:
     ROWS = [
-        ("aa:00:00:00:00:01", sv(cc=0.25, dtw=3.5, kld=0.0125, jsd=0.001)),
-        ("aa:00:00:00:00:02", sv(cc=None, dtw=0.0, kld=None, jsd=0.693,
-                                 flags=("cc_undefined", "kld_undefined", "cand_degenerate"))),
+        {**row(cc=0.25, dtw=3.5, kld=0.0125, jsd=0.001), "device_id": "aa:00:00:00:00:01"},
+        {**row(cc=None, dtw=0.0, kld=None, jsd=0.693, flags=("cc_undefined", "kld_undefined", "cand_degenerate")),
+         "device_id": "aa:00:00:00:00:02"},
     ]
 
-    def test_report_round_trip(self):
+    @pytest.mark.parametrize("writer", [write_report_json, write_report_csv])
+    def test_report_round_trip(self, writer):
+        report = report_of(self.ROWS)
         buf = io.StringIO()
-        write_report_json(self.ROWS, buf)
-        assert read_report(io.StringIO(buf.getvalue())) == self.ROWS
+        writer(report, buf)
+        back = read_report(io.StringIO(buf.getvalue()))
+        assert report_entries(back) == report_entries(report)
+        assert back.labels is None and back.tags is None
 
     def test_samples_round_trip(self):
-        samples = [LabeledSample(v, i == 0, frozenset({"regime=near", f"kind={i}"}))
-                   for i, (_, v) in enumerate(self.ROWS)]
+        rows = [{**r, "label": i == 0, "tags": sorted({"regime=near", f"kind={i}"})} for i, r in enumerate(self.ROWS)]
+        samples = report_of(rows)
         buf = io.StringIO()
-        write_samples_json([(device_id, s.features, s.label, sorted(s.tags))
-                            for (device_id, _), s in zip(self.ROWS, samples)], buf)
-        assert read_samples_json(io.StringIO(buf.getvalue())) == samples
-        assert [row["device_id"] for row in json.loads(buf.getvalue())] == [d for d, _ in self.ROWS]
+        write_report_json(samples, buf)
+        assert report_entries(read_samples(io.StringIO(buf.getvalue()))) == report_entries(samples)
+        assert [row["device_id"] for row in json.loads(buf.getvalue())] == [r["device_id"] for r in self.ROWS]
+        # The row view: one LabeledSample per entry, its features a one-row report.
+        views = read_samples_json(io.StringIO(buf.getvalue()))
+        assert [(v.label, v.tags) for v in views] == [(r["label"], frozenset(r["tags"])) for r in rows]
+        assert [report_entries(v.features) for v in views] == [[e] for e in report_entries(samples)]
+
+    def test_samples_row_may_leave_out_its_device_id(self):
+        row_ = {**row(cc=0.25, dtw=3.5, kld=0.0125, jsd=0.001), "label": True, "tags": []}
+        text = json.dumps([row_])
+        samples = read_samples(io.StringIO(text))
+        assert samples.device_ids == [None]
+        buf = io.StringIO()
+        write_report_json(samples, buf)
+        assert json.loads(buf.getvalue()) == [{**row_, "flags": []}]
+        with pytest.raises(FormatError, match="malformed similarity JSON"):  # a report row needs one
+            read_report(io.StringIO(text))
+
+    @pytest.mark.parametrize("device_id", [5, None, ["x"]])
+    def test_device_id_that_is_present_is_a_string(self, device_id):
+        row_ = {**row(), "device_id": device_id, "label": True, "tags": []}
+        for read in (read_report, read_samples, read_samples_json):
+            with pytest.raises(FormatError, match="device_id must be a string"):
+                read(io.StringIO(json.dumps([row_])))
 
     @pytest.mark.parametrize("key,value", [("label", "false"), ("label", 0), ("label", None),
                                            ("tags", "regime=near"), ("tags", [["regime=near"]]),
                                            ("flags", "cc_undefined"), ("flags", [None])])
     def test_mistyped_sample_field_is_format_error(self, key, value):
-        row = {"cc": 0.25, "dtw": 3.5, "kld": 0.0125, "jsd": 0.001, "flags": [], "label": False,
-               "tags": ["regime=near"]}
-        expected = sample(False, tags={"regime=near"}, cc=0.25, dtw=3.5, kld=0.0125, jsd=0.001)
-        assert read_samples_json(io.StringIO(json.dumps([row]))) == [expected]
+        row_ = {"cc": 0.25, "dtw": 3.5, "kld": 0.0125, "jsd": 0.001, "flags": [], "label": False,
+                "tags": ["regime=near"]}
+        expected = corpus([sample(False, tags={"regime=near"}, cc=0.25, dtw=3.5, kld=0.0125, jsd=0.001)])
+        assert report_entries(read_samples(io.StringIO(json.dumps([row_])))) == report_entries(expected)
         with pytest.raises(FormatError, match=f"{key} must be "):
-            read_samples_json(io.StringIO(json.dumps([{**row, key: value}])))
+            read_samples_json(io.StringIO(json.dumps([{**row_, key: value}])))
         if key == "flags":
             with pytest.raises(FormatError, match="flags must be "):
-                read_report(io.StringIO(json.dumps([{**row, "device_id": "x", key: value}])))
+                read_report(io.StringIO(json.dumps([{**row_, "device_id": "x", key: value}])))
 
     @pytest.mark.parametrize("text", [
         "", "[{", "7", '[{"cc": 0.1}]', '[{"cc": 0.1, "dtw": null, "kld": 0.1, "jsd": 0.1}]',

@@ -19,13 +19,14 @@ from conftest import (
     pcap_header,
     pcap_record,
     radiotap_frame,
+    report_entries,
     trak_box,
 )
 import simobs
 from simobs import classify, cli, simulate
 from simobs.cli import main
 from simobs.pcap import GLOBAL_HEADER_LEN, DeviceId
-from simobs.similarity import MEASURES, read_report
+from simobs.similarity import MEASURES, read_report, read_samples, write_report_csv, write_report_json
 from simobs.timeseries import MAX_STEPS, event_array
 
 
@@ -144,8 +145,8 @@ class TestSimulateAnalyzeClassify:
                     "--devices", str(out_dir / "devices.csv"),
                     "--format", "json", "--out", str(report)]) == 0
         with open(report) as fh:
-            rows = read_report(fh)  # raises FormatError on a non-finite measure
-        values = [sv.measure(m) for _, sv in rows for m in MEASURES]
+            rows = report_entries(read_report(fh))  # raises FormatError on a non-finite measure
+        values = [row[m] for row in rows for m in MEASURES]
         assert values and all(math.isfinite(v) for v in values if v is not None)
 
     def test_capture_of_300_devices_extracts_as_its_devices_csv(self, tmp_path):
@@ -521,6 +522,22 @@ class TestClassifyReports:
         assert (self._classify(scene, "report.csv", argv, tmp_path / "from_csv")
                 == self._classify(scene, "report.json", argv, tmp_path / "from_json"))
 
+    @pytest.mark.parametrize("argv", [[], ["--format", "json"], ["--model", "MODEL"]])
+    @pytest.mark.parametrize("blank", ["trailing", "inner", "spaces"])
+    def test_blank_lines_in_csv_report_are_skipped(self, blank, argv, scene, tmp_path):
+        """As in the series and device-set CSV readers, a blank line in a
+        CSV report is skipped."""
+        argv = [str(scene / "model.json") if a == "MODEL" else a for a in argv]
+        text = (scene / "report.csv").read_text()
+        if blank == "trailing":
+            text += "\n"
+        else:
+            header, first, rest = text.split("\n", 2)
+            text = "\n".join([header, first, "" if blank == "inner" else " \t ", rest])
+        (tmp_path / "blank.csv").write_text(text)
+        assert (self._classify(tmp_path, "blank.csv", argv, tmp_path / "from_blank")
+                == self._classify(scene, "report.csv", argv, tmp_path / "from_csv"))
+
     @pytest.mark.parametrize("cell,value", [("dtw", ""), ("jsd", ""), ("cc", "nan"), ("dtw", "inf"),
                                             ("kld", "abc"), ("width", "extra")])
     def test_malformed_csv_cell_one_line_exit_1(self, cell, value, scene, tmp_path, capsys):
@@ -699,6 +716,41 @@ class TestConverge:
         with pytest.raises(AssertionError, match="packetize"):  # a capture still packetizes
             run(["simulate", "--preset", "far", "--out-dir", str(tmp_path / "capture"),
                  "--pcap-out", str(tmp_path / "capture.pcap")])
+
+
+class TestReportBytesRoundTrip:
+    """analyze's CSV report, JSON report and samples file, each read into
+    a Report and written back by its own codec, are the bytes analyze
+    wrote."""
+
+    @pytest.mark.parametrize("scene,seed", [("easy", 4), ("far", 9), ("constant reference", 5)])
+    def test_read_then_write_gives_the_same_bytes(self, scene, seed, tmp_path):
+        d = tmp_path / "scene"
+        assert run(["simulate", "--preset", scene.split()[0].replace("constant", "easy"), "--seed", str(seed),
+                    "--out-dir", str(d)]) == 0
+        if scene == "constant reference":
+            lines = (d / "reference.csv").read_text().splitlines()
+            lines[3:] = [line.split(",")[0] + ",700" for line in lines[3:]]
+            (d / "reference.csv").write_text("\n".join(lines) + "\n")
+        inputs = ["--reference", str(d / "reference.csv"), "--devices", str(d / "devices.csv")]
+        codecs = {"report.csv": ([], read_report, write_report_csv),
+                  "report.json": (["--format", "json"], read_report, write_report_json),
+                  "samples.json": (["--manifest", str(d / "manifest.json")], read_samples, write_report_json)}
+        for name, (extra, read, write) in codecs.items():
+            assert run(["analyze", *inputs, *extra, "--out", str(d / name)]) == 0
+            with open(d / name) as fh:
+                report = read(fh)
+            buf = io.StringIO()
+            write(report, buf)
+            assert buf.getvalue() == (d / name).read_text(), name
+        rows = json.loads((d / "samples.json").read_text())
+        assert len(rows) == 10 and sum(row["label"] for row in rows) == 1
+        if scene == "constant reference":
+            for row in rows:
+                assert row["cc"] is None and row["kld"] is None
+                assert {"ref_degenerate", "cc_undefined", "kld_undefined"} <= set(row["flags"])
+        else:
+            assert any(row["cc"] is not None for row in rows)
 
 
 class TestUsageErrors:
@@ -1026,6 +1078,29 @@ class TestMalformedInput:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and f"{key} must be " in err[0]
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["train"], ["grid-search", "--folds", "3"],
+                                      ["portability", "--partition-tag", "regime"], ["agreement"]])
+    def test_non_string_device_id_in_samples_one_line_exit_1(self, argv, tmp_path, capsys):
+        """A samples row may leave out its device id, as these rows do, but
+        one that is there is a string, as a report row's is."""
+        rows = _synthetic_rows()
+        assert run(argv + ["--samples", str(self._samples(tmp_path, rows)), "--out", str(tmp_path / "ok")]) == 0
+        rows[0]["device_id"] = 5
+        samples = self._samples(tmp_path, rows)
+        for command in (argv, ["classify", "--report"]):
+            out = tmp_path / "out"
+            flag = [] if command[0] == "classify" else ["--samples"]
+            assert run(command + flag + [str(samples), "--out", str(out)]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert err == ["error: device_id must be a string, got 5"]
+            assert not out.exists()
+
+    @staticmethod
+    def _samples(tmp_path, rows):
+        path = tmp_path / "samples.json"
+        path.write_text(json.dumps(rows))
+        return path
 
     @pytest.mark.parametrize("flags", ["cc_undefined", ["cc_undefined", 1]])
     def test_mistyped_report_flags_one_line_exit_1(self, flags, tmp_path, capsys):

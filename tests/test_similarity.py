@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import similarity_oracle
+from conftest import report_entries, report_reprs
 from dtw_oracle import bruteforce_matrix_halfunits, dtw_bruteforce
 from simobs import simulate
 from simobs.errors import AlignmentError, ParameterError
@@ -20,9 +21,9 @@ from simobs.similarity import (
     _jsd_rows,
     _kld_rows,
     dtw_distance,
+    score_report,
     score_rows,
     similarity_vector,
-    similarity_vectors,
 )
 from simobs.timeseries import ByteSeries, align, min_max_normalize
 
@@ -211,49 +212,54 @@ class TestJsd:
         assert -1e-15 <= d1 <= math.log(2) + 1e-12
 
 
+def pair(a, b) -> dict:
+    """The one entry of similarity_vector(a, b)."""
+    (entry,) = report_entries(similarity_vector(a, b))
+    return entry
+
+
 class TestSimilarityVector:
     def test_self_comparison(self):
         rng = np.random.default_rng(4)
         s = series(rng.integers(100, 10000, 60))
-        sv = similarity_vector(s, s)
-        assert sv.cc == pytest.approx(1.0, abs=1e-9)
-        assert sv.dtw == 0.0
-        assert sv.kld == pytest.approx(0.0, abs=1e-9)
-        assert sv.jsd == pytest.approx(0.0, abs=1e-12)
-        assert sv.flags == frozenset()
+        sv = pair(s, s)
+        assert sv["cc"] == pytest.approx(1.0, abs=1e-9)
+        assert sv["dtw"] == 0.0
+        assert sv["kld"] == pytest.approx(0.0, abs=1e-9)
+        assert sv["jsd"] == pytest.approx(0.0, abs=1e-12)
+        assert sv["flags"] == frozenset()
 
     def test_constant_candidate_flags(self):
         rng = np.random.default_rng(6)
         ref = series(rng.integers(100, 10000, 60))
         cand = series([500] * 60)
-        sv = similarity_vector(ref, cand)
-        assert FLAG_CAND_DEGENERATE in sv.flags
-        assert FLAG_CC_UNDEFINED in sv.flags
-        assert FLAG_KLD_UNDEFINED in sv.flags
-        assert sv.cc is None and sv.kld is None
+        sv = pair(ref, cand)
+        assert FLAG_CAND_DEGENERATE in sv["flags"]
+        assert FLAG_CC_UNDEFINED in sv["flags"]
+        assert FLAG_KLD_UNDEFINED in sv["flags"]
+        assert sv["cc"] is None and sv["kld"] is None
         # constant-but-positive candidate: jsd falls back to the raw bins
-        assert 0.0 <= sv.jsd <= math.log(2) + 1e-12
+        assert 0.0 <= sv["jsd"] <= math.log(2) + 1e-12
 
     def test_all_zero_candidate_max_jsd(self):
         rng = np.random.default_rng(8)
         ref = series(rng.integers(100, 10000, 60))
-        sv = similarity_vector(ref, series([0] * 60))
-        assert sv.jsd == pytest.approx(math.log(2))
-        assert FLAG_CAND_DEGENERATE in sv.flags
+        sv = pair(ref, series([0] * 60))
+        assert sv["jsd"] == pytest.approx(math.log(2))
+        assert FLAG_CAND_DEGENERATE in sv["flags"]
 
     def test_constant_reference_flags(self):
         rng = np.random.default_rng(80)
         cand = series(rng.integers(100, 10000, 60))
-        sv = similarity_vector(series([700] * 60), cand)
-        assert FLAG_REF_DEGENERATE in sv.flags
+        sv = pair(series([700] * 60), cand)
+        assert FLAG_REF_DEGENERATE in sv["flags"]
 
     def test_never_raises_on_valid_overlap(self):
         rng = np.random.default_rng(10)
         for _ in range(50):
             a = series(rng.integers(0, 5, 30))
             b = series(rng.integers(0, 5, 30))
-            sv = similarity_vector(a, b)
-            assert sv.dtw >= 0.0
+            assert pair(a, b)["dtw"] >= 0.0
 
     def test_alignment_error_propagates(self):
         a = series(range(1, 11), start=0.0)
@@ -261,7 +267,7 @@ class TestSimilarityVector:
         with pytest.raises(AlignmentError):
             similarity_vector(a, b)
 
-    def test_vectors_equal_per_pair_vectors(self):
+    def test_report_equals_per_pair_reports(self):
         rng = np.random.default_rng(13)
         ref = series(rng.integers(100, 10000, 70), start=-10.0)
         candidates = [
@@ -271,9 +277,12 @@ class TestSimilarityVector:
             series([0] * 60),
             series([0] * 40 + list(rng.integers(100, 10000, 20))),
         ]
-        stacked = similarity_vectors(ref, candidates)
-        assert stacked == [similarity_vector(ref, c) for c in candidates]
-        assert [sv.flags for sv in stacked[2:4]] == [{FLAG_CAND_DEGENERATE, FLAG_CC_UNDEFINED, FLAG_KLD_UNDEFINED}] * 2
+        stacked = report_entries(score_report(ref, candidates))
+        assert stacked == [pair(ref, c) for c in candidates]
+        flattened = {FLAG_CAND_DEGENERATE, FLAG_CC_UNDEFINED, FLAG_KLD_UNDEFINED}
+        assert [sv["flags"] for sv in stacked[2:4]] == [flattened] * 2
+        ids = ["a", "b", "c", "d", "e"]
+        assert score_report(ref, candidates, ids).device_ids == ids
 
     @pytest.mark.parametrize("candidates", [
         [],
@@ -281,23 +290,18 @@ class TestSimilarityVector:
         [series([1, 2, 3]), series([1, 2, 3], step=2.0)],
         [series([1, 2, 3]), series([1, 2, 3, 4])],
     ])
-    def test_vectors_need_one_shared_window(self, candidates):
+    def test_report_needs_one_shared_window(self, candidates):
         with pytest.raises(ParameterError):
-            similarity_vectors(series([1, 2, 3, 4]), candidates)
+            score_report(series([1, 2, 3, 4]), candidates)
 
     def test_offset_windows_align_first(self):
         rng = np.random.default_rng(12)
         vals = rng.integers(100, 10000, 70)
         a = ByteSeries(0.0, 1.0, vals[:60])
         b = ByteSeries(10.0, 1.0, vals[10:70])
-        sv = similarity_vector(a, b)
-        assert sv.cc == pytest.approx(1.0, abs=1e-9)
-        assert sv.dtw == 0.0
-
-
-def _reprs(vectors):
-    # repr, not ==: equality would let -0.0 stand for 0.0.
-    return [(repr(v.cc), repr(v.dtw), repr(v.kld), repr(v.jsd), v.flags) for v in vectors]
+        sv = pair(a, b)
+        assert sv["cc"] == pytest.approx(1.0, abs=1e-9)
+        assert sv["dtw"] == 0.0
 
 
 @st.composite
@@ -330,14 +334,14 @@ def _device_sets(draw, max_len=40):
 
 
 class TestEngineAgainstOracle:
-    """similarity_vectors against the per-candidate loop in similarity_oracle."""
+    """score_report against the per-candidate loop in similarity_oracle."""
 
     @given(_device_sets())
     @settings(max_examples=400, deadline=None)
     def test_device_sets(self, scene):
         reference, devices = scene
-        assert _reprs(similarity_vectors(reference, devices)) == _reprs(
-            similarity_oracle.similarity_vectors(reference, devices)
+        assert report_reprs(score_report(reference, devices)) == report_reprs(
+            similarity_oracle.score_report(reference, devices)
         )
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -347,8 +351,8 @@ class TestEngineAgainstOracle:
         window, _ = align(dataset.reference_series, devices[0])
         for t in range(2, len(window) + 1):
             head = ByteSeries(window.start_time, window.step, window.values[:t])
-            assert _reprs(similarity_vectors(head, devices)) == _reprs(
-                similarity_oracle.similarity_vectors(head, devices)
+            assert report_reprs(score_report(head, devices)) == report_reprs(
+                similarity_oracle.score_report(head, devices)
             ), f"prefix t={t}"
 
     @pytest.mark.parametrize("measure", [dtw_distance])
@@ -365,9 +369,9 @@ class TestEngineAgainstOracle:
         ref, window = align(reference, devices[0])
         skip = round((window.start_time - devices[0].start_time) / window.step)
         x, _ = min_max_normalize(ref)
-        for device, sv in zip(devices, similarity_vectors(reference, devices)):
+        for device, sv in zip(devices, report_entries(score_report(reference, devices))):
             y, _ = min_max_normalize(device.values[skip : skip + len(window)])
-            assert sv.dtw == pytest.approx(dtw_bruteforce(x, y), rel=1e-12, abs=1e-12)
+            assert sv["dtw"] == pytest.approx(dtw_bruteforce(x, y), rel=1e-12, abs=1e-12)
 
     @given(_device_sets())
     @settings(max_examples=200, deadline=None)
