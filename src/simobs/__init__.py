@@ -28,7 +28,7 @@ from .classify import (
 )
 from .errors import SimobsError
 from .mp4 import TrackSampleTable, parse_mp4, video_byte_series
-from .pcap import DeviceId, DeviceStream, FrameBatch, extract_device_series, read_pcap
+from .pcap import DeviceStream, FrameBatch, extract_device_series, read_pcap
 from .similarity import Report, dtw_distance, score_report, similarity_vector
 from .simulate import (
     CameraModel,
@@ -47,7 +47,6 @@ __all__ = [
     "ByteSeries",
     "CameraModel",
     "DEFAULT_THRESHOLDS",
-    "DeviceId",
     "DeviceStream",
     "FrameBatch",
     "GridPoint",

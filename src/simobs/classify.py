@@ -83,40 +83,46 @@ class Metrics:
     precision: float
     recall: float
     f1: float
-    undefined: frozenset[str] = frozenset()
 
     @property
     def total(self) -> int:
         return self.tp + self.fp + self.tn + self.fn
 
 
-def evaluate(predictions: Sequence[bool], labels: Sequence[bool]) -> Metrics:
-    """Confusion counts plus accuracy/precision/recall/F1.
+def _rates(tp, predicted, actual, entries) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Precision, recall, F1 and accuracy of confusion counts of any shape:
+    true positives, predicted positives, actual positives and entries.  A
+    ratio whose denominator is 0 is 0.0."""
+    tp, predicted, actual, entries = np.broadcast_arrays(tp, predicted, actual, entries)
 
-    Zero-denominator ratios come back as 0.0, named in ``undefined``.
-    """
+    def ratio(numerator, denominator):
+        return np.divide(numerator, denominator, out=np.zeros(tp.shape), where=denominator > 0)
+
+    precision, recall = ratio(tp, predicted), ratio(tp, actual)
+    f1 = ratio(2 * precision * recall, precision + recall)
+    return precision, recall, f1, ratio(entries - predicted - actual + 2 * tp, entries)
+
+
+def _metrics(verdicts: np.ndarray, labels: np.ndarray) -> list[Metrics]:
+    """The Metrics of each row of a (rows, entries) verdict stack, against
+    one row of labels or one per verdict row."""
+    tp = np.count_nonzero(verdicts & labels, axis=-1)
+    predicted = np.count_nonzero(verdicts, axis=-1)
+    actual = np.broadcast_to(np.count_nonzero(labels, axis=-1), tp.shape)
+    n = verdicts.shape[-1]
+    rates = zip(*(r.tolist() for r in _rates(tp, predicted, actual, n)))
+    return [Metrics(t, p - t, n - p - a + t, a - t, accuracy, precision, recall, f1)
+            for t, p, a, (precision, recall, f1, accuracy) in zip(tp.tolist(), predicted.tolist(), actual.tolist(), rates)]
+
+
+def evaluate(predictions: Sequence[bool], labels: Sequence[bool]) -> Metrics:
+    """Confusion counts plus accuracy/precision/recall/F1; a ratio whose
+    denominator is 0 comes back as 0.0."""
     if len(predictions) != len(labels):
         raise ParameterError(f"length mismatch: {len(predictions)} vs {len(labels)}")
     if len(labels) < 1:
         raise ParameterError("need at least one prediction")
-    pred, label = np.asarray(predictions, dtype=bool), np.asarray(labels, dtype=bool)
-    tp, fp, fn = (int(np.count_nonzero(a & b)) for a, b in ((pred, label), (pred, ~label), (~pred, label)))
-    tn = len(labels) - tp - fp - fn
-    undefined = set()
-    if tp + fp > 0:
-        precision = tp / (tp + fp)
-    else:
-        precision, undefined = 0.0, undefined | {"precision"}
-    if tp + fn > 0:
-        recall = tp / (tp + fn)
-    else:
-        recall, undefined = 0.0, undefined | {"recall"}
-    if precision + recall > 0:
-        f1 = 2 * precision * recall / (precision + recall)
-    else:
-        f1, undefined = 0.0, undefined | {"f1"}
-    accuracy = (tp + tn) / len(labels)
-    return Metrics(tp, fp, tn, fn, accuracy, precision, recall, f1, frozenset(undefined))
+    return _metrics(np.asarray(predictions, dtype=bool)[None], np.asarray(labels, dtype=bool))[0]
 
 
 def sweep_threshold(samples: Report, measure: str) -> tuple[float, float]:
@@ -144,9 +150,7 @@ def sweep_threshold(samples: Report, measure: str) -> tuple[float, float]:
     order = np.argsort(sign * values)
     n_spy = np.searchsorted(sign * values[order], sign * candidates, side="right")
     tp = np.concatenate(([0], np.cumsum(spies[order])))[n_spy]
-    precision = np.divide(tp, n_spy, out=np.zeros(len(tp)), where=n_spy > 0)
-    recall = tp / labels.sum()
-    f1 = np.divide(2 * precision * recall, precision + recall, out=np.zeros(len(tp)), where=tp > 0)
+    f1 = _rates(tp, n_spy, labels.sum(), labels.size)[2]
     best = int(np.argmax(f1))  # the first best
     return float(candidates[best]), float(f1[best])
 
@@ -594,8 +598,9 @@ def _chunk_f1(splits, seeds, alphas, layers, activation: str, max_iter: int) -> 
     """
     x, y, x_test, y_test = zip(*splits)
     weights, biases, _ = _fit_stack(np.stack(x), np.stack(y), seeds, alphas, layers, activation, max_iter)
+    # The models share a training-set size, so their test sets are the same length.
     spy = _forward(weights, biases, activation, np.stack(x_test))[-1][:, :, 0] >= 0.5
-    return [evaluate(preds, truth).f1 for preds, truth in zip(spy, y_test)]
+    return [m.f1 for m in _metrics(spy, np.stack(y_test))]
 
 
 def grid_search(
@@ -686,11 +691,9 @@ def convergence_analysis(
     if raw.shape[1] < 2:
         raise ParameterError("window must be at least 2 steps")
     measures = _measures_read(model_or_cfg)
-    results = []
-    for t in range(2, raw.shape[1] + 1):
-        columns = score_rows(raw[:, :t], measures).columns
-        results.append((t, evaluate(column_verdicts(columns, model_or_cfg), labels)))
-    return results
+    prefixes = range(2, raw.shape[1] + 1)
+    verdicts = np.stack([column_verdicts(score_rows(raw[:, :t], measures).columns, model_or_cfg) for t in prefixes])
+    return list(zip(prefixes, _metrics(verdicts, np.asarray(labels, dtype=bool))))
 
 
 def _split_tags(tags: Sequence[Sequence[str]], partition_tag: str) -> dict[str, np.ndarray]:

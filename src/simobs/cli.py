@@ -160,7 +160,7 @@ def cmd_analyze(args) -> int:
         with open(args.manifest) as fh:
             labels = read_json(fh, _manifest_labels, "manifest")
 
-    ids = [str(device_id) for device_id, _ in devices]
+    ids = [device_id for device_id, _ in devices]
     if labels is not None:
         unlisted = [device_id for device_id in ids if device_id not in labels]
         if unlisted:
@@ -314,7 +314,7 @@ def cmd_converge(args) -> int:
             raise ParameterError(f"--threshold must be a finite number, got {threshold}")
         classifier = cls.ThresholdConfig(measure, threshold)
 
-    curves: list[list[cls.Metrics]] = []
+    curves = []
     for trial in range(args.trials):
         dataset = simulate.render_scenario(replace(scenario, seed=scenario.seed + trial))
         results = cls.convergence_analysis(
@@ -323,19 +323,14 @@ def cmd_converge(args) -> int:
             [tr.spying for tr in dataset.traces],
             classifier,
         )
-        curves.append([m for _, m in results])
+        curves.append([(m.f1, m.accuracy, m.precision, m.recall) for _, m in results])
 
-    n_t = min(len(c) for c in curves)
+    # Every trial renders the same duration, so the curves are of one
+    # length.  The trials go on the last, contiguous axis, where each
+    # cell's sum is pairwise, as np.mean sums a list.
+    means = np.stack(curves, axis=-1).mean(axis=-1)
     lines = ["t,mean_f1,mean_accuracy,mean_precision,mean_recall"]
-    for i in range(n_t):
-        ms = [c[i] for c in curves]
-        cells = [
-            float(np.mean([m.f1 for m in ms])),
-            float(np.mean([m.accuracy for m in ms])),
-            float(np.mean([m.precision for m in ms])),
-            float(np.mean([m.recall for m in ms])),
-        ]
-        lines.append(f"{i + 2}," + ",".join(repr(c) for c in cells))
+    lines += [f"{t}," + ",".join(repr(c) for c in cells) for t, cells in enumerate(means.tolist(), start=2)]
     _write_outputs([(args.out, "\n".join(lines) + "\n")])
     return 0
 

@@ -16,7 +16,6 @@ import io
 import ipaddress
 import mmap
 import os
-import re
 import stat
 import struct
 from dataclasses import dataclass
@@ -57,17 +56,6 @@ class LinkType(IntEnum):
     IEEE80211_RADIOTAP = 127
 
 
-@dataclass(frozen=True, order=True)
-class DeviceId:
-    """A transmitting device, keyed by MAC or IP address."""
-
-    kind: str  # "mac", "ipv4" or "ipv6"
-    value: str
-
-    def __str__(self) -> str:
-        return self.value
-
-
 class FrameBatch(NamedTuple):
     """Consecutive frames of one capture, as columns over the bytes they
     were read from.  Frame ``i``'s payload is
@@ -87,9 +75,10 @@ class FrameBatch(NamedTuple):
 
 @dataclass(frozen=True)
 class DeviceStream:
-    """The binned byte series of one device, with its frame count."""
+    """The binned byte series of one device, with its frame count.
+    ``device_id`` is the device's MAC or IP address as text."""
 
-    device_id: DeviceId
+    device_id: str
     series: ByteSeries
     frame_count: int
 
@@ -422,13 +411,13 @@ def _ip_sources(
     return malformed, attributed, keys[attributed].view(_IP_KEY).ravel()
 
 
-def _device_id(key: int | bytes) -> DeviceId:
-    """The DeviceId of one key from ``_transmitters``, as ``tolist`` gives it."""
+def _device_id(key: int | bytes) -> str:
+    """The MAC or IP text of one key from ``_transmitters``, as ``tolist`` gives it."""
     if isinstance(key, bytes):
         if key[0] == 4:
-            return DeviceId("ipv4", str(ipaddress.IPv4Address(key[1:5])))
-        return DeviceId("ipv6", str(ipaddress.IPv6Address(key[1:])))
-    return DeviceId("mac", key.to_bytes(6, "big").hex(":"))
+            return str(ipaddress.IPv4Address(key[1:5]))
+        return str(ipaddress.IPv6Address(key[1:]))
+    return key.to_bytes(6, "big").hex(":")
 
 
 def _with_room(array: np.ndarray, rows: int) -> np.ndarray:
@@ -473,10 +462,11 @@ class _DeviceBins:
             self.bins, self.frame_counts = (_with_room(a, room) for a in (self.bins, self.frame_counts))
 
     def streams(self, start: float, step: float) -> list[DeviceStream]:
-        """One stream per device, in ascending id order."""
+        """One stream per device: MACs in text order; IPv4 sources, which
+        hold no colon, before IPv6 ones, each in text order."""
         streams = [DeviceStream(_device_id(key), ByteSeries(start, step, self.bins[row]), int(self.frame_counts[row]))
                    for key, row in zip(self.keys.tolist(), self.rows.tolist())]
-        return sorted(streams, key=lambda stream: stream.device_id)
+        return sorted(streams, key=lambda stream: (":" in stream.device_id, stream.device_id))
 
 
 def extract_device_series(
@@ -494,9 +484,10 @@ def extract_device_series(
     ``None`` starts it at the first frame's timestamp, whether or not
     that frame is attributed.  A frame counts its on-wire bytes minus the
     radiotap pseudo-header, which is capture metadata and never crossed
-    the air.  Malformed frames are skipped.  Devices come back in
-    ascending id order.  ``group_by="ip"`` reads the source IP of
-    Ethernet IPv4/IPv6 frames and skips everything else.
+    the air.  Malformed frames are skipped.  Devices come back with
+    their MAC or IP text as id: MACs in text order, IPv4 sources before
+    IPv6 ones, each in text order.  ``group_by="ip"`` reads the source
+    IP of Ethernet IPv4/IPv6 frames and skips everything else.
 
     Pass a dict as ``counters`` to receive drop accounting: frames and
     bytes that were malformed, unattributable, or outside the window.
@@ -549,25 +540,18 @@ def extract_device_series(
 # device ids, then one row per step with one column per device.
 # ---------------------------------------------------------------------------
 
-def write_devices_csv(devices: Sequence[tuple[DeviceId, ByteSeries]], out: TextIO) -> None:
+def write_devices_csv(devices: Sequence[tuple[str, ByteSeries]], out: TextIO) -> None:
     first = device_set([series for _, series in devices])
     out.write("start_time,step\n")
     out.write(f"{first.start_time!r},{first.step!r}\n")
-    out.write(",".join(str(device_id) for device_id, _ in devices) + "\n")
+    out.write(",".join(device_id for device_id, _ in devices) + "\n")
     for i in range(len(first)):
         out.write(",".join(str(int(series.values[i])) for _, series in devices) + "\n")
 
 
-_MAC = re.compile(r"[0-9a-fA-F]{2}(:[0-9a-fA-F]{2}){5}")
-
-
-def read_devices_csv(inp: TextIO) -> list[tuple[DeviceId, ByteSeries]]:
-    """Inverse of write_devices_csv: (device id, series) pairs.
-
-    A device id is a MAC when it is six hex octets, else an IPv6
-    address when it holds a colon, else IPv4.  An empty or repeated id
-    is malformed.
-    """
+def read_devices_csv(inp: TextIO) -> list[tuple[str, ByteSeries]]:
+    """Inverse of write_devices_csv: (device id, series) pairs, each id
+    kept as written.  An empty or repeated id is malformed."""
     try:
         lines = [ln.strip() for ln in inp if ln.strip()]
         if len(lines) < 4 or lines[0] != "start_time,step":
@@ -584,10 +568,8 @@ def read_devices_csv(inp: TextIO) -> list[tuple[DeviceId, ByteSeries]]:
                 raise FormatError(f"row width {len(cells)} != device count {len(ids)}")
             for col, cell in zip(columns, cells):
                 col.append(int(cell))
-        devices = []
-        for device_id, col in zip(ids, columns):
-            kind = "mac" if _MAC.fullmatch(device_id) else ("ipv6" if ":" in device_id else "ipv4")
-            devices.append((DeviceId(kind, device_id), ByteSeries(start_time, step, np.array(col, dtype=np.int64))))
+        devices = [(device_id, ByteSeries(start_time, step, np.array(col, dtype=np.int64)))
+                   for device_id, col in zip(ids, columns)]
     except (ValueError, OverflowError) as exc:  # ParameterError included
         raise FormatError(f"malformed device-set CSV: {exc}") from exc
     return devices

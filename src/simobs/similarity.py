@@ -279,7 +279,10 @@ def _report_from_rows(rows: list, labeled: bool) -> Report:
     tags are lists of strings and a label is true or false, else
     FormatError."""
     ids = []
-    for row in rows:
+    for i, row in enumerate(rows):
+        if not labeled and isinstance(row, dict) and "device_id" not in row:
+            raise FormatError(f"similarity report row {i} (counting from 0) has no device_id; only a samples "
+                              "file, as train, grid-search, portability and agreement read, may leave it out")
         present = not labeled or "device_id" in row
         ids.append(row["device_id"] if present else None)
         if present and not isinstance(ids[-1], str):

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence, TextIO
 import numpy as np
 
 from .errors import ParameterError, read_json
-from .pcap import ETHERTYPE_IPV4, GLOBAL_HEADER_LEN, MAGIC_MICROS, RECORD_HEADER_LEN, DeviceId, LinkType, _window
+from .pcap import ETHERTYPE_IPV4, GLOBAL_HEADER_LEN, MAGIC_MICROS, RECORD_HEADER_LEN, LinkType, _window
 # bin_events is not called here; perfbench/layers.py wraps simulate.bin_events.
 from .timeseries import ByteSeries, add_to_steps, bin_events, check_window, event_array, step_index
 
@@ -124,7 +124,7 @@ class LabeledTrace:
     """One simulated device: its per-step byte totals, transmit delay,
     binned stream and ground truth."""
 
-    device_id: DeviceId
+    device_id: str  # its MAC
     kind: str
     spying: bool
     step_bytes: np.ndarray
@@ -363,11 +363,11 @@ _GENERATORS = {"cbr": _cbr, "vbr_stream": _vbr_stream, "browsing": _browsing, "d
 # Scenario rendering
 # ---------------------------------------------------------------------------
 
-def _device_mac(group: int, index: int) -> DeviceId:
+def _device_mac(group: int, index: int) -> str:
     """The MAC of a group's device: ``index + 1`` in the last octet, its
     higher bytes in the fourth and third."""
     n = index + 1
-    return DeviceId("mac", f"02:00:{n >> 16:02x}:{n >> 8 & 0xFF:02x}:{group:02x}:{n & 0xFF:02x}")
+    return f"02:00:{n >> 16:02x}:{n >> 8 & 0xFF:02x}:{group:02x}:{n & 0xFF:02x}"
 
 
 def render_scenario(scenario: SimScenario) -> SimDataset:
@@ -410,7 +410,7 @@ def render_scenario(scenario: SimScenario) -> SimDataset:
     manifest = {
         "scenario": scenario_to_dict(scenario),
         "devices": [
-            {"device_id": str(tr.device_id), "kind": tr.kind, "spying": tr.spying}
+            {"device_id": tr.device_id, "kind": tr.kind, "spying": tr.spying}
             for tr in traces
         ],
     }
@@ -427,7 +427,7 @@ _LINK_TYPES = {"ethernet": LinkType.ETHERNET, "radiotap": LinkType.IEEE80211_RAD
 SNAPLEN = 65535
 
 
-def _frame_heads(device_ids: Sequence[DeviceId], link_type: LinkType) -> np.ndarray:
+def _frame_heads(device_ids: Sequence[str], link_type: LinkType) -> np.ndarray:
     """One uint8 row per device: its fixed frame head.  Ethernet is the
     Ethernet header plus an IPv4 header with total length 0 from a source
     of its own: 10.0.0.(i + 1) for the first 253 devices, then on from
@@ -435,7 +435,7 @@ def _frame_heads(device_ids: Sequence[DeviceId], link_type: LinkType) -> np.ndar
     the radiotap plus to-DS 802.11 header."""
     rows = []
     for i, device_id in enumerate(device_ids):
-        src = bytes.fromhex(device_id.value.replace(":", ""))
+        src = bytes.fromhex(device_id.replace(":", ""))
         if link_type is LinkType.ETHERNET:
             n = i + 1 if i < 253 else i + 3
             ip = bytes([0x45, 0, 0, 0, 0, 0, 0, 0, 64, 17, 0, 0,  # UDP, TTL 64, lengths and checksum 0
@@ -461,8 +461,8 @@ def _record_times(time: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sec, usec
 
 
-def write_pcap(frames: Sequence[tuple[DeviceId, np.ndarray]], link: str = "ethernet") -> bytearray:
-    """Serialize ``(device id, event array)`` pairs as a classic
+def write_pcap(frames: Sequence[tuple[str, np.ndarray]], link: str = "ethernet") -> bytearray:
+    """Serialize ``(device MAC, event array)`` pairs as a classic
     microsecond pcap, returned as the one buffer it is built in.
 
     Record headers and each device's fixed frame head are scattered into
@@ -484,7 +484,7 @@ def write_pcap(frames: Sequence[tuple[DeviceId, np.ndarray]], link: str = "ether
     dev_index = np.repeat(np.arange(len(per_device)), [len(e) for e in per_device])
     # Frames go out in (timestamp, device id) order; equal keys keep
     # device order, then event order.
-    _, rank = np.unique([str(device_id) for device_id in device_ids], return_inverse=True)
+    _, rank = np.unique(device_ids, return_inverse=True)
     order = np.lexsort((rank[dev_index], events["timestamp"]))
 
     sec, usec = _record_times(events["timestamp"][order])

@@ -31,7 +31,6 @@ from simobs.pcap import (
     MAX_CAPTURED_LEN,
     PCAPNG_MAGIC,
     RECORD_HEADER_LEN,
-    DeviceId,
     DeviceStream,
     LinkType,
 )
@@ -120,8 +119,8 @@ def transmitter_of(
     record: PacketRecord,
     group_by: str = "mac",
     include_non_data: bool = False,
-) -> DeviceId | None:
-    """The transmitting device of a frame, or None if unattributable.
+) -> str | None:
+    """The MAC or IP text of a frame's transmitter, or None if unattributable.
 
     For radiotap captures only 802.11 data frames are attributed unless
     ``include_non_data`` is set; ACK/CTS control frames carry no
@@ -130,7 +129,7 @@ def transmitter_of(
     """
     _check_group_by(group_by)
     key, _ = _attribute(record, group_by, include_non_data)
-    return None if key is None else DeviceId(*key)
+    return None if key is None else key[1]
 
 
 def _check_group_by(group_by: str) -> None:
@@ -216,7 +215,8 @@ def extract_device_series(
     ``None`` starts it at the first record's timestamp, whether or not
     that frame is attributed.  A frame counts its on-wire bytes minus the
     radiotap pseudo-header.  Malformed frames are skipped.  Devices come
-    back in ascending id order.
+    back with their MAC or IP text as id, in ``(kind, text)`` order:
+    ipv4 before ipv6 before mac, each in text order.
 
     Pass a dict as ``counters`` to receive drop accounting: frames and
     bytes that were malformed, unattributable, or outside the window.
@@ -244,7 +244,7 @@ def extract_device_series(
         per_device.setdefault(key, []).append((record.timestamp, max(size, 0)))
 
     streams = []
-    for key in sorted(per_device):  # the order of DeviceId
+    for key in sorted(per_device):
         events = np.array(per_device[key], dtype=EVENT_DTYPE)
         index = np.floor((events["timestamp"] - start) / step)  # the step bin_events bins it in
         in_window = (index >= 0) & (index < n_steps)
@@ -255,7 +255,7 @@ def extract_device_series(
         if not kept:
             continue
         series = bin_events(events[in_window], start, step, n_steps)
-        streams.append(DeviceStream(device_id=DeviceId(*key), series=series, frame_count=kept))
+        streams.append(DeviceStream(device_id=key[1], series=series, frame_count=kept))
     if counters is not None:
         counters.update(drops)
     return streams

@@ -143,8 +143,7 @@ class TestEvaluate:
     def test_degenerate_all_negative(self):
         metrics = evaluate([False, False], [False, False])
         assert metrics.accuracy == 1.0
-        assert metrics.f1 == 0.0
-        assert "f1" in metrics.undefined
+        assert (metrics.precision, metrics.recall, metrics.f1) == (0.0, 0.0, 0.0)
 
     def test_length_mismatch(self):
         with pytest.raises(ParameterError):
@@ -1028,7 +1027,7 @@ class TestSimilarityJson:
         buf = io.StringIO()
         write_report_json(samples, buf)
         assert json.loads(buf.getvalue()) == [{**row_, "flags": []}]
-        with pytest.raises(FormatError, match="malformed similarity JSON"):  # a report row needs one
+        with pytest.raises(FormatError, match="row 0 .*has no device_id"):  # a report row needs one
             read_report(io.StringIO(text))
 
     @pytest.mark.parametrize("device_id", [5, None, ["x"]])

@@ -25,7 +25,7 @@ from conftest import (
 import simobs
 from simobs import classify, cli, simulate
 from simobs.cli import main
-from simobs.pcap import GLOBAL_HEADER_LEN, DeviceId
+from simobs.pcap import GLOBAL_HEADER_LEN
 from simobs.similarity import MEASURES, read_report, read_samples, write_report_csv, write_report_json
 from simobs.timeseries import MAX_STEPS, event_array
 
@@ -338,11 +338,19 @@ class TestSimilarityGoldenBytes:
             digests[name] = self._digest(out)
         assert digests == self.CONVERGE
 
+    def test_converge_mean_of_nine_trials(self, tmp_path):
+        """From 8 trials on, np.mean of a list sums pairwise, and each
+        cell's mean must be that sum, not the trials added one after
+        another."""
+        out = tmp_path / "easy9.csv"
+        assert run(["converge", "--preset", "easy", "--trials", "9", "--seed", "3", "--out", str(out)]) == 0
+        assert self._digest(out) == "bb492acc3391bf08b074ad3897b18acdb24b035566d991894a635a6e7f321fad"
+
 
 def _carry_frames() -> list:
     """Two devices whose frames share times, some rounding up to the next
     whole second."""
-    return [(DeviceId("mac", f"02:00:00:00:01:0{2 - i}"), event_array(times, sizes))
+    return [(f"02:00:00:00:01:0{2 - i}", event_array(times, sizes))
             for i, (times, sizes) in enumerate([([0.5, 1.9999996, 3.0000004], [64, 1500, 700]),
                                                 ([1.9999996, 1.9999996, 2.9999995], [100, 64, 1400])])]
 
@@ -1095,6 +1103,19 @@ class TestMalformedInput:
             err = capsys.readouterr().err.splitlines()
             assert err == ["error: device_id must be a string, got 5"]
             assert not out.exists()
+
+    def test_report_row_without_device_id_one_line_exit_1(self, tmp_path, capsys):
+        """Only a samples file may leave a row's device id out; classify
+        reads a report, and names the row that lacks one."""
+        rows = [{**row, "device_id": f"d{i}"} for i, row in enumerate(_synthetic_rows())]
+        out = tmp_path / "verdicts.json"
+        assert run(["classify", "--report", str(self._samples(tmp_path, rows)), "--out", str(out)]) == 0
+        out.unlink()
+        del rows[3]["device_id"]
+        assert run(["classify", "--report", str(self._samples(tmp_path, rows)), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "device_id" in err[0] and "row 3 " in err[0]
+        assert not out.exists()
 
     @staticmethod
     def _samples(tmp_path, rows):

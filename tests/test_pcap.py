@@ -38,7 +38,6 @@ from simobs.pcap import (
     GLOBAL_HEADER_LEN,
     MAGIC_NANOS,
     MAX_CAPTURED_LEN,
-    DeviceId,
     FrameBatch,
     LinkType,
     extract_device_series,
@@ -169,7 +168,7 @@ class TestTransmitterOf:
 
     def test_ethernet_source_mac(self):
         ids, _ = self._extract(ethernet_frame("aa:bb:cc:dd:ee:ff"))
-        assert ids == [DeviceId("mac", "aa:bb:cc:dd:ee:ff")]
+        assert ids == ["aa:bb:cc:dd:ee:ff"]
 
     def test_ack_has_no_transmitter(self):
         frame = radiotap_frame(dot11_ack_frame())
@@ -183,7 +182,7 @@ class TestTransmitterOf:
     def test_radiotap_data_frame_address2(self):
         dot11 = dot11_data_frame("11:22:33:44:55:66", body=bytes(40))
         ids, _ = self._extract(radiotap_frame(dot11, rt_len=24), link=LinkType.IEEE80211_RADIOTAP)
-        assert ids == [DeviceId("mac", "11:22:33:44:55:66")]
+        assert ids == ["11:22:33:44:55:66"]
 
     def test_management_frame_skipped_by_default(self):
         frame = radiotap_frame(dot11_beacon_frame("11:22:33:44:55:66"))
@@ -191,7 +190,7 @@ class TestTransmitterOf:
         assert ids == []
         assert counters["unattributed"] == 1
         ids, _ = self._extract(frame, link=LinkType.IEEE80211_RADIOTAP, include_non_data=True)
-        assert ids == [DeviceId("mac", "11:22:33:44:55:66")]
+        assert ids == ["11:22:33:44:55:66"]
 
     def test_short_frame_is_malformed(self):
         ids, counters = self._extract(b"\x08\x00", link=LinkType.IEEE80211_RADIOTAP)
@@ -202,7 +201,7 @@ class TestTransmitterOf:
     def test_ip_grouping(self):
         frame = ethernet_frame("aa:bb:cc:dd:ee:ff", body=ipv4_body("192.168.1.9"))
         ids, _ = self._extract(frame, group_by="ip")
-        assert ids == [DeviceId("ipv4", "192.168.1.9")]
+        assert ids == ["192.168.1.9"]
 
     def test_ip_grouping_skips_non_ip(self):
         frame = ethernet_frame("aa:bb:cc:dd:ee:ff", ethertype=0x0806, body=bytes(40))
@@ -515,6 +514,21 @@ class TestAgainstOracle:
             counted = sum(oracle.counted_bytes(r, *options[:2]) for r in records)
             assert binned + counters["dropped_bytes"] == counted
         return parsed
+
+    def test_ip_sources_come_ipv4_first(self):
+        """IPv4 sources before IPv6 ones, each in text order: in plain
+        text order 1000::1 would come before 192.168.0.1."""
+        frames = [
+            ethernet_frame("aa:00:00:00:00:01", body=ipv4_body("10.0.0.9")),
+            ethernet_frame("aa:00:00:00:00:02", ethertype=0x86DD, body=_ipv6_body("1000::1")),
+            ethernet_frame("aa:00:00:00:00:03", body=ipv4_body("192.168.0.1")),
+            ethernet_frame("aa:00:00:00:00:04", body=ipv4_body("10.0.0.10")),
+        ]
+        data = pcap_header() + b"".join(pcap_record(i, 0, frame) for i, frame in enumerate(frames))
+        expected = ["10.0.0.10", "10.0.0.9", "192.168.0.1", "1000::1"]
+        for read, extract in ((read_pcap, extract_device_series), (oracle.read_pcap, oracle.extract_device_series)):
+            streams = extract(read(data), 0.0, 1.0, 4, group_by="ip")
+            assert [s.device_id for s in streams] == expected
 
     @pytest.mark.parametrize("link", [LinkType.ETHERNET, LinkType.IEEE80211_RADIOTAP], ids=["ethernet", "radiotap"])
     def test_mutated_captures_match_oracle(self, link):
@@ -946,8 +960,8 @@ class TestDevicesCsv:
         from simobs.timeseries import ByteSeries
 
         devices = [
-            (DeviceId("mac", "aa:00:00:00:00:01"), ByteSeries(5.0, 1.0, np.array([1, 2, 3]))),
-            (DeviceId("mac", "aa:00:00:00:00:02"), ByteSeries(5.0, 1.0, np.array([4, 0, 6]))),
+            ("aa:00:00:00:00:01", ByteSeries(5.0, 1.0, np.array([1, 2, 3]))),
+            ("aa:00:00:00:00:02", ByteSeries(5.0, 1.0, np.array([4, 0, 6]))),
         ]
         buf = io.StringIO()
         write_devices_csv(devices, buf)
@@ -958,8 +972,8 @@ class TestDevicesCsv:
                              ids=["length", "step", "start_time"])
     def test_one_window_or_parameter_error(self, start_time, step, values):
         """A device set shares one window: the CSV preamble holds one start and step."""
-        devices = [(DeviceId("mac", "aa:00:00:00:00:01"), ByteSeries(5.0, 1.0, np.array([1, 2, 3]))),
-                   (DeviceId("mac", "aa:00:00:00:00:02"), ByteSeries(start_time, step, np.array(values)))]
+        devices = [("aa:00:00:00:00:01", ByteSeries(5.0, 1.0, np.array([1, 2, 3]))),
+                   ("aa:00:00:00:00:02", ByteSeries(start_time, step, np.array(values)))]
         for bad in (devices, []):
             with pytest.raises(ParameterError, match="sharing start_time, step and length"):
                 write_devices_csv(bad, io.StringIO())
@@ -977,12 +991,7 @@ class TestDevicesCsv:
         ids = ["aa:00:00:00:00:01", "2001:db8::1:2:3:4", "fe80::1", "10.0.0.7"]
         text = "start_time,step\n0.0,1.0\n" + ",".join(ids) + "\n1,2,3,4\n"
         back = read_devices_csv(io.StringIO(text))
-        assert [device_id for device_id, _ in back] == [
-            DeviceId("mac", ids[0]),
-            DeviceId("ipv6", ids[1]),
-            DeviceId("ipv6", ids[2]),
-            DeviceId("ipv4", ids[3]),
-        ]
+        assert [device_id for device_id, _ in back] == ids
 
     @pytest.mark.parametrize("header", ["aa:00:00:00:00:01,aa:00:00:00:00:01", "aa:00:00:00:00:01,", ",10.0.0.7"])
     def test_repeated_or_empty_id_is_format_error(self, header):

@@ -11,7 +11,7 @@ import pcap_oracle
 import render_oracle
 from pcap_oracle import records_of, transmitter_of
 from simobs.errors import ParameterError
-from simobs.pcap import DeviceId, extract_device_series, read_pcap
+from simobs.pcap import extract_device_series, read_pcap
 from simobs.similarity import _cc_rows, _kld_rows
 from simobs.simulate import (
     ACTIVITY_PROFILES,
@@ -398,12 +398,12 @@ class TestRenderScenario:
 
     def test_device_macs_past_255_are_valid_and_distinct(self):
         """Ids below 255 keep their names; larger indexes carry into the fourth octet."""
-        assert _device_mac(2, 0).value == "02:00:00:00:02:01"
-        assert _device_mac(2, 254).value == "02:00:00:00:02:ff"
-        macs = [_device_mac(group, i).value for group in (1, 2) for i in range(70_000)]
+        assert _device_mac(2, 0) == "02:00:00:00:02:01"
+        assert _device_mac(2, 254) == "02:00:00:00:02:ff"
+        macs = [_device_mac(group, i) for group in (1, 2) for i in range(70_000)]
         assert len(set(macs)) == len(macs)
         assert all(bytes.fromhex(mac.replace(":", "")).hex(":") == mac for mac in macs)
-        assert _device_mac(2, 255).value == "02:00:00:01:02:00"
+        assert _device_mac(2, 255) == "02:00:00:01:02:00"
 
     def test_manifest_covers_every_device(self):
         dataset = render_scenario(easy_scenario(seed=2))
@@ -513,7 +513,7 @@ class TestWritePcap:
             for i in rng.permutation(n_devices):
                 n = int(rng.integers(0, 6))
                 events = event_array(rng.choice(times, n), rng.integers(MIN_FRAME, MTU + 1, n))
-                frames.append((DeviceId("mac", f"02:00:00:00:{i // 256:02x}:{i % 256:02x}"), events))
+                frames.append((f"02:00:00:00:{i // 256:02x}:{i % 256:02x}", events))
             assert write_pcap(frames, link=link) == pcap_oracle.write_pcap(frames, link=link)
 
     def test_returns_the_buffer_it_fills(self):
