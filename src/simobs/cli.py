@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +97,18 @@ def _load_samples(path: str) -> similarity.Report:
 # Commands
 # ---------------------------------------------------------------------------
 
+def _decimal(flag: str, text: str) -> Fraction:
+    """The number a flag's text writes, exactly: "0.1" is 1/10, not the
+    float nearest it.  Parsed here, not by argparse, so a bad value ends
+    in one stderr line."""
+    try:
+        if "/" not in text and math.isfinite(number := Fraction(text)):  # isfinite: not past a float's range
+            return number
+    except (ValueError, OverflowError):
+        pass
+    raise ParameterError(f"{flag} must be a finite decimal number, got {text!r}")
+
+
 def cmd_extract(args) -> int:
     if bool(args.pcap) == bool(args.video):
         raise ParameterError("give exactly one of --pcap or --video")
@@ -105,13 +118,14 @@ def cmd_extract(args) -> int:
         given = [flag for flag, value in pcap_flags if value is not None]
         if given:
             raise ParameterError(f"--video reads the whole track; drop {', '.join(given)}")
+    step = _decimal("--step", args.step)
     if args.pcap:
         drops: dict = {}
         with open(args.pcap, "rb") as fh:
             streams = pcap.extract_device_series(
                 pcap.read_pcap(fh),
-                start=args.start,
-                step=args.step,
+                start=None if args.start is None else _decimal("--start", args.start),
+                step=step,
                 n_steps=DEFAULT_WINDOW if args.window is None else args.window,
                 group_by=args.group_by or "mac",
                 include_non_data=bool(args.include_non_data),
@@ -126,7 +140,7 @@ def cmd_extract(args) -> int:
     else:
         data = Path(args.video).read_bytes()
         tables = mp4.parse_mp4(data)
-        text = _render(write_series_csv, mp4.video_byte_series(tables, step=args.step))
+        text = _render(write_series_csv, mp4.video_byte_series(tables, step=step))
     _write_outputs([(args.out, text)])
     return 0
 
@@ -391,13 +405,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("extract", parents=[out], help="byte series from a pcap or MP4 file")
-    p.add_argument("--step", type=float, default=DEFAULT_STEP, help="time step in seconds")
+    p.add_argument("--step", default=str(DEFAULT_STEP), help="time step in seconds")
     p.add_argument("--window", type=int, help=f"pcap window length in steps (default: {DEFAULT_WINDOW})")
     p.add_argument("--pcap")
     p.add_argument("--video")
     p.add_argument("--group-by", choices=("mac", "ip"), help="pcap device key (default: mac)")
     p.add_argument("--include-non-data", action="store_true", default=None)
-    p.add_argument("--start", type=float, help="pcap window start (default: the first packet)")
+    p.add_argument("--start", help="pcap window start in seconds (default: the first packet)")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("analyze", parents=[out, fmt], help="similarity of each device to the reference")

@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import NoVideoTrackError, ParameterError, StructureError, TruncationError
-from .timeseries import MAX_STEPS, ByteSeries, bin_events, check_window, event_array, step_index
+from .timeseries import MAX_STEPS, ByteSeries, add_to_steps, check_window, exact, step_index
 
 VIDEO_HANDLER = "vide"
 
@@ -48,12 +49,12 @@ class TrackSampleTable:
     def sample_count(self) -> int:
         return self.sample_sizes.size
 
-    def decode_times(self) -> np.ndarray:
-        """Per-sample decode timestamps in seconds."""
+    def decode_ticks(self) -> np.ndarray:
+        """Per-sample decode times in ticks of ``1 / timescale`` s."""
         deltas = np.repeat(self.sample_deltas[:, 1], self.sample_deltas[:, 0])
-        times = np.zeros(deltas.size, dtype=np.int64)
-        times[1:] = np.cumsum(deltas[:-1])
-        return times / self.timescale
+        ticks = np.zeros(deltas.size, dtype=np.int64)
+        ticks[1:] = np.cumsum(deltas[:-1])
+        return ticks
 
 
 def _boxes(data: bytes, start: int, end: int, depth: int = 0) -> Iterator[tuple[str, int, int]]:
@@ -187,11 +188,12 @@ def _parse_stsz(data: bytes, start: int, end: int, expected_count: int) -> np.nd
     return np.frombuffer(data, ">u4", sample_count, start + 12).astype(np.int64)
 
 
-def video_byte_series(tables: Sequence[TrackSampleTable], step: float = 1.0) -> ByteSeries:
+def video_byte_series(tables: Sequence[TrackSampleTable], step: float | Fraction = 1.0) -> ByteSeries:
     """Bytes per time step of the first video track, media-relative.
 
-    Each sample's bytes land in the bin of its decode time; the series
-    starts at media time zero and runs through the last sample's bin.
+    Each sample's bytes land in the step of its decode ticks, exactly
+    (``timeseries.step_index``); the series starts at media time zero
+    and runs through the last sample's step.
     """
     check_window(0.0, step)
     video = next((t for t in tables if t.handler == VIDEO_HANDLER), None)
@@ -199,10 +201,14 @@ def video_byte_series(tables: Sequence[TrackSampleTable], step: float = 1.0) -> 
         raise NoVideoTrackError("no track with handler 'vide'")
     if video.sample_count == 0:
         raise StructureError("video track has no samples")
-    times = video.decode_times()
-    if times[-1] > MAX_SECONDS:
-        raise StructureError(f"video spans {times[-1]:.0f} s, beyond the {MAX_SECONDS} s parser limit")
-    last, held = step_index(times[-1], 0.0, step, MAX_STEPS)
-    if not held:
-        raise ParameterError(f"step {step} s is too small for a video of {times[-1]:g} s (over {MAX_STEPS} steps)")
-    return bin_events(event_array(times, video.sample_sizes), 0.0, step, int(last) + 1)
+    ticks, rate = video.decode_ticks(), video.timescale
+    last = int(ticks[-1])  # decode ticks never fall
+    if last > MAX_SECONDS * rate:
+        raise StructureError(f"video spans {last / rate:.0f} s, beyond the {MAX_SECONDS} s parser limit")
+    if Fraction(last, rate) >= MAX_STEPS * exact(step):
+        raise ParameterError(f"step {float(step)} s is too small for a video of {last / rate:g} s "
+                             f"(over {MAX_STEPS} steps)")
+    index, _ = step_index(ticks, rate, 0.0, step, MAX_STEPS)
+    bins = np.zeros(int(index[-1]) + 1, dtype=np.int64)
+    add_to_steps(bins, 0, index, video.sample_sizes)
+    return ByteSeries(0.0, float(step), bins)

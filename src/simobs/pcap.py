@@ -20,6 +20,7 @@ import stat
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
+from fractions import Fraction
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
@@ -66,7 +67,8 @@ class FrameBatch(NamedTuple):
     batch of the capture, or the joined reads of a stream."""
 
     link_type: LinkType
-    timestamp: np.ndarray  # f8 seconds
+    rate: int  # ticks per second: 10**6 or 10**9
+    ticks: np.ndarray  # i8, the record's seconds * rate + its fraction
     on_wire_len: np.ndarray  # i8
     captured_len: np.ndarray  # i8
     offset: np.ndarray  # i8, into data
@@ -137,7 +139,7 @@ class _Format(NamedTuple):
     link_type: LinkType
     incl_len: Callable  # unpack_from of a record header's incl_len field
     header_fields: np.dtype  # the four u4 fields of a record header
-    frac_divisor: float
+    rate: int  # ticks per second of the fraction field
 
 
 def _global_header(head: bytes) -> _Format:
@@ -161,7 +163,7 @@ def _global_header(head: bytes) -> _Format:
     except ValueError:
         raise UnsupportedLinkTypeError(network) from None
     return _Format(link_type, struct.Struct(order + "I").unpack_from, np.dtype(order + "u4"),
-                   1e6 if magic == MAGIC_MICROS else 1e9)
+                   10**6 if magic == MAGIC_MICROS else 10**9)
 
 
 def _walk(data, origin: int, release: Callable | None) -> Iterator[FrameBatch]:
@@ -248,7 +250,8 @@ def _batch(data, pos: int, limit: int, base: int, fmt: _Format) -> tuple[FrameBa
         return None, pos
     batch = FrameBatch(
         fmt.link_type,
-        ts_sec[:n] + ts_frac[:n] / fmt.frac_divisor,
+        fmt.rate,
+        ts_sec[:n].astype(np.int64) * fmt.rate + ts_frac[:n],
         orig[:n].astype(np.int64),
         incl[:n].astype(np.int64),
         begin[:n] + RECORD_HEADER_LEN,
@@ -471,8 +474,8 @@ class _DeviceBins:
 
 def extract_device_series(
     batches: Iterable[FrameBatch],
-    start: float | None,
-    step: float,
+    start: float | Fraction | None,
+    step: float | Fraction,
     n_steps: int,
     group_by: str = "mac",
     include_non_data: bool = False,
@@ -481,8 +484,10 @@ def extract_device_series(
     """Group frames by transmitter and bin each device's bytes.
 
     The window is ``n_steps`` steps of ``step`` seconds from ``start``;
-    ``None`` starts it at the first frame's timestamp, whether or not
-    that frame is attributed.  A frame counts its on-wire bytes minus the
+    ``None`` starts it at the first frame's time, whether or not that
+    frame is attributed.  A frame is in the step ``timeseries.step_index``
+    gives its ticks, exactly; a float start or step is the decimal it
+    prints.  A frame counts its on-wire bytes minus the
     radiotap pseudo-header, which is capture metadata and never crossed
     the air.  Malformed frames are skipped.  Devices come back with
     their MAC or IP text as id: MACs in text order, IPv4 sources before
@@ -504,13 +509,13 @@ def extract_device_series(
     drops = {"malformed": 0, "unattributed": 0, "out_of_window": 0, "dropped_bytes": 0}
     devices = None  # until a frame is binned
     for batch in batches:
-        if not batch.timestamp.size:
+        if not batch.ticks.size:
             continue
         if start is None:
-            start = float(batch.timestamp[0])
+            start = Fraction(int(batch.ticks[0]), batch.rate)
         malformed, attributed, size, key = _transmitters(batch, group_by, include_non_data)
         n_malformed = int(np.count_nonzero(malformed))
-        n_unattributed = batch.timestamp.size - n_malformed - key.size
+        n_unattributed = batch.ticks.size - n_malformed - key.size
         drops["malformed"] += n_malformed
         drops["unattributed"] += n_unattributed
         # The masks and sums below are skipped when they select nothing.
@@ -518,10 +523,12 @@ def extract_device_series(
             drops["dropped_bytes"] += int(batch.on_wire_len[malformed].sum())
         if n_unattributed:
             drops["dropped_bytes"] += int(size[~(malformed | attributed)].sum())
+        # Called for a batch with no frame to bin too, so a window too fine
+        # for int64 ticks is refused whatever the frames hold.
+        index, in_window = step_index(batch.ticks[attributed], batch.rate, start, step, n_steps)
         if not key.size:
             continue
         size = np.maximum(size[attributed], 0)
-        index, in_window = step_index(batch.timestamp[attributed], start, step, n_steps)
         n_out = key.size - int(np.count_nonzero(in_window))
         if n_out:
             drops["out_of_window"] += n_out
@@ -532,7 +539,7 @@ def extract_device_series(
             devices.add(key, index, size)
     if counters is not None:
         counters.update(drops)
-    return devices.streams(start, step) if devices else []
+    return devices.streams(float(start), float(step)) if devices else []
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ import numpy as np
 from .errors import ParameterError, read_json
 from .pcap import ETHERTYPE_IPV4, GLOBAL_HEADER_LEN, MAGIC_MICROS, RECORD_HEADER_LEN, LinkType, _window
 # bin_events is not called here; perfbench/layers.py wraps simulate.bin_events.
-from .timeseries import ByteSeries, add_to_steps, bin_events, check_window, event_array, step_index
+from .timeseries import (MICROSECOND, ByteSeries, add_to_steps, bin_events, check_window, event_array, microseconds,
+                         step_index)
 
 MTU = 1500
 MIN_FRAME = 64  # nonzero step emissions are padded to the physical minimum
@@ -242,7 +243,8 @@ def step_bins(step_bytes: np.ndarray, step: float, delays: Sequence[float], n_st
     block of per-step totals, bit for bit, as a ``(D, n_steps)`` int64
     array.
 
-    A step whose first and last packet fall in one bin is binned whole, as
+    Each packet is binned at the microsecond a capture records it at.  A
+    step whose first and last packet fall in one bin is binned whole, as
     packet times rise with the packet index; a step that straddles a bin
     boundary is binned packet by packet, in the same scatter.
     """
@@ -251,10 +253,14 @@ def step_bins(step_bytes: np.ndarray, step: float, delays: Sequence[float], n_st
     rows, steps = np.nonzero(totals > 0)
     delays = np.asarray(delays, dtype=np.float64)[rows]
     n_pkts = _packets(totals[rows, steps], whole=True)[2]
-    first, last = (step_index(_packet_times(steps, j, n_pkts, step, delays), 0.0, step, n_steps)[0]
-                   for j in (0, n_pkts - 1))
+
+    def packet_steps(steps, j, n, delays):
+        ticks = microseconds(_packet_times(steps, j, n, step, delays))
+        return step_index(ticks, MICROSECOND, 0.0, step, n_steps)
+
+    first, last = (packet_steps(steps, j, n_pkts, delays)[0] for j in (0, n_pkts - 1))
     which, j, n, sizes = _packets(totals[rows, steps], whole=first == last)
-    index, held = step_index(_packet_times(steps[which], j, n, step, delays[which]), 0.0, step, n_steps)
+    index, held = packet_steps(steps[which], j, n, delays[which])
     values = np.zeros((len(totals), n_steps), dtype=np.int64)
     add_to_steps(values, rows[which][held], index[held], sizes[held])
     return values
@@ -446,30 +452,17 @@ def _frame_heads(device_ids: Sequence[str], link_type: LinkType) -> np.ndarray:
     return np.frombuffer(b"".join(rows), np.uint8).reshape(len(device_ids), -1)
 
 
-def _record_times(time: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Whole seconds and rounded microseconds of each frame time, or
-    ParameterError for a time outside a classic pcap's u32 seconds."""
-    fits = (time >= 0) & (time < 2**32)  # False for NaN
-    if fits.all():
-        sec = time.astype(np.int64)
-        usec = np.round((time - sec) * 1e6).astype(np.int64)
-        sec += usec // 1_000_000  # a time that rounds up to the next second
-        usec %= 1_000_000
-        fits = sec < 2**32
-    if not fits.all():
-        raise ParameterError(f"frame time {float(time[~fits][0])} s is outside a classic pcap's [0, 2**32) s")
-    return sec, usec
-
-
 def write_pcap(frames: Sequence[tuple[str, np.ndarray]], link: str = "ethernet") -> bytearray:
     """Serialize ``(device MAC, event array)`` pairs as a classic
     microsecond pcap, returned as the one buffer it is built in.
 
     Record headers and each device's fixed frame head are scattered into
-    a zero-filled buffer, so every frame body is zero fill.  Frame lengths
-    are chosen so reading the file back through the pcap module's default
-    byte basis reproduces each device's bins exactly.  Every frame must
-    hold at least 64 bytes, fit the snaplen and lie in [0, 2**32) s.
+    a zero-filled buffer, so every frame body is zero fill.  Each record
+    holds its frame's ``microseconds``, the ticks ``step_bins`` bins, and
+    frame lengths are chosen so reading the file back through the pcap
+    module's default byte basis reproduces each device's bins exactly.
+    The float times only order the records.  Every frame must hold at
+    least 64 bytes, fit the snaplen and lie in [0, 2**32) s.
     """
     if link not in _LINK_TYPES:
         raise ParameterError(f"link must be 'ethernet' or 'radiotap', got {link!r}")
@@ -487,7 +480,13 @@ def write_pcap(frames: Sequence[tuple[str, np.ndarray]], link: str = "ethernet")
     _, rank = np.unique(device_ids, return_inverse=True)
     order = np.lexsort((rank[dev_index], events["timestamp"]))
 
-    sec, usec = _record_times(events["timestamp"][order])
+    time = events["timestamp"][order]
+    fits = (time >= 0) & (time < 2**32)  # False for NaN
+    if fits.all():
+        sec, usec = np.divmod(microseconds(time), MICROSECOND)
+        fits = sec < 2**32  # a time that rounds up to 2**32 s
+    if not fits.all():
+        raise ParameterError(f"frame time {float(time[~fits][0])} s is outside a classic pcap's [0, 2**32) s")
     size = events["byte_count"][order]
     frame_len = size if link_type is LinkType.ETHERNET else size + len(_RADIOTAP_HEADER)
     if frame_len.max(initial=0) > SNAPLEN:

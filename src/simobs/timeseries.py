@@ -6,8 +6,10 @@ types are immutable values and all operations are pure functions.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence, TextIO
 
 import numpy as np
@@ -28,17 +30,68 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 # Timestamped byte counts (packets, video samples, ...), one record each.
 EVENT_DTYPE = np.dtype([("timestamp", "f8"), ("byte_count", "i8")])
 
+MICROSECOND = 10**6  # ticks per second of a microsecond capture
+# Every window lies within (-TICK_BOUND, TICK_BOUND) ticks, and no
+# source gives a tick past it: a nanosecond pcap's last is 4.3e18, an
+# MP4's 1.2e16, and ``microseconds`` holds a time at 2**42 s (139 000
+# years) on the bound.  So a tick less a window's first tick stays
+# inside int64, as 2 * TICK_BOUND < 2**63.
+TICK_BOUND = 2**42 * MICROSECOND
 
-def check_window(start: float, step: float, n_steps: int = 1) -> None:
-    """The one rule for a window of ``n_steps`` steps from ``start``, else ParameterError."""
-    if not (math.isfinite(start) and 0 < step < math.inf and 1 <= n_steps <= MAX_STEPS):
+
+def check_window(start, step, n_steps: int = 1) -> None:
+    """The one rule for a window of ``n_steps`` steps from ``start``, else
+    ParameterError.  ``start`` and ``step`` are floats or Fractions."""
+    if not (-math.inf < start < math.inf and 0 < step < math.inf and 1 <= n_steps <= MAX_STEPS):
         raise ParameterError(f"a window needs a finite start, 0 < step < inf and 1 <= n_steps <= {MAX_STEPS}, "
                              f"got start {start}, step {step}, n_steps {n_steps}")
 
 
-def step_index(times, start: float, step: float, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each time's step, ``floor((t - start) / step)``, and whether the window holds it."""
-    index = np.floor((np.asarray(times) - start) / step)
+def exact(value) -> Fraction:
+    """A start or step as an exact rational.  A float means the decimal
+    it prints, as the CSVs write it and the CLI reads it: 0.1 is 1/10."""
+    return value if isinstance(value, Fraction) else Fraction(repr(float(value)))
+
+
+def microseconds(times) -> np.ndarray:
+    """Each time in seconds as int64 whole microseconds, as a capture
+    records it: the whole seconds, then the fraction rounded half to
+    even.  A time past 2**42 s either way is held there, and so is a
+    NaN, outside every window."""
+    times = np.clip(np.nan_to_num(times, nan=2.0**42), -2.0**42, 2.0**42)
+    seconds = times.astype(np.int64)
+    return seconds * MICROSECOND + np.round((times - seconds) * MICROSECOND).astype(np.int64)
+
+
+@functools.lru_cache(maxsize=64)
+def _tick_window(rate: int, start, step, n_steps: int) -> tuple[int, int, int, int, int]:
+    """The int64 constants ``step_index`` bins a window with, in ticks of
+    ``1 / rate`` s.  ``base`` is the whole tick at or before the start,
+    and ``base + reach`` a tick past the window's end.  ``scale`` is the
+    least factor that makes the start's excess over ``base`` (``offset``)
+    and the step (``width``) whole numbers of ticks once multiplied by
+    it.  ParameterError if the window does not fit ``TICK_BOUND``."""
+    first, width = exact(start) * rate, exact(step) * rate
+    scale = math.lcm(first.denominator, width.denominator)
+    base = math.floor(first)
+    reach = math.ceil(first + n_steps * width) - base + 1
+    if not (-TICK_BOUND < base and base + reach < TICK_BOUND and reach * scale < TICK_BOUND):
+        raise ParameterError(f"a window of {n_steps} steps of {float(step)} s from {float(start)} s "
+                             f"does not fit int64 ticks of 1/{rate} s")
+    return base, reach, int((first - base) * scale), int(width * scale), scale
+
+
+def step_index(ticks, rate: int, start, step, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each time's step, ``floor((ticks / rate - start) / step)``, exactly,
+    and whether the window holds it.  ``ticks`` are int64 ticks of
+    ``1 / rate`` s; ``start`` and ``step`` are what ``exact`` reads.  The
+    window's integer constants are computed once per window, and a start
+    and step of whole ticks cost one subtraction and one floor division."""
+    base, reach, offset, width, scale = _tick_window(rate, start, step, n_steps)
+    since = np.asarray(ticks, dtype=np.int64) - base
+    if scale > 1:  # held to one tick outside the window, so the product fits
+        since = np.clip(since, -1, reach) * scale - offset
+    index = since // width
     return index, (index >= 0) & (index < n_steps)
 
 
@@ -48,7 +101,7 @@ def add_to_steps(bins: np.ndarray, rows, index: np.ndarray, sizes) -> None:
     array whose last axis is the steps (``rows`` is 0 for a single row),
     and ``index`` holds in-window steps from ``step_index``.  Integer
     sums do not depend on order, so every bin is exact."""
-    np.add.at(bins.reshape(-1), rows * bins.shape[-1] + index.astype(np.int64), sizes)
+    np.add.at(bins.reshape(-1), rows * bins.shape[-1] + index, sizes)
 
 
 def event_array(timestamps, byte_counts) -> np.ndarray:
@@ -100,15 +153,11 @@ class ByteSeries:
         return self.start_time + len(self) * self.step
 
 
-def bin_events(
-    events: np.ndarray,
-    start_time: float,
-    step: float,
-    n_steps: int,
-) -> ByteSeries:
+def bin_events(events: np.ndarray, start_time, step, n_steps: int) -> ByteSeries:
     """Sum event byte counts into ``n_steps`` half-open bins.
 
-    ``events`` is an ``EVENT_DTYPE`` array.  Events outside
+    ``events`` is an ``EVENT_DTYPE`` array; each timestamp is taken in
+    whole ``microseconds``, as a capture records it.  Events outside
     ``[start_time, start_time + n_steps*step)`` are dropped; input order
     does not matter.
     """
@@ -116,10 +165,10 @@ def bin_events(
     sizes = events["byte_count"]
     if (sizes < 0).any():
         raise ParameterError(f"byte_count must be >= 0, got {sizes.min()}")
-    idx, keep = step_index(events["timestamp"], start_time, step, n_steps)
+    idx, keep = step_index(microseconds(events["timestamp"]), MICROSECOND, start_time, step, n_steps)
     bins = np.zeros(n_steps, dtype=np.int64)
     add_to_steps(bins, 0, idx[keep], sizes[keep])
-    return ByteSeries(start_time, step, bins)
+    return ByteSeries(float(start_time), float(step), bins)
 
 
 def min_max_normalize(series: ByteSeries | Sequence[float] | np.ndarray) -> tuple[np.ndarray, bool | np.ndarray]:

@@ -5,12 +5,16 @@ One ``struct`` read and one Python decision per frame: slow, but each
 rule is a plain ``if``, so the columnar reader and attribution in
 ``simobs.pcap`` are checked against it frame for frame (streams, frame
 counts, drop counters, and the type, message and offset of every
-error).
+error).  A record's time is the exact ``Fraction`` its seconds and
+fraction fields write, and a frame's step is the floor of exact
+``Fraction`` arithmetic on it.
 """
 from __future__ import annotations
 
 import ipaddress
+import math
 import struct
+from fractions import Fraction
 from io import BytesIO
 from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
@@ -34,7 +38,7 @@ from simobs.pcap import (
     DeviceStream,
     LinkType,
 )
-from simobs.timeseries import EVENT_DTYPE, bin_events
+from simobs.timeseries import ByteSeries
 
 
 class MalformedFrameError(Exception):
@@ -45,7 +49,7 @@ class PacketRecord(NamedTuple):
     """One captured frame as stored in the pcap file (a tuple, since a
     capture holds hundreds of thousands of them)."""
 
-    timestamp: float
+    timestamp: Fraction  # seconds, exactly
     on_wire_len: int
     link_type: LinkType
     payload: bytes
@@ -69,7 +73,7 @@ def read_pcap(source: BinaryIO | bytes) -> Iterator[PacketRecord]:
         raise FormatError(f"unknown pcap magic 0x{magic_le:08x}")
     if len(head) < GLOBAL_HEADER_LEN:
         raise TruncationError("pcap global header truncated", offset=0)
-    frac_divisor = 1e6 if magic == MAGIC_MICROS else 1e9
+    rate = 10**6 if magic == MAGIC_MICROS else 10**9
     _vmaj, _vmin, _zone, _sigfigs, _snaplen, network = struct.unpack(order + "HHiIII", head[4:])
     try:
         link_type = LinkType(network)
@@ -97,17 +101,18 @@ def read_pcap(source: BinaryIO | bytes) -> Iterator[PacketRecord]:
         payload = stream.read(incl_len)
         if len(payload) < incl_len:
             raise TruncationError(f"record payload truncated at byte {offset}", offset=offset)
-        yield PacketRecord(ts_sec + ts_frac / frac_divisor, orig_len, link_type, payload)
+        yield PacketRecord(ts_sec + Fraction(ts_frac, rate), orig_len, link_type, payload)
         offset += RECORD_HEADER_LEN + incl_len
 
 
 def records_of(batches: Iterable) -> list[PacketRecord]:
     """The frames of ``simobs.pcap`` FrameBatches as PacketRecords."""
     return [
-        PacketRecord(timestamp, on_wire_len, batch.link_type, batch.data[offset : offset + captured_len])
+        PacketRecord(Fraction(ticks, batch.rate), on_wire_len, batch.link_type,
+                     batch.data[offset : offset + captured_len])
         for batch in batches
-        for timestamp, on_wire_len, captured_len, offset in zip(
-            batch.timestamp.tolist(),
+        for ticks, on_wire_len, captured_len, offset in zip(
+            batch.ticks.tolist(),
             batch.on_wire_len.tolist(),
             batch.captured_len.tolist(),
             batch.offset.tolist(),
@@ -213,7 +218,9 @@ def extract_device_series(
 
     The window is ``n_steps`` steps of ``step`` seconds from ``start``;
     ``None`` starts it at the first record's timestamp, whether or not
-    that frame is attributed.  A frame counts its on-wire bytes minus the
+    that frame is attributed.  A float start or step is the decimal it
+    prints, and a frame's step is ``floor((timestamp - start) / step)``
+    in exact fractions.  A frame counts its on-wire bytes minus the
     radiotap pseudo-header.  Malformed frames are skipped.  Devices come
     back with their MAC or IP text as id, in ``(kind, text)`` order:
     ipv4 before ipv6 before mac, each in text order.
@@ -226,11 +233,13 @@ def extract_device_series(
     if step <= 0 or n_steps < 1:
         raise ParameterError(f"window needs step > 0 and n_steps >= 1, got step {step}, n_steps {n_steps}")
     _check_group_by(group_by)
+    exact_step = _exact(step)
+    exact_start = None if start is None else _exact(start)
     drops = {"malformed": 0, "unattributed": 0, "out_of_window": 0, "dropped_bytes": 0}
-    per_device: dict[tuple[str, str], list[tuple[float, int]]] = {}
+    per_device: dict[tuple[str, str], list[tuple[int, int]]] = {}
     for record in records:
-        if start is None:
-            start = record.timestamp
+        if exact_start is None:
+            exact_start = record.timestamp
         try:
             key, size = _attribute(record, group_by, include_non_data)
         except MalformedFrameError:
@@ -241,24 +250,31 @@ def extract_device_series(
             drops["unattributed"] += 1
             drops["dropped_bytes"] += size
             continue
-        per_device.setdefault(key, []).append((record.timestamp, max(size, 0)))
+        index = math.floor((record.timestamp - exact_start) / exact_step)
+        per_device.setdefault(key, []).append((index, max(size, 0)))
 
     streams = []
     for key in sorted(per_device):
-        events = np.array(per_device[key], dtype=EVENT_DTYPE)
-        index = np.floor((events["timestamp"] - start) / step)  # the step bin_events bins it in
-        in_window = (index >= 0) & (index < n_steps)
-        kept = int(in_window.sum())
-        if kept < events.size:
-            drops["out_of_window"] += events.size - kept
-            drops["dropped_bytes"] += int(events["byte_count"][~in_window].sum())
-        if not kept:
-            continue
-        series = bin_events(events[in_window], start, step, n_steps)
-        streams.append(DeviceStream(device_id=key[1], series=series, frame_count=kept))
+        values = np.zeros(n_steps, dtype=np.int64)
+        kept = 0
+        for index, size in per_device[key]:
+            if 0 <= index < n_steps:
+                values[index] += size
+                kept += 1
+            else:
+                drops["out_of_window"] += 1
+                drops["dropped_bytes"] += size
+        if kept:
+            series = ByteSeries(float(exact_start), float(exact_step), values)
+            streams.append(DeviceStream(device_id=key[1], series=series, frame_count=kept))
     if counters is not None:
         counters.update(drops)
     return streams
+
+
+def _exact(value) -> Fraction:
+    """A start or step as the decimal a float of it prints: 0.1 is 1/10."""
+    return value if isinstance(value, Fraction) else Fraction(repr(float(value)))
 
 
 def write_pcap(frames, link: str = "ethernet") -> bytes:

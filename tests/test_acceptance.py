@@ -23,6 +23,7 @@ from conftest import (
     trak_box,
 )
 from dtw_oracle import bruteforce_matrix_halfunits, dtw_bruteforce
+import pcap_oracle
 from simobs.classify import (
     GridPoint,
     ThresholdConfig,
@@ -167,6 +168,15 @@ class TestKldClosedForm:
                f"{shift:.10f}, {widen:.10f}")
 
 
+def _extracted(read, extract, data: bytes):
+    """(streams, drop counters) of extracting ``data``, or the error that ended it."""
+    counters: dict = {}
+    try:
+        return extract(read(data), 0.0, 1.0, 4, counters=counters), counters
+    except SimobsError as exc:
+        return type(exc), str(exc)
+
+
 class TestParserExactness:
     def _pcap_fixture(self) -> bytes:
         data = pcap_header()
@@ -204,19 +214,20 @@ class TestParserExactness:
         rng = np.random.default_rng(31337)
         positions = rng.integers(0, len(base), size=(100_000, 3))
         replacements = rng.integers(0, 256, size=(100_000, 3))
-        crashes = 0
+        crashes = mismatches = 0
         for muts, vals in zip(positions, replacements):
             data = bytearray(base)
             for pos, val in zip(muts, vals):
                 data[pos] = val
             try:
-                records = list(read_pcap(bytes(data)))
-                extract_device_series(records, 0.0, 1.0, 4)
-            except SimobsError:
-                pass
+                got = _extracted(read_pcap, extract_device_series, bytes(data))
             except Exception:
                 crashes += 1
-        report("pcap parser total under 1e5 seeded mutations", crashes == 0)
+                continue
+            # the oracle bins each record's exact time by Fraction arithmetic
+            mismatches += got != _extracted(pcap_oracle.read_pcap, pcap_oracle.extract_device_series, bytes(data))
+        report("pcap parser total and exact under 1e5 seeded mutations", crashes == mismatches == 0,
+               f"{crashes} crashes, {mismatches} differ from the oracle")
 
     def test_fuzz_mp4_100k(self):
         base = bytearray(

@@ -6,10 +6,14 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     dot11_ack_frame,
@@ -22,10 +26,11 @@ from conftest import (
     report_entries,
     trak_box,
 )
+import pcap_oracle as oracle
 import simobs
 from simobs import classify, cli, simulate
 from simobs.cli import main
-from simobs.pcap import GLOBAL_HEADER_LEN
+from simobs.pcap import GLOBAL_HEADER_LEN, read_devices_csv
 from simobs.similarity import MEASURES, read_report, read_samples, write_report_csv, write_report_json
 from simobs.timeseries import MAX_STEPS, event_array
 
@@ -109,6 +114,86 @@ class TestExtract:
         (err,) = capsys.readouterr().err.splitlines()
         assert err.endswith(counts)
         assert not out.exists()
+
+
+@st.composite
+def _shiftable_capture(draw):
+    """A microsecond or nanosecond Ethernet capture whose frames sit on,
+    just off and between the step edges of a window, and the flags of
+    that window: (rate, records as (sec, frac, mac, size), start as
+    (sec, frac) or None, step text, window)."""
+    rate = draw(st.sampled_from([10**6, 10**9]))
+    step = draw(st.from_regex(r"0\.0[1-9]|0\.[1-9][0-9]?[0-9]?|[1-3](\.[0-9]{1,2})?", fullmatch=True))
+    window = draw(st.integers(1, 40))
+    start = draw(st.integers(0, 3 * rate))
+    width = Fraction(step) * rate
+    times = draw(st.lists(st.one_of(
+        st.builds(lambda k, d: start + math.floor(k * width) + d, st.integers(-1, window + 1), st.integers(-1, 1)),
+        st.integers(0, start + math.ceil((window + 1) * width)),
+    ), min_size=1, max_size=25))
+    records = [(max(t, 0) // rate, max(t, 0) % rate, f"aa:00:00:00:00:0{draw(st.integers(1, 3))}",
+                draw(st.integers(64, 200))) for t in times]
+    return rate, records, draw(st.sampled_from([divmod(start, rate), None])), step, window
+
+
+class TestExactTime:
+    """A frame's step is computed from its exact record time, so no
+    epoch, step or start moves it into a neighbouring step."""
+
+    @staticmethod
+    def _extract(records, rate, shift, start, step, window, directory) -> tuple[int, list[str]]:
+        data = pcap_header(magic=0xA1B2C3D4 if rate == 10**6 else 0xA1B23C4D)
+        for sec, frac, mac, size in records:
+            data += pcap_record(sec + shift, frac, ethernet_frame(mac, body=bytes(size - 14)))
+        capture, out = directory / f"shift{shift}.pcap", directory / f"shift{shift}.csv"
+        capture.write_bytes(data)
+        flags = [] if start is None else ["--start", f"{start[0] + shift}.{start[1]:0{len(str(rate)) - 1}d}"]
+        code = run(["extract", "--pcap", str(capture), "--step", step, "--window", str(window), *flags,
+                    "--out", str(out)])
+        return code, out.read_text().splitlines() if code == 0 else []
+
+    @settings(max_examples=150, deadline=None)
+    @given(_shiftable_capture(), st.integers(1, 2**32 - 1000))
+    def test_shifting_records_and_start_moves_only_start_time(self, capture, shift):
+        rate, records, start, step, window = capture
+        with tempfile.TemporaryDirectory() as directory:
+            here = self._extract(records, rate, 0, start, step, window, Path(directory))
+            shifted = self._extract(records, rate, shift, start, step, window, Path(directory))
+        assert here[0] == shifted[0]
+        assert [line for i, line in enumerate(here[1]) if i != 1] == \
+            [line for i, line in enumerate(shifted[1]) if i != 1]
+
+    def test_every_tenth_of_a_second_of_a_90khz_video_holds_its_frame(self, tmp_path):
+        sizes = list(range(1000, 1100))
+        video = tmp_path / "clip.mp4"
+        video.write_bytes(mp4_file(trak_box(90_000, "vide", sizes=sizes, deltas=[(100, 9000)])))
+        out = tmp_path / "series.csv"
+        assert run(["extract", "--video", str(video), "--step", "0.1", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[3:] == [f"{i},{size}" for i, size in enumerate(sizes)]
+
+    def test_a_frame_a_whole_step_after_the_first_lands_in_that_step(self, tmp_path):
+        """``far`` seed 3 starts at 0.001923 s, and its spy sends a frame
+        at 4.001923 s, exactly 4 steps on: it is in step 4, not 3."""
+        assert run(["simulate", "--preset", "far", "--seed", "3", "--out-dir", str(tmp_path),
+                    "--pcap-out", str(tmp_path / "capture.pcap")]) == 0
+        spy = "02:00:00:00:01:01"
+        records = list(oracle.read_pcap((tmp_path / "capture.pcap").read_bytes()))
+        assert records[0].timestamp == Fraction("0.001923")
+        assert any(r.timestamp == Fraction("4.001923") and oracle.transmitter_of(r) == spy for r in records)
+        out = tmp_path / "captured.csv"
+        assert run(["extract", "--pcap", str(tmp_path / "capture.pcap"), "--out", str(out)]) == 0
+        with open(out) as fh:
+            captured = dict(read_devices_csv(fh))
+        expected = oracle.extract_device_series(records, None, 1.0, 60)
+        assert {s.device_id: s.series for s in expected} == captured
+        assert captured[spy].values[3:5].tolist() == [220_082, 234_658]
+
+    @pytest.mark.parametrize("flags", [["--start", "0.00000000000000000001"], ["--step", "1e-30"]])
+    def test_a_window_too_fine_for_int64_ticks(self, flags, pcap_file, tmp_path, capsys):
+        out = tmp_path / "devices.csv"
+        code = run(["extract", "--pcap", str(pcap_file), *flags, "--out", str(out)])
+        err = TestNonFiniteNumbers._one_line_error(code, 2, out, capsys)
+        assert "does not fit int64 ticks of 1/1000000 s" in err
 
 
 class TestSimulateAnalyzeClassify:

@@ -591,8 +591,9 @@ class TestAgainstOracle:
             data += pcap_record(i % 5, i * 37_000 % 1_000_000,
                                 radiotap_frame(dot11_data_frame(mac, body=bytes(i)), rt_len=8))
         (whole,) = read_pcap(data)
-        batches = [FrameBatch(whole.link_type, *(column[i : i + frames_per_batch] for column in whole[1:5]), data)
-                   for i in range(0, whole.timestamp.size, frames_per_batch)]
+        batches = [FrameBatch(whole.link_type, whole.rate, *(column[i : i + frames_per_batch] for column in whole[2:6]),
+                              data)
+                   for i in range(0, whole.ticks.size, frames_per_batch)]
         for options in OPTIONS:
             expected = _outcome(oracle.read_pcap, oracle.extract_device_series, data, *options)
             assert _outcome(list, extract_device_series, batches, *options) == expected
@@ -602,7 +603,7 @@ class TestAgainstOracle:
         # a batch built by hand may claim fewer on-wire bytes than its
         # radiotap header; the reader never yields one
         frame = radiotap_frame(dot11_data_frame("11:00:00:00:00:01", body=bytes(30)), rt_len=24)
-        batch = FrameBatch(LinkType.IEEE80211_RADIOTAP, np.array([0.5]), np.array([10]),
+        batch = FrameBatch(LinkType.IEEE80211_RADIOTAP, 10**6, np.array([500_000]), np.array([10]),
                            np.array([len(frame)]), np.array([0]), frame)
         (record,) = oracle.records_of([batch])
         for options in OPTIONS:

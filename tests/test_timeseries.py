@@ -1,19 +1,24 @@
 import io
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from simobs.errors import AlignmentError, FormatError, ParameterError
 from simobs.timeseries import (
     MAX_STEPS,
+    MICROSECOND,
+    TICK_BOUND,
     ByteSeries,
     align,
     bin_events,
     check_window,
     device_set,
     event_array,
+    microseconds,
     min_max_normalize,
     read_series_csv,
     step_index,
@@ -50,6 +55,16 @@ class TestBinEvents:
         series = bin_events(event_array([1.0], [5]), 0.0, 1.0, 3)
         assert series.values.tolist() == [0, 5, 0]
 
+    def test_times_past_every_window_are_dropped(self):
+        events = event_array([np.nan, 0.5, np.inf, -np.inf, 1e300, -1e300], [1, 2, 4, 8, 16, 32])
+        assert bin_events(events, 0.0, 1.0, 3).values.tolist() == [2, 0, 0]
+
+    def test_a_time_is_taken_at_its_microsecond(self):
+        # 0.9999996 s is recorded at 1.000000 s, ten steps of 0.1 s; 0.3 s
+        # is three steps exactly, where floats put it in step 2
+        series = bin_events(event_array([0.9999994, 0.9999996, 0.3], [1, 2, 4]), 0.0, 0.1, 11)
+        assert series.values.tolist() == [0, 0, 0, 4, 0, 0, 0, 0, 0, 1, 2]
+
     def test_bad_parameters(self):
         with pytest.raises(ParameterError):
             bin_events(event_array([], []), 0.0, 0.0, 3)
@@ -69,7 +84,9 @@ class TestBinEvents:
     def test_conservation_property(self, raw):
         events = event_array([t for t, _ in raw], [b for _, b in raw])
         series = bin_events(events, 0.0, 1.0, 60)
-        in_window = sum(b for t, b in raw if 0 <= np.floor(t) < 60)
+        # bin_events takes each time at the microsecond a capture records
+        in_window = sum(b for us, (_, b) in zip(microseconds(events["timestamp"]).tolist(), raw)
+                        if 0 <= us < 60 * MICROSECOND)
         assert int(series.values.sum()) == in_window
 
 
@@ -96,9 +113,38 @@ class TestWindowRule:
         assert len(bin_events(event_array([0.5], [7]), 0.0, 1.0, MAX_STEPS)) == MAX_STEPS
 
     def test_step_index_is_floor_inside_the_window(self):
-        index, held = step_index([-0.5, 0.0, 0.99, 1.0, 2.9, 3.0, np.nan], 0.0, 1.0, 3)
-        assert index[:6].tolist() == [-1.0, 0.0, 0.0, 1.0, 2.0, 3.0]
-        assert held.tolist() == [False, True, True, True, True, False, False]
+        index, held = step_index([-500, 0, 990, 1000, 2900, 3000], 1000, 0.0, 1.0, 3)
+        assert index.tolist() == [-1, 0, 0, 1, 2, 3]
+        assert held.tolist() == [False, True, True, True, True, False]
+
+    def test_a_float_start_or_step_is_the_decimal_it_prints(self):
+        # in floats, (k * 0.1) / 0.1 floors below k for k = 3, 6, 7, ...
+        ticks = np.arange(100) * 100_000
+        assert step_index(ticks, MICROSECOND, 0.0, 0.1, 100)[0].tolist() == list(range(100))
+        assert step_index(ticks + 1_760_000_000 * MICROSECOND, MICROSECOND, 1760000000.0, 0.1, 100)[0].tolist() \
+            == list(range(100))
+
+    @given(st.integers(-10**12, 10**12), st.sampled_from([1, 1000, 90_000, MICROSECOND, 10**9]),
+           st.from_regex(r"-?[0-9]{1,4}(\.[0-9]{1,10})?", fullmatch=True),
+           st.from_regex(r"[0-9]{1,3}(\.[0-9]{1,10})?", fullmatch=True), st.integers(1, MAX_STEPS))
+    def test_step_index_is_the_exact_floor(self, tick, rate, start, step, n_steps):
+        start, step = Fraction(start), Fraction(step)
+        assume(step > 0)
+        try:
+            (index,), (held,) = step_index([tick], rate, start, step, n_steps)
+        except ParameterError as exc:  # only a window whose constants do not fit int64 ticks
+            assert "does not fit int64 ticks" in str(exc)
+            return
+        expected = math.floor((Fraction(tick, rate) - start) / step)
+        assert held == (0 <= expected < n_steps)
+        if held:
+            assert index == expected
+
+    @pytest.mark.parametrize("start, step", [(Fraction("1e-17"), 1.0), (0.0, Fraction("1e-30")), (1e300, 1.0),
+                                             (Fraction(TICK_BOUND, MICROSECOND), 1.0)])
+    def test_a_window_past_int64_ticks_is_refused(self, start, step):
+        with pytest.raises(ParameterError, match="does not fit int64 ticks of 1/1000000 s"):
+            step_index([0], MICROSECOND, start, step, 60)
 
     def test_device_set_is_series_sharing_a_window(self):
         a, b = make_series([1, 2]), make_series([3, 4])
