@@ -205,10 +205,11 @@ def video_byte_series(tables: Sequence[TrackSampleTable], step: float | Fraction
     last = int(ticks[-1])  # decode ticks never fall
     if last > MAX_SECONDS * rate:
         raise StructureError(f"video spans {last / rate:.0f} s, beyond the {MAX_SECONDS} s parser limit")
-    if Fraction(last, rate) >= MAX_STEPS * exact(step):
+    n_steps = Fraction(last, rate) // exact(step) + 1  # through the last sample's step
+    if n_steps > MAX_STEPS:
         raise ParameterError(f"step {float(step)} s is too small for a video of {last / rate:g} s "
                              f"(over {MAX_STEPS} steps)")
-    index, _ = step_index(ticks, rate, 0.0, step, MAX_STEPS)
-    bins = np.zeros(int(index[-1]) + 1, dtype=np.int64)
+    index, _ = step_index(ticks, rate, 0.0, step, n_steps)
+    bins = np.zeros(n_steps, dtype=np.int64)
     add_to_steps(bins, 0, index, video.sample_sizes)
     return ByteSeries(0.0, float(step), bins)

@@ -523,8 +523,8 @@ def extract_device_series(
             drops["dropped_bytes"] += int(batch.on_wire_len[malformed].sum())
         if n_unattributed:
             drops["dropped_bytes"] += int(size[~(malformed | attributed)].sum())
-        # Called for a batch with no frame to bin too, so a window too fine
-        # for int64 ticks is refused whatever the frames hold.
+        # Called for a batch with no frame to bin too, so a window past
+        # int64 ticks is refused whatever the frames hold.
         index, in_window = step_index(batch.ticks[attributed], batch.rate, start, step, n_steps)
         if not key.size:
             continue

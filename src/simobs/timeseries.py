@@ -63,19 +63,21 @@ def microseconds(times) -> np.ndarray:
     return seconds * MICROSECOND + np.round((times - seconds) * MICROSECOND).astype(np.int64)
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=64, typed=True)
 def _tick_window(rate: int, start, step, n_steps: int) -> tuple[int, int, int, int, int]:
-    """The int64 constants ``step_index`` bins a window with, in ticks of
-    ``1 / rate`` s.  ``base`` is the whole tick at or before the start,
-    and ``base + reach`` a tick past the window's end.  ``scale`` is the
-    least factor that makes the start's excess over ``base`` (``offset``)
-    and the step (``width``) whole numbers of ticks once multiplied by
-    it.  ParameterError if the window does not fit ``TICK_BOUND``."""
+    """The integer constants ``step_index`` bins a window with, in ticks
+    of ``1 / rate`` s.  ``base`` is the whole tick at or before the
+    start, and ``base + reach`` a tick past the window's end.  ``scale``
+    is the least factor that makes the start's excess over ``base``
+    (``offset``) and the step (``width``) whole numbers of ticks once
+    multiplied by it.  ParameterError if the window's ticks do not fit
+    ``TICK_BOUND``.  Typed, as a float and a ``Fraction`` of one value
+    are equal keys that ``exact`` reads apart."""
     first, width = exact(start) * rate, exact(step) * rate
     scale = math.lcm(first.denominator, width.denominator)
     base = math.floor(first)
     reach = math.ceil(first + n_steps * width) - base + 1
-    if not (-TICK_BOUND < base and base + reach < TICK_BOUND and reach * scale < TICK_BOUND):
+    if not (-TICK_BOUND < base and base + reach < TICK_BOUND):
         raise ParameterError(f"a window of {n_steps} steps of {float(step)} s from {float(start)} s "
                              f"does not fit int64 ticks of 1/{rate} s")
     return base, reach, int((first - base) * scale), int(width * scale), scale
@@ -83,15 +85,18 @@ def _tick_window(rate: int, start, step, n_steps: int) -> tuple[int, int, int, i
 
 def step_index(ticks, rate: int, start, step, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Each time's step, ``floor((ticks / rate - start) / step)``, exactly,
-    and whether the window holds it.  ``ticks`` are int64 ticks of
-    ``1 / rate`` s; ``start`` and ``step`` are what ``exact`` reads.  The
-    window's integer constants are computed once per window, and a start
-    and step of whole ticks cost one subtraction and one floor division."""
+    and whether the window holds it; the step of a time outside the
+    window is only known to be outside ``[0, n_steps)``.  ``ticks`` are
+    int64 ticks of ``1 / rate`` s; ``start`` and ``step`` are what
+    ``exact`` reads.  The arithmetic is int64 when the scaled window fits
+    it, and Python integers when it does not (a float step of 1/30 reads
+    as 17 decimals)."""
     base, reach, offset, width, scale = _tick_window(rate, start, step, n_steps)
-    since = np.asarray(ticks, dtype=np.int64) - base
-    if scale > 1:  # held to one tick outside the window, so the product fits
-        since = np.clip(since, -1, reach) * scale - offset
-    index = since // width
+    since = np.minimum(np.maximum(np.asarray(ticks, dtype=np.int64) - base, -1), reach)  # a tick outside at most
+    if reach * scale < TICK_BOUND:
+        index = (since * scale - offset) // width
+    else:  # held to [-1, n_steps], as a step past the window may not fit int64
+        index = np.clip((since.astype(object) * scale - offset) // width, -1, n_steps).astype(np.int64)
     return index, (index >= 0) & (index < n_steps)
 
 

@@ -188,8 +188,28 @@ class TestExactTime:
         assert {s.device_id: s.series for s in expected} == captured
         assert captured[spy].values[3:5].tolist() == [220_082, 234_658]
 
-    @pytest.mark.parametrize("flags", [["--start", "0.00000000000000000001"], ["--step", "1e-30"]])
-    def test_a_window_too_fine_for_int64_ticks(self, flags, pcap_file, tmp_path, capsys):
+    @pytest.mark.parametrize("start, step", [("0", "0.03333333333333333"), ("0.00000000000000000001", "1")])
+    def test_a_start_or_step_with_many_decimals_is_the_exact_floor(self, start, step, tmp_path):
+        """Scaled to whole ticks, these windows pass int64, and are still
+        binned exactly: every frame on, just before and just after a
+        step edge is in the step the exact floor gives."""
+        width, n_steps = Fraction(step) * 10**6, 1800 if step != "1" else 60
+        ticks = sorted({max(0, math.floor(k * width) + d) for k in range(0, n_steps + 1, 7) for d in (-1, 0, 1)})
+        data = pcap_header()
+        for i, tick in enumerate(ticks):
+            data += pcap_record(*divmod(tick, 10**6), ethernet_frame(f"aa:00:00:00:00:0{i % 3 + 1}",
+                                                                      body=bytes(50 + i % 40)))
+        capture, out = tmp_path / "capture.pcap", tmp_path / "devices.csv"
+        capture.write_bytes(data)
+        assert run(["extract", "--pcap", str(capture), "--start", start, "--step", step, "--window", str(n_steps),
+                    "--out", str(out)]) == 0
+        with open(out) as fh:
+            captured = dict(read_devices_csv(fh))
+        expected = oracle.extract_device_series(oracle.read_pcap(data), Fraction(start), Fraction(step), n_steps)
+        assert {s.device_id: s.series for s in expected} == captured
+
+    @pytest.mark.parametrize("flags", [["--start", "-10000000000000"], ["--step", "1e12"]])
+    def test_a_window_past_int64_ticks(self, flags, pcap_file, tmp_path, capsys):
         out = tmp_path / "devices.csv"
         code = run(["extract", "--pcap", str(pcap_file), *flags, "--out", str(out)])
         err = TestNonFiniteNumbers._one_line_error(code, 2, out, capsys)

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -121,6 +124,22 @@ class TestVideoByteSeries:
         assert len(series) == 3 * 3600 * 100 + 1
         assert series.values[0] == 10 and series.values[-1] == 20
         assert int(series.values.sum()) == 30
+
+    def test_step_of_one_thirtieth_at_90khz_is_the_exact_floor(self):
+        # 1/30 prints as 0.03333333333333333: at 90 kHz the window is
+        # exact only past int64 once scaled.
+        rng = np.random.default_rng(22)
+        deltas = [int(d) for d in rng.choice([2999, 3000, 3001, 6000], 300)]
+        sizes = [int(s) for s in rng.integers(100, 5000, 300)]
+        data = mp4_file(trak_box(90_000, "vide", sizes=sizes, deltas=[(1, d) for d in deltas]))
+        series = video_byte_series(parse_mp4(data), step=1 / 30)
+        ticks = np.concatenate([[0], np.cumsum(deltas[:-1])])
+        expected = np.zeros(math.floor(Fraction(int(ticks[-1]), 90_000) / Fraction("0.03333333333333333")) + 1,
+                            dtype=np.int64)
+        for tick, size in zip(ticks, sizes):
+            expected[math.floor(Fraction(int(tick), 90_000) / Fraction("0.03333333333333333"))] += size
+        assert series.values.tolist() == expected.tolist()
+        assert series.step == 1 / 30
 
 
 class TestFuzzSmoke:

@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -160,6 +161,21 @@ class TestStepSeries:
                     assert np.array_equal(step_bins(block, step, delays, n_steps), expected), (step, delays)
                 straddled += sum(self._straddles(row, step, delay) > 0 for row, delay in zip(block, delays))
         assert straddled >= 100
+
+    def test_a_step_of_one_thirtieth_over_1800_steps_is_the_exact_floor(self):
+        """At step 1/30 (0.03333333333333333 as printed) each packet is in
+        the exact floor of its recorded microsecond over the step."""
+        rng = np.random.default_rng(16)
+        block = rng.choice([0, 1, 63, 64, 700, MTU, MTU + 1, 3 * MTU + 1], (3, 1800))
+        delays = [0.0, 0.3, 1e-9]
+        expected = np.zeros((3, 1800), dtype=np.int64)
+        for row, (totals, delay) in enumerate(zip(block, delays)):
+            for t, size in packetize(totals, 1 / 30, delay).tolist():
+                recorded = Fraction(int(t)) + Fraction(round((t - int(t)) * 10**6), 10**6)
+                index = math.floor(recorded / Fraction("0.03333333333333333"))
+                if index < 1800:
+                    expected[row, index] += size
+        assert np.array_equal(step_bins(block, 1 / 30, delays, 1800), expected)
 
     def test_rejects_what_bin_events_rejects(self):
         for step, n_steps in [(1.0, 0), (0.0, 5), (math.inf, 5), (math.nan, 5)]:

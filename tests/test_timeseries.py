@@ -18,7 +18,7 @@ from simobs.timeseries import (
     check_window,
     device_set,
     event_array,
-    microseconds,
+    exact,
     min_max_normalize,
     read_series_csv,
     step_index,
@@ -84,9 +84,11 @@ class TestBinEvents:
     def test_conservation_property(self, raw):
         events = event_array([t for t, _ in raw], [b for _, b in raw])
         series = bin_events(events, 0.0, 1.0, 60)
-        # bin_events takes each time at the microsecond a capture records
-        in_window = sum(b for us, (_, b) in zip(microseconds(events["timestamp"]).tolist(), raw)
-                        if 0 <= us < 60 * MICROSECOND)
+        # bin_events takes each time at the microsecond a capture records:
+        # the whole seconds, then the fraction rounded half to even
+        def microsecond(t: float) -> int:
+            return int(t) * MICROSECOND + round((t - int(t)) * MICROSECOND)
+        in_window = sum(b for t, b in raw if 0 <= microsecond(t) < 60 * MICROSECOND)
         assert int(series.values.sum()) == in_window
 
 
@@ -126,25 +128,48 @@ class TestWindowRule:
 
     @given(st.integers(-10**12, 10**12), st.sampled_from([1, 1000, 90_000, MICROSECOND, 10**9]),
            st.from_regex(r"-?[0-9]{1,4}(\.[0-9]{1,10})?", fullmatch=True),
-           st.from_regex(r"[0-9]{1,3}(\.[0-9]{1,10})?", fullmatch=True), st.integers(1, MAX_STEPS))
+           st.one_of(st.from_regex(r"[0-9]{1,3}(\.[0-9]{1,10})?", fullmatch=True),
+                     st.floats(1e-9, 1e3).map(repr)),
+           st.integers(1, MAX_STEPS))
     def test_step_index_is_the_exact_floor(self, tick, rate, start, step, n_steps):
         start, step = Fraction(start), Fraction(step)
         assume(step > 0)
         try:
             (index,), (held,) = step_index([tick], rate, start, step, n_steps)
-        except ParameterError as exc:  # only a window whose constants do not fit int64 ticks
+        except ParameterError as exc:  # only a window whose ticks do not fit int64
             assert "does not fit int64 ticks" in str(exc)
+            assert math.floor(start * rate) <= -TICK_BOUND or math.ceil((start + n_steps * step) * rate) + 1 >= TICK_BOUND
             return
         expected = math.floor((Fraction(tick, rate) - start) / step)
         assert held == (0 <= expected < n_steps)
         if held:
             assert index == expected
 
-    @pytest.mark.parametrize("start, step", [(Fraction("1e-17"), 1.0), (0.0, Fraction("1e-30")), (1e300, 1.0),
-                                             (Fraction(TICK_BOUND, MICROSECOND), 1.0)])
+    @pytest.mark.parametrize("start, step", [(1e300, 1.0), (Fraction(TICK_BOUND, MICROSECOND), 1.0),
+                                             (-1e13, 1.0), (0.0, 1e11)])
     def test_a_window_past_int64_ticks_is_refused(self, start, step):
         with pytest.raises(ParameterError, match="does not fit int64 ticks of 1/1000000 s"):
             step_index([0], MICROSECOND, start, step, 60)
+
+    @pytest.mark.parametrize("start, step, n_steps", [
+        (Fraction("1e-17"), 1.0, 60),
+        (0.0, Fraction("1e-30"), 60),
+        (0.0, Fraction("1.00000000000000000001"), 60),
+        (0.0, 1 / 30, 60),  # 0.03333333333333333, scaled by 10**11: int64 over 60 steps
+        (0.0, 1 / 30, 1800),  # and Python integers over 1 800
+    ])
+    def test_a_start_or_step_of_many_decimals_is_exact(self, start, step, n_steps):
+        ticks = np.concatenate([[0, 1, 999_999], np.arange(-7, 61 * MICROSECOND, 9973)])
+        index, held = step_index(ticks, MICROSECOND, start, step, n_steps)
+        expected = [math.floor((Fraction(int(t), MICROSECOND) - exact(start)) / exact(step)) for t in ticks]
+        assert held.tolist() == [0 <= i < n_steps for i in expected]
+        assert index[held].tolist() == [i for i in expected if 0 <= i < n_steps]
+
+    def test_a_float_and_its_fraction_are_different_steps(self):
+        # 0.1 prints as 1/10; Fraction(0.1) is the binary value, a little more
+        assert step_index([MICROSECOND], MICROSECOND, 0.0, 0.1, 20)[0].tolist() == [10]
+        assert step_index([MICROSECOND], MICROSECOND, 0.0, Fraction(0.1), 20)[0].tolist() == [9]
+        assert step_index([MICROSECOND], MICROSECOND, 0.0, 0.1, 20)[0].tolist() == [10]
 
     def test_device_set_is_series_sharing_a_window(self):
         a, b = make_series([1, 2]), make_series([3, 4])
