@@ -38,7 +38,7 @@ from .simulate import (
     render_scenario,
     write_pcap,
 )
-from .timeseries import ByteSeries, align, bin_events, event_array, min_max_normalize
+from .timeseries import ByteSeries, bin_events, event_array, min_max_normalize
 
 __version__ = "0.1.0"
 
@@ -60,7 +60,6 @@ __all__ = [
     "SimobsError",
     "ThresholdConfig",
     "TrackSampleTable",
-    "align",
     "bin_events",
     "column_verdicts",
     "convergence_analysis",

@@ -27,7 +27,7 @@ from .errors import (
     read_json,
 )
 # similarity_vector is not called here; perfbench/layers.py wraps classify.similarity_vector.
-from .similarity import MEASURES, Columns, Report, aligned_rows, read_samples, score_rows, similarity_vector
+from .similarity import Columns, Report, aligned_rows, measure_names, read_samples, score_rows, similarity_vector
 from .timeseries import ByteSeries
 
 # Measures where larger means more similar classify spy at-or-above the
@@ -56,8 +56,7 @@ class ThresholdConfig:
     threshold: float
 
     def __post_init__(self):
-        if self.measure not in MEASURES:
-            raise ParameterError(f"unknown measure {self.measure!r}")
+        measure_names([self.measure])
         if math.isnan(self.threshold):  # +-inf stay: sweep_threshold's admit-all and admit-none points
             raise ParameterError(f"threshold of {self.measure} is NaN")
 
@@ -133,8 +132,7 @@ def sweep_threshold(samples: Report, measure: str) -> tuple[float, float]:
     positives.  As in ``column_verdicts``, an undefined or NaN value is
     never spy, so an undefined spy counts as a miss at every candidate.
     """
-    if measure not in MEASURES:
-        raise ParameterError(f"unknown measure {measure!r}")
+    measure_names([measure])
     labels = samples.labels
     if labels.all() or not labels.any():
         raise ClassImbalanceError("sweep needs both classes present")
@@ -182,10 +180,7 @@ def feature_matrix(columns: Columns, subset: Sequence[str]) -> np.ndarray:
     An undefined measure takes its stand-in, and kld is capped so
     near-degenerate candidates cannot blow up feature scaling.
     """
-    if not subset:
-        raise ParameterError("the feature subset is empty")
-    if unknown := [m for m in subset if m not in MEASURES]:
-        raise ParameterError(f"unknown measure {unknown[0]!r}")
+    subset = measure_names(subset)
     x = np.empty((len(columns[subset[0]][0]), 2 * len(subset)))
     for j, m in enumerate(subset):
         values, undefined = columns[m]
@@ -456,8 +451,8 @@ def load_model(inp: TextIO) -> MlpModel:
 
 def _model_from_payload(payload: dict) -> MlpModel:
     version = payload.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
-        raise ParameterError(f"unsupported model format version {version}")
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:  # true == 1, but is not a version
+        raise FormatError(f"unsupported model format version {version!r}")
     sizes = tuple(payload["layer_sizes"])
 
     def numbers(values, what: str) -> np.ndarray:
@@ -481,8 +476,10 @@ def _model_from_payload(payload: dict) -> MlpModel:
     )
     if model.activation not in ACTIVATIONS:
         raise FormatError(f"model activation {model.activation!r} is not one of {ACTIVATIONS}")
-    if not model.feature_subset or not set(model.feature_subset) <= set(MEASURES):
-        raise FormatError(f"model features {list(model.feature_subset)} are not one or more of {MEASURES}")
+    try:
+        measure_names(model.feature_subset)
+    except ParameterError as exc:
+        raise FormatError(f"model feature_subset: {exc}") from None
     n_inputs = 2 * len(model.feature_subset)
     shapes_ok = (
         sizes[0] == n_inputs
@@ -735,8 +732,7 @@ def portability_matrix(
     Diagonal cells use a held-out half; off-diagonal cells train and test
     on the full partitions, as is conventional for portability studies.
     """
-    if trainer not in MEASURES:
-        raise ParameterError(f"trainer must be a measure name, got {trainer!r}")
+    measure_names([trainer])
     _check_seed(seed)
     groups = _split_tags(samples.tags, partition_tag)
     if len(groups) != 2:

@@ -66,9 +66,8 @@ def _threshold_configs(args) -> list[cls.ThresholdConfig]:
     twice in either flag, or a --thresholds entry for one that is not
     classified, is an error."""
     thresholds = dict(cls.DEFAULT_THRESHOLDS)
-    measures = args.measures.split(",") if args.measures is not None else cls.CAMERA_REF_FEATURES
-    if len(set(measures)) < len(measures):
-        raise ParameterError(f"--measures names a measure twice: {args.measures}")
+    measures = similarity.measure_names(args.measures.split(",") if args.measures is not None
+                                        else cls.CAMERA_REF_FEATURES)
     if args.thresholds not in (None, "default"):
         parts = args.thresholds.split(",")
         if len({part.partition("=")[0] for part in parts}) < len(parts):
@@ -84,7 +83,6 @@ def _threshold_configs(args) -> list[cls.ThresholdConfig]:
             if measure not in measures:
                 raise ParameterError(f"--thresholds sets {measure}, but only {','.join(measures)} are classified")
             thresholds[measure] = threshold
-    # ThresholdConfig rejects a name that is not a measure.
     return [cls.ThresholdConfig(m, thresholds.get(m)) for m in measures]
 
 

@@ -16,10 +16,21 @@ from typing import NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from .errors import FormatError, ParameterError, json_bool, json_number, json_strings, json_text, read_json
-from .timeseries import ByteSeries, align, device_set, min_max_normalize
+from .errors import AlignmentError, FormatError, ParameterError, json_bool, json_number, json_strings, json_text, read_json
+from .timeseries import ByteSeries, device_set, exact, min_max_normalize
 
 MEASURES = ("cc", "dtw", "kld", "jsd")
+
+
+def measure_names(names: Sequence[str]) -> tuple[str, ...]:
+    """``names`` as a tuple if they are one or more of MEASURES, none named
+    twice, else ParameterError: the one rule for every list of measures."""
+    names = tuple(names)
+    if not names or not set(names) <= set(MEASURES) or len(set(names)) < len(names):
+        raise ParameterError(f"measures must be one or more of {','.join(MEASURES)}, none named twice; "
+                             f"got {list(names)}")
+    return names
+
 
 # Flags carried by a report entry.
 FLAG_CC_UNDEFINED = "cc_undefined"
@@ -132,14 +143,26 @@ def aligned_rows(reference: ByteSeries, candidates: Sequence[ByteSeries]) -> np.
 
     The candidates are one device set: one or more series sharing
     ``start_time``, ``step`` and length (else ParameterError), so one
-    alignment with the reference serves them all.  A missing overlap
-    raises AlignmentError.
+    offset serves them all.  The offset is the candidates' start less
+    the reference's, over the step, all three read as ``exact`` reads
+    them, rounded half to even: the steps the reference skips, or, when
+    negative, the steps the candidates skip.  So the later series' grid
+    wins, sub-step skew is ignored, and shifting both starts by the same
+    whole seconds changes nothing.  Unequal steps raise ParameterError,
+    and a window that shares no step AlignmentError.
     """
     first = device_set(candidates)
-    ref, aligned = align(reference, first)
-    skip = round((aligned.start_time - first.start_time) / first.step)
-    cands = np.stack([c.values for c in candidates])[:, skip : skip + len(aligned)]
-    return np.concatenate((ref.values[None], cands))
+    if reference.step != first.step:
+        raise ParameterError(f"step mismatch: {reference.step} vs {first.step}")
+    skip = round((exact(first.start_time) - exact(reference.start_time)) / exact(first.step))
+    ref_from, cands_from = max(skip, 0), max(-skip, 0)
+    n = min(len(reference) - ref_from, len(first) - cands_from)
+    if n < 1:
+        earlier, later = (reference, first) if skip > 0 else (first, reference)
+        raise AlignmentError(f"no overlap: [{earlier.start_time}, {earlier.end_time}) ends before "
+                             f"[{later.start_time}, {later.end_time}) begins")
+    cands = np.stack([c.values for c in candidates])[:, cands_from : cands_from + n]
+    return np.concatenate((reference.values[None, ref_from : ref_from + n], cands))
 
 
 def score_rows(raw: np.ndarray, measures: Sequence[str]) -> MeasureColumns:
@@ -147,8 +170,7 @@ def score_rows(raw: np.ndarray, measures: Sequence[str]) -> MeasureColumns:
     row against the reference row on ``measures`` only, each measure
     scoring the whole set at once.  Any leading columns of those rows,
     such as the first t steps, are rows of the same kind."""
-    if unknown := set(measures) - set(MEASURES):
-        raise ParameterError(f"unknown measures {sorted(unknown)}")
+    measures = measure_names(measures)
     scaled, degenerate = min_max_normalize(raw)
     x, ys = scaled[0], scaled[1:]
     flattened = degenerate[0] | degenerate[1:]

@@ -1,4 +1,4 @@
-"""Byte-count time series: binning, min-max scaling, window alignment.
+"""Byte-count time series: binning, min-max scaling, CSV round trip.
 
 Every device trace and every reference recording is reduced to the same
 shape here: a vector of byte counts over fixed wall-clock steps.  All
@@ -14,7 +14,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .errors import AlignmentError, FormatError, ParameterError
+from .errors import FormatError, ParameterError
 
 DEFAULT_STEP = 1.0
 DEFAULT_WINDOW = 60
@@ -199,29 +199,6 @@ def device_set(series: Sequence[ByteSeries]) -> ByteSeries:
     if len({(s.start_time, s.step, len(s)) for s in series}) != 1:
         raise ParameterError("a device set needs one or more series sharing start_time, step and length")
     return series[0]
-
-
-def align(a: ByteSeries, b: ByteSeries) -> tuple[ByteSeries, ByteSeries]:
-    """Truncate both series to their overlapping window, in whole steps.
-
-    The later series' step grid wins; sub-step skew between the two grids
-    is ignored (irrelevant at the 1 s steps this pipeline runs on).
-    """
-    if a.step != b.step:
-        raise ParameterError(f"step mismatch: {a.step} vs {b.step}")
-    step = a.step
-    a_is_later = a.start_time >= b.start_time
-    later, earlier = (a, b) if a_is_later else (b, a)
-    skip = round((later.start_time - earlier.start_time) / step)
-    if skip >= len(earlier):
-        raise AlignmentError(
-            f"no overlap: [{earlier.start_time}, {earlier.end_time}) ends before "
-            f"[{later.start_time}, {later.end_time}) begins"
-        )
-    n = min(len(later), len(earlier) - skip)
-    later_out = ByteSeries(later.start_time, step, later.values[:n])
-    earlier_out = ByteSeries(earlier.start_time + skip * step, step, earlier.values[skip : skip + n])
-    return (later_out, earlier_out) if a_is_later else (earlier_out, later_out)
 
 
 # ---------------------------------------------------------------------------

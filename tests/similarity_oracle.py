@@ -1,6 +1,7 @@
-"""Per-candidate similarity measures, the reference for tests.
+"""Per-candidate alignment and similarity measures, the reference for tests.
 
-Each candidate is min-max scaled into its own ``NormalizedSeries`` and
+Each candidate is aligned with the reference on its own, in decimal
+arithmetic, min-max scaled into its own ``NormalizedSeries`` and
 scored by four scalar functions, and DTW also has a plain-list dynamic
 program.  ``simobs.similarity`` scores the whole device set as row
 arrays, one kernel per measure, and is checked against these
@@ -12,11 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from typing import Sequence
 
 import numpy as np
 
-from simobs.errors import ParameterError, SimobsError
+from simobs.errors import AlignmentError, ParameterError, SimobsError
 from simobs.similarity import (
     FLAG_CAND_DEGENERATE,
     FLAG_CC_UNDEFINED,
@@ -25,7 +27,7 @@ from simobs.similarity import (
     MEASURES,
     Report,
 )
-from simobs.timeseries import ByteSeries, align
+from simobs.timeseries import ByteSeries
 
 _SIGMA_FLOOR = 1e-9
 
@@ -57,6 +59,29 @@ class NormalizedSeries:
 
     def __len__(self) -> int:
         return int(self.values.size)
+
+
+_DECIMALS = Context(prec=200)  # exact for every start and step the tests draw
+
+
+def align(a: ByteSeries, b: ByteSeries) -> tuple[ByteSeries, ByteSeries]:
+    """Both series cut to the whole steps they share.  ``b``'s start less
+    ``a``'s, over the step, each the decimal its ``repr`` prints and
+    rounded half to even, is the number of steps ``a`` skips, or, when
+    negative, that ``b`` skips; a series that skips takes the other's
+    start.  ParameterError on unequal steps, AlignmentError when no step
+    is shared."""
+    if a.step != b.step:
+        raise ParameterError(f"step mismatch: {a.step} vs {b.step}")
+    a_start, b_start, step = (Decimal(repr(float(v))) for v in (a.start_time, b.start_time, a.step))
+    offset = _DECIMALS.divide(_DECIMALS.subtract(b_start, a_start), step)
+    skip = int(offset.to_integral_value(rounding=ROUND_HALF_EVEN))
+    a_from, b_from = max(skip, 0), max(-skip, 0)
+    n = min(len(a) - a_from, len(b) - b_from)
+    if n < 1:
+        raise AlignmentError(f"no overlap at an offset of {skip} steps")
+    return (ByteSeries(b.start_time if a_from else a.start_time, a.step, a.values[a_from : a_from + n]),
+            ByteSeries(a.start_time if b_from else b.start_time, b.step, b.values[b_from : b_from + n]))
 
 
 def min_max_normalize(series: ByteSeries | Sequence[float] | np.ndarray) -> NormalizedSeries:
@@ -188,10 +213,8 @@ def _jsd_with_fallback(
 def score_report(reference: ByteSeries, candidates: Sequence[ByteSeries]) -> Report:
     if len({(c.start_time, c.step, len(c)) for c in candidates}) != 1:
         raise ParameterError("candidates must be one or more series sharing start_time, step and length")
-    first = candidates[0]
-    ref, aligned = align(reference, first)
-    skip = round((aligned.start_time - first.start_time) / first.step)
-    raw = np.stack([c.values for c in candidates])[:, skip : skip + len(aligned)]
+    ref = align(reference, candidates[0])[0]
+    raw = np.stack([align(reference, c)[1].values for c in candidates])
     ref_n = min_max_normalize(ref)
     cands_n = [min_max_normalize(row) for row in raw]
     dtws = _dtw_rows(ref_n.values, np.stack([c.values for c in cands_n]))

@@ -1240,7 +1240,8 @@ class TestMalformedInput:
         assert not out.exists()
 
     @pytest.mark.parametrize("garble", ["truncated", "list", "no layer_sizes", "no feature_subset",
-                                        "unknown activation", "unknown feature", "short mean", "empty feature_subset"])
+                                        "unknown activation", "unknown feature", "short mean", "empty feature_subset",
+                                        "repeated feature", "version true", "version 1.0", "version 2"])
     def test_garbled_model_one_line_exit_1(self, garble, scene, synthetic_samples, tmp_path, capsys):
         model = tmp_path / "model.json"
         assert run(["train", "--samples", str(synthetic_samples), "--layers", "3", "--max-iter", "5",
@@ -1258,6 +1259,10 @@ class TestMalformedInput:
                 payload["activation"] = "softmax"
             elif garble == "unknown feature":
                 payload["feature_subset"][0] = "dtv"
+            elif garble == "repeated feature":  # cc,kld,jsd as cc,cc,jsd: the arrays still fit
+                payload["feature_subset"][1] = payload["feature_subset"][0]
+            elif garble.startswith("version "):  # true == 1 == 1.0 in Python, but only 1 is the version
+                payload["format_version"] = json.loads(garble.removeprefix("version "))
             elif garble == "empty feature_subset":  # a consistent network of no inputs
                 payload.update(layer_sizes=[0, 1], weights=[[]], biases=[[0.0]], feature_subset=[],
                                standardization={"mean": [], "std": []})
@@ -1289,7 +1294,8 @@ class TestMalformedInput:
         out = tmp_path / "report.csv"
         assert run(["analyze", "--reference", str(scene / "reference.csv"),
                     "--devices", str(devices), "--out", str(out)]) == 1
-        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: no overlap: [0.0, 60.0) ends before [1700000000.0, 1700000060.0) begins"]
         assert not out.exists()
 
 
@@ -1365,6 +1371,14 @@ class TestNonFiniteNumbers:
                     "--thresholds", "kld=0.5"]
         out = tmp_path / "out.json"
         self._one_line_error(run(argv + ["--out", str(out)]), 2, out, capsys)
+
+    @pytest.mark.parametrize("features", ["cc,cc", "kld,jsd,kld", "cc,dtv"])
+    @pytest.mark.parametrize("command", [["train", "--max-iter", "5"], ["grid-search", "--folds", "3"]])
+    def test_features_not_a_list_of_distinct_measures(self, command, features, synthetic_samples, tmp_path, capsys):
+        """A repeated feature would feed one measure to the network twice."""
+        out = tmp_path / "out.json"
+        code = run(command + ["--samples", str(synthetic_samples), f"--features={features}", "--out", str(out)])
+        assert "none named twice" in self._one_line_error(code, 2, out, capsys)
 
     @pytest.mark.parametrize("command", ["classify", "agreement"])
     @pytest.mark.parametrize("thresholds", ["kld=1,kld=0.001", "kld=0.001,kld=1"])

@@ -20,12 +20,14 @@ from simobs.similarity import (
     _dtw_rows,
     _jsd_rows,
     _kld_rows,
+    aligned_rows,
     dtw_distance,
     score_report,
     score_rows,
     similarity_vector,
 )
-from simobs.timeseries import ByteSeries, align, min_max_normalize
+from simobs.timeseries import ByteSeries, min_max_normalize
+from similarity_oracle import align
 
 
 def series(values, start=0.0, step=1.0):
@@ -212,6 +214,101 @@ class TestJsd:
         assert -1e-15 <= d1 <= math.log(2) + 1e-12
 
 
+EPOCH = 1_760_000_000  # seconds, a capture's time in 2025
+
+
+def ms_series(values, start_ms, step_ms):
+    """A series whose start and step are whole milliseconds, as the decimals they print."""
+    return series(values, start=start_ms / 1000, step=step_ms / 1000)
+
+
+@st.composite
+def _skewed_windows(draw):
+    """Whole-millisecond reference and device starts and a decimal step.
+    The skew is drawn in half steps and then moved by at most 1 ms, so
+    many skews are ties, or a millisecond from one, where rounding decides."""
+    step_ms = draw(st.integers(1, 1000))
+    skew_ms = draw(st.integers(-81, 81)) * step_ms // 2 + draw(st.integers(-1, 1))
+    return (draw(st.integers(0, 10**6)), skew_ms, step_ms, draw(st.integers(1, 40)), draw(st.integers(1, 40)),
+            draw(st.integers(1, 3)))
+
+
+class TestAlign:
+    """aligned_rows is the one alignment: the device set's start less the
+    reference's, in steps of the decimals both print, rounded half to
+    even, is the steps the reference skips (the devices skip its negative)."""
+
+    def test_identical_windows_unchanged(self):
+        assert aligned_rows(series(range(60)), [series(range(60))]).tolist() == [list(range(60))] * 2
+
+    def test_offset_overlap_either_way(self):
+        ref, devices = series(range(60)), [series(range(100, 160), start=10.0)] * 2
+        assert aligned_rows(ref, devices).tolist() == [list(range(10, 60))] + [list(range(100, 150))] * 2
+        ref, devices = series(range(60), start=10.0), [series(range(100, 160))] * 2
+        assert aligned_rows(ref, devices).tolist() == [list(range(50))] + [list(range(110, 160))] * 2
+
+    @pytest.mark.parametrize("ref_start, dev_start", [(0.0, 40.0), (40.0, 0.0), (0.0, 30.0)])
+    def test_disjoint_windows(self, ref_start, dev_start):
+        ref, device = series(range(30), start=ref_start), series(range(30), start=dev_start)
+        earlier, later = sorted([ref_start, dev_start])
+        message = f"no overlap: [{earlier}, {earlier + 30.0}) ends before [{later}, {later + 30.0}) begins"
+        with pytest.raises(AlignmentError) as err:
+            aligned_rows(ref, [device])
+        assert str(err.value) == message
+
+    def test_step_mismatch(self):
+        with pytest.raises(ParameterError, match=r"^step mismatch: 1.0 vs 2.0$"):
+            aligned_rows(series([1, 2], step=1.0), [series([1, 2], step=2.0)])
+
+    @pytest.mark.parametrize("dev_start, skipped", [(5.3, 5), (5.7, 6), (5.5, 6), (4.5, 4)])
+    def test_sub_step_skew_ignored(self, dev_start, skipped):
+        rows = aligned_rows(series(range(20)), [series(range(100, 120), start=dev_start)])
+        assert rows.tolist() == [list(range(skipped, 20)), list(range(100, 120 - skipped))]
+
+    @pytest.mark.parametrize("epoch", [0, EPOCH])
+    @pytest.mark.parametrize("skew_ms, skipped", [(150, 2), (450, 4), (-150, -2), (-450, -4)])
+    def test_a_tie_rounds_to_even_at_every_epoch(self, epoch, skew_ms, skipped):
+        # A float difference of the starts reads 0.15 s as 1.4999999999999998
+        # steps at start 0 and as 1.5000009536743164 at the epoch.
+        ref = ms_series(range(20), epoch * 1000, 100)
+        device = ms_series(range(100, 120), epoch * 1000 + skew_ms, 100)
+        ref_from, dev_from = max(skipped, 0), max(-skipped, 0)
+        assert aligned_rows(ref, [device]).tolist() == [list(range(ref_from, 20 - dev_from)),
+                                                        list(range(100 + dev_from, 120 - ref_from))]
+
+    @given(_skewed_windows())
+    @settings(max_examples=300, deadline=None)
+    def test_shifting_both_by_whole_seconds_changes_no_row(self, drawn):
+        ref_ms, skew_ms, step_ms, ref_len, dev_len, n_devices = drawn
+
+        def rows(epoch):
+            ref = ms_series(range(ref_len), epoch * 1000 + ref_ms, step_ms)
+            devices = [ms_series(range(100 * d, 100 * d + dev_len), epoch * 1000 + ref_ms + skew_ms, step_ms)
+                       for d in range(1, n_devices + 1)]
+            try:
+                return aligned_rows(ref, devices).tolist()
+            except AlignmentError:
+                return None
+
+        assert rows(0) == rows(EPOCH)
+
+    @given(_skewed_windows())
+    @settings(max_examples=300, deadline=None)
+    def test_symmetric_and_as_the_oracle_aligns(self, drawn):
+        ref_ms, skew_ms, step_ms, ref_len, dev_len, _ = drawn
+        ref, device = ms_series(range(ref_len), ref_ms, step_ms), ms_series(range(100, 100 + dev_len),
+                                                                           ref_ms + skew_ms, step_ms)
+        try:
+            expected = [window.values.tolist() for window in align(ref, device)]
+        except AlignmentError:
+            for a, b in ((ref, device), (device, ref)):
+                with pytest.raises(AlignmentError):
+                    aligned_rows(a, [b])
+            return
+        assert aligned_rows(ref, [device]).tolist() == expected
+        assert aligned_rows(device, [ref]).tolist() == expected[::-1]
+
+
 def pair(a, b) -> dict:
     """The one entry of similarity_vector(a, b)."""
     (entry,) = report_entries(similarity_vector(a, b))
@@ -366,11 +463,9 @@ class TestEngineAgainstOracle:
         # The oracle's DTW is the engine's own _dtw_rows, so DTW gets an
         # independent check: every warping path of the scaled windows.
         reference, devices = scene
-        ref, window = align(reference, devices[0])
-        skip = round((window.start_time - devices[0].start_time) / window.step)
-        x, _ = min_max_normalize(ref)
+        x, _ = min_max_normalize(align(reference, devices[0])[0])
         for device, sv in zip(devices, report_entries(score_report(reference, devices))):
-            y, _ = min_max_normalize(device.values[skip : skip + len(window)])
+            y, _ = min_max_normalize(align(reference, device)[1])
             assert sv["dtw"] == pytest.approx(dtw_bruteforce(x, y), rel=1e-12, abs=1e-12)
 
     @given(_device_sets())

@@ -7,13 +7,12 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from simobs.errors import AlignmentError, FormatError, ParameterError
+from simobs.errors import FormatError, ParameterError
 from simobs.timeseries import (
     MAX_STEPS,
     MICROSECOND,
     TICK_BOUND,
     ByteSeries,
-    align,
     bin_events,
     check_window,
     device_set,
@@ -226,62 +225,6 @@ class TestNormalize:
     def test_shape_validation(self, bad):
         with pytest.raises(ParameterError):
             min_max_normalize(np.array(bad))
-
-
-class TestAlign:
-    def test_identical_windows_unchanged(self):
-        a = make_series(range(60))
-        b = make_series(range(60))
-        out_a, out_b = align(a, b)
-        assert out_a.values.tolist() == a.values.tolist()
-        assert out_b.values.tolist() == b.values.tolist()
-
-    def test_offset_overlap(self):
-        a = make_series(range(60), start=0.0)
-        b = make_series(range(60), start=10.0)
-        out_a, out_b = align(a, b)
-        assert len(out_a) == len(out_b) == 50
-        assert out_a.start_time == 10.0
-        assert out_a.values.tolist() == list(range(10, 60))
-        assert out_b.values.tolist() == list(range(0, 50))
-
-    def test_disjoint_windows(self):
-        a = make_series(range(30), start=0.0)
-        b = make_series(range(30), start=40.0)
-        with pytest.raises(AlignmentError):
-            align(a, b)
-
-    def test_step_mismatch(self):
-        with pytest.raises(ParameterError):
-            align(make_series([1, 2], step=1.0), make_series([1, 2], step=2.0))
-
-    def test_sub_step_skew_ignored(self):
-        a = make_series(range(20), start=0.0)
-        b = make_series(range(20), start=5.3)
-        out_a, out_b = align(a, b)
-        assert len(out_a) == 15
-        assert out_a.values.tolist() == list(range(5, 20))
-
-    @given(
-        st.integers(0, 50),
-        st.integers(0, 50),
-        st.integers(1, 40),
-        st.integers(1, 40),
-    )
-    def test_commutative_window(self, start_a, start_b, len_a, len_b):
-        a = make_series(range(len_a), start=float(start_a))
-        b = make_series(range(len_b), start=float(start_b))
-        try:
-            out_a, out_b = align(a, b)
-        except AlignmentError:
-            with pytest.raises(AlignmentError):
-                align(b, a)
-            return
-        swapped_b, swapped_a = align(b, a)
-        assert out_a.values.tolist() == swapped_a.values.tolist()
-        assert out_b.values.tolist() == swapped_b.values.tolist()
-        assert out_a.start_time == swapped_a.start_time
-        assert len(out_a) == len(out_b) >= 1
 
 
 class TestSeriesValidation:
