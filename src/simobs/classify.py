@@ -129,14 +129,14 @@ def sweep_threshold(samples: Report, measure: str) -> tuple[float, float]:
 
     Candidates are midpoints between consecutive distinct defined values
     plus +-inf sentinels; ties break toward the threshold admitting fewer
-    positives.  As in ``column_verdicts``, an undefined or NaN value is
+    positives.  As in ``column_verdicts``, an undefined (NaN) value is
     never spy, so an undefined spy counts as a miss at every candidate.
     """
     measure_names([measure])
     labels = samples.labels
     if labels.all() or not labels.any():
         raise ClassImbalanceError("sweep needs both classes present")
-    values = samples.columns[measure][0]
+    values = samples.columns[measure]
     defined = ~np.isnan(values)  # the rest are never spy
     values, spies = values[defined], labels[defined]
     distinct = np.unique(values)
@@ -175,16 +175,16 @@ class MlpModel:
 
 def feature_matrix(columns: Columns, subset: Sequence[str]) -> np.ndarray:
     """The ``subset`` measures of ``columns`` plus per-measure undefined
-    indicators, one row per entry.
+    (NaN) indicators, one row per entry.
 
     An undefined measure takes its stand-in, and kld is capped so
     near-degenerate candidates cannot blow up feature scaling.
     """
     subset = measure_names(subset)
-    x = np.empty((len(columns[subset[0]][0]), 2 * len(subset)))
+    x = np.empty((len(columns[subset[0]]), 2 * len(subset)))
     for j, m in enumerate(subset):
-        values, undefined = columns[m]
-        values = np.where(undefined, IMPUTED_VALUES[m], values)
+        undefined = np.isnan(columns[m])
+        values = np.where(undefined, IMPUTED_VALUES[m], columns[m])
         x[:, j] = np.minimum(values, KLD_FEATURE_CAP) if m == "kld" else values
         x[:, len(subset) + j] = undefined
     return x
@@ -418,11 +418,11 @@ def column_verdicts(columns: Columns, classifier: MlpModel | ThresholdConfig) ->
     """Spy verdict of every entry of ``columns``, which hold at least the
     measures the classifier reads: a spy probability of at least 0.5 under
     a model, or the threshold test in the measure's direction, where an
-    undefined or NaN measure is not spy."""
+    undefined (NaN) measure is not spy."""
     if isinstance(classifier, MlpModel):
         return mlp_probabilities(classifier, columns) >= 0.5
     sign = _sign(classifier.measure)
-    return sign * columns[classifier.measure][0] <= sign * classifier.threshold
+    return sign * columns[classifier.measure] <= sign * classifier.threshold
 
 
 def save_model(model: MlpModel, out: TextIO) -> None:

@@ -154,8 +154,11 @@ def _manifest_labels(manifest) -> dict[str, tuple[bool, list]]:
     tags = sorted(json_strings(manifest.get("scenario", {}).get("tags", []), "scenario tags"))
     labels = {}
     for d in manifest.get("devices", []):
-        if not isinstance(d["device_id"], str):
-            raise FormatError(f"manifest device_id must be a string, got {d['device_id']!r}")
+        for key in ("device_id", "kind"):
+            if not isinstance(d.get(key, ""), str):
+                raise FormatError(f"manifest {key} must be a string, got {d[key]!r}")
+        if d["device_id"] in labels:
+            raise FormatError(f"the manifest lists device_id {d['device_id']!r} twice")
         kind = [f"kind={d['kind']}"] if "kind" in d else []
         labels[d["device_id"]] = (json_bool(d.get("spying", False), "spying"), tags + kind)
     return labels
@@ -215,7 +218,7 @@ def cmd_classify(args) -> int:
         columns = {}
         for cfg in _threshold_configs(args):
             columns[f"spy_{cfg.measure}"] = cls.column_verdicts(report.columns, cfg).tolist()
-            undefined = report.columns[cfg.measure][1]
+            undefined = np.isnan(report.columns[cfg.measure])
             columns[f"indeterminate_{cfg.measure}"] = np.where(undefined, True, None).tolist()
     _write_outputs([(args.out, _verdict_table(report.device_ids, columns, args.format or "csv"))])
     return 0

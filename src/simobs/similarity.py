@@ -40,9 +40,9 @@ FLAG_CAND_DEGENERATE = "cand_degenerate"
 
 _SIGMA_FLOOR = 1e-9
 
-# {measure: (values, undefined)}: what a decision reads, one entry per
-# device, with NaN where the measure is undefined.
-Columns = dict[str, tuple[np.ndarray, np.ndarray]]
+# {measure: values}: what a decision reads, one float64 entry per device,
+# NaN exactly where the measure is undefined (cc and kld only).
+Columns = dict[str, np.ndarray]
 
 
 # One kernel per measure: each scores a reference row x against every row
@@ -51,16 +51,15 @@ Columns = dict[str, tuple[np.ndarray, np.ndarray]]
 
 def _cc_rows(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
     # Per-row dot products go through matmul on (D, 1, T) stacks, which
-    # rounds each row exactly as a 1-D ``@`` does.  NaN marks a row where
-    # either side has zero variance.
+    # rounds each row exactly as a 1-D ``@`` does.  A side with zero
+    # variance gives 0 / 0; score_rows marks such rows undefined.
     xd = x - x.mean()
     yd = ys - ys.mean(axis=1, keepdims=True)
     rows = yd[:, None, :]
     sx = np.sqrt(xd @ xd)
     sy = np.sqrt(rows @ yd[:, :, None])[:, 0, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        cc = np.clip((rows @ xd[:, None])[:, 0, 0] / (sx * sy), -1.0, 1.0)
-    return np.where((sx == 0.0) | (sy == 0.0), np.nan, cc)
+        return np.clip((rows @ xd[:, None])[:, 0, 0] / (sx * sy), -1.0, 1.0)
 
 
 def _dtw_rows(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -125,11 +124,10 @@ def dtw_distance(a, b) -> float:
 class MeasureColumns(NamedTuple):
     """Measures of one device set, one entry per candidate.
 
-    ``columns`` maps each requested measure to its values and the mask of
-    candidates where it is undefined, with NaN there: cc and kld are
-    undefined where min-max scaling flattened either side, dtw and jsd
-    never.  ``ref_degenerate`` and ``cand_degenerate`` say which side
-    was flattened.
+    ``columns`` maps each requested measure to its values, NaN where it
+    is undefined: cc and kld are undefined where min-max scaling
+    flattened either side, dtw and jsd never.  ``ref_degenerate`` and
+    ``cand_degenerate`` say which side was flattened.
     """
 
     columns: Columns
@@ -174,16 +172,14 @@ def score_rows(raw: np.ndarray, measures: Sequence[str]) -> MeasureColumns:
     scaled, degenerate = min_max_normalize(raw)
     x, ys = scaled[0], scaled[1:]
     flattened = degenerate[0] | degenerate[1:]
-    never = np.zeros(len(ys), dtype=bool)
 
     columns = {}
     for name in measures:
-        if name == "cc":
-            columns[name] = (np.where(flattened, np.nan, _cc_rows(x, ys)), flattened)
-        elif name == "kld":
-            columns[name] = (np.where(flattened, np.nan, _kld_rows(x, ys)), flattened)
+        if name in ("cc", "kld"):  # undefined where scaling flattened a side
+            kernel = _cc_rows if name == "cc" else _kld_rows
+            columns[name] = np.where(flattened, np.nan, kernel(x, ys))
         elif name == "dtw":
-            columns[name] = (_dtw_rows(x, ys), never)
+            columns[name] = _dtw_rows(x, ys)
         else:
             # JSD falls back to the raw bins when normalization flattened
             # a side to all zeros; an idle-then-burst device still gets an
@@ -195,7 +191,7 @@ def score_rows(raw: np.ndarray, measures: Sequence[str]) -> MeasureColumns:
             jsds[scored] = _jsd_rows(
                 np.where(flattened[:, None], raw[0], x)[scored], np.where(flattened[:, None], raw[1:], ys)[scored]
             )
-            columns[name] = (jsds, never)
+            columns[name] = jsds
     return MeasureColumns(columns, bool(degenerate[0]), degenerate[1:])
 
 
@@ -206,11 +202,11 @@ class Report:
     """The similarity of each device of a set to one reference, as columns.
 
     Entry i of every column is device i.  ``columns`` maps each of the
-    four measures to its values and undefined mask, as score_rows returns
-    them (NaN where undefined: cc and kld only); ``flags`` holds each
-    entry's flags.  A labeled samples file adds ``labels``, a bool array,
-    and ``tags``, each entry's tags in file order; a samples row may have
-    no device id, and its entry in ``device_ids`` is None.
+    four measures to its values, as score_rows returns them (NaN where
+    undefined: cc and kld only); ``flags`` holds each entry's flags.  A
+    labeled samples file adds ``labels``, a bool array, and ``tags``,
+    each entry's tags in file order; a samples row may have no device
+    id, and its entry in ``device_ids`` is None.
     """
 
     device_ids: list
@@ -229,7 +225,7 @@ class Report:
         def pick(cells):
             return None if cells is None else [cells[i] for i in index.tolist()]
 
-        return Report(pick(self.device_ids), {m: (v[index], u[index]) for m, (v, u) in self.columns.items()},
+        return Report(pick(self.device_ids), {m: v[index] for m, v in self.columns.items()},
                       pick(self.flags), None if self.labels is None else self.labels[index], pick(self.tags))
 
 
@@ -259,21 +255,20 @@ def similarity_vector(reference: ByteSeries, candidate: ByteSeries) -> Report:
 # each entry's label and tags).  Every codec reads and writes whole columns.
 # ---------------------------------------------------------------------------
 
-def _cells(values: np.ndarray, undefined: np.ndarray) -> list:
+def _cells(values: np.ndarray) -> list:
     """A measure column as JSON cells: None where undefined, else a float."""
-    return [None if u else v for v, u in zip(values.tolist(), undefined.tolist())]
+    return [None if math.isnan(v) else v for v in values.tolist()]
 
 
-def _measure_column(name: str, cells: list) -> tuple[np.ndarray, np.ndarray]:
+def _measure_column(name: str, cells: list) -> np.ndarray:
     """Inverse of _cells: a cell that is not a finite JSON number (cc and
     kld may be None) raises FormatError."""
-    undefined = [cell is None and name in ("cc", "kld") for cell in cells]
-    values = [math.nan if u else json_number(cell, f"measure {name}") for cell, u in zip(cells, undefined)]
-    return np.array(values, dtype=np.float64), np.array(undefined, dtype=bool)
+    return np.array([math.nan if cell is None and name in ("cc", "kld") else json_number(cell, f"measure {name}")
+                     for cell in cells], dtype=np.float64)
 
 
 def write_report_csv(report: Report, out: TextIO) -> None:
-    cells = [["" if c is None else repr(c) for c in _cells(*report.columns[m])] for m in MEASURES]
+    cells = [["" if c is None else repr(c) for c in _cells(report.columns[m])] for m in MEASURES]
     flags = [";".join(sorted(f)) for f in report.flags]
     out.write("device_id,cc,dtw,kld,jsd,flags\n")
     out.write("".join(",".join(row) + "\n" for row in zip(report.device_ids, *cells, flags)))
@@ -282,7 +277,7 @@ def write_report_csv(report: Report, out: TextIO) -> None:
 def write_report_json(report: Report, out: TextIO) -> None:
     """One JSON object per entry: its device id (unless None), measures and
     sorted flags, and, for a labeled report, its label and tags."""
-    columns = {m: _cells(*report.columns[m]) for m in MEASURES}
+    columns = {m: _cells(report.columns[m]) for m in MEASURES}
     columns["flags"] = [sorted(f) for f in report.flags]
     if report.labels is not None:
         columns["label"] = report.labels.tolist()

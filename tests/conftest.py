@@ -153,8 +153,7 @@ def report_of(rows: list[dict]):
     that hold a ``label`` (and optionally ``tags``) make a labeled report."""
     from simobs.similarity import MEASURES, Report
 
-    columns = {m: (np.array([math.nan if r[m] is None else r[m] for r in rows], dtype=np.float64),
-                   np.array([r[m] is None for r in rows], dtype=bool)) for m in MEASURES}
+    columns = {m: np.array([math.nan if r[m] is None else r[m] for r in rows], dtype=np.float64) for m in MEASURES}
     report = Report([r.get("device_id") for r in rows], columns, [frozenset(r.get("flags", ())) for r in rows])
     if not any("label" in r for r in rows):
         return report
@@ -175,8 +174,7 @@ def stack_reports(reports):
         parts = [getattr(r, name) for r in reports]
         return None if parts[0] is None else [cell for part in parts for cell in part]
 
-    columns = {m: tuple(np.concatenate([r.columns[m][k] for r in reports]) for k in (0, 1))
-               for m in reports[0].columns}
+    columns = {m: np.concatenate([r.columns[m] for r in reports]) for m in reports[0].columns}
     labels = None if reports[0].labels is None else np.concatenate([r.labels for r in reports])
     return Report(joined("device_ids"), columns, joined("flags"), labels, joined("tags"))
 
@@ -184,8 +182,7 @@ def stack_reports(reports):
 def report_entries(report) -> list[dict]:
     """Each entry of ``report`` as a dict: its device id, each measure (None
     where undefined), its flags and, for a labeled report, its label and tags."""
-    cells = {m: [None if u else v for v, u in zip(values.tolist(), undefined.tolist())]
-             for m, (values, undefined) in report.columns.items()}
+    cells = {m: [None if math.isnan(v) else v for v in values.tolist()] for m, values in report.columns.items()}
     entries = [dict(zip(cells, row)) for row in zip(*cells.values())]
     for i, entry in enumerate(entries):
         entry.update(device_id=report.device_ids[i], flags=report.flags[i])

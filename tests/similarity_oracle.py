@@ -239,6 +239,6 @@ def score_report(reference: ByteSeries, candidates: Sequence[ByteSeries]) -> Rep
         jsd_val = _jsd_with_fallback(ref.values, cand, ref_n, cand_n)
         entries.append((cc, float(dtw), kld, jsd_val, frozenset(flags)))
     *measures, flags = zip(*entries)
-    columns = {m: (np.array([math.nan if v is None else v for v in cells], dtype=np.float64),
-                   np.array([v is None for v in cells], dtype=bool)) for m, cells in zip(MEASURES, measures)}
+    columns = {m: np.array([math.nan if v is None else v for v in cells], dtype=np.float64)
+               for m, cells in zip(MEASURES, measures)}
     return Report([None] * len(entries), columns, list(flags))

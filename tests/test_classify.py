@@ -105,7 +105,7 @@ class TestThresholdClassify:
         cfg = ThresholdConfig("cc", 0.21)
         vector = sv(cc=None, flags={"cc_undefined"})
         assert threshold_classify(vector, cfg) is False
-        assert vector.columns["cc"][1].tolist() == [True]
+        assert np.isnan(vector.columns["cc"]).tolist() == [True]
 
     @pytest.mark.parametrize("measure", MEASURES)
     def test_direction_follows_measure(self, measure):
@@ -511,9 +511,6 @@ class TestStackedAgainstOracle:
         for train in (mlp_train, mlp_oracle.mlp_train):
             with pytest.raises(TrainingDivergedError, match="iteration 1$"):
                 train(samples, **kwargs)
-        nan_row = corpus([sample(False, cc=math.nan)])
-        with pytest.raises(TrainingDivergedError):
-            mlp_train(stack_reports([samples, nan_row]), layers=(3,), feature_subset=self.SUBSET)
         points = [GridPoint((3,), "logistic", 1e-4), GridPoint((3,), "logistic", math.inf)]
         with pytest.raises(TrainingDivergedError):
             grid_search(samples, points, folds=3, feature_subset=self.SUBSET)
@@ -526,14 +523,10 @@ class TestStackedAgainstOracle:
         with pytest.raises(ParameterError, match="alpha"):
             grid_search(samples, [GridPoint((3,), "logistic", alpha)], folds=3, feature_subset=self.SUBSET)
 
-    @pytest.mark.parametrize("bad", ["nan_row", "infinite_alpha"])
-    def test_non_finite_loss_raises_from_pool_workers(self, bad, monkeypatch):
+    def test_non_finite_loss_raises_from_pool_workers(self, monkeypatch):
         samples = _overlapping(20, 25, seed=3)
-        points = [GridPoint((3,), "logistic", 1e-4), GridPoint((4,), "tanh", 1e-4)]
-        if bad == "nan_row":
-            samples = stack_reports([samples, corpus([sample(False, cc=math.nan)])])
-        else:
-            points.append(GridPoint((3,), "logistic", math.inf))
+        points = [GridPoint((3,), "logistic", 1e-4), GridPoint((4,), "tanh", 1e-4),
+                  GridPoint((3,), "logistic", math.inf)]
         monkeypatch.setattr(classify, "_cpu_count", lambda: 2)
         with pytest.raises(TrainingDivergedError, match="iteration 1$"):
             grid_search(samples, points, folds=3, feature_subset=self.SUBSET)
@@ -777,11 +770,12 @@ class TestConvergenceStackedOnce:
         if classifier == "model":
             classifier = model
         else:
-            values = score_report(reference, devices).columns[classifier][0]
+            values = score_report(reference, devices).columns[classifier]
             classifier = ThresholdConfig(classifier, float(np.nanmedian(values)))
         expected = _converge_by_prefix_columns(reference, devices, labels, classifier)
         window, _ = align(reference, devices[0])
-        assert score_rows(aligned_rows(_prefix(window, 3), devices), ["cc"]).columns["cc"][1].all()  # flattened early
+        early = score_rows(aligned_rows(_prefix(window, 3), devices), ["cc"]).columns["cc"]
+        assert np.isnan(early).all()  # flattened early
         assert len({m for _, m in expected}) > 1  # the verdicts change with t
         assert convergence_analysis(reference, devices, labels, classifier) == expected
 
@@ -800,26 +794,25 @@ class TestConvergenceColumns:
             report = score_report(prefix, devices)
             scored = score_rows(aligned_rows(prefix, devices), MEASURES)
             for m in MEASURES:
-                values, undefined = scored.columns[m]
-                expected_values, expected_undefined = report.columns[m]
-                assert [repr(v) for v in values.tolist()] == [repr(v) for v in expected_values.tolist()], (t, m)
-                assert undefined.tolist() == expected_undefined.tolist(), (t, m)
+                values, expected = scored.columns[m], report.columns[m]
+                assert [repr(v) for v in values.tolist()] == [repr(v) for v in expected.tolist()], (t, m)
             assert [(scored.ref_degenerate, bool(c)) for c in scored.cand_degenerate] == [
                 ("ref_degenerate" in flags, "cand_degenerate" in flags) for flags in report.flags
             ]
             one = score_rows(aligned_rows(prefix, devices), ["kld"])
             assert list(one.columns) == ["kld"]
-            assert np.array_equal(one.columns["kld"][0], scored.columns["kld"][0], equal_nan=True)
+            assert np.array_equal(one.columns["kld"], scored.columns["kld"], equal_nan=True)
         # The flat head and the constant and all-zero devices leave measures undefined.
-        assert score_rows(aligned_rows(_prefix(reference, 4), devices), ["cc"]).columns["cc"][1].all() == (flat_head > 0)
-        assert score_rows(aligned_rows(reference, devices), ["cc"]).columns["cc"][1].sum() == 2
+        early = score_rows(aligned_rows(_prefix(reference, 4), devices), ["cc"]).columns["cc"]
+        assert np.isnan(early).all() == (flat_head > 0)
+        assert np.isnan(score_rows(aligned_rows(reference, devices), ["cc"]).columns["cc"]).sum() == 2
 
     @pytest.mark.parametrize("flat_head,seed", SCENES)
     def test_threshold_metrics_equal_the_report_path(self, flat_head, seed):
         reference, devices, labels = _device_set(flat_head, seed)
         full = score_report(reference, devices)
         for m in MEASURES:
-            values = full.columns[m][0]
+            values = full.columns[m]
             cfg = ThresholdConfig(m, float(np.nanmedian(values)))
             expected = _converge_by_reports(reference, devices, labels, cfg)
             assert len({r[1] for r in expected}) > 1, m  # the verdicts change with t
@@ -915,12 +908,26 @@ class TestDecisionColumns:
     """Every verdict comes from one threshold comparison or one network
     forward over a whole report."""
 
-    def test_undefined_is_none_not_nan(self):
+    def test_a_nan_cell_and_a_null_cell_are_one_undefined_measure(self):
         report = report_of([row(cc=None), row(cc=math.nan), row(cc=0.25)])
-        values, undefined = report.columns["cc"]
-        assert np.isnan(values[:2]).all() and values[2] == 0.25
-        assert undefined.tolist() == [True, False, False]
+        assert np.isnan(report.columns["cc"][:2]).all() and report.columns["cc"][2] == 0.25
         assert column_verdicts(report.columns, ThresholdConfig("cc", -1.0)).tolist() == [False, False, True]
+        # A corpus whose cc and kld are NaN in process, and the same corpus read
+        # from a samples file that holds null there, decide and train alike.
+        undefined = corpus(sample(i % 2 == 0, cc=math.nan, kld=math.nan) for i in range(6))
+        built = stack_reports([_overlapping(20, 20, seed=7, sep=1.0), undefined])
+        buf = io.StringIO()
+        write_report_json(built, buf)
+        assert [(r["cc"], r["kld"]) for r in json.loads(buf.getvalue())[40:]] == [(None, None)] * 6
+        read = read_samples(io.StringIO(buf.getvalue()))
+        for m in MEASURES:
+            assert np.array_equal(read.columns[m], built.columns[m], equal_nan=True), m
+            cfg = ThresholdConfig(m, DEFAULT_THRESHOLDS[m])
+            assert column_verdicts(read.columns, cfg).tolist() == column_verdicts(built.columns, cfg).tolist(), m
+        assert np.array_equal(feature_matrix(read.columns, MEASURES), feature_matrix(built.columns, MEASURES))
+        models = [mlp_train(r, layers=(4,), seed=3, max_iter=100, feature_subset=MEASURES) for r in (read, built)]
+        _assert_same_fit(*models)
+        assert column_verdicts(read.columns, models[0]).tolist() == column_verdicts(built.columns, models[1]).tolist()
 
     @given(st.sampled_from(MEASURES), st.sampled_from([-math.inf, 0.5, math.inf]),
            st.lists(_column_values, max_size=12))

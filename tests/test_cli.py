@@ -31,8 +31,8 @@ import simobs
 from simobs import classify, cli, simulate
 from simobs.cli import main
 from simobs.pcap import GLOBAL_HEADER_LEN, read_devices_csv
-from simobs.similarity import MEASURES, read_report, read_samples, write_report_csv, write_report_json
-from simobs.timeseries import MAX_STEPS, event_array
+from simobs.similarity import MEASURES, read_report, read_samples, score_report, write_report_csv, write_report_json
+from simobs.timeseries import MAX_STEPS, event_array, read_series_csv
 
 
 def run(args):
@@ -627,6 +627,22 @@ class TestClassifyReports:
         assert "indeterminate_jsd" not in constant or constant["indeterminate_jsd"] == ""
         assert all(row.get("indeterminate_cc") in (None, "") for row in rows[1:])
 
+    @pytest.mark.parametrize("report", ["report.csv", "report.json"])
+    def test_model_verdicts_on_undefined_measures_equal_in_process(self, report, scene, tmp_path):
+        """The constant device's cc and kld are undefined; under --model both
+        report formats give the network's in-process probability."""
+        with open(scene / "devices.csv") as fh:
+            ids, devices = zip(*read_devices_csv(fh))
+        with open(scene / "reference.csv") as fh:
+            scored = score_report(read_series_csv(fh), devices, ids)
+        assert [m for m in MEASURES if np.isnan(scored.columns[m]).any()] == ["cc", "kld"]
+        with open(scene / "model.json") as fh:
+            probability = classify.mlp_probabilities(classify.load_model(fh), scored.columns)
+        text = self._classify(scene, report, ["--model", str(scene / "model.json"), "--format", "json"],
+                              tmp_path / "verdicts.json")
+        assert json.loads(text) == [{"device_id": d, "probability": p, "spy": p >= 0.5}
+                                    for d, p in zip(ids, probability.tolist())]
+
     @pytest.mark.parametrize("argv", [[], ["--format", "json"],
                                       ["--measures", "cc,dtw,kld,jsd", "--thresholds", "cc=0.5,dtw=20"],
                                       ["--model", "MODEL"], ["--model", "MODEL", "--format", "json"]])
@@ -1139,13 +1155,15 @@ class TestMalformedInput:
         assert len(capsys.readouterr().err.splitlines()) == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("garble", ["text tags", "tag not a string", "text spying"])
+    @pytest.mark.parametrize("garble", ["text tags", "tag not a string", "text spying", "kind not a string"])
     def test_mistyped_manifest_field_one_line_exit_1(self, garble, scene, tmp_path, capsys):
         payload = json.loads((scene / "manifest.json").read_text())
         if garble == "text tags":  # not read as the set of its characters
             payload["scenario"]["tags"] = "regime=near"
         elif garble == "tag not a string":
             payload["scenario"]["tags"] = [7]
+        elif garble == "kind not a string":  # not the tag kind=5
+            payload["devices"][0]["kind"] = 5
         else:
             payload["devices"][0]["spying"] = "false"
         manifest = tmp_path / "manifest.json"
@@ -1156,6 +1174,21 @@ class TestMalformedInput:
                     "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and " must be " in err[0]
+        assert not out.exists()
+
+    def test_manifest_that_lists_a_device_twice_one_line_exit_1(self, scene, tmp_path, capsys):
+        """The second entry's label does not silently replace the first's."""
+        payload = json.loads((scene / "manifest.json").read_text())
+        first = payload["devices"][0]
+        payload["devices"].append({**first, "spying": not first["spying"]})
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(payload))
+        out = tmp_path / "samples.json"
+        assert run(["analyze", "--reference", str(scene / "reference.csv"),
+                    "--devices", str(scene / "devices.csv"), "--manifest", str(manifest),
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and repr(first["device_id"]) in err[0] and "twice" in err[0]
         assert not out.exists()
 
     @pytest.mark.parametrize("garble", ["int ids", "device unlisted"])

@@ -16,6 +16,7 @@ from simobs.similarity import (
     FLAG_CC_UNDEFINED,
     FLAG_KLD_UNDEFINED,
     FLAG_REF_DEGENERATE,
+    MEASURES,
     _cc_rows,
     _dtw_rows,
     _jsd_rows,
@@ -58,8 +59,7 @@ class TestPearson:
         # NaN in the kernel; score_rows masks it as undefined.
         assert math.isnan(cc_pair([0.5, 0.5, 0.5], [0, 0.5, 1]))
         assert math.isnan(cc_pair([0, 0.5, 1], [0.5, 0.5, 0.5]))
-        values, undefined = score_rows(np.array([[1, 1, 1], [0, 1, 2]]), ["cc"]).columns["cc"]
-        assert undefined.tolist() == [True] and math.isnan(values[0])
+        assert np.isnan(score_rows(np.array([[1, 1, 1], [0, 1, 2]]), ["cc"]).columns["cc"]).tolist() == [True]
 
     def test_alternating_vs_random_mostly_uncorrelated(self):
         # Independent noise should rarely correlate with a fixed square wave.
@@ -176,8 +176,7 @@ class TestGaussianKld:
 
     def test_length_precondition(self):
         # A one-step window has no spread to fit, so kld is undefined there.
-        values, undefined = score_rows(np.array([[1], [2]]), ["kld"]).columns["kld"]
-        assert undefined.tolist() == [True] and math.isnan(values[0])
+        assert np.isnan(score_rows(np.array([[1], [2]]), ["kld"]).columns["kld"]).tolist() == [True]
 
 
 class TestJsd:
@@ -199,7 +198,7 @@ class TestJsd:
     def test_zero_sum_side_is_maximal(self):
         # A zero-sum row has no distribution: score_rows gives ln 2 against
         # a positive one and 0 against another zero-sum row.
-        jsds = score_rows(np.array([[0, 0], [1, 2], [0, 0]]), ["jsd"]).columns["jsd"][0]
+        jsds = score_rows(np.array([[0, 0], [1, 2], [0, 0]]), ["jsd"]).columns["jsd"]
         assert jsds.tolist() == [math.log(2), 0.0]
 
     @given(st.lists(st.integers(0, 1000), min_size=1, max_size=60))
@@ -483,3 +482,46 @@ class TestEngineAgainstOracle:
             if a.size == b.size and a.sum() > 0 and b.sum() > 0:
                 assert repr(jsd_pair(a, b)) == repr(similarity_oracle.jsd(a, b))
             assert dtw_distance(a[:6], b[:6]) == pytest.approx(dtw_bruteforce(a[:6], b[:6]), rel=1e-12)
+
+
+@st.composite
+def _stacks(draw):
+    """A reference row and 1 to 8 candidate rows of one length, each all
+    zero, constant, 10**12 plus 0 to 2 bytes a step, up to 10**12 bytes a
+    step, or up to 10**6."""
+    n = draw(st.integers(1, 30))
+
+    def steps(lo, hi):
+        return draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n))
+
+    rows = []
+    for _ in range(draw(st.integers(2, 9))):
+        kind = draw(st.sampled_from(["zero", "constant", "near_flat_1e12", "wide_1e12", "bytes"]))
+        if kind == "zero":
+            rows.append([0] * n)
+        elif kind == "constant":
+            rows.append([draw(st.integers(1, 10**12))] * n)
+        elif kind == "near_flat_1e12":
+            rows.append([10**12 + b for b in steps(0, 2)])
+        else:
+            rows.append(steps(0, 10**12 if kind == "wide_1e12" else 10**6))
+    return np.array(rows, dtype=np.int64)
+
+
+class TestUndefinedMark:
+    """NaN is the one mark of an undefined measure, so a kernel that gave
+    NaN on a row scaling did not flatten would pass for undefined."""
+
+    @given(_stacks())
+    @settings(max_examples=300, deadline=None)
+    def test_nan_exactly_where_a_side_is_flattened(self, raw):
+        scored = score_rows(raw, MEASURES)
+        flattened = scored.ref_degenerate | scored.cand_degenerate
+        constant = raw.min(axis=1) == raw.max(axis=1)
+        assert flattened.tolist() == (constant[0] | constant[1:]).tolist()
+        for m in MEASURES:
+            column = scored.columns[m]
+            assert column.dtype == np.float64 and column.shape == (len(raw) - 1,), m
+            undefined = flattened if m in ("cc", "kld") else np.zeros(len(column), dtype=bool)
+            assert np.isnan(column).tolist() == undefined.tolist(), m
+            assert np.isfinite(column[~undefined]).all(), m
